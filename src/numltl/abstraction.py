@@ -5,9 +5,9 @@ the same side, keeping the temporal formulas untouched; the predicate table
 retains what each atom meant so the theory checker can validate valuations
 later.  Refinements append forbidden-cube assumptions or guarantees and are
 additionally recorded as structured valuations, because the synthesis driver
-enforces them by restricting game inputs rather than by re-translating
-formulas (keeping the edge-marking path and the rebuild path identical by
-construction).
+enforces input refinements by marking game edges absent rather than by
+re-translating formulas; marking the standing arena therefore yields the
+arena a fresh build of the refined specification would.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ the same answer, which the test suite exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .speclang import (
     Always,

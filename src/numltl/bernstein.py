@@ -429,20 +429,15 @@ class SearchStats:
 DEFAULT_DEPTH = 24
 
 
-def _proven_on(c: PolyConstraint, lo: Fraction, hi: Fraction) -> bool:
-    """Enclosure certifies the constraint everywhere on the subbox."""
-    if c.relation == ">":
-        return lo > 0
-    if c.relation == ">=":
-        return lo >= 0
-    if c.relation == "<":
-        return hi < 0
-    return hi <= 0
-
-
 def _refuted_on(c: PolyConstraint, lo: Fraction, hi: Fraction) -> bool:
     """Enclosure certifies the constraint fails everywhere on the subbox."""
-    return _proven_on(c.negated(), lo, hi)
+    if c.relation == ">":
+        return hi <= 0
+    if c.relation == ">=":
+        return hi < 0
+    if c.relation == "<":
+        return lo >= 0
+    return lo > 0
 
 
 def _sample_points(box: Box) -> Iterator[Point]:
@@ -450,24 +445,17 @@ def _sample_points(box: Box) -> Iterator[Point]:
     yield from box.vertices()
 
 
-def check_feasibility(
-    constraints: list[PolyConstraint] | tuple[PolyConstraint, ...],
+def _search(
+    constraints: tuple[PolyConstraint, ...],
     box: Box,
-    depth: int = DEFAULT_DEPTH,
-    stats: SearchStats | None = None,
+    depth: int,
+    stats: SearchStats | None,
 ) -> FeasibilityVerdict:
-    """Search for a rational point of ``box`` satisfying every constraint.
+    """Branch-and-prune search behind both decision procedures.
 
-    Subboxes where some constraint is refuted by its Bernstein enclosure are
-    pruned.  On every surviving subbox the center and then the vertices are
-    tested by exact evaluation; the first point satisfying all constraints is
-    returned as the witness.  Undecided subboxes are bisected until ``depth``
-    is exhausted, in which case the verdict degrades from Infeasible to
-    Unknown.
+    Kept private so that ``check_validity`` does not go through the public
+    ``check_feasibility`` name, which callers may wrap to count searches.
     """
-    constraints = tuple(constraints)
-    if not constraints:
-        raise PolynomialError("empty constraint conjunction")
     for c in constraints:
         if c.poly.arity != box.arity:
             raise PolynomialError("constraint arity does not match box")
@@ -499,6 +487,27 @@ def check_feasibility(
     return Infeasible()
 
 
+def check_feasibility(
+    constraints: list[PolyConstraint] | tuple[PolyConstraint, ...],
+    box: Box,
+    depth: int = DEFAULT_DEPTH,
+    stats: SearchStats | None = None,
+) -> FeasibilityVerdict:
+    """Search for a rational point of ``box`` satisfying every constraint.
+
+    Subboxes where some constraint is refuted by its Bernstein enclosure are
+    pruned.  On every surviving subbox the center and then the vertices are
+    tested by exact evaluation; the first point satisfying all constraints is
+    returned as the witness.  Undecided subboxes are bisected until ``depth``
+    is exhausted, in which case the verdict degrades from Infeasible to
+    Unknown.
+    """
+    constraints = tuple(constraints)
+    if not constraints:
+        raise PolynomialError("empty constraint conjunction")
+    return _search(constraints, box, depth, stats)
+
+
 def check_validity(
     formula: ValidityFormula,
     box: Box,
@@ -507,43 +516,19 @@ def check_validity(
 ) -> ValidityVerdict:
     """Decide whether ``formula`` holds at every point of ``box``.
 
-    A subbox is discharged when the constraint is proven by its enclosure
-    (for an implication: the premise refuted or the conclusion proven).  A
-    falsifying sample point, verified by exact evaluation, yields Invalid.
+    Validity is infeasibility of the negation: ``c`` is valid when
+    ``[not c]`` is infeasible, and ``P -> C`` when ``[P, not C]`` is.  The
+    search thus discharges a subbox whose enclosures refute the premise or
+    prove the conclusion, and the negation's feasibility witness is the
+    counterexample.
     """
     if isinstance(formula, ConstraintImplication):
-        parts: tuple[PolyConstraint, ...] = (formula.premise, formula.conclusion)
+        negation = (formula.premise, formula.conclusion.negated())
     else:
-        parts = (formula,)
-    for c in parts:
-        if c.poly.arity != box.arity:
-            raise PolynomialError("constraint arity does not match box")
-    ran_out = False
-    stack: list[tuple[Box, int]] = [(box, 0)]
-    while stack:
-        sub, level = stack.pop()
-        if stats is not None:
-            stats.explored += 1
-        if isinstance(formula, ConstraintImplication):
-            plo, phi = _enclosure(formula.premise.poly, sub)
-            if _refuted_on(formula.premise, plo, phi):
-                continue
-            clo, chi = _enclosure(formula.conclusion.poly, sub)
-            if _proven_on(formula.conclusion, clo, chi):
-                continue
-        else:
-            lo, hi = _enclosure(formula.poly, sub)
-            if _proven_on(formula, lo, hi):
-                continue
-        for point in _sample_points(sub):
-            if not formula.holds_at(point):
-                return Invalid(point)
-        if level >= depth or sub.is_point():
-            ran_out = True
-            continue
-        lower, upper = sub.split(sub.widest_dimension())
-        stack.append((upper, level + 1))
-        stack.append((lower, level + 1))
-    if ran_out:
-        return Unknown("depth exhausted")
-    return Valid()
+        negation = (formula.negated(),)
+    verdict = _search(negation, box, depth, stats)
+    if isinstance(verdict, Feasible):
+        return Invalid(verdict.witness)
+    if isinstance(verdict, Infeasible):
+        return Valid()
+    return verdict

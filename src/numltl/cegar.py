@@ -53,8 +53,6 @@ from .valuation import Valuation
 
 BUCHI = "buchi"
 SAFETY = "safety"
-MARK = "mark"
-REBUILD = "rebuild"
 
 
 class TheoryUnknownError(Exception):
@@ -291,27 +289,23 @@ def bound_schedule_up_to(max_bound: int) -> tuple[int, ...]:
 class CegarConfig:
     """Knobs of one synthesis run.
 
-    The loop itself is deterministic (all tie-breaks are lexicographic);
-    ``seed`` exists so downstream consumers of a run share one entropy
-    source.  ``refinement_mode`` picks between mutating the standing arena
-    (mark) and rebuilding it from the refined abstraction (rebuild); both
-    restrict the same input cubes, so verdicts agree.
+    The loop is deterministic (all tie-breaks are lexicographic) and refines
+    one valuation per iteration.  ``algorithm`` picks the game (safety with
+    the escalating ``bound_schedule``, or Büchi), ``depth`` is the theory
+    checker's bisection budget, ``refinement_cap`` turns a run that keeps
+    refining into Unknown, and ``reencode`` compresses the output alphabet
+    before the game is built.
     """
 
     algorithm: str = SAFETY
     bound_schedule: tuple[int, ...] = (1, 2, 4, 8, 16)
     depth: int = DEFAULT_DEPTH
     refinement_cap: int = 64
-    seed: int = 0
-    refinement_mode: str = MARK
     reencode: bool = True
-    batch_refine: bool = False
 
     def __post_init__(self) -> None:
         if self.algorithm not in (BUCHI, SAFETY):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.refinement_mode not in (MARK, REBUILD):
-            raise ValueError(f"unknown refinement mode {self.refinement_mode!r}")
         if not self.bound_schedule or any(k < 1 for k in self.bound_schedule):
             raise ValueError("bound schedule must be nonempty and positive")
         if self.refinement_cap < 1:
@@ -412,9 +406,10 @@ def synthesize(
 
     Alternates game solving with exact theory checks: a controller win is
     kept only if every output valuation it emits is feasible (otherwise the
-    offending cube becomes a guarantee refinement); an environment win is
-    kept only if the counter-strategy's selected inputs are all feasible
-    (otherwise the first infeasible cube becomes an assumption refinement).
+    first offending cube becomes a guarantee refinement and the arena is
+    rebuilt); an environment win is kept only if the counter-strategy's
+    selected inputs are all feasible (otherwise the first infeasible cube
+    becomes an assumption refinement, marked absent in the standing arena).
     Safety-game runs escalate the bound schedule before giving up.
     """
     cfg = cfg if cfg is not None else CegarConfig()
@@ -429,7 +424,6 @@ def synthesize(
     input_atoms = table.atoms_of(sl.INPUT_SIDE)
     refinements = 0
     bound_index = 0
-    work = spec
     mux = EMPTY_MULTIPLEXER
     arena: GameArena | None = None
     bound: int | None = None
@@ -454,44 +448,36 @@ def synthesize(
             if not bad:
                 transcript.verdict("realizable")
                 return Realizable(controller, mux, table, spec, bound)
-            for w in bad if cfg.batch_refine else bad[:1]:
-                if refinements >= cfg.refinement_cap:
-                    return finish_unknown(
-                        f"refinement cap {cfg.refinement_cap} exceeded"
-                    )
-                spec = refine_with_guarantee(spec, w)
-                transcript.refine(sl.OUTPUT_SIDE, w)
-                refinements += 1
+            if refinements >= cfg.refinement_cap:
+                return finish_unknown(f"refinement cap {cfg.refinement_cap} exceeded")
+            spec = refine_with_guarantee(spec, bad[0])
+            transcript.refine(sl.OUTPUT_SIDE, bad[0])
+            refinements += 1
             arena = None  # the guarantees changed: re-encode and rebuild
             continue
 
         cs = extract_counter_strategy(solution)
         restricted, unproven = select_counter_inputs(cs, cache, input_atoms)
-        culprits = []
+        culprit = None
         try:
             for v in sorted(unproven):
                 verdict = _checked(
                     cache, sl.INPUT_SIDE, v, table, cfg.depth, transcript
                 )
                 if isinstance(verdict, Infeasible):
-                    culprits.append(v)
-                    if not cfg.batch_refine:
-                        break
+                    culprit = v
+                    break
         except TheoryUnknownError as stuck:
             return finish_unknown(str(stuck))
-        if culprits:
-            for v in culprits:
-                if refinements >= cfg.refinement_cap:
-                    return finish_unknown(
-                        f"refinement cap {cfg.refinement_cap} exceeded"
-                    )
-                spec = refine_with_assumption(spec, v)
-                transcript.refine(sl.INPUT_SIDE, v)
-                refinements += 1
-                if cfg.refinement_mode == MARK and arena is not None:
-                    mark_edges_absent(arena, v, v.atoms)
-                else:
-                    arena = None
+        if culprit is not None:
+            if refinements >= cfg.refinement_cap:
+                return finish_unknown(f"refinement cap {cfg.refinement_cap} exceeded")
+            spec = refine_with_assumption(spec, culprit)
+            transcript.refine(sl.INPUT_SIDE, culprit)
+            refinements += 1
+            # the game formula ignores assumption refinements, so marking the
+            # standing arena gives the arena a rebuild would
+            mark_edges_absent(arena, culprit, culprit.atoms)
             continue
 
         # the counter-strategy survived theory scrutiny at this bound

@@ -39,7 +39,6 @@ from .cegar import (
     CegarConfig,
     Realizable,
     Transcript,
-    UnrealizableWithinBound,
     bound_schedule_up_to,
     count_theory_checks,
     synthesize,
@@ -94,13 +93,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     except sl.SpecError as exc:
         return _fail(f"{args.spec}: {exc}")
-    cfg = CegarConfig(
-        algorithm=args.algorithm,
-        bound_schedule=bound_schedule_up_to(args.max_bound),
-        depth=args.depth,
-        seed=args.seed,
-        reencode=not args.no_reencode,
-    )
+    try:
+        cfg = CegarConfig(
+            algorithm=args.algorithm,
+            bound_schedule=bound_schedule_up_to(args.max_bound),
+            depth=args.depth,
+            reencode=not args.no_reencode,
+        )
+    except ValueError as exc:
+        return _fail(str(exc))
     transcript = Transcript()
     verdict = synthesize(doc, cfg, transcript)
     print(f"spec: {args.spec}")
@@ -319,8 +320,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # -- argument surface -------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors with exit code 3; argparse's own 2 means unknown here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="numltl",
         description="Controller synthesis from LTL specifications with polynomial sensor constraints",
     )
@@ -331,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--algorithm", choices=(SAFETY, BUCHI), default=SAFETY)
     synth.add_argument("--max-bound", type=int, default=16, metavar="N")
     synth.add_argument("--depth", type=int, default=DEFAULT_DEPTH, metavar="N")
-    synth.add_argument("--seed", type=int, default=0, metavar="N")
     synth.add_argument("--out", metavar="PATH", help="artifact path (.ctrl or .cs)")
     synth.add_argument("--dot", metavar="PATH", help="write a graph description")
     synth.add_argument("--transcript", metavar="PATH", help="write the run transcript")

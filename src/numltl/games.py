@@ -17,11 +17,10 @@ cycle; restricting to such a cycle would hand the play to the controller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
 
 from .automata import BuchiAutomaton
-from .valuation import Cube, Valuation, all_valuations
+from .valuation import Valuation, all_valuations
 
 ENV = "env"
 CTRL = "ctrl"
@@ -333,20 +332,14 @@ def solve_safety(arena: GameArena) -> GameSolution:
     env_strategy: dict[int, EnvEdge] = {}
     env_candidates: dict[int, tuple[EnvEdge, ...]] = {}
     for i in range(arena.n_env):
-        node = (ENV, i)
-        if node not in attr:
+        if (ENV, i) not in attr:
             continue
-        if rank[node] == 0:
-            env_candidates[i] = ()  # unsafe reached: play is over
-            continue
-        candidates = tuple(
-            e
-            for e in arena.present_env_edges(i)
-            if (CTRL, e.target) in rank and rank[(CTRL, e.target)] < rank[node]
-        )
-        candidates = tuple(sorted(candidates, key=_edge_key))
+        # an unsafe node (rank 0) gets none, as no ctrl node has rank 0:
+        # the play is over there
+        candidates = _env_candidates_from_ranks(arena, i, rank)
         env_candidates[i] = candidates
-        env_strategy[i] = candidates[0]
+        if candidates:
+            env_strategy[i] = candidates[0]
     return GameSolution(
         arena, ctrl_region, env_region, ctrl_strategy, env_strategy, env_candidates
     )

@@ -364,7 +364,11 @@ def _lex_line(text: str, line_no: int) -> list[Token]:
             m = _NUMBER_RE.match(text, i)
             assert m is not None
             lit = m.group(0)
-            tokens.append(Token(TokenKind.NUMBER, lit, line_no, col, value=Fraction(lit)))
+            try:
+                value = Fraction(lit)
+            except (ValueError, ZeroDivisionError):
+                raise SpecError(f"invalid rational literal {lit!r}", line_no, col) from None
+            tokens.append(Token(TokenKind.NUMBER, lit, line_no, col, value=value))
             i = m.end()
             continue
         m = _IDENT_RE.match(text, i)

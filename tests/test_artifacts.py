@@ -135,6 +135,8 @@ class TestControllerFiles:
             parse_controller_file(pkg_text.replace("END SPEC", "END SPE"))
         with pytest.raises(ControllerFileError, match="trailing content"):
             parse_controller_file(pkg_text + "EXTRA\n")
+        with pytest.raises(ControllerFileError, match="embedded specification"):
+            parse_controller_file(pkg_text.replace("- 7/2 <", "- 7/0 <"))
 
     def test_hash_line_must_match_embedded_spec(self, threshold_package):
         text = render_realizable(threshold_package[1], SAFETY)

@@ -270,6 +270,21 @@ class TestSearchStats:
         check_feasibility([c], UNIT, stats=stats)
         assert stats.explored == 2 * first
 
+    def test_implication_validity_effort_is_pinned(self):
+        """Validity of P -> C runs the search on [P, not C]; these counts and
+        the witness are those of the dedicated validity loop it replaced."""
+        premise = _gt(SUM_2, 3)
+        stats = SearchStats()
+        formula = ConstraintImplication(premise, _ge(SUMSQ_2, Fraction(7, 2)))
+        assert check_validity(formula, TWO_VARS, stats=stats) == Valid()
+        assert stats.explored == 23
+
+        stats = SearchStats()
+        formula = ConstraintImplication(premise, _ge(SUMSQ_2, 5))
+        verdict = check_validity(formula, TWO_VARS, stats=stats)
+        assert verdict == Invalid((Fraction(2051, 2048), Fraction(2047, 1024)))
+        assert stats.explored == 38
+
     def test_default_runs_keep_no_tally(self):
         c = PolyConstraint(_poly(1, {(1,): 1}), ">=")
         assert isinstance(check_feasibility([c], UNIT), Feasible)

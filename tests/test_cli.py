@@ -106,6 +106,18 @@ class TestSynthCommand:
         assert main(["synth", "/nonexistent.spec"]) == EXIT_INPUT_ERROR
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--max-bound", "--depth"])
+    def test_nonpositive_budget_is_an_input_error(self, flag, capsys):
+        assert main(["synth", THRESHOLD, flag, "0"]) == EXIT_INPUT_ERROR
+        assert "must be positive" in capsys.readouterr().err
+
+    def test_zero_denominator_is_an_input_error(self, tmp_path, capsys):
+        spec = tmp_path / "bad.spec"
+        spec.write_text("REAL x IN [0, 1]\nPRED p := x > 1/0\nOUTPUT b\np -> b\n")
+        assert main(["synth", str(spec)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "line 2, column 15: invalid rational literal '1/0'" in err
+
 
 class TestCheckCommand:
     def test_implication_validity(self, capsys):
@@ -172,6 +184,35 @@ class TestCheckCommand:
     def test_nothing_to_check_is_an_input_error(self, capsys):
         assert main(["check"]) == EXIT_INPUT_ERROR
         assert "nothing to check" in capsys.readouterr().err
+
+    def test_zero_denominator_is_an_input_error(self, capsys):
+        code = main(["check", "--real", "x", "0", "1", "-c", "x > 1/0"])
+        assert code == EXIT_INPUT_ERROR
+        assert "invalid rational literal '1/0'" in capsys.readouterr().err
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", THRESHOLD, "--bogus"],
+            ["synth", THRESHOLD, "--seed", "1"],
+            ["check", "--depth", "deep"],
+            ["frobnicate"],
+            [],
+        ],
+    )
+    def test_usage_errors_exit_with_input_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == EXIT_INPUT_ERROR
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_ok(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["synth", "--help"])
+        assert caught.value.code == EXIT_OK
+        assert "--max-bound" in capsys.readouterr().out
 
 
 class TestAbstractCommand:

@@ -156,6 +156,12 @@ class TestPolynomialParsing:
         with pytest.raises(SpecError, match="rational literal"):
             self.brackets("PRED p := x / 2 > 0")
 
+    @pytest.mark.parametrize("literal", ["1/0", "0/0", "1.5/2"])
+    def test_malformed_rational_literal_is_rejected(self, literal):
+        with pytest.raises(SpecError, match="invalid rational literal") as caught:
+            self.brackets(f"PRED p := x > {literal}")
+        assert (caught.value.line, caught.value.column) == (4, 15)
+
     def test_equality_relation_is_rejected(self):
         with pytest.raises(SpecError, match="relation"):
             self.brackets("PRED p := x = 2")
@@ -379,3 +385,49 @@ class TestConstraintDocuments:
     def test_rejects_missing_relation(self):
         with pytest.raises(SpecError, match="expected a relation"):
             parse_constraints("REAL x IN [0, 1]\nx + 1\n")
+
+    def test_rejects_zero_denominators(self):
+        with pytest.raises(SpecError, match="line 1, column 15: invalid rational"):
+            parse_constraints("REAL x IN [0, 1/0]\nx > 0\n")
+        with pytest.raises(SpecError, match="line 2, column 5: invalid rational"):
+            parse_constraints("REAL x IN [0, 1]\nx > 0/0\n")
+
+
+# fragments a mutant splices in: rational literals (zero denominators among
+# them), operators, keywords, and brackets
+_MUTATION_PIECES = (
+    "/0", "0/0", "1/0", "/", "0", "7/", "1.5", ".", "^", "^0", "^-1", "-",
+    "*", "(", ")", "[", "]", ",", "<", ">=", "->", "&&", "!", ":=", "=",
+    "x", "REAL", "PRED", "INPUT", "OUTPUT", "IN", "ALWAYS", "NEXT", "\n", " ",
+)
+
+
+def _mutant(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        roll = rng.random()
+        if roll < 0.4:
+            text = text[:i] + rng.choice(_MUTATION_PIECES) + text[i:]
+        elif roll < 0.7:
+            text = text[:i] + text[i + rng.randint(1, 4):]
+        else:
+            text = text[:i] + rng.choice(_MUTATION_PIECES) + text[i + 1:]
+    return text
+
+
+class TestMutationSweep:
+    @pytest.mark.parametrize(
+        "name", ["threshold_arbiter", "triple_sensor_arbiter", "error_monitor"]
+    )
+    def test_mutated_bundled_specs_raise_only_spec_errors(self, name):
+        text = (SPECS_DIR / f"{name}.spec").read_text()
+        rng = random.Random(f"mutants:{name}")
+        rejected = 0
+        for _ in range(400):
+            mutant = _mutant(rng, text)
+            for parse in (parse_spec, parse_constraints):
+                try:
+                    parse(mutant)
+                except SpecError:
+                    rejected += 1
+        assert rejected
