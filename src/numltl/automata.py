@@ -13,7 +13,9 @@ the same answer, which the test suite exploits.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
 from .speclang import (
     Always,
@@ -128,17 +130,35 @@ class BuchiAutomaton:
 
 
 # -- tableau expansion ------------------------------------------------------
+#
+# The tableau runs on ints: every subformula of the normal form is interned
+# to its rank in ``repr`` order, so expanding the smallest pending int picks
+# the formula whose ``repr`` sorts first, and obligation sets are sets of
+# ints.  Formulas come back only for transition guards and acceptance sets.
 
 _INIT = -1
+
+# kinds of interned subformulas; TRUE counts as a literal
+_LITERAL, _FALSE, _AND, _OR, _UNTIL, _RELEASE, _NEXT = range(7)
+
+
+@dataclass
+class _Interned:
+    formulas: list[Formula]  # by rank in repr order
+    root: int
+    kind: list[int]
+    left: list[int]  # left operand, or the operand of Next
+    right: list[int]
+    negation: list[int]  # a literal's negation, or -1 where that is no subformula
 
 
 @dataclass
 class _Node:
     node_id: int
     incoming: set[int]
-    new: set[Formula]
-    old: set[Formula]
-    nxt: set[Formula]
+    new: set[int]
+    old: set[int]
+    nxt: set[int]
 
 
 def _is_literal(f: Formula) -> bool:
@@ -157,21 +177,43 @@ def _negate_literal(f: Formula) -> Formula:
     return TrueFormula()
 
 
-def _formula_key(f: Formula) -> str:
-    return repr(f)
+def _intern(normal: Formula) -> _Interned:
+    formulas = sorted(_closure(normal), key=repr)
+    index = {f: i for i, f in enumerate(formulas)}
+    kinds = {And: _AND, Or: _OR, Until: _UNTIL, Release: _RELEASE}
+    kind, left, right, negation = [], [], [], []
+    for f in formulas:
+        k, a, b, neg = -1, -1, -1, -1
+        if isinstance(f, FalseFormula):
+            k = _FALSE
+        elif _is_literal(f):
+            k, neg = _LITERAL, index.get(_negate_literal(f), -1)
+        elif isinstance(f, Next):
+            k, a = _NEXT, index[f.operand]
+        elif type(f) in kinds:
+            k, a, b = kinds[type(f)], index[f.left], index[f.right]
+        else:
+            msg = f"formula not in normal form: {f!r}"
+            raise TypeError(msg)
+        kind.append(k)
+        left.append(a)
+        right.append(b)
+        negation.append(neg)
+    return _Interned(formulas, index[normal], kind, left, right, negation)
 
 
-def _expand(formula: Formula) -> list[_Node]:
+def _expand(table: _Interned) -> list[_Node]:
     """Tableau expansion with an explicit worklist; returns the node list."""
+    kind, left, right, negation = table.kind, table.left, table.right, table.negation
     done: list[_Node] = []
     counter = [0]
 
-    def fresh(incoming: set[int], new: set[Formula], old: set[Formula], nxt: set[Formula]) -> _Node:
+    def fresh(incoming: set[int], new: set[int], old: set[int], nxt: set[int]) -> _Node:
         counter[0] += 1
         return _Node(counter[0], incoming, new, old, nxt)
 
     by_obligations: dict[tuple[frozenset, frozenset], _Node] = {}
-    work = [fresh({_INIT}, {formula}, set(), set())]
+    work = [fresh({_INIT}, {table.root}, set(), set())]
     while work:
         node = work.pop()
         if not node.new:
@@ -184,22 +226,25 @@ def _expand(formula: Formula) -> list[_Node]:
                 done.append(node)
                 work.append(fresh({node.node_id}, set(node.nxt), set(), set()))
             continue
-        f = min(node.new, key=_formula_key)
+        f = min(node.new)
         node.new.discard(f)
-        if _is_literal(f):
-            if isinstance(f, FalseFormula) or _negate_literal(f) in node.old:
+        k = kind[f]
+        if k == _LITERAL:
+            if negation[f] in node.old:
                 continue
             node.old.add(f)
             work.append(node)
-        elif isinstance(f, And):
+        elif k == _FALSE:
+            continue
+        elif k == _AND:
             node.old.add(f)
-            node.new |= {f.left, f.right} - node.old
+            node.new |= {left[f], right[f]} - node.old
             work.append(node)
-        elif isinstance(f, Or):
+        elif k == _OR:
             work.append(
                 fresh(
                     set(node.incoming),
-                    node.new | ({f.right} - node.old),
+                    node.new | ({right[f]} - node.old),
                     node.old | {f},
                     set(node.nxt),
                 )
@@ -207,16 +252,16 @@ def _expand(formula: Formula) -> list[_Node]:
             work.append(
                 fresh(
                     set(node.incoming),
-                    node.new | ({f.left} - node.old),
+                    node.new | ({left[f]} - node.old),
                     node.old | {f},
                     set(node.nxt),
                 )
             )
-        elif isinstance(f, Until):
+        elif k == _UNTIL:
             work.append(
                 fresh(
                     set(node.incoming),
-                    node.new | ({f.right} - node.old),
+                    node.new | ({right[f]} - node.old),
                     node.old | {f},
                     set(node.nxt),
                 )
@@ -224,16 +269,16 @@ def _expand(formula: Formula) -> list[_Node]:
             work.append(
                 fresh(
                     set(node.incoming),
-                    node.new | ({f.left} - node.old),
+                    node.new | ({left[f]} - node.old),
                     node.old | {f},
                     node.nxt | {f},
                 )
             )
-        elif isinstance(f, Release):
+        elif k == _RELEASE:
             work.append(
                 fresh(
                     set(node.incoming),
-                    node.new | ({f.left, f.right} - node.old),
+                    node.new | ({left[f], right[f]} - node.old),
                     node.old | {f},
                     set(node.nxt),
                 )
@@ -241,22 +286,19 @@ def _expand(formula: Formula) -> list[_Node]:
             work.append(
                 fresh(
                     set(node.incoming),
-                    node.new | ({f.right} - node.old),
+                    node.new | ({right[f]} - node.old),
                     node.old | {f},
                     node.nxt | {f},
                 )
             )
-        elif isinstance(f, Next):
+        else:  # _NEXT
             node.old.add(f)
-            node.nxt.add(f.operand)
+            node.nxt.add(left[f])
             work.append(node)
-        else:
-            msg = f"formula not in normal form: {f!r}"
-            raise TypeError(msg)
     return done
 
 
-def _guard_of(old: set[Formula]) -> Cube:
+def _guard_of(old: Iterable[Formula]) -> Cube:
     pairs = []
     for f in old:
         if isinstance(f, Atom):
@@ -343,9 +385,9 @@ def _simplify(
 
     order: list[int] = []
     seen = {initial}
-    queue = [initial]
+    queue = deque([initial])
     while queue:
-        q = queue.pop(0)
+        q = queue.popleft()
         order.append(q)
         for _, target in rows[q]:
             if target not in seen:
@@ -369,31 +411,29 @@ def translate(formula: Formula, atoms: tuple[str, ...] | None = None) -> BuchiAu
     """Büchi automaton accepting exactly the words satisfying ``formula``."""
     from .speclang import atoms_of
 
-    normal = negation_normal_form(formula)
-    nodes = _expand(normal)
-
-    untils = sorted(
-        (f for f in _closure(normal) if isinstance(f, Until)), key=_formula_key
-    )
+    table = _intern(negation_normal_form(formula))
+    nodes = _expand(table)
 
     # state 0 is a fresh initial state; tableau node k becomes state k+1
     ids = {node.node_id: i + 1 for i, node in enumerate(nodes)}
     n_states = len(nodes) + 1
     edges: list[list[tuple[Cube, int]]] = [[] for _ in range(n_states)]
     for node in nodes:
-        guard = _guard_of(node.old)
+        guard = _guard_of(table.formulas[f] for f in node.old)
         target = ids[node.node_id]
         for src in node.incoming:
             edges[0 if src == _INIT else ids[src]].append((guard, target))
 
+    # one acceptance set per Until, in repr order
     acceptance_sets = [
         frozenset(
             ids[node.node_id]
             for node in nodes
-            if u not in node.old or u.right in node.old
+            if u not in node.old or table.right[u] in node.old
         )
         | {0}
-        for u in untils
+        for u, k in enumerate(table.kind)
+        if k == _UNTIL
     ]
 
     n, initial, rows, accepting = _degeneralize(n_states, 0, edges, acceptance_sets)
@@ -524,15 +564,14 @@ def accepts_lasso(automaton: BuchiAutomaton, prefix, loop) -> bool:
     def succ(i: int) -> int:
         return i + 1 if i + 1 < total else loop_start
 
-    letters = [Valuation.of(w) for w in word]
-
     def successors(node: tuple[int, int]) -> list[tuple[int, int]]:
         state, pos = node
         nxt = succ(pos)
+        letter = word[pos]
         return [
             (t.target, nxt)
             for t in automaton.transitions[state]
-            if t.guard.matches(letters[pos])
+            if all(letter[name] == value for name, value in t.guard.pairs)
         ]
 
     root = (automaton.initial, 0)

@@ -420,9 +420,12 @@ def synthesize(
         transcript.verdict(f"unknown {reason}")
         return Unknown(reason)
 
+    def capped() -> bool:
+        refinements = len(spec.input_refinements) + len(spec.output_refinements)
+        return refinements >= cfg.refinement_cap
+
     spec, table = abstract_spec(doc)
     input_atoms = table.atoms_of(sl.INPUT_SIDE)
-    refinements = 0
     bound_index = 0
     mux = EMPTY_MULTIPLEXER
     arena: GameArena | None = None
@@ -448,11 +451,10 @@ def synthesize(
             if not bad:
                 transcript.verdict("realizable")
                 return Realizable(controller, mux, table, spec, bound)
-            if refinements >= cfg.refinement_cap:
+            if capped():
                 return finish_unknown(f"refinement cap {cfg.refinement_cap} exceeded")
             spec = refine_with_guarantee(spec, bad[0])
             transcript.refine(sl.OUTPUT_SIDE, bad[0])
-            refinements += 1
             arena = None  # the guarantees changed: re-encode and rebuild
             continue
 
@@ -470,11 +472,10 @@ def synthesize(
         except TheoryUnknownError as stuck:
             return finish_unknown(str(stuck))
         if culprit is not None:
-            if refinements >= cfg.refinement_cap:
+            if capped():
                 return finish_unknown(f"refinement cap {cfg.refinement_cap} exceeded")
             spec = refine_with_assumption(spec, culprit)
             transcript.refine(sl.INPUT_SIDE, culprit)
-            refinements += 1
             # the game formula ignores assumption refinements, so marking the
             # standing arena gives the arena a rebuild would
             mark_edges_absent(arena, culprit, culprit.atoms)

@@ -13,14 +13,25 @@ an attractor layer they strictly decrease the attractor rank, and inside a
 trap they stay in the trap.  Merely remaining in the environment's winning
 region is not enough, since an accepting node can sit on a rank-preserving
 cycle; restricting to such a cycle would hand the play to the controller.
+
+The builders work on machine ints.  Each arena fixes one atom order,
+``inputs + outputs``: atom ``k`` is bit ``k``, every input and output
+valuation is encoded once, and a letter is ``in_bits | out_bits``.  Each
+automaton guard is lowered once to ``(care, value)`` masks and matches a
+letter when ``letter & care == value``.  ``Valuation`` objects appear only on
+the arena's API: edges, ctrl-node origins, controllers and
+counter-strategies.  An env edge also keeps its input bits, so marking edges
+absent is a mask compare.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
+from collections import deque
+from dataclasses import dataclass, field
 
 from .automata import BuchiAutomaton
-from .valuation import Valuation, all_valuations
+from .valuation import Cube, Valuation, encoded_valuations
 
 ENV = "env"
 CTRL = "ctrl"
@@ -32,11 +43,12 @@ class GameError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class EnvEdge:
     valuation: Valuation
     target: int
     present: bool = True
+    bits: int = field(kw_only=True)  # ``valuation`` encoded over the arena's inputs
 
 
 @dataclass(frozen=True)
@@ -93,6 +105,19 @@ def _edge_key(edge) -> tuple:
 # -- arena builders -----------------------------------------------------------
 
 
+def _alphabet(
+    inputs: tuple[str, ...], outputs: tuple[str, ...]
+) -> tuple[dict[str, int], list[tuple[Valuation, int]], list[tuple[Valuation, int]]]:
+    """Bit position of each atom, and the input and output valuations with
+    their bits, in ``all_valuations`` order."""
+    position = {name: k for k, name in enumerate(inputs + outputs)}
+    return (
+        position,
+        encoded_valuations(inputs),
+        encoded_valuations(outputs, len(inputs)),
+    )
+
+
 def build_buchi_game(
     automaton: BuchiAutomaton, inputs: tuple[str, ...], outputs: tuple[str, ...]
 ) -> GameArena:
@@ -102,26 +127,26 @@ def build_buchi_game(
     nondeterminism; it wins by steering some run through accepting states
     infinitely often.  Sound for realizability, incomplete the other way.
     """
-    input_valuations = list(all_valuations(inputs))
-    output_valuations = list(all_valuations(outputs))
+    position, input_letters, output_letters = _alphabet(inputs, outputs)
 
     ctrl_origin: list[tuple[int, Valuation]] = []
     env_edges: list[list[EnvEdge]] = []
     ctrl_edges: list[list[CtrlEdge]] = []
     for q in range(automaton.n_states):
+        guards = [(*t.guard.masks(position), t.target) for t in automaton.transitions[q]]
         row: list[EnvEdge] = []
-        for vin in input_valuations:
+        for vin, in_bits in input_letters:
             cid = len(ctrl_origin)
             ctrl_origin.append((q, vin))
-            row.append(EnvEdge(vin, cid))
+            row.append(EnvEdge(vin, cid, bits=in_bits))
             answers: list[CtrlEdge] = []
-            seen = set()
-            for vout in output_valuations:
-                letter = vin.merge(vout)
-                for t in automaton.transitions[q]:
-                    if t.guard.matches(letter) and (vout, t.target) not in seen:
-                        seen.add((vout, t.target))
-                        answers.append(CtrlEdge(vout, t.target))
+            for vout, out_bits in output_letters:
+                letter = in_bits | out_bits
+                seen = set()
+                for care, value, target in guards:
+                    if letter & care == value and target not in seen:
+                        seen.add(target)
+                        answers.append(CtrlEdge(vout, target))
             ctrl_edges.append(answers)
         env_edges.append(row)
 
@@ -160,8 +185,16 @@ def build_safety_game(
     if bound < 1:
         msg = f"bound must be at least 1, got {bound}"
         raise GameError(msg)
-    input_valuations = list(all_valuations(inputs))
-    output_valuations = list(all_valuations(outputs))
+    position, input_letters, output_letters = _alphabet(inputs, outputs)
+    guards = [
+        [
+            (*t.guard.masks(position), t.target, 1 if t.target in negated.accepting else 0)
+            for t in row
+        ]
+        for row in negated.transitions
+    ]
+    # successors of each automaton state per letter, as (target, bump) pairs
+    moves: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in guards]
 
     labels: list = []
     index: dict = {}
@@ -181,40 +214,45 @@ def build_safety_game(
             unsafe.add(i)
         return i
 
-    def step_macro(macro: Macro, letter: Valuation):
+    def step_macro(macro: Macro, letter: int):
         best: dict[int, int] = {}
         for state, count in macro:
-            for t in negated.transitions[state]:
-                if not t.guard.matches(letter):
-                    continue
-                bumped = count + (1 if t.target in negated.accepting else 0)
-                if bumped > best.get(t.target, -1):
-                    best[t.target] = bumped
-        if any(c > bound for c in best.values()):
-            return UNSAFE_LABEL
+            cached = moves[state].get(letter)
+            if cached is None:
+                cached = moves[state][letter] = tuple(
+                    (target, bump)
+                    for care, value, target, bump in guards[state]
+                    if letter & care == value
+                )
+            for target, bump in cached:
+                bumped = count + bump
+                if bumped > bound:
+                    return UNSAFE_LABEL
+                if bumped > best.get(target, -1):
+                    best[target] = bumped
         if not best:
             return EMPTY_LABEL
         return tuple(sorted(best.items()))
 
     initial_macro: Macro = ((negated.initial, 0),)
     start = env_id(initial_macro)
-    queue = [start]
+    queue = deque([start])
     expanded = {start}
     while queue:
-        i = queue.pop(0)
+        i = queue.popleft()
         label = labels[i]
         if label == UNSAFE_LABEL:
             continue  # terminal: env already won
-        for vin in input_valuations:
+        for vin, in_bits in input_letters:
             cid = len(ctrl_origin)
             ctrl_origin.append((i, vin))
-            env_edges[i].append(EnvEdge(vin, cid))
+            env_edges[i].append(EnvEdge(vin, cid, bits=in_bits))
             answers: list[CtrlEdge] = []
-            for vout in output_valuations:
+            for vout, out_bits in output_letters:
                 if label == EMPTY_LABEL:
                     target_label = EMPTY_LABEL  # no runs of the negated automaton remain
                 else:
-                    target_label = step_macro(label, vin.merge(vout))
+                    target_label = step_macro(label, in_bits | out_bits)
                 t = env_id(target_label)
                 answers.append(CtrlEdge(vout, t))
                 if t not in expanded:
@@ -247,34 +285,82 @@ def _attractor(
     nodes have rank 0.  An owner node joins when some present edge enters the
     attractor; an opponent node joins when every present edge into ``alive``
     does, which is vacuously true for stuck opponent nodes.
+
+    Linear in the arena (Grädel, Thomas & Wilke, LNCS 2500): every opponent
+    node counts its edges not yet attracted, and the layers are processed
+    breadth-first, so a node joins one layer after the edge that completes
+    its condition, the layer the round-by-round fixpoint gives it.
     """
-    attr = {n for n in base if n in alive}
-    rank = {n: 0 for n in attr}
+    n_env = arena.n_env
+    n = n_env + arena.n_ctrl  # env node i is i, ctrl node i is n_env + i
+    live = bytearray(n)
+    named: list = [None] * n  # the caller's node tuples, reused in the result
+    for node in alive:
+        kind, i = node
+        k = i if kind == ENV else n_env + i
+        live[k] = 1
+        named[k] = node
+
+    def live_edges():
+        for i, row in enumerate(arena.env_edges):
+            if live[i]:
+                for e in row:
+                    if e.present and live[n_env + e.target]:
+                        yield i, n_env + e.target
+        for i, row in enumerate(arena.ctrl_edges):
+            if live[n_env + i]:
+                for e in row:
+                    if live[e.target]:
+                        yield n_env + i, e.target
+
+    # predecessors grouped by target: those of t are preds[first[t]:first[t + 1]]
+    pending = array("i", [0]) * n  # live edges not yet attracted, per node
+    first = array("i", [0]) * (n + 1)
+    for src, t in live_edges():
+        pending[src] += 1
+        first[t + 1] += 1
+    for t in range(n):
+        first[t + 1] += first[t]
+    preds = array("i", [0]) * first[n]
+    fill = first[:-1]
+    for src, t in live_edges():
+        preds[fill[t]] = src
+        fill[t] += 1
+    owner_is_env = owner == ENV
+
+    rank = array("i", [-1]) * n  # -1 until attracted
+    layer = []
+    for kind, i in base & alive:
+        node = i if kind == ENV else n_env + i
+        rank[node] = 0
+        layer.append(node)
+    # stuck opponent nodes join in the first layer
+    stuck = [
+        node
+        for node in range(n)
+        if live[node] and not pending[node] and rank[node] < 0
+        and (node < n_env) != owner_is_env
+    ]
     current = 0
-    while True:
-        fresh: set[NodeId] = set()
-        for node in alive:
-            if node in attr:
-                continue
-            kind, i = node
-            if kind == ENV:
-                edges = [(CTRL, e.target) for e in arena.present_env_edges(i)]
-            else:
-                edges = [(ENV, e.target) for e in arena.ctrl_edges[i]]
-            edges = [t for t in edges if t in alive]
-            owns = kind == (ENV if owner == ENV else CTRL)
-            if owns:
-                if any(t in attr for t in edges):
-                    fresh.add(node)
-            else:
-                if all(t in attr for t in edges):
-                    fresh.add(node)
-        if not fresh:
-            return attr, rank
+    while layer or stuck:
         current += 1
+        fresh, stuck = stuck, []
         for node in fresh:
-            attr.add(node)
             rank[node] = current
+        for node in layer:
+            for p in preds[first[node] : first[node + 1]]:
+                if rank[p] >= 0:
+                    continue
+                if (p < n_env) != owner_is_env:
+                    pending[p] -= 1
+                    if pending[p]:
+                        continue
+                rank[p] = current
+                fresh.append(p)
+        layer = fresh
+
+    ranked = {named[node]: r for node, r in enumerate(rank) if r >= 0}
+    return set(ranked), ranked
 
 
 @dataclass
@@ -421,9 +507,9 @@ def extract_controller(solution: GameSolution) -> MealyController:
     numbering = {arena.initial: 0}
     order = [arena.initial]
     step: dict[tuple[int, Valuation], tuple[Valuation, int]] = {}
-    queue = [arena.initial]
+    queue = deque([arena.initial])
     while queue:
-        env_node = queue.pop(0)
+        env_node = queue.popleft()
         for edge in sorted(arena.present_env_edges(env_node), key=_edge_key):
             answer = solution.ctrl_strategy.get(edge.target)
             if answer is None:
@@ -472,9 +558,9 @@ def extract_counter_strategy(solution: GameSolution) -> CounterStrategy:
     spoiled: set[int] = set()
     seen = {arena.initial}
     order = [arena.initial]
-    queue = [arena.initial]
+    queue = deque([arena.initial])
     while queue:
-        s = queue.pop(0)
+        s = queue.popleft()
         edges = solution.env_candidates.get(s, ())
         if not edges:
             spoiled.add(s)
@@ -509,17 +595,20 @@ def restrict_counter_strategy(
 ) -> CounterStrategy:
     """Counter-strategy narrowed to the kept candidate inputs, re-trimmed to
     the states still reachable from the initial state."""
+    moves: dict[int, list[tuple[Valuation, Valuation, int]]] = {}
+    for (state, vin, vout), nxt in cs.transitions.items():
+        moves.setdefault(state, []).append((vin, vout, nxt))
     seen = {cs.initial}
     order = [cs.initial]
-    queue = [cs.initial]
+    queue = deque([cs.initial])
     candidates: dict[int, tuple[Valuation, ...]] = {}
     transitions: dict[tuple[int, Valuation, Valuation], int] = {}
     while queue:
-        s = queue.pop(0)
+        s = queue.popleft()
         chosen = keep.get(s, cs.candidates.get(s, ()))
         candidates[s] = chosen
-        for (state, vin, vout), nxt in cs.transitions.items():
-            if state != s or vin not in chosen:
+        for vin, vout, nxt in moves.get(s, ()):
+            if vin not in chosen:
                 continue
             transitions[(s, vin, vout)] = nxt
             if nxt not in seen:
@@ -544,11 +633,20 @@ def mark_edges_absent(
     arena: GameArena, valuation: Valuation, predicate_atoms: tuple[str, ...]
 ) -> int:
     """Mark absent every present env edge whose input agrees with ``valuation``
-    on the predicate atoms; returns how many edges were marked."""
+    on the predicate atoms; returns how many edges were marked.
+
+    An edge's input projected onto the predicate atoms must equal
+    ``valuation``, so nothing matches unless ``valuation`` fixes exactly the
+    predicate atoms among the arena's inputs."""
+    fixed = set(predicate_atoms) & set(arena.inputs)
+    if set(valuation.atoms) != fixed:
+        return 0
+    position = {name: k for k, name in enumerate(arena.inputs)}
+    care, value = Cube.from_valuation(valuation).masks(position)
     count = 0
     for row in arena.env_edges:
         for edge in row:
-            if edge.present and edge.valuation.restrict(predicate_atoms) == valuation:
+            if edge.present and edge.bits & care == value:
                 edge.present = False
                 count += 1
     return count

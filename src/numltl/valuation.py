@@ -4,6 +4,14 @@ A ``Valuation`` fixes every atom of some set; a ``Cube`` fixes a subset and
 matches any valuation agreeing on that subset.  Both are canonicalized by
 atom name so equality and hashing are structural, and valuations order
 lexicographically by name-sorted truth values with False before True.
+
+Inside the automata-to-game pipeline letters are machine ints instead.  An
+arena fixes one atom order, ``inputs + outputs``, and atom ``k`` of it is
+bit ``k``; a letter is then ``in_bits | out_bits``.  A cube lowers to a
+``(care, value)`` pair of masks and matches a letter when
+``letter & care == value``.  ``Valuation`` and ``Cube`` objects appear only
+at API boundaries: automaton guards, arena edges, controllers,
+counter-strategies, artifacts, transcripts and evidence.
 """
 
 from __future__ import annotations
@@ -77,6 +85,19 @@ def all_valuations(atoms: Iterable[str]) -> Iterator[Valuation]:
         yield Valuation(tuple(zip(names, bits)))
 
 
+def encoded_valuations(
+    atoms: Iterable[str], shift: int = 0
+) -> list[tuple[Valuation, int]]:
+    """``all_valuations(atoms)`` paired with their letter bits: atom ``k`` of
+    ``atoms`` is bit ``shift + k``."""
+    names = tuple(atoms)
+    out = []
+    for bits in product((False, True), repeat=len(names)):
+        letter = sum(1 << (shift + k) for k, bit in enumerate(bits) if bit)
+        out.append((Valuation(tuple(zip(names, bits))), letter))
+    return out
+
+
 def parse_valuation(text: str) -> Valuation:
     """Inverse of ``str(valuation)``; the sentinel ``-`` is the empty one."""
     if text == "-":
@@ -122,9 +143,16 @@ class Cube:
     def as_dict(self) -> dict[str, bool]:
         return dict(self.pairs)
 
-    def matches(self, valuation: Valuation) -> bool:
-        mapping = valuation.as_dict()
-        return all(mapping[name] == value for name, value in self.pairs)
+    def masks(self, position: Mapping[str, int]) -> tuple[int, int]:
+        """The cube as ``(care, value)`` over the bit ``position`` of each atom:
+        a letter matches it when ``letter & care == value``."""
+        care = value = 0
+        for name, truth in self.pairs:
+            bit = 1 << position[name]
+            care |= bit
+            if truth:
+                value |= bit
+        return care, value
 
     def restrict(self, atoms: Iterable[str]) -> "Cube":
         keep = set(atoms)

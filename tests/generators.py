@@ -153,12 +153,12 @@ def random_arena(rng: random.Random, objective: str):
     per (env node, input valuation), arbitrary ctrl answers, some env edges
     pre-marked absent to exercise present-flag handling."""
     from numltl.games import CtrlEdge, EnvEdge, GameArena
-    from numltl.valuation import all_valuations
+    from numltl.valuation import all_valuations, encoded_valuations
 
     inputs = tuple(f"i{k}" for k in range(rng.randint(1, 2)))
     outputs = tuple(f"o{k}" for k in range(rng.randint(1, 2)))
     n_env = rng.randint(1, 6)
-    input_valuations = list(all_valuations(inputs))
+    input_valuations = encoded_valuations(inputs)
     output_valuations = list(all_valuations(outputs))
 
     env_edges = []
@@ -166,12 +166,12 @@ def random_arena(rng: random.Random, objective: str):
     ctrl_edges = []
     for i in range(n_env):
         row = []
-        for vin in input_valuations:
+        for vin, bits in input_valuations:
             if rng.random() < 0.15:
                 continue  # env simply lacks this move
             cid = len(ctrl_origin)
             ctrl_origin.append((i, vin))
-            row.append(EnvEdge(vin, cid, present=rng.random() > 0.1))
+            row.append(EnvEdge(vin, cid, present=rng.random() > 0.1, bits=bits))
             answers = []
             for vout in output_valuations:
                 for _ in range(rng.randint(0, 2)):
@@ -277,5 +277,82 @@ def random_synthesis_document(rng: random.Random):
         real_vars=real_vars,
         predicates=predicates,
         assumptions=assumptions,
+        guarantees=guarantees,
+    )
+
+
+def random_refinement_document(rng: random.Random):
+    """Random arbiter-shaped document whose input predicates share their
+    sensor variables, so that many predicate valuations are infeasible.
+
+    Each input predicate p_j is a threshold or band over the same one or two
+    sensors and requests its own grant g_j; some pairs of grants exclude
+    each other.  The environment then wins the Boolean game by raising two
+    conflicting requests at once, and whenever those two bands are disjoint
+    the loop has to refine that input valuation away and mark the arena."""
+    from numltl import speclang as sl
+    from numltl.bernstein import PolyConstraint
+
+    n_real = 1 if rng.random() < 0.8 else 2
+    n_preds = 2 if rng.random() < 0.4 else 3
+
+    def band(j: int, var: int) -> PolyConstraint:
+        # every endpoint of p_j is k/2 + (2j+1)/16: endpoints of different
+        # predicates never touch, so each conjunction is clearly feasible or
+        # clearly infeasible and the exact checker never has to give up
+        offset = Fraction(2 * j + 1, 16)
+        expo = [0] * n_real
+        expo[var] = 1
+        linear = tuple(expo)
+        expo[var] = 2
+        square = tuple(expo)
+        const = (0,) * n_real
+        if rng.random() < 0.35:
+            c = Fraction(rng.randint(0, 7), 2) + offset
+            terms = {linear: Fraction(1), const: -c}
+            return PolyConstraint(Polynomial(n_real, terms), rng.choice((">", "<")))
+        # (x - c)^2 < r^2: the open band (c - r, c + r)
+        c = Fraction(rng.randint(1, 6), 2) + offset
+        r = Fraction(rng.randint(1, 2), 2)
+        terms = {square: Fraction(1), linear: -2 * c, const: c * c - r * r}
+        return PolyConstraint(Polynomial(n_real, terms), "<")
+
+    real_vars = tuple(
+        sl.RealVarDecl(f"x{i}", Fraction(0), Fraction(4), sl.INPUT_SIDE) for i in range(n_real)
+    )
+    predicates = tuple(
+        sl.PredicateDef(f"p{j}", band(j, rng.randrange(n_real)), sl.INPUT_SIDE)
+        for j in range(n_preds)
+    )
+    output_guarantees: tuple = ()
+    if rng.random() < 0.3:
+        # one actuator threshold q0 the controller must raise with grant g0
+        real_vars += (sl.RealVarDecl("u0", Fraction(0), Fraction(4), sl.OUTPUT_SIDE),)
+        c = Fraction(rng.randint(1, 7), 2)
+        level = PolyConstraint(Polynomial(1, {(1,): Fraction(1), (0,): -c}), rng.choice((">", "<")))
+        predicates += (sl.PredicateDef("q0", level, sl.OUTPUT_SIDE),)
+        output_guarantees = (sl.Always(sl.Implies(sl.Atom("g0"), sl.Atom("q0"))),)
+    boolean_inputs = ("a0",) if rng.random() < 0.3 else ()
+    boolean_outputs = tuple(f"g{j}" for j in range(n_preds))
+
+    def request(j: int):
+        granted = sl.Atom(f"g{j}")
+        answer = sl.Next(granted) if rng.random() < 0.85 else sl.Eventually(granted)
+        trigger = sl.Atom(f"p{j}")
+        if boolean_inputs and rng.random() < 0.3:
+            trigger = sl.And(trigger, sl.Atom("a0"))
+        return sl.Always(sl.Implies(trigger, answer))
+
+    pairs = [(j, k) for j in range(n_preds) for k in range(j + 1, n_preds)]
+    exclusive = [pair for pair in pairs if rng.random() < 0.8] or [rng.choice(pairs)]
+    guarantees = tuple(request(j) for j in range(n_preds)) + tuple(
+        sl.Always(sl.Not(sl.And(sl.Atom(f"g{j}"), sl.Atom(f"g{k}")))) for j, k in exclusive
+    ) + output_guarantees
+    return sl.SpecDocument(
+        boolean_inputs=boolean_inputs,
+        boolean_outputs=boolean_outputs,
+        real_vars=real_vars,
+        predicates=predicates,
+        assumptions=(),
         guarantees=guarantees,
     )

@@ -45,6 +45,7 @@ from generators import (
     random_formula,
     random_lasso,
     random_polynomial,
+    random_refinement_document,
     random_synthesis_document,
     random_unit_point,
 )
@@ -300,11 +301,10 @@ def test_criterion_7_game_regions_match_oracle_and_strategies_stay_winning():
     print("PASS criterion 7: 200 arenas match oracle, strategies confined")
 
 
-def test_criterion_8_each_valuation_checked_once_and_marking_equals_rebuild(
-    monkeypatch,
-):
-    """After every input refinement the loop marks the standing arena in
-    place; that arena must equal a fresh build of the refined spec."""
+def _check_once_and_marking_equals_rebuild(monkeypatch, documents) -> int:
+    """Run both routes on each document; after every in-place marking the
+    standing arena must equal a fresh build of the refined spec.  Returns how
+    many marked arenas were compared, one per ``REFINE input`` event."""
     real_build = cegar._build_arena
     real_mark = cegar.mark_edges_absent
     real_refine = cegar.refine_with_assumption
@@ -329,29 +329,49 @@ def test_criterion_8_each_valuation_checked_once_and_marking_equals_rebuild(
             state["compared"] += 1
         return marked
 
-    monkeypatch.setattr(cegar, "_build_arena", build)
-    monkeypatch.setattr(cegar, "mark_edges_absent", mark)
-    monkeypatch.setattr(cegar, "refine_with_assumption", refine)
+    refinements = 0
+    with monkeypatch.context() as patched:
+        patched.setattr(cegar, "_build_arena", build)
+        patched.setattr(cegar, "mark_edges_absent", mark)
+        patched.setattr(cegar, "refine_with_assumption", refine)
+        for doc in documents:
+            for algorithm in (SAFETY, BUCHI):
+                cfg = CegarConfig(algorithm=algorithm, bound_schedule=(1, 2))
+                transcript = Transcript()
+                cache = CheckedCache()
+                synthesize(doc, cfg, transcript, cache)
 
+                events = [
+                    tuple(line.split(" ", 3)[1:3])
+                    for line in transcript.lines
+                    if line.startswith("CHECK ")
+                ]
+                assert len(events) == len(set(events))
+                assert count_theory_checks(transcript) == cache.size()
+                refinements += sum(
+                    1 for line in transcript.lines if line.startswith("REFINE input ")
+                )
+    assert state["compared"] == refinements
+    return state["compared"]
+
+
+def test_criterion_8_each_valuation_checked_once_and_marking_equals_rebuild(
+    monkeypatch,
+):
+    """After every input refinement the loop marks the standing arena in
+    place; that arena must equal a fresh build of the refined spec."""
     # input refinements are rare (under one run in ten), hence 200 documents
     rng = random.Random(88)
-    for _ in range(200):
-        doc = random_synthesis_document(rng)
-        for algorithm in (SAFETY, BUCHI):
-            cfg = CegarConfig(algorithm=algorithm, bound_schedule=(1, 2))
-            transcript = Transcript()
-            cache = CheckedCache()
-            synthesize(doc, cfg, transcript, cache)
-
-            events = [
-                tuple(line.split(" ", 3)[1:3])
-                for line in transcript.lines
-                if line.startswith("CHECK ")
-            ]
-            assert len(events) == len(set(events))
-            assert count_theory_checks(transcript) == cache.size()
-    assert state["compared"] >= 10
+    documents = [random_synthesis_document(rng) for _ in range(200)]
+    compared = _check_once_and_marking_equals_rebuild(monkeypatch, documents)
+    assert compared >= 10
+    # predicates sharing their sensors: half the runs refine an input and
+    # mark the arena, some of them repeatedly
+    rng = random.Random(89)
+    documents = [random_refinement_document(rng) for _ in range(40)]
+    shared = _check_once_and_marking_equals_rebuild(monkeypatch, documents)
+    assert shared >= 50
     print(
-        f"PASS criterion 8: no repeated checks, {state['compared']} marked arenas"
-        " equal a fresh rebuild"
+        f"PASS criterion 8: no repeated checks, {compared} + {shared} marked"
+        " arenas equal a fresh rebuild"
     )

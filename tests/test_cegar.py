@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from generators import random_synthesis_document
+from generators import random_refinement_document, random_synthesis_document
 from oracles import minimum_cover_size
 
 from numltl import speclang as sl
@@ -472,11 +472,14 @@ def check_events(transcript: Transcript) -> list[tuple[str, str]]:
 
 
 class TestCegarInvariants:
+    generate = staticmethod(random_synthesis_document)
+    min_input_refinements = 0  # this generator rarely refines an input
+
     def test_no_valuation_is_checked_twice(self):
         rng = random.Random(20260815)
-        input_preds_seen = output_preds_seen = 0
+        input_preds_seen = output_preds_seen = input_refinements = 0
         for _ in range(50):
-            doc = random_synthesis_document(rng)
+            doc = self.generate(rng)
             t, cache = Transcript(), CheckedCache()
             verdict = synthesize(doc, CegarConfig(bound_schedule=(1, 2)), t, cache)
 
@@ -497,13 +500,17 @@ class TestCegarInvariants:
                     assert all(c.holds_at(witness) for c in constraints)
             input_preds_seen += pin
             output_preds_seen += pout
+            input_refinements += sum(
+                1 for line in t.lines if line.startswith("REFINE input ")
+            )
         assert input_preds_seen and output_preds_seen
+        assert input_refinements >= self.min_input_refinements
 
     def test_refined_valuations_never_reappear(self):
         rng = random.Random(77)
         refined_runs = 0
         for _ in range(40):
-            doc = random_synthesis_document(rng)
+            doc = self.generate(rng)
             t = Transcript()
             verdict = synthesize(doc, CegarConfig(bound_schedule=(1, 2)), t)
             if isinstance(verdict, Unknown):
@@ -536,9 +543,17 @@ class TestCegarInvariants:
     def test_reencoding_preserves_the_verdict(self):
         rng = random.Random(4242)
         for _ in range(20):
-            doc = random_synthesis_document(rng)
+            doc = self.generate(rng)
             with_enc = synthesize(doc, CegarConfig(bound_schedule=(1, 2)))
             without = synthesize(
                 doc, CegarConfig(bound_schedule=(1, 2), reencode=False)
             )
             assert type(with_enc) is type(without)
+
+
+class TestCegarInvariantsUnderInputRefinement(TestCegarInvariants):
+    """The same audits on documents whose input predicates share sensors,
+    so that runs keep refining inputs and marking the standing arena."""
+
+    generate = staticmethod(random_refinement_document)
+    min_input_refinements = 20

@@ -34,7 +34,7 @@ from numltl.games import (
 from numltl.speclang import document_formula, parse_spec
 from numltl.valuation import Cube, Valuation, all_valuations
 from generators import random_arena, random_formula
-from oracles import buchi_win_oracle, safety_win_oracle
+from oracles import buchi_win_oracle, cube_matches, safety_win_oracle
 
 
 def pin_automaton() -> BuchiAutomaton:
@@ -136,7 +136,7 @@ class TestBuchiArenaConstruction:
                 for edge in arena.ctrl_edges[cid]:
                     letter = vin.merge(edge.valuation)
                     assert any(
-                        t.target == edge.target and t.guard.matches(letter)
+                        t.target == edge.target and cube_matches(t.guard, letter)
                         for t in automaton.transitions[q]
                     )
 
@@ -247,7 +247,7 @@ class TestStuckNodeConventions:
             outputs=(),
             env_labels=(0,),
             ctrl_origin=((0, v(a=True)),),
-            env_edges=[[EnvEdge(v(a=True), 0)]],
+            env_edges=[[EnvEdge(v(a=True), 0, bits=1)]],
             ctrl_edges=[[]],
             initial=0,
             accepting=frozenset({0}),
