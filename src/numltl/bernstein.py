@@ -1,20 +1,38 @@
 """Exact-arithmetic polynomial engine with Bernstein-form range enclosures.
 
 Everything here works over ``fractions.Fraction``.  A polynomial on a box is
-transformed to the unit box, re-expressed in the Bernstein basis, and the
-min/max basis coefficients give a certified enclosure of its range.  On top of
-that sit a branch-and-bound feasibility check (conjunctions of polynomial
-inequalities) and a validity check (a single inequality, or an implication
-between two, holding everywhere on a box).  Bisection always splits the widest
-dimension, lowest index first on ties, and subboxes are explored depth-first
-lower-half first, so verdicts and witnesses are deterministic.
+re-expressed in the Bernstein basis of that box, and the min/max basis
+coefficients give a certified enclosure of its range.  On top of that sit a
+branch-and-bound feasibility check (conjunctions of polynomial inequalities)
+and a validity check (a single inequality, or an implication between two,
+holding everywhere on a box).
+
+Conversion is dense and per dimension.  Once per search (or ``bounds``
+call) a polynomial's power coefficients are laid out as a flat row-major
+tensor at its degree vector N, entry a_I at offset sum_d I_d * stride_d,
+with any zero-width dimension already fixed at its endpoint.  On a subbox
+[lo, lo + w] each dimension d then takes one (N_d+1) x (N_d+1) rational
+matrix along every fiber of the tensor.  The matrix folds the substitution
+x_d = lo_d + w_d t_d into the change to the Bernstein basis of degree N_d
+(Garloff 1986; Ray & Nataraj 2009).  Matrices are memoised per call by
+``(N_d, lo_d, hi_d)``.  A dimension of width zero gets rows that all read
+the polynomial at lo_d, so the tensor is constant along it.  A corner
+coefficient (every J_d at 0 or N_d) is the polynomial's value at the
+matching box vertex, so the search reads its vertex samples from the
+corner entries; only the centre is evaluated directly.
+
+Bisection always splits the widest dimension, lowest index first on ties,
+and subboxes are explored depth-first lower-half first, so verdicts and
+witnesses are deterministic.  Every surviving subbox samples its centre,
+then its vertices in ``Box.vertices`` order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, prod
 from typing import Iterator, Union
 
 Exponents = tuple[int, ...]
@@ -222,14 +240,18 @@ class Box:
     def center(self) -> Point:
         return tuple((lo + hi) / 2 for lo, hi in self.intervals)
 
+    def vertex(self, mask: int) -> Point:
+        """Corner whose dimension i sits at its high end when bit n-1-i of
+        ``mask`` is set (n = arity)."""
+        n = self.arity
+        return tuple(
+            self.intervals[i][1] if mask >> (n - 1 - i) & 1 else self.intervals[i][0]
+            for i in range(n)
+        )
+
     def vertices(self) -> Iterator[Point]:
         """Corners in lexicographic order (low endpoint first per dimension)."""
-        n = self.arity
-        for mask in range(1 << n):
-            yield tuple(
-                self.intervals[i][1] if mask >> (n - 1 - i) & 1 else self.intervals[i][0]
-                for i in range(n)
-            )
+        return map(self.vertex, range(1 << self.arity))
 
     def contains(self, point: Point) -> bool:
         return len(point) == self.arity and all(
@@ -262,14 +284,18 @@ class PolyConstraint:
         return PolyConstraint(self.poly, NEGATED_RELATION[self.relation])
 
     def holds_at(self, point: Point) -> bool:
-        value = self.poly.evaluate(point)
-        if self.relation == "<":
-            return value < 0
-        if self.relation == "<=":
-            return value <= 0
-        if self.relation == ">":
-            return value > 0
-        return value >= 0
+        return _satisfies(self.relation, self.poly.evaluate(point))
+
+
+def _satisfies(relation: str, value: Fraction) -> bool:
+    """Whether ``value relation 0`` holds."""
+    if relation == "<":
+        return value < 0
+    if relation == "<=":
+        return value <= 0
+    if relation == ">":
+        return value > 0
+    return value >= 0
 
 
 @dataclass(frozen=True)
@@ -308,22 +334,6 @@ class BernsteinTensor:
             )
             raise PolynomialError(msg)
 
-    def minimum(self) -> Fraction:
-        return min(self.coefficients.values())
-
-    def maximum(self) -> Fraction:
-        return max(self.coefficients.values())
-
-
-def _multi_indices(degree: Exponents) -> Iterator[Exponents]:
-    if not degree:
-        yield ()
-        return
-    head, rest = degree[0], degree[1:]
-    for i in range(head + 1):
-        for tail in _multi_indices(rest):
-            yield (i,) + tail
-
 
 def to_unit_box(poly: Polynomial, box: Box) -> Polynomial:
     """Reparametrize so the unit box maps onto ``box``: x_i = lo_i + w_i t_i."""
@@ -334,12 +344,138 @@ def to_unit_box(poly: Polynomial, box: Box) -> Polynomial:
     return poly.affine_substitute(lowers, widths)
 
 
+_ZERO = Fraction(0)
+_UNIT_INTERVAL = (Fraction(0), Fraction(1))
+
+# (N_d, lo_d, hi_d) -> rows of the shift-and-convert matrix, kept per call
+Matrices = dict[tuple[int, Fraction, Fraction], tuple[tuple[Fraction, ...], ...]]
+
+
+def _strides(degree: Exponents) -> tuple[int, ...]:
+    """Row-major strides of a tensor with ``N_d + 1`` entries along dimension d."""
+    strides = []
+    step = 1
+    for n in reversed(degree):
+        strides.append(step)
+        step *= n + 1
+    return tuple(reversed(strides))
+
+
+def _power_tensor(poly: Polynomial, degree: Exponents) -> list[Fraction]:
+    """Power coefficients of ``poly`` as a flat row-major tensor at ``degree``."""
+    strides = _strides(degree)
+    flat = [_ZERO] * prod(n + 1 for n in degree)
+    for expo, coeff in poly.terms.items():
+        flat[sum(e * s for e, s in zip(expo, strides))] = coeff
+    return flat
+
+
+def _power_layout(poly: Polynomial, box: Box) -> tuple[Exponents, list[Fraction]]:
+    """Degree vector and power tensor of ``poly`` with the zero-width
+    dimensions of ``box`` fixed at their endpoints.
+
+    Bisection never changes a zero-width dimension, and an affine map with
+    nonzero scales keeps the degree in every other one, so this degree
+    vector is that of ``to_unit_box(poly, sub)`` on every subbox ``sub``.
+    """
+    if any(lo == hi for lo, hi in box.intervals):
+        offsets = [lo if lo == hi else _ZERO for lo, hi in box.intervals]
+        scales = [0 if lo == hi else 1 for lo, hi in box.intervals]
+        poly = poly.affine_substitute(offsets, scales)
+    degree = poly.degree_vector()
+    return degree, _power_tensor(poly, degree)
+
+
+def _shift_convert_matrix(n: int, lo: Fraction, hi: Fraction) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows M_j of the map from power coefficients a_i in x to Bernstein
+    coefficients b_j = sum_i M_ji a_i of degree ``n`` over [lo, hi].
+
+    With x = lo + w t, w = hi - lo, the power coefficient of t^k is
+    c_k = sum_{i >= k} C(i, k) lo^(i-k) w^k a_i, and b_j = sum_{k <= j}
+    C(j, k) / C(n, k) c_k, so M_ji = sum_{k <= min(i, j)} C(j, k) C(i, k)
+    lo^(i-k) w^k / C(n, k).
+    """
+    width = hi - lo
+    lo_pow = [lo**e for e in range(n + 1)]
+    w_pow = [width**e for e in range(n + 1)]
+    return tuple(
+        tuple(
+            sum(
+                (
+                    Fraction(comb(j, k) * comb(i, k), comb(n, k)) * lo_pow[i - k] * w_pow[k]
+                    for k in range(min(i, j) + 1)
+                ),
+                _ZERO,
+            )
+            for i in range(n + 1)
+        )
+        for j in range(n + 1)
+    )
+
+
+def _bernstein_tensor(
+    power: list[Fraction],
+    degree: Exponents,
+    intervals: tuple[tuple[Fraction, Fraction], ...],
+    matrices: Matrices,
+) -> list[Fraction]:
+    """Bernstein coefficients over ``intervals`` of the polynomial whose
+    power tensor at ``degree`` is ``power``, in the same flat layout.
+
+    Dimension by dimension, every fiber (the N_d + 1 entries that differ
+    only in J_d) is multiplied by that dimension's shift-and-convert matrix.
+    """
+    flat = power
+    size = len(flat)
+    block = size  # entries spanned by one step of the previous dimension
+    for n, (lo, hi) in zip(degree, intervals):
+        stride = block // (n + 1)
+        if n:
+            key = (n, lo, hi)
+            rows = matrices.get(key)
+            if rows is None:
+                rows = matrices[key] = _shift_convert_matrix(n, lo, hi)
+            out = [_ZERO] * size
+            for start in range(0, size, block):
+                for base in range(start, start + stride):
+                    # the fiber's nonzero entries a_i with their positions i
+                    fiber = [
+                        (i, a) for i, a in enumerate(flat[base : base + block : stride]) if a
+                    ]
+                    if not fiber:
+                        continue
+                    at = base
+                    for row in rows:
+                        # column 0 is all ones (a constant's coefficients all
+                        # equal it), so those products are skipped
+                        first, *rest = [a if (m := row[i]) == 1 else m * a for i, a in fiber]
+                        out[at] = sum(rest, first)
+                        at += stride
+            flat = out
+        block = stride
+    return flat
+
+
+def _corner_offsets(degree: Exponents) -> tuple[int, ...]:
+    """Flat offset of the corner coefficient of each ``Box.vertex(mask)``."""
+    arity = len(degree)
+    highs = [n * s for n, s in zip(degree, _strides(degree))]
+    return tuple(
+        sum(h for i, h in enumerate(highs) if mask >> (arity - 1 - i) & 1)
+        for mask in range(1 << arity)
+    )
+
+
 def bernstein_coefficients(poly: Polynomial, degree: Exponents | None = None) -> BernsteinTensor:
     """Bernstein coefficients of ``poly`` over the unit box.
 
-    With power-basis coefficients a_I and Bernstein degree N,
+    With power-basis coefficients a_I and Bernstein degree N, the tensor is
 
-        b_J = sum_{I <= J} (prod_i C(J_i, I_i) / C(N_i, I_i)) * a_I.
+        b_J = sum_{I <= J} (prod_i C(J_i, I_i) / C(N_i, I_i)) * a_I,
+
+    computed one dimension at a time: along each fiber of dimension d,
+    b_j = sum_{i <= j} C(j, i) / C(N_d, i) * a_i.  ``degree`` may exceed
+    the natural degree (degree elevation).
     """
     natural = poly.degree_vector()
     if degree is None:
@@ -349,23 +485,11 @@ def bernstein_coefficients(poly: Polynomial, degree: Exponents | None = None) ->
         if len(degree) != poly.arity or any(d < n for d, n in zip(degree, natural)):
             msg = f"requested degree {degree} below natural degree {natural}"
             raise PolynomialError(msg)
-    coeffs: dict[Exponents, Fraction] = {}
-    for index_j in _multi_indices(degree):
-        total = Fraction(0)
-        for index_i, a in poly.terms.items():
-            if any(i > j for i, j in zip(index_i, index_j)):
-                continue
-            weight = Fraction(1)
-            for i, j, n in zip(index_i, index_j, degree):
-                weight *= Fraction(comb(j, i), comb(n, i))
-            total += weight * a
-        coeffs[index_j] = total
-    return BernsteinTensor(degree, coeffs)
-
-
-def _enclosure(poly: Polynomial, box: Box) -> tuple[Fraction, Fraction]:
-    tensor = bernstein_coefficients(to_unit_box(poly, box))
-    return tensor.minimum(), tensor.maximum()
+    flat = _bernstein_tensor(
+        _power_tensor(poly, degree), degree, (_UNIT_INTERVAL,) * poly.arity, {}
+    )
+    indices = product(*(range(n + 1) for n in degree))
+    return BernsteinTensor(degree, dict(zip(indices, flat)))
 
 
 def bounds(poly: Polynomial, box: Box, depth: int = 0) -> tuple[Fraction, Fraction]:
@@ -377,7 +501,11 @@ def bounds(poly: Polynomial, box: Box, depth: int = 0) -> tuple[Fraction, Fracti
     """
     if depth < 0:
         raise PolynomialError("negative depth")
-    lo, hi = _enclosure(poly, box)
+    if poly.arity != box.arity:
+        raise PolynomialError("polynomial and box arity differ")
+    degree, power = _power_layout(poly, box)
+    tensor = _bernstein_tensor(power, degree, box.intervals, {})
+    lo, hi = min(tensor), max(tensor)
     if depth == 0 or box.is_point() or lo == hi:
         return lo, hi
     left, right = box.split(box.widest_dimension())
@@ -440,11 +568,6 @@ def _refuted_on(c: PolyConstraint, lo: Fraction, hi: Fraction) -> bool:
     return lo > 0
 
 
-def _sample_points(box: Box) -> Iterator[Point]:
-    yield box.center()
-    yield from box.vertices()
-
-
 def _search(
     constraints: tuple[PolyConstraint, ...],
     box: Box,
@@ -459,23 +582,32 @@ def _search(
     for c in constraints:
         if c.poly.arity != box.arity:
             raise PolynomialError("constraint arity does not match box")
+    layouts = [_power_layout(c.poly, box) for c in constraints]
+    corners = [_corner_offsets(degree) for degree, _ in layouts]
+    matrices: Matrices = {}
     ran_out = False
     stack: list[tuple[Box, int]] = [(box, 0)]
     while stack:
         sub, level = stack.pop()
         if stats is not None:
             stats.explored += 1
-        pruned = False
-        for c in constraints:
-            lo, hi = _enclosure(c.poly, sub)
-            if _refuted_on(c, lo, hi):
-                pruned = True
+        tensors = []
+        for c, (degree, power) in zip(constraints, layouts):
+            tensor = _bernstein_tensor(power, degree, sub.intervals, matrices)
+            if _refuted_on(c, min(tensor), max(tensor)):
                 break
-        if pruned:
+            tensors.append(tensor)
+        if len(tensors) < len(constraints):
             continue
-        for point in _sample_points(sub):
-            if all(c.holds_at(point) for c in constraints):
-                return Feasible(point)
+        center = sub.center()
+        if all(c.holds_at(center) for c in constraints):
+            return Feasible(center)
+        for mask in range(1 << sub.arity):
+            if all(
+                _satisfies(c.relation, tensor[offsets[mask]])
+                for c, tensor, offsets in zip(constraints, tensors, corners)
+            ):
+                return Feasible(sub.vertex(mask))
         if level >= depth or sub.is_point():
             ran_out = True
             continue
@@ -496,8 +628,9 @@ def check_feasibility(
     """Search for a rational point of ``box`` satisfying every constraint.
 
     Subboxes where some constraint is refuted by its Bernstein enclosure are
-    pruned.  On every surviving subbox the center and then the vertices are
-    tested by exact evaluation; the first point satisfying all constraints is
+    pruned.  On every surviving subbox the center (by exact evaluation) and
+    then the vertices (from the corner coefficients, which are the exact
+    vertex values) are tested; the first point satisfying all constraints is
     returned as the witness.  Undecided subboxes are bisected until ``depth``
     is exhausted, in which case the verdict degrades from Infeasible to
     Unknown.

@@ -433,6 +433,9 @@ def synthesize(
 
     while True:
         if arena is None:
+            # the last round's solution holds the old arena: drop it, and
+            # the strategies drawn from it, before the new one is built
+            solution = controller = cs = restricted = None
             work, mux = _encoded(spec, cfg)
             if cfg.algorithm == SAFETY:
                 bound = cfg.bound_schedule[bound_index]

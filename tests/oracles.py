@@ -5,7 +5,9 @@ checks go through dense grids, Bernstein tensors are re-expanded against the
 definition of the basis, games and automata get their own brute-force
 counterparts, and (further down) the arena builders, the attractor and the
 tableau keep the object-level versions the library replaced with
-bit-packed and interned ones.
+bit-packed and interned ones, and the Bernstein search keeps the
+substitute-then-convert enclosures and sample evaluation that the dense
+per-dimension conversion replaced.
 """
 
 from __future__ import annotations
@@ -15,7 +17,19 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from numltl.bernstein import BernsteinTensor, Box, Point, Polynomial
+from numltl.bernstein import (
+    BernsteinTensor,
+    Box,
+    ConstraintImplication,
+    Feasible,
+    Infeasible,
+    Invalid,
+    Point,
+    Polynomial,
+    Unknown,
+    Valid,
+    to_unit_box,
+)
 
 
 def grid_points(box: Box, per_dim: int) -> list[Point]:
@@ -505,3 +519,106 @@ def reference_translate(formula, atoms):
         transitions=automaton.transitions,
         accepting=automaton.accepting,
     )
+
+
+# -- reference Bernstein engine -------------------------------------------------
+#
+# The library converts dense power tensors one dimension at a time, with the
+# shift onto each subbox folded into the conversion, and reads vertex
+# samples from corner coefficients.  The versions below are the ones that
+# replaced: ``to_unit_box`` on every subbox, the direct O(prod (N_i+1)^2)
+# coefficient formula, and exact evaluation of every sample point.
+
+_SIGN_HOLDS = {
+    "<": lambda v: v < 0,
+    "<=": lambda v: v <= 0,
+    ">": lambda v: v > 0,
+    ">=": lambda v: v >= 0,
+}
+
+
+def reference_bernstein_coefficients(poly: Polynomial, degree=None) -> BernsteinTensor:
+    """b_J = sum_{I <= J} (prod_i C(J_i, I_i) / C(N_i, I_i)) a_I, entry by entry."""
+    degree = poly.degree_vector() if degree is None else tuple(degree)
+    coeffs = {}
+    for index_j in product(*(range(n + 1) for n in degree)):
+        total = Fraction(0)
+        for index_i, a in poly.terms.items():
+            if any(i > j for i, j in zip(index_i, index_j)):
+                continue
+            weight = Fraction(1)
+            for i, j, n in zip(index_i, index_j, degree):
+                weight *= Fraction(comb(j, i), comb(n, i))
+            total += weight * a
+        coeffs[index_j] = total
+    return BernsteinTensor(degree, coeffs)
+
+
+def reference_enclosure(poly: Polynomial, box: Box) -> tuple[Fraction, Fraction]:
+    """Min/max Bernstein coefficient of ``to_unit_box(poly, box)`` at its
+    natural degree."""
+    values = reference_bernstein_coefficients(to_unit_box(poly, box)).coefficients.values()
+    return min(values), max(values)
+
+
+def reference_bounds(poly: Polynomial, box: Box, depth: int = 0) -> tuple[Fraction, Fraction]:
+    lo, hi = reference_enclosure(poly, box)
+    if depth == 0 or box.is_point() or lo == hi:
+        return lo, hi
+    left, right = box.split(box.widest_dimension())
+    lo1, hi1 = reference_bounds(poly, left, depth - 1)
+    lo2, hi2 = reference_bounds(poly, right, depth - 1)
+    return min(lo1, lo2), max(hi1, hi2)
+
+
+def _reference_refuted(relation: str, lo: Fraction, hi: Fraction) -> bool:
+    if relation == ">":
+        return hi <= 0
+    if relation == ">=":
+        return hi < 0
+    if relation == "<":
+        return lo >= 0
+    return lo > 0
+
+
+def reference_search(constraints, box: Box, depth: int, stats=None):
+    """Branch and prune: enclosures by ``reference_enclosure``, then the
+    centre and every vertex (low endpoint first, dimension 0 slowest) by
+    exact evaluation; depth-first, lower half first."""
+    def holds(point):
+        return all(_SIGN_HOLDS[c.relation](c.poly.evaluate(point)) for c in constraints)
+
+    ran_out = False
+    stack = [(box, 0)]
+    while stack:
+        sub, level = stack.pop()
+        if stats is not None:
+            stats.explored += 1
+        if any(
+            _reference_refuted(c.relation, *reference_enclosure(c.poly, sub)) for c in constraints
+        ):
+            continue
+        for point in [sub.center(), *product(*sub.intervals)]:
+            if holds(point):
+                return Feasible(tuple(point))
+        if level >= depth or sub.is_point():
+            ran_out = True
+            continue
+        lower, upper = sub.split(sub.widest_dimension())
+        stack.append((upper, level + 1))
+        stack.append((lower, level + 1))
+    return Unknown("depth exhausted") if ran_out else Infeasible()
+
+
+def reference_check_validity(formula, box: Box, depth: int, stats=None):
+    """Validity as infeasibility of the negation, through ``reference_search``."""
+    if isinstance(formula, ConstraintImplication):
+        negation = (formula.premise, formula.conclusion.negated())
+    else:
+        negation = (formula.negated(),)
+    verdict = reference_search(negation, box, depth, stats)
+    if isinstance(verdict, Feasible):
+        return Invalid(verdict.witness)
+    if isinstance(verdict, Infeasible):
+        return Valid()
+    return verdict

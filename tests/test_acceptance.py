@@ -9,6 +9,7 @@ import dataclasses
 import random
 import time
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 from numltl import cegar, cli
@@ -179,12 +180,12 @@ def test_criterion_5_enclosures_sharp_sound_monotone_and_reexpandable():
         gmin, gmax = poly_min_max_on_grid(p, grid_points(box, 9))
         assert lo0 <= gmin and gmax <= hi0
 
-        # corner coefficients equal the polynomial at the box corners
+        # corner coefficients equal the polynomial at all 2^n box corners
         unit = to_unit_box(p, box)
         tensor = bernstein_coefficients(unit)
-        corners = list(box.vertices())
-        assert tensor.coefficients[(0,) * arity] == p.evaluate(corners[0])
-        assert tensor.coefficients[tensor.degree] == p.evaluate(corners[-1])
+        corners = product(*((0, n) for n in tensor.degree))
+        for index, vertex in zip(corners, box.vertices(), strict=True):
+            assert tensor.coefficients[index] == p.evaluate(vertex)
 
         # bisection depth only ever tightens, never loses soundness
         lo1, hi1 = bounds(p, box, depth=1)

@@ -1,0 +1,192 @@
+"""The dense per-dimension Bernstein engine against the substitute-then-
+convert engine it replaced (kept in ``oracles.py``): coefficients,
+enclosures, verdicts, witnesses, ``Unknown`` reasons and explored-subbox
+counts must all agree exactly.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass, field
+from fractions import Fraction
+
+from numltl.bernstein import (
+    RELATIONS,
+    Box,
+    ConstraintImplication,
+    PolyConstraint,
+    Polynomial,
+    SearchStats,
+    bernstein_coefficients,
+    bounds,
+    check_feasibility,
+    check_validity,
+)
+
+from generators import random_point_in_box, random_polynomial
+from oracles import (
+    reference_bernstein_coefficients,
+    reference_bounds,
+    reference_check_validity,
+    reference_search,
+)
+
+def _box(rng: random.Random, arity: int) -> Box:
+    """Random box; about one dimension in six has zero width and one box in
+    ten is a point."""
+    point = rng.random() < 0.1
+    intervals = []
+    for _ in range(arity):
+        lo = Fraction(rng.randint(-8, 7), rng.choice((1, 2, 4)))
+        if point or rng.random() < 0.15:
+            width = Fraction(0)
+        else:
+            width = Fraction(rng.randint(1, 8), rng.choice((1, 2, 4)))
+        intervals.append((lo, lo + width))
+    return Box(tuple(intervals))
+
+
+def _bowl(rng: random.Random, box: Box) -> Polynomial:
+    """sum_i c_i (x_i - r_i)^2 with each r_i inside the box, so thresholds
+    near 0 make the search subdivide around the minimum."""
+    arity = box.arity
+    total = Polynomial.zero(arity)
+    for i, (lo, hi) in enumerate(box.intervals):
+        r = lo + (hi - lo) * Fraction(rng.randint(1, 15), 16)
+        shifted = Polynomial.variable(arity, i) - Polynomial.constant(arity, r)
+        total = total + shifted.power(2).scale(rng.choice((1, 2, 3)))
+    return total
+
+
+def _constraint(rng: random.Random, box: Box) -> PolyConstraint:
+    """``p - t`` under a random relation, where ``t`` sits near a value the
+    polynomial takes in the box (or near a bowl's minimum)."""
+    arity = box.arity
+    if rng.random() < 0.6:
+        p = _bowl(rng, box)
+        t = Fraction(rng.randint(-3, 3), 64)
+    else:
+        p = random_polynomial(rng, arity, max_degree=3, max_terms=5)
+        t = p.evaluate(random_point_in_box(rng, box, 4)) + Fraction(rng.randint(-4, 4), 8)
+    return PolyConstraint(p - Polynomial.constant(arity, t), rng.choice(RELATIONS))
+
+
+def _cases(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        arity = rng.randint(1, 3)
+        box = _box(rng, arity)
+        yield rng, box, rng.randint(0, 6)
+
+
+def test_coefficients_match_the_direct_formula():
+    rng = random.Random(4101)
+    for _ in range(300):
+        arity = rng.randint(1, 3)
+        p = random_polynomial(rng, arity)
+        assert bernstein_coefficients(p) == reference_bernstein_coefficients(p)
+        elevated = tuple(n + rng.randint(0, 2) for n in p.degree_vector())
+        assert bernstein_coefficients(p, elevated) == reference_bernstein_coefficients(
+            p, elevated
+        )
+
+
+@dataclass
+class Coverage:
+    """What a sweep exercised, so that a change to the generators cannot
+    quietly drop a relation, an arity, a depth or a degenerate box."""
+
+    relations: set = field(default_factory=set)
+    arities: set = field(default_factory=set)
+    depths: set = field(default_factory=set)
+    zero_width: int = 0
+    points: int = 0
+
+    def add(self, box: Box, depth: int, constraints) -> None:
+        self.relations.update(c.relation for c in constraints)
+        self.arities.add(box.arity)
+        self.depths.add(depth)
+        self.zero_width += any(lo == hi for lo, hi in box.intervals)
+        self.points += box.is_point()
+
+    def check(self, depths: range) -> None:
+        assert self.relations == set(RELATIONS)
+        assert self.arities == {1, 2, 3}
+        assert self.depths == set(depths)
+        assert self.zero_width >= 15 and self.points >= 5
+
+
+def test_feasibility_matches_the_reference_search():
+    seen = dict.fromkeys(("Feasible", "Infeasible", "Unknown"), 0)
+    coverage, deep = Coverage(), 0
+    for rng, box, depth in _cases(4102, 300):
+        constraints = [_constraint(rng, box) for _ in range(rng.randint(1, 3))]
+        stats, ref_stats = SearchStats(), SearchStats()
+        verdict = check_feasibility(constraints, box, depth, stats)
+        expected = reference_search(constraints, box, depth, ref_stats)
+        assert verdict == expected
+        assert type(verdict) is type(expected)
+        assert stats.explored == ref_stats.explored
+        seen[type(verdict).__name__] += 1
+        deep += stats.explored >= 7
+        coverage.add(box, depth, constraints)
+    assert all(count >= 50 for count in seen.values()), seen
+    assert deep >= 40
+    coverage.check(range(7))
+
+
+def test_validity_matches_the_reference_search():
+    seen = dict.fromkeys(("Valid", "Invalid", "Unknown"), 0)
+    coverage, deep, implications = Coverage(), 0, 0
+    for rng, box, depth in _cases(4103, 300):
+        formula = _constraint(rng, box)
+        parts = [formula]
+        if rng.random() < 0.5:
+            formula = ConstraintImplication(formula, _constraint(rng, box))
+            parts.append(formula.conclusion)
+            implications += 1
+        stats, ref_stats = SearchStats(), SearchStats()
+        verdict = check_validity(formula, box, depth, stats)
+        expected = reference_check_validity(formula, box, depth, ref_stats)
+        assert verdict == expected
+        assert type(verdict) is type(expected)
+        assert stats.explored == ref_stats.explored
+        seen[type(verdict).__name__] += 1
+        deep += stats.explored >= 7
+        coverage.add(box, depth, parts)
+    assert all(count >= 50 for count in seen.values()), seen
+    assert deep >= 40 and implications >= 100
+    coverage.check(range(7))
+
+
+def test_bounds_match_the_reference_enclosures():
+    coverage = Coverage()
+    for rng, box, depth in _cases(4104, 80):
+        c = _constraint(rng, box)
+        depth = min(depth, 7 - box.arity)  # at most 2^(7 - arity) reference enclosures
+        assert bounds(c.poly, box, depth) == reference_bounds(c.poly, box, depth)
+        coverage.add(box, depth, [c])
+    coverage.check(range(7))
+
+
+# x^3 (y - 1) + x - x^2: fixing y = 1 leaves x - x^2, of degree 2 in x.  Its
+# degree-2 coefficients on [0, 1] are (0, 1/2, 0); elevated to degree 3 they
+# would be (0, 1/3, 1/3, 0), a tighter but different enclosure.
+X, Y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+ONE = Polynomial.constant(2, 1)
+DEGREE_DROP = X.power(3) * (Y - ONE) + X - X.power(2)
+FIXED_Y = Box.of((0, 1), (1, 1))
+
+
+def test_zero_width_dimension_lowers_the_degree_like_the_reference():
+    assert bounds(DEGREE_DROP, FIXED_Y) == reference_bounds(DEGREE_DROP, FIXED_Y)
+    assert bounds(DEGREE_DROP, FIXED_Y) == (Fraction(0), Fraction(1, 2))
+    for depth in range(7):
+        assert bounds(DEGREE_DROP, FIXED_Y, depth) == reference_bounds(
+            DEGREE_DROP, FIXED_Y, depth
+        )
+    formula = PolyConstraint(DEGREE_DROP - Polynomial.constant(2, Fraction(2, 5)), "<=")
+    stats, ref_stats = SearchStats(), SearchStats()
+    verdict = check_validity(formula, FIXED_Y, 6, stats)
+    assert verdict == reference_check_validity(formula, FIXED_Y, 6, ref_stats)
+    assert stats.explored == ref_stats.explored

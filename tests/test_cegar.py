@@ -3,6 +3,7 @@ audits over random documents, and unit coverage for counter-input selection,
 output duality, and transcript bookkeeping."""
 
 import random
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from generators import random_refinement_document, random_synthesis_document
 from oracles import minimum_cover_size
 
+from numltl import cegar as cegar_module
 from numltl import speclang as sl
 from numltl.abstraction import PredicateTable, MultiplexerTable, abstract_spec
 from numltl.bernstein import (
@@ -460,6 +462,44 @@ class TestSynthesizeBundledSpecs:
         synthesize(doc, CegarConfig(), t1)
         synthesize(doc, CegarConfig(), t2)
         assert t1.render() == t2.render()
+
+
+# the controller must emit hi && lo, which no u satisfies: one output
+# refinement, then a rebuild at the same bound
+OUTPUT_CONFLICT = """\
+REAL OUTPUT u IN [0, 4]
+PRED hi := u >= 3
+PRED lo := u <= 1
+INPUT r
+OUTPUT g
+ALWAYS (hi && lo)
+"""
+
+
+class TestArenaLifetime:
+    @pytest.mark.parametrize(
+        ("doc", "cfg", "event"),
+        [
+            (fixture("error_monitor"), CegarConfig(), "SOLVE safety bound=2"),
+            (parse_spec(OUTPUT_CONFLICT), CegarConfig(bound_schedule=(1,)), "REFINE output"),
+        ],
+        ids=["bound-escalation", "output-refinement"],
+    )
+    def test_previous_arena_is_freed_before_the_next_build(self, monkeypatch, doc, cfg, event):
+        built = []
+        original = cegar_module._build_arena
+
+        def tracking(work, algorithm, bound):
+            assert all(ref() is None for ref in built), "an earlier arena is still referenced"
+            arena = original(work, algorithm, bound)
+            built.append(weakref.ref(arena))
+            return arena
+
+        monkeypatch.setattr(cegar_module, "_build_arena", tracking)
+        t = Transcript()
+        synthesize(doc, cfg, t)
+        assert len(built) == 2
+        assert any(line.startswith(event) for line in t.lines)
 
 
 def check_events(transcript: Transcript) -> list[tuple[str, str]]:
