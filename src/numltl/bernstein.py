@@ -76,10 +76,10 @@ class Polynomial:
             if len(expo) != self.arity:
                 msg = f"exponent vector {expo} does not match arity {self.arity}"
                 raise PolynomialError(msg)
-            if any(e < 0 for e in expo):
+            if expo and min(expo) < 0:
                 msg = f"negative exponent in {expo}"
                 raise PolynomialError(msg)
-            c = _as_fraction(coeff)
+            c = coeff if isinstance(coeff, Fraction) else _as_fraction(coeff)
             if c != 0:
                 cleaned[tuple(expo)] = c
         object.__setattr__(self, "terms", cleaned)

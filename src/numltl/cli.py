@@ -66,7 +66,22 @@ def _fail(message: str) -> int:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """The file's text; undecodable bytes count as a failed read."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: {exc}") from None
+
+
+def _load(path: str, parse, error: type[Exception]):
+    """``parse`` of the file's text, or None once the failure is reported."""
+    try:
+        return parse(_read(path))
+    except OSError as exc:
+        _fail(str(exc))
+    except error as exc:
+        _fail(f"{path}: {exc}")
+    return None
 
 
 def _approx(value: Fraction) -> str:
@@ -87,12 +102,9 @@ def _artifact_path(spec_path: str, out: str | None, suffix: str) -> Path:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    try:
-        doc = sl.parse_spec(_read(args.spec))
-    except OSError as exc:
-        return _fail(str(exc))
-    except sl.SpecError as exc:
-        return _fail(f"{args.spec}: {exc}")
+    doc = _load(args.spec, sl.parse_spec, sl.SpecError)
+    if doc is None:
+        return EXIT_INPUT_ERROR
     try:
         cfg = CegarConfig(
             algorithm=args.algorithm,
@@ -257,12 +269,9 @@ def _predicate_comments(doc: sl.SpecDocument) -> list[str]:
 
 
 def cmd_abstract(args: argparse.Namespace) -> int:
-    try:
-        doc = sl.parse_spec(_read(args.spec))
-    except OSError as exc:
-        return _fail(str(exc))
-    except sl.SpecError as exc:
-        return _fail(f"{args.spec}: {exc}")
+    doc = _load(args.spec, sl.parse_spec, sl.SpecError)
+    if doc is None:
+        return EXIT_INPUT_ERROR
     spec, _ = abstract_spec(doc)
     for line in _predicate_comments(doc):
         print(line)
@@ -271,12 +280,9 @@ def cmd_abstract(args: argparse.Namespace) -> int:
 
 
 def cmd_reencode(args: argparse.Namespace) -> int:
-    try:
-        doc = sl.parse_spec(_read(args.spec))
-    except OSError as exc:
-        return _fail(str(exc))
-    except sl.SpecError as exc:
-        return _fail(f"{args.spec}: {exc}")
+    doc = _load(args.spec, sl.parse_spec, sl.SpecError)
+    if doc is None:
+        return EXIT_INPUT_ERROR
     spec, _ = abstract_spec(doc)
     try:
         encoded, mux = reencode_outputs(spec)
@@ -297,12 +303,9 @@ def cmd_reencode(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        package = parse_controller_file(_read(args.controller))
-    except OSError as exc:
-        return _fail(str(exc))
-    except ControllerFileError as exc:
-        return _fail(f"{args.controller}: {exc}")
+    package = _load(args.controller, parse_controller_file, ControllerFileError)
+    if package is None:
+        return EXIT_INPUT_ERROR
     inject = None
     if args.inject:
         try:

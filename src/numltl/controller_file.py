@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import speclang as sl
 from .abstraction import EMPTY_MULTIPLEXER, MultiplexerTable
@@ -182,9 +183,19 @@ class _Reader:
         return line == keyword or line.startswith(keyword + " ")
 
 
-def _parse_val(text: str, where: str) -> Valuation:
+@lru_cache(maxsize=4096)
+def _valuation(text: str, atoms: tuple[str, ...] | None) -> Valuation:
+    # memoised: a machine's STEP lines repeat a few valuations many times
+    valuation = parse_valuation(text)
+    if atoms is not None and valuation.atoms != tuple(sorted(atoms)):
+        raise ValueError(f"valuation {text} does not assign exactly {_names_str(atoms)}")
+    return valuation
+
+
+def _parse_val(text: str, where: str, atoms: tuple[str, ...] | None = None) -> Valuation:
+    """A valuation that, when ``atoms`` is given, assigns exactly those."""
     try:
-        return parse_valuation(text)
+        return _valuation(text, atoms)
     except ValueError as exc:
         raise ControllerFileError(f"{where}: {exc}") from None
 
@@ -211,7 +222,9 @@ def _parse_mux(reader: _Reader) -> MultiplexerTable:
         payload = reader.take("ROW").split(" ")
         if len(payload) != 2:
             raise ControllerFileError("malformed ROW line in the multiplexer block")
-        rows.append((_parse_val(payload[0], "ROW"), _parse_val(payload[1], "ROW")))
+        rows.append(
+            (_parse_val(payload[0], "ROW", encoded), _parse_val(payload[1], "ROW", original))
+        )
     reader.take("END MUX")
     return MultiplexerTable(encoded_atoms=encoded, original_atoms=original, rows=tuple(rows))
 
@@ -231,7 +244,14 @@ def _parse_embedded_spec(reader: _Reader) -> sl.SpecDocument:
         raise ControllerFileError(f"embedded specification: {exc}") from exc
 
 
+def _same_atoms(what: str, names: tuple[str, ...], expected: tuple[str, ...]) -> None:
+    if names != expected:
+        raise ControllerFileError(f"{what} {_names_str(names)} should be {_names_str(expected)}")
+
+
 def parse_controller_file(text: str) -> ControllerPackage:
+    """Read an artifact, checking that every atom list and valuation in it
+    speaks the embedded spec's atoms and that every emitted code-word decodes."""
     reader = _Reader(text)
     magic = reader.take(MAGIC)
     if magic not in (KIND_CONTROLLER, KIND_COUNTER_STRATEGY):
@@ -260,8 +280,8 @@ def parse_controller_file(text: str) -> ControllerPackage:
             if len(payload) != 4:
                 raise ControllerFileError("malformed STEP line")
             state = _parse_int(payload[0], "STEP")
-            vin = _parse_val(payload[1], "STEP")
-            vout = _parse_val(payload[2], "STEP")
+            vin = _parse_val(payload[1], "STEP", inputs)
+            vout = _parse_val(payload[2], "STEP", outputs)
             step[(state, vin)] = (vout, _parse_int(payload[3], "STEP"))
         machine = MealyController(
             inputs=inputs, outputs=outputs, n_states=n_states, initial=initial, step=step
@@ -280,7 +300,7 @@ def parse_controller_file(text: str) -> ControllerPackage:
                 candidates[state] = ()
             else:
                 candidates[state] = tuple(
-                    _parse_val(part, "CANDIDATES") for part in payload[1].split(";")
+                    _parse_val(part, "CANDIDATES", inputs) for part in payload[1].split(";")
                 )
         spoiled = frozenset(
             _parse_int(s, "SPOILED") for s in _parse_names(reader.take("SPOILED"))
@@ -292,8 +312,8 @@ def parse_controller_file(text: str) -> ControllerPackage:
                 raise ControllerFileError("malformed STEP line")
             key = (
                 _parse_int(payload[0], "STEP"),
-                _parse_val(payload[1], "STEP"),
-                _parse_val(payload[2], "STEP"),
+                _parse_val(payload[1], "STEP", inputs),
+                _parse_val(payload[2], "STEP", outputs),
             )
             transitions[key] = _parse_int(payload[3], "STEP")
         machine = None
@@ -313,6 +333,17 @@ def parse_controller_file(text: str) -> ControllerPackage:
         raise ControllerFileError("trailing content after the END SPEC line")
     if spec_digest(document) != spec_hash:
         raise ControllerFileError("embedded specification does not match the recorded hash")
+    _same_atoms("INPUTS", inputs, document.input_atoms())
+    if mux:
+        _same_atoms("ORIGINAL", mux.original_atoms, document.output_atoms())
+        _same_atoms("ENCODED", mux.encoded_atoms, outputs)
+        if machine is not None:
+            words = {word for word, _ in mux.rows}
+            for vout, _ in machine.step.values():
+                if vout not in words:
+                    raise ControllerFileError(f"STEP output {vout} has no ROW to decode it")
+    else:
+        _same_atoms("OUTPUTS", outputs, document.output_atoms())
     return ControllerPackage(
         kind=magic,
         spec_hash=spec_hash,

@@ -19,6 +19,15 @@ implicit multiplication; rational constants are integers, exact decimals, or
 
 A predicate atom is an atom of its side by construction and must not be
 re-listed under INPUT or OUTPUT.
+
+Each line is lexed by one token pattern: blanks, ``<->`` (rejected with a
+hint), the operators (the ``TokenKind`` values), numbers, and words.  Parsing
+is one pass in line order.  A polynomial is built as a ``Polynomial`` over
+its line's identifiers, numbered in order of first appearance; once the
+document is read, each constraint is renumbered onto the declared order, the
+reals of its side for a ``PRED`` and every declared real in a constraint
+file (``parse_constraints``, which shares the line, range and relation
+parsers).
 """
 
 from __future__ import annotations
@@ -118,15 +127,6 @@ def atoms_of(formula: Formula) -> set[str]:
     if isinstance(formula, (Not, Next, Always, Eventually)):
         return atoms_of(formula.operand)
     return atoms_of(formula.left) | atoms_of(formula.right)
-
-
-def subformulas(formula: Formula) -> set[Formula]:
-    out = {formula}
-    if isinstance(formula, (Not, Next, Always, Eventually)):
-        out |= subformulas(formula.operand)
-    elif isinstance(formula, (And, Or, Implies, Until)):
-        out |= subformulas(formula.left) | subformulas(formula.right)
-    return out
 
 
 def is_propositional(formula: Formula) -> bool:
@@ -287,8 +287,24 @@ KEYWORDS = {
 
 RELOPS = {TokenKind.LT: "<", TokenKind.LE: "<=", TokenKind.GT: ">", TokenKind.GE: ">="}
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:/\d+)?")
+# operator spelling -> kind; every TokenKind value but the four word-like ones
+_OPERATORS = {
+    kind.value: kind
+    for kind in TokenKind
+    if kind not in (TokenKind.IDENT, TokenKind.KEYWORD, TokenKind.NUMBER, TokenKind.END)
+}
+
+# one alternative per token class; longer operators first so "<=" beats "<"
+_TOKEN_RE = re.compile(
+    r"(?P<space>[ \t]+)|(?P<iff><->)|(?P<op>"
+    + "|".join(re.escape(op) for op in sorted(_OPERATORS, key=len, reverse=True))
+    + r")|(?P<number>\d+(?:\.\d+)?(?:/\d+)?)|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+)
+
+_STRAY = {
+    "/": "'/' is only allowed inside a rational literal such as 7/2",
+    "=": "'=' is not a relation; use one of <, <=, >, >=",
+}
 
 
 @dataclass(frozen=True)
@@ -302,177 +318,50 @@ class Token:
 
 def _lex_line(text: str, line_no: int) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        col = i + 1
-        if ch in " \t":
-            i += 1
-            continue
-        if ch == "<" and text.startswith("<->", i):
+    pos = 0
+    while pos < len(text):
+        col = pos + 1
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            ch = text[pos]
+            raise SpecError(_STRAY.get(ch, f"unexpected character {ch!r}"), line_no, col)
+        group, lit = m.lastgroup, m.group()
+        pos = m.end()
+        if group == "iff":
             raise SpecError(
                 "'<->' is not an operator; rewrite as two implications "
                 "(a -> b) && (b -> a)",
                 line_no,
                 col,
             )
-        two = text[i : i + 2]
-        if two == "&&":
-            tokens.append(Token(TokenKind.AND, two, line_no, col))
-            i += 2
-            continue
-        if two == "||":
-            tokens.append(Token(TokenKind.OR, two, line_no, col))
-            i += 2
-            continue
-        if two == "->":
-            tokens.append(Token(TokenKind.IMPLIES, two, line_no, col))
-            i += 2
-            continue
-        if two == ":=":
-            tokens.append(Token(TokenKind.ASSIGN, two, line_no, col))
-            i += 2
-            continue
-        if two == "<=":
-            tokens.append(Token(TokenKind.LE, two, line_no, col))
-            i += 2
-            continue
-        if two == ">=":
-            tokens.append(Token(TokenKind.GE, two, line_no, col))
-            i += 2
-            continue
-        single = {
-            "!": TokenKind.NOT,
-            "(": TokenKind.LPAREN,
-            ")": TokenKind.RPAREN,
-            "[": TokenKind.LBRACKET,
-            "]": TokenKind.RBRACKET,
-            ",": TokenKind.COMMA,
-            "+": TokenKind.PLUS,
-            "-": TokenKind.MINUS,
-            "*": TokenKind.STAR,
-            "^": TokenKind.CARET,
-            "<": TokenKind.LT,
-            ">": TokenKind.GT,
-        }
-        if ch in single:
-            tokens.append(Token(single[ch], ch, line_no, col))
-            i += 1
-            continue
-        if ch.isdigit():
-            m = _NUMBER_RE.match(text, i)
-            assert m is not None
-            lit = m.group(0)
+        if group == "op":
+            tokens.append(Token(_OPERATORS[lit], lit, line_no, col))
+        elif group == "number":
             try:
                 value = Fraction(lit)
             except (ValueError, ZeroDivisionError):
                 raise SpecError(f"invalid rational literal {lit!r}", line_no, col) from None
             tokens.append(Token(TokenKind.NUMBER, lit, line_no, col, value=value))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            word = m.group(0)
-            kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, word, line_no, col))
-            i = m.end()
-            continue
-        if ch == "/":
-            raise SpecError(
-                "'/' is only allowed inside a rational literal such as 7/2",
-                line_no,
-                col,
-            )
-        if ch == "=":
-            raise SpecError(
-                "'=' is not a relation; use one of <, <=, >, >=",
-                line_no,
-                col,
-            )
-        raise SpecError(f"unexpected character {ch!r}", line_no, col)
+        elif group == "word":
+            kind = TokenKind.KEYWORD if lit in KEYWORDS else TokenKind.IDENT
+            tokens.append(Token(kind, lit, line_no, col))
     tokens.append(Token(TokenKind.END, "", line_no, len(text) + 1))
     return tokens
-
-
-# -- polynomial expressions over named variables --------------------------
-
-_NamedTerms = dict[tuple[tuple[str, int], ...], Fraction]
-
-
-@dataclass(frozen=True)
-class _NamedPoly:
-    terms: _NamedTerms
-
-    @staticmethod
-    def constant(value: Fraction) -> "_NamedPoly":
-        return _NamedPoly({(): value} if value else {})
-
-    @staticmethod
-    def variable(name: str) -> "_NamedPoly":
-        return _NamedPoly({((name, 1),): Fraction(1)})
-
-    def _combine(self, other: "_NamedPoly", sign: int) -> "_NamedPoly":
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            new = terms.get(key, Fraction(0)) + sign * coeff
-            if new:
-                terms[key] = new
-            else:
-                terms.pop(key, None)
-        return _NamedPoly(terms)
-
-    def add(self, other: "_NamedPoly") -> "_NamedPoly":
-        return self._combine(other, 1)
-
-    def sub(self, other: "_NamedPoly") -> "_NamedPoly":
-        return self._combine(other, -1)
-
-    def neg(self) -> "_NamedPoly":
-        return _NamedPoly({k: -c for k, c in self.terms.items()})
-
-    def mul(self, other: "_NamedPoly") -> "_NamedPoly":
-        terms: _NamedTerms = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                merged: dict[str, int] = {}
-                for name, e in k1 + k2:
-                    merged[name] = merged.get(name, 0) + e
-                key = tuple(sorted(merged.items()))
-                new = terms.get(key, Fraction(0)) + c1 * c2
-                if new:
-                    terms[key] = new
-                else:
-                    terms.pop(key, None)
-        return _NamedPoly(terms)
-
-    def power(self, exponent: int) -> "_NamedPoly":
-        result = _NamedPoly.constant(Fraction(1))
-        for _ in range(exponent):
-            result = result.mul(self)
-        return result
-
-    def variables(self) -> set[str]:
-        return {name for key in self.terms for name, _ in key}
-
-    def lower(self, var_order: tuple[str, ...]) -> Polynomial:
-        index = {name: i for i, name in enumerate(var_order)}
-        terms = {}
-        for key, coeff in self.terms.items():
-            expo = [0] * len(var_order)
-            for name, e in key:
-                expo[index[name]] = e
-            terms[tuple(expo)] = coeff
-        return Polynomial(len(var_order), terms)
 
 
 # -- parser ----------------------------------------------------------------
 
 
 class _LineParser:
+    """Recursive descent over one line's tokens.
+
+    Polynomials are built over the line's identifiers, numbered in order of
+    first appearance; ``_renumber`` later moves them onto declared reals."""
+
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
         self.pos = 0
+        self.names = tuple(dict.fromkeys(t.text for t in tokens if t.kind is TokenKind.IDENT))
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -573,7 +462,7 @@ class _LineParser:
 
     # polynomials
 
-    def parse_poly(self) -> _NamedPoly:
+    def parse_poly(self) -> Polynomial:
         tok = self.peek()
         negate = False
         if tok.kind is TokenKind.MINUS:
@@ -581,20 +470,20 @@ class _LineParser:
             negate = True
         poly = self._poly_term()
         if negate:
-            poly = poly.neg()
+            poly = -poly
         while self.peek().kind in (TokenKind.PLUS, TokenKind.MINUS):
             op = self.advance()
             term = self._poly_term()
-            poly = poly.add(term) if op.kind is TokenKind.PLUS else poly.sub(term)
+            poly = poly + term if op.kind is TokenKind.PLUS else poly - term
         return poly
 
-    def _poly_term(self) -> _NamedPoly:
+    def _poly_term(self) -> Polynomial:
         poly = self._poly_factor()
         while True:
             tok = self.peek()
             if tok.kind is TokenKind.STAR:
                 self.advance()
-                poly = poly.mul(self._poly_factor())
+                poly = poly * self._poly_factor()
             elif tok.kind in (TokenKind.IDENT, TokenKind.NUMBER, TokenKind.LPAREN):
                 raise SpecError(
                     "implicit multiplication is not allowed; write an explicit '*'",
@@ -604,11 +493,11 @@ class _LineParser:
             else:
                 return poly
 
-    def _poly_factor(self) -> _NamedPoly:
+    def _poly_factor(self) -> Polynomial:
         tok = self.peek()
         if tok.kind is TokenKind.MINUS:
             self.advance()
-            return self._poly_factor().neg()
+            return -self._poly_factor()
         base = self._poly_base()
         if self.peek().kind is TokenKind.CARET:
             self.advance()
@@ -620,14 +509,14 @@ class _LineParser:
             base = base.power(int(expo.value))
         return base
 
-    def _poly_base(self) -> _NamedPoly:
+    def _poly_base(self) -> Polynomial:
         tok = self.peek()
         if tok.kind is TokenKind.NUMBER:
             self.advance()
-            return _NamedPoly.constant(tok.value)
+            return Polynomial.constant(len(self.names), tok.value)
         if tok.kind is TokenKind.IDENT:
             self.advance()
-            return _NamedPoly.variable(tok.text)
+            return Polynomial.variable(len(self.names), self.names.index(tok.text))
         if tok.kind is TokenKind.LPAREN:
             self.advance()
             inner = self.parse_poly()
@@ -648,12 +537,73 @@ class _LineParser:
         return sign * tok.value
 
 
-@dataclass
-class _RawPred:
-    token: Token
-    atom: str
-    poly: _NamedPoly
-    relation: str
+def _content_lines(text: str):
+    """A parser for every line that holds more than a comment, in order."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        content = raw.split("##", 1)[0]
+        if content.strip():
+            yield _LineParser(_lex_line(content, line_no))
+
+
+def _parse_range(
+    parser: _LineParser, side: str, declared: set[str] | frozenset[str] = frozenset()
+) -> tuple[Token, RealVarDecl]:
+    """``name IN [lo, hi]`` to the end of the line; a name in ``declared``
+    is reported as a duplicate before the range is checked."""
+    name_tok = parser.expect(TokenKind.IDENT, "a variable name")
+    parser.expect_keyword("IN")
+    parser.expect(TokenKind.LBRACKET)
+    lower = parser.parse_signed_rational()
+    parser.expect(TokenKind.COMMA)
+    upper = parser.parse_signed_rational()
+    parser.expect(TokenKind.RBRACKET)
+    parser.expect_end()
+    if name_tok.text in declared:
+        raise SpecError(
+            f"duplicate declaration of '{name_tok.text}'", name_tok.line, name_tok.column
+        )
+    if lower > upper:
+        raise SpecError(
+            f"empty range [{lower}, {upper}] for real variable '{name_tok.text}'",
+            name_tok.line,
+            name_tok.column,
+        )
+    return name_tok, RealVarDecl(name_tok.text, lower, upper, side)
+
+
+def _parse_relational(parser: _LineParser) -> PolyConstraint:
+    """``poly REL poly`` as ``lhs - rhs REL 0`` over the line's identifiers."""
+    lhs = parser.parse_poly()
+    rel_tok = parser.peek()
+    if rel_tok.kind not in RELOPS:
+        raise SpecError(
+            f"expected a relation (<, <=, >, >=), found {rel_tok.text or 'end of line'!r}",
+            rel_tok.line,
+            rel_tok.column,
+        )
+    parser.advance()
+    rhs = parser.parse_poly()
+    return PolyConstraint(lhs - rhs, RELOPS[rel_tok.kind])
+
+
+def _names_used(constraint: PolyConstraint, names: tuple[str, ...]) -> list[str]:
+    return sorted(names[i] for i in constraint.poly.variables_used())
+
+
+def _renumber(
+    constraint: PolyConstraint, names: tuple[str, ...], order: tuple[str, ...]
+) -> PolyConstraint:
+    """A constraint over a line's ``names`` rewritten over ``order``, which
+    holds every name the constraint uses."""
+    slot = {name: i for i, name in enumerate(order)}
+    terms = {}
+    for expo, coeff in constraint.poly.terms.items():
+        moved = [0] * len(order)
+        for name, e in zip(names, expo):
+            if e:
+                moved[slot[name]] = e
+        terms[tuple(moved)] = coeff
+    return PolyConstraint(Polynomial(len(order), terms), constraint.relation)
 
 
 def parse_spec(text: str) -> SpecDocument:
@@ -661,15 +611,12 @@ def parse_spec(text: str) -> SpecDocument:
     input_decls: list[Token] = []
     output_decls: list[Token] = []
     real_decls: list[tuple[Token, RealVarDecl]] = []
-    pred_decls: list[_RawPred] = []
+    # (atom token, constraint over the line's identifiers, those identifiers)
+    pred_decls: list[tuple[Token, PolyConstraint, tuple[str, ...]]] = []
     assumptions: list[tuple[Formula, list[Token]]] = []
     guarantees: list[tuple[Formula, list[Token]]] = []
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("##", 1)[0]
-        if not content.strip():
-            continue
-        parser = _LineParser(_lex_line(content, line_no))
+    for parser in _content_lines(text):
         head = parser.peek()
         if head.kind is TokenKind.KEYWORD and head.text in ("INPUT", "OUTPUT"):
             parser.advance()
@@ -689,41 +636,14 @@ def parse_spec(text: str) -> SpecDocument:
             elif parser.at_keyword("OUTPUT"):
                 parser.advance()
                 side = OUTPUT_SIDE
-            name_tok = parser.expect(TokenKind.IDENT, "a variable name")
-            parser.expect_keyword("IN")
-            parser.expect(TokenKind.LBRACKET)
-            lower = parser.parse_signed_rational()
-            parser.expect(TokenKind.COMMA)
-            upper = parser.parse_signed_rational()
-            parser.expect(TokenKind.RBRACKET)
-            parser.expect_end()
-            if lower > upper:
-                raise SpecError(
-                    f"empty range [{lower}, {upper}] for real variable '{name_tok.text}'",
-                    name_tok.line,
-                    name_tok.column,
-                )
-            real_decls.append(
-                (name_tok, RealVarDecl(name_tok.text, lower, upper, side))
-            )
+            real_decls.append(_parse_range(parser, side))
         elif head.kind is TokenKind.KEYWORD and head.text == "PRED":
             parser.advance()
             name_tok = parser.expect(TokenKind.IDENT, "a predicate atom name")
             parser.expect(TokenKind.ASSIGN)
-            lhs = parser.parse_poly()
-            rel_tok = parser.peek()
-            if rel_tok.kind not in RELOPS:
-                raise SpecError(
-                    f"expected a relation (<, <=, >, >=), found {rel_tok.text or 'end of line'!r}",
-                    rel_tok.line,
-                    rel_tok.column,
-                )
-            parser.advance()
-            rhs = parser.parse_poly()
+            constraint = _parse_relational(parser)
             parser.expect_end()
-            pred_decls.append(
-                _RawPred(name_tok, name_tok.text, lhs.sub(rhs), RELOPS[rel_tok.kind])
-            )
+            pred_decls.append((name_tok, constraint, parser.names))
         else:
             sink: list[Token] = []
             if head.kind is TokenKind.KEYWORD and head.text == "ASSUME":
@@ -744,15 +664,15 @@ def parse_spec(text: str) -> SpecDocument:
                 f"duplicate declaration of '{decl.name}'", tok.line, tok.column
             )
         kinds[decl.name] = "real variable"
-    for pred in pred_decls:
-        if pred.atom in kinds:
+    for tok, _, _ in pred_decls:
+        if tok.text in kinds:
             raise SpecError(
-                f"duplicate declaration of '{pred.atom}' "
-                f"(already a {kinds[pred.atom]})",
-                pred.token.line,
-                pred.token.column,
+                f"duplicate declaration of '{tok.text}' "
+                f"(already a {kinds[tok.text]})",
+                tok.line,
+                tok.column,
             )
-        kinds[pred.atom] = "predicate atom"
+        kinds[tok.text] = "predicate atom"
     boolean_inputs: list[str] = []
     boolean_outputs: list[str] = []
     for tok_list, sink, label in (
@@ -783,26 +703,27 @@ def parse_spec(text: str) -> SpecDocument:
     }
 
     predicates: list[PredicateDef] = []
-    for pred in pred_decls:
+    for tok, constraint, names in pred_decls:
         sides = set()
-        for var in sorted(pred.poly.variables()):
+        for var in _names_used(constraint, names):
             decl = real_by_name.get(var)
             if decl is None:
                 raise SpecError(
-                    f"predicate '{pred.atom}' uses '{var}', which is not a declared real variable",
-                    pred.token.line,
-                    pred.token.column,
+                    f"predicate '{tok.text}' uses '{var}', which is not a declared real variable",
+                    tok.line,
+                    tok.column,
                 )
             sides.add(decl.side)
         if len(sides) > 1:
             raise SpecError(
-                f"predicate '{pred.atom}' mixes input-side and output-side real variables",
-                pred.token.line,
-                pred.token.column,
+                f"predicate '{tok.text}' mixes input-side and output-side real variables",
+                tok.line,
+                tok.column,
             )
         side = sides.pop() if sides else INPUT_SIDE
-        poly = pred.poly.lower(side_order[side])
-        predicates.append(PredicateDef(pred.atom, PolyConstraint(poly, pred.relation), side))
+        predicates.append(
+            PredicateDef(tok.text, _renumber(constraint, names, side_order[side]), side)
+        )
 
     atom_kinds = {"predicate atom", "Boolean input", "Boolean output"}
     for _, sink in assumptions + guarantees:
@@ -839,20 +760,6 @@ class ConstraintDocument:
     checks: tuple[PolyConstraint | ConstraintImplication, ...]
 
 
-def _parse_relational(parser: _LineParser) -> tuple[_NamedPoly, str]:
-    lhs = parser.parse_poly()
-    rel_tok = parser.peek()
-    if rel_tok.kind not in RELOPS:
-        raise SpecError(
-            f"expected a relation (<, <=, >, >=), found {rel_tok.text or 'end of line'!r}",
-            rel_tok.line,
-            rel_tok.column,
-        )
-    parser.advance()
-    rhs = parser.parse_poly()
-    return lhs.sub(rhs), RELOPS[rel_tok.kind]
-
-
 def parse_constraints(text: str) -> ConstraintDocument:
     """Parse ``REAL name IN [lo, hi]`` ranges followed by check lines.
 
@@ -862,63 +769,37 @@ def parse_constraints(text: str) -> ConstraintDocument:
     line, but every variable used must be declared somewhere."""
     decls: list[RealVarDecl] = []
     seen: set[str] = set()
-    pending: list[tuple[Token, list[tuple[_NamedPoly, str]]]] = []
+    # (first token, the line's identifiers, one or two constraints over them)
+    pending: list[tuple[Token, tuple[str, ...], list[PolyConstraint]]] = []
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("##", 1)[0]
-        if not content.strip():
-            continue
-        parser = _LineParser(_lex_line(content, line_no))
+    for parser in _content_lines(text):
         head = parser.peek()
         if head.kind is TokenKind.KEYWORD and head.text == "REAL":
             parser.advance()
-            name_tok = parser.expect(TokenKind.IDENT, "a variable name")
-            parser.expect_keyword("IN")
-            parser.expect(TokenKind.LBRACKET)
-            lower = parser.parse_signed_rational()
-            parser.expect(TokenKind.COMMA)
-            upper = parser.parse_signed_rational()
-            parser.expect(TokenKind.RBRACKET)
-            parser.expect_end()
-            if name_tok.text in seen:
-                raise SpecError(
-                    f"duplicate declaration of '{name_tok.text}'",
-                    name_tok.line,
-                    name_tok.column,
-                )
-            if lower > upper:
-                raise SpecError(
-                    f"empty range [{lower}, {upper}] for real variable '{name_tok.text}'",
-                    name_tok.line,
-                    name_tok.column,
-                )
-            seen.add(name_tok.text)
-            decls.append(RealVarDecl(name_tok.text, lower, upper, INPUT_SIDE))
+            _, decl = _parse_range(parser, INPUT_SIDE, seen)
+            seen.add(decl.name)
+            decls.append(decl)
         else:
             halves = [_parse_relational(parser)]
             if parser.peek().kind is TokenKind.IMPLIES:
                 parser.advance()
                 halves.append(_parse_relational(parser))
             parser.expect_end()
-            pending.append((head, halves))
+            pending.append((head, parser.names, halves))
 
     if not pending:
         raise SpecError("no constraints to check", 1, 1)
     order = tuple(d.name for d in decls)
     checks: list[PolyConstraint | ConstraintImplication] = []
-    for head, halves in pending:
-        lowered = []
-        for poly, relation in halves:
-            for var in sorted(poly.variables()):
+    for head, names, halves in pending:
+        for half in halves:
+            for var in _names_used(half, names):
                 if var not in seen:
                     raise SpecError(
                         f"'{var}' is not a declared real variable", head.line, head.column
                     )
-            lowered.append(PolyConstraint(poly.lower(order), relation))
-        if len(lowered) == 1:
-            checks.append(lowered[0])
-        else:
-            checks.append(ConstraintImplication(lowered[0], lowered[1]))
+        lowered = [_renumber(half, names, order) for half in halves]
+        checks.append(lowered[0] if len(lowered) == 1 else ConstraintImplication(*lowered))
     box = Box(tuple((d.lower, d.upper) for d in decls))
     return ConstraintDocument(variables=order, box=box, checks=tuple(checks))
 

@@ -7,11 +7,14 @@ counterparts, and (further down) the arena builders, the attractor and the
 tableau keep the object-level versions the library replaced with
 bit-packed and interned ones, and the Bernstein search keeps the
 substitute-then-convert enclosures and sample evaluation that the dense
-per-dimension conversion replaced.
+per-dimension conversion replaced, and the specification front end keeps
+the character-by-character lexer and the name-keyed polynomial parser that
+the token-pattern lexer and the ``Polynomial``-built parser replaced.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -25,10 +28,36 @@ from numltl.bernstein import (
     Infeasible,
     Invalid,
     Point,
+    PolyConstraint,
     Polynomial,
     Unknown,
     Valid,
     to_unit_box,
+)
+from numltl.speclang import (
+    INPUT_SIDE,
+    KEYWORDS,
+    OUTPUT_SIDE,
+    RELOPS,
+    Always,
+    And,
+    Atom,
+    ConstraintDocument,
+    Eventually,
+    FalseFormula,
+    Formula,
+    Implies,
+    Next,
+    Not,
+    Or,
+    PredicateDef,
+    RealVarDecl,
+    SpecDocument,
+    SpecError,
+    Token,
+    TokenKind,
+    TrueFormula,
+    Until,
 )
 
 
@@ -622,3 +651,628 @@ def reference_check_validity(formula, box: Box, depth: int, stats=None):
     if isinstance(verdict, Infeasible):
         return Valid()
     return verdict
+
+
+# -- reference specification parser ---------------------------------------------
+#
+# The lexer scans one character at a time; polynomials are dicts keyed by
+# sorted (name, exponent) tuples and are lowered onto the declared variable
+# order after the whole document is read.
+
+
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:/\d+)?")
+
+
+def _lex_line(text: str, line_no: int) -> list[Token]:
+    tokens: list[Token] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        col = i + 1
+        if ch in " \t":
+            i += 1
+            continue
+        if ch == "<" and text.startswith("<->", i):
+            raise SpecError(
+                "'<->' is not an operator; rewrite as two implications "
+                "(a -> b) && (b -> a)",
+                line_no,
+                col,
+            )
+        two = text[i : i + 2]
+        if two == "&&":
+            tokens.append(Token(TokenKind.AND, two, line_no, col))
+            i += 2
+            continue
+        if two == "||":
+            tokens.append(Token(TokenKind.OR, two, line_no, col))
+            i += 2
+            continue
+        if two == "->":
+            tokens.append(Token(TokenKind.IMPLIES, two, line_no, col))
+            i += 2
+            continue
+        if two == ":=":
+            tokens.append(Token(TokenKind.ASSIGN, two, line_no, col))
+            i += 2
+            continue
+        if two == "<=":
+            tokens.append(Token(TokenKind.LE, two, line_no, col))
+            i += 2
+            continue
+        if two == ">=":
+            tokens.append(Token(TokenKind.GE, two, line_no, col))
+            i += 2
+            continue
+        single = {
+            "!": TokenKind.NOT,
+            "(": TokenKind.LPAREN,
+            ")": TokenKind.RPAREN,
+            "[": TokenKind.LBRACKET,
+            "]": TokenKind.RBRACKET,
+            ",": TokenKind.COMMA,
+            "+": TokenKind.PLUS,
+            "-": TokenKind.MINUS,
+            "*": TokenKind.STAR,
+            "^": TokenKind.CARET,
+            "<": TokenKind.LT,
+            ">": TokenKind.GT,
+        }
+        if ch in single:
+            tokens.append(Token(single[ch], ch, line_no, col))
+            i += 1
+            continue
+        if ch.isdigit():
+            m = _NUMBER_RE.match(text, i)
+            assert m is not None
+            lit = m.group(0)
+            try:
+                value = Fraction(lit)
+            except (ValueError, ZeroDivisionError):
+                raise SpecError(f"invalid rational literal {lit!r}", line_no, col) from None
+            tokens.append(Token(TokenKind.NUMBER, lit, line_no, col, value=value))
+            i = m.end()
+            continue
+        m = _IDENT_RE.match(text, i)
+        if m:
+            word = m.group(0)
+            kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
+            tokens.append(Token(kind, word, line_no, col))
+            i = m.end()
+            continue
+        if ch == "/":
+            raise SpecError(
+                "'/' is only allowed inside a rational literal such as 7/2",
+                line_no,
+                col,
+            )
+        if ch == "=":
+            raise SpecError(
+                "'=' is not a relation; use one of <, <=, >, >=",
+                line_no,
+                col,
+            )
+        raise SpecError(f"unexpected character {ch!r}", line_no, col)
+    tokens.append(Token(TokenKind.END, "", line_no, len(text) + 1))
+    return tokens
+
+
+# -- polynomial expressions over named variables --------------------------
+
+_NamedTerms = dict[tuple[tuple[str, int], ...], Fraction]
+
+
+@dataclass(frozen=True)
+class _NamedPoly:
+    terms: _NamedTerms
+
+    @staticmethod
+    def constant(value: Fraction) -> "_NamedPoly":
+        return _NamedPoly({(): value} if value else {})
+
+    @staticmethod
+    def variable(name: str) -> "_NamedPoly":
+        return _NamedPoly({((name, 1),): Fraction(1)})
+
+    def _combine(self, other: "_NamedPoly", sign: int) -> "_NamedPoly":
+        terms = dict(self.terms)
+        for key, coeff in other.terms.items():
+            new = terms.get(key, Fraction(0)) + sign * coeff
+            if new:
+                terms[key] = new
+            else:
+                terms.pop(key, None)
+        return _NamedPoly(terms)
+
+    def add(self, other: "_NamedPoly") -> "_NamedPoly":
+        return self._combine(other, 1)
+
+    def sub(self, other: "_NamedPoly") -> "_NamedPoly":
+        return self._combine(other, -1)
+
+    def neg(self) -> "_NamedPoly":
+        return _NamedPoly({k: -c for k, c in self.terms.items()})
+
+    def mul(self, other: "_NamedPoly") -> "_NamedPoly":
+        terms: _NamedTerms = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                merged: dict[str, int] = {}
+                for name, e in k1 + k2:
+                    merged[name] = merged.get(name, 0) + e
+                key = tuple(sorted(merged.items()))
+                new = terms.get(key, Fraction(0)) + c1 * c2
+                if new:
+                    terms[key] = new
+                else:
+                    terms.pop(key, None)
+        return _NamedPoly(terms)
+
+    def power(self, exponent: int) -> "_NamedPoly":
+        result = _NamedPoly.constant(Fraction(1))
+        for _ in range(exponent):
+            result = result.mul(self)
+        return result
+
+    def variables(self) -> set[str]:
+        return {name for key in self.terms for name, _ in key}
+
+    def lower(self, var_order: tuple[str, ...]) -> Polynomial:
+        index = {name: i for i, name in enumerate(var_order)}
+        terms = {}
+        for key, coeff in self.terms.items():
+            expo = [0] * len(var_order)
+            for name, e in key:
+                expo[index[name]] = e
+            terms[tuple(expo)] = coeff
+        return Polynomial(len(var_order), terms)
+
+
+# -- parser ----------------------------------------------------------------
+
+
+class _LineParser:
+    def __init__(self, tokens: list[Token]) -> None:
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.kind is not TokenKind.END:
+            self.pos += 1
+        return tok
+
+    def expect(self, kind: TokenKind, what: str | None = None) -> Token:
+        tok = self.peek()
+        if tok.kind is not kind:
+            expected = what or kind.value
+            raise SpecError(f"expected {expected}, found {tok.text or 'end of line'!r}", tok.line, tok.column)
+        return self.advance()
+
+    def expect_keyword(self, word: str) -> Token:
+        tok = self.peek()
+        if tok.kind is not TokenKind.KEYWORD or tok.text != word:
+            raise SpecError(f"expected {word}, found {tok.text or 'end of line'!r}", tok.line, tok.column)
+        return self.advance()
+
+    def at_keyword(self, word: str) -> bool:
+        tok = self.peek()
+        return tok.kind is TokenKind.KEYWORD and tok.text == word
+
+    def expect_end(self) -> None:
+        tok = self.peek()
+        if tok.kind is not TokenKind.END:
+            raise SpecError(f"unexpected trailing {tok.text!r}", tok.line, tok.column)
+
+    # formulas
+
+    def parse_formula(self, atom_sink: list[Token]) -> Formula:
+        return self._implication(atom_sink)
+
+    def _implication(self, sink) -> Formula:
+        left = self._until(sink)
+        if self.peek().kind is TokenKind.IMPLIES:
+            self.advance()
+            return Implies(left, self._implication(sink))
+        return left
+
+    def _until(self, sink) -> Formula:
+        left = self._disjunction(sink)
+        if self.at_keyword("UNTIL"):
+            self.advance()
+            return Until(left, self._until(sink))
+        return left
+
+    def _disjunction(self, sink) -> Formula:
+        left = self._conjunction(sink)
+        while self.peek().kind is TokenKind.OR:
+            self.advance()
+            left = Or(left, self._conjunction(sink))
+        return left
+
+    def _conjunction(self, sink) -> Formula:
+        left = self._unary(sink)
+        while self.peek().kind is TokenKind.AND:
+            self.advance()
+            left = And(left, self._unary(sink))
+        return left
+
+    def _unary(self, sink) -> Formula:
+        tok = self.peek()
+        if tok.kind is TokenKind.NOT:
+            self.advance()
+            return Not(self._unary(sink))
+        if tok.kind is TokenKind.KEYWORD and tok.text in ("ALWAYS", "EVENTUALLY", "NEXT"):
+            self.advance()
+            operand = self._unary(sink)
+            ctor = {"ALWAYS": Always, "EVENTUALLY": Eventually, "NEXT": Next}[tok.text]
+            return ctor(operand)
+        return self._atom(sink)
+
+    def _atom(self, sink) -> Formula:
+        tok = self.peek()
+        if tok.kind is TokenKind.LPAREN:
+            self.advance()
+            inner = self._implication(sink)
+            self.expect(TokenKind.RPAREN)
+            return inner
+        if tok.kind is TokenKind.KEYWORD and tok.text == "TRUE":
+            self.advance()
+            return TrueFormula()
+        if tok.kind is TokenKind.KEYWORD and tok.text == "FALSE":
+            self.advance()
+            return FalseFormula()
+        if tok.kind is TokenKind.IDENT:
+            self.advance()
+            sink.append(tok)
+            return Atom(tok.text)
+        raise SpecError(
+            f"expected a formula, found {tok.text or 'end of line'!r}", tok.line, tok.column
+        )
+
+    # polynomials
+
+    def parse_poly(self) -> _NamedPoly:
+        tok = self.peek()
+        negate = False
+        if tok.kind is TokenKind.MINUS:
+            self.advance()
+            negate = True
+        poly = self._poly_term()
+        if negate:
+            poly = poly.neg()
+        while self.peek().kind in (TokenKind.PLUS, TokenKind.MINUS):
+            op = self.advance()
+            term = self._poly_term()
+            poly = poly.add(term) if op.kind is TokenKind.PLUS else poly.sub(term)
+        return poly
+
+    def _poly_term(self) -> _NamedPoly:
+        poly = self._poly_factor()
+        while True:
+            tok = self.peek()
+            if tok.kind is TokenKind.STAR:
+                self.advance()
+                poly = poly.mul(self._poly_factor())
+            elif tok.kind in (TokenKind.IDENT, TokenKind.NUMBER, TokenKind.LPAREN):
+                raise SpecError(
+                    "implicit multiplication is not allowed; write an explicit '*'",
+                    tok.line,
+                    tok.column,
+                )
+            else:
+                return poly
+
+    def _poly_factor(self) -> _NamedPoly:
+        tok = self.peek()
+        if tok.kind is TokenKind.MINUS:
+            self.advance()
+            return self._poly_factor().neg()
+        base = self._poly_base()
+        if self.peek().kind is TokenKind.CARET:
+            self.advance()
+            expo = self.expect(TokenKind.NUMBER, "a nonnegative integer exponent")
+            if expo.value.denominator != 1:
+                raise SpecError(
+                    "exponent must be a nonnegative integer", expo.line, expo.column
+                )
+            base = base.power(int(expo.value))
+        return base
+
+    def _poly_base(self) -> _NamedPoly:
+        tok = self.peek()
+        if tok.kind is TokenKind.NUMBER:
+            self.advance()
+            return _NamedPoly.constant(tok.value)
+        if tok.kind is TokenKind.IDENT:
+            self.advance()
+            return _NamedPoly.variable(tok.text)
+        if tok.kind is TokenKind.LPAREN:
+            self.advance()
+            inner = self.parse_poly()
+            self.expect(TokenKind.RPAREN)
+            return inner
+        raise SpecError(
+            f"expected a polynomial, found {tok.text or 'end of line'!r}",
+            tok.line,
+            tok.column,
+        )
+
+    def parse_signed_rational(self) -> Fraction:
+        sign = 1
+        if self.peek().kind is TokenKind.MINUS:
+            self.advance()
+            sign = -1
+        tok = self.expect(TokenKind.NUMBER, "a rational constant")
+        return sign * tok.value
+
+
+@dataclass
+class _RawPred:
+    token: Token
+    atom: str
+    poly: _NamedPoly
+    relation: str
+
+
+def reference_parse_spec(text: str) -> SpecDocument:
+    """Parse specification text, validating names, sides, and ranges."""
+    input_decls: list[Token] = []
+    output_decls: list[Token] = []
+    real_decls: list[tuple[Token, RealVarDecl]] = []
+    pred_decls: list[_RawPred] = []
+    assumptions: list[tuple[Formula, list[Token]]] = []
+    guarantees: list[tuple[Formula, list[Token]]] = []
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        content = raw.split("##", 1)[0]
+        if not content.strip():
+            continue
+        parser = _LineParser(_lex_line(content, line_no))
+        head = parser.peek()
+        if head.kind is TokenKind.KEYWORD and head.text in ("INPUT", "OUTPUT"):
+            parser.advance()
+            sink = input_decls if head.text == "INPUT" else output_decls
+            while True:
+                sink.append(parser.expect(TokenKind.IDENT, "an atom name"))
+                if parser.peek().kind is TokenKind.COMMA:
+                    parser.advance()
+                    continue
+                break
+            parser.expect_end()
+        elif head.kind is TokenKind.KEYWORD and head.text == "REAL":
+            parser.advance()
+            side = INPUT_SIDE
+            if parser.at_keyword("INPUT"):
+                parser.advance()
+            elif parser.at_keyword("OUTPUT"):
+                parser.advance()
+                side = OUTPUT_SIDE
+            name_tok = parser.expect(TokenKind.IDENT, "a variable name")
+            parser.expect_keyword("IN")
+            parser.expect(TokenKind.LBRACKET)
+            lower = parser.parse_signed_rational()
+            parser.expect(TokenKind.COMMA)
+            upper = parser.parse_signed_rational()
+            parser.expect(TokenKind.RBRACKET)
+            parser.expect_end()
+            if lower > upper:
+                raise SpecError(
+                    f"empty range [{lower}, {upper}] for real variable '{name_tok.text}'",
+                    name_tok.line,
+                    name_tok.column,
+                )
+            real_decls.append(
+                (name_tok, RealVarDecl(name_tok.text, lower, upper, side))
+            )
+        elif head.kind is TokenKind.KEYWORD and head.text == "PRED":
+            parser.advance()
+            name_tok = parser.expect(TokenKind.IDENT, "a predicate atom name")
+            parser.expect(TokenKind.ASSIGN)
+            lhs = parser.parse_poly()
+            rel_tok = parser.peek()
+            if rel_tok.kind not in RELOPS:
+                raise SpecError(
+                    f"expected a relation (<, <=, >, >=), found {rel_tok.text or 'end of line'!r}",
+                    rel_tok.line,
+                    rel_tok.column,
+                )
+            parser.advance()
+            rhs = parser.parse_poly()
+            parser.expect_end()
+            pred_decls.append(
+                _RawPred(name_tok, name_tok.text, lhs.sub(rhs), RELOPS[rel_tok.kind])
+            )
+        else:
+            sink: list[Token] = []
+            if head.kind is TokenKind.KEYWORD and head.text == "ASSUME":
+                parser.advance()
+                formula = parser.parse_formula(sink)
+                parser.expect_end()
+                assumptions.append((formula, sink))
+            else:
+                formula = parser.parse_formula(sink)
+                parser.expect_end()
+                guarantees.append((formula, sink))
+
+    # name registry: reals, then predicate atoms, then Boolean atom lists
+    kinds: dict[str, str] = {}
+    for tok, decl in real_decls:
+        if decl.name in kinds:
+            raise SpecError(
+                f"duplicate declaration of '{decl.name}'", tok.line, tok.column
+            )
+        kinds[decl.name] = "real variable"
+    for pred in pred_decls:
+        if pred.atom in kinds:
+            raise SpecError(
+                f"duplicate declaration of '{pred.atom}' "
+                f"(already a {kinds[pred.atom]})",
+                pred.token.line,
+                pred.token.column,
+            )
+        kinds[pred.atom] = "predicate atom"
+    boolean_inputs: list[str] = []
+    boolean_outputs: list[str] = []
+    for tok_list, sink, label in (
+        (input_decls, boolean_inputs, "INPUT"),
+        (output_decls, boolean_outputs, "OUTPUT"),
+    ):
+        for tok in tok_list:
+            existing = kinds.get(tok.text)
+            if existing == "predicate atom":
+                raise SpecError(
+                    f"predicate atom '{tok.text}' must not be re-listed under {label}",
+                    tok.line,
+                    tok.column,
+                )
+            if existing is not None:
+                raise SpecError(
+                    f"duplicate declaration of '{tok.text}' (already a {existing})",
+                    tok.line,
+                    tok.column,
+                )
+            kinds[tok.text] = f"Boolean {label.lower()}"
+            sink.append(tok.text)
+
+    real_by_name = {decl.name: decl for _, decl in real_decls}
+    side_order = {
+        INPUT_SIDE: tuple(d.name for _, d in real_decls if d.side == INPUT_SIDE),
+        OUTPUT_SIDE: tuple(d.name for _, d in real_decls if d.side == OUTPUT_SIDE),
+    }
+
+    predicates: list[PredicateDef] = []
+    for pred in pred_decls:
+        sides = set()
+        for var in sorted(pred.poly.variables()):
+            decl = real_by_name.get(var)
+            if decl is None:
+                raise SpecError(
+                    f"predicate '{pred.atom}' uses '{var}', which is not a declared real variable",
+                    pred.token.line,
+                    pred.token.column,
+                )
+            sides.add(decl.side)
+        if len(sides) > 1:
+            raise SpecError(
+                f"predicate '{pred.atom}' mixes input-side and output-side real variables",
+                pred.token.line,
+                pred.token.column,
+            )
+        side = sides.pop() if sides else INPUT_SIDE
+        poly = pred.poly.lower(side_order[side])
+        predicates.append(PredicateDef(pred.atom, PolyConstraint(poly, pred.relation), side))
+
+    atom_kinds = {"predicate atom", "Boolean input", "Boolean output"}
+    for _, sink in assumptions + guarantees:
+        for tok in sink:
+            kind = kinds.get(tok.text)
+            if kind is None:
+                raise SpecError(f"undeclared atom '{tok.text}'", tok.line, tok.column)
+            if kind not in atom_kinds:
+                raise SpecError(
+                    f"'{tok.text}' is a {kind} and cannot be used as a Boolean atom",
+                    tok.line,
+                    tok.column,
+                )
+
+    if not guarantees:
+        raise SpecError("specification declares no guarantees", 1, 1)
+
+    return SpecDocument(
+        boolean_inputs=tuple(boolean_inputs),
+        boolean_outputs=tuple(boolean_outputs),
+        real_vars=tuple(decl for _, decl in real_decls),
+        predicates=tuple(predicates),
+        assumptions=tuple(f for f, _ in assumptions),
+        guarantees=tuple(f for f, _ in guarantees),
+    )
+
+
+def _parse_relational(parser: _LineParser) -> tuple[_NamedPoly, str]:
+    lhs = parser.parse_poly()
+    rel_tok = parser.peek()
+    if rel_tok.kind not in RELOPS:
+        raise SpecError(
+            f"expected a relation (<, <=, >, >=), found {rel_tok.text or 'end of line'!r}",
+            rel_tok.line,
+            rel_tok.column,
+        )
+    parser.advance()
+    rhs = parser.parse_poly()
+    return lhs.sub(rhs), RELOPS[rel_tok.kind]
+
+
+def reference_parse_constraints(text: str) -> ConstraintDocument:
+    """Parse ``REAL name IN [lo, hi]`` ranges followed by check lines.
+
+    A check line is either a constraint ``poly REL poly`` or a pointwise
+    implication ``poly REL poly -> poly REL poly``.  All checks share the
+    one box spanned by the declared ranges; declarations may appear on any
+    line, but every variable used must be declared somewhere."""
+    decls: list[RealVarDecl] = []
+    seen: set[str] = set()
+    pending: list[tuple[Token, list[tuple[_NamedPoly, str]]]] = []
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        content = raw.split("##", 1)[0]
+        if not content.strip():
+            continue
+        parser = _LineParser(_lex_line(content, line_no))
+        head = parser.peek()
+        if head.kind is TokenKind.KEYWORD and head.text == "REAL":
+            parser.advance()
+            name_tok = parser.expect(TokenKind.IDENT, "a variable name")
+            parser.expect_keyword("IN")
+            parser.expect(TokenKind.LBRACKET)
+            lower = parser.parse_signed_rational()
+            parser.expect(TokenKind.COMMA)
+            upper = parser.parse_signed_rational()
+            parser.expect(TokenKind.RBRACKET)
+            parser.expect_end()
+            if name_tok.text in seen:
+                raise SpecError(
+                    f"duplicate declaration of '{name_tok.text}'",
+                    name_tok.line,
+                    name_tok.column,
+                )
+            if lower > upper:
+                raise SpecError(
+                    f"empty range [{lower}, {upper}] for real variable '{name_tok.text}'",
+                    name_tok.line,
+                    name_tok.column,
+                )
+            seen.add(name_tok.text)
+            decls.append(RealVarDecl(name_tok.text, lower, upper, INPUT_SIDE))
+        else:
+            halves = [_parse_relational(parser)]
+            if parser.peek().kind is TokenKind.IMPLIES:
+                parser.advance()
+                halves.append(_parse_relational(parser))
+            parser.expect_end()
+            pending.append((head, halves))
+
+    if not pending:
+        raise SpecError("no constraints to check", 1, 1)
+    order = tuple(d.name for d in decls)
+    checks: list[PolyConstraint | ConstraintImplication] = []
+    for head, halves in pending:
+        lowered = []
+        for poly, relation in halves:
+            for var in sorted(poly.variables()):
+                if var not in seen:
+                    raise SpecError(
+                        f"'{var}' is not a declared real variable", head.line, head.column
+                    )
+            lowered.append(PolyConstraint(poly.lower(order), relation))
+        if len(lowered) == 1:
+            checks.append(lowered[0])
+        else:
+            checks.append(ConstraintImplication(lowered[0], lowered[1]))
+    box = Box(tuple((d.lower, d.upper) for d in decls))
+    return ConstraintDocument(variables=order, box=box, checks=tuple(checks))

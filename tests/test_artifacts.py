@@ -2,6 +2,7 @@
 the seeded closed-loop simulator."""
 
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -292,3 +293,115 @@ class TestSimulate:
     def test_unknown_injected_atom_is_an_error(self, threshold_package):
         with pytest.raises(SimulationError, match="not an input"):
             simulate(threshold_package[0], 5, inject=Valuation.of({"nope": True}))
+
+
+def _rename_above_spec(text: str, start: str, old: str, new: str) -> str:
+    """``old`` renamed to ``new`` from the ``start`` line to the embedded spec."""
+    i, j = text.index(start), text.index("BEGIN SPEC")
+    return text[:i] + text[i:j].replace(old, new) + text[j:]
+
+
+class TestArtifactAtoms:
+    """Edited artifacts whose atoms disagree with the embedded spec are
+    rejected when read, not when a simulation trips over them."""
+
+    def test_renamed_step_output_is_rejected(self, threshold_package):
+        text = render_realizable(threshold_package[1], SAFETY)
+        with pytest.raises(ControllerFileError, match="STEP: valuation grant1=0,grant7=0"):
+            parse_controller_file(text.replace("grant2=", "grant7=", 1))
+
+    def test_input_atom_as_step_output_is_rejected(self, threshold_package):
+        text = render_realizable(threshold_package[1], SAFETY)
+        tampered = text.replace(" grant1=0,grant2=0 ", " grant2=0,req1=0 ", 1)
+        with pytest.raises(ControllerFileError, match="does not assign exactly grant1,grant2"):
+            parse_controller_file(tampered)
+
+    def test_atom_lists_must_match_the_spec(self, threshold_package, encoded_package):
+        text = render_realizable(threshold_package[1], SAFETY)
+        with pytest.raises(ControllerFileError, match="INPUTS req2,req1 should be req1,req2"):
+            parse_controller_file(text.replace("INPUTS req1,req2", "INPUTS req2,req1"))
+        with pytest.raises(ControllerFileError, match="OUTPUTS grant1,grant7 should be"):
+            parse_controller_file(_rename_above_spec(text, "OUTPUTS", "grant2", "grant7"))
+        encoded = render_realizable(encoded_package[1], SAFETY)
+        with pytest.raises(ControllerFileError, match="ENCODED sig1,sig9 should be sig1,sig2"):
+            parse_controller_file(_rename_above_spec(encoded, "BEGIN MUX", "sig2", "sig9"))
+        with pytest.raises(ControllerFileError, match="ORIGINAL halt,grant1,grant2,grant3 should be"):
+            parse_controller_file(_rename_above_spec(encoded, "BEGIN MUX", "stop", "halt"))
+
+    def test_rows_and_candidates_assign_their_atoms(self, encoded_package, counter_package):
+        encoded = render_realizable(encoded_package[1], SAFETY)
+        row = next(line for line in encoded.splitlines() if line.startswith("ROW "))
+        word = row.split(" ")[1]
+        with pytest.raises(ControllerFileError, match="ROW: valuation"):
+            parse_controller_file(encoded.replace(row, row.replace(word, "sig1=0", 1)))
+        counter = render_unrealizable(counter_package[1], SAFETY)
+        with pytest.raises(ControllerFileError, match="CANDIDATES: valuation req1=1 "):
+            parse_controller_file(counter.replace("CANDIDATES 0 req1=1,req2=1", "CANDIDATES 0 req1=1"))
+
+    def test_undecodable_step_output_is_rejected(self, encoded_package):
+        encoded = render_realizable(encoded_package[1], SAFETY)
+        row = next(line for line in encoded.splitlines() if line.startswith("ROW "))
+        word = row.split(" ")[1]
+        with pytest.raises(ControllerFileError, match=f"STEP output {word} has no ROW"):
+            parse_controller_file(encoded.replace(row + "\n", ""))
+
+
+# fragments a mutant splices into the machine part of an artifact: atom
+# names (one unknown, one from the other side), valuation pieces, separators
+_ARTIFACT_PIECES = (
+    "grant7", "req1", "grant1", "sig1", "stop", "=0", "=1", "=2", ",", ";", "-",
+    " ", "0", "1", "99", "\n",
+)
+
+
+def _artifact_mutant(rng: random.Random, text: str) -> str:
+    """Line and word edits above the embedded spec, which the hash guards."""
+    head, sep, spec = text.partition("BEGIN SPEC")
+    lines = head.splitlines(keepends=True)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        roll = rng.random()
+        if roll < 0.15:
+            del lines[i]
+        elif roll < 0.25:
+            lines.insert(rng.randrange(len(lines) + 1), lines[i])
+        elif roll < 0.35:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            line = lines[i]
+            words = [m.span() for m in re.finditer(r"[A-Za-z_]\w*|\d+", line)]
+            if words and roll < 0.8:
+                start, end = rng.choice(words)
+            else:
+                start = rng.randrange(len(line))
+                end = start + rng.randint(0, 2)
+            lines[i] = line[:start] + rng.choice(_ARTIFACT_PIECES) + line[end:]
+    return "".join(lines) + sep + spec
+
+
+class TestArtifactMutationSweep:
+    @pytest.mark.parametrize(
+        "package", ["threshold_package", "encoded_package", "counter_package"]
+    )
+    def test_mutated_artifacts_fail_only_with_documented_errors(self, package, request):
+        verdict = request.getfixturevalue(package)[1]
+        render = render_realizable if isinstance(verdict, Realizable) else render_unrealizable
+        text = render(verdict, SAFETY)
+        rng = random.Random(f"artifact-mutants:{package}")
+        outcomes = {"rejected": 0, "simulated": 0, "refused": 0}
+        for seed in range(600):
+            mutant = _artifact_mutant(rng, text)
+            try:
+                pkg = parse_controller_file(mutant)
+            except ControllerFileError:
+                outcomes["rejected"] += 1
+                continue
+            try:
+                simulate(pkg, 20, seed)
+            except SimulationError:
+                outcomes["refused"] += 1
+            else:
+                outcomes["simulated"] += 1
+        assert outcomes["rejected"] >= 100, outcomes
+        assert outcomes["simulated"] + outcomes["refused"] >= 20, outcomes

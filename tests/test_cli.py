@@ -1,6 +1,7 @@
 """Subcommand behavior through the argparse front end: exit codes, stdout
 reports, and written artifact files."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -292,3 +293,74 @@ class TestSimulateCommand:
         code = main(["simulate", artifact, "--inject", "req1=yes"])
         assert code == EXIT_INPUT_ERROR
         assert "malformed valuation" in capsys.readouterr().err
+
+
+class TestUndecodableInput:
+    """Files that are not UTF-8, and superscript digits, end as input errors."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["synth"], ["abstract"], ["reencode"], ["check"], ["simulate"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_invalid_utf8_file_is_an_input_error(self, argv, tmp_path, capsys):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("REAL x IN [0, 1]\n## café\nx > 0\n".encode("latin-1"))
+        assert main(argv + [str(bad)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode"), err
+
+    def test_superscript_digit_in_a_spec_is_an_input_error(self, tmp_path, capsys):
+        spec = tmp_path / "square.spec"
+        spec.write_text("REAL x IN [0, 4]\nPRED p := x² > 1\nOUTPUT b\np -> b\n")
+        assert main(["synth", str(spec)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "line 2, column 12: unexpected character '²'" in err
+
+    def test_superscript_digit_in_a_constraint_is_an_input_error(self, capsys):
+        code = main(["check", "--real", "x", "0", "1", "-c", "x¹ > 0"])
+        assert code == EXIT_INPUT_ERROR
+        assert "unexpected character '¹'" in capsys.readouterr().err
+
+
+# sha256 of the artifact and of the transcript that `numltl synth` writes for
+# each bundled spec and route.  error_monitor/buchi is the known wrong
+# unrealizable verdict; fixing it changes its pair.
+BUNDLED_HASHES = {
+    ("threshold_arbiter", "safety"): (
+        "e0692594c23f8f64aba76f21baf66ddccd990a1215c2943a10d9b2c4c046dc32",
+        "8dcaf4cda0310f98f32e4c3207ace4c2cef61258bf169cd59f21b45a664fdf01",
+    ),
+    ("threshold_arbiter", "buchi"): (
+        "5641d5f9f4798d334ef92377c026fe4c87cc06eea5034c7d5dfde5d9353f5eb1",
+        "836cb06c5ba418479eac97d24faff2c8c5cd08970fbed67f0c31c252278b409b",
+    ),
+    ("triple_sensor_arbiter", "safety"): (
+        "e05c20ec40bc30d29778e573be9d1e94ec43222a8ebcdbed64e05feb50acb561",
+        "f3e55de8f0308279746776d328656f89c6d7b43e366b1efcb86f6767f59e3585",
+    ),
+    ("triple_sensor_arbiter", "buchi"): (
+        "368f0161cb1171d10af29f4806f5b450ba55c002807cb5c7c31e91f8a8d7e84f",
+        "f22eeba7010d358e61cd721fd47173e128fd4e230cd141a9c4febe44eb7c84ca",
+    ),
+    ("error_monitor", "safety"): (
+        "5d7d02318b40fc124d4c9a4b5e0a931262023a7ab4d976aa9bfe08a64ab5321e",
+        "7dcde71aa678bed761a2ced0961090eff02d4751743850cf771aa6bfc5bdb337",
+    ),
+    ("error_monitor", "buchi"): (
+        "f049c7a2912db7790e40435e6ef9a0075ffcd93e0420ee5a755fd99d23463d0b",
+        "83e1816d7f847156c3e760b7ba8142fcf128c1877559d9bc496b60a1aaf6846e",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, route", sorted(BUNDLED_HASHES), ids=lambda part: part
+)
+def test_bundled_artifacts_and_transcripts_are_pinned(name, route, tmp_path, capsys):
+    out, log = tmp_path / "artifact", tmp_path / "transcript"
+    spec = str(SPEC_DIR / f"{name}.spec")
+    main(["synth", spec, "--algorithm", route, "--out", str(out), "--transcript", str(log)])
+    capsys.readouterr()
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, log))
+    assert digests == BUNDLED_HASHES[(name, route)]

@@ -31,6 +31,7 @@ from numltl.speclang import (
     conjoin,
     document_formula,
     evaluate_propositional,
+    format_constraint,
     format_formula,
     format_polynomial,
     format_spec,
@@ -39,7 +40,13 @@ from numltl.speclang import (
     parse_spec,
     substitute_atoms,
 )
-from generators import random_document
+from generators import (
+    random_box,
+    random_document,
+    random_polynomial,
+    random_synthesis_document,
+)
+from oracles import reference_parse_constraints, reference_parse_spec
 
 SPECS_DIR = Path(__file__).resolve().parent.parent / "specs"
 
@@ -394,11 +401,13 @@ class TestConstraintDocuments:
 
 
 # fragments a mutant splices in: rational literals (zero denominators among
-# them), operators, keywords, and brackets
+# them), operators, keywords, brackets, and non-ASCII characters, two of
+# them superscript digits that str.isdigit accepts
 _MUTATION_PIECES = (
     "/0", "0/0", "1/0", "/", "0", "7/", "1.5", ".", "^", "^0", "^-1", "-",
     "*", "(", ")", "[", "]", ",", "<", ">=", "->", "&&", "!", ":=", "=",
     "x", "REAL", "PRED", "INPUT", "OUTPUT", "IN", "ALWAYS", "NEXT", "\n", " ",
+    "\u00b2", "\u00b9", "\u00e9",
 )
 
 
@@ -431,3 +440,139 @@ class TestMutationSweep:
                 except SpecError:
                     rejected += 1
         assert rejected
+
+
+class TestNonAsciiInput:
+    """Superscript digits pass str.isdigit but are no rational literal; they
+    are ordinary lexer errors, not a crash."""
+
+    @pytest.mark.parametrize(
+        "text, line, column, char",
+        [
+            (MINIMAL + "a && b\u00b2\n", 3, 7, "\u00b2"),
+            (MINIMAL + "\u00b9 -> b\n", 3, 1, "\u00b9"),
+            ("REAL x IN [0, 4]\nPRED p := x^\u00b2 > 1\nOUTPUT b\np -> b\n", 2, 13, "\u00b2"),
+            ("REAL x IN [0, \u00b9]\nOUTPUT b\nb\n", 1, 15, "\u00b9"),
+        ],
+    )
+    def test_spec_lines(self, text, line, column, char):
+        with pytest.raises(SpecError) as caught:
+            parse_spec(text)
+        assert caught.value.message == f"unexpected character {char!r}"
+        assert (caught.value.line, caught.value.column) == (line, column)
+
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            ("REAL x IN [0, 1]\nx\u00b2 > 0\n", 2, 2),
+            ("REAL x IN [0, \u00b9]\nx > 0\n", 1, 15),
+            ("REAL x IN [0, 1]\nx^\u00b9 > 0 -> x > 0\n", 2, 3),
+        ],
+    )
+    def test_constraint_lines(self, text, line, column):
+        with pytest.raises(SpecError, match="unexpected character") as caught:
+            parse_constraints(text)
+        assert (caught.value.line, caught.value.column) == (line, column)
+
+
+def _outcome(parse, text: str):
+    try:
+        return "document", parse(text)
+    except SpecError as exc:
+        return "error", (exc.message, exc.line, exc.column)
+    except Exception as exc:  # what the reference parser leaks
+        return "leak", type(exc).__name__
+
+
+def _random_constraint_text(rng: random.Random) -> str:
+    """Ranges and one-constraint or implication lines, declarations anywhere."""
+    arity = rng.randint(1, 3)
+    names = tuple(rng.sample(("x", "y", "z", "t", "w1"), arity))
+    box = random_box(rng, arity)
+    lines = [f"REAL {n} IN [{lo}, {hi}]" for n, (lo, hi) in zip(names, box.intervals)]
+
+    def constraint() -> str:
+        poly = random_polynomial(rng, arity, max_degree=3, max_terms=4)
+        relation = rng.choice(("<", "<=", ">", ">="))
+        return format_constraint(PolyConstraint(poly, relation), names)
+
+    for _ in range(rng.randint(1, 3)):
+        line = constraint()
+        if rng.random() < 0.3:
+            line += " -> " + constraint()
+        lines.insert(rng.randint(0, len(lines)), line)
+    return "\n".join(lines) + "\n"
+
+
+class TestReferenceParser:
+    """The parser against the character-by-character lexer and name-keyed
+    polynomials it replaced: the same document, or the same error message,
+    line and column.  Where the reference leaks another exception, the
+    parser must raise a SpecError."""
+
+    def compare(self, text: str, seen) -> None:
+        for parse, reference in (
+            (parse_spec, reference_parse_spec),
+            (parse_constraints, reference_parse_constraints),
+        ):
+            expected = _outcome(reference, text)
+            got = _outcome(parse, text)
+            if expected[0] == "leak":
+                assert got[0] == "error", (text, expected, got)
+            else:
+                assert got == expected, text
+            seen[expected[0]] += 1
+
+    # orders of checks and corners of the grammar that random mutants rarely reach
+    EDGE_CASES = (
+        "REAL x IN [0, 1]\nREAL x IN [2, 1]\nx > 0\n",  # duplicate before empty range
+        "REAL x IN [1, 0]\nREAL x IN [0, 1]\nx > 0\n",
+        "REAL x IN [0, 1]\nz + y > x\n",  # first undeclared name in sorted order
+        "OUTPUT b\nPRED p := z * y > 0\np -> b\n",
+        "REAL x IN [0, 1]\nREAL OUTPUT u IN [0, 1]\nPRED p := u + z > x\nOUTPUT b\np -> b\n",
+        "REAL x IN [0, 1]\nPRED p := z - z + x^2 > 0\nOUTPUT b\np -> b\n",  # z cancels
+        "REAL x IN [0, 1]\ny^0 + x > 1\n",  # y^0 uses no y
+        "REAL x IN [0, 1]\nREAL y IN [0, 1]\ny * x - x * y + y > 0 -> x < 1\n",
+        "INPUT a\n\u00a0\nOUTPUT b\na -> b\n",  # str.strip blanks the middle line
+        "INPUT a\nOUTPUT b\na\u00a0-> b\n",
+        "REAL x IN [0, \u0663]\nx > 1\n",  # an Arabic-Indic digit is a digit
+        "INPUT a\nOUTPUT b\na <-> b\n",
+        "INPUT a\nOUTPUT b\na <<-> b\n",
+        "REAL x IN [0, 1]\nx 2 > 0\n",
+        "REAL x IN [0, 1]\n2x > 0\n",
+        "REAL x IN [0, 1]\nx^1.5 > 0\n",
+        "REAL x IN [0, 1]\n1. > x\n",
+        "REAL x IN [0, 1]\nx := 1\n",
+        "REAL x IN [0, 1]\nx & 1\n",
+        "REAL INPUT x IN [0, 1]\nx > 0\n",
+    )
+
+    def test_edge_cases(self):
+        seen = {"document": 0, "error": 0, "leak": 0}
+        for text in self.EDGE_CASES:
+            self.compare(text, seen)
+        assert seen["document"] >= 5 and seen["error"] >= 20, seen
+
+    def test_bundled_spec_mutants(self):
+        seen = {"document": 0, "error": 0, "leak": 0}
+        for name in ("threshold_arbiter", "triple_sensor_arbiter", "error_monitor"):
+            text = (SPECS_DIR / f"{name}.spec").read_text()
+            self.compare(text, seen)
+            rng = random.Random(f"differential:{name}")
+            for _ in range(2000):
+                self.compare(_mutant(rng, text), seen)
+        assert seen["document"] >= 100 and seen["error"] >= 100 and seen["leak"], seen
+
+    def test_random_documents_and_constraint_files(self):
+        rng = random.Random(20261018)
+        seen = {"document": 0, "error": 0, "leak": 0}
+        for _ in range(300):
+            text = format_spec(random_synthesis_document(rng))
+            self.compare(text, seen)
+            self.compare(_mutant(rng, text), seen)
+        for _ in range(300):
+            text = _random_constraint_text(rng)
+            self.compare(text, seen)
+            self.compare(_mutant(rng, text), seen)
+        assert seen["document"] >= 100 and seen["error"] >= 100 and seen["leak"], seen
+
