@@ -41,6 +41,7 @@ from .games import (
     CounterStrategy,
     GameArena,
     MealyController,
+    SuccessorTable,
     build_buchi_game,
     build_safety_game,
     extract_controller,
@@ -359,18 +360,31 @@ def _encoded(
         return spec, EMPTY_MULTIPLEXER
 
 
-def _build_arena(
-    work: PseudoBooleanSpec, algorithm: str, bound: int | None
-) -> GameArena:
-    formula = work.game_formula()
+def _successor_table(work: PseudoBooleanSpec) -> SuccessorTable:
     inputs = work.input_atoms()
     outputs = work.output_atoms()
-    atoms = inputs + outputs
+    negated = negate_and_translate(work.game_formula(), inputs + outputs)
+    return SuccessorTable(negated, inputs, outputs)
+
+
+def _build_arena(
+    work: PseudoBooleanSpec,
+    algorithm: str,
+    bound: int | None,
+    successors: SuccessorTable | None = None,
+) -> GameArena:
+    """The game of ``work``; a safety arena reads ``successors`` (a table
+    for the same game formula, or a fresh one when None)."""
+    inputs = work.input_atoms()
+    outputs = work.output_atoms()
     if algorithm == BUCHI:
-        arena = build_buchi_game(translate(formula, atoms), inputs, outputs)
+        automaton = translate(work.game_formula(), inputs + outputs)
+        arena = build_buchi_game(automaton, inputs, outputs)
     else:
+        if successors is None:
+            successors = _successor_table(work)
         arena = build_safety_game(
-            negate_and_translate(formula, atoms), bound, inputs, outputs
+            successors.automaton, bound, inputs, outputs, successors
         )
     for v in work.input_refinements:
         mark_edges_absent(arena, v, v.atoms)
@@ -429,6 +443,9 @@ def synthesize(
     bound_index = 0
     mux = EMPTY_MULTIPLEXER
     arena: GameArena | None = None
+    # the safety route's successors depend on the game formula, not on the
+    # bound: one table serves the schedule until a guarantee refinement
+    successors: SuccessorTable | None = None
     bound: int | None = None
 
     while True:
@@ -439,7 +456,9 @@ def synthesize(
             work, mux = _encoded(spec, cfg)
             if cfg.algorithm == SAFETY:
                 bound = cfg.bound_schedule[bound_index]
-            arena = _build_arena(work, cfg.algorithm, bound)
+                if successors is None:
+                    successors = _successor_table(work)
+            arena = _build_arena(work, cfg.algorithm, bound, successors)
         solution = solve(arena)
         transcript.solve(arena, bound, solution.ctrl_wins)
 
@@ -458,7 +477,8 @@ def synthesize(
                 return finish_unknown(f"refinement cap {cfg.refinement_cap} exceeded")
             spec = refine_with_guarantee(spec, bad[0])
             transcript.refine(sl.OUTPUT_SIDE, bad[0])
-            arena = None  # the guarantees changed: re-encode and rebuild
+            # the guarantees changed: re-encode, translate again and rebuild
+            arena = successors = None
             continue
 
         cs = extract_counter_strategy(solution)

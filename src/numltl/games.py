@@ -22,6 +22,19 @@ letter when ``letter & care == value``.  ``Valuation`` objects appear only on
 the arena's API: edges, ctrl-node origins, controllers and
 counter-strategies.  An env edge also keeps its input bits, so marking edges
 absent is a mask compare.
+
+The safety builder works on sets of letters instead.  It numbers the
+letters in arena order and lowers each guard once to the set of letters it
+matches, one int with a bit per letter.  A ``SuccessorTable`` splits the
+letters of each macro-state into classes that lead to the same successor,
+by intersecting the guard sets target by target and count by count, and
+keeps the classes with a compact letter-to-class index.  Successors do not
+depend on the bound, only the test of their top count against it does, so
+one table serves every arena of a bound schedule: a build reads each
+macro's classes, resolves them to env nodes in order of their first letter
+(the numbering a letter-by-letter expansion gives), and fills the ctrl rows
+from the index.  Ctrl edges are immutable and shared, one per output
+valuation and target.
 """
 
 from __future__ import annotations
@@ -169,32 +182,140 @@ EMPTY_LABEL = "EMPTY"
 Macro = tuple[tuple[int, int], ...]
 
 
+def _class_index(letter_sets: list[int], n_letters: int) -> array:
+    """Class number of each letter, given the classes' disjoint letter sets."""
+    index = array("B" if len(letter_sets) <= 0x100 else "I", [0]) * n_letters
+    for c, letters in enumerate(letter_sets):
+        if c:
+            bits = format(letters, "b")[::-1]  # bits[l] is letter l
+            l = bits.find("1")
+            while l >= 0:
+                index[l] = c
+                l = bits.find("1", l + 1)
+    return index
+
+
+class SuccessorTable:
+    """Successor classes of the counting macro-states over one negated
+    automaton and one alphabet, shared by the arenas of every bound.
+
+    Letters are numbered in arena order: letter ``j * 2**len(outputs) + k`` is
+    input valuation ``j`` with output valuation ``k``, both in
+    ``all_valuations`` order.  A letter set is an int with bit ``l`` set for
+    letter ``l``; each guard is lowered to one.  ``classes(macro)`` splits
+    the letters by the macro's successor, with every count as reached (no
+    bound applies here), and returns the classes as ``(successor, top
+    count)`` pairs numbered by their first letter, with the class index of
+    every letter.  The table also holds the alphabet its builds use:
+    ``input_letters`` as ``(valuation, bits)`` pairs, and
+    ``output_valuations``.
+    """
+
+    def __init__(
+        self, negated: BuchiAutomaton, inputs: tuple[str, ...], outputs: tuple[str, ...]
+    ) -> None:
+        self.automaton = negated
+        self.inputs = inputs
+        self.outputs = outputs
+        position, self.input_letters, output_letters = _alphabet(inputs, outputs)
+        self.output_valuations = [vout for vout, _ in output_letters]
+        # each letter of the arena order as its bits
+        order = [i | o for _, i in self.input_letters for _, o in output_letters]
+        self._n_letters = len(order)
+        self._full = (1 << self._n_letters) - 1
+        # per automaton state: (target, bump, letters), transitions to one
+        # target merged
+        self._targets: list[tuple[tuple[int, int, int], ...]] = []
+        for row in negated.transitions:
+            reach: dict[int, int] = {}
+            for t in row:
+                care, value = t.guard.masks(position)
+                letters = sum(
+                    1 << l for l, bits in enumerate(order) if bits & care == value
+                )
+                reach[t.target] = reach.get(t.target, 0) | letters
+            self._targets.append(
+                tuple(
+                    (target, 1 if target in negated.accepting else 0, letters)
+                    for target, letters in reach.items()
+                    if letters
+                )
+            )
+        self._classes: dict[Macro, tuple[tuple[tuple, int], array]] = {}
+
+    def classes(self, macro: Macro) -> tuple[tuple[tuple, int], array]:
+        """The successor classes of ``macro`` (``()`` for the macro with no
+        live runs) and the class of each letter; split on first request."""
+        known = self._classes.get(macro)
+        if known is None:
+            known = self._classes[macro] = self._split(macro)
+        return known
+
+    def _split(self, macro: Macro) -> tuple[tuple[tuple, int], array]:
+        # letters reaching each target, by the count they reach it with
+        reach: dict[int, dict[int, int]] = {}
+        for state, count in macro:
+            for target, bump, letters in self._targets[state]:
+                by_count = reach.setdefault(target, {})
+                bumped = count + bump
+                by_count[bumped] = by_count.get(bumped, 0) | letters
+        # (letters, successor, top count) of each class so far
+        parts: list[tuple[int, Macro, int]] = [(self._full, (), -1)]
+        for target in sorted(reach):
+            by_count = reach[target]
+            higher = 0  # letters that reach ``target`` with a higher count
+            for count in sorted(by_count, reverse=True):
+                letters = by_count[count] & ~higher
+                higher |= by_count[count]
+                if not letters:
+                    continue
+                split = []
+                for part, successor, top in parts:
+                    inside = part & letters
+                    if inside:
+                        new_top = top if top > count else count
+                        split.append((inside, successor + ((target, count),), new_top))
+                        part ^= inside
+                    if part:
+                        split.append((part, successor, top))
+                parts = split
+        parts.sort(key=lambda p: p[0] & -p[0])  # by first letter
+        classes = tuple(
+            (successor, top) if successor else (EMPTY_LABEL, -1)
+            for _, successor, top in parts
+        )
+        return classes, _class_index([p[0] for p in parts], self._n_letters)
+
+
 def build_safety_game(
     negated: BuchiAutomaton,
     bound: int,
     inputs: tuple[str, ...],
     outputs: tuple[str, ...],
+    successors: SuccessorTable | None = None,
 ) -> GameArena:
     """Bounded-unroll safety arena over the automaton of the negated spec.
 
     Env nodes are universal subset-construction macro states carrying, per
     automaton state, the highest count of accepting-state visits along any
     run reaching it.  A count past the bound makes the macro unsafe; the
-    macro with no live runs is absorbing and safe.
+    macro with no live runs is absorbing and safe.  ``successors`` is a
+    table over the same automaton and atoms, filled by earlier builds at any
+    bound; without one a fresh table is used.
     """
     if bound < 1:
         msg = f"bound must be at least 1, got {bound}"
         raise GameError(msg)
-    position, input_letters, output_letters = _alphabet(inputs, outputs)
-    guards = [
-        [
-            (*t.guard.masks(position), t.target, 1 if t.target in negated.accepting else 0)
-            for t in row
-        ]
-        for row in negated.transitions
-    ]
-    # successors of each automaton state per letter, as (target, bump) pairs
-    moves: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in guards]
+    if successors is None:
+        successors = SuccessorTable(negated, inputs, outputs)
+    elif (successors.automaton, successors.inputs, successors.outputs) != (
+        negated,
+        inputs,
+        outputs,
+    ):
+        raise GameError("successor table was made for another automaton or alphabet")
+    output_valuations = successors.output_valuations
+    n_out = len(output_valuations)
 
     labels: list = []
     index: dict = {}
@@ -202,6 +323,9 @@ def build_safety_game(
     ctrl_origin: list[tuple[int, Valuation]] = []
     ctrl_edges: list[list[CtrlEdge]] = []
     unsafe: set[int] = set()
+    # CtrlEdge is immutable: one per (output valuation, env node) serves
+    # every ctrl node
+    answers_to: list[list[CtrlEdge]] = []
 
     def env_id(label) -> int:
         if label in index:
@@ -210,29 +334,10 @@ def build_safety_game(
         index[label] = i
         labels.append(label)
         env_edges.append([])
+        answers_to.append([CtrlEdge(vout, i) for vout in output_valuations])
         if label == UNSAFE_LABEL:
             unsafe.add(i)
         return i
-
-    def step_macro(macro: Macro, letter: int):
-        best: dict[int, int] = {}
-        for state, count in macro:
-            cached = moves[state].get(letter)
-            if cached is None:
-                cached = moves[state][letter] = tuple(
-                    (target, bump)
-                    for care, value, target, bump in guards[state]
-                    if letter & care == value
-                )
-            for target, bump in cached:
-                bumped = count + bump
-                if bumped > bound:
-                    return UNSAFE_LABEL
-                if bumped > best.get(target, -1):
-                    best[target] = bumped
-        if not best:
-            return EMPTY_LABEL
-        return tuple(sorted(best.items()))
 
     initial_macro: Macro = ((negated.initial, 0),)
     start = env_id(initial_macro)
@@ -243,22 +348,25 @@ def build_safety_game(
         label = labels[i]
         if label == UNSAFE_LABEL:
             continue  # terminal: env already won
-        for vin, in_bits in input_letters:
+        macro = () if label == EMPTY_LABEL else label  # EMPTY: no live runs
+        classes, letter_class = successors.classes(macro)
+        # classes are numbered by first letter, so resolving them in order
+        # numbers the env nodes as a letter-by-letter expansion would
+        rows = []
+        for successor, top in classes:
+            t = env_id(successor if top <= bound else UNSAFE_LABEL)
+            if t not in expanded:
+                expanded.add(t)
+                queue.append(t)
+            rows.append(answers_to[t])
+        for j, (vin, in_bits) in enumerate(successors.input_letters):
             cid = len(ctrl_origin)
             ctrl_origin.append((i, vin))
             env_edges[i].append(EnvEdge(vin, cid, bits=in_bits))
-            answers: list[CtrlEdge] = []
-            for vout, out_bits in output_letters:
-                if label == EMPTY_LABEL:
-                    target_label = EMPTY_LABEL  # no runs of the negated automaton remain
-                else:
-                    target_label = step_macro(label, in_bits | out_bits)
-                t = env_id(target_label)
-                answers.append(CtrlEdge(vout, t))
-                if t not in expanded:
-                    expanded.add(t)
-                    queue.append(t)
-            ctrl_edges.append(answers)
+            first = j * n_out
+            ctrl_edges.append(
+                [rows[c][k] for k, c in enumerate(letter_class[first : first + n_out])]
+            )
 
     return GameArena(
         objective="safety",
@@ -301,31 +409,29 @@ def _attractor(
         live[k] = 1
         named[k] = node
 
-    def live_edges():
-        for i, row in enumerate(arena.env_edges):
-            if live[i]:
-                for e in row:
-                    if e.present and live[n_env + e.target]:
-                        yield i, n_env + e.target
-        for i, row in enumerate(arena.ctrl_edges):
-            if live[n_env + i]:
-                for e in row:
-                    if live[e.target]:
-                        yield n_env + i, e.target
-
-    # predecessors grouped by target: those of t are preds[first[t]:first[t + 1]]
-    pending = array("i", [0]) * n  # live edges not yet attracted, per node
-    first = array("i", [0]) * (n + 1)
-    for src, t in live_edges():
-        pending[src] += 1
-        first[t + 1] += 1
-    for t in range(n):
-        first[t + 1] += first[t]
-    preds = array("i", [0]) * first[n]
-    fill = first[:-1]
-    for src, t in live_edges():
-        preds[fill[t]] = src
-        fill[t] += 1
+    # one pass over the rows: each live node's live predecessors, and the
+    # number of its live edges not yet attracted
+    preds: list[list[int]] = [[] for _ in range(n)]
+    pending = [0] * n
+    for i, row in enumerate(arena.env_edges):
+        if live[i]:
+            count = 0
+            for e in row:
+                t = n_env + e.target
+                if e.present and live[t]:
+                    preds[t].append(i)
+                    count += 1
+            pending[i] = count
+    for i, row in enumerate(arena.ctrl_edges):
+        k = n_env + i
+        if live[k]:
+            count = 0
+            for e in row:
+                t = e.target
+                if live[t]:
+                    preds[t].append(k)
+                    count += 1
+            pending[k] = count
     owner_is_env = owner == ENV
 
     rank = array("i", [-1]) * n  # -1 until attracted
@@ -348,7 +454,7 @@ def _attractor(
         for node in fresh:
             rank[node] = current
         for node in layer:
-            for p in preds[first[node] : first[node + 1]]:
+            for p in preds[node]:
                 if rank[p] >= 0:
                     continue
                 if (p < n_env) != owner_is_env:

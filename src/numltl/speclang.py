@@ -15,7 +15,8 @@ assumption when prefixed with ``ASSUME``.  Formula operators, tightest first:
 ``&&``, ``||``, ``UNTIL``, ``->``.  ``UNTIL`` and ``->`` associate to the
 right.  Polynomials use ``+ - * ^`` with nonnegative integer exponents and no
 implicit multiplication; rational constants are integers, exact decimals, or
-``p/q``.
+``p/q``.  A power may have an exponent of at most ``MAX_EXPONENT`` and may
+expand to at most ``MAX_POWER_TERMS`` terms.
 
 A predicate atom is an atom of its side by construction and must not be
 re-listed under INPUT or OUTPUT.
@@ -41,6 +42,11 @@ from .bernstein import Box, ConstraintImplication, Polynomial, PolyConstraint
 
 INPUT_SIDE = "input"
 OUTPUT_SIDE = "output"
+
+# a power ``p^k`` is expanded term by term, at a cost that grows with k and
+# the size of p: past either cap it is rejected rather than expanded
+MAX_EXPONENT = 64
+MAX_POWER_TERMS = 500
 
 
 class SpecError(ValueError):
@@ -506,8 +512,29 @@ class _LineParser:
                 raise SpecError(
                     "exponent must be a nonnegative integer", expo.line, expo.column
                 )
-            base = base.power(int(expo.value))
+            base = self._power(base, int(expo.value), expo)
         return base
+
+    @staticmethod
+    def _power(base: Polynomial, exponent: int, expo: Token) -> Polynomial:
+        """``base^exponent``, expanded one factor at a time and given up as
+        soon as a cap is passed, before a larger polynomial is built."""
+        if exponent > MAX_EXPONENT:
+            raise SpecError(
+                f"exponent {exponent} exceeds the limit of {MAX_EXPONENT}",
+                expo.line,
+                expo.column,
+            )
+        power = Polynomial.constant(base.arity, 1)
+        for _ in range(exponent):
+            power = power * base
+            if len(power.terms) > MAX_POWER_TERMS:
+                raise SpecError(
+                    f"power expands to more than {MAX_POWER_TERMS} terms",
+                    expo.line,
+                    expo.column,
+                )
+        return power
 
     def _poly_base(self) -> Polynomial:
         tok = self.peek()

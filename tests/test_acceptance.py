@@ -311,10 +311,10 @@ def _check_once_and_marking_equals_rebuild(monkeypatch, documents) -> int:
     real_refine = cegar.refine_with_assumption
     state = {"spec": None, "bound": None, "building": False, "compared": 0}
 
-    def build(work, algorithm, bound):
+    def build(work, algorithm, bound, successors=None):
         state["bound"], state["building"] = bound, True
         try:
-            return real_build(work, algorithm, bound)
+            return real_build(work, algorithm, bound, successors)
         finally:
             state["building"] = False
 

@@ -478,28 +478,63 @@ ALWAYS (hi && lo)
 
 class TestArenaLifetime:
     @pytest.mark.parametrize(
-        ("doc", "cfg", "event"),
+        ("doc", "cfg", "event", "table_kept"),
         [
-            (fixture("error_monitor"), CegarConfig(), "SOLVE safety bound=2"),
-            (parse_spec(OUTPUT_CONFLICT), CegarConfig(bound_schedule=(1,)), "REFINE output"),
+            (fixture("error_monitor"), CegarConfig(), "SOLVE safety bound=2", True),
+            (
+                parse_spec(OUTPUT_CONFLICT),
+                CegarConfig(bound_schedule=(1,)),
+                "REFINE output",
+                False,
+            ),
         ],
         ids=["bound-escalation", "output-refinement"],
     )
-    def test_previous_arena_is_freed_before_the_next_build(self, monkeypatch, doc, cfg, event):
+    def test_previous_arena_is_freed_before_the_next_build(
+        self, monkeypatch, doc, cfg, event, table_kept
+    ):
         built = []
+        tables = []
+        kept = []
         original = cegar_module._build_arena
 
-        def tracking(work, algorithm, bound):
+        def tracking(work, algorithm, bound, successors):
             assert all(ref() is None for ref in built), "an earlier arena is still referenced"
-            arena = original(work, algorithm, bound)
+            # the successor table outlives a bound escalation; after an
+            # output refinement the old one must be gone
+            assert all(ref() in (None, successors) for ref in tables), (
+                "an earlier successor table is still referenced"
+            )
+            kept.append(any(ref() is successors for ref in tables))
+            arena = original(work, algorithm, bound, successors)
             built.append(weakref.ref(arena))
+            tables.append(weakref.ref(successors))
             return arena
 
         monkeypatch.setattr(cegar_module, "_build_arena", tracking)
         t = Transcript()
         synthesize(doc, cfg, t)
         assert len(built) == 2
+        assert kept == [False, table_kept]
         assert any(line.startswith(event) for line in t.lines)
+
+
+@pytest.mark.parametrize(
+    ("name", "solves"), [("error_monitor", 2), ("triple_sensor_arbiter", 5)]
+)
+def test_escalating_bounds_translate_the_negated_spec_once(monkeypatch, name, solves):
+    calls = []
+    original = cegar_module.negate_and_translate
+
+    def counting(formula, atoms):
+        calls.append(formula)
+        return original(formula, atoms)
+
+    monkeypatch.setattr(cegar_module, "negate_and_translate", counting)
+    t = Transcript()
+    synthesize(fixture(name), CegarConfig(), t)
+    assert sum(line.startswith("SOLVE safety bound=") for line in t.lines) == solves
+    assert len(calls) == 1
 
 
 def check_events(transcript: Transcript) -> list[tuple[str, str]]:

@@ -175,6 +175,16 @@ class TestCheckCommand:
         assert main(["check", str(f)]) == EXIT_OK
         assert capsys.readouterr().out.count("Valid") == 2
 
+    @pytest.mark.parametrize("power", ["x^100000", "(x + y + z + 1)^500"])
+    def test_oversized_power_is_an_input_error(self, tmp_path, capsys, power):
+        f = tmp_path / "checks.txt"
+        f.write_text(f"REAL x IN [0, 1]\nREAL y IN [0, 1]\nREAL z IN [0, 1]\n{power} > 0\n")
+        assert main(["check", str(f)]) == EXIT_INPUT_ERROR
+        assert "exceeds the limit" in capsys.readouterr().err
+        reals = ["--real", "x", "0", "1", "--real", "y", "0", "1", "--real", "z", "0", "1"]
+        assert main(["check", *reals, "-c", f"{power} > 0"]) == EXIT_INPUT_ERROR
+        assert "exceeds the limit" in capsys.readouterr().err
+
     def test_implications_cannot_join_a_feasibility_conjunction(self, capsys):
         code = main(
             ["check", "--feasibility", "--real", "x", "0", "1", "-c", "x > 0 -> x > 0"]

@@ -21,6 +21,8 @@ from numltl.games import (
     EnvEdge,
     GameArena,
     GameError,
+    SuccessorTable,
+    _class_index,
     build_buchi_game,
     build_safety_game,
     extract_controller,
@@ -223,6 +225,38 @@ class TestSafetyArenaConstruction:
         one = build_safety_game(self.counting_automaton(), 2, ("a",), ())
         two = build_safety_game(self.counting_automaton(), 2, ("a",), ())
         assert one == two
+
+    def test_successor_table_must_match_automaton_and_atoms(self):
+        successors = SuccessorTable(self.counting_automaton(), ("a",), ())
+        build_safety_game(self.counting_automaton(), 2, ("a",), (), successors)
+        with pytest.raises(GameError, match="successor table"):
+            build_safety_game(self.counting_automaton(), 2, (), ("a",), successors)
+        other = pin_automaton()
+        with pytest.raises(GameError, match="successor table"):
+            build_safety_game(other, 2, other.atoms, (), successors)
+
+    def test_ctrl_edges_are_shared_per_output_and_target(self):
+        formula = document_formula(parse_spec(self.TWO_OUTPUTS))
+        negated = negate_and_translate(formula, ("r", "g", "h"))
+        arena = build_safety_game(negated, 2, ("r",), ("g", "h"))
+        edges = {id(e): e for row in arena.ctrl_edges for e in row}
+        assert len(edges) == len({(e.valuation, e.target) for e in edges.values()})
+        assert len(edges) < sum(len(row) for row in arena.ctrl_edges)
+
+    TWO_OUTPUTS = "INPUT r\nOUTPUT g, h\nALWAYS (r -> NEXT (g || h))\nALWAYS (!(g && h))\n"
+
+
+@pytest.mark.parametrize("n_classes, n_letters", [(1, 1), (13, 128), (256, 512), (300, 512)])
+def test_class_index_numbers_every_letter(n_classes, n_letters):
+    rng = random.Random(n_classes)
+    labels = list(range(n_classes)) + [
+        rng.randrange(n_classes) for _ in range(n_letters - n_classes)
+    ]
+    rng.shuffle(labels)
+    letter_sets = [0] * n_classes
+    for letter, c in enumerate(labels):
+        letter_sets[c] |= 1 << letter
+    assert list(_class_index(letter_sets, n_letters)) == labels
 
 
 class TestStuckNodeConventions:

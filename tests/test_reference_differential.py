@@ -18,6 +18,7 @@ from numltl.cegar import CegarConfig, _encoded
 from numltl.games import (
     CTRL,
     ENV,
+    SuccessorTable,
     _attractor,
     build_buchi_game,
     build_safety_game,
@@ -129,6 +130,42 @@ def test_random_formulas_give_the_reference_automata_and_arenas():
                 arena, reference_safety_game(negated, bound, inputs, outputs)
             )
         assert_same_attractors(arena)
+
+
+def assert_shared_table_builds_match(negated, bounds, inputs, outputs) -> None:
+    """One successor table serves every bound, filled in increasing bound
+    order and then reused in decreasing order."""
+    references = {
+        bound: reference_safety_game(negated, bound, inputs, outputs) for bound in bounds
+    }
+    successors = SuccessorTable(negated, inputs, outputs)
+    for bound in (*bounds, *reversed(bounds)):
+        arena = build_safety_game(negated, bound, inputs, outputs, successors)
+        assert_same_arena(arena, references[bound])
+        assert_same_attractors(arena)
+
+
+# error_monitor's reference arenas stop at bound 2, as above
+@pytest.mark.parametrize(
+    "name, bounds",
+    [(name, (1, 2, 4, 8)) for name in SPECS[:2]] + [("error_monitor", (1, 2))],
+)
+def test_bundled_spec_arenas_from_one_successor_table_match_reference(name, bounds):
+    formula, inputs, outputs = game_inputs(name)
+    negated = negate_and_translate(formula, inputs + outputs)
+    assert_shared_table_builds_match(negated, bounds, inputs, outputs)
+
+
+def test_random_formula_arenas_from_one_successor_table_match_reference():
+    rng = random.Random(3304)
+    atoms = ["a", "b", "c", "d"]
+    for _ in range(40):
+        formula = random_formula(rng, atoms, 4)
+        order = rng.sample(atoms, len(atoms))
+        split = rng.randint(0, 3)
+        inputs, outputs = tuple(order[:split]), tuple(order[split:])
+        negated = negate_and_translate(formula, inputs + outputs)
+        assert_shared_table_builds_match(negated, (1, 2, 4, 8), inputs, outputs)
 
 
 def test_attractor_matches_reference_on_random_arenas():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +18,8 @@ from numltl.speclang import (
     FalseFormula,
     Implies,
     INPUT_SIDE,
+    MAX_EXPONENT,
+    MAX_POWER_TERMS,
     Next,
     Not,
     Or,
@@ -172,6 +175,40 @@ class TestPolynomialParsing:
     def test_equality_relation_is_rejected(self):
         with pytest.raises(SpecError, match="relation"):
             self.brackets("PRED p := x = 2")
+
+
+class TestPowerCaps:
+    BOX = "REAL x IN [0, 1]\nREAL y IN [0, 1]\nREAL z IN [0, 1]\nREAL w IN [0, 1]\n"
+
+    @pytest.mark.parametrize(
+        "power, column, message",
+        [
+            ("x^100000", 3, f"exponent 100000 exceeds the limit of {MAX_EXPONENT}"),
+            ("(x + y + z + 1)^500", 17, f"exponent 500 exceeds the limit of {MAX_EXPONENT}"),
+            # an exponent under the cap whose expansion passes the term cap
+            ("(x + y + z + w + 1)^60", 21, f"more than {MAX_POWER_TERMS} terms"),
+        ],
+    )
+    def test_oversized_power_is_rejected_at_its_exponent(self, power, column, message):
+        for parse, text, line in (
+            (parse_constraints, f"{self.BOX}{power} > 0\n", 5),
+            (parse_spec, f"{self.BOX}OUTPUT b\nPRED p := {power} > 0\np -> b\n", 6),
+        ):
+            offset = 0 if parse is parse_constraints else len("PRED p := ")
+            started = time.process_time()
+            with pytest.raises(SpecError, match=message) as caught:
+                parse(text)
+            assert time.process_time() - started < 0.1
+            assert (caught.value.line, caught.value.column) == (line, column + offset)
+
+    def test_powers_within_the_caps_expand_exactly(self):
+        doc = parse_constraints(f"{self.BOX}x^{MAX_EXPONENT} + (x + y + 1)^30 > 0\n")
+        x = Polynomial.variable(4, 0)
+        y = Polynomial.variable(4, 1)
+        one = Polynomial.constant(4, 1)
+        expected = x.power(MAX_EXPONENT) + (x + y + one).power(30)
+        assert len((x + y + one).power(30).terms) <= MAX_POWER_TERMS
+        assert doc.checks[0] == PolyConstraint(expected, ">")
 
 
 class TestDeclarations:
