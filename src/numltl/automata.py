@@ -4,7 +4,12 @@ The translation normalizes a formula so negation sits only on atoms (with
 Release as the dual of Until), expands it into tableau nodes keyed by their
 processed and postponed obligation sets, reads off a generalized Büchi
 automaton whose transition guards are literal cubes, and then lowers it to
-plain Büchi acceptance with a visit counter over the acceptance sets.
+plain Büchi acceptance with a visit counter over the acceptance sets.  The
+propositional expansion of each partial node is memoised, so each is
+expanded once, and the result is the automaton of the plain worklist
+expansion state for state: the test suite requires equality with that
+expansion, kept in its oracles, down to the order in which tableau nodes are
+created.
 
 Also here: direct evaluation of a formula on an ultimately periodic word and
 automaton acceptance of such a word.  These give two independent routes to
@@ -15,7 +20,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
 
 from .speclang import (
     Always,
@@ -132,9 +136,18 @@ class BuchiAutomaton:
 # -- tableau expansion ------------------------------------------------------
 #
 # The tableau runs on ints: every subformula of the normal form is interned
-# to its rank in ``repr`` order, so expanding the smallest pending int picks
-# the formula whose ``repr`` sorts first, and obligation sets are sets of
-# ints.  Formulas come back only for transition guards and acceptance sets.
+# to its rank in ``repr`` order, and obligation sets are bitmasks over the
+# ranks, so expanding the smallest pending formula takes the lowest set bit.
+# Formulas come back only for transition guards and acceptance sets.
+#
+# The propositional expansion of a partial node ``(new, old, nxt)`` is a pure
+# function of that triple: the leaf keys ``(old, nxt)`` it reaches, in
+# worklist order (the second branch of a split first), each kept at its first
+# occurrence.  It is memoised, so each partial node is expanded once however
+# many branches and predecessors reach it.  The node walk then visits those
+# lists depth first, entering a new node's successor expansion before the
+# next sibling, which is the order, and so the state numbering, of the plain
+# worklist expansion (``reference_expand`` in the test oracles).
 
 _INIT = -1
 
@@ -154,11 +167,9 @@ class _Interned:
 
 @dataclass
 class _Node:
-    node_id: int
-    incoming: set[int]
-    new: set[int]
-    old: set[int]
-    nxt: set[int]
+    old: int  # processed obligations, a bitmask over ranks
+    nxt: int  # postponed obligations
+    incoming: list[int]  # positions of predecessor nodes, or _INIT
 
 
 def _is_literal(f: Formula) -> bool:
@@ -202,173 +213,176 @@ def _intern(normal: Formula) -> _Interned:
     return _Interned(formulas, index[normal], kind, left, right, negation)
 
 
+def _expand_step(
+    table: _Interned, new: int, old: int, nxt: int
+) -> tuple[tuple[int, int, int], ...]:
+    """Expand the lowest pending formula of a partial node with ``new``
+    nonzero: the partial nodes whose leaf lists make up its own, in worklist
+    order; none when the node is contradictory."""
+    bit = new & -new
+    f = bit.bit_length() - 1
+    new ^= bit
+    k = table.kind[f]
+    if k == _LITERAL:
+        negation = table.negation[f]
+        if negation >= 0 and old >> negation & 1:
+            return ()
+        return ((new, old | bit, nxt),)
+    if k == _FALSE:
+        return ()
+    if k == _NEXT:
+        return ((new, old | bit, nxt | 1 << table.left[f]),)
+    left, right = 1 << table.left[f] & ~old, 1 << table.right[f] & ~old
+    old |= bit
+    if k == _AND:
+        return ((new | left | right, old, nxt),)
+    if k == _OR:
+        return ((new | left, old, nxt), (new | right, old, nxt))
+    if k == _UNTIL:
+        return ((new | left, old, nxt | bit), (new | right, old, nxt))
+    # _RELEASE
+    return ((new | right, old, nxt | bit), (new | left | right, old, nxt))
+
+
 def _expand(table: _Interned) -> list[_Node]:
-    """Tableau expansion with an explicit worklist; returns the node list."""
-    kind, left, right, negation = table.kind, table.left, table.right, table.negation
-    done: list[_Node] = []
-    counter = [0]
+    """Tableau nodes in creation order, the root's expansion first."""
+    leaf_lists: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
+    splits: dict[tuple[int, int, int], tuple[tuple[int, int, int], ...]] = {}
 
-    def fresh(incoming: set[int], new: set[int], old: set[int], nxt: set[int]) -> _Node:
-        counter[0] += 1
-        return _Node(counter[0], incoming, new, old, nxt)
-
-    by_obligations: dict[tuple[frozenset, frozenset], _Node] = {}
-    work = [fresh({_INIT}, {table.root}, set(), set())]
-    while work:
-        node = work.pop()
-        if not node.new:
-            key = (frozenset(node.old), frozenset(node.nxt))
-            existing = by_obligations.get(key)
-            if existing is not None:
-                existing.incoming |= node.incoming
-            else:
-                by_obligations[key] = node
-                done.append(node)
-                work.append(fresh({node.node_id}, set(node.nxt), set(), set()))
-            continue
-        f = min(node.new)
-        node.new.discard(f)
-        k = kind[f]
-        if k == _LITERAL:
-            if negation[f] in node.old:
+    def leaves(start: tuple[int, int, int]) -> list[tuple[int, int]]:
+        stack = [start]
+        while stack:
+            key = stack[-1]
+            if key in leaf_lists:
+                stack.pop()
                 continue
-            node.old.add(f)
-            work.append(node)
-        elif k == _FALSE:
-            continue
-        elif k == _AND:
-            node.old.add(f)
-            node.new |= {left[f], right[f]} - node.old
-            work.append(node)
-        elif k == _OR:
-            work.append(
-                fresh(
-                    set(node.incoming),
-                    node.new | ({right[f]} - node.old),
-                    node.old | {f},
-                    set(node.nxt),
-                )
-            )
-            work.append(
-                fresh(
-                    set(node.incoming),
-                    node.new | ({left[f]} - node.old),
-                    node.old | {f},
-                    set(node.nxt),
-                )
-            )
-        elif k == _UNTIL:
-            work.append(
-                fresh(
-                    set(node.incoming),
-                    node.new | ({right[f]} - node.old),
-                    node.old | {f},
-                    set(node.nxt),
-                )
-            )
-            work.append(
-                fresh(
-                    set(node.incoming),
-                    node.new | ({left[f]} - node.old),
-                    node.old | {f},
-                    node.nxt | {f},
-                )
-            )
-        elif k == _RELEASE:
-            work.append(
-                fresh(
-                    set(node.incoming),
-                    node.new | ({left[f], right[f]} - node.old),
-                    node.old | {f},
-                    set(node.nxt),
-                )
-            )
-            work.append(
-                fresh(
-                    set(node.incoming),
-                    node.new | ({right[f]} - node.old),
-                    node.old | {f},
-                    node.nxt | {f},
-                )
-            )
-        else:  # _NEXT
-            node.old.add(f)
-            node.nxt.add(left[f])
-            work.append(node)
-    return done
+            new, old, nxt = key
+            if not new:
+                leaf_lists[key] = [(old, nxt)]
+                stack.pop()
+                continue
+            parts = splits.get(key)
+            if parts is None:
+                parts = splits[key] = _expand_step(table, new, old, nxt)
+            missing = [p for p in parts if p not in leaf_lists]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            del splits[key]
+            if not parts:
+                leaf_lists[key] = []
+            elif len(parts) == 1:
+                leaf_lists[key] = leaf_lists[parts[0]]
+            else:
+                first, second = leaf_lists[parts[0]], leaf_lists[parts[1]]
+                if first and second:
+                    leaf_lists[key] = list(dict.fromkeys(first + second))
+                else:
+                    leaf_lists[key] = first or second
+        return leaf_lists[start]
+
+    nodes: list[_Node] = []
+    position: dict[tuple[int, int], int] = {}
+    walk = [(_INIT, iter(leaves((1 << table.root, 0, 0))))]
+    while walk:
+        parent, keys = walk[-1]
+        for key in keys:
+            known = position.get(key)
+            if known is not None:
+                nodes[known].incoming.append(parent)
+                continue
+            position[key] = len(nodes)
+            nodes.append(_Node(key[0], key[1], [parent]))
+            walk.append((len(nodes) - 1, iter(leaves((key[1], 0, 0)))))
+            break
+        else:
+            walk.pop()
+    return nodes
 
 
-def _guard_of(old: Iterable[Formula]) -> Cube:
-    pairs = []
-    for f in old:
-        if isinstance(f, Atom):
-            pairs.append((f.name, True))
-        elif isinstance(f, Not) and isinstance(f.operand, Atom):
-            pairs.append((f.operand.name, False))
-    return Cube(tuple(pairs))
+def _guards(table: _Interned, nodes: list[_Node]) -> tuple[list[int], list[Cube]]:
+    """Each node's guard as a rank into the distinct guard cubes, which are
+    sorted by their ``pairs``, so ranks order as the cubes do."""
+    literals = [
+        (rank, (f.name, True) if isinstance(f, Atom) else (f.operand.name, False))
+        for rank, f in enumerate(table.formulas)
+        if isinstance(f, Atom) or (isinstance(f, Not) and isinstance(f.operand, Atom))
+    ]
+    mask = sum(1 << rank for rank, _ in literals)
+    keys = [node.old & mask for node in nodes]
+    cube_of = {
+        bits: Cube(tuple(pair for rank, pair in literals if bits >> rank & 1))
+        for bits in set(keys)
+    }
+    cubes = sorted(set(cube_of.values()), key=lambda cube: cube.pairs)
+    rank_of = {cube: i for i, cube in enumerate(cubes)}
+    return [rank_of[cube_of[bits]] for bits in keys], cubes
+
+
+# -- acceptance -----------------------------------------------------------------
+#
+# Guards are ints here, ranks into a cube list sorted by ``pairs``, so rows
+# sort as plain ``(guard, target)`` tuples in the order of the cubes.
 
 
 def _degeneralize(
     n_states: int,
     initial: int,
-    edges: list[list[tuple[Cube, int]]],
+    edges: list[list[tuple[int, int]]],
     acceptance_sets: list[frozenset[int]],
-) -> tuple[int, int, list[list[tuple[Cube, int]]], frozenset[int]]:
+) -> tuple[int, int, list[list[tuple[int, int]]], frozenset[int]]:
+    """Generalized to plain Büchi acceptance: state ``(q, level)`` counts the
+    acceptance sets met in order, and level ``m`` is accepting."""
     m = len(acceptance_sets)
     if m == 0:
         return n_states, initial, edges, frozenset(range(n_states))
     if m == 1:
         return n_states, initial, edges, acceptance_sets[0]
 
-    index: dict[tuple[int, int], int] = {}
-    out: list[list[tuple[Cube, int]]] = []
+    index = {(initial, 0): 0}
+    out: list[list[tuple[int, int]]] = [[]]
     accepting: set[int] = set()
-
-    def state_of(q: int, level: int) -> int:
-        key = (q, level)
-        if key not in index:
-            index[key] = len(out)
-            out.append([])
-            if level == m:
-                accepting.add(index[key])
-        return index[key]
-
-    start = state_of(initial, 0)
     work = [(initial, 0)]
-    seen = {(initial, 0)}
     while work:
-        q, level = work.pop()
-        src = state_of(q, level)
+        q, level = key = work.pop()
+        row = out[index[key]]
         base = 0 if level == m else level
         for guard, target in edges[q]:
             bumped = base
             while bumped < m and target in acceptance_sets[bumped]:
                 bumped += 1
             key = (target, bumped)
-            dst = state_of(*key)
-            out[index[(q, level)]].append((guard, dst))
-            if key not in seen:
-                seen.add(key)
+            dst = index.get(key)
+            if dst is None:
+                dst = index[key] = len(out)
+                out.append([])
+                if key[1] == m:
+                    accepting.add(dst)
                 work.append(key)
-    return len(out), start, out, frozenset(accepting)
+            row.append((guard, dst))
+    return len(out), 0, out, frozenset(accepting)
 
 
 def _simplify(
     n_states: int,
     initial: int,
-    edges: list[list[tuple[Cube, int]]],
+    edges: list[list[tuple[int, int]]],
     accepting: frozenset[int],
+    cubes: list[Cube],
+    atoms: tuple[str, ...],
 ) -> BuchiAutomaton:
-    """Drop unreachable states, merge states with identical rows, renumber."""
-    acc = set(accepting)
-    rows = [sorted(set(row), key=lambda e: (e[0].pairs, e[1])) for row in edges]
+    """Merge states with identical rows until none are left, renumber the
+    reachable ones breadth first from ``initial`` and turn guard ranks back
+    into ``cubes``."""
+    rows = [sorted(set(row)) for row in edges]
 
     alive = list(range(n_states))
     while True:
         signature: dict[tuple, int] = {}
         rename: dict[int, int] = {}
         for q in alive:
-            sig = (q in acc, tuple(rows[q]))
+            sig = (q in accepting, tuple(rows[q]))
             if sig in signature:
                 rename[q] = signature[sig]
             else:
@@ -378,10 +392,7 @@ def _simplify(
         initial = rename.get(initial, initial)
         alive = [q for q in alive if q not in rename]
         for q in alive:
-            rows[q] = sorted(
-                {(g, rename.get(t, t)) for g, t in rows[q]},
-                key=lambda e: (e[0].pairs, e[1]),
-            )
+            rows[q] = sorted({(g, rename.get(t, t)) for g, t in rows[q]})
 
     order: list[int] = []
     seen = {initial}
@@ -394,16 +405,14 @@ def _simplify(
                 seen.add(target)
                 queue.append(target)
     new_id = {q: i for i, q in enumerate(order)}
-    table = tuple(
-        tuple(Transition(g, new_id[t]) for g, t in rows[q] if t in new_id)
-        for q in order
-    )
     return BuchiAutomaton(
-        atoms=(),
+        atoms=atoms,
         n_states=len(order),
         initial=0,
-        transitions=table,
-        accepting=frozenset(new_id[q] for q in acc if q in new_id),
+        transitions=tuple(
+            tuple(Transition(cubes[g], new_id[t]) for g, t in rows[q]) for q in order
+        ),
+        accepting=frozenset(new_id[q] for q in accepting if q in new_id),
     )
 
 
@@ -413,40 +422,32 @@ def translate(formula: Formula, atoms: tuple[str, ...] | None = None) -> BuchiAu
 
     table = _intern(negation_normal_form(formula))
     nodes = _expand(table)
+    guard_of, cubes = _guards(table, nodes)
 
-    # state 0 is a fresh initial state; tableau node k becomes state k+1
-    ids = {node.node_id: i + 1 for i, node in enumerate(nodes)}
+    # state 0 is a fresh initial state (_INIT + 1); tableau node k becomes
+    # state k+1
     n_states = len(nodes) + 1
-    edges: list[list[tuple[Cube, int]]] = [[] for _ in range(n_states)]
-    for node in nodes:
-        guard = _guard_of(table.formulas[f] for f in node.old)
-        target = ids[node.node_id]
+    edges: list[list[tuple[int, int]]] = [[] for _ in range(n_states)]
+    for k, node in enumerate(nodes):
         for src in node.incoming:
-            edges[0 if src == _INIT else ids[src]].append((guard, target))
+            edges[src + 1].append((guard_of[k], k + 1))
 
     # one acceptance set per Until, in repr order
     acceptance_sets = [
         frozenset(
-            ids[node.node_id]
-            for node in nodes
-            if u not in node.old or table.right[u] in node.old
+            k + 1
+            for k, node in enumerate(nodes)
+            if not node.old >> u & 1 or node.old >> table.right[u] & 1
         )
         | {0}
-        for u, k in enumerate(table.kind)
-        if k == _UNTIL
+        for u, kind in enumerate(table.kind)
+        if kind == _UNTIL
     ]
 
     n, initial, rows, accepting = _degeneralize(n_states, 0, edges, acceptance_sets)
-    automaton = _simplify(n, initial, rows, accepting)
     if atoms is None:
         atoms = tuple(sorted(atoms_of(formula)))
-    return BuchiAutomaton(
-        atoms=atoms,
-        n_states=automaton.n_states,
-        initial=automaton.initial,
-        transitions=automaton.transitions,
-        accepting=automaton.accepting,
-    )
+    return _simplify(n, initial, rows, accepting, cubes, atoms)
 
 
 def negate_and_translate(

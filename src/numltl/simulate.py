@@ -100,7 +100,7 @@ def _next_depth(f: sl.Formula) -> int | None:
     return None
 
 
-def _eval_windowed(f: sl.Formula, trace: list[Valuation], t: int) -> bool:
+def _eval_windowed(f: sl.Formula, trace: list[dict[str, bool]], t: int) -> bool:
     if isinstance(f, sl.Atom):
         return trace[t][f.name]
     if isinstance(f, sl.TrueFormula):
@@ -127,14 +127,15 @@ class MonitorReport:
     unmonitored: tuple[str, ...]
 
 
-def _holds(f: sl.Formula, w: Valuation) -> bool:
-    return sl.evaluate_propositional(f, w.as_dict())
-
-
-def _monitor_one(g: sl.Formula, trace: list[Valuation]) -> tuple[int | None, int | None]:
+def _monitor_one(
+    g: sl.Formula, trace: list[dict[str, bool]]
+) -> tuple[int | None, int | None]:
     """Judge one guarantee; returns (first violating step or None, pending
-    obligation count or None when the shape is not monitorable)."""
+    obligation count or None when the shape is not monitorable).  Each shape
+    takes one pass over the trace; the response shapes run backward, so the
+    step that settles a trigger is known when the trigger is reached."""
     horizon = len(trace)
+    steps = range(horizon)
     if isinstance(g, sl.Always):
         body = g.operand
         depth = _next_depth(body)
@@ -146,11 +147,11 @@ def _monitor_one(g: sl.Formula, trace: list[Valuation]) -> tuple[int | None, int
         if isinstance(body, sl.Implies) and sl.is_propositional(body.left):
             p, rhs = body.left, body.right
             if isinstance(rhs, sl.Eventually) and sl.is_propositional(rhs.operand):
-                pending = 0
-                for t in range(horizon):
-                    if _holds(p, trace[t]) and not any(
-                        _holds(rhs.operand, w) for w in trace[t:]
-                    ):
+                # a trigger is open when no step from it on answers it
+                pending, answered = 0, False
+                for t in reversed(steps):
+                    answered = answered or _eval_windowed(rhs.operand, trace, t)
+                    if not answered and _eval_windowed(p, trace, t):
                         pending += 1
                 return None, pending
             if (
@@ -158,37 +159,43 @@ def _monitor_one(g: sl.Formula, trace: list[Valuation]) -> tuple[int | None, int
                 and sl.is_propositional(rhs.left)
                 and sl.is_propositional(rhs.right)
             ):
-                pending = 0
-                for t in range(horizon):
-                    if not _holds(p, trace[t]):
+                # ``stop``: the first step from t on where the right side
+                # holds (the trigger is met) or the left fails (it is broken)
+                pending, violated_at, stop, broken = 0, None, None, False
+                for t in reversed(steps):
+                    if _eval_windowed(rhs.right, trace, t):
+                        stop, broken = t, False
+                    elif not _eval_windowed(rhs.left, trace, t):
+                        stop, broken = t, True
+                    if not _eval_windowed(p, trace, t):
                         continue
-                    for u in range(t, horizon):
-                        if _holds(rhs.right, trace[u]):
-                            break
-                        if not _holds(rhs.left, trace[u]):
-                            return u, 0
-                    else:
+                    if stop is None:
                         pending += 1
+                    elif broken:
+                        violated_at = stop  # kept last: the earliest trigger's
+                if violated_at is not None:
+                    return violated_at, 0
                 return None, pending
         if isinstance(body, sl.Eventually) and sl.is_propositional(body.operand):
             last = max(
-                (t for t in range(horizon) if _holds(body.operand, trace[t])),
+                (t for t in steps if _eval_windowed(body.operand, trace, t)),
                 default=-1,
             )
             return None, horizon - last - 1
     if isinstance(g, sl.Eventually) and sl.is_propositional(g.operand):
-        resolved = any(_holds(g.operand, w) for w in trace)
+        resolved = any(_eval_windowed(g.operand, trace, t) for t in steps)
         return None, 0 if resolved else 1
     return None, None
 
 
 def monitor_guarantees(doc: sl.SpecDocument, trace: list[Valuation]) -> MonitorReport:
+    words = [w.as_dict() for w in trace]
     violations = []
     pending = []
     unmonitored = []
     for i, g in enumerate(doc.guarantees, start=1):
         gid = f"g{i}"
-        violated_at, open_count = _monitor_one(g, trace)
+        violated_at, open_count = _monitor_one(g, words)
         if violated_at is not None:
             violations.append((gid, violated_at))
         elif open_count is None:

@@ -16,7 +16,7 @@ counter-strategies, artifacts, transcripts and evidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Iterator, Mapping
 
@@ -24,6 +24,8 @@ from typing import Iterable, Iterator, Mapping
 @dataclass(frozen=True, order=False)
 class Valuation:
     pairs: tuple[tuple[str, bool], ...]
+    # ``sort_key()``, computed once: games and artifacts order edges by it
+    _key: tuple[bool, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
@@ -31,6 +33,7 @@ class Valuation:
         if len(set(names)) != len(names):
             msg = f"repeated atom in valuation: {names}"
             raise ValueError(msg)
+        object.__setattr__(self, "_key", tuple(value for _, value in self.pairs))
 
     @staticmethod
     def of(mapping: Mapping[str, bool] | Iterable[tuple[str, bool]]) -> "Valuation":
@@ -68,7 +71,7 @@ class Valuation:
 
     def sort_key(self) -> tuple[bool, ...]:
         """Truth values in name-sorted atom order; False sorts before True."""
-        return tuple(value for _, value in self.pairs)
+        return self._key
 
     def __lt__(self, other: "Valuation") -> bool:
         return (self.atoms, self.sort_key()) < (other.atoms, other.sort_key())

@@ -5,7 +5,9 @@ checks go through dense grids, Bernstein tensors are re-expanded against the
 definition of the basis, games and automata get their own brute-force
 counterparts, and (further down) the arena builders, the attractor and the
 tableau keep the object-level versions the library replaced with
-bit-packed and interned ones, and the Bernstein search keeps the
+bit-packed, interned and memoised ones (the tableau with its ``Cube``-guarded
+degeneralization and simplification), the guarantee monitor keeps its
+per-trigger rescans, and the Bernstein search keeps the
 substitute-then-convert enclosures and sample evaluation that the dense
 per-dimension conversion replaced, and the specification front end keeps
 the character-by-character lexer and the name-keyed polynomial parser that
@@ -15,6 +17,7 @@ the token-pattern lexer and the ``Polynomial``-built parser replaced.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -505,16 +508,113 @@ def _subformulas(formula) -> set:
     return out
 
 
-def reference_translate(formula, atoms):
-    """``translate`` with the tableau run by ``reference_expand``; the
-    degeneralization and simplification stages are the library's own."""
-    from numltl import speclang as sl
-    from numltl.automata import (
-        BuchiAutomaton,
-        _degeneralize,
-        _simplify,
-        negation_normal_form,
+def reference_degeneralize(
+    n_states: int,
+    initial: int,
+    edges: list,
+    acceptance_sets: list[frozenset[int]],
+) -> tuple:
+    m = len(acceptance_sets)
+    if m == 0:
+        return n_states, initial, edges, frozenset(range(n_states))
+    if m == 1:
+        return n_states, initial, edges, acceptance_sets[0]
+
+    index: dict[tuple[int, int], int] = {}
+    out: list = []
+    accepting: set[int] = set()
+
+    def state_of(q: int, level: int) -> int:
+        key = (q, level)
+        if key not in index:
+            index[key] = len(out)
+            out.append([])
+            if level == m:
+                accepting.add(index[key])
+        return index[key]
+
+    start = state_of(initial, 0)
+    work = [(initial, 0)]
+    seen = {(initial, 0)}
+    while work:
+        q, level = work.pop()
+        src = state_of(q, level)
+        base = 0 if level == m else level
+        for guard, target in edges[q]:
+            bumped = base
+            while bumped < m and target in acceptance_sets[bumped]:
+                bumped += 1
+            key = (target, bumped)
+            dst = state_of(*key)
+            out[index[(q, level)]].append((guard, dst))
+            if key not in seen:
+                seen.add(key)
+                work.append(key)
+    return len(out), start, out, frozenset(accepting)
+
+
+def reference_simplify(
+    n_states: int,
+    initial: int,
+    edges: list,
+    accepting: frozenset[int],
+) -> "BuchiAutomaton":
+    """Drop unreachable states, merge states with identical rows, renumber;
+    guards are ``Cube``s, ordered by their ``pairs``."""
+    from numltl.automata import BuchiAutomaton, Transition
+
+    acc = set(accepting)
+    rows = [sorted(set(row), key=lambda e: (e[0].pairs, e[1])) for row in edges]
+
+    alive = list(range(n_states))
+    while True:
+        signature: dict[tuple, int] = {}
+        rename: dict[int, int] = {}
+        for q in alive:
+            sig = (q in acc, tuple(rows[q]))
+            if sig in signature:
+                rename[q] = signature[sig]
+            else:
+                signature[sig] = q
+        if not rename:
+            break
+        initial = rename.get(initial, initial)
+        alive = [q for q in alive if q not in rename]
+        for q in alive:
+            rows[q] = sorted(
+                {(g, rename.get(t, t)) for g, t in rows[q]},
+                key=lambda e: (e[0].pairs, e[1]),
+            )
+
+    order: list[int] = []
+    seen = {initial}
+    queue = deque([initial])
+    while queue:
+        q = queue.popleft()
+        order.append(q)
+        for _, target in rows[q]:
+            if target not in seen:
+                seen.add(target)
+                queue.append(target)
+    new_id = {q: i for i, q in enumerate(order)}
+    table = tuple(
+        tuple(Transition(g, new_id[t]) for g, t in rows[q] if t in new_id)
+        for q in order
     )
+    return BuchiAutomaton(
+        atoms=(),
+        n_states=len(order),
+        initial=0,
+        transitions=table,
+        accepting=frozenset(new_id[q] for q in acc if q in new_id),
+    )
+
+
+def reference_translate(formula, atoms):
+    """``translate`` with the tableau run by ``reference_expand`` and the
+    ``Cube``-guarded degeneralization and simplification stages above."""
+    from numltl import speclang as sl
+    from numltl.automata import BuchiAutomaton, negation_normal_form
     from numltl.valuation import Cube
 
     normal = negation_normal_form(formula)
@@ -539,8 +639,10 @@ def reference_translate(formula, atoms):
         | {0}
         for u in untils
     ]
-    n, initial, rows, accepting = _degeneralize(len(nodes) + 1, 0, edges, acceptance_sets)
-    automaton = _simplify(n, initial, rows, accepting)
+    n, initial, rows, accepting = reference_degeneralize(
+        len(nodes) + 1, 0, edges, acceptance_sets
+    )
+    automaton = reference_simplify(n, initial, rows, accepting)
     return BuchiAutomaton(
         atoms=atoms,
         n_states=automaton.n_states,
@@ -1276,3 +1378,88 @@ def reference_parse_constraints(text: str) -> ConstraintDocument:
             checks.append(ConstraintImplication(lowered[0], lowered[1]))
     box = Box(tuple((d.lower, d.upper) for d in decls))
     return ConstraintDocument(variables=order, box=box, checks=tuple(checks))
+
+
+# -- reference guarantee monitor ---------------------------------------------------
+#
+# The simulator's monitor settles every response trigger in one backward pass
+# over the trace.  The version below is the one that replaced: it rescans the
+# trace from each trigger and evaluates each formula on a fresh dict.  The
+# NEXT-window shapes share the library's shape and window helpers.
+
+
+def _reference_holds(f, w) -> bool:
+    from numltl.speclang import evaluate_propositional
+
+    return evaluate_propositional(f, w.as_dict())
+
+
+def _reference_monitor_one(g, trace):
+    from numltl import speclang as sl
+    from numltl.simulate import _eval_windowed, _next_depth
+
+    horizon = len(trace)
+    if isinstance(g, sl.Always):
+        body = g.operand
+        depth = _next_depth(body)
+        if depth is not None:
+            for t in range(horizon - depth):
+                if not _eval_windowed(body, trace, t):
+                    return t, 0
+            return None, 0
+        if isinstance(body, sl.Implies) and sl.is_propositional(body.left):
+            p, rhs = body.left, body.right
+            if isinstance(rhs, sl.Eventually) and sl.is_propositional(rhs.operand):
+                pending = 0
+                for t in range(horizon):
+                    if _reference_holds(p, trace[t]) and not any(
+                        _reference_holds(rhs.operand, w) for w in trace[t:]
+                    ):
+                        pending += 1
+                return None, pending
+            if (
+                isinstance(rhs, sl.Until)
+                and sl.is_propositional(rhs.left)
+                and sl.is_propositional(rhs.right)
+            ):
+                pending = 0
+                for t in range(horizon):
+                    if not _reference_holds(p, trace[t]):
+                        continue
+                    for u in range(t, horizon):
+                        if _reference_holds(rhs.right, trace[u]):
+                            break
+                        if not _reference_holds(rhs.left, trace[u]):
+                            return u, 0
+                    else:
+                        pending += 1
+                return None, pending
+        if isinstance(body, sl.Eventually) and sl.is_propositional(body.operand):
+            last = max(
+                (t for t in range(horizon) if _reference_holds(body.operand, trace[t])),
+                default=-1,
+            )
+            return None, horizon - last - 1
+    if isinstance(g, sl.Eventually) and sl.is_propositional(g.operand):
+        resolved = any(_reference_holds(g.operand, w) for w in trace)
+        return None, 0 if resolved else 1
+    return None, None
+
+
+def reference_monitor_guarantees(doc, trace):
+    """``monitor_guarantees`` rescanning the trace from every trigger."""
+    from numltl.simulate import MonitorReport
+
+    violations = []
+    pending = []
+    unmonitored = []
+    for i, g in enumerate(doc.guarantees, start=1):
+        gid = f"g{i}"
+        violated_at, open_count = _reference_monitor_one(g, trace)
+        if violated_at is not None:
+            violations.append((gid, violated_at))
+        elif open_count is None:
+            unmonitored.append(gid)
+        elif open_count:
+            pending.append((gid, open_count))
+    return MonitorReport(tuple(violations), tuple(pending), tuple(unmonitored))

@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 from generators import random_synthesis_document
+from oracles import reference_monitor_guarantees
 
 from numltl.cegar import (
+    BUCHI,
     SAFETY,
     CegarConfig,
     Realizable,
@@ -69,6 +71,13 @@ class TestValuationText:
         for bad in ("a", "a=2", "=1", "a=1,,b=0", ""):
             with pytest.raises(ValueError):
                 parse_valuation(bad)
+
+    def test_cached_sort_key_leaves_identity_and_text_alone(self):
+        v = Valuation.of({"b": False, "a": True})
+        assert v.sort_key() == (True, False) and v.sort_key() is v.sort_key()
+        assert v == Valuation((("a", True), ("b", False)))
+        assert hash(v) == hash(Valuation.of([("a", True), ("b", False)]))
+        assert repr(v) == "Valuation(pairs=(('a', True), ('b', False)))"
 
 
 class TestControllerFiles:
@@ -234,6 +243,73 @@ class TestMonitor:
         trace = worlds({"p": False, "q": False})  # assumption breached
         report = monitor_guarantees(doc, trace)
         assert report.violations == () and report.pending == ()
+
+
+@pytest.fixture(scope="module")
+def bundled_controllers():
+    """The controllers of the README session: threshold_arbiter on both
+    routes and error_monitor on the safety route."""
+    packages = []
+    for name, algorithm in (
+        ("threshold_arbiter", SAFETY),
+        ("threshold_arbiter", BUCHI),
+        ("error_monitor", SAFETY),
+    ):
+        verdict = synthesize(fixture(name), CegarConfig(algorithm=algorithm))
+        packages.append(parse_controller_file(render_realizable(verdict, algorithm)))
+    return packages
+
+
+def monitored(pkg, steps: int, seed: int, inject=None):
+    """The simulator's monitor report on a seeded run, checked against the
+    rescanning monitor it replaced."""
+    trace = simulate(pkg, steps, seed=seed, inject=inject)
+    joined = [step.inputs.merge(step.outputs) for step in trace.steps]
+    report = monitor_guarantees(pkg.document, joined)
+    assert report == reference_monitor_guarantees(pkg.document, joined)
+    assert (report.violations, report.pending) == (trace.violations, trace.pending)
+    return report
+
+
+class TestOnePassMonitor:
+    def test_matches_reference_on_seeded_runs(self, bundled_controllers):
+        for pkg in bundled_controllers:
+            for seed in range(3):
+                monitored(pkg, 400, seed)
+
+    def test_matches_reference_under_injection(self, bundled_controllers):
+        reports = []
+        for pkg in bundled_controllers:
+            for atom in pkg.controller.inputs:
+                for value in (False, True):
+                    reports.append(monitored(pkg, 200, 7, Valuation.of({atom: value})))
+        error_monitor = bundled_controllers[2]
+        held = Valuation.of({"error": True, "operator": False})
+        reports.append(monitored(error_monitor, 200, 7, held))
+        assert any(report.violations for report in reports)
+        assert any(report.pending for report in reports)
+
+    def test_matches_reference_on_random_traces(self):
+        doc = parse_spec(
+            "INPUT p\nOUTPUT q, r\n"
+            "ALWAYS (p -> EVENTUALLY (q))\n"
+            "ALWAYS (p -> q UNTIL r)\n"
+            "ALWAYS (EVENTUALLY (r))\n"
+            "EVENTUALLY (q && r)\n"
+            "ALWAYS (p -> NEXT (q || r))\n"
+        )
+        rng = random.Random(3306)
+        judged = 0
+        for _ in range(400):
+            bias = rng.random()
+            trace = [
+                Valuation.of({atom: rng.random() < bias for atom in "pqr"})
+                for _ in range(rng.randint(0, 25))
+            ]
+            report = monitor_guarantees(doc, trace)
+            assert report == reference_monitor_guarantees(doc, trace)
+            judged += any(gid == "g2" for gid, _ in report.violations + report.pending)
+        assert judged >= 100
 
 
 class TestSimulate:

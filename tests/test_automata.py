@@ -8,9 +8,12 @@ check is validated against an independent cycle search.
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
+from numltl import automata
+from numltl.abstraction import abstract_spec
 from numltl.automata import (
     BuchiAutomaton,
     Release,
@@ -23,6 +26,7 @@ from numltl.automata import (
     translate,
     _closure,
 )
+from numltl.cegar import CegarConfig, _encoded
 from numltl.speclang import (
     Always,
     And,
@@ -214,6 +218,32 @@ class TestTranslation:
         aut = translate(document_formula(doc))
         assert aut.n_states > 0
         assert aut.atoms == ("a", "b")
+
+
+class TestTableauWork:
+    """The worklist expansion popped 174,307 partial nodes on error_monitor's
+    re-encoded game formula to find its 350 tableau nodes; the memoised one
+    expands each of its 2,590 non-leaf partial nodes once (12,861 without
+    re-encoding).  The caps are about twice those counts."""
+
+    @pytest.mark.parametrize("reencode, cap", [(True, 5_200), (False, 26_000)])
+    def test_error_monitor_expands_each_partial_node_once(
+        self, monkeypatch, reencode, cap
+    ):
+        spec_dir = Path(__file__).resolve().parent.parent / "specs"
+        spec, _ = abstract_spec(parse_spec((spec_dir / "error_monitor.spec").read_text()))
+        work, _ = _encoded(spec, CegarConfig(reencode=reencode))
+        expanded = []
+        step = automata._expand_step
+
+        def counting(table, new, old, nxt):
+            expanded.append((new, old, nxt))
+            return step(table, new, old, nxt)
+
+        monkeypatch.setattr(automata, "_expand_step", counting)
+        translate(work.game_formula(), work.input_atoms() + work.output_atoms())
+        assert 0 < len(expanded) <= cap
+        assert len(set(expanded)) == len(expanded)
 
 
 class TestSerialization:

@@ -74,6 +74,18 @@ class TestSynthCommand:
         assert "verdict: realizable (bound none)" in stdout
         assert parse_controller_file(out.read_text()).bound is None
 
+    def test_buchi_route_without_reencoding_keeps_its_verdict(self, tmp_path, capsys):
+        # verdict and exit code as before the tableau was memoised, when this
+        # run took about 6 s of CPU, nearly all of it translating the formula;
+        # the Büchi route still misses error_monitor's controller (ROADMAP
+        # item 1)
+        out = tmp_path / "em.cs"
+        argv = ["synth", ERROR_MONITOR, "--algorithm", "buchi", "--no-reencode"]
+        code = main(argv + ["--out", str(out)])
+        stdout = capsys.readouterr().out
+        assert code == EXIT_NEGATIVE
+        assert "verdict: unrealizable within bound none" in stdout.splitlines()
+
     def test_undecidable_theory_exits_unknown(self, tmp_path, capsys):
         spec = tmp_path / "pin.spec"
         spec.write_text(UNDECIDABLE)

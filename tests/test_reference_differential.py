@@ -1,6 +1,7 @@
-"""The bit-packed arena builders, the interned tableau, the masked edge
-marking and the linear attractor against the object-level implementations
-they replaced (kept in ``oracles.py``): every observable must agree exactly.
+"""The bit-packed arena builders, the memoised interned tableau and its
+int-ranked degeneralization and simplification, the masked edge marking and
+the linear attractor against the object-level implementations they replaced
+(kept in ``oracles.py``): every observable must agree exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +14,13 @@ import pytest
 
 from numltl import speclang as sl
 from numltl.abstraction import abstract_spec
-from numltl.automata import negate_and_translate, translate
+from numltl.automata import (
+    _expand,
+    _intern,
+    negate_and_translate,
+    negation_normal_form,
+    translate,
+)
 from numltl.cegar import CegarConfig, _encoded
 from numltl.games import (
     CTRL,
@@ -32,6 +39,7 @@ from oracles import (
     arena_shape,
     reference_attractor,
     reference_buchi_game,
+    reference_expand,
     reference_mark_edges_absent,
     reference_safety_game,
     reference_translate,
@@ -80,6 +88,39 @@ def test_bundled_spec_automata_match_reference(name):
     assert negate_and_translate(formula, atoms) == reference_translate(
         sl.Not(formula), atoms
     )
+
+
+def assert_same_node_sequence(formula) -> None:
+    """The memoised expansion creates the worklist expansion's nodes in the
+    same order, with the same obligations and the same predecessors."""
+    normal = negation_normal_form(formula)
+    table = _intern(normal)
+    reference = reference_expand(normal)
+    position = {node.node_id: k for k, node in enumerate(reference)}
+    position[-1] = -1
+
+    def formulas(mask: int) -> set:
+        return {f for rank, f in enumerate(table.formulas) if mask >> rank & 1}
+
+    nodes = _expand(table)
+    assert len(nodes) == len(reference)
+    for node, expected in zip(nodes, reference):
+        assert formulas(node.old) == expected.old
+        assert formulas(node.nxt) == expected.nxt
+        assert sorted(node.incoming) == sorted(position[i] for i in expected.incoming)
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_bundled_spec_tableau_nodes_match_reference(name):
+    formula, _, _ = game_inputs(name)
+    assert_same_node_sequence(formula)
+    assert_same_node_sequence(sl.Not(formula))
+
+
+def test_random_formula_tableau_nodes_match_reference():
+    rng = random.Random(3305)
+    for _ in range(150):
+        assert_same_node_sequence(random_formula(rng, ["a", "b", "c", "d", "e"], 5))
 
 
 @pytest.mark.parametrize("name", SPECS)
