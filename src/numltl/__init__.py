@@ -32,6 +32,7 @@ from .bernstein import (
     DEFAULT_DEPTH,
     Box,
     ConstraintImplication,
+    EnclosureMemo,
     Feasible,
     Infeasible,
     Invalid,
@@ -103,6 +104,7 @@ __all__ = [
     "CounterStrategy",
     "DEFAULT_DEPTH",
     "EMPTY_MULTIPLEXER",
+    "EnclosureMemo",
     "Feasible",
     "GameArena",
     "Infeasible",

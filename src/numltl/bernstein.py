@@ -14,7 +14,7 @@ with any zero-width dimension already fixed at its endpoint.  On a subbox
 [lo, lo + w] each dimension d then takes one (N_d+1) x (N_d+1) rational
 matrix along every fiber of the tensor.  The matrix folds the substitution
 x_d = lo_d + w_d t_d into the change to the Bernstein basis of degree N_d
-(Garloff 1986; Ray & Nataraj 2009).  Matrices are memoised per call by
+(Garloff 1986; Ray & Nataraj 2009).  Matrices are memoised by
 ``(N_d, lo_d, hi_d)``.  A dimension of width zero gets rows that all read
 the polynomial at lo_d, so the tensor is constant along it.  A corner
 coefficient (every J_d at 0 or N_d) is the polynomial's value at the
@@ -25,6 +25,15 @@ Bisection always splits the widest dimension, lowest index first on ties,
 and subboxes are explored depth-first lower-half first, so verdicts and
 witnesses are deterministic.  Every surviving subbox samples its centre,
 then its vertices in ``Box.vertices`` order.
+
+An ``EnclosureMemo`` holds that work for one box: the layouts and corner
+offsets of the polynomials searched on it, keyed by content (arity and
+sorted terms, never object identity), the matrices, and each (polynomial,
+subbox) enclosure ``(min, max)`` with its corner values.  Bisection visits
+the same subboxes in every search on the box, so a memo passed to
+successive ``check_feasibility`` calls computes each polynomial's tensor on
+a subbox at most once.  The refinement loop keeps one memo per side box for
+a whole run (in its ``CheckedCache``); every other call gets a fresh memo.
 """
 
 from __future__ import annotations
@@ -284,10 +293,10 @@ class PolyConstraint:
         return PolyConstraint(self.poly, NEGATED_RELATION[self.relation])
 
     def holds_at(self, point: Point) -> bool:
-        return _satisfies(self.relation, self.poly.evaluate(point))
+        return satisfies(self.relation, self.poly.evaluate(point))
 
 
-def _satisfies(relation: str, value: Fraction) -> bool:
+def satisfies(relation: str, value: Fraction | int) -> bool:
     """Whether ``value relation 0`` holds."""
     if relation == "<":
         return value < 0
@@ -568,52 +577,101 @@ def _refuted_on(c: PolyConstraint, lo: Fraction, hi: Fraction) -> bool:
     return lo > 0
 
 
+@dataclass
+class _PolyOnBox:
+    """A polynomial's layout on a memo's box and its enclosures so far."""
+
+    degree: Exponents
+    power: list[Fraction]
+    corners: tuple[int, ...]
+    # subbox node -> (min, max, corner values) of the tensor there
+    enclosures: dict[int, tuple[Fraction, Fraction, list[Fraction]]]
+
+
+class EnclosureMemo:
+    """Exact work the searches on one box share.
+
+    Holds each polynomial's power layout and corner offsets, keyed by its
+    content; the shift-and-convert matrices by ``(N_d, lo_d, hi_d)``; and
+    per (polynomial, subbox) the enclosure ``(min, max)`` with the corner
+    values.  A subbox is named by its node in the bisection tree of ``box``
+    (the root is 1, the lower and upper halves of node n are 2n and 2n + 1),
+    which the deterministic split makes a name for one subbox.  Refutation
+    applies each constraint's own relation to the stored enclosure, so one
+    entry serves a predicate and its negation.
+    """
+
+    def __init__(self, box: Box) -> None:
+        self.box = box
+        self.matrices: Matrices = {}
+        # keyed by (arity, sorted terms): a polynomial's identity by content
+        self.polys: dict[tuple, _PolyOnBox] = {}
+
+    def on_box(self, poly: Polynomial) -> _PolyOnBox:
+        key = (poly.arity, tuple(sorted(poly.terms.items())))
+        entry = self.polys.get(key)
+        if entry is None:
+            degree, power = _power_layout(poly, self.box)
+            entry = _PolyOnBox(degree, power, _corner_offsets(degree), {})
+            self.polys[key] = entry
+        return entry
+
+
 def _search(
     constraints: tuple[PolyConstraint, ...],
     box: Box,
     depth: int,
     stats: SearchStats | None,
+    memo: EnclosureMemo | None = None,
 ) -> FeasibilityVerdict:
     """Branch-and-prune search behind both decision procedures.
 
     Kept private so that ``check_validity`` does not go through the public
     ``check_feasibility`` name, which callers may wrap to count searches.
     """
+    if depth < 0:
+        raise PolynomialError("negative depth")
     for c in constraints:
         if c.poly.arity != box.arity:
             raise PolynomialError("constraint arity does not match box")
-    layouts = [_power_layout(c.poly, box) for c in constraints]
-    corners = [_corner_offsets(degree) for degree, _ in layouts]
-    matrices: Matrices = {}
+    if memo is None:
+        memo = EnclosureMemo(box)
+    elif memo.box != box:
+        raise PolynomialError("enclosure memo belongs to another box")
+    polys = [memo.on_box(c.poly) for c in constraints]
     ran_out = False
-    stack: list[tuple[Box, int]] = [(box, 0)]
+    stack: list[tuple[Box, int, int]] = [(box, 0, 1)]
     while stack:
-        sub, level = stack.pop()
+        sub, level, node = stack.pop()
         if stats is not None:
             stats.explored += 1
-        tensors = []
-        for c, (degree, power) in zip(constraints, layouts):
-            tensor = _bernstein_tensor(power, degree, sub.intervals, matrices)
-            if _refuted_on(c, min(tensor), max(tensor)):
+        corners = []
+        for c, p in zip(constraints, polys):
+            enclosure = p.enclosures.get(node)
+            if enclosure is None:
+                tensor = _bernstein_tensor(p.power, p.degree, sub.intervals, memo.matrices)
+                enclosure = (min(tensor), max(tensor), [tensor[o] for o in p.corners])
+                p.enclosures[node] = enclosure
+            if _refuted_on(c, enclosure[0], enclosure[1]):
                 break
-            tensors.append(tensor)
-        if len(tensors) < len(constraints):
+            corners.append(enclosure[2])
+        if len(corners) < len(constraints):
             continue
         center = sub.center()
         if all(c.holds_at(center) for c in constraints):
             return Feasible(center)
         for mask in range(1 << sub.arity):
             if all(
-                _satisfies(c.relation, tensor[offsets[mask]])
-                for c, tensor, offsets in zip(constraints, tensors, corners)
+                satisfies(c.relation, values[mask])
+                for c, values in zip(constraints, corners)
             ):
                 return Feasible(sub.vertex(mask))
         if level >= depth or sub.is_point():
             ran_out = True
             continue
         lower, upper = sub.split(sub.widest_dimension())
-        stack.append((upper, level + 1))
-        stack.append((lower, level + 1))
+        stack.append((upper, level + 1, 2 * node + 1))
+        stack.append((lower, level + 1, 2 * node))
     if ran_out:
         return Unknown("depth exhausted")
     return Infeasible()
@@ -624,6 +682,8 @@ def check_feasibility(
     box: Box,
     depth: int = DEFAULT_DEPTH,
     stats: SearchStats | None = None,
+    *,
+    memo: EnclosureMemo | None = None,
 ) -> FeasibilityVerdict:
     """Search for a rational point of ``box`` satisfying every constraint.
 
@@ -633,12 +693,13 @@ def check_feasibility(
     vertex values) are tested; the first point satisfying all constraints is
     returned as the witness.  Undecided subboxes are bisected until ``depth``
     is exhausted, in which case the verdict degrades from Infeasible to
-    Unknown.
+    Unknown.  A ``memo`` made for ``box`` carries enclosures from earlier
+    checks on it and keeps this one's; without one the call starts afresh.
     """
     constraints = tuple(constraints)
     if not constraints:
         raise PolynomialError("empty constraint conjunction")
-    return _search(constraints, box, depth, stats)
+    return _search(constraints, box, depth, stats, memo)
 
 
 def check_validity(

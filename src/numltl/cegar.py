@@ -29,6 +29,8 @@ from .abstraction import (
 from .automata import negate_and_translate, translate
 from .bernstein import (
     DEFAULT_DEPTH,
+    Box,
+    EnclosureMemo,
     Feasible,
     FeasibilityVerdict,
     Infeasible,
@@ -130,10 +132,12 @@ def count_theory_checks(transcript: "Transcript | str") -> int:
 
 @dataclass
 class CheckedCache:
-    """At-most-once memo of theory verdicts, keyed by predicate valuation."""
+    """At-most-once memo of theory verdicts, keyed by predicate valuation,
+    and the enclosure memos its checks share, one per side box."""
 
     inputs: dict[Valuation, FeasibilityVerdict] = field(default_factory=dict)
     outputs: dict[Valuation, FeasibilityVerdict] = field(default_factory=dict)
+    enclosures: dict[Box, EnclosureMemo] = field(default_factory=dict)
 
     def side(self, side: str) -> dict[Valuation, FeasibilityVerdict]:
         return self.inputs if side == sl.INPUT_SIDE else self.outputs
@@ -144,6 +148,9 @@ class CheckedCache:
 
     def size(self) -> int:
         return len(self.inputs) + len(self.outputs)
+
+    def memo_for(self, box: Box) -> EnclosureMemo:
+        return self.enclosures.setdefault(box, EnclosureMemo(box))
 
 
 def valuation_to_constraints(
@@ -171,7 +178,8 @@ def _checked(
     verdict = store.get(v)
     if verdict is None:
         constraints = valuation_to_constraints(v, table)
-        verdict = check_feasibility(constraints, table.box_of(side), depth)
+        box = table.box_of(side)
+        verdict = check_feasibility(constraints, box, depth, memo=cache.memo_for(box))
         store[v] = verdict
         transcript.check(side, v, verdict)
     if isinstance(verdict, Unknown):

@@ -217,6 +217,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     except sl.SpecError as exc:
         return _fail(str(exc))
 
+    if args.depth < 0:
+        return _fail("theory depth budget must be nonnegative")
     names = doc.variables
     if args.feasibility:
         plain = [c for c in doc.checks if not isinstance(c, ConstraintImplication)]

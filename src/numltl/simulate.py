@@ -1,13 +1,17 @@
 """Seeded closed-loop simulation of a synthesized controller.
 
-Each step samples the declared Boolean inputs and real sensor values (dyadic
-rationals with 20 fractional bits, uniform over the declared ranges),
-evaluates the input predicates exactly, steps the controller, decodes the
-emitted outputs through the multiplexer, and feeds the combined valuation to
-a guarantee monitor.  Safety guarantees (ALWAYS over a body whose only
-temporal operator is NEXT) are judged exactly on every complete window;
-liveness guarantees are never judged violated on a finite trace and instead
-report their unresolved obligations at the end.
+Each step samples the declared Boolean inputs and real sensor values (lattice
+points lo + (hi - lo) k / 2^20 with k uniform in 0..2^20), evaluates the
+input predicates exactly, steps the controller, decodes the emitted outputs
+through the multiplexer, and feeds the combined valuation to a guarantee
+monitor.  The predicates are evaluated on the lattice indices: once per run,
+each predicate p is compiled to the integer polynomial q(k) = D p(x(k)),
+with D > 0 the least common denominator of the substituted coefficients, so
+that the sign of q(k), computed with ints, is the sign of p at the sample.
+Safety guarantees (ALWAYS over a body whose only temporal operator is NEXT)
+are judged exactly on every complete window; liveness guarantees are never
+judged violated on a finite trace and instead report their unresolved
+obligations at the end.
 
 An injection valuation overrides chosen input atoms after predicate
 evaluation, which can force combinations the theory rules out.  Inputs the
@@ -21,8 +25,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import speclang as sl
+from .bernstein import satisfies
 from .controller_file import KIND_CONTROLLER, ControllerPackage
 from .valuation import Valuation
 
@@ -208,9 +214,38 @@ def monitor_guarantees(doc: sl.SpecDocument, trace: list[Valuation]) -> MonitorR
 # -- the closed loop ---------------------------------------------------------
 
 
-def _sample_real(rng: random.Random, lower: Fraction, upper: Fraction) -> Fraction:
-    k = rng.randrange(2**SAMPLE_BITS + 1)
-    return lower + (upper - lower) * Fraction(k, 2**SAMPLE_BITS)
+# one predicate on the sample lattice: (atom, relation, integer terms), each
+# term a coefficient with the (index, exponent) pairs of its lattice indices
+LatticeTest = tuple[str, str, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]]
+
+
+def _lattice_tests(
+    preds: tuple[sl.PredicateDef, ...], decls: tuple[sl.RealVarDecl, ...]
+) -> list[LatticeTest]:
+    """Each predicate p as q(k) = D p(x(k)), x_i(k) = lo_i + (hi_i - lo_i)
+    k_i / 2^SAMPLE_BITS, with D > 0 the least common denominator of the
+    substituted coefficients: q has integer coefficients and the sign of p."""
+    offsets = [d.lower for d in decls]
+    scales = [(d.upper - d.lower) / 2**SAMPLE_BITS for d in decls]
+    tests = []
+    for pred in preds:
+        q = pred.constraint.poly.affine_substitute(offsets, scales)
+        denominator = lcm(*(c.denominator for c in q.terms.values()))
+        terms = tuple(
+            (int(c * denominator), tuple((i, e) for i, e in enumerate(expo) if e))
+            for expo, c in q.terms.items()
+        )
+        tests.append((pred.atom, pred.constraint.relation, terms))
+    return tests
+
+
+def _lattice_value(terms, ks: list[int]) -> int:
+    total = 0
+    for coeff, powers in terms:
+        for i, e in powers:
+            coeff *= ks[i] ** e
+        total += coeff
+    return total
 
 
 def simulate(
@@ -221,13 +256,15 @@ def simulate(
 ) -> SimulationTrace:
     if package.kind != KIND_CONTROLLER or package.controller is None:
         raise SimulationError("only controller artifacts can be simulated")
+    if steps < 0:
+        raise SimulationError("step count must be nonnegative")
     doc = package.document
     m = package.controller
     mux = package.multiplexer
     rng = random.Random(seed)
 
     real_decls = doc.real_vars_of(sl.INPUT_SIDE)
-    input_preds = doc.predicates_of(sl.INPUT_SIDE)
+    tests = _lattice_tests(doc.predicates_of(sl.INPUT_SIDE), real_decls)
     decoded_atoms = mux.original_atoms if mux else m.outputs
     idle = Valuation.of({a: False for a in decoded_atoms})
 
@@ -236,11 +273,14 @@ def simulate(
     state = m.initial
     for t in range(steps):
         booleans = {a: bool(rng.getrandbits(1)) for a in doc.boolean_inputs}
-        samples = tuple((d.name, _sample_real(rng, d.lower, d.upper)) for d in real_decls)
-        point = tuple(value for _, value in samples)
+        ks = [rng.randrange(2**SAMPLE_BITS + 1) for _ in real_decls]
+        samples = tuple(
+            (d.name, d.lower + (d.upper - d.lower) * Fraction(k, 2**SAMPLE_BITS))
+            for d, k in zip(real_decls, ks)
+        )
         assignment = dict(booleans)
-        for pred in input_preds:
-            assignment[pred.atom] = pred.constraint.holds_at(point)
+        for atom, relation, terms in tests:
+            assignment[atom] = satisfies(relation, _lattice_value(terms, ks))
         if inject is not None:
             for name, value in inject.pairs:
                 if name not in assignment:

@@ -1,6 +1,7 @@
 """Artifact tests: controller-file round-trips, the guarantee monitor, and
 the seeded closed-loop simulator."""
 
+import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -8,9 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from generators import random_synthesis_document
+from generators import random_polynomial, random_synthesis_document
 from oracles import reference_monitor_guarantees
 
+from numltl import speclang as sl
+from numltl.abstraction import EMPTY_MULTIPLEXER
+from numltl.bernstein import RELATIONS, PolyConstraint, Polynomial
 from numltl.cegar import (
     BUCHI,
     SAFETY,
@@ -29,6 +33,7 @@ from numltl.controller_file import (
     render_unrealizable,
     spec_digest,
 )
+from numltl.games import MealyController
 from numltl.simulate import SimulationError, monitor_guarantees, simulate
 from numltl.speclang import parse_spec
 from numltl.valuation import Valuation, all_valuations, parse_valuation
@@ -328,14 +333,73 @@ class TestSimulate:
                 assert Fraction(0) <= value <= Fraction(4)
                 assert (value * 2**20).denominator in (1, 2, 4)  # range is 4 wide
 
-    def test_predicates_match_exact_evaluation(self, threshold_package):
-        pkg, _, doc = threshold_package
-        trace = simulate(pkg, 100, seed=2)
-        preds = {p.atom: p.constraint for p in doc.predicates}
+    @pytest.mark.parametrize(
+        "index", range(3), ids=("threshold-safety", "threshold-buchi", "error_monitor")
+    )
+    def test_predicates_match_exact_evaluation(self, bundled_controllers, index):
+        pkg = bundled_controllers[index]
+        trace = simulate(pkg, 200, seed=2)
+        preds = {p.atom: p.constraint for p in pkg.document.predicates}
         for step in trace.steps:
             point = tuple(v for _, v in step.samples)
             for atom, constraint in preds.items():
                 assert step.inputs[atom] == constraint.holds_at(point)
+
+    def test_lattice_signs_match_exact_evaluation_on_random_predicates(self, threshold_package):
+        """Predicates of degree up to 4 in one to three sensors whose ranges
+        have negative and non-dyadic endpoints, some of them zero-width; the
+        samples are replayed from the seed, Booleans first, then one lattice
+        index per sensor in declaration order."""
+        rng = random.Random(3307)
+        answers = {False: 0, True: 0}
+        zero_values = 0
+        for case in range(18):
+            arity = case % 3 + 1
+            decls = []
+            for i in range(arity):
+                lo = Fraction(rng.randint(-9, 3), rng.choice((1, 3, 7)))
+                width = Fraction(rng.randint(1, 9), rng.choice((1, 2, 3, 5)))
+                if i == case % arity and case % 4 == 0:
+                    width = Fraction(0)
+                decls.append(sl.RealVarDecl(f"x{i}", lo, lo + width, sl.INPUT_SIDE))
+            middle = tuple((d.lower + d.upper) / 2 for d in decls)
+            # 0, and x0 - lo: zero at every step where x0 has zero width
+            polys = [
+                Polynomial.zero(arity),
+                Polynomial.variable(arity, 0) - Polynomial.constant(arity, decls[0].lower),
+            ]
+            for _ in range(3):
+                p = random_polynomial(rng, arity, max_degree=4, max_terms=4)
+                p = p.scale(Fraction(rng.randint(1, 7), rng.randint(1, 7)))
+                polys.append(p - Polynomial.constant(arity, p.evaluate(middle)))
+            preds = tuple(
+                sl.PredicateDef(f"p{j}", PolyConstraint(p, rng.choice(RELATIONS)), sl.INPUT_SIDE)
+                for j, p in enumerate(polys)
+            )
+            doc = sl.SpecDocument(("b",), ("g",), tuple(decls), preds, (), ())
+            # no transitions: every step is stuck, and its inputs are recorded
+            idle = MealyController(doc.input_atoms(), ("g",), 1, 0, {})
+            pkg = dataclasses.replace(
+                threshold_package[0], document=doc, controller=idle, multiplexer=EMPTY_MULTIPLEXER
+            )
+            seed = rng.randrange(1000)
+            trace = simulate(pkg, 120, seed=seed)
+            replay = random.Random(seed)
+            for step in trace.steps:
+                assert step.inputs["b"] == bool(replay.getrandbits(1))
+                expected = tuple(
+                    (d.name, d.lower + (d.upper - d.lower) * Fraction(replay.randrange(2**20 + 1), 2**20))
+                    for d in decls
+                )
+                assert step.samples == expected
+                point = tuple(v for _, v in step.samples)
+                for pred in preds:
+                    holds = pred.constraint.holds_at(point)
+                    assert step.inputs[pred.atom] == holds
+                    answers[holds] += 1
+                    zero_values += pred.constraint.poly.evaluate(point) == 0
+        assert min(answers.values()) >= 1000
+        assert zero_values >= (18 + 4) * 120  # x0 has zero width in four cases
 
     def test_no_stuck_steps_without_injection(self, threshold_package):
         trace = simulate(threshold_package[0], 300, seed=9)

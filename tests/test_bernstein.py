@@ -217,6 +217,13 @@ class TestFeasibility:
         with pytest.raises(PolynomialError):
             check_feasibility([], TWO_VARS)
 
+    def test_negative_depth_rejected(self):
+        c = PolyConstraint(X, ">")
+        with pytest.raises(PolynomialError, match="negative depth"):
+            check_feasibility([c], Box.of((-1, 1)), depth=-2)
+        with pytest.raises(PolynomialError, match="negative depth"):
+            check_validity(c, Box.of((-1, 1)), depth=-2)
+
 
 class TestValidity:
     def test_sensor_implication_valid(self):

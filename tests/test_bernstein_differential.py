@@ -10,10 +10,14 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import pytest
+
 from numltl.bernstein import (
     RELATIONS,
     Box,
     ConstraintImplication,
+    EnclosureMemo,
+    PolynomialError,
     PolyConstraint,
     Polynomial,
     SearchStats,
@@ -167,6 +171,56 @@ def test_bounds_match_the_reference_enclosures():
         assert bounds(c.poly, box, depth) == reference_bounds(c.poly, box, depth)
         coverage.add(box, depth, [c])
     coverage.check(range(7))
+
+
+def test_checks_sharing_a_memo_match_the_reference_search():
+    """Conjunctions over one predicate pool on one box, checked in sequence
+    through one memo the way the refinement loop checks valuations: each
+    verdict, witness and explored count is that of a search of its own."""
+    coverage, both_ways, reused = Coverage(), 0, 0
+    seen = dict.fromkeys(("Feasible", "Infeasible", "Unknown"), 0)
+    for rng, box, depth in _cases(4105, 40):
+        pool = [_constraint(rng, box) for _ in range(rng.randint(2, 4))]
+        memo = EnclosureMemo(box)
+        polarities = {}
+        for _ in range(8):
+            chosen = rng.sample(range(len(pool)), rng.randint(1, len(pool)))
+            constraints = []
+            for i in chosen:
+                flip = rng.random() < 0.5
+                polarities.setdefault(i, set()).add(flip)
+                constraints.append(pool[i].negated() if flip else pool[i])
+            stored = sum(len(p.enclosures) for p in memo.polys.values())
+            stats, ref_stats = SearchStats(), SearchStats()
+            verdict = check_feasibility(constraints, box, depth, stats, memo=memo)
+            expected = reference_search(constraints, box, depth, ref_stats)
+            assert verdict == expected
+            assert type(verdict) is type(expected)
+            assert stats.explored == ref_stats.explored
+            seen[type(verdict).__name__] += 1
+            # fewer new enclosures than the search looked at: some came from
+            # an earlier check
+            added = sum(len(p.enclosures) for p in memo.polys.values()) - stored
+            reused += added < stats.explored * len(constraints)
+            coverage.add(box, depth, constraints)
+        both_ways += any(len(flips) == 2 for flips in polarities.values())
+    assert all(count >= 40 for count in seen.values()), seen
+    assert both_ways >= 30 and reused >= 150
+    coverage.check(range(7))
+
+
+def test_a_memo_serves_only_its_own_box():
+    x = Polynomial.variable(1, 0)
+    far = PolyConstraint(x - Polynomial.constant(1, 2), ">")
+    memo = EnclosureMemo(Box.of((0, 4)))
+    assert check_feasibility([far], Box.of((0, 4)), memo=memo) == check_feasibility(
+        [far], Box.of((0, 4))
+    )
+    with pytest.raises(PolynomialError):
+        check_feasibility([far], Box.of((0, 1)), memo=memo)
+    assert check_feasibility([far], Box.of((0, 1)), memo=EnclosureMemo(Box.of((0, 1)))) == (
+        reference_search([far], Box.of((0, 1)), 24)
+    )
 
 
 # x^3 (y - 1) + x - x^2: fixing y = 1 leaves x - x^2, of degree 2 in x.  Its

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from generators import random_refinement_document, random_synthesis_document
-from oracles import minimum_cover_size
+from oracles import minimum_cover_size, reference_search
 
+from numltl import bernstein as bernstein_module
 from numltl import cegar as cegar_module
 from numltl import speclang as sl
 from numltl.abstraction import PredicateTable, MultiplexerTable, abstract_spec
@@ -21,10 +22,12 @@ from numltl.bernstein import (
     Infeasible,
     PolyConstraint,
     Polynomial,
+    SearchStats,
     Unknown,
 )
 from numltl.cegar import (
     BUCHI,
+    SAFETY,
     CegarConfig,
     CheckedCache,
     Realizable,
@@ -632,3 +635,134 @@ class TestCegarInvariantsUnderInputRefinement(TestCegarInvariants):
 
     generate = staticmethod(random_refinement_document)
     min_input_refinements = 20
+
+
+# the 4-client disjoint-band arbiter of the benchmark's arbiter family (its
+# band layout at seed 1)
+ARBITER4_DISJOINT = """\
+REAL x IN [0, 4]
+REAL y IN [0, 4]
+PRED req1 := (x + y - 7/2) * (9/2 - x - y) > 0
+PRED req2 := (x + y - 5) * (6 - x - y) > 0
+PRED req3 := (x + y - 1/2) * (3/2 - x - y) > 0
+PRED req4 := (x + y - 2) * (3 - x - y) > 0
+OUTPUT grant1, grant2, grant3, grant4
+ALWAYS (req1 -> NEXT (grant1))
+ALWAYS (req2 -> NEXT (grant2))
+ALWAYS (req3 -> NEXT (grant3))
+ALWAYS (req4 -> NEXT (grant4))
+ALWAYS (!(grant1 && grant2))
+ALWAYS (!(grant1 && grant3))
+ALWAYS (!(grant1 && grant4))
+ALWAYS (!(grant2 && grant3))
+ALWAYS (!(grant2 && grant4))
+ALWAYS (!(grant3 && grant4))
+"""
+
+# `far` and `lift` are the same polynomial, x - 2 and u - 2 over one
+# variable each, on different side boxes: an enclosure of one is no
+# enclosure of the other
+SIDES_SHARE_A_POLYNOMIAL = """\
+REAL x IN [0, 4]
+REAL OUTPUT u IN [0, 1]
+PRED far  := x > 2
+PRED lift := u > 2
+OUTPUT g
+ALWAYS (far -> NEXT (lift))
+"""
+
+
+class TestSharedEnclosures:
+    """The loop's checks share one enclosure memo per side box; each check
+    must still give exactly what a search of its own gives."""
+
+    ROUTES = (SAFETY, BUCHI)
+
+    def transcripts(self, docs) -> list[list[str]]:
+        lines = []
+        for doc in docs:
+            for algorithm in self.ROUTES:
+                t = Transcript()
+                synthesize(doc, CegarConfig(algorithm=algorithm, bound_schedule=(1, 2)), t)
+                lines.append(t.lines)
+        return lines
+
+    def test_checked_valuations_match_the_reference_search(self, monkeypatch):
+        seen = []
+        memos = {}
+        original = cegar_module.check_feasibility
+
+        def recording(constraints, box, depth, stats=None, *, memo=None):
+            # one memo per side box for the whole run
+            assert memos.setdefault(box, memo) is memo
+            stats = SearchStats()
+            verdict = original(constraints, box, depth, stats, memo=memo)
+            seen.append((tuple(constraints), box, depth, verdict, stats.explored))
+            return verdict
+
+        monkeypatch.setattr(cegar_module, "check_feasibility", recording)
+        rng = random.Random(4106)
+        for _ in range(40):
+            doc = random_refinement_document(rng)
+            for algorithm in self.ROUTES:
+                memos.clear()
+                synthesize(doc, CegarConfig(algorithm=algorithm, bound_schedule=(1, 2)))
+        verdicts = set()
+        for constraints, box, depth, verdict, explored in seen:
+            ref_stats = SearchStats()
+            expected = reference_search(constraints, box, depth, ref_stats)
+            assert verdict == expected and type(verdict) is type(expected)
+            assert explored == ref_stats.explored
+            verdicts.add(type(verdict).__name__)
+        assert len(seen) >= 100
+        assert verdicts == {"Feasible", "Infeasible"}
+
+    def test_transcripts_match_runs_with_a_fresh_memo_per_check(self, monkeypatch):
+        rng = random.Random(4107)
+        docs = [
+            fixture("threshold_arbiter"),
+            fixture("triple_sensor_arbiter"),
+            parse_spec(ARBITER4_DISJOINT),
+            parse_spec(SIDES_SHARE_A_POLYNOMIAL),
+            parse_spec(TRIPLE_CONFLICT),
+        ] + [random_refinement_document(rng) for _ in range(12)]
+        shared = self.transcripts(docs)
+        original = cegar_module.check_feasibility
+
+        def fresh(constraints, box, depth, stats=None, *, memo=None):
+            return original(constraints, box, depth, stats)
+
+        monkeypatch.setattr(cegar_module, "check_feasibility", fresh)
+        assert shared == self.transcripts(docs)
+        assert sum(count_theory_checks("\n".join(lines)) for lines in shared) >= 60
+
+    def test_each_tensor_is_computed_once_per_run(self, monkeypatch):
+        computed = []
+        original = bernstein_module._bernstein_tensor
+
+        def counting(power, degree, intervals, matrices):
+            computed.append((tuple(power), degree, intervals))
+            return original(power, degree, intervals, matrices)
+
+        monkeypatch.setattr(bernstein_module, "_bernstein_tensor", counting)
+        t = Transcript()
+        synthesize(parse_spec(ARBITER4_DISJOINT), CegarConfig(), t)
+        assert count_theory_checks(t) == 11
+        # a search per check would compute 447
+        assert len(computed) == len(set(computed)) == 188
+
+    def test_memos_are_freed_when_the_run_returns(self, monkeypatch):
+        memos = []
+        original = cegar_module.check_feasibility
+
+        def recording(constraints, box, depth, stats=None, *, memo=None):
+            if all(ref() is not memo for ref in memos):
+                memos.append(weakref.ref(memo))
+            return original(constraints, box, depth, stats, memo=memo)
+
+        monkeypatch.setattr(cegar_module, "check_feasibility", recording)
+        t = Transcript()
+        synthesize(parse_spec(SIDES_SHARE_A_POLYNOMIAL), CegarConfig(bound_schedule=(1,)), t)
+        assert count_theory_checks(t) == 3
+        assert len(memos) == 2  # the input box's and the output box's
+        assert all(ref() is None for ref in memos), "a memo outlived its run"

@@ -208,6 +208,17 @@ class TestCheckCommand:
         assert main(["check"]) == EXIT_INPUT_ERROR
         assert "nothing to check" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", [[], ["--feasibility"]], ids=["validity", "feasibility"])
+    def test_negative_depth_is_an_input_error(self, mode, capsys):
+        code = main(["check", *mode, "--real", "x", "0", "2", "-c", "x > 1", "--depth", "-2"])
+        assert code == EXIT_INPUT_ERROR
+        assert "must be nonnegative" in capsys.readouterr().err
+
+    def test_zero_depth_is_a_plain_enclosure_check(self, capsys):
+        code = main(["check", "--real", "x", "0", "2", "-c", "x >= 0", "--depth", "0"])
+        assert code == EXIT_OK
+        assert "Valid (explored 1 subboxes)" in capsys.readouterr().out
+
     def test_zero_denominator_is_an_input_error(self, capsys):
         code = main(["check", "--real", "x", "0", "1", "-c", "x > 1/0"])
         assert code == EXIT_INPUT_ERROR
@@ -304,6 +315,21 @@ class TestSimulateCommand:
         assert code == EXIT_NEGATIVE
         assert "VIOLATION g1" in stdout
         assert "stuck" in stdout
+
+    def test_seeded_run_is_pinned(self, artifact, capsys):
+        code = main(["simulate", artifact, "--steps", "1000", "--seed", "7"])
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert code == EXIT_OK
+        assert digest == "28ac0578badadf5507fcf15d4bf1eeaeb0f78d130dc6808de2729b572c6ef0d8"
+
+    def test_negative_step_count_is_an_input_error(self, artifact, capsys):
+        assert main(["simulate", artifact, "--steps", "-3"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert "must be nonnegative" in captured.err and captured.out == ""
+
+    def test_zero_steps_is_an_empty_run(self, artifact, capsys):
+        assert main(["simulate", artifact, "--steps", "0"]) == EXIT_OK
+        assert capsys.readouterr().out == "SIM seed=0 steps=0\nRESULT ok\n"
 
     def test_malformed_artifact_is_an_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.ctrl"
