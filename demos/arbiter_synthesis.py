@@ -23,6 +23,7 @@ from numltl import (
     simulate,
     synthesize,
 )
+from numltl.abstraction import forbid
 
 SPEC = Path(__file__).resolve().parent.parent / "specs" / "threshold_arbiter.spec"
 
@@ -37,8 +38,8 @@ def main() -> None:
 
     assert isinstance(verdict, Realizable)
     print("== learned assumption ==")
-    for f in verdict.spec.document.assumptions:
-        print(f"  {format_formula(f)}")
+    for v in verdict.spec.input_refinements:
+        print(f"  {format_formula(forbid(v))}")
 
     print()
     print("== controller, simulated for 8 steps ==")

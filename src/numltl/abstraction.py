@@ -3,16 +3,17 @@
 Abstraction turns every polynomial predicate atom into a free Boolean atom of
 the same side, keeping the temporal formulas untouched; the predicate table
 retains what each atom meant so the theory checker can validate valuations
-later.  Refinements append forbidden-cube assumptions or guarantees and are
-additionally recorded as structured valuations, because the synthesis driver
-enforces input refinements by marking game edges absent rather than by
-re-translating formulas; marking the standing arena therefore yields the
-arena a fresh build of the refined specification would.
+later.  A refinement forbids one predicate cube and is recorded once, as
+that valuation.  An output refinement enters the game formula as a
+guarantee ``ALWAYS !(cube)`` (or the code book, when outputs are
+re-encoded).  An input refinement never enters a formula: the synthesis
+driver enforces it by marking game edges absent, and marking the standing
+arena yields the arena a fresh build of the refined specification would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import ceil, log2
 
 from . import speclang as sl
@@ -38,20 +39,14 @@ class PredicateTable:
     def box_of(self, side: str) -> Box:
         return self.input_box if side == sl.INPUT_SIDE else self.output_box
 
-    def variables_of(self, side: str) -> tuple[str, ...]:
-        if side == sl.INPUT_SIDE:
-            return self.input_variables
-        return self.output_variables
-
 
 @dataclass(frozen=True)
 class PseudoBooleanSpec:
     """Purely Boolean document plus the provenance and refinement record.
 
-    ``document`` folds refinements in textually (printable as a spec file);
-    the structured ``input_refinements``/``output_refinements`` valuations are
-    what the game layer consumes.  User-written assumptions are the first
-    ``len(source.assumptions)`` entries of ``document.assumptions``.
+    ``document`` holds the user's assumptions and guarantees over Boolean
+    atoms (printable as a spec file); the refinements are kept apart, in
+    order, as the cubes ``input_refinements``/``output_refinements`` forbid.
     """
 
     document: sl.SpecDocument
@@ -65,21 +60,17 @@ class PseudoBooleanSpec:
     def output_atoms(self) -> tuple[str, ...]:
         return self.document.output_atoms()
 
-    def user_assumptions(self) -> tuple[sl.Formula, ...]:
-        return self.document.assumptions[: len(self.source.assumptions)]
-
     def game_formula(self) -> sl.Formula:
-        """Formula the game is built from: user assumptions imply guarantees.
+        """Formula the game is built from: user assumptions imply the user
+        guarantees and, after them, ``forbid(w)`` per output refinement.
 
-        Refinement assumptions are deliberately excluded; they act on the
-        arena as input restrictions, which is both equivalent and free of
-        the branch-commitment weakness a disjunctive automaton would add.
+        Input refinements are deliberately excluded; they act on the arena
+        as input restrictions, which is both equivalent and free of the
+        branch-commitment weakness a disjunctive automaton would add.
         """
-        guarantee = sl.conjoin(self.document.guarantees)
-        user = self.user_assumptions()
-        if not user:
-            return guarantee
-        return sl.Implies(sl.conjoin(user), guarantee)
+        forbidden = tuple(forbid(w) for w in self.output_refinements)
+        doc = replace(self.document, guarantees=self.document.guarantees + forbidden)
+        return sl.document_formula(doc)
 
 
 def _box_of(decls) -> Box:
@@ -116,7 +107,8 @@ def cube_formula(v: Valuation) -> sl.Formula:
     return sl.conjoin(tuple(literals))
 
 
-def _forbid(v: Valuation) -> sl.Formula:
+def forbid(v: Valuation) -> sl.Formula:
+    """``ALWAYS !(cube)``: the formula a refinement of ``v`` stands for."""
     return sl.Always(sl.Not(cube_formula(v)))
 
 
@@ -140,41 +132,13 @@ def _check_refinement_valuation(
 def refine_with_assumption(spec: PseudoBooleanSpec, v: Valuation) -> PseudoBooleanSpec:
     """Forbid the input cube ``v`` from here on (assumption G not-cube)."""
     _check_refinement_valuation(spec, v, sl.INPUT_SIDE, spec.input_refinements)
-    doc = spec.document
-    refined = sl.SpecDocument(
-        boolean_inputs=doc.boolean_inputs,
-        boolean_outputs=doc.boolean_outputs,
-        real_vars=(),
-        predicates=(),
-        assumptions=doc.assumptions + (_forbid(v),),
-        guarantees=doc.guarantees,
-    )
-    return PseudoBooleanSpec(
-        document=refined,
-        source=spec.source,
-        input_refinements=spec.input_refinements + (v,),
-        output_refinements=spec.output_refinements,
-    )
+    return replace(spec, input_refinements=spec.input_refinements + (v,))
 
 
 def refine_with_guarantee(spec: PseudoBooleanSpec, w: Valuation) -> PseudoBooleanSpec:
     """Forbid the controller output cube ``w`` (guarantee G not-cube)."""
     _check_refinement_valuation(spec, w, sl.OUTPUT_SIDE, spec.output_refinements)
-    doc = spec.document
-    refined = sl.SpecDocument(
-        boolean_inputs=doc.boolean_inputs,
-        boolean_outputs=doc.boolean_outputs,
-        real_vars=(),
-        predicates=(),
-        assumptions=doc.assumptions,
-        guarantees=doc.guarantees + (_forbid(w),),
-    )
-    return PseudoBooleanSpec(
-        document=refined,
-        source=spec.source,
-        input_refinements=spec.input_refinements,
-        output_refinements=spec.output_refinements + (w,),
-    )
+    return replace(spec, output_refinements=spec.output_refinements + (w,))
 
 
 @dataclass(frozen=True)
@@ -222,11 +186,12 @@ def reencode_outputs(
     """Compress the output alphabet through invariant output constraints.
 
     Guarantees of the form ALWAYS(propositional formula over outputs only)
-    restrict the reachable output combinations to a set K; when K needs
-    fewer bits than there are output atoms, the outputs are replaced by
-    code atoms, original atoms in the remaining formulas become code-word
-    disjunctions, and the collected guarantees are dropped (their content
-    lives in the code book).
+    and the output refinements restrict the reachable output combinations
+    to a set K; when K needs fewer bits than there are output atoms, the
+    outputs are replaced by code atoms, original atoms in the remaining
+    formulas become code-word disjunctions, and the collected guarantees
+    and the output refinements are dropped (their content lives in the
+    code book).
     """
     doc = spec.document
     outputs = doc.boolean_outputs
@@ -244,13 +209,15 @@ def reencode_outputs(
             continue
         remaining_guarantees.append(g)
 
-    if not collected or not outputs:
+    forbidden = spec.output_refinements
+    if not (collected or forbidden) or not outputs:
         return spec, EMPTY_MULTIPLEXER
 
     feasible = [
         w
         for w in all_valuations(outputs)
         if all(sl.evaluate_propositional(body, w.as_dict()) for body in collected)
+        and all(w.restrict(r.atoms) != r for r in forbidden)
     ]
     if not feasible:
         msg = "output constraints are unsatisfiable; no output valuation exists"
@@ -293,7 +260,6 @@ def reencode_outputs(
         document=encoded_doc,
         source=spec.source,
         input_refinements=spec.input_refinements,
-        output_refinements=spec.output_refinements,
     )
     return encoded_spec, mux
 

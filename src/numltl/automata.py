@@ -34,8 +34,9 @@ from .speclang import (
     Or,
     TrueFormula,
     Until,
+    atoms_of,
 )
-from .valuation import Cube, Valuation
+from .valuation import Valuation
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def negation_normal_form(formula: Formula) -> Formula:
 
 @dataclass(frozen=True)
 class Transition:
-    guard: Cube
+    guard: Valuation  # the cube of literals a letter must agree with
     target: int
 
 
@@ -301,7 +302,7 @@ def _expand(table: _Interned) -> list[_Node]:
     return nodes
 
 
-def _guards(table: _Interned, nodes: list[_Node]) -> tuple[list[int], list[Cube]]:
+def _guards(table: _Interned, nodes: list[_Node]) -> tuple[list[int], list[Valuation]]:
     """Each node's guard as a rank into the distinct guard cubes, which are
     sorted by their ``pairs``, so ranks order as the cubes do."""
     literals = [
@@ -312,7 +313,7 @@ def _guards(table: _Interned, nodes: list[_Node]) -> tuple[list[int], list[Cube]
     mask = sum(1 << rank for rank, _ in literals)
     keys = [node.old & mask for node in nodes]
     cube_of = {
-        bits: Cube(tuple(pair for rank, pair in literals if bits >> rank & 1))
+        bits: Valuation(tuple(pair for rank, pair in literals if bits >> rank & 1))
         for bits in set(keys)
     }
     cubes = sorted(set(cube_of.values()), key=lambda cube: cube.pairs)
@@ -369,7 +370,7 @@ def _simplify(
     initial: int,
     edges: list[list[tuple[int, int]]],
     accepting: frozenset[int],
-    cubes: list[Cube],
+    cubes: list[Valuation],
     atoms: tuple[str, ...],
 ) -> BuchiAutomaton:
     """Merge states with identical rows until none are left, renumber the
@@ -418,8 +419,6 @@ def _simplify(
 
 def translate(formula: Formula, atoms: tuple[str, ...] | None = None) -> BuchiAutomaton:
     """Büchi automaton accepting exactly the words satisfying ``formula``."""
-    from .speclang import atoms_of
-
     table = _intern(negation_normal_form(formula))
     nodes = _expand(table)
     guard_of, cubes = _guards(table, nodes)
@@ -454,10 +453,6 @@ def negate_and_translate(
     formula: Formula, atoms: tuple[str, ...] | None = None
 ) -> BuchiAutomaton:
     """Automaton of the negated formula, i.e. of the behaviours violating it."""
-    if atoms is None:
-        from .speclang import atoms_of
-
-        atoms = tuple(sorted(atoms_of(formula)))
     return translate(Not(formula), atoms)
 
 
@@ -632,6 +627,13 @@ def accepts_lasso(automaton: BuchiAutomaton, prefix, loop) -> bool:
 # -- serialization ------------------------------------------------------------
 
 
+def guard_text(guard: Valuation) -> str:
+    """A guard as ``TRUE`` or its literals joined by ``&&``: ``a && !b``."""
+    if not guard.pairs:
+        return "TRUE"
+    return " && ".join(name if value else f"!{name}" for name, value in guard.pairs)
+
+
 def format_automaton(automaton: BuchiAutomaton) -> str:
     lines = [
         "atoms: " + " ".join(automaton.atoms),
@@ -641,7 +643,7 @@ def format_automaton(automaton: BuchiAutomaton) -> str:
     ]
     for q in range(automaton.n_states):
         for t in automaton.transitions[q]:
-            lines.append(f"{q} -> {t.target} [{t.guard}]")
+            lines.append(f"{q} -> {t.target} [{guard_text(t.guard)}]")
     return "\n".join(lines) + "\n"
 
 
@@ -653,6 +655,6 @@ def automaton_to_dot(automaton: BuchiAutomaton, name: str = "buchi") -> str:
     lines.append(f"  hidden -> s{automaton.initial};")
     for q in range(automaton.n_states):
         for t in automaton.transitions[q]:
-            lines.append(f'  s{q} -> s{t.target} [label="{t.guard}"];')
+            lines.append(f'  s{q} -> s{t.target} [label="{guard_text(t.guard)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

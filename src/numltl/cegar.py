@@ -133,11 +133,22 @@ def count_theory_checks(transcript: "Transcript | str") -> int:
 @dataclass
 class CheckedCache:
     """At-most-once memo of theory verdicts, keyed by predicate valuation,
-    and the enclosure memos its checks share, one per side box."""
+    and the enclosure memos its checks share, one per side box.
+
+    A valuation names predicate atoms, not constraints, so the cache binds
+    to the predicate table of its first run and refuses any other."""
 
     inputs: dict[Valuation, FeasibilityVerdict] = field(default_factory=dict)
     outputs: dict[Valuation, FeasibilityVerdict] = field(default_factory=dict)
     enclosures: dict[Box, EnclosureMemo] = field(default_factory=dict)
+    table: PredicateTable | None = None
+
+    def bind(self, table: PredicateTable) -> None:
+        if self.table is None:
+            self.table = table
+        elif self.table != table:
+            msg = "the cache holds verdicts for another predicate table"
+            raise ValueError(msg)
 
     def side(self, side: str) -> dict[Valuation, FeasibilityVerdict]:
         return self.inputs if side == sl.INPUT_SIDE else self.outputs
@@ -174,6 +185,7 @@ def _checked(
     transcript: Transcript,
 ) -> FeasibilityVerdict:
     """Cached verdict for a nonempty predicate valuation; checks at most once."""
+    cache.bind(table)
     store = cache.side(side)
     verdict = store.get(v)
     if verdict is None:
@@ -432,7 +444,8 @@ def synthesize(
     rebuilt); an environment win is kept only if the counter-strategy's
     selected inputs are all feasible (otherwise the first infeasible cube
     becomes an assumption refinement, marked absent in the standing arena).
-    Safety-game runs escalate the bound schedule before giving up.
+    Safety-game runs escalate the bound schedule before giving up.  A
+    ``cache`` kept from an earlier run must be for the same predicate table.
     """
     cfg = cfg if cfg is not None else CegarConfig()
     transcript = transcript if transcript is not None else Transcript()
@@ -447,6 +460,7 @@ def synthesize(
         return refinements >= cfg.refinement_cap
 
     spec, table = abstract_spec(doc)
+    cache.bind(table)
     input_atoms = table.atoms_of(sl.INPUT_SIDE)
     bound_index = 0
     mux = EMPTY_MULTIPLEXER

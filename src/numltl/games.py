@@ -44,7 +44,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .automata import BuchiAutomaton
-from .valuation import Cube, Valuation, encoded_valuations
+from .valuation import Valuation, encoded_valuations
 
 ENV = "env"
 CTRL = "ctrl"
@@ -98,12 +98,6 @@ class GameArena:
 
     def present_env_edges(self, i: int) -> list[EnvEdge]:
         return [e for e in self.env_edges[i] if e.present]
-
-    def successors(self, node: NodeId) -> list[NodeId]:
-        kind, i = node
-        if kind == ENV:
-            return [(CTRL, e.target) for e in self.present_env_edges(i)]
-        return [(ENV, e.target) for e in self.ctrl_edges[i]]
 
     def edge_count(self) -> tuple[int, int]:
         env = sum(len(row) for row in self.env_edges)
@@ -748,7 +742,7 @@ def mark_edges_absent(
     if set(valuation.atoms) != fixed:
         return 0
     position = {name: k for k, name in enumerate(arena.inputs)}
-    care, value = Cube.from_valuation(valuation).masks(position)
+    care, value = valuation.masks(position)
     count = 0
     for row in arena.env_edges:
         for edge in row:

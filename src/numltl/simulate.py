@@ -239,6 +239,18 @@ def _lattice_tests(
     return tests
 
 
+def _sample_axes(decls: tuple[sl.RealVarDecl, ...]) -> list[tuple[str, int, int, int]]:
+    """Each sensor as ``(name, base, step, den)``: lattice index k is the
+    sample (base + step k) / den = lo + (hi - lo) k / 2^SAMPLE_BITS."""
+    axes = []
+    for d in decls:
+        width = d.upper - d.lower
+        den = lcm(d.lower.denominator, width.denominator)
+        base, step = int(d.lower * den) << SAMPLE_BITS, int(width * den)
+        axes.append((d.name, base, step, den << SAMPLE_BITS))
+    return axes
+
+
 def _lattice_value(terms, ks: list[int]) -> int:
     total = 0
     for coeff, powers in terms:
@@ -265,6 +277,7 @@ def simulate(
 
     real_decls = doc.real_vars_of(sl.INPUT_SIDE)
     tests = _lattice_tests(doc.predicates_of(sl.INPUT_SIDE), real_decls)
+    axes = _sample_axes(real_decls)
     decoded_atoms = mux.original_atoms if mux else m.outputs
     idle = Valuation.of({a: False for a in decoded_atoms})
 
@@ -275,8 +288,8 @@ def simulate(
         booleans = {a: bool(rng.getrandbits(1)) for a in doc.boolean_inputs}
         ks = [rng.randrange(2**SAMPLE_BITS + 1) for _ in real_decls]
         samples = tuple(
-            (d.name, d.lower + (d.upper - d.lower) * Fraction(k, 2**SAMPLE_BITS))
-            for d, k in zip(real_decls, ks)
+            (name, Fraction(base + step * k, den))
+            for (name, base, step, den), k in zip(axes, ks)
         )
         assignment = dict(booleans)
         for atom, relation, terms in tests:

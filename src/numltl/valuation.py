@@ -1,17 +1,19 @@
 """Total and partial assignments of Boolean atoms.
 
-A ``Valuation`` fixes every atom of some set; a ``Cube`` fixes a subset and
-matches any valuation agreeing on that subset.  Both are canonicalized by
-atom name so equality and hashing are structural, and valuations order
-lexicographically by name-sorted truth values with False before True.
+A ``Valuation`` fixes every atom of some set.  It is also the one type for
+a cube, a conjunction of literals: an automaton guard, a refinement, a
+theory query all fix a subset of the atoms and match any assignment that
+agrees on it.  Valuations are canonicalized by atom name so equality and
+hashing are structural, and they order lexicographically by name-sorted
+truth values with False before True.
 
 Inside the automata-to-game pipeline letters are machine ints instead.  An
 arena fixes one atom order, ``inputs + outputs``, and atom ``k`` of it is
-bit ``k``; a letter is then ``in_bits | out_bits``.  A cube lowers to a
+bit ``k``; a letter is then ``in_bits | out_bits``.  A valuation lowers to a
 ``(care, value)`` pair of masks and matches a letter when
-``letter & care == value``.  ``Valuation`` and ``Cube`` objects appear only
-at API boundaries: automaton guards, arena edges, controllers,
-counter-strategies, artifacts, transcripts and evidence.
+``letter & care == value``.  ``Valuation`` objects appear only at API
+boundaries: automaton guards, arena edges, controllers, counter-strategies,
+artifacts, transcripts and evidence.
 """
 
 from __future__ import annotations
@@ -69,6 +71,17 @@ class Valuation:
             combined[name] = value
         return Valuation.of(combined)
 
+    def masks(self, position: Mapping[str, int]) -> tuple[int, int]:
+        """The cube as ``(care, value)`` over the bit ``position`` of each atom:
+        a letter matches it when ``letter & care == value``."""
+        care = value = 0
+        for name, truth in self.pairs:
+            bit = 1 << position[name]
+            care |= bit
+            if truth:
+                value |= bit
+        return care, value
+
     def sort_key(self) -> tuple[bool, ...]:
         """Truth values in name-sorted atom order; False sorts before True."""
         return self._key
@@ -113,65 +126,3 @@ def parse_valuation(text: str) -> Valuation:
             raise ValueError(msg)
         pairs.append((name, bit == "1"))
     return Valuation.of(pairs)
-
-
-@dataclass(frozen=True)
-class Cube:
-    pairs: tuple[tuple[str, bool], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
-        names = [name for name, _ in self.pairs]
-        if len(set(names)) != len(names):
-            msg = f"repeated atom in cube: {names}"
-            raise ValueError(msg)
-
-    @staticmethod
-    def of(mapping: Mapping[str, bool] | Iterable[tuple[str, bool]]) -> "Cube":
-        items = mapping.items() if isinstance(mapping, Mapping) else mapping
-        return Cube(tuple((name, bool(value)) for name, value in items))
-
-    @staticmethod
-    def true() -> "Cube":
-        return Cube(())
-
-    @staticmethod
-    def from_valuation(valuation: Valuation) -> "Cube":
-        return Cube(valuation.pairs)
-
-    @property
-    def atoms(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.pairs)
-
-    def as_dict(self) -> dict[str, bool]:
-        return dict(self.pairs)
-
-    def masks(self, position: Mapping[str, int]) -> tuple[int, int]:
-        """The cube as ``(care, value)`` over the bit ``position`` of each atom:
-        a letter matches it when ``letter & care == value``."""
-        care = value = 0
-        for name, truth in self.pairs:
-            bit = 1 << position[name]
-            care |= bit
-            if truth:
-                value |= bit
-        return care, value
-
-    def restrict(self, atoms: Iterable[str]) -> "Cube":
-        keep = set(atoms)
-        return Cube(tuple(p for p in self.pairs if p[0] in keep))
-
-    def conflicts(self, other: "Cube") -> bool:
-        mine = dict(self.pairs)
-        return any(name in mine and mine[name] != value for name, value in other.pairs)
-
-    def merge(self, other: "Cube") -> "Cube":
-        if self.conflicts(other):
-            msg = f"cubes disagree: {self} vs {other}"
-            raise ValueError(msg)
-        return Cube(tuple({**dict(self.pairs), **dict(other.pairs)}.items()))
-
-    def __str__(self) -> str:
-        if not self.pairs:
-            return "TRUE"
-        return " && ".join(name if value else f"!{name}" for name, value in self.pairs)

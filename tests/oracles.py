@@ -5,7 +5,7 @@ checks go through dense grids, Bernstein tensors are re-expanded against the
 definition of the basis, games and automata get their own brute-force
 counterparts, and (further down) the arena builders, the attractor and the
 tableau keep the object-level versions the library replaced with
-bit-packed, interned and memoised ones (the tableau with its ``Cube``-guarded
+bit-packed, interned and memoised ones (the tableau with its object-guarded
 degeneralization and simplification), the guarantee monitor keeps its
 per-trigger rescans, and the Bernstein search keeps the
 substitute-then-convert enclosures and sample evaluation that the dense
@@ -212,7 +212,7 @@ def minimum_cover_size(universe: set, subsets: list[set]) -> int:
 #
 # The library builds arenas over bit-packed letters and runs its tableau on
 # interned subformulas; the versions below are the straightforward ones they
-# replaced, working on ``Valuation``/``Cube`` objects and formula sets
+# replaced, working on ``Valuation`` objects and formula sets
 # throughout.  Differential tests require exact agreement.
 
 
@@ -560,7 +560,7 @@ def reference_simplify(
     accepting: frozenset[int],
 ) -> "BuchiAutomaton":
     """Drop unreachable states, merge states with identical rows, renumber;
-    guards are ``Cube``s, ordered by their ``pairs``."""
+    guards are ``Valuation``s, ordered by their ``pairs``."""
     from numltl.automata import BuchiAutomaton, Transition
 
     acc = set(accepting)
@@ -612,10 +612,10 @@ def reference_simplify(
 
 def reference_translate(formula, atoms):
     """``translate`` with the tableau run by ``reference_expand`` and the
-    ``Cube``-guarded degeneralization and simplification stages above."""
+    ``Valuation``-guarded degeneralization and simplification stages above."""
     from numltl import speclang as sl
     from numltl.automata import BuchiAutomaton, negation_normal_form
-    from numltl.valuation import Cube
+    from numltl.valuation import Valuation
 
     normal = negation_normal_form(formula)
     nodes = reference_expand(normal)
@@ -629,7 +629,7 @@ def reference_translate(formula, atoms):
                 pairs.append((f.name, True))
             elif isinstance(f, sl.Not) and isinstance(f.operand, sl.Atom):
                 pairs.append((f.operand.name, False))
-        guard = Cube(tuple(pairs))
+        guard = Valuation(tuple(pairs))
         for src in node.incoming:
             edges[0 if src == -1 else ids[src]].append((guard, ids[node.node_id]))
     acceptance_sets = [
@@ -1463,3 +1463,126 @@ def reference_monitor_guarantees(doc, trace):
         elif open_count:
             pending.append((gid, open_count))
     return MonitorReport(tuple(violations), tuple(pending), tuple(unmonitored))
+
+
+# -- reference refinement record ------------------------------------------------
+#
+# The abstraction once kept each refinement twice: as a valuation, and folded
+# into a rebuilt document as ``ALWAYS !(cube)`` (an assumption for an input
+# cube, a guarantee for an output cube).  Re-encoding then collected the
+# folded output refinements with the user's output-only invariants, and the
+# game formula sliced the user's assumptions off the folded ones.  Below is
+# that path, on documents only; the library now keeps the valuations alone.
+
+
+def _reference_cube(v) -> Formula:
+    from numltl import speclang as sl
+
+    if not v.pairs:
+        return TrueFormula()
+    return sl.conjoin(Atom(n) if b else Not(Atom(n)) for n, b in v.pairs)
+
+
+def reference_folded_document(doc: SpecDocument, refinements) -> SpecDocument:
+    """The Boolean abstraction of ``doc`` with ``refinements`` folded in:
+    ``(side, valuation)`` pairs, in order, one rebuilt document each."""
+    folded = SpecDocument(
+        doc.input_atoms(), doc.output_atoms(), (), (), doc.assumptions, doc.guarantees
+    )
+    for side, v in refinements:
+        forbidden = (Always(Not(_reference_cube(v))),)
+        assumptions, guarantees = folded.assumptions, folded.guarantees
+        if side == INPUT_SIDE:
+            assumptions += forbidden
+        else:
+            guarantees += forbidden
+        folded = SpecDocument(
+            folded.boolean_inputs, folded.boolean_outputs, (), (), assumptions, guarantees
+        )
+    return folded
+
+
+def reference_game_formula(folded: SpecDocument, n_user: int) -> Formula:
+    """User assumptions (the first ``n_user``) imply every guarantee."""
+    from numltl import speclang as sl
+
+    guarantee = sl.conjoin(folded.guarantees)
+    user = folded.assumptions[:n_user]
+    if not user:
+        return guarantee
+    return Implies(sl.conjoin(user), guarantee)
+
+
+def _reference_disjoin(formulas) -> Formula:
+    if not formulas:
+        return FalseFormula()
+    out = formulas[0]
+    for f in formulas[1:]:
+        out = Or(out, f)
+    return out
+
+
+def reference_reencode(folded: SpecDocument):
+    """Re-encoding of a folded document: ``(document, encoded atoms, rows)``,
+    the document itself with no atoms and rows when nothing is gained;
+    ``ValueError`` when the output constraints exclude every valuation."""
+    from math import ceil, log2
+
+    from numltl import speclang as sl
+    from numltl.valuation import Valuation, all_valuations
+
+    outputs = folded.boolean_outputs
+    collected, remaining = [], []
+    for g in folded.guarantees:
+        if (
+            isinstance(g, Always)
+            and sl.is_propositional(g.operand)
+            and sl.atoms_of(g.operand) <= set(outputs)
+        ):
+            collected.append(g.operand)
+        else:
+            remaining.append(g)
+    if not collected or not outputs:
+        return folded, (), ()
+    feasible = [
+        w
+        for w in all_valuations(outputs)
+        if all(sl.evaluate_propositional(body, w.as_dict()) for body in collected)
+    ]
+    if not feasible:
+        raise ValueError("output constraints are unsatisfiable")
+    m = 0 if len(feasible) == 1 else ceil(log2(len(feasible)))
+    if m >= len(outputs):
+        return folded, (), ()
+    taken = set(folded.boolean_inputs) | set(outputs)
+    for prefix in ("sig", "enc", "code"):
+        encoded = tuple(f"{prefix}{i}" for i in range(1, m + 1))
+        if not taken & set(encoded):
+            break
+    else:
+        raise ValueError("no fresh names for encoded output atoms")
+    words = [
+        Valuation.of({encoded[i]: bool(n >> (m - 1 - i) & 1) for i in range(m)})
+        for n in range(len(feasible))
+    ]
+    rows = tuple(zip(words, feasible))
+    mapping = {
+        atom: _reference_disjoin(
+            tuple(_reference_cube(word) for word, original in rows if original[atom])
+        )
+        for atom in outputs
+    }
+    guarantees = [sl.substitute_atoms(f, mapping) for f in remaining]
+    if len(rows) < 2**m:
+        guarantees.append(
+            Always(_reference_disjoin(tuple(_reference_cube(word) for word in words)))
+        )
+    document = SpecDocument(
+        folded.boolean_inputs,
+        encoded,
+        (),
+        (),
+        tuple(sl.substitute_atoms(f, mapping) for f in folded.assumptions),
+        tuple(guarantees),
+    )
+    return document, encoded, rows

@@ -15,11 +15,13 @@ from numltl.abstraction import (
     PredicateTable,
     abstract_spec,
     cube_formula,
+    forbid,
     reencode_outputs,
     refine_with_assumption,
     refine_with_guarantee,
 )
 from numltl.bernstein import Box
+from numltl.cegar import CegarConfig, _encoded
 from numltl.speclang import (
     Always,
     And,
@@ -28,11 +30,17 @@ from numltl.speclang import (
     Implies,
     Not,
     Until,
+    format_formula,
     format_spec,
     parse_spec,
 )
 from numltl.valuation import Valuation, all_valuations
-from generators import random_formula
+from generators import (
+    random_formula,
+    random_refinement_document,
+    random_synthesis_document,
+)
+from oracles import reference_folded_document, reference_game_formula, reference_reencode
 
 
 def v(**kwargs) -> Valuation:
@@ -106,24 +114,27 @@ class TestRefinements:
         return spec
 
     def test_input_refinement_appends_forbidden_cube(self):
-        refined = refine_with_assumption(self.base(), v(req1=True, req2=True))
+        base = self.base()
+        refined = refine_with_assumption(base, v(req1=True, req2=True))
         assert refined.input_refinements == (v(req1=True, req2=True),)
-        assert refined.document.assumptions == (
-            Always(Not(And(Atom("req1"), Atom("req2")))),
-        )
-        assert "ASSUME ALWAYS (!(req1 && req2))\n" in format_spec(refined.document)
+        assert refined.document == base.document  # recorded once, as the valuation
+        (cube,) = refined.input_refinements
+        assert forbid(cube) == Always(Not(And(Atom("req1"), Atom("req2"))))
+        assert format_formula(forbid(cube)) == "ALWAYS (!(req1 && req2))"
 
     def test_cube_uses_negative_literals_for_false_atoms(self):
         refined = refine_with_assumption(self.base(), v(req1=False, req2=False))
-        assert refined.document.assumptions == (
-            Always(Not(And(Not(Atom("req1")), Not(Atom("req2"))))),
-        )
+        (cube,) = refined.input_refinements
+        assert forbid(cube) == Always(Not(And(Not(Atom("req1")), Not(Atom("req2")))))
 
     def test_two_distinct_refinements_accumulate(self):
         refined = refine_with_assumption(self.base(), v(req1=True, req2=True))
         refined = refine_with_assumption(refined, v(req1=False, req2=True))
-        assert len(refined.document.assumptions) == 2
-        assert len(refined.input_refinements) == 2
+        assert refined.input_refinements == (
+            v(req1=True, req2=True),
+            v(req1=False, req2=True),
+        )
+        assert refined.document == self.base().document
 
     def test_duplicate_refinement_is_a_driver_bug(self):
         refined = refine_with_assumption(self.base(), v(req1=True, req2=True))
@@ -147,8 +158,10 @@ class TestRefinements:
         spec, _ = abstract_spec(doc)
         refined = refine_with_guarantee(spec, v(high=True, low=True))
         assert refined.output_refinements == (v(high=True, low=True),)
-        assert refined.document.guarantees[-1] == Always(
-            Not(And(Atom("high"), Atom("low")))
+        assert refined.document == spec.document
+        # the game formula takes the forbidden cube after the user guarantees
+        assert refined.game_formula() == And(
+            spec.game_formula(), Always(Not(And(Atom("high"), Atom("low"))))
         )
         with pytest.raises(AbstractionError, match="already refined"):
             refine_with_guarantee(refined, v(high=True, low=True))
@@ -158,7 +171,7 @@ class TestRefinements:
         before = spec.game_formula()
         refined = refine_with_assumption(spec, v(req1=True, req2=True))
         assert refined.game_formula() == before
-        assert refined.user_assumptions() == ()
+        assert refined.document.assumptions == ()
 
     def test_game_formula_keeps_user_assumptions(self):
         spec, _ = abstract_spec(fixture("error_monitor"))
@@ -307,6 +320,91 @@ class TestReencode:
         assert mux
         assert len(mux.rows) == 4
         assert all(not (row[1]["pu"] and row[1]["pw"]) for row in mux.rows)
+        assert encoded.output_refinements == ()  # the code book holds it
+
+    def test_output_refinements_alone_fill_the_code_book(self):
+        # no output-only ALWAYS is written: the refinements are the filter
+        doc = parse_spec(
+            "REAL OUTPUT u IN [0, 1]\n"
+            "REAL OUTPUT w IN [0, 1]\n"
+            "PRED pu := u - 1/2 > 0\n"
+            "PRED pw := w - 1/2 > 0\n"
+            "INPUT a\n"
+            "OUTPUT b\n"
+            "ALWAYS (a -> NEXT (pw || b))\n"
+        )
+        base, _ = abstract_spec(doc)
+        assert reencode_outputs(base) == (base, EMPTY_MULTIPLEXER)
+        refined = refine_with_guarantee(base, v(pu=True, pw=True))
+        assert reencode_outputs(refined) == (refined, EMPTY_MULTIPLEXER)  # 6 of 8 left
+        refined = refine_with_guarantee(refined, v(pu=True, pw=False))
+        encoded, mux = reencode_outputs(refined)
+        assert mux.encoded_atoms == ("sig1", "sig2")
+        assert [original for _, original in mux.rows] == [
+            w for w in all_valuations(("b", "pu", "pw")) if not w["pu"]
+        ]
+        assert encoded.output_refinements == ()
+        assert sl.atoms_of(encoded.game_formula()) == {"a", "sig1", "sig2"}
+
+    def test_every_output_refinement_forbidden_is_unsatisfiable(self):
+        base, _ = abstract_spec(
+            parse_spec("REAL OUTPUT u IN [0, 1]\nPRED pu := u > 0\nOUTPUT b\nALWAYS (b)\n")
+        )
+        refined = refine_with_guarantee(base, v(pu=True))
+        refined = refine_with_guarantee(refined, v(pu=False))
+        with pytest.raises(AbstractionError, match="unsatisfiable"):
+            reencode_outputs(refined)
+
+
+class TestRefinementRecordMatchesFolding:
+    """The valuation-only refinement record against the folding path it
+    replaced (``oracles.py``): every refinement rebuilt the document, and
+    re-encoding and the game formula read the folded text."""
+
+    def refinements(self, rng: random.Random, doc: sl.SpecDocument):
+        by_side = {}
+        for side in (sl.INPUT_SIDE, sl.OUTPUT_SIDE):
+            atoms = tuple(p.atom for p in doc.predicates_of(side))
+            cubes = list(all_valuations(atoms)) if atoms else []
+            low = 1 if side == sl.OUTPUT_SIDE and cubes else 0
+            by_side[side] = rng.sample(cubes, rng.randint(low, len(cubes)))
+        sequence = [(side, w) for side, cubes in by_side.items() for w in cubes]
+        rng.shuffle(sequence)
+        return sequence
+
+    def test_game_formulas_and_code_books_match_the_folded_documents(self):
+        rng = random.Random(909)
+        with_outputs = encoded_with_outputs = 0
+        for k in range(400):
+            generate = random_synthesis_document if k % 2 else random_refinement_document
+            doc = generate(rng)
+            sequence = self.refinements(rng, doc)
+            spec, _ = abstract_spec(doc)
+            for side, w in sequence:
+                refine = refine_with_assumption if side == sl.INPUT_SIDE else refine_with_guarantee
+                spec = refine(spec, w)
+            folded = reference_folded_document(doc, sequence)
+            has_outputs = bool(spec.output_refinements)
+            with_outputs += has_outputs
+            for reencode in (False, True):
+                work, mux = _encoded(spec, CegarConfig(reencode=reencode))
+                expected, atoms, rows = folded, (), ()
+                if reencode:
+                    try:
+                        expected, atoms, rows = reference_reencode(folded)
+                    except ValueError:
+                        pass
+                assert work.game_formula() == reference_game_formula(
+                    expected, len(doc.assumptions)
+                )
+                assert (mux.encoded_atoms, mux.rows) == (atoms, rows)
+                assert work.input_atoms() == expected.boolean_inputs
+                assert work.output_atoms() == expected.boolean_outputs
+                assert work.input_refinements == spec.input_refinements
+                assert work.output_refinements == (() if mux else spec.output_refinements)
+                encoded_with_outputs += bool(mux) and has_outputs
+        assert with_outputs >= 100
+        assert encoded_with_outputs >= 20
 
 
 def _rewrite_via(mux: MultiplexerTable, body: sl.Formula) -> sl.Formula:

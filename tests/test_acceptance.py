@@ -14,7 +14,7 @@ from pathlib import Path
 
 from numltl import cegar, cli
 from numltl import speclang as sl
-from numltl.abstraction import abstract_spec, reencode_outputs
+from numltl.abstraction import abstract_spec, forbid, reencode_outputs
 from numltl.automata import accepts_lasso, evaluate_ltl_on_lasso, translate
 from numltl.bernstein import (
     Feasible,
@@ -72,7 +72,7 @@ def test_criterion_1_two_client_arbiter_single_check_single_refinement(tmp_path)
     refines = [line for line in transcript.lines if line.startswith("REFINE ")]
     assert checks == ["CHECK input req1=1,req2=1 infeasible"]
     assert refines == ["REFINE input req1=1,req2=1"]
-    assert verdict.spec.document.assumptions == (
+    assert tuple(forbid(c) for c in verdict.spec.input_refinements) == (
         sl.Always(sl.Not(sl.And(sl.Atom("req1"), sl.Atom("req2")))),
     )
 

@@ -255,6 +255,18 @@ class TestSerialization:
         assert "initial: 0" in text
         assert "->" in text
 
+    def test_guards_print_as_literal_conjunctions(self):
+        guards = (Valuation.of({}), Valuation.of({"b": False, "a": True}))
+        aut = BuchiAutomaton(
+            atoms=("a", "b"),
+            n_states=1,
+            initial=0,
+            transitions=(tuple(Transition(g, 0) for g in guards),),
+            accepting=frozenset({0}),
+        )
+        assert format_automaton(aut).splitlines()[-2:] == ["0 -> 0 [TRUE]", "0 -> 0 [a && !b]"]
+        assert '  s0 -> s0 [label="a && !b"];' in automaton_to_dot(aut)
+
     def test_dot_marks_accepting_states(self):
         aut = translate(Always(Eventually(A)))
         dot = automaton_to_dot(aut)

@@ -15,7 +15,7 @@ from oracles import minimum_cover_size, reference_search
 from numltl import bernstein as bernstein_module
 from numltl import cegar as cegar_module
 from numltl import speclang as sl
-from numltl.abstraction import PredicateTable, MultiplexerTable, abstract_spec
+from numltl.abstraction import PredicateTable, MultiplexerTable, abstract_spec, forbid
 from numltl.bernstein import (
     Box,
     Feasible,
@@ -359,10 +359,11 @@ class TestSynthesizeBundledSpecs:
         assert refines == ["REFINE input req1=1,req2=1"]
         assert t.lines[-1] == "VERDICT realizable"
         assert verdict.spec.input_refinements == (v(req1=True, req2=True),)
-        recorded = verdict.spec.document.assumptions
+        recorded = tuple(forbid(c) for c in verdict.spec.input_refinements)
         assert recorded == (
             sl.Always(sl.Not(sl.And(sl.Atom("req1"), sl.Atom("req2")))),
         )
+        assert verdict.spec.document.assumptions == ()
         assert verdict.bound == 1
 
     def test_threshold_arbiter_realizable_on_the_buchi_route_too(self):
@@ -458,6 +459,37 @@ class TestSynthesizeBundledSpecs:
         verdict = synthesize(doc, CegarConfig(bound_schedule=(1,)), t, cache)
         assert isinstance(verdict, UnrealizableWithinBound)
         assert count_theory_checks(t) == 0
+
+    def test_cache_refuses_a_second_predicate_table(self):
+        # the same atom names over other constraints: p=1,q=1 is infeasible
+        # for the first document and feasible (x = 2) for the second
+        def arbiter(p: str, q: str) -> sl.SpecDocument:
+            return parse_spec(
+                "REAL x IN [0, 4]\n"
+                f"PRED p := {p}\n"
+                f"PRED q := {q}\n"
+                "OUTPUT g1, g2\n"
+                "ALWAYS (p -> NEXT (g1))\n"
+                "ALWAYS (q -> NEXT (g2))\n"
+                "ALWAYS (!(g1 && g2))\n"
+            )
+
+        first, second = arbiter("x > 3", "x < 1"), arbiter("x > 1", "x < 3")
+        # the second run would check p=1,q=1 again, or (in the other order)
+        # read its stale feasible verdict without any check
+        for earlier, later in ((first, second), (second, first)):
+            cache = CheckedCache()
+            synthesize(earlier, CegarConfig(), cache=cache)
+            with pytest.raises(ValueError, match="another predicate table"):
+                synthesize(later, CegarConfig(), cache=cache)
+
+        fresh = synthesize(second, CegarConfig())
+        assert isinstance(fresh, UnrealizableWithinBound) and fresh.bound == 16
+        assert fresh.evidence == ((v(p=True, q=True), (Fraction(2),)),)
+        # the same table (a fresh parse of the earlier document) is accepted
+        t = Transcript()
+        again = synthesize(arbiter("x > 1", "x < 3"), CegarConfig(), t, cache)
+        assert again == fresh and count_theory_checks(t) == 0
 
     def test_runs_are_deterministic(self):
         doc = fixture("threshold_arbiter")

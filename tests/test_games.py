@@ -34,7 +34,7 @@ from numltl.games import (
     solve_safety,
 )
 from numltl.speclang import document_formula, parse_spec
-from numltl.valuation import Cube, Valuation, all_valuations
+from numltl.valuation import Valuation, all_valuations
 from generators import random_arena, random_formula
 from oracles import buchi_win_oracle, cube_matches, safety_win_oracle
 
@@ -47,10 +47,10 @@ def pin_automaton() -> BuchiAutomaton:
         initial=0,
         transitions=(
             (
-                Transition(Cube.of({"a": True}), 0),
-                Transition(Cube.of({"a": False}), 1),
+                Transition(Valuation.of({"a": True}), 0),
+                Transition(Valuation.of({"a": False}), 1),
             ),
-            (Transition(Cube.true(), 1),),
+            (Transition(Valuation.of({}), 1),),
         ),
         accepting=frozenset({1}),
     )
@@ -115,8 +115,8 @@ class TestBuchiArenaConstruction:
             initial=0,
             transitions=(
                 (
-                    Transition(Cube.true(), 0),
-                    Transition(Cube.of({"a": True}), 0),
+                    Transition(Valuation.of({}), 0),
+                    Transition(Valuation.of({"a": True}), 0),
                 ),
             ),
             accepting=frozenset({0}),
@@ -161,10 +161,10 @@ class TestSafetyArenaConstruction:
             initial=0,
             transitions=(
                 (
-                    Transition(Cube.true(), 0),
-                    Transition(Cube.of({"a": True}), 1),
+                    Transition(Valuation.of({}), 0),
+                    Transition(Valuation.of({"a": True}), 1),
                 ),
-                (Transition(Cube.of({"a": True}), 1),),
+                (Transition(Valuation.of({"a": True}), 1),),
             ),
             accepting=frozenset({1}),
         )
@@ -205,7 +205,7 @@ class TestSafetyArenaConstruction:
             atoms=("a",),
             n_states=1,
             initial=0,
-            transitions=((Transition(Cube.of({"a": True}), 0),),),
+            transitions=((Transition(Valuation.of({"a": True}), 0),),),
             accepting=frozenset({0}),
         )
         arena = build_safety_game(automaton, 1, ("a",), ())
