@@ -412,3 +412,85 @@ def test_bundled_artifacts_and_transcripts_are_pinned(name, route, tmp_path, cap
     capsys.readouterr()
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, log))
     assert digests == BUNDLED_HASHES[(name, route)]
+
+
+# The same pins for the n-client arbiter family (tests/data, the seed-1
+# bands: clients whose sum-of-sensors bands are disjoint, or have one
+# overlapping pair).  These runs refine 50 input valuations between them and
+# re-solve the standing arena after each, the path the bundled specs barely
+# take; the exit code is pinned with the digests.
+DATA_DIR = Path(__file__).resolve().parent / "data"
+ARBITER_HASHES = {
+    ("arbiter2-disjoint", "safety"): (
+        EXIT_OK,
+        "6d3caa64656bde257820b2bb5def37695f561e05e5275a007a367df11254e68b",
+        "8dcaf4cda0310f98f32e4c3207ace4c2cef61258bf169cd59f21b45a664fdf01",
+    ),
+    ("arbiter2-disjoint", "buchi"): (
+        EXIT_OK,
+        "d8366053ac677336f66ca07ca4014f733ad81d3dc467ea4fb89b8817f1cdb8c2",
+        "836cb06c5ba418479eac97d24faff2c8c5cd08970fbed67f0c31c252278b409b",
+    ),
+    ("arbiter2-overlap", "safety"): (
+        EXIT_NEGATIVE,
+        "f309b58ece7d69b284d56162e307da03e0e493a60b13bfd5fffb6fed6f8630ec",
+        "4a58a95a7528abce526bfb96c4a16a380842a67767aa9434c0e647d94bc8180c",
+    ),
+    ("arbiter2-overlap", "buchi"): (
+        EXIT_NEGATIVE,
+        "664ccaa74aff75ab1ee32e3d1d7aeedddef8bf349607e5623bc19a71f6449416",
+        "2ee250ce9ecc2feadfcb0313ae9b93f1baa34bfbc71adb208f57962b6a4e8b0d",
+    ),
+    ("arbiter3-disjoint", "safety"): (
+        EXIT_OK,
+        "d3237dc7e680607db17d91c1c4a3010bce129f7e9b6447a231df403303e793d5",
+        "a1110f1d104752436ba66f24adcace35117470ce19001dcc06f706958d5bb0a3",
+    ),
+    ("arbiter3-disjoint", "buchi"): (
+        EXIT_OK,
+        "f83ef447c558fea6859a289206f61c40b325a57e7e0645c4183b268125b3d10b",
+        "ddb87504a516e5f54a250b677e3c1f692281de300d7f4244494df922763b3097",
+    ),
+    ("arbiter3-overlap", "safety"): (
+        EXIT_NEGATIVE,
+        "2209148781096d4fa64cf3601d6086c497efb715733de1e51fd2643d94d03599",
+        "c856373af0cc10695d9b724cc4ffaa4b9d86254182c93a63ed567e2e95fb5748",
+    ),
+    ("arbiter3-overlap", "buchi"): (
+        EXIT_NEGATIVE,
+        "065bff00ff3afb5f5fb8faf6d56640689999debbc3ad1e3fc8fa7a324e83717a",
+        "021dcd1712676ff837f27de7bac3c13b0bcca2884606560dc88811c48e472c41",
+    ),
+    ("arbiter4-disjoint", "safety"): (
+        EXIT_OK,
+        "04178aa8d16c771aabd4cb4d0a854fe188811f6c2b1ed2377240086b152288ff",
+        "a43b9c4c855ae0644d63a3b4af6d5ee8b47f0e03a7023bed2d7900c5ef58c7a7",
+    ),
+    ("arbiter4-disjoint", "buchi"): (
+        EXIT_OK,
+        "27d97a5c54a1b276b998c359d7d3c5f05972010088e2d501ed4f856de969af15",
+        "3517f38f15c21fec6afa7735dabbe8ce48d6dbcc4e75f4961341d00f3b185460",
+    ),
+    ("arbiter4-overlap", "safety"): (
+        EXIT_NEGATIVE,
+        "0ba03926a38a68cdbe2d4b186e7120e8e873a512710e8fce50177903670ef02e",
+        "192ea2cf0d01b6105be01aadeac67a63e620965976fdc6825286cba8fe21351f",
+    ),
+    ("arbiter4-overlap", "buchi"): (
+        EXIT_NEGATIVE,
+        "cfa558c71af382a9929039bcb4d3f124ffb447dceaffacd30c53fc1e45153a9b",
+        "86db2695b748d10ad194f76ed518a6aaca87861f67e64f59362f6e776a760a8e",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, route", sorted(ARBITER_HASHES), ids=lambda part: part
+)
+def test_arbiter_family_artifacts_and_transcripts_are_pinned(name, route, tmp_path, capsys):
+    out, log = tmp_path / "artifact", tmp_path / "transcript"
+    spec = str(DATA_DIR / f"{name}.spec")
+    code = main(["synth", spec, "--algorithm", route, "--out", str(out), "--transcript", str(log)])
+    capsys.readouterr()
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, log))
+    assert (code, *digests) == ARBITER_HASHES[(name, route)]
