@@ -215,11 +215,31 @@ def select_counter_inputs(
     projection that covers the most remaining states (ties broken
     lexicographically).  Returns the narrowed counter-strategy and the
     distinct unproven projections the cover relies on.
+
+    Each distinct candidate is projected once, to the ``(care, value)``
+    masks of its predicate atoms; equal masks are equal projections, and
+    the cover works on the masks.
     """
     proven = checked.proven(sl.INPUT_SIDE)
+    bit = {name: 1 << k for k, name in enumerate(sorted(set(predicate_atoms)))}
+    masks_of: dict[Valuation, tuple[int, int]] = {}
+    projection: dict[tuple[int, int], Valuation] = {}
+    settled: dict[tuple[int, int], bool] = {}
 
-    def settled(projection: Valuation) -> bool:
-        return not projection.atoms or projection in proven
+    def project(c: Valuation) -> tuple[int, int]:
+        masks = masks_of.get(c)
+        if masks is None:
+            care = value = 0
+            for name, truth in c.pairs:
+                if name in bit:
+                    care |= bit[name]
+                    if truth:
+                        value |= bit[name]
+            masks = masks_of[c] = (care, value)
+            if masks not in projection:
+                p = projection[masks] = c.restrict(predicate_atoms)
+                settled[masks] = not p.atoms or p in proven
+        return masks
 
     keep: dict[int, tuple[Valuation, ...]] = {}
     uncovered: list[int] = []
@@ -228,34 +248,30 @@ def select_counter_inputs(
         if not cands:
             keep[s] = ()
             continue
-        good = tuple(c for c in cands if settled(c.restrict(predicate_atoms)))
+        good = tuple(c for c in cands if settled[project(c)])
         if good:
             keep[s] = good
         else:
             uncovered.append(s)
 
-    selected: list[Valuation] = []
+    selected: list[tuple[int, int]] = []
     if uncovered:
-        covers: dict[Valuation, set[int]] = {}
+        covers: dict[tuple[int, int], set[int]] = {}
         for s in uncovered:
             for c in cs.candidates[s]:
-                covers.setdefault(c.restrict(predicate_atoms), set()).add(s)
+                covers.setdefault(project(c), set()).add(s)
         remaining = set(uncovered)
         while remaining:
             best = min(
                 covers,
-                key=lambda p: (-len(covers[p] & remaining), p.sort_key()),
+                key=lambda p: (-len(covers[p] & remaining), projection[p].sort_key()),
             )
             selected.append(best)
             remaining -= covers[best]
         chosen = set(selected)
         for s in uncovered:
-            keep[s] = tuple(
-                c
-                for c in cs.candidates[s]
-                if c.restrict(predicate_atoms) in chosen
-            )
-    return restrict_counter_strategy(cs, keep), set(selected)
+            keep[s] = tuple(c for c in cs.candidates[s] if project(c) in chosen)
+    return restrict_counter_strategy(cs, keep), {projection[p] for p in selected}
 
 
 # -- controller output duality -------------------------------------------------

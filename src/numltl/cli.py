@@ -95,6 +95,16 @@ def _point_report(names: tuple[str, ...], point) -> str:
 # -- synth --------------------------------------------------------------------
 
 
+def _write(path: str | Path, text: str) -> bool:
+    """Write ``text`` to ``path``; a failure is reported as an input error."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        _fail(str(exc))
+        return False
+    return True
+
+
 def _artifact_path(spec_path: str, out: str | None, suffix: str) -> Path:
     if out is not None:
         return Path(out)
@@ -123,8 +133,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         route += f" (bound schedule {schedule})"
     print(route)
 
-    if args.transcript:
-        Path(args.transcript).write_text(transcript.render(), encoding="utf-8")
+    if args.transcript and not _write(args.transcript, transcript.render()):
+        return EXIT_INPUT_ERROR
 
     if isinstance(verdict, Unknown):
         print(f"verdict: unknown ({verdict.reason})")
@@ -150,10 +160,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
         )
         print(f"theory checks: {count_theory_checks(transcript)}")
         out_path = _artifact_path(args.spec, args.out, ".ctrl")
-        out_path.write_text(render_realizable(verdict, cfg.algorithm), encoding="utf-8")
+        if not _write(out_path, render_realizable(verdict, cfg.algorithm)):
+            return EXIT_INPUT_ERROR
         print(f"wrote {out_path}")
         if args.dot:
-            Path(args.dot).write_text(render_dot(m), encoding="utf-8")
+            if not _write(args.dot, render_dot(m)):
+                return EXIT_INPUT_ERROR
             print(f"wrote {args.dot}")
         return EXIT_OK
 
@@ -175,10 +187,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     print(f"refinements: {refinements}")
     print(f"theory checks: {count_theory_checks(transcript)}")
     out_path = _artifact_path(args.spec, args.out, ".cs")
-    out_path.write_text(render_unrealizable(verdict, cfg.algorithm), encoding="utf-8")
+    if not _write(out_path, render_unrealizable(verdict, cfg.algorithm)):
+        return EXIT_INPUT_ERROR
     print(f"wrote {out_path}")
     if args.dot:
-        Path(args.dot).write_text(render_dot(cs), encoding="utf-8")
+        if not _write(args.dot, render_dot(cs)):
+            return EXIT_INPUT_ERROR
         print(f"wrote {args.dot}")
     return EXIT_NEGATIVE
 

@@ -14,14 +14,29 @@ trap they stay in the trap.  Merely remaining in the environment's winning
 region is not enough, since an accepting node can sit on a rank-preserving
 cycle; restricting to such a cycle would hand the play to the controller.
 
-The builders work on machine ints.  Each arena fixes one atom order,
-``inputs + outputs``: atom ``k`` is bit ``k``, every input and output
-valuation is encoded once, and a letter is ``in_bits | out_bits``.  Each
-automaton guard is lowered once to ``(care, value)`` masks and matches a
-letter when ``letter & care == value``.  ``Valuation`` objects appear only on
-the arena's API: edges, ctrl-node origins, controllers and
-counter-strategies.  An env edge also keeps its input bits, so marking edges
-absent is a mask compare.
+Everything below the API works on machine ints.  Each arena fixes one atom
+order, ``inputs + outputs``: atom ``k`` is bit ``k``.  Its ``Letters`` number
+the input valuations and the output valuations in ``all_valuations`` order,
+with their bits and their ranks by ``Valuation.sort_key``, the order every
+tie is broken in; arenas over the same atoms share one ``Letters`` and so
+one set of ``Valuation`` objects.  Each automaton guard is lowered once to
+``(care, value)`` masks and matches a letter when ``letter & care == value``.
+
+An arena is flat int arrays in CSR form.  Env node ``i`` owns the env edges
+``env_start[i]:env_start[i + 1]``; env edge ``k`` carries the input letter
+``env_letter[k]``, is present while ``present[k]`` is set, and leads to ctrl
+node ``k``.  Ctrl node ``k`` owns the ctrl edges
+``ctrl_start[k]:ctrl_start[k + 1]``, each with an output letter
+(``ctrl_letter``) and an env target (``ctrl_target``).  The first solve
+builds a predecessor index: the ctrl nodes with an edge into each env node,
+and the env node owning each ctrl node.  Marking env edges absent only clears
+``present`` bits, so the index serves every later solve.  Solving numbers
+env node ``i`` as ``i`` and ctrl node ``k`` as ``n_env + k`` and keeps the
+attractor layers in arrays.  Strategies are read off those layers by the
+extraction functions, which build ``Valuation``s (the alphabet's shared
+ones) only to fill a ``MealyController`` or a ``CounterStrategy``.
+``EnvEdge`` / ``CtrlEdge`` rows, the ``NodeId`` region sets and the
+strategy dicts of a solution are read-only views for tests and oracles.
 
 The safety builder works on sets of letters instead.  It numbers the
 letters in arena order and lowers each guard once to the set of letters it
@@ -32,16 +47,19 @@ keeps the classes with a compact letter-to-class index.  Successors do not
 depend on the bound, only the test of their top count against it does, so
 one table serves every arena of a bound schedule: a build reads each
 macro's classes, resolves them to env nodes in order of their first letter
-(the numbering a letter-by-letter expansion gives), and fills the ctrl rows
-from the index.  Ctrl edges are immutable and shared, one per output
-valuation and target.
+(the numbering a letter-by-letter expansion gives), and maps the letter
+index through them to the ctrl targets.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import compress, repeat
+from types import MappingProxyType
 
 from .automata import BuchiAutomaton
 from .valuation import Valuation, encoded_valuations
@@ -56,7 +74,7 @@ class GameError(ValueError):
     pass
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class EnvEdge:
     valuation: Valuation
     target: int
@@ -70,59 +88,227 @@ class CtrlEdge:
     target: int
 
 
+# -- alphabets -----------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class Letters:
+    """The alphabet of the arenas over ``inputs + outputs``: ``position`` of
+    each atom, input and output valuations in ``all_valuations`` order with
+    their bits, and each valuation's rank by ``Valuation.sort_key``."""
+
+    position: MappingProxyType[str, int]
+    inputs: tuple[Valuation, ...]
+    input_bits: tuple[int, ...]
+    input_rank: tuple[int, ...]
+    outputs: tuple[Valuation, ...]
+    output_bits: tuple[int, ...]
+    output_rank: tuple[int, ...]
+
+
+def _ranks(valuations: tuple[Valuation, ...]) -> tuple[int, ...]:
+    rank = [0] * len(valuations)
+    by_key = sorted(range(len(valuations)), key=lambda j: valuations[j].sort_key())
+    for r, j in enumerate(by_key):
+        rank[j] = r
+    return tuple(rank)
+
+
+@lru_cache(maxsize=256)
+def letters_of(inputs: tuple[str, ...], outputs: tuple[str, ...]) -> Letters:
+    ins = encoded_valuations(inputs)
+    outs = encoded_valuations(outputs, len(inputs))
+    input_valuations = tuple(v for v, _ in ins)
+    output_valuations = tuple(v for v, _ in outs)
+    return Letters(
+        position=MappingProxyType({name: k for k, name in enumerate(inputs + outputs)}),
+        inputs=input_valuations,
+        input_bits=tuple(bits for _, bits in ins),
+        input_rank=_ranks(input_valuations),
+        outputs=output_valuations,
+        output_bits=tuple(bits for _, bits in outs),
+        output_rank=_ranks(output_valuations),
+    )
+
+
+# -- arenas ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class _Predecessors:
+    """What the attractor walks backwards; independent of ``present``."""
+
+    owner: list[int]  # the env node of each ctrl node
+    ctrl: list[list[int]]  # per env node, the ctrl nodes with an edge into it
+    degree: array  # per node (ctrl k at n_env + k): its distinct targets; 0 at env nodes
+
+
+class _Rows(Sequence):
+    """Rows of edge views, each built when it is read."""
+
+    def __init__(self, n: int, row) -> None:
+        self._n = n
+        self._row = row
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._row(k) for k in range(self._n)[i]]
+        if not -self._n <= i < self._n:
+            raise IndexError(i)
+        return self._row(i % self._n)
+
+
 @dataclass
 class GameArena:
+    """A game as flat int arrays (see the module docstring); marking edges
+    absent clears ``present`` bits and changes nothing else."""
+
     objective: str  # "buchi" or "safety"
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     env_labels: tuple
-    ctrl_origin: tuple[tuple[int, Valuation], ...]
-    env_edges: list[list[EnvEdge]]
-    ctrl_edges: list[list[CtrlEdge]]
+    env_start: array  # env node i owns env edges env_start[i]:env_start[i + 1]
+    env_letter: array  # input letter of env edge k, which leads to ctrl node k
+    present: bytearray  # whether env edge k is present
+    ctrl_start: array  # ctrl node k owns ctrl edges ctrl_start[k]:ctrl_start[k + 1]
+    ctrl_letter: array  # output letter of each ctrl edge
+    ctrl_target: array  # env node each ctrl edge leads to
     initial: int = 0
     accepting: frozenset = frozenset()
     unsafe: frozenset = frozenset()
+    _predecessors: _Predecessors | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @classmethod
+    def from_edges(
+        cls,
+        objective: str,
+        inputs: tuple[str, ...],
+        outputs: tuple[str, ...],
+        env_edges: list[list[EnvEdge]],
+        ctrl_edges: list[list[CtrlEdge]],
+        initial: int = 0,
+        accepting: frozenset = frozenset(),
+        unsafe: frozenset = frozenset(),
+    ) -> "GameArena":
+        """Arena from rows of edges, env node ``i`` labelled ``i``.  Counted
+        over the rows in order, env edge ``k`` must lead to ctrl node ``k``,
+        and there must be one ctrl row per env edge."""
+        letters = letters_of(inputs, outputs)
+        input_letter = {v: j for j, v in enumerate(letters.inputs)}
+        output_letter = {v: j for j, v in enumerate(letters.outputs)}
+        env_start, env_letter, present = array("i", [0]), array("i"), bytearray()
+        for row in env_edges:
+            for edge in row:
+                if edge.target != len(env_letter):
+                    msg = f"env edge {len(env_letter)} must lead to ctrl node {len(env_letter)}"
+                    raise GameError(msg)
+                env_letter.append(input_letter[edge.valuation])
+                present.append(edge.present)
+            env_start.append(len(env_letter))
+        if len(ctrl_edges) != len(env_letter):
+            raise GameError("an arena needs one ctrl row per env edge")
+        ctrl_start, ctrl_letter, ctrl_target = array("i", [0]), array("i"), array("i")
+        for row in ctrl_edges:
+            for edge in row:
+                ctrl_letter.append(output_letter[edge.valuation])
+                ctrl_target.append(edge.target)
+            ctrl_start.append(len(ctrl_target))
+        return cls(
+            objective=objective,
+            inputs=inputs,
+            outputs=outputs,
+            env_labels=tuple(range(len(env_edges))),
+            env_start=env_start,
+            env_letter=env_letter,
+            present=present,
+            ctrl_start=ctrl_start,
+            ctrl_letter=ctrl_letter,
+            ctrl_target=ctrl_target,
+            initial=initial,
+            accepting=accepting,
+            unsafe=unsafe,
+        )
+
+    @property
+    def letters(self) -> Letters:
+        return letters_of(self.inputs, self.outputs)
 
     @property
     def n_env(self) -> int:
-        return len(self.env_labels)
+        return len(self.env_start) - 1
 
     @property
     def n_ctrl(self) -> int:
-        return len(self.ctrl_origin)
+        return len(self.env_letter)
+
+    def edge_count(self) -> tuple[int, int]:
+        return len(self.env_letter), len(self.ctrl_target)
+
+    def predecessors(self) -> _Predecessors:
+        """The predecessor index, built on first use."""
+        if self._predecessors is None:
+            env_start, ctrl_start, targets = self.env_start, self.ctrl_start, self.ctrl_target
+            owner: list[int] = []
+            for i in range(self.n_env):
+                owner.extend(repeat(i, env_start[i + 1] - env_start[i]))
+            # a ctrl node is attracted by its targets, not by its edges: the
+            # index keeps one entry per distinct target
+            preds: list[list[int]] = [[] for _ in range(self.n_env)]
+            append = [p.append for p in preds]
+            degree = array("i", [0]) * self.n_env
+            for k in range(self.n_ctrl):
+                distinct = set(targets[ctrl_start[k] : ctrl_start[k + 1]])
+                degree.append(len(distinct))
+                for t in distinct:
+                    append[t](k)
+            self._predecessors = _Predecessors(owner, preds, degree)
+        return self._predecessors
+
+    # -- read-only views --------------------------------------------------------
 
     def nodes(self) -> list[NodeId]:
         return [(ENV, i) for i in range(self.n_env)] + [
             (CTRL, i) for i in range(self.n_ctrl)
         ]
 
+    def env_edge(self, k: int) -> EnvEdge:
+        letters, j = self.letters, self.env_letter[k]
+        return EnvEdge(letters.inputs[j], k, bool(self.present[k]), bits=letters.input_bits[j])
+
+    def ctrl_edge(self, e: int) -> CtrlEdge:
+        return CtrlEdge(self.letters.outputs[self.ctrl_letter[e]], self.ctrl_target[e])
+
+    @property
+    def env_edges(self) -> Sequence[list[EnvEdge]]:
+        start = self.env_start
+        return _Rows(
+            self.n_env,
+            lambda i: [self.env_edge(k) for k in range(start[i], start[i + 1])],
+        )
+
+    @property
+    def ctrl_edges(self) -> Sequence[list[CtrlEdge]]:
+        start = self.ctrl_start
+        return _Rows(
+            self.n_ctrl,
+            lambda k: [self.ctrl_edge(e) for e in range(start[k], start[k + 1])],
+        )
+
+    @property
+    def ctrl_origin(self) -> tuple[tuple[int, Valuation], ...]:
+        inputs, owner = self.letters.inputs, self.predecessors().owner
+        return tuple((owner[k], inputs[j]) for k, j in enumerate(self.env_letter))
+
     def present_env_edges(self, i: int) -> list[EnvEdge]:
         return [e for e in self.env_edges[i] if e.present]
 
-    def edge_count(self) -> tuple[int, int]:
-        env = sum(len(row) for row in self.env_edges)
-        ctrl = sum(len(row) for row in self.ctrl_edges)
-        return env, ctrl
-
-
-def _edge_key(edge) -> tuple:
-    return (edge.valuation.sort_key(), edge.target)
-
 
 # -- arena builders -----------------------------------------------------------
-
-
-def _alphabet(
-    inputs: tuple[str, ...], outputs: tuple[str, ...]
-) -> tuple[dict[str, int], list[tuple[Valuation, int]], list[tuple[Valuation, int]]]:
-    """Bit position of each atom, and the input and output valuations with
-    their bits, in ``all_valuations`` order."""
-    position = {name: k for k, name in enumerate(inputs + outputs)}
-    return (
-        position,
-        encoded_valuations(inputs),
-        encoded_valuations(outputs, len(inputs)),
-    )
 
 
 def build_buchi_game(
@@ -134,37 +320,33 @@ def build_buchi_game(
     nondeterminism; it wins by steering some run through accepting states
     infinitely often.  Sound for realizability, incomplete the other way.
     """
-    position, input_letters, output_letters = _alphabet(inputs, outputs)
-
-    ctrl_origin: list[tuple[int, Valuation]] = []
-    env_edges: list[list[EnvEdge]] = []
-    ctrl_edges: list[list[CtrlEdge]] = []
+    letters = letters_of(inputs, outputs)
+    n_in = len(letters.inputs)
+    ctrl_start, ctrl_letter, ctrl_target = array("i", [0]), array("i"), array("i")
     for q in range(automaton.n_states):
-        guards = [(*t.guard.masks(position), t.target) for t in automaton.transitions[q]]
-        row: list[EnvEdge] = []
-        for vin, in_bits in input_letters:
-            cid = len(ctrl_origin)
-            ctrl_origin.append((q, vin))
-            row.append(EnvEdge(vin, cid, bits=in_bits))
-            answers: list[CtrlEdge] = []
-            for vout, out_bits in output_letters:
+        guards = [(*t.guard.masks(letters.position), t.target) for t in automaton.transitions[q]]
+        for in_bits in letters.input_bits:
+            for out, out_bits in enumerate(letters.output_bits):
                 letter = in_bits | out_bits
                 seen = set()
                 for care, value, target in guards:
                     if letter & care == value and target not in seen:
                         seen.add(target)
-                        answers.append(CtrlEdge(vout, target))
-            ctrl_edges.append(answers)
-        env_edges.append(row)
-
+                        ctrl_letter.append(out)
+                        ctrl_target.append(target)
+            ctrl_start.append(len(ctrl_target))
+    n = automaton.n_states
     return GameArena(
         objective="buchi",
         inputs=inputs,
         outputs=outputs,
-        env_labels=tuple(range(automaton.n_states)),
-        ctrl_origin=tuple(ctrl_origin),
-        env_edges=env_edges,
-        ctrl_edges=ctrl_edges,
+        env_labels=tuple(range(n)),
+        env_start=array("i", range(0, n * n_in + 1, n_in)),
+        env_letter=array("i", range(n_in)) * n,
+        present=bytearray(b"\x01") * (n * n_in),
+        ctrl_start=ctrl_start,
+        ctrl_letter=ctrl_letter,
+        ctrl_target=ctrl_target,
         initial=automaton.initial,
         accepting=frozenset(automaton.accepting),
     )
@@ -200,9 +382,7 @@ class SuccessorTable:
     the letters by the macro's successor, with every count as reached (no
     bound applies here), and returns the classes as ``(successor, top
     count)`` pairs numbered by their first letter, with the class index of
-    every letter.  The table also holds the alphabet its builds use:
-    ``input_letters`` as ``(valuation, bits)`` pairs, and
-    ``output_valuations``.
+    every letter.
     """
 
     def __init__(
@@ -211,10 +391,9 @@ class SuccessorTable:
         self.automaton = negated
         self.inputs = inputs
         self.outputs = outputs
-        position, self.input_letters, output_letters = _alphabet(inputs, outputs)
-        self.output_valuations = [vout for vout, _ in output_letters]
+        letters = letters_of(inputs, outputs)
         # each letter of the arena order as its bits
-        order = [i | o for _, i in self.input_letters for _, o in output_letters]
+        order = [i | o for i in letters.input_bits for o in letters.output_bits]
         self._n_letters = len(order)
         self._full = (1 << self._n_letters) - 1
         # per automaton state: (target, bump, letters), transitions to one
@@ -223,16 +402,16 @@ class SuccessorTable:
         for row in negated.transitions:
             reach: dict[int, int] = {}
             for t in row:
-                care, value = t.guard.masks(position)
-                letters = sum(
+                care, value = t.guard.masks(letters.position)
+                letter_set = sum(
                     1 << l for l, bits in enumerate(order) if bits & care == value
                 )
-                reach[t.target] = reach.get(t.target, 0) | letters
+                reach[t.target] = reach.get(t.target, 0) | letter_set
             self._targets.append(
                 tuple(
-                    (target, 1 if target in negated.accepting else 0, letters)
-                    for target, letters in reach.items()
-                    if letters
+                    (target, 1 if target in negated.accepting else 0, letter_set)
+                    for target, letter_set in reach.items()
+                    if letter_set
                 )
             )
         self._classes: dict[Macro, tuple[tuple[tuple, int], array]] = {}
@@ -308,18 +487,12 @@ def build_safety_game(
         outputs,
     ):
         raise GameError("successor table was made for another automaton or alphabet")
-    output_valuations = successors.output_valuations
-    n_out = len(output_valuations)
+    letters = letters_of(inputs, outputs)
+    n_in, n_out = len(letters.inputs), len(letters.outputs)
 
     labels: list = []
     index: dict = {}
-    env_edges: list[list[EnvEdge]] = []
-    ctrl_origin: list[tuple[int, Valuation]] = []
-    ctrl_edges: list[list[CtrlEdge]] = []
     unsafe: set[int] = set()
-    # CtrlEdge is immutable: one per (output valuation, env node) serves
-    # every ctrl node
-    answers_to: list[list[CtrlEdge]] = []
 
     def env_id(label) -> int:
         if label in index:
@@ -327,12 +500,15 @@ def build_safety_game(
         i = len(labels)
         index[label] = i
         labels.append(label)
-        env_edges.append([])
-        answers_to.append([CtrlEdge(vout, i) for vout in output_valuations])
         if label == UNSAFE_LABEL:
             unsafe.add(i)
         return i
 
+    # env nodes are queued as they are numbered, so they are expanded in
+    # id order and each one's ctrl nodes follow the previous one's
+    env_start = array("i", [0])
+    ctrl_target = array("i")
+    n_ctrl = 0
     initial_macro: Macro = ((negated.initial, 0),)
     start = env_id(initial_macro)
     queue = deque([start])
@@ -340,36 +516,34 @@ def build_safety_game(
     while queue:
         i = queue.popleft()
         label = labels[i]
-        if label == UNSAFE_LABEL:
-            continue  # terminal: env already won
-        macro = () if label == EMPTY_LABEL else label  # EMPTY: no live runs
-        classes, letter_class = successors.classes(macro)
-        # classes are numbered by first letter, so resolving them in order
-        # numbers the env nodes as a letter-by-letter expansion would
-        rows = []
-        for successor, top in classes:
-            t = env_id(successor if top <= bound else UNSAFE_LABEL)
-            if t not in expanded:
-                expanded.add(t)
-                queue.append(t)
-            rows.append(answers_to[t])
-        for j, (vin, in_bits) in enumerate(successors.input_letters):
-            cid = len(ctrl_origin)
-            ctrl_origin.append((i, vin))
-            env_edges[i].append(EnvEdge(vin, cid, bits=in_bits))
-            first = j * n_out
-            ctrl_edges.append(
-                [rows[c][k] for k, c in enumerate(letter_class[first : first + n_out])]
-            )
+        if label != UNSAFE_LABEL:  # the unsafe node is terminal: env already won
+            macro = () if label == EMPTY_LABEL else label  # EMPTY: no live runs
+            classes, letter_class = successors.classes(macro)
+            # classes are numbered by first letter, so resolving them in order
+            # numbers the env nodes as a letter-by-letter expansion would
+            targets = []
+            for successor, top in classes:
+                t = env_id(successor if top <= bound else UNSAFE_LABEL)
+                if t not in expanded:
+                    expanded.add(t)
+                    queue.append(t)
+                targets.append(t)
+            # ctrl node n_ctrl + j answers input j; its edge k is output k
+            ctrl_target.extend(map(targets.__getitem__, letter_class))
+            n_ctrl += n_in
+        env_start.append(n_ctrl)
 
     return GameArena(
         objective="safety",
         inputs=inputs,
         outputs=outputs,
         env_labels=tuple(labels),
-        ctrl_origin=tuple(ctrl_origin),
-        env_edges=env_edges,
-        ctrl_edges=ctrl_edges,
+        env_start=env_start,
+        env_letter=array("i", range(n_in)) * (n_ctrl // n_in),
+        present=bytearray(b"\x01") * n_ctrl,
+        ctrl_start=array("i", range(0, n_ctrl * n_out + 1, n_out)),
+        ctrl_letter=array("i", range(n_out)) * n_ctrl,
+        ctrl_target=ctrl_target,
         initial=start,
         unsafe=frozenset(unsafe),
     )
@@ -379,14 +553,19 @@ def build_safety_game(
 
 
 def _attractor(
-    arena: GameArena, owner: str, base: set[NodeId], alive: set[NodeId]
-) -> tuple[set[NodeId], dict[NodeId, int]]:
-    """Layered attractor for ``owner`` toward ``base`` within ``alive``.
+    arena: GameArena, owner_is_env: bool, base, rank: array, pending: array
+) -> array:
+    """Layered attractor for the env player (``owner_is_env``) or the ctrl
+    player toward ``base``, over node numbers (ctrl node ``k`` is
+    ``n_env + k``).
 
-    Returns the attracted set and the BFS layer (rank) of each member; base
-    nodes have rank 0.  An owner node joins when some present edge enters the
-    attractor; an opponent node joins when every present edge into ``alive``
-    does, which is vacuously true for stuck opponent nodes.
+    ``rank`` holds -1 at every live node and -2 at every dead one; attracted
+    nodes get their BFS layer, base nodes 0, and it is returned.
+    ``pending`` holds each opponent node's live successors (distinct
+    targets of a ctrl node, present edges of an env node) and is used up.
+    An owner node joins when some present edge enters the attractor; an
+    opponent node joins when every present edge into the live nodes does,
+    which is vacuously true for stuck opponent nodes.
 
     Linear in the arena (Grädel, Thomas & Wilke, LNCS 2500): every opponent
     node counts its edges not yet attracted, and the layers are processed
@@ -394,53 +573,17 @@ def _attractor(
     its condition, the layer the round-by-round fixpoint gives it.
     """
     n_env = arena.n_env
-    n = n_env + arena.n_ctrl  # env node i is i, ctrl node i is n_env + i
-    live = bytearray(n)
-    named: list = [None] * n  # the caller's node tuples, reused in the result
-    for node in alive:
-        kind, i = node
-        k = i if kind == ENV else n_env + i
-        live[k] = 1
-        named[k] = node
-
-    # one pass over the rows: each live node's live predecessors, and the
-    # number of its live edges not yet attracted
-    preds: list[list[int]] = [[] for _ in range(n)]
-    pending = [0] * n
-    for i, row in enumerate(arena.env_edges):
-        if live[i]:
-            count = 0
-            for e in row:
-                t = n_env + e.target
-                if e.present and live[t]:
-                    preds[t].append(i)
-                    count += 1
-            pending[i] = count
-    for i, row in enumerate(arena.ctrl_edges):
-        k = n_env + i
-        if live[k]:
-            count = 0
-            for e in row:
-                t = e.target
-                if live[t]:
-                    preds[t].append(k)
-                    count += 1
-            pending[k] = count
-    owner_is_env = owner == ENV
-
-    rank = array("i", [-1]) * n  # -1 until attracted
+    present = arena.present
+    index = arena.predecessors()
+    owner, preds = index.owner, index.ctrl
     layer = []
-    for kind, i in base & alive:
-        node = i if kind == ENV else n_env + i
-        rank[node] = 0
-        layer.append(node)
+    for node in base:
+        if rank[node] == -1:
+            rank[node] = 0
+            layer.append(node)
     # stuck opponent nodes join in the first layer
-    stuck = [
-        node
-        for node in range(n)
-        if live[node] and not pending[node] and rank[node] < 0
-        and (node < n_env) != owner_is_env
-    ]
+    opponents = range(n_env, len(rank)) if owner_is_env else range(n_env)
+    stuck = [node for node in opponents if not pending[node] and rank[node] == -1]
     current = 0
     while layer or stuck:
         current += 1
@@ -448,136 +591,177 @@ def _attractor(
         for node in fresh:
             rank[node] = current
         for node in layer:
-            for p in preds[node]:
-                if rank[p] >= 0:
+            if node < n_env:
+                for k in preds[node]:
+                    p = n_env + k
+                    if rank[p] != -1:
+                        continue
+                    if owner_is_env:
+                        pending[p] -= 1
+                        if pending[p]:
+                            continue
+                    rank[p] = current
+                    fresh.append(p)
+            else:
+                k = node - n_env
+                p = owner[k]
+                if not present[k] or rank[p] != -1:
                     continue
-                if (p < n_env) != owner_is_env:
+                if not owner_is_env:
                     pending[p] -= 1
                     if pending[p]:
                         continue
                 rank[p] = current
                 fresh.append(p)
         layer = fresh
-
-    ranked = {named[node]: r for node, r in enumerate(rank) if r >= 0}
-    return set(ranked), ranked
+    return rank
 
 
-@dataclass
+@dataclass(eq=False)
 class GameSolution:
+    """Attractor layers per node number (ctrl node ``k`` is ``n_env + k``).
+
+    ``env_rank`` is the layer at which the environment's attractor took a
+    node, -1 where the controller wins.  On the Büchi route ``env_round``
+    numbers the attractor that took each node and ``ctrl_rank`` is the
+    layer of every controller-winning node in the controller's final
+    attractor to the accepting nodes; both are None on the safety route.
+    """
+
     arena: GameArena
-    ctrl_region: frozenset
-    env_region: frozenset
-    ctrl_strategy: dict[int, CtrlEdge]
-    env_strategy: dict[int, EnvEdge]
-    env_candidates: dict[int, tuple[EnvEdge, ...]]
+    env_rank: array
+    env_round: array | None = None
+    ctrl_rank: array | None = None
 
     @property
     def ctrl_wins(self) -> bool:
-        return (ENV, self.arena.initial) in self.ctrl_region
+        return self.env_rank[self.arena.initial] < 0
 
+    def candidate_edges(self, i: int) -> list[int]:
+        """The env edges the environment may take at env node ``i`` of its
+        region, by input rank then edge number: present edges into a lower
+        layer of the same attractor, or within its base."""
+        arena = self.arena
+        n_env, rank, rounds = arena.n_env, self.env_rank, self.env_round
+        own = rank[i]
+        out = []
+        for k in compress(
+            range(arena.env_start[i], arena.env_start[i + 1]),
+            arena.present[arena.env_start[i] : arena.env_start[i + 1]],
+        ):
+            r = rank[n_env + k]
+            if r < 0 or (rounds is not None and rounds[n_env + k] != rounds[i]):
+                continue
+            if r < own or r == own == 0:
+                out.append(k)
+        input_rank, letter = arena.letters.input_rank, arena.env_letter
+        out.sort(key=lambda k: (input_rank[letter[k]], k))
+        return out
 
-def _min_edge(edges):
-    return min(edges, key=_edge_key)
+    def answer_edge(self, k: int) -> int | None:
+        """The ctrl edge the controller takes at ctrl node ``k``: the least,
+        by output rank then target, of its edges that stay in its region
+        (safety) or lower its layer toward the accepting nodes (Büchi)."""
+        arena = self.arena
+        node = arena.n_env + k
+        if self.env_rank[node] >= 0:
+            return None
+        output_rank, targets = arena.letters.output_rank, arena.ctrl_target
+        best = best_key = None
+        for e in range(arena.ctrl_start[k], arena.ctrl_start[k + 1]):
+            t = targets[e]
+            if self.ctrl_rank is None:
+                good = self.env_rank[t] < 0
+            else:
+                good = 0 <= self.ctrl_rank[t] < self.ctrl_rank[node]
+            if good:
+                key = (output_rank[arena.ctrl_letter[e]], t)
+                if best_key is None or key < best_key:
+                    best, best_key = e, key
+        return best
 
+    # -- read-only views --------------------------------------------------------
 
-def _env_candidates_from_ranks(
-    arena: GameArena, env_node: int, rank: dict[NodeId, int]
-) -> tuple[EnvEdge, ...]:
-    own_rank = rank[(ENV, env_node)]
-    out = []
-    for edge in arena.present_env_edges(env_node):
-        target = (CTRL, edge.target)
-        if target not in rank:
-            continue
-        if own_rank == 0:
-            if rank[target] == 0:
-                out.append(edge)
-        elif rank[target] < own_rank:
-            out.append(edge)
-    return tuple(sorted(out, key=_edge_key))
+    def _region(self, env_side: bool) -> frozenset[NodeId]:
+        n_env = self.arena.n_env
+        return frozenset(
+            (ENV, node) if node < n_env else (CTRL, node - n_env)
+            for node, r in enumerate(self.env_rank)
+            if (r >= 0) == env_side
+        )
+
+    @property
+    def ctrl_region(self) -> frozenset[NodeId]:
+        return self._region(False)
+
+    @property
+    def env_region(self) -> frozenset[NodeId]:
+        return self._region(True)
+
+    @property
+    def ctrl_strategy(self) -> dict[int, CtrlEdge]:
+        answers = ((k, self.answer_edge(k)) for k in range(self.arena.n_ctrl))
+        return {k: self.arena.ctrl_edge(e) for k, e in answers if e is not None}
+
+    @property
+    def env_candidates(self) -> dict[int, tuple[EnvEdge, ...]]:
+        return {
+            i: tuple(self.arena.env_edge(k) for k in self.candidate_edges(i))
+            for i in range(self.arena.n_env)
+            if self.env_rank[i] >= 0
+        }
+
+    @property
+    def env_strategy(self) -> dict[int, EnvEdge]:
+        return {i: edges[0] for i, edges in self.env_candidates.items() if edges}
 
 
 def solve_safety(arena: GameArena) -> GameSolution:
     if arena.objective != "safety":
         msg = f"expected a safety arena, got {arena.objective}"
         raise GameError(msg)
-    nodes = set(arena.nodes())
-    base = {(ENV, u) for u in arena.unsafe}
-    attr, rank = _attractor(arena, ENV, base, nodes)
-    env_region = frozenset(attr)
-    ctrl_region = frozenset(nodes - attr)
-
-    ctrl_strategy: dict[int, CtrlEdge] = {}
-    for i in range(arena.n_ctrl):
-        if (CTRL, i) in ctrl_region:
-            safe_edges = [e for e in arena.ctrl_edges[i] if (ENV, e.target) in ctrl_region]
-            if safe_edges:
-                ctrl_strategy[i] = _min_edge(safe_edges)
-
-    env_strategy: dict[int, EnvEdge] = {}
-    env_candidates: dict[int, tuple[EnvEdge, ...]] = {}
-    for i in range(arena.n_env):
-        if (ENV, i) not in attr:
-            continue
-        # an unsafe node (rank 0) gets none, as no ctrl node has rank 0:
-        # the play is over there
-        candidates = _env_candidates_from_ranks(arena, i, rank)
-        env_candidates[i] = candidates
-        if candidates:
-            env_strategy[i] = candidates[0]
-    return GameSolution(
-        arena, ctrl_region, env_region, ctrl_strategy, env_strategy, env_candidates
-    )
+    n = arena.n_env + arena.n_ctrl
+    degree = arena.predecessors().degree
+    return GameSolution(arena, _attractor(arena, True, arena.unsafe, array("i", [-1]) * n, degree[:]))
 
 
 def solve_buchi(arena: GameArena) -> GameSolution:
     if arena.objective != "buchi":
         msg = f"expected a buchi arena, got {arena.objective}"
         raise GameError(msg)
-    alive = set(arena.nodes())
-    env_strategy: dict[int, EnvEdge] = {}
-    env_candidates: dict[int, tuple[EnvEdge, ...]] = {}
-    reach_rank: dict[NodeId, int] = {}
-
+    index = arena.predecessors()
+    n_env = arena.n_env
+    n = n_env + arena.n_ctrl
+    start, present = arena.env_start, arena.present
+    # every node's edges into the live nodes, kept up to date as nodes die
+    degree = index.degree[:]
+    for i in range(n_env):
+        degree[i] = present.count(1, start[i], start[i + 1])
+    alive = array("i", [-1]) * n  # -1 live, -2 dead: every attractor's starting ranks
+    env_rank = array("i", [-1]) * n
+    env_round = array("i", [-1]) * n
+    rounds = 0
     while True:
-        goal = {(ENV, q) for q in arena.accepting} & alive
-        reach, reach_rank = _attractor(arena, CTRL, goal, alive)
-        trapped = alive - reach
+        reach = _attractor(arena, False, arena.accepting, alive[:], degree[:])
+        trapped = [node for node in range(n) if reach[node] == -1]
         if not trapped:
             break
-        removed, removed_rank = _attractor(arena, ENV, trapped, alive)
-        for node in removed:
-            kind, i = node
-            if kind != ENV:
+        removed = _attractor(arena, True, trapped, alive[:], degree[:])
+        for node in range(n):
+            if removed[node] < 0:
                 continue
-            candidates = _env_candidates_from_ranks(arena, i, removed_rank)
-            env_candidates[i] = candidates
-            if candidates:
-                env_strategy[i] = candidates[0]
-        alive -= removed
-
-    ctrl_region = frozenset(alive)
-    env_region = frozenset(set(arena.nodes()) - alive)
-
+            env_rank[node] = removed[node]
+            env_round[node] = rounds
+            alive[node] = -2
+            if node < n_env:
+                for k in index.ctrl[node]:
+                    degree[n_env + k] -= 1
+            elif present[node - n_env]:
+                degree[index.owner[node - n_env]] -= 1
+        rounds += 1
     # every surviving ctrl node sits in the final attractor at rank >= 1,
     # so a rank-decreasing move toward the accepting set always exists
-    ctrl_strategy: dict[int, CtrlEdge] = {}
-    for i in range(arena.n_ctrl):
-        node = (CTRL, i)
-        if node not in ctrl_region:
-            continue
-        own = reach_rank[node]
-        good = [
-            e
-            for e in arena.ctrl_edges[i]
-            if (ENV, e.target) in reach_rank and reach_rank[(ENV, e.target)] < own
-        ]
-        if good:
-            ctrl_strategy[i] = _min_edge(good)
-    return GameSolution(
-        arena, ctrl_region, env_region, ctrl_strategy, env_strategy, env_candidates
-    )
+    return GameSolution(arena, env_rank, env_round, reach)
 
 
 def solve(arena: GameArena) -> GameSolution:
@@ -604,27 +788,36 @@ def extract_controller(solution: GameSolution) -> MealyController:
     if not solution.ctrl_wins:
         msg = "initial node is not controller-winning"
         raise GameError(msg)
+    letters = arena.letters
+    inputs, input_rank, outputs = letters.inputs, letters.input_rank, letters.outputs
+    env_start, env_letter = arena.env_start, arena.env_letter
     numbering = {arena.initial: 0}
     order = [arena.initial]
     step: dict[tuple[int, Valuation], tuple[Valuation, int]] = {}
     queue = deque([arena.initial])
     while queue:
         env_node = queue.popleft()
-        for edge in sorted(arena.present_env_edges(env_node), key=_edge_key):
-            answer = solution.ctrl_strategy.get(edge.target)
+        edges = range(env_start[env_node], env_start[env_node + 1])
+        edges = sorted(
+            compress(edges, arena.present[edges.start : edges.stop]),
+            key=lambda k: (input_rank[env_letter[k]], k),
+        )
+        for k in edges:
+            answer = solution.answer_edge(k)
             if answer is None:
                 msg = (
                     "controller strategy has no answer at a reachable node; "
                     "winning region is not closed"
                 )
                 raise GameError(msg)
-            if answer.target not in numbering:
-                numbering[answer.target] = len(order)
-                order.append(answer.target)
-                queue.append(answer.target)
-            step[(numbering[env_node], edge.valuation)] = (
-                answer.valuation,
-                numbering[answer.target],
+            target = arena.ctrl_target[answer]
+            if target not in numbering:
+                numbering[target] = len(order)
+                order.append(target)
+                queue.append(target)
+            step[(numbering[env_node], inputs[env_letter[k]])] = (
+                outputs[arena.ctrl_letter[answer]],
+                numbering[target],
             )
     return MealyController(
         inputs=arena.inputs,
@@ -653,6 +846,9 @@ def extract_counter_strategy(solution: GameSolution) -> CounterStrategy:
     if solution.ctrl_wins:
         msg = "initial node is controller-winning; no counter-strategy exists"
         raise GameError(msg)
+    inputs, outputs = arena.letters.inputs, arena.letters.outputs
+    ctrl_start, ctrl_letter, ctrl_target = arena.ctrl_start, arena.ctrl_letter, arena.ctrl_target
+    every_letter = array("i", range(len(outputs)))
     candidates: dict[int, tuple[Valuation, ...]] = {}
     transitions: dict[tuple[int, Valuation, Valuation], int] = {}
     spoiled: set[int] = set()
@@ -661,20 +857,27 @@ def extract_counter_strategy(solution: GameSolution) -> CounterStrategy:
     queue = deque([arena.initial])
     while queue:
         s = queue.popleft()
-        edges = solution.env_candidates.get(s, ())
+        edges = solution.candidate_edges(s) if solution.env_rank[s] >= 0 else []
         if not edges:
             spoiled.add(s)
             candidates[s] = ()
             continue
-        candidates[s] = tuple(e.valuation for e in edges)
-        for edge in edges:
-            answers: dict[Valuation, int] = {}
-            for ctrl_edge in arena.ctrl_edges[edge.target]:
-                best = answers.get(ctrl_edge.valuation)
-                if best is None or ctrl_edge.target < best:
-                    answers[ctrl_edge.valuation] = ctrl_edge.target
-            for vout, nxt in answers.items():
-                transitions[(s, edge.valuation, vout)] = nxt
+        candidates[s] = tuple(inputs[arena.env_letter[k]] for k in edges)
+        for k, vin in zip(edges, candidates[s]):
+            row = slice(ctrl_start[k], ctrl_start[k + 1])
+            if ctrl_letter[row] == every_letter:  # each output once, in order
+                answered, targets = outputs, ctrl_target[row]
+            else:
+                # per output letter, in order of first appearance: the least target
+                answers: dict[int, int] = {}
+                for out, target in zip(ctrl_letter[row], ctrl_target[row]):
+                    best = answers.get(out)
+                    if best is None or target < best:
+                        answers[out] = target
+                answered = [outputs[out] for out in answers]
+                targets = answers.values()
+            transitions.update(zip(zip(repeat(s), repeat(vin), answered), targets))
+            for nxt in targets:
                 if nxt not in seen:
                     seen.add(nxt)
                     order.append(nxt)
@@ -741,12 +944,13 @@ def mark_edges_absent(
     fixed = set(predicate_atoms) & set(arena.inputs)
     if set(valuation.atoms) != fixed:
         return 0
-    position = {name: k for k, name in enumerate(arena.inputs)}
-    care, value = valuation.masks(position)
+    letters = arena.letters
+    care, value = valuation.masks(letters.position)
+    hit = [bits & care == value for bits in letters.input_bits]  # per input letter
+    present = arena.present
     count = 0
-    for row in arena.env_edges:
-        for edge in row:
-            if edge.present and edge.bits & care == value:
-                edge.present = False
-                count += 1
+    for k in compress(range(arena.n_ctrl), map(hit.__getitem__, arena.env_letter)):
+        if present[k]:
+            present[k] = 0
+            count += 1
     return count

@@ -26,8 +26,10 @@ from typing import Iterable, Iterator, Mapping
 @dataclass(frozen=True, order=False)
 class Valuation:
     pairs: tuple[tuple[str, bool], ...]
-    # ``sort_key()``, computed once: games and artifacts order edges by it
+    # ``sort_key()`` and the hash, computed once: games and artifacts order
+    # letters by the key, and strategies are dicts keyed by valuations
     _key: tuple[bool, ...] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
@@ -36,6 +38,15 @@ class Valuation:
             msg = f"repeated atom in valuation: {names}"
             raise ValueError(msg)
         object.__setattr__(self, "_key", tuple(value for _, value in self.pairs))
+        object.__setattr__(self, "_hash", hash(self.pairs))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt from its pairs, so a copy made in another process (string
+        # hashes differ between processes) caches its own hash
+        return (Valuation, (self.pairs,))
 
     @staticmethod
     def of(mapping: Mapping[str, bool] | Iterable[tuple[str, bool]]) -> "Valuation":

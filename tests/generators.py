@@ -148,29 +148,31 @@ def random_lasso(rng: random.Random, atoms, max_prefix: int = 2, max_loop: int =
     return prefix, loop
 
 
-def random_arena(rng: random.Random, objective: str):
+def random_arena(rng: random.Random, objective: str, reverse_atoms: bool = False):
     """Random bipartite arena mirroring the builders' shape: one ctrl node
     per (env node, input valuation), arbitrary ctrl answers, some env edges
-    pre-marked absent to exercise present-flag handling."""
+    pre-marked absent to exercise present-flag handling.  With
+    ``reverse_atoms`` the atoms are listed against name order, so the
+    arena's letter order is not the ``Valuation`` order."""
     from numltl.games import CtrlEdge, EnvEdge, GameArena
     from numltl.valuation import all_valuations, encoded_valuations
 
     inputs = tuple(f"i{k}" for k in range(rng.randint(1, 2)))
     outputs = tuple(f"o{k}" for k in range(rng.randint(1, 2)))
+    if reverse_atoms:
+        inputs, outputs = inputs[::-1], outputs[::-1]
     n_env = rng.randint(1, 6)
     input_valuations = encoded_valuations(inputs)
     output_valuations = list(all_valuations(outputs))
 
     env_edges = []
-    ctrl_origin = []
     ctrl_edges = []
     for i in range(n_env):
         row = []
         for vin, bits in input_valuations:
             if rng.random() < 0.15:
                 continue  # env simply lacks this move
-            cid = len(ctrl_origin)
-            ctrl_origin.append((i, vin))
+            cid = len(ctrl_edges)
             row.append(EnvEdge(vin, cid, present=rng.random() > 0.1, bits=bits))
             answers = []
             for vout in output_valuations:
@@ -181,14 +183,12 @@ def random_arena(rng: random.Random, objective: str):
 
     accepting = frozenset(i for i in range(n_env) if rng.random() < 0.4)
     unsafe = frozenset(i for i in range(n_env) if rng.random() < 0.3)
-    return GameArena(
-        objective=objective,
-        inputs=inputs,
-        outputs=outputs,
-        env_labels=tuple(range(n_env)),
-        ctrl_origin=tuple(ctrl_origin),
-        env_edges=env_edges,
-        ctrl_edges=ctrl_edges,
+    return GameArena.from_edges(
+        objective,
+        inputs,
+        outputs,
+        env_edges,
+        ctrl_edges,
         initial=rng.randrange(n_env),
         accepting=accepting if objective == "buchi" else frozenset(),
         unsafe=unsafe if objective == "safety" else frozenset(),

@@ -367,17 +367,6 @@ def reference_safety_game(negated, bound, inputs, outputs) -> ReferenceArena:
     )
 
 
-def reference_mark_edges_absent(arena, valuation, predicate_atoms) -> int:
-    """Edge marking by projecting each edge's input valuation."""
-    count = 0
-    for row in arena.env_edges:
-        for edge in row:
-            if edge.present and edge.valuation.restrict(predicate_atoms) == valuation:
-                edge.present = False
-                count += 1
-    return count
-
-
 def reference_attractor(arena, owner, base, alive):
     """Layered attractor by rescanning every live node once per layer;
     returns the attracted set and each member's layer (base nodes 0)."""
@@ -406,6 +395,416 @@ def reference_attractor(arena, owner, base, alive):
         for node in fresh:
             attr.add(node)
             rank[node] = current
+
+
+# -- object-level game solving and extraction ---------------------------------
+#
+# The library keeps an arena as flat int arrays with a predecessor index built
+# once, ranks and regions as arrays, and breaks ties on per-letter sort ranks;
+# the versions below are the ones it replaced, on arenas of edge objects with
+# ``NodeId`` sets and rank dicts.  ``object_arena`` copies a library arena into
+# that form, with its own mutable edges, so marking one leaves the other alone.
+
+
+@dataclass
+class ObjectEnvEdge:
+    valuation: object
+    target: int
+    present: bool = True
+    bits: int = 0  # ``valuation`` encoded over the arena's inputs
+
+
+@dataclass
+class ObjectArena:
+    objective: str
+    inputs: tuple
+    outputs: tuple
+    env_labels: tuple
+    env_edges: list  # per env node, its ``ObjectEnvEdge``s
+    ctrl_edges: list  # per ctrl node, its ``CtrlEdge``s
+    initial: int = 0
+    accepting: frozenset = frozenset()
+    unsafe: frozenset = frozenset()
+
+    @property
+    def n_env(self) -> int:
+        return len(self.env_edges)
+
+    @property
+    def n_ctrl(self) -> int:
+        return len(self.ctrl_edges)
+
+    def nodes(self) -> list:
+        return [("env", i) for i in range(self.n_env)] + [
+            ("ctrl", i) for i in range(self.n_ctrl)
+        ]
+
+    def present_env_edges(self, i: int) -> list:
+        return [e for e in self.env_edges[i] if e.present]
+
+
+def object_arena(arena) -> ObjectArena:
+    """A library arena as edge objects, read through its views."""
+    return ObjectArena(
+        objective=arena.objective,
+        inputs=arena.inputs,
+        outputs=arena.outputs,
+        env_labels=arena.env_labels,
+        env_edges=[
+            [ObjectEnvEdge(e.valuation, e.target, e.present, e.bits) for e in row]
+            for row in arena.env_edges
+        ],
+        ctrl_edges=[list(row) for row in arena.ctrl_edges],
+        initial=arena.initial,
+        accepting=arena.accepting,
+        unsafe=arena.unsafe,
+    )
+
+
+def _edge_key(edge) -> tuple:
+    return (edge.valuation.sort_key(), edge.target)
+
+
+def reference_linear_attractor(arena, owner, base, alive):
+    """Linear attractor over edge objects: predecessor lists and pending
+    counts rebuilt on every call; returns the attracted set and each
+    member's layer."""
+    from array import array
+
+    n_env = arena.n_env
+    n = n_env + arena.n_ctrl  # env node i is i, ctrl node i is n_env + i
+    live = bytearray(n)
+    named: list = [None] * n
+    for node in alive:
+        kind, i = node
+        k = i if kind == "env" else n_env + i
+        live[k] = 1
+        named[k] = node
+
+    preds: list[list[int]] = [[] for _ in range(n)]
+    pending = [0] * n
+    for i, row in enumerate(arena.env_edges):
+        if live[i]:
+            count = 0
+            for e in row:
+                t = n_env + e.target
+                if e.present and live[t]:
+                    preds[t].append(i)
+                    count += 1
+            pending[i] = count
+    for i, row in enumerate(arena.ctrl_edges):
+        k = n_env + i
+        if live[k]:
+            count = 0
+            for e in row:
+                t = e.target
+                if live[t]:
+                    preds[t].append(k)
+                    count += 1
+            pending[k] = count
+    owner_is_env = owner == "env"
+
+    rank = array("i", [-1]) * n
+    layer = []
+    for kind, i in base & alive:
+        node = i if kind == "env" else n_env + i
+        rank[node] = 0
+        layer.append(node)
+    stuck = [
+        node
+        for node in range(n)
+        if live[node] and not pending[node] and rank[node] < 0
+        and (node < n_env) != owner_is_env
+    ]
+    current = 0
+    while layer or stuck:
+        current += 1
+        fresh, stuck = stuck, []
+        for node in fresh:
+            rank[node] = current
+        for node in layer:
+            for p in preds[node]:
+                if rank[p] >= 0:
+                    continue
+                if (p < n_env) != owner_is_env:
+                    pending[p] -= 1
+                    if pending[p]:
+                        continue
+                rank[p] = current
+                fresh.append(p)
+        layer = fresh
+
+    ranked = {named[node]: r for node, r in enumerate(rank) if r >= 0}
+    return set(ranked), ranked
+
+
+@dataclass
+class ObjectSolution:
+    arena: ObjectArena
+    ctrl_region: frozenset
+    env_region: frozenset
+    ctrl_strategy: dict
+    env_strategy: dict
+    env_candidates: dict
+
+    @property
+    def ctrl_wins(self) -> bool:
+        return ("env", self.arena.initial) in self.ctrl_region
+
+
+def _object_env_candidates(arena, env_node, rank) -> tuple:
+    own_rank = rank[("env", env_node)]
+    out = []
+    for edge in arena.present_env_edges(env_node):
+        target = ("ctrl", edge.target)
+        if target not in rank:
+            continue
+        if own_rank == 0:
+            if rank[target] == 0:
+                out.append(edge)
+        elif rank[target] < own_rank:
+            out.append(edge)
+    return tuple(sorted(out, key=_edge_key))
+
+
+def reference_solve_safety(arena) -> ObjectSolution:
+    nodes = set(arena.nodes())
+    base = {("env", u) for u in arena.unsafe}
+    attr, rank = reference_linear_attractor(arena, "env", base, nodes)
+    ctrl_region = frozenset(nodes - attr)
+    ctrl_strategy = {}
+    for i in range(arena.n_ctrl):
+        if ("ctrl", i) in ctrl_region:
+            safe = [e for e in arena.ctrl_edges[i] if ("env", e.target) in ctrl_region]
+            if safe:
+                ctrl_strategy[i] = min(safe, key=_edge_key)
+    env_strategy, env_candidates = {}, {}
+    for i in range(arena.n_env):
+        if ("env", i) not in attr:
+            continue
+        candidates = _object_env_candidates(arena, i, rank)
+        env_candidates[i] = candidates
+        if candidates:
+            env_strategy[i] = candidates[0]
+    return ObjectSolution(
+        arena, ctrl_region, frozenset(attr), ctrl_strategy, env_strategy, env_candidates
+    )
+
+
+def reference_solve_buchi(arena) -> ObjectSolution:
+    alive = set(arena.nodes())
+    env_strategy, env_candidates = {}, {}
+    reach_rank = {}
+    while True:
+        goal = {("env", q) for q in arena.accepting} & alive
+        reach, reach_rank = reference_linear_attractor(arena, "ctrl", goal, alive)
+        trapped = alive - reach
+        if not trapped:
+            break
+        removed, removed_rank = reference_linear_attractor(arena, "env", trapped, alive)
+        for kind, i in removed:
+            if kind != "env":
+                continue
+            candidates = _object_env_candidates(arena, i, removed_rank)
+            env_candidates[i] = candidates
+            if candidates:
+                env_strategy[i] = candidates[0]
+        alive -= removed
+    ctrl_region = frozenset(alive)
+    env_region = frozenset(set(arena.nodes()) - alive)
+    ctrl_strategy = {}
+    for i in range(arena.n_ctrl):
+        node = ("ctrl", i)
+        if node not in ctrl_region:
+            continue
+        own = reach_rank[node]
+        good = [
+            e
+            for e in arena.ctrl_edges[i]
+            if ("env", e.target) in reach_rank and reach_rank[("env", e.target)] < own
+        ]
+        if good:
+            ctrl_strategy[i] = min(good, key=_edge_key)
+    return ObjectSolution(
+        arena, ctrl_region, env_region, ctrl_strategy, env_strategy, env_candidates
+    )
+
+
+def reference_solve(arena) -> ObjectSolution:
+    if arena.objective == "buchi":
+        return reference_solve_buchi(arena)
+    return reference_solve_safety(arena)
+
+
+def reference_extract_controller(solution):
+    from numltl.games import GameError, MealyController
+
+    arena = solution.arena
+    if not solution.ctrl_wins:
+        raise GameError("initial node is not controller-winning")
+    numbering = {arena.initial: 0}
+    order = [arena.initial]
+    step = {}
+    queue = deque([arena.initial])
+    while queue:
+        env_node = queue.popleft()
+        for edge in sorted(arena.present_env_edges(env_node), key=_edge_key):
+            answer = solution.ctrl_strategy.get(edge.target)
+            if answer is None:
+                raise GameError("controller strategy has no answer at a reachable node")
+            if answer.target not in numbering:
+                numbering[answer.target] = len(order)
+                order.append(answer.target)
+                queue.append(answer.target)
+            step[(numbering[env_node], edge.valuation)] = (
+                answer.valuation,
+                numbering[answer.target],
+            )
+    return MealyController(arena.inputs, arena.outputs, len(order), 0, step)
+
+
+def reference_extract_counter_strategy(solution):
+    from numltl.games import CounterStrategy, GameError
+
+    arena = solution.arena
+    if solution.ctrl_wins:
+        raise GameError("initial node is controller-winning; no counter-strategy exists")
+    candidates, transitions, spoiled = {}, {}, set()
+    seen = {arena.initial}
+    order = [arena.initial]
+    queue = deque([arena.initial])
+    while queue:
+        s = queue.popleft()
+        edges = solution.env_candidates.get(s, ())
+        if not edges:
+            spoiled.add(s)
+            candidates[s] = ()
+            continue
+        candidates[s] = tuple(e.valuation for e in edges)
+        for edge in edges:
+            answers = {}
+            for ctrl_edge in arena.ctrl_edges[edge.target]:
+                best = answers.get(ctrl_edge.valuation)
+                if best is None or ctrl_edge.target < best:
+                    answers[ctrl_edge.valuation] = ctrl_edge.target
+            for vout, nxt in answers.items():
+                transitions[(s, edge.valuation, vout)] = nxt
+                if nxt not in seen:
+                    seen.add(nxt)
+                    order.append(nxt)
+                    queue.append(nxt)
+    return CounterStrategy(
+        inputs=arena.inputs,
+        outputs=arena.outputs,
+        states=tuple(order),
+        initial=arena.initial,
+        candidates=candidates,
+        transitions=transitions,
+        spoiled=frozenset(spoiled),
+    )
+
+
+def reference_restrict_counter_strategy(cs, keep):
+    from numltl.games import CounterStrategy
+
+    moves = {}
+    for (state, vin, vout), nxt in cs.transitions.items():
+        moves.setdefault(state, []).append((vin, vout, nxt))
+    seen = {cs.initial}
+    order = [cs.initial]
+    queue = deque([cs.initial])
+    candidates, transitions = {}, {}
+    while queue:
+        s = queue.popleft()
+        chosen = keep.get(s, cs.candidates.get(s, ()))
+        candidates[s] = chosen
+        for vin, vout, nxt in moves.get(s, ()):
+            if vin not in chosen:
+                continue
+            transitions[(s, vin, vout)] = nxt
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+                queue.append(nxt)
+    return CounterStrategy(
+        inputs=cs.inputs,
+        outputs=cs.outputs,
+        states=tuple(order),
+        initial=cs.initial,
+        candidates=candidates,
+        transitions=transitions,
+        spoiled=frozenset(s for s in cs.spoiled if s in seen),
+    )
+
+
+def reference_select_counter_inputs(cs, checked, predicate_atoms):
+    """Greedy cover over projections made by ``Valuation.restrict`` on every
+    candidate."""
+    proven = checked.proven(INPUT_SIDE)
+
+    def settled(projection) -> bool:
+        return not projection.atoms or projection in proven
+
+    keep, uncovered = {}, []
+    for s in cs.states:
+        cands = cs.candidates.get(s, ())
+        if not cands:
+            keep[s] = ()
+            continue
+        good = tuple(c for c in cands if settled(c.restrict(predicate_atoms)))
+        if good:
+            keep[s] = good
+        else:
+            uncovered.append(s)
+    selected = []
+    if uncovered:
+        covers = {}
+        for s in uncovered:
+            for c in cs.candidates[s]:
+                covers.setdefault(c.restrict(predicate_atoms), set()).add(s)
+        remaining = set(uncovered)
+        while remaining:
+            best = min(
+                covers, key=lambda p: (-len(covers[p] & remaining), p.sort_key())
+            )
+            selected.append(best)
+            remaining -= covers[best]
+        chosen = set(selected)
+        for s in uncovered:
+            keep[s] = tuple(
+                c for c in cs.candidates[s] if c.restrict(predicate_atoms) in chosen
+            )
+    return reference_restrict_counter_strategy(cs, keep), set(selected)
+
+
+def reference_masked_mark_edges_absent(arena, valuation, predicate_atoms) -> int:
+    """Edge marking on an ``ObjectArena`` by comparing each edge's input bits
+    with the valuation's masks, when it fixes exactly the predicate atoms
+    among the arena's inputs."""
+    fixed = set(predicate_atoms) & set(arena.inputs)
+    if set(valuation.atoms) != fixed:
+        return 0
+    position = {name: k for k, name in enumerate(arena.inputs)}
+    care, value = valuation.masks(position)
+    count = 0
+    for row in arena.env_edges:
+        for edge in row:
+            if edge.present and edge.bits & care == value:
+                edge.present = False
+                count += 1
+    return count
+
+
+def reference_mark_edges_absent(arena, valuation, predicate_atoms) -> int:
+    """Edge marking on an ``ObjectArena`` by projecting each edge's input
+    valuation."""
+    count = 0
+    for row in arena.env_edges:
+        for edge in row:
+            if edge.present and edge.valuation.restrict(predicate_atoms) == valuation:
+                edge.present = False
+                count += 1
+    return count
 
 
 @dataclass

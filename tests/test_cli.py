@@ -124,6 +124,28 @@ class TestSynthCommand:
         assert main(["synth", THRESHOLD, flag, "0"]) == EXIT_INPUT_ERROR
         assert "must be positive" in capsys.readouterr().err
 
+    def test_unwritable_out_is_an_input_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.ctrl"
+        assert main(["synth", THRESHOLD, "--out", str(out)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+
+    def test_unwritable_transcript_is_an_input_error(self, tmp_path, capsys):
+        out, log = tmp_path / "x.ctrl", tmp_path / "missing" / "run.log"
+        code = main(["synth", THRESHOLD, "--out", str(out), "--transcript", str(log)])
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(log) in err
+
+    def test_unwritable_dot_is_an_input_error(self, tmp_path, capsys):
+        # the artifact is written first, then the graph fails
+        out, dot = tmp_path / "x.cs", tmp_path / "missing" / "x.dot"
+        code = main(["synth", TRIPLE, "--max-bound", "1", "--out", str(out), "--dot", str(dot)])
+        assert code == EXIT_INPUT_ERROR
+        assert out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(dot) in err
+
     def test_zero_denominator_is_an_input_error(self, tmp_path, capsys):
         spec = tmp_path / "bad.spec"
         spec.write_text("REAL x IN [0, 1]\nPRED p := x > 1/0\nOUTPUT b\np -> b\n")

@@ -235,13 +235,16 @@ class TestSafetyArenaConstruction:
         with pytest.raises(GameError, match="successor table"):
             build_safety_game(other, 2, other.atoms, (), successors)
 
-    def test_ctrl_edges_are_shared_per_output_and_target(self):
+    def test_ctrl_rows_answer_each_output_once_in_letter_order(self):
         formula = document_formula(parse_spec(self.TWO_OUTPUTS))
         negated = negate_and_translate(formula, ("r", "g", "h"))
         arena = build_safety_game(negated, 2, ("r",), ("g", "h"))
-        edges = {id(e): e for row in arena.ctrl_edges for e in row}
-        assert len(edges) == len({(e.valuation, e.target) for e in edges.values()})
-        assert len(edges) < sum(len(row) for row in arena.ctrl_edges)
+        n_out = len(arena.letters.outputs)
+        assert n_out == 4
+        assert list(arena.ctrl_start) == list(range(0, arena.n_ctrl * n_out + 1, n_out))
+        assert list(arena.ctrl_letter) == list(range(n_out)) * arena.n_ctrl
+        for row in arena.ctrl_edges:
+            assert [e.valuation for e in row] == list(all_valuations(("g", "h")))
 
     TWO_OUTPUTS = "INPUT r\nOUTPUT g, h\nALWAYS (r -> NEXT (g || h))\nALWAYS (!(g && h))\n"
 
@@ -261,47 +264,30 @@ def test_class_index_numbers_every_letter(n_classes, n_letters):
 
 class TestStuckNodeConventions:
     def test_stuck_env_node_is_controller_winning(self):
-        arena = GameArena(
-            objective="buchi",
-            inputs=("a",),
-            outputs=(),
-            env_labels=(0,),
-            ctrl_origin=(),
-            env_edges=[[]],
-            ctrl_edges=[],
-            initial=0,
-            accepting=frozenset(),
-        )
+        arena = GameArena.from_edges("buchi", ("a",), (), [[]], [])
         assert (ENV, 0) in solve_buchi(arena).ctrl_region
 
     def test_stuck_ctrl_node_is_env_winning(self):
-        arena = GameArena(
-            objective="buchi",
-            inputs=("a",),
-            outputs=(),
-            env_labels=(0,),
-            ctrl_origin=((0, v(a=True)),),
-            env_edges=[[EnvEdge(v(a=True), 0, bits=1)]],
-            ctrl_edges=[[]],
-            initial=0,
+        arena = GameArena.from_edges(
+            "buchi",
+            ("a",),
+            (),
+            [[EnvEdge(v(a=True), 0, bits=1)]],
+            [[]],
             accepting=frozenset({0}),
         )
         solution = solve_buchi(arena)
         assert solution.env_region == frozenset({(ENV, 0), (CTRL, 0)})
 
     def test_unsafe_beats_stuckness(self):
-        arena = GameArena(
-            objective="safety",
-            inputs=("a",),
-            outputs=(),
-            env_labels=(0,),
-            ctrl_origin=(),
-            env_edges=[[]],
-            ctrl_edges=[],
-            initial=0,
-            unsafe=frozenset({0}),
-        )
+        arena = GameArena.from_edges("safety", ("a",), (), [[]], [], unsafe=frozenset({0}))
         assert (ENV, 0) in solve_safety(arena).env_region
+
+    def test_edges_must_be_numbered_as_their_ctrl_nodes(self):
+        with pytest.raises(GameError, match="ctrl node 0"):
+            GameArena.from_edges("buchi", ("a",), (), [[EnvEdge(v(a=True), 1, bits=1)]], [[]])
+        with pytest.raises(GameError, match="one ctrl row per env edge"):
+            GameArena.from_edges("buchi", ("a",), (), [[EnvEdge(v(a=True), 0, bits=1)]], [])
 
 
 class TestBuchiSolving:
@@ -481,8 +467,8 @@ class TestCounterStrategy:
                 continue
             keep = pick(chosen, key=lambda val: val.sort_key())
             for edge in restricted.env_edges[s]:
-                if edge.present and edge.valuation != keep:
-                    edge.present = False
+                if edge.valuation != keep:
+                    restricted.present[edge.target] = 0
         return solve(restricted).ctrl_wins
 
     def test_any_single_candidate_choice_stays_winning(self):
