@@ -568,9 +568,10 @@ def _attractor(
     which is vacuously true for stuck opponent nodes.
 
     Linear in the arena (Grädel, Thomas & Wilke, LNCS 2500): every opponent
-    node counts its edges not yet attracted, and the layers are processed
-    breadth-first, so a node joins one layer after the edge that completes
-    its condition, the layer the round-by-round fixpoint gives it.
+    node counts its successors not yet attracted, and the layers are
+    processed breadth-first, so a node joins one layer after the successor
+    that completes its condition, the layer the round-by-round fixpoint
+    gives it.
     """
     n_env = arena.n_env
     present = arena.present
@@ -720,9 +721,9 @@ def solve_safety(arena: GameArena) -> GameSolution:
     if arena.objective != "safety":
         msg = f"expected a safety arena, got {arena.objective}"
         raise GameError(msg)
-    n = arena.n_env + arena.n_ctrl
-    degree = arena.predecessors().degree
-    return GameSolution(arena, _attractor(arena, True, arena.unsafe, array("i", [-1]) * n, degree[:]))
+    live = array("i", [-1]) * (arena.n_env + arena.n_ctrl)
+    pending = arena.predecessors().degree[:]
+    return GameSolution(arena, _attractor(arena, True, arena.unsafe, live, pending))
 
 
 def solve_buchi(arena: GameArena) -> GameSolution:

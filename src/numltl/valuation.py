@@ -12,8 +12,9 @@ arena fixes one atom order, ``inputs + outputs``, and atom ``k`` of it is
 bit ``k``; a letter is then ``in_bits | out_bits``.  A valuation lowers to a
 ``(care, value)`` pair of masks and matches a letter when
 ``letter & care == value``.  ``Valuation`` objects appear only at API
-boundaries: automaton guards, arena edges, controllers, counter-strategies,
-artifacts, transcripts and evidence.
+boundaries: automaton guards, controllers, counter-strategies, artifacts,
+transcripts and evidence.  An arena stores letter numbers and takes its
+valuations from one shared table per atom order (``games.letters_of``).
 """
 
 from __future__ import annotations

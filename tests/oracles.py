@@ -6,8 +6,10 @@ definition of the basis, games and automata get their own brute-force
 counterparts, and (further down) the arena builders, the attractor and the
 tableau keep the object-level versions the library replaced with
 bit-packed, interned and memoised ones (the tableau with its object-guarded
-degeneralization and simplification), the guarantee monitor keeps its
-per-trigger rescans, and the Bernstein search keeps the
+degeneralization and simplification), the game solvers, strategy
+extraction, counter-input selection and edge marking keep the versions on
+arenas of edge objects that flat arrays replaced, the guarantee monitor
+keeps its per-trigger rescans, and the Bernstein search keeps the
 substitute-then-convert enclosures and sample evaluation that the dense
 per-dimension conversion replaced, and the specification front end keeps
 the character-by-character lexer and the name-keyed polynomial parser that
