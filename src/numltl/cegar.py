@@ -42,14 +42,15 @@ from .bernstein import (
 from .games import (
     CounterStrategy,
     GameArena,
+    GameSolution,
     MealyController,
     SuccessorTable,
     build_buchi_game,
     build_safety_game,
+    counter_edges,
     extract_controller,
     extract_counter_strategy,
     mark_edges_absent,
-    restrict_counter_strategy,
     solve,
 )
 from .valuation import Valuation
@@ -203,63 +204,56 @@ def _checked(
 
 
 def select_counter_inputs(
-    cs: CounterStrategy,
+    solution: GameSolution,
     checked: CheckedCache,
     predicate_atoms: tuple[str, ...],
-) -> tuple[CounterStrategy, set[Valuation]]:
+) -> tuple[dict[int, tuple[int, ...]], set[Valuation]]:
     """Prefer already-proven inputs; cover the rest greedily.
 
-    Every state first keeps its candidates whose predicate projection is
-    already proven feasible (an empty projection counts as proven).  States
-    left without one are covered by repeatedly picking the unproven
-    projection that covers the most remaining states (ties broken
-    lexicographically).  Returns the narrowed counter-strategy and the
+    Works on the env nodes the unrestricted counter-strategy reaches (see
+    ``games.counter_edges``).  Every node first keeps its candidate edges
+    whose input's predicate projection is already proven feasible (an empty
+    projection counts as proven).  Nodes left without one are covered by
+    repeatedly picking the unproven projection that covers the most
+    remaining nodes (ties broken lexicographically).  Returns the kept
+    candidate edges per node, for ``extract_counter_strategy``, and the
     distinct unproven projections the cover relies on.
 
-    Each distinct candidate is projected once, to the ``(care, value)``
-    masks of its predicate atoms; equal masks are equal projections, and
-    the cover works on the masks.
+    A projection is an input letter's bits masked to the predicate atoms;
+    each distinct one is made a ``Valuation`` once, for the cache lookup and
+    the tie-break.
     """
+    arena = solution.arena
+    letters = arena.letters
+    mask = 0
+    for name in set(predicate_atoms) & set(arena.inputs):
+        mask |= 1 << letters.position[name]
+    projected = [bits & mask for bits in letters.input_bits]  # per input letter
+    projection: dict[int, Valuation] = {}
+    for j, p in enumerate(projected):
+        if p not in projection:
+            projection[p] = letters.inputs[j].restrict(predicate_atoms)
     proven = checked.proven(sl.INPUT_SIDE)
-    bit = {name: 1 << k for k, name in enumerate(sorted(set(predicate_atoms)))}
-    masks_of: dict[Valuation, tuple[int, int]] = {}
-    projection: dict[tuple[int, int], Valuation] = {}
-    settled: dict[tuple[int, int], bool] = {}
+    settled = {p: not mask or v in proven for p, v in projection.items()}
+    letter_settled = [settled[p] for p in projected]
+    letter = arena.env_letter
 
-    def project(c: Valuation) -> tuple[int, int]:
-        masks = masks_of.get(c)
-        if masks is None:
-            care = value = 0
-            for name, truth in c.pairs:
-                if name in bit:
-                    care |= bit[name]
-                    if truth:
-                        value |= bit[name]
-            masks = masks_of[c] = (care, value)
-            if masks not in projection:
-                p = projection[masks] = c.restrict(predicate_atoms)
-                settled[masks] = not p.atoms or p in proven
-        return masks
-
-    keep: dict[int, tuple[Valuation, ...]] = {}
+    reached = counter_edges(solution)
+    keep: dict[int, tuple[int, ...]] = {}
     uncovered: list[int] = []
-    for s in cs.states:
-        cands = cs.candidates.get(s, ())
-        if not cands:
-            keep[s] = ()
-            continue
-        good = tuple(c for c in cands if settled[project(c)])
-        if good:
+    for s, edges in reached.items():
+        good = tuple(k for k in edges if letter_settled[letter[k]])
+        if good or not edges:
             keep[s] = good
         else:
             uncovered.append(s)
 
-    selected: list[tuple[int, int]] = []
+    selected: list[int] = []
     if uncovered:
-        covers: dict[tuple[int, int], set[int]] = {}
+        covers: dict[int, set[int]] = {}
         for s in uncovered:
-            for c in cs.candidates[s]:
-                covers.setdefault(project(c), set()).add(s)
+            for k in reached[s]:
+                covers.setdefault(projected[letter[k]], set()).add(s)
         remaining = set(uncovered)
         while remaining:
             best = min(
@@ -270,8 +264,8 @@ def select_counter_inputs(
             remaining -= covers[best]
         chosen = set(selected)
         for s in uncovered:
-            keep[s] = tuple(c for c in cs.candidates[s] if project(c) in chosen)
-    return restrict_counter_strategy(cs, keep), {projection[p] for p in selected}
+            keep[s] = tuple(k for k in reached[s] if projected[letter[k]] in chosen)
+    return keep, {projection[p] for p in selected}
 
 
 # -- controller output duality -------------------------------------------------
@@ -457,11 +451,13 @@ def synthesize(
     Alternates game solving with exact theory checks: a controller win is
     kept only if every output valuation it emits is feasible (otherwise the
     first offending cube becomes a guarantee refinement and the arena is
-    rebuilt); an environment win is kept only if the counter-strategy's
-    selected inputs are all feasible (otherwise the first infeasible cube
-    becomes an assumption refinement, marked absent in the standing arena).
-    Safety-game runs escalate the bound schedule before giving up.  A
-    ``cache`` kept from an earlier run must be for the same predicate table.
+    rebuilt); an environment win is kept only if the counter-inputs
+    selected on the solution are all feasible (otherwise the first
+    infeasible cube becomes an assumption refinement, marked absent in the
+    standing arena).  Safety-game runs escalate the bound schedule before
+    giving up; only then is the counter-strategy built, once, along the
+    candidate edges the last selection kept.  A ``cache`` kept from an
+    earlier run must be for the same predicate table.
     """
     cfg = cfg if cfg is not None else CegarConfig()
     transcript = transcript if transcript is not None else Transcript()
@@ -490,7 +486,7 @@ def synthesize(
         if arena is None:
             # the last round's solution holds the old arena: drop it, and
             # the strategies drawn from it, before the new one is built
-            solution = controller = cs = restricted = None
+            solution = controller = keep = None
             work, mux = _encoded(spec, cfg)
             if cfg.algorithm == SAFETY:
                 bound = cfg.bound_schedule[bound_index]
@@ -519,8 +515,7 @@ def synthesize(
             arena = successors = None
             continue
 
-        cs = extract_counter_strategy(solution)
-        restricted, unproven = select_counter_inputs(cs, cache, input_atoms)
+        keep, unproven = select_counter_inputs(solution, cache, input_atoms)
         culprit = None
         try:
             for v in sorted(unproven):
@@ -547,7 +542,8 @@ def synthesize(
             bound_index += 1
             arena = None
             continue
-        evidence = _genuineness_evidence(restricted, cache, input_atoms)
+        cs = extract_counter_strategy(solution, keep)
+        evidence = _genuineness_evidence(cs, cache, input_atoms)
         shown = bound if bound is not None else "none"
         transcript.verdict(f"unrealizable-within-bound bound={shown}")
-        return UnrealizableWithinBound(bound, restricted, evidence, spec, mux)
+        return UnrealizableWithinBound(bound, cs, evidence, spec, mux)

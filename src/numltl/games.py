@@ -32,9 +32,12 @@ builds a predecessor index: the ctrl nodes with an edge into each env node,
 and the env node owning each ctrl node.  Marking env edges absent only clears
 ``present`` bits, so the index serves every later solve.  Solving numbers
 env node ``i`` as ``i`` and ctrl node ``k`` as ``n_env + k`` and keeps the
-attractor layers in arrays.  Strategies are read off those layers by the
-extraction functions, which build ``Valuation``s (the alphabet's shared
-ones) only to fill a ``MealyController`` or a ``CounterStrategy``.
+attractor layers in arrays.  Strategies are read off those layers as edge
+numbers: ``counter_edges`` walks the env nodes the counter-strategy reaches
+with their candidate edges, which is all the loop's counter-input selection
+reads.  The extraction functions build ``Valuation``s (the alphabet's shared
+ones) only to fill a ``MealyController``, or a ``CounterStrategy`` along the
+candidate edges a selection kept.
 ``EnvEdge`` / ``CtrlEdge`` rows, the ``NodeId`` region sets and the
 strategy dicts of a solution are read-only views for tests and oracles.
 
@@ -840,93 +843,81 @@ class CounterStrategy:
     spoiled: frozenset[int]  # terminal states where the objective is already lost
 
 
-def extract_counter_strategy(solution: GameSolution) -> CounterStrategy:
+def _answers(arena: GameArena, k: int, every_letter: array) -> tuple:
+    """The output letters of ctrl node ``k`` in order of first appearance,
+    and for each the least target it leads to."""
+    row = slice(arena.ctrl_start[k], arena.ctrl_start[k + 1])
+    answered = arena.ctrl_letter[row]
+    if answered == every_letter:  # each output once, in order
+        return answered, arena.ctrl_target[row]
+    least: dict[int, int] = {}
+    for out, target in zip(answered, arena.ctrl_target[row]):
+        best = least.get(out)
+        if best is None or target < best:
+            least[out] = target
+    return least.keys(), least.values()
+
+
+def counter_edges(
+    solution: GameSolution, keep: dict[int, tuple[int, ...]] | None = None
+) -> dict[int, tuple[int, ...]]:
+    """The candidate edges of every env node the counter-strategy reaches,
+    in breadth-first order from the initial node: each edge leads on to its
+    ctrl node's least target per output.  ``keep`` narrows the candidate
+    edges of the nodes it names; without it every candidate is followed."""
+    arena = solution.arena
+    every_letter = array("i", range(len(arena.letters.outputs)))
+    reached: dict[int, tuple[int, ...]] = {arena.initial: ()}
+    queue = deque([arena.initial])
+    while queue:
+        s = queue.popleft()
+        edges = solution.candidate_edges(s) if solution.env_rank[s] >= 0 else ()
+        if keep is not None and edges:
+            edges = keep.get(s, edges)
+        reached[s] = tuple(edges)
+        for k in edges:
+            for nxt in _answers(arena, k, every_letter)[1]:
+                if nxt not in reached:
+                    reached[nxt] = ()
+                    queue.append(nxt)
+    return reached
+
+
+def extract_counter_strategy(
+    solution: GameSolution, keep: dict[int, tuple[int, ...]] | None = None
+) -> CounterStrategy:
     """Spoiler transducer over the env-winning region, carrying per-state
-    candidate inputs (each single-candidate restriction stays winning)."""
+    candidate inputs (each single-candidate restriction stays winning).
+
+    States, candidates and transitions are filled along the edges
+    ``counter_edges`` follows, so ``keep`` narrows them the same way.  A
+    state is spoiled when it has no candidate at all, whatever ``keep``
+    says."""
     arena = solution.arena
     if solution.ctrl_wins:
         msg = "initial node is controller-winning; no counter-strategy exists"
         raise GameError(msg)
     inputs, outputs = arena.letters.inputs, arena.letters.outputs
-    ctrl_start, ctrl_letter, ctrl_target = arena.ctrl_start, arena.ctrl_letter, arena.ctrl_target
     every_letter = array("i", range(len(outputs)))
+    reached = counter_edges(solution, keep)
     candidates: dict[int, tuple[Valuation, ...]] = {}
     transitions: dict[tuple[int, Valuation, Valuation], int] = {}
-    spoiled: set[int] = set()
-    seen = {arena.initial}
-    order = [arena.initial]
-    queue = deque([arena.initial])
-    while queue:
-        s = queue.popleft()
-        edges = solution.candidate_edges(s) if solution.env_rank[s] >= 0 else []
-        if not edges:
-            spoiled.add(s)
-            candidates[s] = ()
-            continue
+    for s, edges in reached.items():
         candidates[s] = tuple(inputs[arena.env_letter[k]] for k in edges)
         for k, vin in zip(edges, candidates[s]):
-            row = slice(ctrl_start[k], ctrl_start[k + 1])
-            if ctrl_letter[row] == every_letter:  # each output once, in order
-                answered, targets = outputs, ctrl_target[row]
-            else:
-                # per output letter, in order of first appearance: the least target
-                answers: dict[int, int] = {}
-                for out, target in zip(ctrl_letter[row], ctrl_target[row]):
-                    best = answers.get(out)
-                    if best is None or target < best:
-                        answers[out] = target
-                answered = [outputs[out] for out in answers]
-                targets = answers.values()
-            transitions.update(zip(zip(repeat(s), repeat(vin), answered), targets))
-            for nxt in targets:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    order.append(nxt)
-                    queue.append(nxt)
+            answered, targets = _answers(arena, k, every_letter)
+            vouts = map(outputs.__getitem__, answered)
+            transitions.update(zip(zip(repeat(s), repeat(vin), vouts), targets))
     return CounterStrategy(
         inputs=arena.inputs,
         outputs=arena.outputs,
-        states=tuple(order),
+        states=tuple(reached),
         initial=arena.initial,
         candidates=candidates,
         transitions=transitions,
-        spoiled=frozenset(spoiled),
-    )
-
-
-def restrict_counter_strategy(
-    cs: CounterStrategy, keep: dict[int, tuple[Valuation, ...]]
-) -> CounterStrategy:
-    """Counter-strategy narrowed to the kept candidate inputs, re-trimmed to
-    the states still reachable from the initial state."""
-    moves: dict[int, list[tuple[Valuation, Valuation, int]]] = {}
-    for (state, vin, vout), nxt in cs.transitions.items():
-        moves.setdefault(state, []).append((vin, vout, nxt))
-    seen = {cs.initial}
-    order = [cs.initial]
-    queue = deque([cs.initial])
-    candidates: dict[int, tuple[Valuation, ...]] = {}
-    transitions: dict[tuple[int, Valuation, Valuation], int] = {}
-    while queue:
-        s = queue.popleft()
-        chosen = keep.get(s, cs.candidates.get(s, ()))
-        candidates[s] = chosen
-        for vin, vout, nxt in moves.get(s, ()):
-            if vin not in chosen:
-                continue
-            transitions[(s, vin, vout)] = nxt
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-                queue.append(nxt)
-    return CounterStrategy(
-        inputs=cs.inputs,
-        outputs=cs.outputs,
-        states=tuple(order),
-        initial=cs.initial,
-        candidates=candidates,
-        transitions=transitions,
-        spoiled=frozenset(s for s in cs.spoiled if s in seen),
+        spoiled=frozenset(
+            s for s, edges in reached.items() if not edges and not solution.candidate_edges(s)
+        ),
     )
 
 

@@ -41,7 +41,16 @@ from numltl.cegar import (
     valuation_to_constraints,
     validate_controller_outputs,
 )
-from numltl.games import CounterStrategy, MealyController
+from numltl.games import (
+    CtrlEdge,
+    EnvEdge,
+    GameArena,
+    GameSolution,
+    MealyController,
+    extract_counter_strategy,
+    letters_of,
+    solve,
+)
 from numltl.speclang import parse_spec
 from numltl.valuation import Valuation
 
@@ -160,25 +169,30 @@ class TestCheckedCacheAndTranscript:
         assert t.render() == "\n".join(t.lines) + "\n"
 
 
-def cs_of(candidates: dict[int, tuple[Valuation, ...]]) -> CounterStrategy:
-    """Counter-strategy skeleton whose states stay reachable under any
-    nonempty candidate restriction (every candidate edge advances a cycle)."""
-    states = tuple(sorted(candidates))
+def cycle_solution(candidates: dict[int, tuple[Valuation, ...]]) -> GameSolution:
+    """A solved Büchi arena without accepting nodes, so the environment wins
+    everywhere and every edge is a candidate: state ``s`` has one env edge
+    per candidate input, each leading on to the next state of a cycle, so
+    every state stays reachable under any nonempty candidate restriction."""
+    states = sorted(candidates)
     inputs = next(c for cands in candidates.values() for c in cands).atoms
-    transitions = {}
+    letters = letters_of(inputs, ())
+    bits = dict(zip(letters.inputs, letters.input_bits))
+    env_edges, ctrl_edges = [], []
     for idx, s in enumerate(states):
-        target = states[(idx + 1) % len(states)]
+        row = []
         for c in candidates[s]:
-            transitions[(s, c, Valuation.of({}))] = target
-    return CounterStrategy(
-        inputs=inputs,
-        outputs=(),
-        states=states,
-        initial=states[0],
-        candidates=dict(candidates),
-        transitions=transitions,
-        spoiled=frozenset(s for s, c in candidates.items() if not c),
-    )
+            row.append(EnvEdge(c, len(ctrl_edges), bits=bits[c]))
+            ctrl_edges.append([CtrlEdge(letters.outputs[0], states[(idx + 1) % len(states)])])
+        env_edges.append(row)
+    return solve(GameArena.from_edges(BUCHI, inputs, (), env_edges, ctrl_edges))
+
+
+def selected(solution: GameSolution, cache: CheckedCache, atoms: tuple[str, ...]):
+    """The kept candidate inputs per state, as the restricted
+    counter-strategy carries them, and the unproven projections."""
+    keep, unproven = select_counter_inputs(solution, cache, atoms)
+    return extract_counter_strategy(solution, keep).candidates, unproven
 
 
 class TestSelectCounterInputs:
@@ -186,38 +200,39 @@ class TestSelectCounterInputs:
 
     def test_one_spurious_valuation_can_cover_every_state(self):
         both = v(req1=True, req2=True)
-        cs = cs_of(
+        solution = cycle_solution(
             {
                 0: (both, v(req1=True, req2=False)),
                 1: (both,),
                 2: (both, v(req1=False, req2=True)),
             }
         )
-        restricted, unproven = select_counter_inputs(cs, CheckedCache(), self.ATOMS)
+        kept, unproven = selected(solution, CheckedCache(), self.ATOMS)
         assert unproven == {both}
-        assert restricted.candidates == {0: (both,), 1: (both,), 2: (both,)}
+        assert kept == {0: (both,), 1: (both,), 2: (both,)}
 
     def test_proven_candidates_win_and_nothing_is_left_unproven(self):
         both = v(req1=True, req2=True)
         one = v(req1=True, req2=False)
         cache = CheckedCache()
         cache.inputs[one] = Feasible((Fraction(1), Fraction(0)))
-        cs = cs_of({0: (both, one), 1: (one,)})
-        restricted, unproven = select_counter_inputs(cs, cache, self.ATOMS)
+        solution = cycle_solution({0: (both, one), 1: (one,)})
+        kept, unproven = selected(solution, cache, self.ATOMS)
         assert unproven == set()
-        assert restricted.candidates == {0: (one,), 1: (one,)}
+        assert kept == {0: (one,), 1: (one,)}
 
     def test_without_predicate_atoms_everything_counts_as_proven(self):
-        a, b = v(i=True), v(i=False)
-        cs = cs_of({0: (a, b), 1: (b,)})
-        restricted, unproven = select_counter_inputs(cs, CheckedCache(), ())
+        # candidates come in input rank order, i=0 before i=1
+        a, b = v(i=False), v(i=True)
+        solution = cycle_solution({0: (a, b), 1: (b,)})
+        kept, unproven = selected(solution, CheckedCache(), ())
         assert unproven == set()
-        assert restricted.candidates == {0: (a, b), 1: (b,)}
+        assert kept == {0: (a, b), 1: (b,)}
 
     def test_coverage_ties_break_lexicographically(self):
         low, high = v(p=False), v(p=True)
-        cs = cs_of({0: (low, high), 1: (low, high)})
-        _, unproven = select_counter_inputs(cs, CheckedCache(), ("p",))
+        solution = cycle_solution({0: (low, high), 1: (low, high)})
+        _, unproven = select_counter_inputs(solution, CheckedCache(), ("p",))
         assert unproven == {low}
 
     def test_greedy_cover_matches_the_exhaustive_oracle(self):
@@ -233,14 +248,12 @@ class TestSelectCounterInputs:
             candidates = {
                 s: tuple(rng.sample(words, rng.randint(1, 3))) for s in range(n)
             }
-            cs = cs_of(candidates)
-            restricted, unproven = select_counter_inputs(
-                cs, CheckedCache(), atoms
-            )
-            # every surviving state keeps a candidate from the cover
-            for s in restricted.states:
-                kept = restricted.candidates[s]
-                assert kept and all(c in unproven for c in kept)
+            solution = cycle_solution(candidates)
+            kept, unproven = selected(solution, CheckedCache(), atoms)
+            # every state keeps a candidate from the cover
+            assert set(kept) == set(range(n))
+            for cands in kept.values():
+                assert cands and all(c in unproven for c in cands)
             universe = set(range(n))
             by_word = {w: {s for s in universe if w in candidates[s]} for w in words}
             best = minimum_cover_size(universe, [by_word[w] for w in words])
@@ -249,7 +262,7 @@ class TestSelectCounterInputs:
             assert len(unproven) >= best
             assert (len(unproven) == 1) == (best == 1)
             assert len(unproven) <= 3 * best
-            again = select_counter_inputs(cs, CheckedCache(), atoms)
+            again = select_counter_inputs(solution, CheckedCache(), atoms)
             assert again[1] == unproven
 
 
@@ -667,6 +680,42 @@ class TestCegarInvariantsUnderInputRefinement(TestCegarInvariants):
 
     generate = staticmethod(random_refinement_document)
     min_input_refinements = 20
+
+
+DATA_DIR = Path(__file__).resolve().parent / "data"
+
+
+class TestCounterStrategyExtraction:
+    """Env-win rounds select counter-inputs on the game solution; only the
+    round that ends unrealizable builds a counter-strategy."""
+
+    @pytest.mark.parametrize(
+        "path, algorithm, realizable",
+        [
+            (DATA_DIR / "arbiter4-overlap.spec", SAFETY, False),
+            (DATA_DIR / "arbiter4-disjoint.spec", SAFETY, True),
+            (SPEC_DIR / "triple_sensor_arbiter.spec", BUCHI, False),
+            (SPEC_DIR / "threshold_arbiter.spec", BUCHI, True),
+        ],
+        ids=lambda x: x.stem if isinstance(x, Path) else str(x),
+    )
+    def test_extracted_once_when_unrealizable_and_never_when_realizable(
+        self, monkeypatch, path, algorithm, realizable
+    ):
+        calls = []
+        real = cegar_module.extract_counter_strategy
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cegar_module, "extract_counter_strategy", counted)
+        transcript = Transcript()
+        verdict = synthesize(parse_spec(path.read_text()), CegarConfig(algorithm), transcript)
+        assert isinstance(verdict, Realizable if realizable else UnrealizableWithinBound)
+        assert len(calls) == (0 if realizable else 1)
+        # the run still had env-win rounds to select counter-inputs in
+        assert any("winner=env" in line for line in transcript.lines)
 
 
 # the 4-client disjoint-band arbiter of the benchmark's arbiter family (its

@@ -28,7 +28,6 @@ from numltl.games import (
     extract_controller,
     extract_counter_strategy,
     mark_edges_absent,
-    restrict_counter_strategy,
     solve,
     solve_buchi,
     solve_safety,
@@ -511,12 +510,43 @@ class TestCounterStrategy:
         with pytest.raises(GameError, match="controller-winning"):
             extract_counter_strategy(solution)
 
-    def test_restriction_trims_unreachable_states(self):
-        arena = build_buchi_game(pin_automaton(), ("a",), ("b",))
-        cs = extract_counter_strategy(solve_buchi(arena))
-        same = restrict_counter_strategy(cs, {0: (v(a=True),)})
-        assert same.states == cs.states
-        assert same.transitions == cs.transitions
+    def test_keeping_every_candidate_changes_nothing(self):
+        solution = solve_buchi(build_buchi_game(pin_automaton(), ("a",), ("b",)))
+        cs = extract_counter_strategy(solution)
+        same = extract_counter_strategy(solution, {0: tuple(solution.candidate_edges(0))})
+        assert same == cs
+
+    def test_kept_edges_trim_unreachable_states(self):
+        # no accepting node: env wins everywhere and every edge is a candidate;
+        # input a=0 leads to state 1, a=1 to state 2, and state 2 stays put
+        a0, a1 = v(a=False), v(a=True)
+        stay = [CtrlEdge(v(b=False), 2), CtrlEdge(v(b=True), 2)]
+        arena = GameArena.from_edges(
+            "buchi",
+            ("a",),
+            ("b",),
+            [
+                [EnvEdge(a0, 0, bits=0), EnvEdge(a1, 1, bits=1)],
+                [EnvEdge(a0, 2, bits=0)],
+                [EnvEdge(a1, 3, bits=1)],
+            ],
+            [[CtrlEdge(v(b=False), 1)], [CtrlEdge(v(b=True), 2)], [CtrlEdge(v(b=True), 0)], stay],
+        )
+        solution = solve(arena)
+        assert extract_counter_strategy(solution).states == (0, 1, 2)
+        kept = extract_counter_strategy(solution, {0: (1,)})
+        assert kept.states == (0, 2)
+        assert kept.candidates == {0: (a1,), 2: (a1,)}
+        assert kept.transitions == {
+            (0, a1, v(b=True)): 2,
+            (2, a1, v(b=False)): 2,
+            (2, a1, v(b=True)): 2,
+        }
+        # a state kept without edges is no spoiled state: it has candidates
+        stuck = extract_counter_strategy(solution, {0: (0,), 1: ()})
+        assert stuck.states == (0, 1)
+        assert stuck.candidates == {0: (a0,), 1: ()}
+        assert stuck.spoiled == frozenset()
 
 
 class TestControllerExtraction:

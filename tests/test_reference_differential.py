@@ -44,7 +44,6 @@ from numltl.games import (
     extract_controller,
     extract_counter_strategy,
     mark_edges_absent,
-    restrict_counter_strategy,
     solve,
 )
 from numltl.speclang import parse_spec
@@ -337,6 +336,16 @@ def random_cache(rng: random.Random, cs, atoms: tuple[str, ...]) -> CheckedCache
     return cache
 
 
+def assert_same_selection(solution, full, cache: CheckedCache, atoms) -> None:
+    """Selection on the solution against the reference selection on its
+    full counter-strategy ``full``: the same unproven projections, and kept
+    edges that extract to the reference's restricted counter-strategy."""
+    keep, unproven = select_counter_inputs(solution, cache, atoms)
+    want_restricted, want_unproven = reference_select_counter_inputs(full, cache, atoms)
+    assert unproven == want_unproven
+    assert_same_machine(extract_counter_strategy(solution, keep), want_restricted)
+
+
 def assert_same_extraction(rng: random.Random, solution, reference) -> int:
     """Controllers or counter-strategies, and on the latter the selection
     and a random restriction; returns how many selections were compared."""
@@ -349,16 +358,17 @@ def assert_same_extraction(rng: random.Random, solution, reference) -> int:
     inputs = solution.arena.inputs
     for _ in range(2):
         atoms = tuple(rng.sample(inputs, rng.randint(0, len(inputs))))
-        cache = random_cache(rng, cs, atoms)
-        restricted, unproven = select_counter_inputs(cs, cache, atoms)
-        want_restricted, want_unproven = reference_select_counter_inputs(cs, cache, atoms)
-        assert unproven == want_unproven
-        assert_same_machine(restricted, want_restricted)
+        assert_same_selection(solution, expected, random_cache(rng, cs, atoms), atoms)
+    # a random restriction, edges kept or dropped whatever the selection says
     keep = {
-        s: tuple(c for c in cands if rng.random() < 0.6) for s, cands in cs.candidates.items()
+        s: tuple(k for k in solution.candidate_edges(s) if rng.random() < 0.6)
+        for s in cs.states
+        if s not in cs.spoiled
     }
+    inputs_of = {s: tuple(solution.arena.env_edge(k).valuation for k in keep[s]) for s in keep}
     assert_same_machine(
-        restrict_counter_strategy(cs, keep), reference_restrict_counter_strategy(cs, keep)
+        extract_counter_strategy(solution, keep),
+        reference_restrict_counter_strategy(expected, inputs_of),
     )
     return 1
 
@@ -411,6 +421,20 @@ def _reference_mark(arena, valuation, atoms):
     return mark_edges_absent(arena, valuation, atoms)
 
 
+def _reference_select(solution, checked, atoms):
+    """Selection for ``synthesize`` under the object-level pipeline: the
+    reference extracts the full counter-strategy and selects on it, and its
+    restricted counter-strategy stands in for the kept edges."""
+    full = reference_extract_counter_strategy(solution)
+    return reference_select_counter_inputs(full, checked, atoms)
+
+
+def _reference_extract(solution, keep=None):
+    """The restricted counter-strategy ``_reference_select`` passed on as
+    ``keep``, or the full one."""
+    return keep if keep is not None else reference_extract_counter_strategy(solution)
+
+
 def run_rendered(doc, cfg) -> tuple[list[str], str]:
     transcript = Transcript()
     verdict = synthesize(doc, cfg, transcript)
@@ -443,10 +467,51 @@ def test_synthesize_matches_the_object_level_pipeline(monkeypatch):
                 patched.setattr(cegar, "mark_edges_absent", _reference_mark)
                 patched.setattr(cegar, "solve", reference_solve)
                 patched.setattr(cegar, "extract_controller", reference_extract_controller)
-                patched.setattr(
-                    cegar, "extract_counter_strategy", reference_extract_counter_strategy
-                )
-                patched.setattr(cegar, "select_counter_inputs", reference_select_counter_inputs)
+                patched.setattr(cegar, "select_counter_inputs", _reference_select)
+                patched.setattr(cegar, "extract_counter_strategy", _reference_extract)
                 assert run_rendered(doc, cfg) == expected
             refined += any(line.startswith("REFINE input") for line in expected[0])
     assert refined >= 10
+
+
+DATA_DIR = Path(__file__).resolve().parent / "data"
+
+
+def env_win_round_documents(rng: random.Random) -> list[tuple[sl.SpecDocument, CegarConfig]]:
+    """The bundled specs and the arbiter family on both routes with the
+    default schedule, and 40 generated refinement documents on both routes
+    with bounds 1 and 2."""
+    paths = [SPEC_DIR / f"{name}.spec" for name in SPECS]
+    paths += sorted(DATA_DIR.glob("arbiter*.spec"))
+    runs = [
+        (parse_spec(path.read_text()), CegarConfig(algorithm=algorithm))
+        for path in paths
+        for algorithm in ("safety", "buchi")
+    ]
+    for _ in range(40):
+        doc = random_refinement_document(rng)
+        for algorithm in ("safety", "buchi"):
+            runs.append((doc, CegarConfig(algorithm=algorithm, bound_schedule=(1, 2))))
+    return runs
+
+
+def test_selection_and_extraction_match_reference_on_every_env_win_round(monkeypatch):
+    """On every round ``synthesize`` selects counter-inputs in, the
+    selection on the solution, the strategy its kept edges extract to, and
+    the full extraction agree with the reference selection over the
+    reference's full counter-strategy."""
+    rounds = 0
+    real_select = cegar.select_counter_inputs
+
+    def compared(solution, checked, atoms):
+        nonlocal rounds
+        full = reference_extract_counter_strategy(solution)
+        assert_same_machine(extract_counter_strategy(solution), full)
+        assert_same_selection(solution, full, checked, atoms)
+        rounds += 1
+        return real_select(solution, checked, atoms)
+
+    monkeypatch.setattr(cegar, "select_counter_inputs", compared)
+    for doc, cfg in env_win_round_documents(random.Random(3309)):
+        synthesize(doc, cfg)
+    assert rounds >= 200  # 78 of them on the bundled specs and the arbiter family
