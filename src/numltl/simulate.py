@@ -14,10 +14,20 @@ judged violated on a finite trace and instead report their unresolved
 obligations at the end.
 
 An injection valuation overrides chosen input atoms after predicate
-evaluation, which can force combinations the theory rules out.  Inputs the
-controller has no transition for (possible only under injection, since the
-loop samples within the declared ranges) leave the state unchanged and emit
-all-false outputs; the monitor judges the consequences.
+evaluation, which can force combinations the theory rules out; its atoms are
+checked against the inputs before the first step.  Inputs the controller has
+no transition for (possible only under injection, since the loop samples
+within the declared ranges) leave the state unchanged and emit all-false
+outputs; the monitor judges the consequences.
+
+Letters repeat from a few dozen distinct values, so a step does only int
+arithmetic and dict lookups, and everything that depends on a letter alone
+happens once per distinct letter: a step's input is keyed by its Boolean
+draws and predicate signs, and its ``Valuation`` is built the first time
+the key appears; each emitted code-word is decoded once, and each (input,
+output) pair merged once.  The monitor numbers the distinct joined
+valuations and evaluates a formula once per distinct window of word
+numbers, and the rendering formats each distinct valuation once.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Callable, Iterator
 
 from . import speclang as sl
 from .bernstein import satisfies
@@ -54,6 +65,18 @@ class TraceStep:
     violations: tuple[str, ...]  # guarantee ids first violated at this step
 
 
+class _Memo(dict):
+    """A dict that fills in a missing key with ``make(key)``."""
+
+    def __init__(self, make: Callable) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 @dataclass(frozen=True)
 class SimulationTrace:
     seed: int
@@ -64,14 +87,14 @@ class SimulationTrace:
 
     def render(self) -> str:
         lines = [f"SIM seed={self.seed} steps={len(self.steps)}"]
+        shown = _Memo(lambda v: str(v) if v.pairs else "-")
         for s in self.steps:
             samples = ",".join(f"{n}={v}" for n, v in s.samples) if s.samples else "-"
             status = f"violation({','.join(s.violations)})" if s.violations else OK
             if s.stuck:
                 status += f" {STUCK}"
             lines.append(
-                f"{s.index} {samples} {s.inputs if s.inputs.pairs else '-'}"
-                f" {s.outputs if s.outputs.pairs else '-'}"
+                f"{s.index} {samples} {shown[s.inputs]} {shown[s.outputs]}"
                 f" {s.state_before}->{s.state_after} {status}"
             )
         for gid, step in self.violations:
@@ -133,31 +156,46 @@ class MonitorReport:
     unmonitored: tuple[str, ...]
 
 
+def _windows(
+    f: sl.Formula, depth: int, numbers: list[int], words: list[dict[str, bool]]
+) -> Iterator[bool]:
+    """``f`` at each step ``t`` of the trace of word ``numbers`` that has
+    ``depth`` steps after it, evaluated once per distinct window
+    ``numbers[t : t + depth + 1]``."""
+    memo = _Memo(lambda window: _eval_windowed(f, [words[n] for n in window], 0))
+    return map(memo.__getitem__, zip(*(numbers[i:] for i in range(depth + 1))))
+
+
 def _monitor_one(
-    g: sl.Formula, trace: list[dict[str, bool]]
+    g: sl.Formula, numbers: list[int], words: list[dict[str, bool]]
 ) -> tuple[int | None, int | None]:
-    """Judge one guarantee; returns (first violating step or None, pending
-    obligation count or None when the shape is not monitorable).  Each shape
-    takes one pass over the trace; the response shapes run backward, so the
-    step that settles a trigger is known when the trigger is reached."""
-    horizon = len(trace)
-    steps = range(horizon)
+    """Judge one guarantee on the trace of word ``numbers``; returns (first
+    violating step or None, pending obligation count or None when the shape
+    is not monitorable).  Each shape takes one pass over the trace; the
+    response shapes run backward, so the step that settles a trigger is
+    known when the trigger is reached."""
+    horizon = len(numbers)
+
+    def at(f: sl.Formula) -> list[bool]:
+        return list(_windows(f, 0, numbers, words))
+
     if isinstance(g, sl.Always):
         body = g.operand
         depth = _next_depth(body)
         if depth is not None:
-            for t in range(horizon - depth):
-                if not _eval_windowed(body, trace, t):
+            for t, holds in enumerate(_windows(body, depth, numbers, words)):
+                if not holds:
                     return t, 0
             return None, 0
         if isinstance(body, sl.Implies) and sl.is_propositional(body.left):
             p, rhs = body.left, body.right
             if isinstance(rhs, sl.Eventually) and sl.is_propositional(rhs.operand):
                 # a trigger is open when no step from it on answers it
+                trigger, answer = at(p), at(rhs.operand)
                 pending, answered = 0, False
-                for t in reversed(steps):
-                    answered = answered or _eval_windowed(rhs.operand, trace, t)
-                    if not answered and _eval_windowed(p, trace, t):
+                for t in reversed(range(horizon)):
+                    answered = answered or answer[t]
+                    if not answered and trigger[t]:
                         pending += 1
                 return None, pending
             if (
@@ -167,13 +205,14 @@ def _monitor_one(
             ):
                 # ``stop``: the first step from t on where the right side
                 # holds (the trigger is met) or the left fails (it is broken)
+                trigger, kept, met = at(p), at(rhs.left), at(rhs.right)
                 pending, violated_at, stop, broken = 0, None, None, False
-                for t in reversed(steps):
-                    if _eval_windowed(rhs.right, trace, t):
+                for t in reversed(range(horizon)):
+                    if met[t]:
                         stop, broken = t, False
-                    elif not _eval_windowed(rhs.left, trace, t):
+                    elif not kept[t]:
                         stop, broken = t, True
-                    if not _eval_windowed(p, trace, t):
+                    if not trigger[t]:
                         continue
                     if stop is None:
                         pending += 1
@@ -183,25 +222,30 @@ def _monitor_one(
                     return violated_at, 0
                 return None, pending
         if isinstance(body, sl.Eventually) and sl.is_propositional(body.operand):
-            last = max(
-                (t for t in steps if _eval_windowed(body.operand, trace, t)),
-                default=-1,
-            )
+            answer = at(body.operand)
+            last = max((t for t in range(horizon) if answer[t]), default=-1)
             return None, horizon - last - 1
     if isinstance(g, sl.Eventually) and sl.is_propositional(g.operand):
-        resolved = any(_eval_windowed(g.operand, trace, t) for t in steps)
-        return None, 0 if resolved else 1
+        return None, 0 if any(at(g.operand)) else 1
     return None, None
 
 
 def monitor_guarantees(doc: sl.SpecDocument, trace: list[Valuation]) -> MonitorReport:
-    words = [w.as_dict() for w in trace]
+    number: dict[Valuation, int] = {}
+    numbers = [number.setdefault(w, len(number)) for w in trace]
+    return _monitor(doc, numbers, [w.as_dict() for w in number])
+
+
+def _monitor(
+    doc: sl.SpecDocument, numbers: list[int], words: list[dict[str, bool]]
+) -> MonitorReport:
+    """The guarantees judged on the trace of word ``numbers``."""
     violations = []
     pending = []
     unmonitored = []
     for i, g in enumerate(doc.guarantees, start=1):
         gid = f"g{i}"
-        violated_at, open_count = _monitor_one(g, words)
+        violated_at, open_count = _monitor_one(g, numbers, words)
         if violated_at is not None:
             violations.append((gid, violated_at))
         elif open_count is None:
@@ -278,42 +322,66 @@ def simulate(
     real_decls = doc.real_vars_of(sl.INPUT_SIDE)
     tests = _lattice_tests(doc.predicates_of(sl.INPUT_SIDE), real_decls)
     axes = _sample_axes(real_decls)
+    input_atoms = doc.input_atoms()
+    forced = inject.as_dict() if inject is not None else {}
+    for name in forced:
+        if name not in input_atoms:
+            raise SimulationError(f"injected atom '{name}' is not an input")
     decoded_atoms = mux.original_atoms if mux else m.outputs
     idle = Valuation.of({a: False for a in decoded_atoms})
 
+    # each input letter, decoded code-word and joined word is made once;
+    # a step's outcome is found by its Boolean draws, predicate signs and
+    # state before it: (input, output, state after, stuck, word number)
+    words: list[dict[str, bool]] = []
+
+    def letter(draws: tuple[int, ...]) -> Valuation:
+        assignment = dict(zip(input_atoms, map(bool, draws)))
+        assignment.update(forced)
+        return Valuation.of(assignment)
+
+    def join(pair: tuple[Valuation, Valuation]) -> int:
+        words.append(pair[0].merge(pair[1]).as_dict())
+        return len(words) - 1
+
+    inputs, merged = _Memo(letter), _Memo(join)
+    decoded = _Memo(mux.decode if mux else lambda raw: raw)
+
+    def outcome(key: tuple[int, ...]) -> tuple[Valuation, Valuation, int, bool, int]:
+        *draws, before = key
+        vin = inputs[tuple(draws)]
+        move = m.step.get((before, vin))
+        if move is None:
+            vout, after, stuck = idle, before, True
+        else:
+            vout, after, stuck = decoded[move[0]], move[1], False
+        return vin, vout, after, stuck, merged[vin, vout]
+
+    outcomes = _Memo(outcome)
+    draw_bit, draw_index = rng.getrandbits, rng.randrange
+    booleans, span = range(len(doc.boolean_inputs)), 2**SAMPLE_BITS + 1
     trace_steps = []
-    joined: list[Valuation] = []
+    numbers: list[int] = []
     state = m.initial
     for t in range(steps):
-        booleans = {a: bool(rng.getrandbits(1)) for a in doc.boolean_inputs}
-        ks = [rng.randrange(2**SAMPLE_BITS + 1) for _ in real_decls]
+        draws = [draw_bit(1) for _ in booleans]
+        ks = [draw_index(span) for _ in real_decls]
         samples = tuple(
             (name, Fraction(base + step * k, den))
             for (name, base, step, den), k in zip(axes, ks)
         )
-        assignment = dict(booleans)
-        for atom, relation, terms in tests:
-            assignment[atom] = satisfies(relation, _lattice_value(terms, ks))
-        if inject is not None:
-            for name, value in inject.pairs:
-                if name not in assignment:
-                    raise SimulationError(f"injected atom '{name}' is not an input")
-                assignment[name] = value
-        vin = Valuation.of(assignment)
+        for _, relation, terms in tests:
+            draws.append(satisfies(relation, _lattice_value(terms, ks)))
+        draws.append(state)
+        vin, vout, after, stuck, number = outcomes[tuple(draws)]
+        numbers.append(number)
+        trace_steps.append((t, samples, vin, vout, state, after, stuck))
+        state = after
 
-        move = m.step.get((state, vin))
-        if move is None:
-            vout, nxt, stuck = idle, state, True
-        else:
-            raw, nxt = move
-            vout = mux.decode(raw) if mux else raw
-            stuck = False
-        joined.append(vin.merge(vout))
-        trace_steps.append((t, samples, vin, vout, state, nxt, stuck))
-        state = nxt
-
-    report = monitor_guarantees(doc, joined)
-    first_violation = {gid: step for gid, step in report.violations}
+    report = _monitor(doc, numbers, words)
+    violated: dict[int, list[str]] = {}
+    for gid, step in report.violations:
+        violated.setdefault(step, []).append(gid)
     final = tuple(
         TraceStep(
             index=t,
@@ -323,9 +391,7 @@ def simulate(
             state_before=before,
             state_after=after,
             stuck=stuck,
-            violations=tuple(
-                gid for gid, step in first_violation.items() if step == t
-            ),
+            violations=tuple(violated.get(t, ())),
         )
         for t, samples, vin, vout, before, after, stuck in trace_steps
     )

@@ -9,7 +9,8 @@ bit-packed, interned and memoised ones (the tableau with its object-guarded
 degeneralization and simplification), the game solvers, strategy
 extraction, counter-input selection and edge marking keep the versions on
 arenas of edge objects that flat arrays replaced, the guarantee monitor
-keeps its per-trigger rescans, and the Bernstein search keeps the
+keeps its per-trigger rescans and its per-step evaluation, the simulator
+keeps its per-step valuations and rendering, and the Bernstein search keeps the
 substitute-then-convert enclosures and sample evaluation that the dense
 per-dimension conversion replaced, and the specification front end keeps
 the character-by-character lexer and the name-keyed polynomial parser that
@@ -1864,6 +1865,206 @@ def reference_monitor_guarantees(doc, trace):
         elif open_count:
             pending.append((gid, open_count))
     return MonitorReport(tuple(violations), tuple(pending), tuple(unmonitored))
+
+
+# -- reference simulator ----------------------------------------------------------
+#
+# The simulator once did all of its work per step: it built both valuations,
+# decoded and merged them, and its monitor walked each guarantee's formula
+# at every step; the rendering formatted every valuation again.  The
+# versions below are those.  They share the library's lattice helpers, its
+# windowed evaluator and its trace types; the library now does the work
+# that depends only on a letter once per distinct letter or window.
+
+
+def _stepwise_monitor_one(g, trace):
+    from numltl import speclang as sl
+    from numltl.simulate import _eval_windowed, _next_depth
+
+    horizon = len(trace)
+    steps = range(horizon)
+    if isinstance(g, sl.Always):
+        body = g.operand
+        depth = _next_depth(body)
+        if depth is not None:
+            for t in range(horizon - depth):
+                if not _eval_windowed(body, trace, t):
+                    return t, 0
+            return None, 0
+        if isinstance(body, sl.Implies) and sl.is_propositional(body.left):
+            p, rhs = body.left, body.right
+            if isinstance(rhs, sl.Eventually) and sl.is_propositional(rhs.operand):
+                pending, answered = 0, False
+                for t in reversed(steps):
+                    answered = answered or _eval_windowed(rhs.operand, trace, t)
+                    if not answered and _eval_windowed(p, trace, t):
+                        pending += 1
+                return None, pending
+            if (
+                isinstance(rhs, sl.Until)
+                and sl.is_propositional(rhs.left)
+                and sl.is_propositional(rhs.right)
+            ):
+                pending, violated_at, stop, broken = 0, None, None, False
+                for t in reversed(steps):
+                    if _eval_windowed(rhs.right, trace, t):
+                        stop, broken = t, False
+                    elif not _eval_windowed(rhs.left, trace, t):
+                        stop, broken = t, True
+                    if not _eval_windowed(p, trace, t):
+                        continue
+                    if stop is None:
+                        pending += 1
+                    elif broken:
+                        violated_at = stop
+                if violated_at is not None:
+                    return violated_at, 0
+                return None, pending
+        if isinstance(body, sl.Eventually) and sl.is_propositional(body.operand):
+            last = max(
+                (t for t in steps if _eval_windowed(body.operand, trace, t)),
+                default=-1,
+            )
+            return None, horizon - last - 1
+    if isinstance(g, sl.Eventually) and sl.is_propositional(g.operand):
+        resolved = any(_eval_windowed(g.operand, trace, t) for t in steps)
+        return None, 0 if resolved else 1
+    return None, None
+
+
+def reference_stepwise_monitor_guarantees(doc, trace):
+    """The one-pass monitor evaluating every formula at every step."""
+    from numltl.simulate import MonitorReport
+
+    words = [w.as_dict() for w in trace]
+    violations = []
+    pending = []
+    unmonitored = []
+    for i, g in enumerate(doc.guarantees, start=1):
+        gid = f"g{i}"
+        violated_at, open_count = _stepwise_monitor_one(g, words)
+        if violated_at is not None:
+            violations.append((gid, violated_at))
+        elif open_count is None:
+            unmonitored.append(gid)
+        elif open_count:
+            pending.append((gid, open_count))
+    return MonitorReport(tuple(violations), tuple(pending), tuple(unmonitored))
+
+
+def reference_simulate(package, steps, seed=0, inject=None):
+    """``simulate`` building, decoding and merging every step's valuations,
+    and checking the injection inside the step loop."""
+    import random
+
+    from numltl import speclang as sl
+    from numltl.bernstein import satisfies
+    from numltl.controller_file import KIND_CONTROLLER
+    from numltl.simulate import (
+        SAMPLE_BITS,
+        SimulationError,
+        SimulationTrace,
+        TraceStep,
+        _lattice_tests,
+        _lattice_value,
+        _sample_axes,
+    )
+    from numltl.valuation import Valuation
+
+    if package.kind != KIND_CONTROLLER or package.controller is None:
+        raise SimulationError("only controller artifacts can be simulated")
+    if steps < 0:
+        raise SimulationError("step count must be nonnegative")
+    doc = package.document
+    m = package.controller
+    mux = package.multiplexer
+    rng = random.Random(seed)
+
+    real_decls = doc.real_vars_of(sl.INPUT_SIDE)
+    tests = _lattice_tests(doc.predicates_of(sl.INPUT_SIDE), real_decls)
+    axes = _sample_axes(real_decls)
+    decoded_atoms = mux.original_atoms if mux else m.outputs
+    idle = Valuation.of({a: False for a in decoded_atoms})
+
+    trace_steps = []
+    joined = []
+    state = m.initial
+    for t in range(steps):
+        booleans = {a: bool(rng.getrandbits(1)) for a in doc.boolean_inputs}
+        ks = [rng.randrange(2**SAMPLE_BITS + 1) for _ in real_decls]
+        samples = tuple(
+            (name, Fraction(base + step * k, den))
+            for (name, base, step, den), k in zip(axes, ks)
+        )
+        assignment = dict(booleans)
+        for atom, relation, terms in tests:
+            assignment[atom] = satisfies(relation, _lattice_value(terms, ks))
+        if inject is not None:
+            for name, value in inject.pairs:
+                if name not in assignment:
+                    raise SimulationError(f"injected atom '{name}' is not an input")
+                assignment[name] = value
+        vin = Valuation.of(assignment)
+
+        move = m.step.get((state, vin))
+        if move is None:
+            vout, nxt, stuck = idle, state, True
+        else:
+            raw, nxt = move
+            vout = mux.decode(raw) if mux else raw
+            stuck = False
+        joined.append(vin.merge(vout))
+        trace_steps.append((t, samples, vin, vout, state, nxt, stuck))
+        state = nxt
+
+    report = reference_stepwise_monitor_guarantees(doc, joined)
+    first_violation = {gid: step for gid, step in report.violations}
+    final = tuple(
+        TraceStep(
+            index=t,
+            samples=samples,
+            inputs=vin,
+            outputs=vout,
+            state_before=before,
+            state_after=after,
+            stuck=stuck,
+            violations=tuple(
+                gid for gid, step in first_violation.items() if step == t
+            ),
+        )
+        for t, samples, vin, vout, before, after, stuck in trace_steps
+    )
+    return SimulationTrace(
+        seed=seed,
+        steps=final,
+        violations=report.violations,
+        pending=report.pending,
+        unmonitored=report.unmonitored,
+    )
+
+
+def reference_render(trace) -> str:
+    """``SimulationTrace.render`` formatting every step's valuations anew."""
+    lines = [f"SIM seed={trace.seed} steps={len(trace.steps)}"]
+    for s in trace.steps:
+        samples = ",".join(f"{n}={v}" for n, v in s.samples) if s.samples else "-"
+        status = f"violation({','.join(s.violations)})" if s.violations else "ok"
+        if s.stuck:
+            status += " stuck"
+        lines.append(
+            f"{s.index} {samples} {s.inputs if s.inputs.pairs else '-'}"
+            f" {s.outputs if s.outputs.pairs else '-'}"
+            f" {s.state_before}->{s.state_after} {status}"
+        )
+    for gid, step in trace.violations:
+        lines.append(f"VIOLATION {gid} step={step}")
+    for gid, count in trace.pending:
+        lines.append(f"PENDING {gid} count={count}")
+    for gid in trace.unmonitored:
+        lines.append(f"UNMONITORED {gid}")
+    outcome = "ok" if not trace.violations else f"violations={len(trace.violations)}"
+    lines.append(f"RESULT {outcome}")
+    return "\n".join(lines) + "\n"
 
 
 # -- reference refinement record ------------------------------------------------

@@ -344,6 +344,29 @@ class TestSimulateCommand:
         assert code == EXIT_OK
         assert digest == "28ac0578badadf5507fcf15d4bf1eeaeb0f78d130dc6808de2729b572c6ef0d8"
 
+    def test_seeded_error_monitor_run_is_pinned(self, tmp_path, capsys):
+        """error_monitor's safety controller: the bundled one with a
+        multiplexer and with Until and Eventually monitors."""
+        out = tmp_path / "error_monitor.ctrl"
+        assert main(["synth", ERROR_MONITOR, "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        code = main(["simulate", str(out), "--steps", "1000", "--seed", "7"])
+        stdout = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert stdout.endswith("PENDING g4 count=1\nRESULT ok\n")
+        digest = hashlib.sha256(stdout.encode("utf-8")).hexdigest()
+        assert digest == "d42d381f060852fef7c9894f90e056865a20d6f49d07637118a6ddcb11d21002"
+
+    @pytest.mark.parametrize("steps", ["0", "1", "20"])
+    def test_unknown_injected_atom_is_an_input_error_at_every_step_count(
+        self, artifact, steps, capsys
+    ):
+        code = main(["simulate", artifact, "--steps", steps, "--inject", "bogus=1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT_ERROR
+        assert "injected atom 'bogus' is not an input" in captured.err
+        assert captured.out == ""
+
     def test_negative_step_count_is_an_input_error(self, artifact, capsys):
         assert main(["simulate", artifact, "--steps", "-3"]) == EXIT_INPUT_ERROR
         captured = capsys.readouterr()
