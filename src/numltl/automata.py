@@ -623,38 +623,3 @@ def accepts_lasso(automaton: BuchiAutomaton, prefix, loop) -> bool:
             low[parent] = min(low[parent], low[node])
     return False
 
-
-# -- serialization ------------------------------------------------------------
-
-
-def guard_text(guard: Valuation) -> str:
-    """A guard as ``TRUE`` or its literals joined by ``&&``: ``a && !b``."""
-    if not guard.pairs:
-        return "TRUE"
-    return " && ".join(name if value else f"!{name}" for name, value in guard.pairs)
-
-
-def format_automaton(automaton: BuchiAutomaton) -> str:
-    lines = [
-        "atoms: " + " ".join(automaton.atoms),
-        f"states: {automaton.n_states}",
-        f"initial: {automaton.initial}",
-        "accepting: " + " ".join(str(q) for q in sorted(automaton.accepting)),
-    ]
-    for q in range(automaton.n_states):
-        for t in automaton.transitions[q]:
-            lines.append(f"{q} -> {t.target} [{guard_text(t.guard)}]")
-    return "\n".join(lines) + "\n"
-
-
-def automaton_to_dot(automaton: BuchiAutomaton, name: str = "buchi") -> str:
-    lines = [f"digraph {name} {{", "  rankdir=LR;", '  hidden [shape=point, label=""];']
-    for q in range(automaton.n_states):
-        shape = "doublecircle" if q in automaton.accepting else "circle"
-        lines.append(f'  s{q} [shape={shape}, label="{q}"];')
-    lines.append(f"  hidden -> s{automaton.initial};")
-    for q in range(automaton.n_states):
-        for t in automaton.transitions[q]:
-            lines.append(f'  s{q} -> s{t.target} [label="{guard_text(t.guard)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

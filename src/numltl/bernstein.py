@@ -262,11 +262,6 @@ class Box:
         """Corners in lexicographic order (low endpoint first per dimension)."""
         return map(self.vertex, range(1 << self.arity))
 
-    def contains(self, point: Point) -> bool:
-        return len(point) == self.arity and all(
-            lo <= x <= hi for (lo, hi), x in zip(self.intervals, point)
-        )
-
     def split(self, dim: int) -> tuple["Box", "Box"]:
         lo, hi = self.intervals[dim]
         mid = (lo + hi) / 2

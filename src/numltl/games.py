@@ -38,8 +38,6 @@ with their candidate edges, which is all the loop's counter-input selection
 reads.  The extraction functions build ``Valuation``s (the alphabet's shared
 ones) only to fill a ``MealyController``, or a ``CounterStrategy`` along the
 candidate edges a selection kept.
-``EnvEdge`` / ``CtrlEdge`` rows, the ``NodeId`` region sets and the
-strategy dicts of a solution are read-only views for tests and oracles.
 
 The safety builder works on sets of letters instead.  It numbers the
 letters in arena order and lowers each guard once to the set of letters it
@@ -58,7 +56,6 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress, repeat
@@ -67,28 +64,9 @@ from types import MappingProxyType
 from .automata import BuchiAutomaton
 from .valuation import Valuation, encoded_valuations
 
-ENV = "env"
-CTRL = "ctrl"
-
-NodeId = tuple[str, int]
-
 
 class GameError(ValueError):
     pass
-
-
-@dataclass(frozen=True, slots=True)
-class EnvEdge:
-    valuation: Valuation
-    target: int
-    present: bool = True
-    bits: int = field(kw_only=True)  # ``valuation`` encoded over the arena's inputs
-
-
-@dataclass(frozen=True)
-class CtrlEdge:
-    valuation: Valuation
-    target: int
 
 
 # -- alphabets -----------------------------------------------------------------
@@ -146,24 +124,6 @@ class _Predecessors:
     degree: array  # per node (ctrl k at n_env + k): its distinct targets; 0 at env nodes
 
 
-class _Rows(Sequence):
-    """Rows of edge views, each built when it is read."""
-
-    def __init__(self, n: int, row) -> None:
-        self._n = n
-        self._row = row
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._row(k) for k in range(self._n)[i]]
-        if not -self._n <= i < self._n:
-            raise IndexError(i)
-        return self._row(i % self._n)
-
-
 @dataclass
 class GameArena:
     """A game as flat int arrays (see the module docstring); marking edges
@@ -185,57 +145,6 @@ class GameArena:
     _predecessors: _Predecessors | None = field(
         default=None, init=False, repr=False, compare=False
     )
-
-    @classmethod
-    def from_edges(
-        cls,
-        objective: str,
-        inputs: tuple[str, ...],
-        outputs: tuple[str, ...],
-        env_edges: list[list[EnvEdge]],
-        ctrl_edges: list[list[CtrlEdge]],
-        initial: int = 0,
-        accepting: frozenset = frozenset(),
-        unsafe: frozenset = frozenset(),
-    ) -> "GameArena":
-        """Arena from rows of edges, env node ``i`` labelled ``i``.  Counted
-        over the rows in order, env edge ``k`` must lead to ctrl node ``k``,
-        and there must be one ctrl row per env edge."""
-        letters = letters_of(inputs, outputs)
-        input_letter = {v: j for j, v in enumerate(letters.inputs)}
-        output_letter = {v: j for j, v in enumerate(letters.outputs)}
-        env_start, env_letter, present = array("i", [0]), array("i"), bytearray()
-        for row in env_edges:
-            for edge in row:
-                if edge.target != len(env_letter):
-                    msg = f"env edge {len(env_letter)} must lead to ctrl node {len(env_letter)}"
-                    raise GameError(msg)
-                env_letter.append(input_letter[edge.valuation])
-                present.append(edge.present)
-            env_start.append(len(env_letter))
-        if len(ctrl_edges) != len(env_letter):
-            raise GameError("an arena needs one ctrl row per env edge")
-        ctrl_start, ctrl_letter, ctrl_target = array("i", [0]), array("i"), array("i")
-        for row in ctrl_edges:
-            for edge in row:
-                ctrl_letter.append(output_letter[edge.valuation])
-                ctrl_target.append(edge.target)
-            ctrl_start.append(len(ctrl_target))
-        return cls(
-            objective=objective,
-            inputs=inputs,
-            outputs=outputs,
-            env_labels=tuple(range(len(env_edges))),
-            env_start=env_start,
-            env_letter=env_letter,
-            present=present,
-            ctrl_start=ctrl_start,
-            ctrl_letter=ctrl_letter,
-            ctrl_target=ctrl_target,
-            initial=initial,
-            accepting=accepting,
-            unsafe=unsafe,
-        )
 
     @property
     def letters(self) -> Letters:
@@ -271,44 +180,6 @@ class GameArena:
                     append[t](k)
             self._predecessors = _Predecessors(owner, preds, degree)
         return self._predecessors
-
-    # -- read-only views --------------------------------------------------------
-
-    def nodes(self) -> list[NodeId]:
-        return [(ENV, i) for i in range(self.n_env)] + [
-            (CTRL, i) for i in range(self.n_ctrl)
-        ]
-
-    def env_edge(self, k: int) -> EnvEdge:
-        letters, j = self.letters, self.env_letter[k]
-        return EnvEdge(letters.inputs[j], k, bool(self.present[k]), bits=letters.input_bits[j])
-
-    def ctrl_edge(self, e: int) -> CtrlEdge:
-        return CtrlEdge(self.letters.outputs[self.ctrl_letter[e]], self.ctrl_target[e])
-
-    @property
-    def env_edges(self) -> Sequence[list[EnvEdge]]:
-        start = self.env_start
-        return _Rows(
-            self.n_env,
-            lambda i: [self.env_edge(k) for k in range(start[i], start[i + 1])],
-        )
-
-    @property
-    def ctrl_edges(self) -> Sequence[list[CtrlEdge]]:
-        start = self.ctrl_start
-        return _Rows(
-            self.n_ctrl,
-            lambda k: [self.ctrl_edge(e) for e in range(start[k], start[k + 1])],
-        )
-
-    @property
-    def ctrl_origin(self) -> tuple[tuple[int, Valuation], ...]:
-        inputs, owner = self.letters.inputs, self.predecessors().owner
-        return tuple((owner[k], inputs[j]) for k, j in enumerate(self.env_letter))
-
-    def present_env_edges(self, i: int) -> list[EnvEdge]:
-        return [e for e in self.env_edges[i] if e.present]
 
 
 # -- arena builders -----------------------------------------------------------
@@ -683,41 +554,6 @@ class GameSolution:
                 if best_key is None or key < best_key:
                     best, best_key = e, key
         return best
-
-    # -- read-only views --------------------------------------------------------
-
-    def _region(self, env_side: bool) -> frozenset[NodeId]:
-        n_env = self.arena.n_env
-        return frozenset(
-            (ENV, node) if node < n_env else (CTRL, node - n_env)
-            for node, r in enumerate(self.env_rank)
-            if (r >= 0) == env_side
-        )
-
-    @property
-    def ctrl_region(self) -> frozenset[NodeId]:
-        return self._region(False)
-
-    @property
-    def env_region(self) -> frozenset[NodeId]:
-        return self._region(True)
-
-    @property
-    def ctrl_strategy(self) -> dict[int, CtrlEdge]:
-        answers = ((k, self.answer_edge(k)) for k in range(self.arena.n_ctrl))
-        return {k: self.arena.ctrl_edge(e) for k, e in answers if e is not None}
-
-    @property
-    def env_candidates(self) -> dict[int, tuple[EnvEdge, ...]]:
-        return {
-            i: tuple(self.arena.env_edge(k) for k in self.candidate_edges(i))
-            for i in range(self.arena.n_env)
-            if self.env_rank[i] >= 0
-        }
-
-    @property
-    def env_strategy(self) -> dict[int, EnvEdge]:
-        return {i: edges[0] for i, edges in self.env_candidates.items() if edges}
 
 
 def solve_safety(arena: GameArena) -> GameSolution:

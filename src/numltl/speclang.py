@@ -16,7 +16,13 @@ assumption when prefixed with ``ASSUME``.  Formula operators, tightest first:
 right.  Polynomials use ``+ - * ^`` with nonnegative integer exponents and no
 implicit multiplication; rational constants are integers, exact decimals, or
 ``p/q``.  A power may have an exponent of at most ``MAX_EXPONENT`` and may
-expand to at most ``MAX_POWER_TERMS`` terms.
+expand to at most ``MAX_POWER_TERMS`` terms.  Parenthesised groups and prefix
+operators (``!``, ``ALWAYS``, ``EVENTUALLY``, ``NEXT`` and a polynomial's
+unary ``-``) nest at most ``MAX_NESTING`` levels deep, and the token that
+opens a deeper level is rejected.  A prefix operator applied to a group shares
+the group's level, so ``NEXT (a)`` is as deep as ``NEXT a``: ``format_spec``
+prints every temporal operand in parentheses, and its text of a document
+within the cap stays within it.
 
 A predicate atom is an atom of its side by construction and must not be
 re-listed under INPUT or OUTPUT.
@@ -47,6 +53,9 @@ OUTPUT_SIDE = "output"
 # the size of p: past either cap it is rejected rather than expanded
 MAX_EXPONENT = 64
 MAX_POWER_TERMS = 500
+# each level of nesting is a few frames of the recursive-descent parser: past
+# the cap a line is rejected rather than parsed into Python's recursion limit
+MAX_NESTING = 64
 
 
 class SpecError(ValueError):
@@ -367,6 +376,7 @@ class _LineParser:
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # groups and prefix operators open around the cursor
         self.names = tuple(dict.fromkeys(t.text for t in tokens if t.kind is TokenKind.IDENT))
 
     def peek(self) -> Token:
@@ -399,6 +409,23 @@ class _LineParser:
         tok = self.peek()
         if tok.kind is not TokenKind.END:
             raise SpecError(f"unexpected trailing {tok.text!r}", tok.line, tok.column)
+
+    def enter(self) -> None:
+        """Consume the token that opens a group or a prefix operator, one
+        level deeper; past ``MAX_NESTING`` levels it is rejected."""
+        tok = self.advance()
+        if self.depth == MAX_NESTING:
+            raise SpecError(f"nested more than {MAX_NESTING} levels deep", tok.line, tok.column)
+        self.depth += 1
+
+    def prefix(self) -> bool:
+        """Consume a prefix operator: it opens a level of its own, unless it
+        applies to a group and shares the group's.  Returns whether it did."""
+        if self.tokens[self.pos + 1].kind is TokenKind.LPAREN:
+            self.advance()
+            return False
+        self.enter()
+        return True
 
     # formulas
 
@@ -436,21 +463,23 @@ class _LineParser:
     def _unary(self, sink) -> Formula:
         tok = self.peek()
         if tok.kind is TokenKind.NOT:
-            self.advance()
-            return Not(self._unary(sink))
-        if tok.kind is TokenKind.KEYWORD and tok.text in ("ALWAYS", "EVENTUALLY", "NEXT"):
-            self.advance()
-            operand = self._unary(sink)
+            ctor = Not
+        elif tok.kind is TokenKind.KEYWORD and tok.text in ("ALWAYS", "EVENTUALLY", "NEXT"):
             ctor = {"ALWAYS": Always, "EVENTUALLY": Eventually, "NEXT": Next}[tok.text]
-            return ctor(operand)
-        return self._atom(sink)
+        else:
+            return self._atom(sink)
+        own = self.prefix()
+        operand = self._unary(sink)
+        self.depth -= own
+        return ctor(operand)
 
     def _atom(self, sink) -> Formula:
         tok = self.peek()
         if tok.kind is TokenKind.LPAREN:
-            self.advance()
+            self.enter()
             inner = self._implication(sink)
             self.expect(TokenKind.RPAREN)
+            self.depth -= 1
             return inner
         if tok.kind is TokenKind.KEYWORD and tok.text == "TRUE":
             self.advance()
@@ -502,8 +531,10 @@ class _LineParser:
     def _poly_factor(self) -> Polynomial:
         tok = self.peek()
         if tok.kind is TokenKind.MINUS:
-            self.advance()
-            return -self._poly_factor()
+            own = self.prefix()
+            negated = -self._poly_factor()
+            self.depth -= own
+            return negated
         base = self._poly_base()
         if self.peek().kind is TokenKind.CARET:
             self.advance()
@@ -545,9 +576,10 @@ class _LineParser:
             self.advance()
             return Polynomial.variable(len(self.names), self.names.index(tok.text))
         if tok.kind is TokenKind.LPAREN:
-            self.advance()
+            self.enter()
             inner = self.parse_poly()
             self.expect(TokenKind.RPAREN)
+            self.depth -= 1
             return inner
         raise SpecError(
             f"expected a polynomial, found {tok.text or 'end of line'!r}",

@@ -154,7 +154,7 @@ def random_arena(rng: random.Random, objective: str, reverse_atoms: bool = False
     pre-marked absent to exercise present-flag handling.  With
     ``reverse_atoms`` the atoms are listed against name order, so the
     arena's letter order is not the ``Valuation`` order."""
-    from numltl.games import CtrlEdge, EnvEdge, GameArena
+    from oracles import ObjectCtrlEdge, ObjectEnvEdge, arena_from_edges
     from numltl.valuation import all_valuations, encoded_valuations
 
     inputs = tuple(f"i{k}" for k in range(rng.randint(1, 2)))
@@ -173,17 +173,17 @@ def random_arena(rng: random.Random, objective: str, reverse_atoms: bool = False
             if rng.random() < 0.15:
                 continue  # env simply lacks this move
             cid = len(ctrl_edges)
-            row.append(EnvEdge(vin, cid, present=rng.random() > 0.1, bits=bits))
+            row.append(ObjectEnvEdge(vin, cid, present=rng.random() > 0.1, bits=bits))
             answers = []
             for vout in output_valuations:
                 for _ in range(rng.randint(0, 2)):
-                    answers.append(CtrlEdge(vout, rng.randrange(n_env)))
+                    answers.append(ObjectCtrlEdge(vout, rng.randrange(n_env)))
             ctrl_edges.append(list(dict.fromkeys(answers)))
         env_edges.append(row)
 
     accepting = frozenset(i for i in range(n_env) if rng.random() < 0.4)
     unsafe = frozenset(i for i in range(n_env) if rng.random() < 0.3)
-    return GameArena.from_edges(
+    return arena_from_edges(
         objective,
         inputs,
         outputs,

@@ -14,7 +14,10 @@ keeps its per-step valuations and rendering, and the Bernstein search keeps the
 substitute-then-convert enclosures and sample evaluation that the dense
 per-dimension conversion replaced, and the specification front end keeps
 the character-by-character lexer and the name-keyed polynomial parser that
-the token-pattern lexer and the ``Polynomial``-built parser replaced.
+the token-pattern lexer and the ``Polynomial``-built parser replaced.  The
+tests read the library's arenas and solutions only through the object views
+built here from their arrays (``object_arena``, ``object_solution``), and
+build arenas edge by edge with ``arena_from_edges``.
 """
 
 from __future__ import annotations
@@ -151,8 +154,9 @@ def lasso_accepted_by_search(automaton, prefix, loop) -> bool:
 
 
 def game_cpre(arena, region: set) -> set:
-    """Nodes from which the controller survives one round into ``region``:
-    env nodes whose present moves all land there, ctrl nodes with some move."""
+    """Nodes of an ``ObjectArena`` from which the controller survives one
+    round into ``region``: env nodes whose present moves all land there, ctrl
+    nodes with some move."""
     out = set()
     for i in range(arena.n_env):
         succ = [("ctrl", e.target) for e in arena.env_edges[i] if e.present]
@@ -243,12 +247,13 @@ class ReferenceArena:
 
 def arena_shape(arena) -> ReferenceArena:
     """A library arena reduced to what ``ReferenceArena`` records."""
+    objects = object_arena(arena)
     return ReferenceArena(
         objective=arena.objective,
         env_labels=arena.env_labels,
-        ctrl_origin=arena.ctrl_origin,
-        env_edges=[[(e.valuation, e.target, e.present) for e in row] for row in arena.env_edges],
-        ctrl_edges=[[(e.valuation, e.target) for e in row] for row in arena.ctrl_edges],
+        ctrl_origin=objects.ctrl_origin,
+        env_edges=[[(e.valuation, e.target, e.present) for e in row] for row in objects.env_edges],
+        ctrl_edges=[[(e.valuation, e.target) for e in row] for row in objects.ctrl_edges],
         initial=arena.initial,
         accepting=arena.accepting,
         unsafe=arena.unsafe,
@@ -371,8 +376,9 @@ def reference_safety_game(negated, bound, inputs, outputs) -> ReferenceArena:
 
 
 def reference_attractor(arena, owner, base, alive):
-    """Layered attractor by rescanning every live node once per layer;
-    returns the attracted set and each member's layer (base nodes 0)."""
+    """Layered attractor on an ``ObjectArena`` by rescanning every live node
+    once per layer; returns the attracted set and each member's layer (base
+    nodes 0)."""
     attr = {n for n in base if n in alive}
     rank = {n: 0 for n in attr}
     current = 0
@@ -405,8 +411,11 @@ def reference_attractor(arena, owner, base, alive):
 # The library keeps an arena as flat int arrays with a predecessor index built
 # once, ranks and regions as arrays, and breaks ties on per-letter sort ranks;
 # the versions below are the ones it replaced, on arenas of edge objects with
-# ``NodeId`` sets and rank dicts.  ``object_arena`` copies a library arena into
-# that form, with its own mutable edges, so marking one leaves the other alone.
+# ``("env", i)`` / ``("ctrl", k)`` node sets and rank dicts.  ``object_arena``
+# copies a library arena's arrays into that form, with its own mutable edges,
+# so marking one leaves the other alone; ``arena_from_edges`` goes the other
+# way, and ``object_solution`` reads a library solution's rank arrays into the
+# regions and strategies the object-level solvers return.
 
 
 @dataclass
@@ -417,6 +426,12 @@ class ObjectEnvEdge:
     bits: int = 0  # ``valuation`` encoded over the arena's inputs
 
 
+@dataclass(frozen=True)
+class ObjectCtrlEdge:
+    valuation: object
+    target: int
+
+
 @dataclass
 class ObjectArena:
     objective: str
@@ -424,7 +439,7 @@ class ObjectArena:
     outputs: tuple
     env_labels: tuple
     env_edges: list  # per env node, its ``ObjectEnvEdge``s
-    ctrl_edges: list  # per ctrl node, its ``CtrlEdge``s
+    ctrl_edges: list  # per ctrl node, its ``ObjectCtrlEdge``s
     initial: int = 0
     accepting: frozenset = frozenset()
     unsafe: frozenset = frozenset()
@@ -437,6 +452,12 @@ class ObjectArena:
     def n_ctrl(self) -> int:
         return len(self.ctrl_edges)
 
+    @property
+    def ctrl_origin(self) -> tuple:
+        """The env node and input valuation of each ctrl node, whose number
+        is its env edge's number counted over the rows."""
+        return tuple((i, e.valuation) for i, row in enumerate(self.env_edges) for e in row)
+
     def nodes(self) -> list:
         return [("env", i) for i in range(self.n_env)] + [
             ("ctrl", i) for i in range(self.n_ctrl)
@@ -447,20 +468,89 @@ class ObjectArena:
 
 
 def object_arena(arena) -> ObjectArena:
-    """A library arena as edge objects, read through its views."""
+    """A library arena as edge objects, read off its arrays."""
+    letters = arena.letters
+    env_edges = []
+    for i in range(arena.n_env):
+        row = []
+        for k in range(arena.env_start[i], arena.env_start[i + 1]):
+            j = arena.env_letter[k]
+            row.append(
+                ObjectEnvEdge(letters.inputs[j], k, bool(arena.present[k]), letters.input_bits[j])
+            )
+        env_edges.append(row)
+    ctrl_edges = [
+        [
+            ObjectCtrlEdge(letters.outputs[arena.ctrl_letter[e]], arena.ctrl_target[e])
+            for e in range(arena.ctrl_start[k], arena.ctrl_start[k + 1])
+        ]
+        for k in range(arena.n_ctrl)
+    ]
     return ObjectArena(
         objective=arena.objective,
         inputs=arena.inputs,
         outputs=arena.outputs,
         env_labels=arena.env_labels,
-        env_edges=[
-            [ObjectEnvEdge(e.valuation, e.target, e.present, e.bits) for e in row]
-            for row in arena.env_edges
-        ],
-        ctrl_edges=[list(row) for row in arena.ctrl_edges],
+        env_edges=env_edges,
+        ctrl_edges=ctrl_edges,
         initial=arena.initial,
         accepting=arena.accepting,
         unsafe=arena.unsafe,
+    )
+
+
+def arena_from_edges(
+    objective,
+    inputs,
+    outputs,
+    env_edges,
+    ctrl_edges,
+    initial=0,
+    accepting=frozenset(),
+    unsafe=frozenset(),
+):
+    """A library arena from rows of ``ObjectEnvEdge`` / ``ObjectCtrlEdge``,
+    env node ``i`` labelled ``i``.  Counted over the rows in order, env edge
+    ``k`` must lead to ctrl node ``k``, and there must be one ctrl row per env
+    edge; an edge's ``bits`` are not read."""
+    from array import array
+
+    from numltl.games import GameArena, GameError, letters_of
+
+    letters = letters_of(inputs, outputs)
+    input_letter = {v: j for j, v in enumerate(letters.inputs)}
+    output_letter = {v: j for j, v in enumerate(letters.outputs)}
+    env_start, env_letter, present = array("i", [0]), array("i"), bytearray()
+    for row in env_edges:
+        for edge in row:
+            if edge.target != len(env_letter):
+                msg = f"env edge {len(env_letter)} must lead to ctrl node {len(env_letter)}"
+                raise GameError(msg)
+            env_letter.append(input_letter[edge.valuation])
+            present.append(edge.present)
+        env_start.append(len(env_letter))
+    if len(ctrl_edges) != len(env_letter):
+        raise GameError("an arena needs one ctrl row per env edge")
+    ctrl_start, ctrl_letter, ctrl_target = array("i", [0]), array("i"), array("i")
+    for row in ctrl_edges:
+        for edge in row:
+            ctrl_letter.append(output_letter[edge.valuation])
+            ctrl_target.append(edge.target)
+        ctrl_start.append(len(ctrl_target))
+    return GameArena(
+        objective=objective,
+        inputs=inputs,
+        outputs=outputs,
+        env_labels=tuple(range(len(env_edges))),
+        env_start=env_start,
+        env_letter=env_letter,
+        present=present,
+        ctrl_start=ctrl_start,
+        ctrl_letter=ctrl_letter,
+        ctrl_target=ctrl_target,
+        initial=initial,
+        accepting=accepting,
+        unsafe=unsafe,
     )
 
 
@@ -553,6 +643,32 @@ class ObjectSolution:
     @property
     def ctrl_wins(self) -> bool:
         return ("env", self.arena.initial) in self.ctrl_region
+
+
+def object_solution(solution) -> ObjectSolution:
+    """A library solution read off its rank arrays, over the
+    ``object_arena`` copy of its arena: node ``n`` of the arrays is
+    ``nodes()[n]``, and ``answer_edge`` / ``candidate_edges`` pick the
+    strategies' edges by their numbers."""
+    arena = object_arena(solution.arena)
+    nodes = arena.nodes()
+    env_region = frozenset(n for n, r in zip(nodes, solution.env_rank) if r >= 0)
+    env_edges = [e for row in arena.env_edges for e in row]  # env edge k
+    ctrl_edges = [e for row in arena.ctrl_edges for e in row]  # ctrl edge e
+    answers = ((k, solution.answer_edge(k)) for k in range(arena.n_ctrl))
+    env_candidates = {
+        i: tuple(env_edges[k] for k in solution.candidate_edges(i))
+        for i in range(arena.n_env)
+        if solution.env_rank[i] >= 0
+    }
+    return ObjectSolution(
+        arena,
+        ctrl_region=frozenset(nodes) - env_region,
+        env_region=env_region,
+        ctrl_strategy={k: ctrl_edges[e] for k, e in answers if e is not None},
+        env_strategy={i: edges[0] for i, edges in env_candidates.items() if edges},
+        env_candidates=env_candidates,
+    )
 
 
 def _object_env_candidates(arena, env_node, rank) -> tuple:

@@ -35,7 +35,7 @@ from numltl.cegar import (
     synthesize,
 )
 from numltl.controller_file import parse_controller_file, render_realizable
-from numltl.games import CTRL, ENV, solve_buchi, solve_safety
+from numltl.games import solve_buchi, solve_safety
 from numltl.simulate import simulate
 from numltl.speclang import parse_constraints
 from numltl.valuation import Valuation
@@ -54,6 +54,7 @@ from oracles import (
     bernstein_reexpand,
     buchi_win_oracle,
     grid_points,
+    object_solution,
     poly_min_max_on_grid,
     safety_win_oracle,
 )
@@ -245,7 +246,7 @@ def test_criterion_6_automaton_acceptance_equals_direct_lasso_semantics():
 def _walk_under_ctrl_strategy(arena, solution):
     """Every adversary move from the winning region, answered by the
     extracted strategy, must stay inside the winning region."""
-    reached, stack = set(), [n for n in solution.ctrl_region if n[0] == ENV]
+    reached, stack = set(), [n for n in solution.ctrl_region if n[0] == "env"]
     while stack:
         node = stack.pop()
         if node in reached:
@@ -253,18 +254,18 @@ def _walk_under_ctrl_strategy(arena, solution):
         reached.add(node)
         assert node in solution.ctrl_region
         kind, i = node
-        if kind == ENV:
+        if kind == "env":
             for e in arena.present_env_edges(i):
-                stack.append((CTRL, e.target))
+                stack.append(("ctrl", e.target))
         else:
             assert i in solution.ctrl_strategy
-            stack.append((ENV, solution.ctrl_strategy[i].target))
+            stack.append(("env", solution.ctrl_strategy[i].target))
     if arena.objective == "safety":
-        assert not any(k == ENV and i in arena.unsafe for k, i in reached)
+        assert not any(k == "env" and i in arena.unsafe for k, i in reached)
 
 
 def _walk_under_env_strategy(arena, solution):
-    reached, stack = set(), [n for n in solution.env_region if n[0] == ENV]
+    reached, stack = set(), [n for n in solution.env_region if n[0] == "env"]
     while stack:
         node = stack.pop()
         if node in reached:
@@ -272,27 +273,29 @@ def _walk_under_env_strategy(arena, solution):
         reached.add(node)
         assert node in solution.env_region
         kind, i = node
-        if kind == ENV:
+        if kind == "env":
             choice = solution.env_strategy.get(i)
             if choice is not None:
-                stack.append((CTRL, choice.target))
+                stack.append(("ctrl", choice.target))
         else:
             for e in arena.ctrl_edges[i]:
-                stack.append((ENV, e.target))
+                stack.append(("env", e.target))
 
 
 def test_criterion_7_game_regions_match_oracle_and_strategies_stay_winning():
     rng = random.Random(7)
     for k in range(200):
         objective = "buchi" if k % 2 == 0 else "safety"
-        arena = random_arena(rng, objective)
+        solve = solve_buchi if objective == "buchi" else solve_safety
+        solution = object_solution(solve(random_arena(rng, objective)))
+        arena = solution.arena
         nodes = set(arena.nodes())
         assert len(nodes) <= 50
 
         if objective == "buchi":
-            solution, oracle = solve_buchi(arena), buchi_win_oracle(arena)
+            oracle = buchi_win_oracle(arena)
         else:
-            solution, oracle = solve_safety(arena), safety_win_oracle(arena)
+            oracle = safety_win_oracle(arena)
         assert solution.ctrl_region == oracle
         assert solution.ctrl_region | solution.env_region == nodes
         assert not solution.ctrl_region & solution.env_region

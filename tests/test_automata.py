@@ -15,13 +15,9 @@ import pytest
 from numltl import automata
 from numltl.abstraction import abstract_spec
 from numltl.automata import (
-    BuchiAutomaton,
     Release,
-    Transition,
     accepts_lasso,
-    automaton_to_dot,
     evaluate_ltl_on_lasso,
-    format_automaton,
     negation_normal_form,
     translate,
     _closure,
@@ -245,31 +241,3 @@ class TestTableauWork:
         assert 0 < len(expanded) <= cap
         assert len(set(expanded)) == len(expanded)
 
-
-class TestSerialization:
-    def test_text_format_lists_states_and_edges(self):
-        aut = translate(Always(A))
-        text = format_automaton(aut)
-        assert "atoms: a" in text
-        assert f"states: {aut.n_states}" in text
-        assert "initial: 0" in text
-        assert "->" in text
-
-    def test_guards_print_as_literal_conjunctions(self):
-        guards = (Valuation.of({}), Valuation.of({"b": False, "a": True}))
-        aut = BuchiAutomaton(
-            atoms=("a", "b"),
-            n_states=1,
-            initial=0,
-            transitions=(tuple(Transition(g, 0) for g in guards),),
-            accepting=frozenset({0}),
-        )
-        assert format_automaton(aut).splitlines()[-2:] == ["0 -> 0 [TRUE]", "0 -> 0 [a && !b]"]
-        assert '  s0 -> s0 [label="a && !b"];' in automaton_to_dot(aut)
-
-    def test_dot_marks_accepting_states(self):
-        aut = translate(Always(Eventually(A)))
-        dot = automaton_to_dot(aut)
-        assert dot.startswith("digraph")
-        assert "doublecircle" in dot
-        assert "hidden ->" in dot

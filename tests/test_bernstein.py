@@ -190,7 +190,8 @@ class TestFeasibility:
         constraints = [_gt(SUM_3, 3), _lt(SUMSQ_3, 4)]
         verdict = check_feasibility(constraints, THREE_VARS)
         assert isinstance(verdict, Feasible)
-        assert THREE_VARS.contains(verdict.witness)
+        assert len(verdict.witness) == THREE_VARS.arity
+        assert all(lo <= x <= hi for (lo, hi), x in zip(THREE_VARS.intervals, verdict.witness))
         assert all(c.holds_at(verdict.witness) for c in constraints)
 
     def test_known_witness_values(self):

@@ -10,7 +10,13 @@ from pathlib import Path
 import pytest
 
 from generators import random_refinement_document, random_synthesis_document
-from oracles import minimum_cover_size, reference_search
+from oracles import (
+    ObjectCtrlEdge,
+    ObjectEnvEdge,
+    arena_from_edges,
+    minimum_cover_size,
+    reference_search,
+)
 
 from numltl import bernstein as bernstein_module
 from numltl import cegar as cegar_module
@@ -42,9 +48,6 @@ from numltl.cegar import (
     validate_controller_outputs,
 )
 from numltl.games import (
-    CtrlEdge,
-    EnvEdge,
-    GameArena,
     GameSolution,
     MealyController,
     extract_counter_strategy,
@@ -182,10 +185,11 @@ def cycle_solution(candidates: dict[int, tuple[Valuation, ...]]) -> GameSolution
     for idx, s in enumerate(states):
         row = []
         for c in candidates[s]:
-            row.append(EnvEdge(c, len(ctrl_edges), bits=bits[c]))
-            ctrl_edges.append([CtrlEdge(letters.outputs[0], states[(idx + 1) % len(states)])])
+            row.append(ObjectEnvEdge(c, len(ctrl_edges), bits=bits[c]))
+            nxt = states[(idx + 1) % len(states)]
+            ctrl_edges.append([ObjectCtrlEdge(letters.outputs[0], nxt)])
         env_edges.append(row)
-    return solve(GameArena.from_edges(BUCHI, inputs, (), env_edges, ctrl_edges))
+    return solve(arena_from_edges(BUCHI, inputs, (), env_edges, ctrl_edges))
 
 
 def selected(solution: GameSolution, cache: CheckedCache, atoms: tuple[str, ...]):

@@ -19,7 +19,7 @@ from numltl.controller_file import (
     KIND_COUNTER_STRATEGY,
     parse_controller_file,
 )
-from numltl.speclang import parse_spec
+from numltl.speclang import MAX_NESTING, parse_spec
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 THRESHOLD = str(SPEC_DIR / "threshold_arbiter.spec")
@@ -414,6 +414,44 @@ class TestUndecodableInput:
         code = main(["check", "--real", "x", "0", "1", "-c", "x¹ > 0"])
         assert code == EXIT_INPUT_ERROR
         assert "unexpected character '¹'" in capsys.readouterr().err
+
+
+class TestDeepNesting:
+    """Input nested past ``MAX_NESTING`` levels is an input error on every
+    command that parses it, reported at the token opening the level too
+    many, where it used to end in a ``RecursionError`` traceback."""
+
+    DEEP = "(" * 200 + "grant1" + ")" * 200
+    AT = f"column {MAX_NESTING + 1}: nested more than {MAX_NESTING} levels deep"
+
+    def assert_input_error(self, code: int, capsys) -> str:
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT_ERROR
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("command", ["synth", "abstract", "reencode"])
+    def test_deep_spec(self, command, tmp_path, capsys):
+        text = Path(THRESHOLD).read_text()
+        spec = tmp_path / "deep.spec"
+        spec.write_text(f"{text}{self.DEEP}\n")
+        err = self.assert_input_error(main([command, str(spec)]), capsys)
+        assert f"line {len(text.splitlines()) + 1}, {self.AT}" in err
+
+    def test_deep_constraint(self, capsys):
+        deep = "(" * 200 + "x" + ")" * 200
+        code = main(["check", "--real", "x", "0", "1", "-c", f"{deep} > 0"])
+        assert f"line 2, {self.AT}" in self.assert_input_error(code, capsys)
+
+    def test_deep_embedded_spec(self, tmp_path, capsys):
+        out = tmp_path / "a.ctrl"
+        assert main(["synth", THRESHOLD, "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        head, tail = out.read_text().split("END SPEC\n")
+        out.write_text(f"{head}{self.DEEP}\nEND SPEC\n{tail}")
+        line = len(head.split("BEGIN SPEC\n")[1].splitlines()) + 1
+        err = self.assert_input_error(main(["simulate", str(out)]), capsys)
+        assert f"embedded specification: line {line}, {self.AT}" in err
 
 
 # sha256 of the artifact and of the transcript that `numltl synth` writes for

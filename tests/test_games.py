@@ -15,10 +15,6 @@ import pytest
 from numltl import speclang as sl
 from numltl.automata import BuchiAutomaton, Transition, negate_and_translate, translate
 from numltl.games import (
-    CTRL,
-    ENV,
-    CtrlEdge,
-    EnvEdge,
     GameArena,
     GameError,
     SuccessorTable,
@@ -35,7 +31,16 @@ from numltl.games import (
 from numltl.speclang import document_formula, parse_spec
 from numltl.valuation import Valuation, all_valuations
 from generators import random_arena, random_formula
-from oracles import buchi_win_oracle, cube_matches, safety_win_oracle
+from oracles import (
+    ObjectCtrlEdge,
+    ObjectEnvEdge,
+    arena_from_edges,
+    buchi_win_oracle,
+    cube_matches,
+    object_arena,
+    object_solution,
+    safety_win_oracle,
+)
 
 
 def pin_automaton() -> BuchiAutomaton:
@@ -96,16 +101,16 @@ class TestBuchiArenaConstruction:
         assert arena.accepting == frozenset({1})
 
     def test_ctrl_nodes_record_their_origin(self):
-        arena = build_buchi_game(pin_automaton(), ("a",), ("b",))
+        arena = object_arena(build_buchi_game(pin_automaton(), ("a",), ("b",)))
         assert arena.ctrl_origin[0] == (0, v(a=False))
         assert arena.ctrl_origin[1] == (0, v(a=True))
         assert arena.ctrl_origin[3] == (1, v(a=True))
 
     def test_ctrl_edges_resolve_nondeterminism(self):
-        arena = build_buchi_game(pin_automaton(), ("a",), ("b",))
+        arena = object_arena(build_buchi_game(pin_automaton(), ("a",), ("b",)))
         # from (state 0, a=0) only the jump to state 1 matches, per output
-        assert arena.ctrl_edges[0] == [CtrlEdge(v(b=False), 1), CtrlEdge(v(b=True), 1)]
-        assert arena.ctrl_edges[1] == [CtrlEdge(v(b=False), 0), CtrlEdge(v(b=True), 0)]
+        assert arena.ctrl_edges[0] == [ObjectCtrlEdge(v(b=False), 1), ObjectCtrlEdge(v(b=True), 1)]
+        assert arena.ctrl_edges[1] == [ObjectCtrlEdge(v(b=False), 0), ObjectCtrlEdge(v(b=True), 0)]
 
     def test_overlapping_guards_to_same_target_are_deduplicated(self):
         automaton = BuchiAutomaton(
@@ -121,7 +126,7 @@ class TestBuchiArenaConstruction:
             accepting=frozenset({0}),
         )
         arena = build_buchi_game(automaton, ("a",), ("b",))
-        for answers in arena.ctrl_edges:
+        for answers in object_arena(arena).ctrl_edges:
             assert len(answers) == len({(e.valuation, e.target) for e in answers})
 
     def test_structure_on_random_automata(self):
@@ -133,8 +138,9 @@ class TestBuchiArenaConstruction:
             assert arena.n_env == automaton.n_states
             assert arena.n_ctrl == 2 * automaton.n_states
             assert arena.edge_count()[0] == arena.n_ctrl
-            for cid, (q, vin) in enumerate(arena.ctrl_origin):
-                for edge in arena.ctrl_edges[cid]:
+            objects = object_arena(arena)
+            for cid, (q, vin) in enumerate(objects.ctrl_origin):
+                for edge in objects.ctrl_edges[cid]:
                     letter = vin.merge(edge.valuation)
                     assert any(
                         t.target == edge.target and cube_matches(t.guard, letter)
@@ -146,10 +152,10 @@ class TestBuchiArenaConstruction:
         arena = build_buchi_game(translate(formula, ("a",)), ("a",), ())
         # one output valuation (the empty one), yet ctrl still resolves
         # automaton nondeterminism, so answers may differ in target only
-        for answers in arena.ctrl_edges:
+        solution = object_solution(solve_buchi(arena))
+        for answers in solution.arena.ctrl_edges:
             assert {e.valuation for e in answers} <= {Valuation.of({})}
-        solution = solve_buchi(arena)
-        assert solution.ctrl_region | solution.env_region == set(arena.nodes())
+        assert solution.ctrl_region | solution.env_region == set(solution.arena.nodes())
 
 
 class TestSafetyArenaConstruction:
@@ -177,10 +183,11 @@ class TestSafetyArenaConstruction:
         assert arena.unsafe == frozenset({arena.env_labels.index("UNSAFE")})
         # the unsafe sentinel is terminal, every other env node offers both inputs
         unsafe_id = arena.env_labels.index("UNSAFE")
-        assert arena.env_edges[unsafe_id] == []
+        env_edges = object_arena(arena).env_edges
+        assert env_edges[unsafe_id] == []
         for i in range(arena.n_env):
             if i != unsafe_id:
-                assert [e.valuation for e in arena.env_edges[i]] == [
+                assert [e.valuation for e in env_edges[i]] == [
                     v(a=False),
                     v(a=True),
                 ]
@@ -210,11 +217,12 @@ class TestSafetyArenaConstruction:
         arena = build_safety_game(automaton, 1, ("a",), ())
         assert "EMPTY" in arena.env_labels
         empty_id = arena.env_labels.index("EMPTY")
-        for edge in arena.env_edges[empty_id]:
-            for answer in arena.ctrl_edges[edge.target]:
+        objects = object_arena(arena)
+        for edge in objects.env_edges[empty_id]:
+            for answer in objects.ctrl_edges[edge.target]:
                 assert answer.target == empty_id
-        solution = solve_safety(arena)
-        assert (ENV, empty_id) in solution.ctrl_region
+        solution = object_solution(solve_safety(arena))
+        assert ("env", empty_id) in solution.ctrl_region
 
     def test_bound_below_one_is_rejected(self):
         with pytest.raises(GameError, match="bound"):
@@ -242,7 +250,7 @@ class TestSafetyArenaConstruction:
         assert n_out == 4
         assert list(arena.ctrl_start) == list(range(0, arena.n_ctrl * n_out + 1, n_out))
         assert list(arena.ctrl_letter) == list(range(n_out)) * arena.n_ctrl
-        for row in arena.ctrl_edges:
+        for row in object_arena(arena).ctrl_edges:
             assert [e.valuation for e in row] == list(all_valuations(("g", "h")))
 
     TWO_OUTPUTS = "INPUT r\nOUTPUT g, h\nALWAYS (r -> NEXT (g || h))\nALWAYS (!(g && h))\n"
@@ -263,37 +271,37 @@ def test_class_index_numbers_every_letter(n_classes, n_letters):
 
 class TestStuckNodeConventions:
     def test_stuck_env_node_is_controller_winning(self):
-        arena = GameArena.from_edges("buchi", ("a",), (), [[]], [])
-        assert (ENV, 0) in solve_buchi(arena).ctrl_region
+        arena = arena_from_edges("buchi", ("a",), (), [[]], [])
+        assert ("env", 0) in object_solution(solve_buchi(arena)).ctrl_region
 
     def test_stuck_ctrl_node_is_env_winning(self):
-        arena = GameArena.from_edges(
+        arena = arena_from_edges(
             "buchi",
             ("a",),
             (),
-            [[EnvEdge(v(a=True), 0, bits=1)]],
+            [[ObjectEnvEdge(v(a=True), 0, bits=1)]],
             [[]],
             accepting=frozenset({0}),
         )
-        solution = solve_buchi(arena)
-        assert solution.env_region == frozenset({(ENV, 0), (CTRL, 0)})
+        solution = object_solution(solve_buchi(arena))
+        assert solution.env_region == frozenset({("env", 0), ("ctrl", 0)})
 
     def test_unsafe_beats_stuckness(self):
-        arena = GameArena.from_edges("safety", ("a",), (), [[]], [], unsafe=frozenset({0}))
-        assert (ENV, 0) in solve_safety(arena).env_region
+        arena = arena_from_edges("safety", ("a",), (), [[]], [], unsafe=frozenset({0}))
+        assert ("env", 0) in object_solution(solve_safety(arena)).env_region
 
     def test_edges_must_be_numbered_as_their_ctrl_nodes(self):
         with pytest.raises(GameError, match="ctrl node 0"):
-            GameArena.from_edges("buchi", ("a",), (), [[EnvEdge(v(a=True), 1, bits=1)]], [[]])
+            arena_from_edges("buchi", ("a",), (), [[ObjectEnvEdge(v(a=True), 1, bits=1)]], [[]])
         with pytest.raises(GameError, match="one ctrl row per env edge"):
-            GameArena.from_edges("buchi", ("a",), (), [[EnvEdge(v(a=True), 0, bits=1)]], [])
+            arena_from_edges("buchi", ("a",), (), [[ObjectEnvEdge(v(a=True), 0, bits=1)]], [])
 
 
 class TestBuchiSolving:
     def test_pin_fixture_regions(self):
         arena = build_buchi_game(pin_automaton(), ("a",), ("b",))
-        solution = solve_buchi(arena)
-        assert solution.env_region == frozenset({(ENV, 0), (CTRL, 1)})
+        solution = object_solution(solve_buchi(arena))
+        assert solution.env_region == frozenset({("env", 0), ("ctrl", 1)})
         assert not solution.ctrl_wins
 
     def test_pin_fixture_counter_strategy(self):
@@ -310,10 +318,9 @@ class TestBuchiSolving:
     def test_regions_match_fixpoint_oracle(self):
         rng = random.Random(802)
         for _ in range(100):
-            arena = random_arena(rng, "buchi")
-            solution = solve_buchi(arena)
-            assert solution.ctrl_region == buchi_win_oracle(arena)
-            assert solution.ctrl_region | solution.env_region == set(arena.nodes())
+            solution = object_solution(solve_buchi(random_arena(rng, "buchi")))
+            assert solution.ctrl_region == buchi_win_oracle(solution.arena)
+            assert solution.ctrl_region | solution.env_region == set(solution.arena.nodes())
             assert not (solution.ctrl_region & solution.env_region)
 
 
@@ -321,10 +328,9 @@ class TestSafetySolving:
     def test_regions_match_fixpoint_oracle(self):
         rng = random.Random(803)
         for _ in range(100):
-            arena = random_arena(rng, "safety")
-            solution = solve_safety(arena)
-            assert solution.ctrl_region == safety_win_oracle(arena)
-            assert solution.ctrl_region | solution.env_region == set(arena.nodes())
+            solution = object_solution(solve_safety(random_arena(rng, "safety")))
+            assert solution.ctrl_region == safety_win_oracle(solution.arena)
+            assert solution.ctrl_region | solution.env_region == set(solution.arena.nodes())
             assert not (solution.ctrl_region & solution.env_region)
 
     def test_objective_mismatch_is_rejected(self):
@@ -335,21 +341,22 @@ class TestSafetySolving:
         arena = random_arena(rng, "buchi")
         with pytest.raises(GameError, match="safety"):
             solve_safety(arena)
-        assert solve(arena).ctrl_region == buchi_win_oracle(arena)
+        assert object_solution(solve(arena)).ctrl_region == buchi_win_oracle(object_arena(arena))
 
 
 def _ctrl_play_graph(solution) -> dict[int, list[int]]:
     """Env-node graph of all plays where ctrl follows its strategy."""
+    solution = object_solution(solution)
     arena = solution.arena
     graph: dict[int, list[int]] = {}
     for i in range(arena.n_env):
-        if (ENV, i) not in solution.ctrl_region:
+        if ("env", i) not in solution.ctrl_region:
             continue
         succ = []
         for edge in arena.present_env_edges(i):
             answer = solution.ctrl_strategy.get(edge.target)
             assert answer is not None, "strategy must cover reachable ctrl nodes"
-            assert (ENV, answer.target) in solution.ctrl_region
+            assert ("env", answer.target) in solution.ctrl_region
             succ.append(answer.target)
         graph[i] = succ
     return graph
@@ -357,10 +364,11 @@ def _ctrl_play_graph(solution) -> dict[int, list[int]]:
 
 def _env_play_graph(solution) -> dict[int, list[int]]:
     """Env-node graph of all plays where env follows its strategy."""
+    solution = object_solution(solution)
     arena = solution.arena
     graph: dict[int, list[int]] = {}
     for i in range(arena.n_env):
-        if (ENV, i) not in solution.env_region:
+        if ("env", i) not in solution.env_region:
             continue
         choice = solution.env_strategy.get(i)
         if choice is None:
@@ -368,7 +376,7 @@ def _env_play_graph(solution) -> dict[int, list[int]]:
             continue
         succ = []
         for answer in arena.ctrl_edges[choice.target]:
-            assert (ENV, answer.target) in solution.env_region
+            assert ("env", answer.target) in solution.env_region
             succ.append(answer.target)
         graph[i] = succ
     return graph
@@ -447,6 +455,7 @@ class TestStrategySoundness:
             solution = solve_safety(arena)
             graph = _env_play_graph(solution)
             assert _is_acyclic(graph)
+            solution = object_solution(solution)
             for u, succ in graph.items():
                 if succ:
                     continue
@@ -454,18 +463,19 @@ class TestStrategySoundness:
                 if choice is None:
                     assert u in arena.unsafe
                 else:
-                    assert arena.ctrl_edges[choice.target] == []
+                    assert solution.arena.ctrl_edges[choice.target] == []
 
 
 class TestCounterStrategy:
     def _restrict_and_resolve(self, arena, cs, pick) -> bool:
         restricted = copy.deepcopy(arena)
+        env_edges = object_arena(arena).env_edges
         for s in cs.states:
             chosen = cs.candidates.get(s, ())
             if not chosen:
                 continue
             keep = pick(chosen, key=lambda val: val.sort_key())
-            for edge in restricted.env_edges[s]:
+            for edge in env_edges[s]:
                 if edge.valuation != keep:
                     restricted.present[edge.target] = 0
         return solve(restricted).ctrl_wins
@@ -493,8 +503,9 @@ class TestCounterStrategy:
             if solution.ctrl_wins:
                 continue
             cs = extract_counter_strategy(solution)
+            env_region = object_solution(solution).env_region
             for s in cs.states:
-                assert (ENV, s) in solution.env_region
+                assert ("env", s) in env_region
                 if s not in cs.spoiled:
                     assert cs.candidates[s]
             if arena.objective == "buchi":
@@ -520,17 +531,22 @@ class TestCounterStrategy:
         # no accepting node: env wins everywhere and every edge is a candidate;
         # input a=0 leads to state 1, a=1 to state 2, and state 2 stays put
         a0, a1 = v(a=False), v(a=True)
-        stay = [CtrlEdge(v(b=False), 2), CtrlEdge(v(b=True), 2)]
-        arena = GameArena.from_edges(
+        stay = [ObjectCtrlEdge(v(b=False), 2), ObjectCtrlEdge(v(b=True), 2)]
+        arena = arena_from_edges(
             "buchi",
             ("a",),
             ("b",),
             [
-                [EnvEdge(a0, 0, bits=0), EnvEdge(a1, 1, bits=1)],
-                [EnvEdge(a0, 2, bits=0)],
-                [EnvEdge(a1, 3, bits=1)],
+                [ObjectEnvEdge(a0, 0, bits=0), ObjectEnvEdge(a1, 1, bits=1)],
+                [ObjectEnvEdge(a0, 2, bits=0)],
+                [ObjectEnvEdge(a1, 3, bits=1)],
             ],
-            [[CtrlEdge(v(b=False), 1)], [CtrlEdge(v(b=True), 2)], [CtrlEdge(v(b=True), 0)], stay],
+            [
+                [ObjectCtrlEdge(v(b=False), 1)],
+                [ObjectCtrlEdge(v(b=True), 2)],
+                [ObjectCtrlEdge(v(b=True), 0)],
+                stay,
+            ],
         )
         solution = solve(arena)
         assert extract_counter_strategy(solution).states == (0, 1, 2)
@@ -585,7 +601,7 @@ class TestEdgeMarking:
         count = mark_edges_absent(arena, v(a=True), ("a",))
         assert count == 2
         assert mark_edges_absent(arena, v(a=True), ("a",)) == 0
-        for row in arena.env_edges:
+        for row in object_arena(arena).env_edges:
             for edge in row:
                 assert edge.present == (not edge.valuation["a"])
 
@@ -601,7 +617,7 @@ class TestEdgeMarking:
         arena = build_buchi_game(automaton, ("p", "q"), ("b",))
         count = mark_edges_absent(arena, v(p=True), ("p",))
         assert count == 2 * automaton.n_states
-        for row in arena.env_edges:
+        for row in object_arena(arena).env_edges:
             for edge in row:
                 assert edge.present == (not edge.valuation["p"])
 
@@ -641,5 +657,5 @@ class TestSpecificationGames:
     def test_always_false_spec_loses_everywhere(self):
         automaton = translate(sl.Always(sl.FalseFormula()), ("a",))
         arena = build_buchi_game(automaton, ("a",), ())
-        solution = solve_buchi(arena)
+        solution = object_solution(solve_buchi(arena))
         assert solution.ctrl_region == frozenset()

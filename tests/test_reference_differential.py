@@ -35,8 +35,6 @@ from numltl.cegar import (
 )
 from numltl.controller_file import render_realizable, render_unrealizable
 from numltl.games import (
-    CTRL,
-    ENV,
     SuccessorTable,
     _attractor,
     build_buchi_game,
@@ -59,6 +57,7 @@ from oracles import (
     ObjectArena,
     arena_shape,
     object_arena,
+    object_solution,
     reference_attractor,
     reference_buchi_game,
     reference_expand,
@@ -84,40 +83,43 @@ def input_bits(valuation: Valuation, inputs: tuple[str, ...]) -> int:
 
 def assert_same_arena(arena, reference) -> None:
     assert arena_shape(arena) == reference
-    for row in arena.env_edges:
+    for row in object_arena(arena).env_edges:
         for edge in row:
             assert edge.bits == input_bits(edge.valuation, arena.inputs)
 
 
 def library_attractor(arena, owner, base, alive):
-    """``games._attractor`` on ``NodeId`` sets: the attracted set and each
-    member's layer, with each opponent node's live successors counted here
-    as the function expects them."""
+    """``games._attractor`` on ``("env", i)`` / ``("ctrl", k)`` node sets:
+    the attracted set and each member's layer, with each opponent node's
+    live successors counted here as the function expects them."""
+    objects = object_arena(arena)
     n_env = arena.n_env
-    number = {node: node[1] if node[0] == ENV else n_env + node[1] for node in arena.nodes()}
+    nodes = objects.nodes()
+    number = {node: n for n, node in enumerate(nodes)}
     rank = array("i", [-2]) * len(number)
     for node in alive:
         rank[number[node]] = -1
     pending = array("i", [0]) * len(number)
-    for i, row in enumerate(arena.env_edges):
-        pending[i] = sum(1 for e in row if e.present and (CTRL, e.target) in alive)
-    for k, row in enumerate(arena.ctrl_edges):
-        pending[n_env + k] = len({e.target for e in row if (ENV, e.target) in alive})
-    rank = _attractor(arena, owner == ENV, [number[n] for n in base], rank, pending)
-    ranked = {node: rank[number[node]] for node in arena.nodes() if rank[number[node]] >= 0}
+    for i, row in enumerate(objects.env_edges):
+        pending[i] = sum(1 for e in row if e.present and ("ctrl", e.target) in alive)
+    for k, row in enumerate(objects.ctrl_edges):
+        pending[n_env + k] = len({e.target for e in row if ("env", e.target) in alive})
+    rank = _attractor(arena, owner == "env", [number[n] for n in base], rank, pending)
+    ranked = {node: rank[number[node]] for node in nodes if rank[number[node]] >= 0}
     return set(ranked), ranked
 
 
 def assert_same_attractors(arena) -> None:
-    nodes = set(arena.nodes())
+    objects = object_arena(arena)
+    nodes = set(objects.nodes())
     if arena.objective == "safety":
-        goals = [(ENV, {(ENV, u) for u in arena.unsafe})]
+        goals = [("env", {("env", u) for u in arena.unsafe})]
     else:
-        goals = [(CTRL, {(ENV, q) for q in arena.accepting})]
-    goals.append((CTRL if goals[0][0] == ENV else ENV, {(ENV, arena.initial)}))
+        goals = [("ctrl", {("env", q) for q in arena.accepting})]
+    goals.append(("ctrl" if goals[0][0] == "env" else "env", {("env", arena.initial)}))
     for owner, base in goals:
         assert library_attractor(arena, owner, base, nodes) == reference_attractor(
-            arena, owner, base, nodes
+            objects, owner, base, nodes
         )
 
 
@@ -262,11 +264,11 @@ def test_attractor_matches_reference_on_random_arenas():
     for k in range(400):
         arena = random_arena(rng, "buchi" if k % 2 else "safety")
         twin = object_arena(arena)
-        nodes = arena.nodes()
-        for owner in (ENV, CTRL):
+        nodes = twin.nodes()
+        for owner in ("env", "ctrl"):
             base = {n for n in nodes if rng.random() < 0.25}
             alive = set(nodes) if k % 3 else {n for n in nodes if rng.random() < 0.8}
-            expected = reference_attractor(arena, owner, base, alive)
+            expected = reference_attractor(twin, owner, base, alive)
             assert library_attractor(arena, owner, base, alive) == expected
             assert reference_linear_attractor(twin, owner, base, alive) == expected
 
@@ -298,21 +300,14 @@ def test_edge_marking_matches_reference_on_random_arenas():
 # -- solving, extraction and selection against the object-level versions ------
 
 
-def env_edge_tuple(edge) -> tuple:
-    return (edge.valuation, edge.target, edge.present, edge.bits)
-
-
 def assert_same_solution(solution, reference) -> None:
+    solution = object_solution(solution)
     assert solution.ctrl_wins == reference.ctrl_wins
     assert solution.ctrl_region == reference.ctrl_region
     assert solution.env_region == reference.env_region
     assert solution.ctrl_strategy == reference.ctrl_strategy
-    assert {i: env_edge_tuple(e) for i, e in solution.env_strategy.items()} == {
-        i: env_edge_tuple(e) for i, e in reference.env_strategy.items()
-    }
-    assert {
-        i: tuple(map(env_edge_tuple, edges)) for i, edges in solution.env_candidates.items()
-    } == {i: tuple(map(env_edge_tuple, edges)) for i, edges in reference.env_candidates.items()}
+    assert solution.env_strategy == reference.env_strategy
+    assert solution.env_candidates == reference.env_candidates
 
 
 def assert_same_machine(machine, reference) -> None:
@@ -365,7 +360,8 @@ def assert_same_extraction(rng: random.Random, solution, reference) -> int:
         for s in cs.states
         if s not in cs.spoiled
     }
-    inputs_of = {s: tuple(solution.arena.env_edge(k).valuation for k in keep[s]) for s in keep}
+    letters, env_letter = solution.arena.letters, solution.arena.env_letter
+    inputs_of = {s: tuple(letters.inputs[env_letter[k]] for k in keep[s]) for s in keep}
     assert_same_machine(
         extract_counter_strategy(solution, keep),
         reference_restrict_counter_strategy(expected, inputs_of),
@@ -505,7 +501,7 @@ def test_selection_and_extraction_match_reference_on_every_env_win_round(monkeyp
 
     def compared(solution, checked, atoms):
         nonlocal rounds
-        full = reference_extract_counter_strategy(solution)
+        full = reference_extract_counter_strategy(object_solution(solution))
         assert_same_machine(extract_counter_strategy(solution), full)
         assert_same_selection(solution, full, checked, atoms)
         rounds += 1

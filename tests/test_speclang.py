@@ -18,6 +18,7 @@ from numltl.speclang import (
     Implies,
     INPUT_SIDE,
     MAX_EXPONENT,
+    MAX_NESTING,
     MAX_POWER_TERMS,
     Next,
     Not,
@@ -222,6 +223,66 @@ class TestPowerCaps:
         expected = x.power(MAX_EXPONENT) + (x + y + one).power(30)
         assert len((x + y + one).power(30).terms) <= MAX_POWER_TERMS
         assert doc.checks[0] == PolyConstraint(expected, ">")
+
+
+class TestNestingCap:
+    # the declarations before one line nested n deep, and that line's
+    # (prefix, opener, core, closer, suffix)
+    SHAPES = {
+        "parentheses": (MINIMAL, ("", "(", "a", ")", "")),
+        "next": (MINIMAL, ("", "NEXT ", "a", "", "")),
+        "not": (MINIMAL, ("", "!", "a", "", "")),
+        "polynomial": (
+            "REAL x IN [0, 1]\nOUTPUT b\np -> b\n",
+            ("PRED p := ", "(", "x", ")", " > 0"),
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_the_cap_parses_and_one_more_level_is_rejected_at_its_opener(self, shape):
+        header, (prefix, opener, core, closer, suffix) = self.SHAPES[shape]
+
+        def text(depth: int) -> str:
+            return f"{header}{prefix}{opener * depth}{core}{closer * depth}{suffix}\n"
+
+        doc = parse_spec(text(MAX_NESTING))
+        assert parse_spec(format_spec(doc)) == doc
+        with pytest.raises(SpecError, match=f"nested more than {MAX_NESTING} levels") as caught:
+            parse_spec(text(MAX_NESTING + 1))
+        line = header.count("\n") + 1
+        column = len(prefix) + MAX_NESTING * len(opener) + 1
+        assert (caught.value.line, caught.value.column) == (line, column)
+
+    def test_groups_and_prefix_operators_count_together(self):
+        half = MAX_NESTING // 2
+        nested = "(" * half + "!" * half + "{}a" + ")" * half
+        parse_spec(f"{MINIMAL}{nested.format('')}\n")
+        with pytest.raises(SpecError, match="nested more than"):
+            parse_spec(f"{MINIMAL}{nested.format('NEXT ')}\n")
+
+    def test_a_prefix_operator_shares_the_level_of_its_group(self):
+        """``format_spec`` prints ``NEXT (a)`` for ``NEXT a``: its text of a
+        document within the cap must parse back."""
+        nested = "ALWAYS (" * MAX_NESTING + "{}a" + ")" * MAX_NESTING
+        doc = parse_spec(f"{MINIMAL}{nested.format('')}\n")
+        assert parse_spec(format_spec(doc)) == doc
+        with pytest.raises(SpecError, match="nested more than"):
+            parse_spec(f"{MINIMAL}{nested.format('!')}\n")
+
+    @pytest.mark.parametrize(
+        "nested, column",
+        [
+            (lambda n: "(" * n + "x" + ")" * n, MAX_NESTING + 1),
+            # a polynomial's leading sign is not recursed into: no level
+            (lambda n: "-" * (n + 1) + "x", MAX_NESTING + 2),
+        ],
+        ids=["parentheses", "minus"],
+    )
+    def test_constraint_files_share_the_cap(self, nested, column):
+        parse_constraints(f"REAL x IN [0, 1]\n{nested(MAX_NESTING)} > 0\n")
+        with pytest.raises(SpecError, match="nested more than") as caught:
+            parse_constraints(f"REAL x IN [0, 1]\n{nested(MAX_NESTING + 1)} > 0\n")
+        assert (caught.value.line, caught.value.column) == (2, column)
 
 
 class TestDeclarations:
