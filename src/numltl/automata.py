@@ -9,7 +9,9 @@ propositional expansion of each partial node is memoised, so each is
 expanded once, and the result is the automaton of the plain worklist
 expansion state for state: the test suite requires equality with that
 expansion, kept in its oracles, down to the order in which tableau nodes are
-created.
+created.  States share rows: the nodes that postpone the same obligations
+have the same successors, as do the degeneralized states over one row
+counting from one level, so each distinct row is built, sorted and hashed once.
 
 Also here: direct evaluation of a formula on an ultimately periodic word and
 automaton acceptance of such a word.  These give two independent routes to
@@ -150,8 +152,6 @@ class BuchiAutomaton:
 # next sibling, which is the order, and so the state numbering, of the plain
 # worklist expansion (``reference_expand`` in the test oracles).
 
-_INIT = -1
-
 # kinds of interned subformulas; TRUE counts as a literal
 _LITERAL, _FALSE, _AND, _OR, _UNTIL, _RELEASE, _NEXT = range(7)
 
@@ -170,7 +170,6 @@ class _Interned:
 class _Node:
     old: int  # processed obligations, a bitmask over ranks
     nxt: int  # postponed obligations
-    incoming: list[int]  # positions of predecessor nodes, or _INIT
 
 
 def _is_literal(f: Formula) -> bool:
@@ -245,8 +244,10 @@ def _expand_step(
     return ((new | right, old, nxt | bit), (new | left | right, old, nxt))
 
 
-def _expand(table: _Interned) -> list[_Node]:
-    """Tableau nodes in creation order, the root's expansion first."""
+def _expand(table: _Interned) -> tuple[list[_Node], dict[int, list[int]]]:
+    """Tableau nodes in creation order, the root's expansion first, and the
+    successors of each expanded obligation set (the root's, and each node's
+    postponed ones): the positions of the nodes it expands to, in order."""
     leaf_lists: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
     splits: dict[tuple[int, int, int], tuple[tuple[int, int, int], ...]] = {}
 
@@ -285,21 +286,25 @@ def _expand(table: _Interned) -> list[_Node]:
 
     nodes: list[_Node] = []
     position: dict[tuple[int, int], int] = {}
-    walk = [(_INIT, iter(leaves((1 << table.root, 0, 0))))]
+    # a node's successors are the leaves of its postponed obligations, so a
+    # node whose set was walked to the end has every successor numbered
+    successors: dict[int, list[int]] = {}
+    start = 1 << table.root
+    walk = [(start, iter(leaves((start, 0, 0))))]
     while walk:
-        parent, keys = walk[-1]
+        new, keys = walk[-1]
         for key in keys:
-            known = position.get(key)
-            if known is not None:
-                nodes[known].incoming.append(parent)
+            if key in position:
                 continue
             position[key] = len(nodes)
-            nodes.append(_Node(key[0], key[1], [parent]))
-            walk.append((len(nodes) - 1, iter(leaves((key[1], 0, 0)))))
+            nodes.append(_Node(*key))
+            if key[1] not in successors:
+                walk.append((key[1], iter(leaves((key[1], 0, 0)))))
             break
         else:
             walk.pop()
-    return nodes
+            successors[new] = sorted(position[key] for key in leaf_lists[new, 0, 0])
+    return nodes, successors
 
 
 def _guards(table: _Interned, nodes: list[_Node]) -> tuple[list[int], list[Valuation]]:
@@ -324,66 +329,82 @@ def _guards(table: _Interned, nodes: list[_Node]) -> tuple[list[int], list[Valua
 # -- acceptance -----------------------------------------------------------------
 #
 # Guards are ints here, ranks into a cube list sorted by ``pairs``, so rows
-# sort as plain ``(guard, target)`` tuples in the order of the cubes.
+# sort as plain ``(guard, target)`` tuples in the order of the cubes.  States
+# share rows: ``state_row[q]`` numbers the row of state ``q`` in ``rows``.
 
 
 def _degeneralize(
     n_states: int,
     initial: int,
-    edges: list[list[tuple[int, int]]],
+    state_row: list[int],
+    rows: list[list[tuple[int, int]]],
     acceptance_sets: list[frozenset[int]],
-) -> tuple[int, int, list[list[tuple[int, int]]], frozenset[int]]:
+) -> tuple[int, int, list[int], list[list[tuple[int, int]]], frozenset[int]]:
     """Generalized to plain Büchi acceptance: state ``(q, level)`` counts the
-    acceptance sets met in order, and level ``m`` is accepting."""
+    acceptance sets met in order, and level ``m`` is accepting.  Its row
+    depends only on ``q``'s row and on the level it counts from, so each
+    such pair's row is built once and shared."""
     m = len(acceptance_sets)
     if m == 0:
-        return n_states, initial, edges, frozenset(range(n_states))
+        return n_states, initial, state_row, rows, frozenset(range(n_states))
     if m == 1:
-        return n_states, initial, edges, acceptance_sets[0]
+        return n_states, initial, state_row, rows, acceptance_sets[0]
 
     index = {(initial, 0): 0}
-    out: list[list[tuple[int, int]]] = [[]]
+    out_row = [0]
+    out: list[list[tuple[int, int]]] = []
+    built: dict[tuple[int, int], int] = {}
     accepting: set[int] = set()
     work = [(initial, 0)]
     while work:
         q, level = key = work.pop()
-        row = out[index[key]]
         base = 0 if level == m else level
-        for guard, target in edges[q]:
-            bumped = base
-            while bumped < m and target in acceptance_sets[bumped]:
-                bumped += 1
-            key = (target, bumped)
-            dst = index.get(key)
-            if dst is None:
-                dst = index[key] = len(out)
-                out.append([])
-                if key[1] == m:
-                    accepting.add(dst)
-                work.append(key)
-            row.append((guard, dst))
-    return len(out), 0, out, frozenset(accepting)
+        shared = (state_row[q], base)
+        r = built.get(shared)
+        if r is None:
+            row = []
+            for guard, target in rows[shared[0]]:
+                bumped = base
+                while bumped < m and target in acceptance_sets[bumped]:
+                    bumped += 1
+                succ = (target, bumped)
+                dst = index.get(succ)
+                if dst is None:
+                    dst = index[succ] = len(out_row)
+                    out_row.append(0)
+                    if bumped == m:
+                        accepting.add(dst)
+                    work.append(succ)
+                row.append((guard, dst))
+            r = built[shared] = len(out)
+            out.append(row)
+        out_row[index[key]] = r
+    return len(out_row), 0, out_row, out, frozenset(accepting)
 
 
 def _simplify(
     n_states: int,
     initial: int,
-    edges: list[list[tuple[int, int]]],
+    state_row: list[int],
+    rows: list[list[tuple[int, int]]],
     accepting: frozenset[int],
     cubes: list[Valuation],
     atoms: tuple[str, ...],
 ) -> BuchiAutomaton:
     """Merge states with identical rows until none are left, renumber the
     reachable ones breadth first from ``initial`` and turn guard ranks back
-    into ``cubes``."""
-    rows = [sorted(set(row)) for row in edges]
+    into ``cubes``.  Each distinct row is sorted, and hashed, once a round."""
+    sorted_rows = [tuple(sorted(set(row))) for row in rows]
 
     alive = list(range(n_states))
     while True:
-        signature: dict[tuple, int] = {}
+        # number the distinct rows, so each state's signature is two ints
+        number: dict[tuple, int] = {}
+        row_number = [number.setdefault(row, len(number)) for row in sorted_rows]
+        signature: dict[tuple[bool, int], int] = {}
         rename: dict[int, int] = {}
         for q in alive:
-            sig = (q in accepting, tuple(rows[q]))
+            sig = (q in accepting, row_number[state_row[q]])
             if sig in signature:
                 rename[q] = signature[sig]
             else:
@@ -392,8 +413,8 @@ def _simplify(
             break
         initial = rename.get(initial, initial)
         alive = [q for q in alive if q not in rename]
-        for q in alive:
-            rows[q] = sorted({(g, rename.get(t, t)) for g, t in rows[q]})
+        for r in {state_row[q] for q in alive}:
+            sorted_rows[r] = tuple(sorted({(g, rename.get(t, t)) for g, t in sorted_rows[r]}))
 
     order: list[int] = []
     seen = {initial}
@@ -401,7 +422,7 @@ def _simplify(
     while queue:
         q = queue.popleft()
         order.append(q)
-        for _, target in rows[q]:
+        for _, target in sorted_rows[state_row[q]]:
             if target not in seen:
                 seen.add(target)
                 queue.append(target)
@@ -411,7 +432,8 @@ def _simplify(
         n_states=len(order),
         initial=0,
         transitions=tuple(
-            tuple(Transition(cubes[g], new_id[t]) for g, t in rows[q]) for q in order
+            tuple(Transition(cubes[g], new_id[t]) for g, t in sorted_rows[state_row[q]])
+            for q in order
         ),
         accepting=frozenset(new_id[q] for q in accepting if q in new_id),
     )
@@ -420,16 +442,14 @@ def _simplify(
 def translate(formula: Formula, atoms: tuple[str, ...] | None = None) -> BuchiAutomaton:
     """Büchi automaton accepting exactly the words satisfying ``formula``."""
     table = _intern(negation_normal_form(formula))
-    nodes = _expand(table)
+    nodes, successors = _expand(table)
     guard_of, cubes = _guards(table, nodes)
 
-    # state 0 is a fresh initial state (_INIT + 1); tableau node k becomes
-    # state k+1
-    n_states = len(nodes) + 1
-    edges: list[list[tuple[int, int]]] = [[] for _ in range(n_states)]
-    for k, node in enumerate(nodes):
-        for src in node.incoming:
-            edges[src + 1].append((guard_of[k], k + 1))
+    # state 0 is a fresh initial state; tableau node k becomes state k+1,
+    # whose row is the successors of the obligations it postpones
+    row_number = {new: r for r, new in enumerate(successors)}
+    rows = [[(guard_of[k], k + 1) for k in targets] for targets in successors.values()]
+    state_row = [row_number[1 << table.root]] + [row_number[node.nxt] for node in nodes]
 
     # one acceptance set per Until, in repr order
     acceptance_sets = [
@@ -443,10 +463,12 @@ def translate(formula: Formula, atoms: tuple[str, ...] | None = None) -> BuchiAu
         if kind == _UNTIL
     ]
 
-    n, initial, rows, accepting = _degeneralize(n_states, 0, edges, acceptance_sets)
+    n, initial, state_row, rows, accepting = _degeneralize(
+        len(nodes) + 1, 0, state_row, rows, acceptance_sets
+    )
     if atoms is None:
         atoms = tuple(sorted(atoms_of(formula)))
-    return _simplify(n, initial, rows, accepting, cubes, atoms)
+    return _simplify(n, initial, state_row, rows, accepting, cubes, atoms)
 
 
 def negate_and_translate(

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import speclang as sl
 from .abstraction import EMPTY_MULTIPLEXER, MultiplexerTable
 from .cegar import BUCHI, SAFETY, Realizable, UnrealizableWithinBound
 from .games import CounterStrategy, MealyController
-from .valuation import Valuation, parse_valuation
+from .valuation import Memo, Valuation, parse_valuation
 
 MAGIC = "NUMLTL"
 KIND_CONTROLLER = "CONTROLLER"
@@ -93,10 +92,11 @@ def render_realizable(verdict: Realizable, algorithm: str) -> str:
     lines.append(f"OUTPUTS {_names_str(m.outputs)}")
     lines.append(f"STATES {m.n_states}")
     lines.append(f"INITIAL {m.initial}")
+    shown = Memo(_val_str)  # a machine's lines repeat a few valuations
     for (state, vin), (vout, nxt) in sorted(
         m.step.items(), key=lambda item: (item[0][0], item[0][1].sort_key())
     ):
-        lines.append(f"STEP {state} {_val_str(vin)} {_val_str(vout)} {nxt}")
+        lines.append(f"STEP {state} {shown[vin]} {shown[vout]} {nxt}")
     lines += _mux_lines(verdict.multiplexer)
     lines += _spec_lines(verdict.spec.source)
     return "\n".join(lines) + "\n"
@@ -109,9 +109,10 @@ def render_unrealizable(verdict: UnrealizableWithinBound, algorithm: str) -> str
     lines.append(f"OUTPUTS {_names_str(cs.outputs)}")
     lines.append(f"STATES {_names_str(tuple(str(s) for s in cs.states))}")
     lines.append(f"INITIAL {cs.initial}")
+    shown = Memo(_val_str)  # a machine's lines repeat a few valuations
     for state in cs.states:
         cands = cs.candidates.get(state, ())
-        rendered = ";".join(_val_str(c) for c in cands) if cands else "-"
+        rendered = ";".join(map(shown.__getitem__, cands)) if cands else "-"
         lines.append(f"CANDIDATES {state} {rendered}")
     spoiled = tuple(str(s) for s in sorted(cs.spoiled))
     lines.append(f"SPOILED {_names_str(spoiled)}")
@@ -119,7 +120,7 @@ def render_unrealizable(verdict: UnrealizableWithinBound, algorithm: str) -> str
         cs.transitions.items(),
         key=lambda item: (item[0][0], item[0][1].sort_key(), item[0][2].sort_key()),
     ):
-        lines.append(f"STEP {state} {_val_str(vin)} {_val_str(vout)} {nxt}")
+        lines.append(f"STEP {state} {shown[vin]} {shown[vout]} {nxt}")
     lines += _mux_lines(verdict.multiplexer)
     lines += _spec_lines(verdict.spec.source)
     return "\n".join(lines) + "\n"
@@ -128,9 +129,7 @@ def render_unrealizable(verdict: UnrealizableWithinBound, algorithm: str) -> str
 def render_dot(machine: MealyController | CounterStrategy) -> str:
     """Graph description of a machine for visualization tools."""
 
-    def label(v: Valuation) -> str:
-        return str(v) if v.pairs else "-"
-
+    label = Memo(_val_str)
     lines = ["digraph machine {", "  rankdir=LR;"]
     if isinstance(machine, MealyController):
         lines.append(f'  init [shape=point]; init -> "{machine.initial}";')
@@ -139,7 +138,7 @@ def render_dot(machine: MealyController | CounterStrategy) -> str:
         for (state, vin), (vout, nxt) in sorted(
             machine.step.items(), key=lambda item: (item[0][0], item[0][1].sort_key())
         ):
-            lines.append(f'  "{state}" -> "{nxt}" [label="{label(vin)} / {label(vout)}"];')
+            lines.append(f'  "{state}" -> "{nxt}" [label="{label[vin]} / {label[vout]}"];')
     else:
         lines.append(f'  init [shape=point]; init -> "{machine.initial}";')
         for s in machine.states:
@@ -149,7 +148,7 @@ def render_dot(machine: MealyController | CounterStrategy) -> str:
             machine.transitions.items(),
             key=lambda item: (item[0][0], item[0][1].sort_key(), item[0][2].sort_key()),
         ):
-            lines.append(f'  "{state}" -> "{nxt}" [label="{label(vin)} / {label(vout)}"];')
+            lines.append(f'  "{state}" -> "{nxt}" [label="{label[vin]} / {label[vout]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -182,22 +181,26 @@ class _Reader:
         line = self.lines[self.pos]
         return line == keyword or line.startswith(keyword + " ")
 
-
-@lru_cache(maxsize=4096)
-def _valuation(text: str, atoms: tuple[str, ...] | None) -> Valuation:
-    # memoised: a machine's STEP lines repeat a few valuations many times
-    valuation = parse_valuation(text)
-    if atoms is not None and valuation.atoms != tuple(sorted(atoms)):
-        raise ValueError(f"valuation {text} does not assign exactly {_names_str(atoms)}")
-    return valuation
+    def block(self, keyword: str) -> list[list[str]]:
+        """Take every line ``at(keyword)`` accepts: each ``take`` payload, split at spaces."""
+        lines, pos, prefix = self.lines, self.pos, keyword + " "
+        payloads = []
+        while pos < len(lines) and (lines[pos].startswith(prefix) or lines[pos] == keyword):
+            payloads.append(lines[pos][len(prefix) :].strip().split(" "))
+            pos += 1
+        self.pos = pos
+        return payloads
 
 
 def _parse_val(text: str, where: str, atoms: tuple[str, ...] | None = None) -> Valuation:
     """A valuation that, when ``atoms`` is given, assigns exactly those."""
     try:
-        return _valuation(text, atoms)
+        valuation = parse_valuation(text)
+        if atoms is not None and valuation.atoms != tuple(sorted(atoms)):
+            raise ValueError(f"valuation {text} does not assign exactly {_names_str(atoms)}")
     except ValueError as exc:
         raise ControllerFileError(f"{where}: {exc}") from None
+    return valuation
 
 
 def _parse_names(text: str) -> tuple[str, ...]:
@@ -218,8 +221,7 @@ def _parse_mux(reader: _Reader) -> MultiplexerTable:
     encoded = _parse_names(reader.take("ENCODED"))
     original = _parse_names(reader.take("ORIGINAL"))
     rows = []
-    while reader.at("ROW"):
-        payload = reader.take("ROW").split(" ")
+    for payload in reader.block("ROW"):
         if len(payload) != 2:
             raise ControllerFileError("malformed ROW line in the multiplexer block")
         rows.append(
@@ -263,26 +265,27 @@ def parse_controller_file(text: str) -> ControllerPackage:
     bound_text = reader.take("BOUND")
     bound = None if bound_text == "none" else _parse_int(bound_text, "BOUND")
     refinements = []
-    while reader.at("REFINE"):
-        payload = reader.take("REFINE").split(" ")
+    for payload in reader.block("REFINE"):
         if len(payload) != 2 or payload[0] not in (sl.INPUT_SIDE, sl.OUTPUT_SIDE):
             raise ControllerFileError("malformed REFINE line")
         refinements.append((payload[0], _parse_val(payload[1], "REFINE")))
     inputs = _parse_names(reader.take("INPUTS"))
     outputs = _parse_names(reader.take("OUTPUTS"))
+    # a machine's lines repeat a few numbers and valuations: each distinct
+    # text is parsed once, and raises where it first appears
+    number = Memo(lambda text: _parse_int(text, "STEP"))
+    vin_of = Memo(lambda text: _parse_val(text, "STEP", inputs))
+    vout_of = Memo(lambda text: _parse_val(text, "STEP", outputs))
 
     if magic == KIND_CONTROLLER:
         n_states = _parse_int(reader.take("STATES"), "STATES")
         initial = _parse_int(reader.take("INITIAL"), "INITIAL")
         step = {}
-        while reader.at("STEP"):
-            payload = reader.take("STEP").split(" ")
+        for payload in reader.block("STEP"):
             if len(payload) != 4:
                 raise ControllerFileError("malformed STEP line")
-            state = _parse_int(payload[0], "STEP")
-            vin = _parse_val(payload[1], "STEP", inputs)
-            vout = _parse_val(payload[2], "STEP", outputs)
-            step[(state, vin)] = (vout, _parse_int(payload[3], "STEP"))
+            key = (number[payload[0]], vin_of[payload[1]])
+            step[key] = (vout_of[payload[2]], number[payload[3]])
         machine = MealyController(
             inputs=inputs, outputs=outputs, n_states=n_states, initial=initial, step=step
         )
@@ -291,31 +294,24 @@ def parse_controller_file(text: str) -> ControllerPackage:
         states = tuple(_parse_int(s, "STATES") for s in _parse_names(reader.take("STATES")))
         initial = _parse_int(reader.take("INITIAL"), "INITIAL")
         candidates = {}
-        while reader.at("CANDIDATES"):
-            payload = reader.take("CANDIDATES").split(" ")
+        candidate = Memo(lambda text: _parse_val(text, "CANDIDATES", inputs))
+        for payload in reader.block("CANDIDATES"):
             if len(payload) != 2:
                 raise ControllerFileError("malformed CANDIDATES line")
             state = _parse_int(payload[0], "CANDIDATES")
             if payload[1] == "-":
                 candidates[state] = ()
             else:
-                candidates[state] = tuple(
-                    _parse_val(part, "CANDIDATES", inputs) for part in payload[1].split(";")
-                )
+                candidates[state] = tuple(map(candidate.__getitem__, payload[1].split(";")))
         spoiled = frozenset(
             _parse_int(s, "SPOILED") for s in _parse_names(reader.take("SPOILED"))
         )
         transitions = {}
-        while reader.at("STEP"):
-            payload = reader.take("STEP").split(" ")
+        for payload in reader.block("STEP"):
             if len(payload) != 4:
                 raise ControllerFileError("malformed STEP line")
-            key = (
-                _parse_int(payload[0], "STEP"),
-                _parse_val(payload[1], "STEP", inputs),
-                _parse_val(payload[2], "STEP", outputs),
-            )
-            transitions[key] = _parse_int(payload[3], "STEP")
+            key = (number[payload[0]], vin_of[payload[1]], vout_of[payload[2]])
+            transitions[key] = number[payload[3]]
         machine = None
         counter = CounterStrategy(
             inputs=inputs,

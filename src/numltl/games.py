@@ -29,10 +29,11 @@ node ``k``.  Ctrl node ``k`` owns the ctrl edges
 ``ctrl_start[k]:ctrl_start[k + 1]``, each with an output letter
 (``ctrl_letter``) and an env target (``ctrl_target``).  The first solve
 builds a predecessor index: the ctrl nodes with an edge into each env node,
-and the env node owning each ctrl node.  Marking env edges absent only clears
-``present`` bits, so the index serves every later solve.  Solving numbers
-env node ``i`` as ``i`` and ctrl node ``k`` as ``n_env + k`` and keeps the
-attractor layers in arrays.  Strategies are read off those layers as edge
+and the env node owning each ctrl node; where every ctrl node has one edge
+per output, as in a safety arena, it reads the targets as strided columns.
+Marking env edges absent only clears ``present`` bits, so the index serves
+every later solve.  Solving numbers env node ``i`` as ``i`` and ctrl node
+``k`` as ``n_env + k`` and keeps the attractor layers in arrays.  Strategies are read off those layers as edge
 numbers: ``counter_edges`` walks the env nodes the counter-strategy reaches
 with their candidate edges, which is all the loop's counter-input selection
 reads.  The extraction functions build ``Valuation``s (the alphabet's shared
@@ -44,25 +45,28 @@ letters in arena order and lowers each guard once to the set of letters it
 matches, one int with a bit per letter.  A ``SuccessorTable`` splits the
 letters of each macro-state into classes that lead to the same successor,
 by intersecting the guard sets target by target and count by count, and
-keeps the classes with a compact letter-to-class index.  Successors do not
-depend on the bound, only the test of their top count against it does, so
-one table serves every arena of a bound schedule: a build reads each
-macro's classes, resolves them to env nodes in order of their first letter
-(the numbering a letter-by-letter expansion gives), and maps the letter
-index through them to the ctrl targets.
+keeps the classes with a letter-to-class index of one byte per letter, into
+which each class's set is spread by translating its binary digits.
+Successors do not depend on the bound, only the test of their top count
+against it does, so one table serves every arena of a bound schedule: a
+build reads each macro's classes, resolves them to env nodes in order of
+their first letter (the numbering a letter-by-letter expansion gives), and
+maps the letter index through them to the ctrl targets.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress, repeat
+from operator import itemgetter
 from types import MappingProxyType
 
 from .automata import BuchiAutomaton
-from .valuation import Valuation, encoded_valuations
+from .valuation import Memo, Valuation, encoded_valuations
 
 
 class GameError(ValueError):
@@ -168,13 +172,19 @@ class GameArena:
             owner: list[int] = []
             for i in range(self.n_env):
                 owner.extend(repeat(i, env_start[i + 1] - env_start[i]))
+            width = len(self.letters.outputs)
+            if ctrl_start == array("i", range(0, self.n_ctrl * width + 1, width)):
+                # one edge per output at each ctrl node (every safety arena)
+                rows = zip(*(targets[j::width] for j in range(width)))
+            else:
+                rows = (targets[ctrl_start[k] : ctrl_start[k + 1]] for k in range(self.n_ctrl))
             # a ctrl node is attracted by its targets, not by its edges: the
             # index keeps one entry per distinct target
             preds: list[list[int]] = [[] for _ in range(self.n_env)]
             append = [p.append for p in preds]
             degree = array("i", [0]) * self.n_env
-            for k in range(self.n_ctrl):
-                distinct = set(targets[ctrl_start[k] : ctrl_start[k + 1]])
+            for k, row in enumerate(rows):
+                distinct = set(row)
                 degree.append(len(distinct))
                 for t in distinct:
                     append[t](k)
@@ -195,20 +205,29 @@ def build_buchi_game(
     infinitely often.  Sound for realizability, incomplete the other way.
     """
     letters = letters_of(inputs, outputs)
-    n_in = len(letters.inputs)
+    n_in, n_out = len(letters.inputs), len(letters.outputs)
+    # letter j * n_out + k is input valuation j with output valuation k;
+    # each distinct guard is lowered once to the letters it matches
+    order = [i | o for i in letters.input_bits for o in letters.output_bits]
+
+    def matching(guard: Valuation) -> list[int]:
+        care, value = guard.masks(letters.position)
+        return [l for l, bits in enumerate(order) if bits & care == value]
+
+    matched = Memo(matching)
+    ends = range(n_out, n_in * n_out + 1, n_out)  # past each input's letters
     ctrl_start, ctrl_letter, ctrl_target = array("i", [0]), array("i"), array("i")
     for q in range(automaton.n_states):
-        guards = [(*t.guard.masks(letters.position), t.target) for t in automaton.transitions[q]]
-        for in_bits in letters.input_bits:
-            for out, out_bits in enumerate(letters.output_bits):
-                letter = in_bits | out_bits
-                seen = set()
-                for care, value, target in guards:
-                    if letter & care == value and target not in seen:
-                        seen.add(target)
-                        ctrl_letter.append(out)
-                        ctrl_target.append(target)
-            ctrl_start.append(len(ctrl_target))
+        pairs: list[tuple[int, int]] = []
+        for t in automaton.transitions[q]:
+            pairs.extend(zip(matched[t.guard], repeat(t.target)))
+        # each (letter, target) once, by letter, then in transition order
+        pairs = sorted(dict.fromkeys(pairs), key=itemgetter(0))
+        by_letter = list(map(itemgetter(0), pairs))
+        base = len(ctrl_target)
+        ctrl_letter.extend(map(n_out.__rmod__, by_letter))
+        ctrl_target.extend(map(itemgetter(1), pairs))
+        ctrl_start.extend([base + bisect_left(by_letter, end) for end in ends])
     n = automaton.n_states
     return GameArena(
         objective="buchi",
@@ -232,17 +251,33 @@ EMPTY_LABEL = "EMPTY"
 Macro = tuple[tuple[int, int], ...]
 
 
-def _class_index(letter_sets: list[int], n_letters: int) -> array:
-    """Class number of each letter, given the classes' disjoint letter sets."""
-    index = array("B" if len(letter_sets) <= 0x100 else "I", [0]) * n_letters
-    for c, letters in enumerate(letter_sets):
-        if c:
+@lru_cache(maxsize=0x100)
+def _spread(c: int) -> bytes:
+    """Translation table of the binary digits ``0``/``1`` to bytes 0/``c``."""
+    return bytes.maketrans(b"01", bytes((0, c)))
+
+
+def _class_index(letter_sets: list[int], n_letters: int) -> bytes | array:
+    """Class number of each letter, given the classes' disjoint letter sets.
+
+    Up to 256 classes, each class's set is spread to one byte per letter,
+    most significant first, by translating its binary digits; read as a
+    big-endian int the bytes of all classes OR together, and byte ``l`` of
+    the little-endian result is letter ``l``'s class."""
+    if len(letter_sets) > 0x100:
+        index = array("I", [0]) * n_letters
+        for c, letters in enumerate(letter_sets):
             bits = format(letters, "b")[::-1]  # bits[l] is letter l
             l = bits.find("1")
             while l >= 0:
                 index[l] = c
                 l = bits.find("1", l + 1)
-    return index
+        return index
+    spread = 0
+    for c in range(1, len(letter_sets)):
+        digits = format(letter_sets[c], "b").encode()
+        spread |= int.from_bytes(digits.translate(_spread(c)), "big")
+    return spread.to_bytes(n_letters, "little")
 
 
 class SuccessorTable:
@@ -288,9 +323,9 @@ class SuccessorTable:
                     if letter_set
                 )
             )
-        self._classes: dict[Macro, tuple[tuple[tuple, int], array]] = {}
+        self._classes: dict[Macro, tuple[tuple[tuple, int], bytes | array]] = {}
 
-    def classes(self, macro: Macro) -> tuple[tuple[tuple, int], array]:
+    def classes(self, macro: Macro) -> tuple[tuple[tuple, int], bytes | array]:
         """The successor classes of ``macro`` (``()`` for the macro with no
         live runs) and the class of each letter; split on first request."""
         known = self._classes.get(macro)
@@ -298,7 +333,7 @@ class SuccessorTable:
             known = self._classes[macro] = self._split(macro)
         return known
 
-    def _split(self, macro: Macro) -> tuple[tuple[tuple, int], array]:
+    def _split(self, macro: Macro) -> tuple[tuple[tuple, int], bytes | array]:
         # letters reaching each target, by the count they reach it with
         reach: dict[int, dict[int, int]] = {}
         for state, count in macro:

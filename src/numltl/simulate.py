@@ -36,12 +36,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import speclang as sl
 from .bernstein import satisfies
 from .controller_file import KIND_CONTROLLER, ControllerPackage
-from .valuation import Valuation
+from .valuation import Memo, Valuation
 
 SAMPLE_BITS = 20
 
@@ -65,18 +65,6 @@ class TraceStep:
     violations: tuple[str, ...]  # guarantee ids first violated at this step
 
 
-class _Memo(dict):
-    """A dict that fills in a missing key with ``make(key)``."""
-
-    def __init__(self, make: Callable) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 @dataclass(frozen=True)
 class SimulationTrace:
     seed: int
@@ -87,7 +75,7 @@ class SimulationTrace:
 
     def render(self) -> str:
         lines = [f"SIM seed={self.seed} steps={len(self.steps)}"]
-        shown = _Memo(lambda v: str(v) if v.pairs else "-")
+        shown = Memo(lambda v: str(v) if v.pairs else "-")
         for s in self.steps:
             samples = ",".join(f"{n}={v}" for n, v in s.samples) if s.samples else "-"
             status = f"violation({','.join(s.violations)})" if s.violations else OK
@@ -162,7 +150,7 @@ def _windows(
     """``f`` at each step ``t`` of the trace of word ``numbers`` that has
     ``depth`` steps after it, evaluated once per distinct window
     ``numbers[t : t + depth + 1]``."""
-    memo = _Memo(lambda window: _eval_windowed(f, [words[n] for n in window], 0))
+    memo = Memo(lambda window: _eval_windowed(f, [words[n] for n in window], 0))
     return map(memo.__getitem__, zip(*(numbers[i:] for i in range(depth + 1))))
 
 
@@ -344,8 +332,8 @@ def simulate(
         words.append(pair[0].merge(pair[1]).as_dict())
         return len(words) - 1
 
-    inputs, merged = _Memo(letter), _Memo(join)
-    decoded = _Memo(mux.decode if mux else lambda raw: raw)
+    inputs, merged = Memo(letter), Memo(join)
+    decoded = Memo(mux.decode if mux else lambda raw: raw)
 
     def outcome(key: tuple[int, ...]) -> tuple[Valuation, Valuation, int, bool, int]:
         *draws, before = key
@@ -357,7 +345,7 @@ def simulate(
             vout, after, stuck = decoded[move[0]], move[1], False
         return vin, vout, after, stuck, merged[vin, vout]
 
-    outcomes = _Memo(outcome)
+    outcomes = Memo(outcome)
     draw_bit, draw_index = rng.getrandbits, rng.randrange
     booleans, span = range(len(doc.boolean_inputs)), 2**SAMPLE_BITS + 1
     trace_steps = []

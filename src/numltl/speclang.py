@@ -22,7 +22,9 @@ unary ``-``) nest at most ``MAX_NESTING`` levels deep, and the token that
 opens a deeper level is rejected.  A prefix operator applied to a group shares
 the group's level, so ``NEXT (a)`` is as deep as ``NEXT a``: ``format_spec``
 prints every temporal operand in parentheses, and its text of a document
-within the cap stays within it.
+within the cap stays within it.  The formula lines plus the operators on the
+longest path of any line may be at most ``MAX_FORMULA_DEPTH``, and the line or
+innermost operator past it is rejected; binary chains are read in loops.
 
 A predicate atom is an atom of its side by construction and must not be
 re-listed under INPUT or OUTPUT.
@@ -56,6 +58,10 @@ MAX_POWER_TERMS = 500
 # each level of nesting is a few frames of the recursive-descent parser: past
 # the cap a line is rejected rather than parsed into Python's recursion limit
 MAX_NESTING = 64
+# walks over ``document_formula`` (which conjoins one level per line) recurse
+# a few frames per level: the cap bounds its depth, leaving room under Python's
+# recursion limit for the refinements a run appends to the guarantees
+MAX_FORMULA_DEPTH = 200
 
 
 class SpecError(ValueError):
@@ -367,6 +373,21 @@ def _lex_line(text: str, line_no: int) -> list[Token]:
 # -- parser ----------------------------------------------------------------
 
 
+# binary operators, loosest first: the test of a token, the constructor, and
+# whether the operator associates to the right
+_BINARY = (
+    (lambda tok: tok.kind is TokenKind.IMPLIES, Implies, True),
+    (lambda tok: tok.kind is TokenKind.KEYWORD and tok.text == "UNTIL", Until, True),
+    (lambda tok: tok.kind is TokenKind.OR, Or, False),
+    (lambda tok: tok.kind is TokenKind.AND, And, False),
+)
+
+
+def _too_deep(tok: Token) -> SpecError:
+    msg = f"more than {MAX_FORMULA_DEPTH} levels of operators and formula lines"
+    return SpecError(msg, tok.line, tok.column)
+
+
 class _LineParser:
     """Recursive descent over one line's tokens.
 
@@ -427,40 +448,41 @@ class _LineParser:
         self.enter()
         return True
 
-    # formulas
+    # formulas, each with its depth: the operators on its longest path.  A
+    # node deeper than ``budget`` is rejected at its operator, so the
+    # innermost operator past the budget is the one reported
 
-    def parse_formula(self, atom_sink: list[Token]) -> Formula:
-        return self._implication(atom_sink)
+    def parse_formula(self, atom_sink: list[Token], budget: int) -> tuple[Formula, int]:
+        self.budget = budget
+        return self._binary(atom_sink)
 
-    def _implication(self, sink) -> Formula:
-        left = self._until(sink)
-        if self.peek().kind is TokenKind.IMPLIES:
-            self.advance()
-            return Implies(left, self._implication(sink))
-        return left
+    def _node(self, ctor, tok: Token, *parts: tuple[Formula, int]) -> tuple[Formula, int]:
+        depth = 1 + max(d for _, d in parts)
+        if depth > self.budget:
+            raise _too_deep(tok)
+        return ctor(*(f for f, _ in parts)), depth
 
-    def _until(self, sink) -> Formula:
-        left = self._disjunction(sink)
-        if self.at_keyword("UNTIL"):
-            self.advance()
-            return Until(left, self._until(sink))
-        return left
+    def _binary(self, sink, level: int = 0) -> tuple[Formula, int]:
+        """The operators of ``_BINARY[level:]``: a chain of one is read in a
+        loop, not a recursion per operator, and folded to its side."""
+        if level == len(_BINARY):
+            return self._unary(sink)
+        at, ctor, to_right = _BINARY[level]
+        parts, tokens = [self._binary(sink, level + 1)], []
+        while at(self.peek()):
+            tokens.append(self.advance())
+            parts.append(self._binary(sink, level + 1))
+        if to_right:
+            result = parts.pop()
+            for tok, part in zip(reversed(tokens), reversed(parts)):
+                result = self._node(ctor, tok, part, result)
+        else:
+            result = parts[0]
+            for tok, part in zip(tokens, parts[1:]):
+                result = self._node(ctor, tok, result, part)
+        return result
 
-    def _disjunction(self, sink) -> Formula:
-        left = self._conjunction(sink)
-        while self.peek().kind is TokenKind.OR:
-            self.advance()
-            left = Or(left, self._conjunction(sink))
-        return left
-
-    def _conjunction(self, sink) -> Formula:
-        left = self._unary(sink)
-        while self.peek().kind is TokenKind.AND:
-            self.advance()
-            left = And(left, self._unary(sink))
-        return left
-
-    def _unary(self, sink) -> Formula:
+    def _unary(self, sink) -> tuple[Formula, int]:
         tok = self.peek()
         if tok.kind is TokenKind.NOT:
             ctor = Not
@@ -471,26 +493,26 @@ class _LineParser:
         own = self.prefix()
         operand = self._unary(sink)
         self.depth -= own
-        return ctor(operand)
+        return self._node(ctor, tok, operand)
 
-    def _atom(self, sink) -> Formula:
+    def _atom(self, sink) -> tuple[Formula, int]:
         tok = self.peek()
         if tok.kind is TokenKind.LPAREN:
             self.enter()
-            inner = self._implication(sink)
+            inner = self._binary(sink)
             self.expect(TokenKind.RPAREN)
             self.depth -= 1
             return inner
         if tok.kind is TokenKind.KEYWORD and tok.text == "TRUE":
             self.advance()
-            return TrueFormula()
+            return TrueFormula(), 0
         if tok.kind is TokenKind.KEYWORD and tok.text == "FALSE":
             self.advance()
-            return FalseFormula()
+            return FalseFormula(), 0
         if tok.kind is TokenKind.IDENT:
             self.advance()
             sink.append(tok)
-            return Atom(tok.text)
+            return Atom(tok.text), 0
         raise SpecError(
             f"expected a formula, found {tok.text or 'end of line'!r}", tok.line, tok.column
         )
@@ -674,6 +696,7 @@ def parse_spec(text: str) -> SpecDocument:
     pred_decls: list[tuple[Token, PolyConstraint, tuple[str, ...]]] = []
     assumptions: list[tuple[Formula, list[Token]]] = []
     guarantees: list[tuple[Formula, list[Token]]] = []
+    formula_lines = deepest = 0  # so far; their sum bounds document_formula's depth
 
     for parser in _content_lines(text):
         head = parser.peek()
@@ -705,15 +728,16 @@ def parse_spec(text: str) -> SpecDocument:
             pred_decls.append((name_tok, constraint, parser.names))
         else:
             sink: list[Token] = []
-            if head.kind is TokenKind.KEYWORD and head.text == "ASSUME":
+            assumed = head.kind is TokenKind.KEYWORD and head.text == "ASSUME"
+            if assumed:
                 parser.advance()
-                formula = parser.parse_formula(sink)
-                parser.expect_end()
-                assumptions.append((formula, sink))
-            else:
-                formula = parser.parse_formula(sink)
-                parser.expect_end()
-                guarantees.append((formula, sink))
+            formula_lines += 1
+            if formula_lines + deepest > MAX_FORMULA_DEPTH:
+                raise _too_deep(head)
+            formula, depth = parser.parse_formula(sink, MAX_FORMULA_DEPTH - formula_lines)
+            parser.expect_end()
+            deepest = max(deepest, depth)
+            (assumptions if assumed else guarantees).append((formula, sink))
 
     # name registry: reals, then predicate atoms, then Boolean atom lists
     kinds: dict[str, str] = {}

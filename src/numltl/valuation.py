@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 
 @dataclass(frozen=True, order=False)
@@ -103,6 +103,19 @@ class Valuation:
 
     def __str__(self) -> str:
         return ",".join(f"{name}={int(value)}" for name, value in self.pairs)
+
+
+class Memo(dict):
+    """A dict that fills in a missing key with ``make(key)``: the simulator
+    and the artifacts format, parse and decode each distinct value once."""
+
+    def __init__(self, make: Callable) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def all_valuations(atoms: Iterable[str]) -> Iterator[Valuation]:

@@ -926,6 +926,32 @@ def reference_mark_edges_absent(arena, valuation, predicate_atoms) -> int:
     return count
 
 
+def reference_predecessors(arena) -> tuple:
+    """The predecessor index read one ctrl node at a time, from its slice of
+    the edge arrays: ``(owner, ctrl, degree)`` as ``GameArena.predecessors``
+    returns them."""
+    from array import array
+
+    owner, ctrl = [], [[] for _ in range(arena.n_env)]
+    degree = array("i", [0]) * arena.n_env
+    for i in range(arena.n_env):
+        owner += [i] * (arena.env_start[i + 1] - arena.env_start[i])
+    for k in range(arena.n_ctrl):
+        targets = set(arena.ctrl_target[arena.ctrl_start[k] : arena.ctrl_start[k + 1]])
+        degree.append(len(targets))
+        for t in sorted(targets):
+            ctrl[t].append(k)
+    return owner, ctrl, degree
+
+
+def reference_class_index(letter_sets: list[int], n_letters: int) -> list[int]:
+    """The class of each letter, found by testing every class's set."""
+    return [
+        next(c for c, letters in enumerate(letter_sets) if letters >> letter & 1)
+        for letter in range(n_letters)
+    ]
+
+
 @dataclass
 class _TableauNode:
     node_id: int
@@ -2304,3 +2330,144 @@ def reference_reencode(folded: SpecDocument):
         tuple(guarantees),
     )
     return document, encoded, rows
+
+
+# -- reference artifact reader ----------------------------------------------------
+#
+# ``parse_controller_file`` once read every line of the STEP, CANDIDATES and
+# ROW blocks through the cursor's ``at`` and ``take`` and parsed every number
+# and valuation anew; the library reads each block in one loop and parses each
+# distinct text once.
+
+
+def _reference_block(reader, keyword: str) -> list[list[str]]:
+    payloads = []
+    while reader.at(keyword):
+        payloads.append(reader.take(keyword).split(" "))
+    return payloads
+
+
+def reference_parse_controller_file(text: str):
+    """``parse_controller_file`` with the per-line cursor reads."""
+    from numltl import controller_file as cf
+    from numltl.abstraction import EMPTY_MULTIPLEXER, MultiplexerTable
+    from numltl.games import CounterStrategy, MealyController
+
+    error, val, integer = cf.ControllerFileError, cf._parse_val, cf._parse_int
+    reader = cf._Reader(text)
+    magic = reader.take(cf.MAGIC)
+    if magic not in (cf.KIND_CONTROLLER, cf.KIND_COUNTER_STRATEGY):
+        raise error(f"unknown artifact kind {magic!r}")
+    spec_hash = reader.take("HASH")
+    algorithm = reader.take("ALGORITHM")
+    if algorithm not in ("buchi", "safety"):
+        raise error(f"unknown algorithm {algorithm!r}")
+    bound_text = reader.take("BOUND")
+    bound = None if bound_text == "none" else integer(bound_text, "BOUND")
+    refinements = []
+    for payload in _reference_block(reader, "REFINE"):
+        if len(payload) != 2 or payload[0] not in ("input", "output"):
+            raise error("malformed REFINE line")
+        refinements.append((payload[0], val(payload[1], "REFINE")))
+    inputs = cf._parse_names(reader.take("INPUTS"))
+    outputs = cf._parse_names(reader.take("OUTPUTS"))
+    machine = counter = None
+    if magic == cf.KIND_CONTROLLER:
+        n_states = integer(reader.take("STATES"), "STATES")
+        initial = integer(reader.take("INITIAL"), "INITIAL")
+        step = {}
+        for payload in _reference_block(reader, "STEP"):
+            if len(payload) != 4:
+                raise error("malformed STEP line")
+            state = integer(payload[0], "STEP")
+            vin = val(payload[1], "STEP", inputs)
+            vout = val(payload[2], "STEP", outputs)
+            step[(state, vin)] = (vout, integer(payload[3], "STEP"))
+        machine = MealyController(inputs, outputs, n_states, initial, step)
+    else:
+        names = cf._parse_names(reader.take("STATES"))
+        states = tuple(integer(s, "STATES") for s in names)
+        initial = integer(reader.take("INITIAL"), "INITIAL")
+        candidates = {}
+        for payload in _reference_block(reader, "CANDIDATES"):
+            if len(payload) != 2:
+                raise error("malformed CANDIDATES line")
+            state = integer(payload[0], "CANDIDATES")
+            parts = () if payload[1] == "-" else payload[1].split(";")
+            candidates[state] = tuple(val(part, "CANDIDATES", inputs) for part in parts)
+        spoiled = frozenset(
+            integer(s, "SPOILED") for s in cf._parse_names(reader.take("SPOILED"))
+        )
+        transitions = {}
+        for payload in _reference_block(reader, "STEP"):
+            if len(payload) != 4:
+                raise error("malformed STEP line")
+            key = (
+                integer(payload[0], "STEP"),
+                val(payload[1], "STEP", inputs),
+                val(payload[2], "STEP", outputs),
+            )
+            transitions[key] = integer(payload[3], "STEP")
+        counter = CounterStrategy(
+            inputs, outputs, states, initial, candidates, transitions, spoiled
+        )
+    mux = EMPTY_MULTIPLEXER
+    if reader.at("BEGIN MUX"):
+        reader.take("BEGIN MUX")
+        encoded = cf._parse_names(reader.take("ENCODED"))
+        original = cf._parse_names(reader.take("ORIGINAL"))
+        rows = []
+        for payload in _reference_block(reader, "ROW"):
+            if len(payload) != 2:
+                raise error("malformed ROW line in the multiplexer block")
+            rows.append((val(payload[0], "ROW", encoded), val(payload[1], "ROW", original)))
+        reader.take("END MUX")
+        mux = MultiplexerTable(encoded, original, tuple(rows))
+    document = cf._parse_embedded_spec(reader)
+    if any(line.strip() for line in reader.lines[reader.pos :]):
+        raise error("trailing content after the END SPEC line")
+    if cf.spec_digest(document) != spec_hash:
+        raise error("embedded specification does not match the recorded hash")
+    cf._same_atoms("INPUTS", inputs, document.input_atoms())
+    if mux:
+        cf._same_atoms("ORIGINAL", mux.original_atoms, document.output_atoms())
+        cf._same_atoms("ENCODED", mux.encoded_atoms, outputs)
+        if machine is not None:
+            words = {word for word, _ in mux.rows}
+            for vout, _ in machine.step.values():
+                if vout not in words:
+                    raise error(f"STEP output {vout} has no ROW to decode it")
+    else:
+        cf._same_atoms("OUTPUTS", outputs, document.output_atoms())
+    return cf.ControllerPackage(
+        magic, spec_hash, algorithm, bound, tuple(refinements), document, mux, machine, counter
+    )
+
+
+def reference_render_dot(machine) -> str:
+    """``render_dot`` formatting each edge's valuations anew."""
+    from numltl.games import MealyController
+
+    def label(v) -> str:
+        return str(v) if v.pairs else "-"
+
+    lines = ["digraph machine {", "  rankdir=LR;"]
+    lines.append(f'  init [shape=point]; init -> "{machine.initial}";')
+    if isinstance(machine, MealyController):
+        lines += [f'  "{s}" [shape=circle];' for s in range(machine.n_states)]
+        edges = sorted(
+            ((state, vin, vout, nxt) for (state, vin), (vout, nxt) in machine.step.items()),
+            key=lambda e: (e[0], e[1].sort_key()),
+        )
+    else:
+        for s in machine.states:
+            shape = "doublecircle" if s in machine.spoiled else "box"
+            lines.append(f'  "{s}" [shape={shape}];')
+        edges = sorted(
+            ((state, vin, vout, nxt) for (state, vin, vout), nxt in machine.transitions.items()),
+            key=lambda e: (e[0], e[1].sort_key(), e[2].sort_key()),
+        )
+    for state, vin, vout, nxt in edges:
+        lines.append(f'  "{state}" -> "{nxt}" [label="{label(vin)} / {label(vout)}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -10,7 +10,11 @@ from pathlib import Path
 import pytest
 
 from generators import random_polynomial, random_synthesis_document
-from oracles import reference_monitor_guarantees
+from oracles import (
+    reference_monitor_guarantees,
+    reference_parse_controller_file,
+    reference_render_dot,
+)
 
 from numltl import speclang as sl
 from numltl.abstraction import EMPTY_MULTIPLEXER
@@ -158,6 +162,28 @@ class TestControllerFiles:
         tampered = text.replace("REAL x IN [0, 4]", "REAL x IN [0, 8]")
         with pytest.raises(ControllerFileError, match="hash"):
             parse_controller_file(tampered)
+
+    @pytest.mark.parametrize(
+        "package", ["threshold_package", "encoded_package", "counter_package"]
+    )
+    def test_dot_output_matches_reference(self, package, request):
+        pkg = request.getfixturevalue(package)[0]
+        machine = pkg.controller or pkg.counter_strategy
+        assert render_dot(machine) == reference_render_dot(machine)
+
+    def test_bare_block_keywords_are_malformed(self, encoded_package, counter_package):
+        controller = render_realizable(encoded_package[1], SAFETY)
+        counter = render_unrealizable(counter_package[1], SAFETY)
+        for text, line, message in [
+            (controller, "STEP", "malformed STEP line"),
+            (controller, "ROW", "malformed ROW line in the multiplexer block"),
+            (counter, "STEP", "malformed STEP line"),
+            (counter, "CANDIDATES", "malformed CANDIDATES line"),
+        ]:
+            head, sep, tail = text.partition(f"\n{line} ")
+            assert sep
+            with pytest.raises(ControllerFileError, match=f"^{message}$"):
+                parse_controller_file(f"{head}\n{line}\n{line} {tail}")
 
     def test_dot_output_names_every_state(self, threshold_package, counter_package):
         pkg = threshold_package[0]
@@ -520,7 +546,34 @@ def _artifact_mutant(rng: random.Random, text: str) -> str:
     return "".join(lines) + sep + spec
 
 
+def _read(parse, text: str):
+    try:
+        return parse(text)
+    except ControllerFileError as exc:
+        return str(exc)
+
+
 class TestArtifactMutationSweep:
+    @pytest.mark.parametrize(
+        "package", ["threshold_package", "encoded_package", "counter_package"]
+    )
+    def test_mutants_read_as_the_per_line_reader_reads_them(self, package, request):
+        """The block reader parses each distinct number and valuation once;
+        on every mutant it must return the per-line reader's package, or
+        raise its error message."""
+        verdict = request.getfixturevalue(package)[1]
+        render = render_realizable if isinstance(verdict, Realizable) else render_unrealizable
+        text = render(verdict, SAFETY)
+        assert _read(parse_controller_file, text) == _read(reference_parse_controller_file, text)
+        rng = random.Random(f"reader-mutants:{package}")
+        rejected = 0
+        for _ in range(150):
+            mutant = _artifact_mutant(rng, text)
+            outcome = _read(parse_controller_file, mutant)
+            assert outcome == _read(reference_parse_controller_file, mutant)
+            rejected += isinstance(outcome, str)
+        assert rejected >= 25
+
     @pytest.mark.parametrize(
         "package", ["threshold_package", "encoded_package", "counter_package"]
     )

@@ -2,6 +2,10 @@
 reports, and written artifact files."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,7 +23,12 @@ from numltl.controller_file import (
     KIND_COUNTER_STRATEGY,
     parse_controller_file,
 )
-from numltl.speclang import MAX_NESTING, parse_spec
+from numltl import speclang as sl
+from numltl.abstraction import abstract_spec
+from numltl.automata import negate_and_translate, translate
+from numltl.cegar import CegarConfig
+from numltl.speclang import MAX_FORMULA_DEPTH, MAX_NESTING, parse_spec
+from numltl.valuation import Valuation
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 THRESHOLD = str(SPEC_DIR / "threshold_arbiter.spec")
@@ -452,6 +461,96 @@ class TestDeepNesting:
         line = len(head.split("BEGIN SPEC\n")[1].splitlines()) + 1
         err = self.assert_input_error(main(["simulate", str(out)]), capsys)
         assert f"embedded specification: line {line}, {self.AT}" in err
+
+
+class TestDeepSpecs:
+    """Specs past ``MAX_FORMULA_DEPTH`` are input errors on every command
+    that parses them, where they used to end in a ``RecursionError``
+    traceback (exit 1) once a few hundred guarantees were conjoined or a
+    binary chain ran long; specs at the cap still synthesize."""
+
+    HEADER = "INPUT a\nOUTPUT b\n"
+    DEEP = {
+        # 1,000 guarantees: rejected at the first line past the cap
+        "guarantees": (HEADER + "ALWAYS (a -> b)\n" * 1000, MAX_FORMULA_DEPTH + 1, 1),
+        # a 1,000-link chain: rejected at its innermost operator past the cap
+        "chain": (
+            HEADER + " -> ".join(["a"] * 1001) + "\n",
+            3,
+            1 + (1000 - MAX_FORMULA_DEPTH) * 5 + 2,
+        ),
+    }
+    # the cap's worth of guarantee lines, and one line with the cap's
+    # worth of operators
+    AT_CAP = {
+        "guarantees": HEADER + "ALWAYS (a -> b)\n" * (MAX_FORMULA_DEPTH - 2),
+        "chain": HEADER
+        + "ALWAYS (("
+        + " && ".join((["a", "b"] * MAX_FORMULA_DEPTH)[: MAX_FORMULA_DEPTH - 2])
+        + ") -> b)\n",
+    }
+    COMMANDS = {
+        "synth-safety": ["synth", "--algorithm", "safety"],
+        "synth-buchi": ["synth", "--algorithm", "buchi"],
+        "abstract": ["abstract"],
+        "reencode": ["reencode"],
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("shape", list(DEEP))
+    def test_past_the_cap_is_an_input_error(self, shape, command, tmp_path, capsys):
+        text, line, column = self.DEEP[shape]
+        spec = tmp_path / "deep.spec"
+        spec.write_text(text)
+        out = ["--out", str(tmp_path / "deep.ctrl")] if command.startswith("synth") else []
+        code = main([*self.COMMANDS[command], str(spec), *out])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT_ERROR
+        assert "Traceback" not in err
+        assert f"line {line}, column {column}: more than {MAX_FORMULA_DEPTH} levels" in err
+
+    @pytest.mark.parametrize("shape", list(AT_CAP))
+    def test_at_the_cap_synthesizes_in_process_and_in_a_fresh_one(self, shape, tmp_path, capsys):
+        spec = tmp_path / "cap.spec"
+        spec.write_text(self.AT_CAP[shape])
+        doc = parse_spec(self.AT_CAP[shape])
+        assert len(doc.guarantees) + max(map(depth, doc.guarantees)) == MAX_FORMULA_DEPTH
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        for command in ("synth-safety", "synth-buchi", "abstract", "reencode"):
+            argv = [*self.COMMANDS[command], str(spec)]
+            if command.startswith("synth"):
+                argv += ["--out", str(tmp_path / f"{command}.ctrl")]
+            assert main(argv) == EXIT_OK
+            run = subprocess.run(
+                [sys.executable, "-m", "numltl.cli", *argv], env=env, capture_output=True, text=True
+            )
+            assert (run.returncode, run.stderr) == (EXIT_OK, "")
+        capsys.readouterr()
+
+    def test_the_cap_leaves_room_for_the_refinement_cap(self):
+        """A run appends a ``forbid`` guarantee per output refinement, up to
+        ``refinement_cap`` of them, to a document at the cap."""
+        spec, _ = abstract_spec(parse_spec(self.AT_CAP["guarantees"]))
+        cap = CegarConfig().refinement_cap
+        forbidden = tuple(Valuation.of({"b": bool(k % 2)}) for k in range(cap))
+        formula = replace(spec, output_refinements=forbidden).game_formula()
+        assert depth(formula) >= MAX_FORMULA_DEPTH - 1 + cap
+        translate(formula)
+        negate_and_translate(formula)
+        assert sl.parse_spec(sl.format_spec(spec.document)) == spec.document
+
+
+def depth(formula) -> int:
+    """Operators on the longest path of ``formula``, walked without recursion."""
+    deepest, stack = 0, [(formula, 0)]
+    while stack:
+        f, d = stack.pop()
+        children = [getattr(f, name) for name in ("operand", "left", "right") if hasattr(f, name)]
+        if children:
+            stack += [(child, d + 1) for child in children]
+        deepest = max(deepest, d)
+    return deepest
 
 
 # sha256 of the artifact and of the transcript that `numltl synth` writes for

@@ -39,6 +39,7 @@ from oracles import (
     cube_matches,
     object_arena,
     object_solution,
+    reference_class_index,
     safety_win_oracle,
 )
 
@@ -256,17 +257,40 @@ class TestSafetyArenaConstruction:
     TWO_OUTPUTS = "INPUT r\nOUTPUT g, h\nALWAYS (r -> NEXT (g || h))\nALWAYS (!(g && h))\n"
 
 
-@pytest.mark.parametrize("n_classes, n_letters", [(1, 1), (13, 128), (256, 512), (300, 512)])
+# up to 256 classes the index is spread byte by byte, past that letter by
+# letter; letter counts that are not multiples of 8 leave a partial top byte
+@pytest.mark.parametrize(
+    "n_classes, n_letters",
+    [
+        (1, 1),
+        (1, 13),
+        (2, 2),
+        (2, 3),
+        (13, 128),
+        (255, 255),
+        (255, 301),
+        (256, 256),
+        (256, 259),
+        (256, 512),
+        (257, 257),
+        (257, 300),
+        (300, 300),
+        (300, 517),
+    ],
+)
 def test_class_index_numbers_every_letter(n_classes, n_letters):
-    rng = random.Random(n_classes)
-    labels = list(range(n_classes)) + [
-        rng.randrange(n_classes) for _ in range(n_letters - n_classes)
-    ]
-    rng.shuffle(labels)
-    letter_sets = [0] * n_classes
-    for letter, c in enumerate(labels):
-        letter_sets[c] |= 1 << letter
-    assert list(_class_index(letter_sets, n_letters)) == labels
+    rng = random.Random(n_classes * 1000 + n_letters)
+    for _ in range(3):
+        labels = list(range(n_classes)) + [
+            rng.randrange(n_classes) for _ in range(n_letters - n_classes)
+        ]
+        rng.shuffle(labels)
+        letter_sets = [0] * n_classes
+        for letter, c in enumerate(labels):
+            letter_sets[c] |= 1 << letter
+        index = _class_index(letter_sets, n_letters)
+        assert len(index) == n_letters
+        assert list(index) == labels == reference_class_index(letter_sets, n_letters)
 
 
 class TestStuckNodeConventions:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from numltl import automata
 from numltl import speclang as sl
 from numltl.abstraction import abstract_spec
 from numltl.automata import (
@@ -66,6 +67,7 @@ from oracles import (
     reference_linear_attractor,
     reference_mark_edges_absent,
     reference_masked_mark_edges_absent,
+    reference_predecessors,
     reference_restrict_counter_strategy,
     reference_safety_game,
     reference_select_counter_inputs,
@@ -152,12 +154,19 @@ def assert_same_node_sequence(formula) -> None:
     def formulas(mask: int) -> set:
         return {f for rank, f in enumerate(table.formulas) if mask >> rank & 1}
 
-    nodes = _expand(table)
+    nodes, successors = _expand(table)
+    # the predecessors of a node are the nodes (or -1, the start) whose
+    # expanded obligations reach it
+    incoming = [[] for _ in nodes]
+    starts = [(-1, 1 << table.root)] + [(p, node.nxt) for p, node in enumerate(nodes)]
+    for p, new in starts:
+        for k in successors[new]:
+            incoming[k].append(p)
     assert len(nodes) == len(reference)
-    for node, expected in zip(nodes, reference):
+    for node, preds, expected in zip(nodes, incoming, reference):
         assert formulas(node.old) == expected.old
         assert formulas(node.nxt) == expected.nxt
-        assert sorted(node.incoming) == sorted(position[i] for i in expected.incoming)
+        assert preds == sorted(position[i] for i in expected.incoming)
 
 
 @pytest.mark.parametrize("name", SPECS)
@@ -223,6 +232,37 @@ def test_random_formulas_give_the_reference_automata_and_arenas():
         assert_same_attractors(arena)
 
 
+def test_translation_shares_rows_and_matches_reference(monkeypatch):
+    """Formulas with two or more ``UNTIL``/``EVENTUALLY`` operands, whose
+    tableau nodes repeat their postponed obligations: the automata equal the
+    reference's, and rows were shared, in the tableau and in the
+    degeneralized automaton, where states outnumber distinct rows."""
+    simplify = automata._simplify
+    shapes = []
+
+    def spy(n_states, initial, state_row, rows, *rest):
+        shapes.append((n_states, len(rows)))
+        return simplify(n_states, initial, state_row, rows, *rest)
+
+    monkeypatch.setattr(automata, "_simplify", spy)
+    rng = random.Random(3307)
+    atoms = ["a", "b", "c"]
+    for _ in range(60):
+        part = lambda: random_formula(rng, atoms, 2)  # noqa: E731
+        formula = sl.And(
+            sl.Always(sl.Implies(part(), sl.Eventually(part()))),
+            sl.Or(sl.Until(part(), part()), sl.Always(sl.Eventually(part()))),
+        )
+        if rng.random() < 0.5:
+            formula = sl.Not(formula)
+        nodes, successors = _expand(_intern(negation_normal_form(formula)))
+        assert len(successors) < len(nodes) + 1  # some nodes postpone the same
+        shapes.clear()
+        assert translate(formula, tuple(atoms)) == reference_translate(formula, tuple(atoms))
+        [(n_states, n_rows)] = shapes
+        assert n_rows < n_states
+
+
 def assert_shared_table_builds_match(negated, bounds, inputs, outputs) -> None:
     """One successor table serves every bound, filled in increasing bound
     order and then reused in decreasing order."""
@@ -257,6 +297,38 @@ def test_random_formula_arenas_from_one_successor_table_match_reference():
         inputs, outputs = tuple(order[:split]), tuple(order[split:])
         negated = negate_and_translate(formula, inputs + outputs)
         assert_shared_table_builds_match(negated, (1, 2, 4, 8), inputs, outputs)
+
+
+def assert_same_predecessors(arena) -> None:
+    index = arena.predecessors()
+    assert (index.owner, index.ctrl, index.degree) == reference_predecessors(arena)
+
+
+def test_predecessor_index_matches_reference():
+    """Safety arenas give every ctrl node one edge per output, and their
+    index is read from strided target columns; it must equal the per-node
+    construction, with edges marked absent before it is built too, as must
+    the per-node path on Büchi arenas and on arenas of other shapes."""
+    rng = random.Random(3306)
+    atoms = ["a", "b", "c", "d"]
+    for k in range(60):
+        formula = random_formula(rng, atoms, 4)
+        order = rng.sample(atoms, len(atoms))
+        split = rng.randint(1, 3)
+        inputs, outputs = tuple(order[:split]), tuple(order[split:])
+        negated = negate_and_translate(formula, inputs + outputs)
+        n_out = 2 ** len(outputs)
+        for bound in (1, 2):
+            arena = build_safety_game(negated, bound, inputs, outputs)
+            assert arena.ctrl_start == array("i", range(0, arena.n_ctrl * n_out + 1, n_out))
+            if k % 2:
+                valuation = Valuation.of({inputs[0]: rng.random() < 0.5})
+                mark_edges_absent(arena, valuation, inputs[:1])
+            assert_same_predecessors(arena)
+        automaton = translate(formula, inputs + outputs)
+        assert_same_predecessors(build_buchi_game(automaton, inputs, outputs))
+    for k in range(200):
+        assert_same_predecessors(random_arena(rng, "buchi" if k % 2 else "safety"))
 
 
 def test_attractor_matches_reference_on_random_arenas():

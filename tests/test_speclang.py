@@ -18,6 +18,7 @@ from numltl.speclang import (
     Implies,
     INPUT_SIDE,
     MAX_EXPONENT,
+    MAX_FORMULA_DEPTH,
     MAX_NESTING,
     MAX_POWER_TERMS,
     Next,
@@ -283,6 +284,67 @@ class TestNestingCap:
         with pytest.raises(SpecError, match="nested more than") as caught:
             parse_constraints(f"REAL x IN [0, 1]\n{nested(MAX_NESTING + 1)} > 0\n")
         assert (caught.value.line, caught.value.column) == (2, column)
+
+
+class TestFormulaDepthCap:
+    """The formula lines plus the operators of the deepest line are capped:
+    binary chains used to recurse once per operator in the parser (``->``,
+    ``UNTIL``) or in every later walk (``&&``, ``||``, one level per line)."""
+
+    CAP = MAX_FORMULA_DEPTH
+    AT = f"more than {MAX_FORMULA_DEPTH} levels of operators and formula lines"
+
+    def test_formula_lines_count_up_to_the_cap(self):
+        # each line has one operator: the last line fits when lines + 1 <= cap
+        lines = ["ASSUME a || b", *["a -> b"] * (self.CAP - 2)]
+        doc = parse_spec(MINIMAL + "\n".join(lines) + "\n")
+        assert len(doc.assumptions) + len(doc.guarantees) == self.CAP - 1
+        with pytest.raises(SpecError, match=self.AT) as caught:
+            parse_spec(MINIMAL + "\n".join([*lines, "a -> b"]) + "\n")
+        assert (caught.value.line, caught.value.column) == (self.CAP + 2, 1)
+
+    @pytest.mark.parametrize("op", ["&&", "||", "->", "UNTIL"])
+    def test_a_chain_up_to_the_cap_parses(self, op):
+        # one line: the chain's cap - 1 operators plus the line itself
+        operands = ["a", "b"] * self.CAP
+        with pytest.raises(SpecError, match=self.AT):
+            parse_spec(MINIMAL + f" {op} ".join(operands[: self.CAP + 1]) + "\n")
+        doc = parse_spec(MINIMAL + f" {op} ".join(operands[: self.CAP]) + "\n")
+        assert parse_spec(format_spec(doc)) == doc
+        [formula] = doc.guarantees
+        depth = 0
+        while not isinstance(formula, Atom):
+            formula = formula.right if op in ("->", "UNTIL") else formula.left
+            depth += 1
+        assert depth == self.CAP - 1
+
+    @pytest.mark.parametrize("op", ["&&", "||", "->", "UNTIL"])
+    def test_a_long_chain_is_rejected_at_its_innermost_operator_past_the_cap(self, op):
+        """``a op a op ... op a`` with 1,000 operators: the innermost
+        operator whose subformula is one level too deep is reported (the
+        cap-th from the left when the chain nests to the left, the one 1,000
+        - cap + 1 from the right end when it nests to the right)."""
+        text = MINIMAL + f" {op} ".join(["a"] * 1001) + "\n"
+        with pytest.raises(SpecError, match=self.AT) as caught:
+            parse_spec(text)
+        budget = self.CAP - 1
+        k = budget + 1 if op in ("&&", "||") else 1000 - budget
+        column = 1 + (k - 1) * (len(op) + 3) + 2
+        assert (caught.value.line, caught.value.column) == (3, column)
+
+    def test_prefix_operators_count_as_levels(self):
+        chain = " && ".join(["a"] * (self.CAP - 10))  # cap - 11 operators
+        parse_spec(MINIMAL + "NEXT " * 10 + f"({chain})\n")
+        with pytest.raises(SpecError, match=self.AT):
+            parse_spec(MINIMAL + "NEXT " * 11 + f"({chain})\n")
+
+    def test_a_deep_line_leaves_fewer_lines(self):
+        deep = " && ".join(["a"] * 101)  # 100 operators
+        lines = [deep, *["a"] * (self.CAP - 101)]
+        parse_spec(MINIMAL + "\n".join(lines) + "\n")
+        with pytest.raises(SpecError, match=self.AT) as caught:
+            parse_spec(MINIMAL + "\n".join([*lines, "a"]) + "\n")
+        assert (caught.value.line, caught.value.column) == (self.CAP - 100 + 3, 1)
 
 
 class TestDeclarations:
