@@ -185,13 +185,13 @@ def reencode_outputs(
 ) -> tuple[PseudoBooleanSpec, MultiplexerTable]:
     """Compress the output alphabet through invariant output constraints.
 
-    Guarantees of the form ALWAYS(propositional formula over outputs only)
-    and the output refinements restrict the reachable output combinations
-    to a set K; when K needs fewer bits than there are output atoms, the
-    outputs are replaced by code atoms, original atoms in the remaining
-    formulas become code-word disjunctions, and the collected guarantees
-    and the output refinements are dropped (their content lives in the
-    code book).
+    Guarantees of the form ALWAYS(propositional formula over outputs only) and
+    the output refinements restrict the reachable output combinations to a set
+    K; when K needs fewer bits than there are output atoms, the outputs are
+    replaced by code atoms, original atoms in the remaining formulas become
+    code-word disjunctions (unless that nests the formula past
+    ``MAX_FORMULA_DEPTH``), and the collected guarantees and the output
+    refinements are dropped (their content lives in the code book).
     """
     doc = spec.document
     outputs = doc.boolean_outputs
@@ -256,6 +256,8 @@ def reencode_outputs(
         assumptions=new_assumptions,
         guarantees=tuple(new_guarantees),
     )
+    if sl.formula_depth(sl.document_formula(encoded_doc)) > sl.MAX_FORMULA_DEPTH:
+        return spec, EMPTY_MULTIPLEXER  # code words past the parser's cap: left unencoded
     encoded_spec = PseudoBooleanSpec(
         document=encoded_doc,
         source=spec.source,

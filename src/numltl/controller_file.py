@@ -271,8 +271,7 @@ def parse_controller_file(text: str) -> ControllerPackage:
         refinements.append((payload[0], _parse_val(payload[1], "REFINE")))
     inputs = _parse_names(reader.take("INPUTS"))
     outputs = _parse_names(reader.take("OUTPUTS"))
-    # a machine's lines repeat a few numbers and valuations: each distinct
-    # text is parsed once, and raises where it first appears
+    # each distinct number or valuation text is parsed once, raising where it first appears
     number = Memo(lambda text: _parse_int(text, "STEP"))
     vin_of = Memo(lambda text: _parse_val(text, "STEP", inputs))
     vout_of = Memo(lambda text: _parse_val(text, "STEP", outputs))

@@ -29,11 +29,10 @@ node ``k``.  Ctrl node ``k`` owns the ctrl edges
 ``ctrl_start[k]:ctrl_start[k + 1]``, each with an output letter
 (``ctrl_letter``) and an env target (``ctrl_target``).  The first solve
 builds a predecessor index: the ctrl nodes with an edge into each env node,
-and the env node owning each ctrl node; where every ctrl node has one edge
-per output, as in a safety arena, it reads the targets as strided columns.
-Marking env edges absent only clears ``present`` bits, so the index serves
-every later solve.  Solving numbers env node ``i`` as ``i`` and ctrl node
-``k`` as ``n_env + k`` and keeps the attractor layers in arrays.  Strategies are read off those layers as edge
+and the env node owning each ctrl node.  Marking env edges absent only clears
+``present`` bits, so the index serves every later solve.  Solving numbers
+env node ``i`` as ``i`` and ctrl node ``k`` as ``n_env + k`` and keeps the
+attractor layers in arrays.  Strategies are read off those layers as edge
 numbers: ``counter_edges`` walks the env nodes the counter-strategy reaches
 with their candidate edges, which is all the loop's counter-input selection
 reads.  The extraction functions build ``Valuation``s (the alphabet's shared
@@ -172,19 +171,13 @@ class GameArena:
             owner: list[int] = []
             for i in range(self.n_env):
                 owner.extend(repeat(i, env_start[i + 1] - env_start[i]))
-            width = len(self.letters.outputs)
-            if ctrl_start == array("i", range(0, self.n_ctrl * width + 1, width)):
-                # one edge per output at each ctrl node (every safety arena)
-                rows = zip(*(targets[j::width] for j in range(width)))
-            else:
-                rows = (targets[ctrl_start[k] : ctrl_start[k + 1]] for k in range(self.n_ctrl))
             # a ctrl node is attracted by its targets, not by its edges: the
             # index keeps one entry per distinct target
             preds: list[list[int]] = [[] for _ in range(self.n_env)]
             append = [p.append for p in preds]
             degree = array("i", [0]) * self.n_env
-            for k, row in enumerate(rows):
-                distinct = set(row)
+            for k in range(self.n_ctrl):
+                distinct = set(targets[ctrl_start[k] : ctrl_start[k + 1]])
                 degree.append(len(distinct))
                 for t in distinct:
                     append[t](k)

@@ -205,6 +205,15 @@ def substitute_atoms(formula: Formula, mapping: dict[str, Formula]) -> Formula:
     )
 
 
+def formula_depth(formula: Formula) -> int:
+    """Operators on the longest path of ``formula``, counted without recursion."""
+    depth, level = -1, [formula]
+    while level:
+        below = {id(c): c for f in level for c in vars(f).values() if isinstance(c, Formula)}
+        depth, level = depth + 1, list(below.values())
+    return depth
+
+
 def conjoin(formulas) -> Formula:
     items = list(formulas)
     if not items:

@@ -106,8 +106,7 @@ class Valuation:
 
 
 class Memo(dict):
-    """A dict that fills in a missing key with ``make(key)``: the simulator
-    and the artifacts format, parse and decode each distinct value once."""
+    """A dict that fills in a missing key with ``make(key)``, once per key."""
 
     def __init__(self, make: Callable) -> None:
         super().__init__()

@@ -926,24 +926,6 @@ def reference_mark_edges_absent(arena, valuation, predicate_atoms) -> int:
     return count
 
 
-def reference_predecessors(arena) -> tuple:
-    """The predecessor index read one ctrl node at a time, from its slice of
-    the edge arrays: ``(owner, ctrl, degree)`` as ``GameArena.predecessors``
-    returns them."""
-    from array import array
-
-    owner, ctrl = [], [[] for _ in range(arena.n_env)]
-    degree = array("i", [0]) * arena.n_env
-    for i in range(arena.n_env):
-        owner += [i] * (arena.env_start[i + 1] - arena.env_start[i])
-    for k in range(arena.n_ctrl):
-        targets = set(arena.ctrl_target[arena.ctrl_start[k] : arena.ctrl_start[k + 1]])
-        degree.append(len(targets))
-        for t in sorted(targets):
-            ctrl[t].append(k)
-    return owner, ctrl, degree
-
-
 def reference_class_index(letter_sets: list[int], n_letters: int) -> list[int]:
     """The class of each letter, found by testing every class's set."""
     return [

@@ -346,6 +346,24 @@ class TestReencode:
         assert encoded.output_refinements == ()
         assert sl.atoms_of(encoded.game_formula()) == {"a", "sig1", "sig2"}
 
+    def test_code_words_past_the_depth_cap_leave_the_outputs_as_they_are(self):
+        """Each output atom becomes a disjunction of the code words that set
+        it, nested one level per word.  With 9 outputs and 256 feasible
+        words the encoded document stays within ``MAX_FORMULA_DEPTH``; with
+        11 outputs the 512-word disjunction of ``o2`` would not, and used to
+        end the run in a ``RecursionError``, so the outputs stay unencoded."""
+        for n, encoded_atoms in ((9, 8), (11, None)):
+            outputs = ", ".join(f"o{i}" for i in range(1, n + 1))
+            text = f"INPUT a\nOUTPUT {outputs}\nALWAYS (!o1)\nALWAYS (a -> o2)\n"
+            spec, _ = abstract_spec(parse_spec(text))
+            encoded, mux = reencode_outputs(spec)
+            if encoded_atoms is None:
+                assert (encoded, mux) == (spec, EMPTY_MULTIPLEXER)
+                continue
+            assert len(mux.encoded_atoms) == encoded_atoms
+            formula = sl.document_formula(encoded.document)
+            assert 128 < sl.formula_depth(formula) <= sl.MAX_FORMULA_DEPTH
+
     def test_every_output_refinement_forbidden_is_unsatisfiable(self):
         base, _ = abstract_spec(
             parse_spec("REAL OUTPUT u IN [0, 1]\nPRED pu := u > 0\nOUTPUT b\nALWAYS (b)\n")

@@ -3,6 +3,7 @@ reports, and written artifact files."""
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -29,6 +30,7 @@ from numltl.automata import negate_and_translate, translate
 from numltl.cegar import CegarConfig
 from numltl.speclang import MAX_FORMULA_DEPTH, MAX_NESTING, parse_spec
 from numltl.valuation import Valuation
+from generators import random_formula
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 THRESHOLD = str(SPEC_DIR / "threshold_arbiter.spec")
@@ -527,6 +529,35 @@ class TestDeepSpecs:
             )
             assert (run.returncode, run.stderr) == (EXIT_OK, "")
         capsys.readouterr()
+
+    def test_deep_code_words_synthesize_in_a_fresh_process(self, tmp_path, capsys):
+        """Re-encoding 11 outputs, 1,024 of whose words are feasible, would
+        substitute a 512-word disjunction for ``o2``: past the cap, so the
+        outputs are played unencoded (exit 1 with a traceback before)."""
+        outputs = ", ".join(f"o{i}" for i in range(1, 12))
+        spec = tmp_path / "wide.spec"
+        spec.write_text(f"INPUT a\nOUTPUT {outputs}\nALWAYS (!o1)\nALWAYS (a -> o2)\n")
+        assert main(["reencode", str(spec)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("no re-encoding applicable\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        for route in ("safety", "buchi"):
+            argv = ["synth", "--algorithm", route, str(spec), "--out", str(tmp_path / "wide.ctrl")]
+            run = subprocess.run(
+                [sys.executable, "-m", "numltl.cli", *argv], env=env, capture_output=True, text=True
+            )
+            assert (run.returncode, run.stderr) == (EXIT_OK, "")
+            assert (tmp_path / "wide.ctrl").read_text().startswith("NUMLTL CONTROLLER\n")
+
+    def test_formula_depth_counts_without_recursion(self):
+        rng = random.Random(1414)
+        for _ in range(200):
+            formula = random_formula(rng, ["a", "b", "c"], rng.randint(0, 6))
+            assert sl.formula_depth(formula) == depth(formula)
+        chain = sl.Atom("a")
+        for _ in range(5000):
+            chain = sl.Or(chain, sl.Not(sl.Atom("b")))
+        assert sl.formula_depth(sl.Always(chain)) == 5002
 
     def test_the_cap_leaves_room_for_the_refinement_cap(self):
         """A run appends a ``forbid`` guarantee per output refinement, up to

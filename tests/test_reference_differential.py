@@ -67,7 +67,6 @@ from oracles import (
     reference_linear_attractor,
     reference_mark_edges_absent,
     reference_masked_mark_edges_absent,
-    reference_predecessors,
     reference_restrict_counter_strategy,
     reference_safety_game,
     reference_select_counter_inputs,
@@ -297,38 +296,6 @@ def test_random_formula_arenas_from_one_successor_table_match_reference():
         inputs, outputs = tuple(order[:split]), tuple(order[split:])
         negated = negate_and_translate(formula, inputs + outputs)
         assert_shared_table_builds_match(negated, (1, 2, 4, 8), inputs, outputs)
-
-
-def assert_same_predecessors(arena) -> None:
-    index = arena.predecessors()
-    assert (index.owner, index.ctrl, index.degree) == reference_predecessors(arena)
-
-
-def test_predecessor_index_matches_reference():
-    """Safety arenas give every ctrl node one edge per output, and their
-    index is read from strided target columns; it must equal the per-node
-    construction, with edges marked absent before it is built too, as must
-    the per-node path on Büchi arenas and on arenas of other shapes."""
-    rng = random.Random(3306)
-    atoms = ["a", "b", "c", "d"]
-    for k in range(60):
-        formula = random_formula(rng, atoms, 4)
-        order = rng.sample(atoms, len(atoms))
-        split = rng.randint(1, 3)
-        inputs, outputs = tuple(order[:split]), tuple(order[split:])
-        negated = negate_and_translate(formula, inputs + outputs)
-        n_out = 2 ** len(outputs)
-        for bound in (1, 2):
-            arena = build_safety_game(negated, bound, inputs, outputs)
-            assert arena.ctrl_start == array("i", range(0, arena.n_ctrl * n_out + 1, n_out))
-            if k % 2:
-                valuation = Valuation.of({inputs[0]: rng.random() < 0.5})
-                mark_edges_absent(arena, valuation, inputs[:1])
-            assert_same_predecessors(arena)
-        automaton = translate(formula, inputs + outputs)
-        assert_same_predecessors(build_buchi_game(automaton, inputs, outputs))
-    for k in range(200):
-        assert_same_predecessors(random_arena(rng, "buchi" if k % 2 else "safety"))
 
 
 def test_attractor_matches_reference_on_random_arenas():
