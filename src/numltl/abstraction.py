@@ -99,12 +99,8 @@ def abstract_spec(doc: sl.SpecDocument) -> tuple[PseudoBooleanSpec, PredicateTab
 
 def cube_formula(v: Valuation) -> sl.Formula:
     """Conjunction of literals fixing exactly the atoms of ``v``."""
-    if not v.atoms:
-        return sl.TrueFormula()
-    literals = [
-        sl.Atom(name) if value else sl.Not(sl.Atom(name)) for name, value in v.pairs
-    ]
-    return sl.conjoin(tuple(literals))
+    literals = (sl.Atom(name) if value else sl.Not(sl.Atom(name)) for name, value in v.pairs)
+    return sl.fold(sl.And, literals)
 
 
 def forbid(v: Valuation) -> sl.Formula:
@@ -216,7 +212,7 @@ def reencode_outputs(
     feasible = [
         w
         for w in all_valuations(outputs)
-        if all(sl.evaluate_propositional(body, w.as_dict()) for body in collected)
+        if all(sl.evaluate(body, [w.as_dict()]) for body in collected)
         and all(w.restrict(r.atoms) != r for r in forbidden)
     ]
     if not feasible:
@@ -245,8 +241,8 @@ def reencode_outputs(
     ]
     if len(rows) < 2**m:
         # forbid the unused code-words so every emission decodes to a K member
-        used = tuple(cube_formula(word) for word, _ in rows)
-        new_guarantees.append(sl.Always(_disjoin(used)))
+        used = (cube_formula(word) for word, _ in rows)
+        new_guarantees.append(sl.Always(sl.fold(sl.Or, used)))
 
     encoded_doc = sl.SpecDocument(
         boolean_inputs=doc.boolean_inputs,
@@ -266,17 +262,5 @@ def reencode_outputs(
     return encoded_spec, mux
 
 
-def _disjoin(formulas: tuple[sl.Formula, ...]) -> sl.Formula:
-    if not formulas:
-        return sl.FalseFormula()
-    out = formulas[0]
-    for f in formulas[1:]:
-        out = sl.Or(out, f)
-    return out
-
-
 def _code_word_disjunction(mux: MultiplexerTable, atom: str) -> sl.Formula:
-    cubes = tuple(
-        cube_formula(word) for word, original in mux.rows if original[atom]
-    )
-    return _disjoin(cubes)
+    return sl.fold(sl.Or, (cube_formula(word) for word, original in mux.rows if original[atom]))

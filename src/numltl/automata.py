@@ -1,17 +1,20 @@
 """LTL to Büchi automata via on-the-fly tableau expansion.
 
-The translation normalizes a formula so negation sits only on atoms (with
-Release as the dual of Until), expands it into tableau nodes keyed by their
-processed and postponed obligation sets, reads off a generalized Büchi
-automaton whose transition guards are literal cubes, and then lowers it to
-plain Büchi acceptance with a visit counter over the acceptance sets.  The
-propositional expansion of each partial node is memoised, so each is
-expanded once, and the result is the automaton of the plain worklist
-expansion state for state: the test suite requires equality with that
-expansion, kept in its oracles, down to the order in which tableau nodes are
-created.  States share rows: the nodes that postpone the same obligations
-have the same successors, as do the degeneralized states over one row
-counting from one level, so each distinct row is built, sorted and hashed once.
+The translation normalizes a formula so negation sits only on atoms: one
+table of duals (And and Or, Until and Release, TRUE and FALSE; NEXT is its
+own dual) serves every operator under a negation, after Implies, ALWAYS and
+EVENTUALLY are rewritten as Or, Release and Until.  It then expands the
+normal form into tableau nodes keyed by their processed and postponed
+obligation sets, reads off a generalized Büchi automaton whose transition
+guards are literal cubes, and then lowers it to plain Büchi acceptance with
+a visit counter over the acceptance sets.  The propositional expansion of
+each partial node is memoised, so each is expanded once, and the result is
+the automaton of the plain worklist expansion state for state: the test
+suite requires equality with that expansion, kept in its oracles, down to
+the order in which tableau nodes are created.  States share rows: the nodes
+that postpone the same obligations have the same successors, as do the
+degeneralized states over one row counting from one level, so each distinct
+row is built, sorted and hashed once.
 
 Also here: direct evaluation of a formula on an ultimately periodic word and
 automaton acceptance of such a word.  These give two independent routes to
@@ -37,6 +40,7 @@ from .speclang import (
     TrueFormula,
     Until,
     atoms_of,
+    walk,
 )
 from .valuation import Valuation
 
@@ -49,68 +53,50 @@ class Release(Formula):
     right: Formula
 
 
+# the operator negation turns each into: ``!(a && b)`` is ``!a || !b``,
+# ``!(a UNTIL b)`` is ``!a RELEASE !b``, and ``!NEXT a`` is ``NEXT !a``
+_DUAL = {
+    And: Or,
+    Or: And,
+    Until: Release,
+    Release: Until,
+    Next: Next,
+    TrueFormula: FalseFormula,
+    FalseFormula: TrueFormula,
+}
+
+
 def negation_normal_form(formula: Formula) -> Formula:
     """Eliminate Implies/Always/Eventually and push negation onto atoms."""
-    if isinstance(formula, (Atom, TrueFormula, FalseFormula)):
-        return formula
-    if isinstance(formula, And):
-        return And(negation_normal_form(formula.left), negation_normal_form(formula.right))
-    if isinstance(formula, Or):
-        return Or(negation_normal_form(formula.left), negation_normal_form(formula.right))
-    if isinstance(formula, Implies):
-        return Or(
-            negation_normal_form(Not(formula.left)), negation_normal_form(formula.right)
-        )
-    if isinstance(formula, Next):
-        return Next(negation_normal_form(formula.operand))
-    if isinstance(formula, Always):
-        return Release(FalseFormula(), negation_normal_form(formula.operand))
-    if isinstance(formula, Eventually):
-        return Until(TrueFormula(), negation_normal_form(formula.operand))
-    if isinstance(formula, Until):
-        return Until(negation_normal_form(formula.left), negation_normal_form(formula.right))
-    if isinstance(formula, Release):
-        return Release(
-            negation_normal_form(formula.left), negation_normal_form(formula.right)
-        )
-    if isinstance(formula, Not):
-        inner = formula.operand
-        if isinstance(inner, Atom):
-            return formula
-        if isinstance(inner, TrueFormula):
-            return FalseFormula()
-        if isinstance(inner, FalseFormula):
-            return TrueFormula()
-        if isinstance(inner, Not):
-            return negation_normal_form(inner.operand)
-        if isinstance(inner, And):
-            return Or(
-                negation_normal_form(Not(inner.left)), negation_normal_form(Not(inner.right))
-            )
-        if isinstance(inner, Or):
-            return And(
-                negation_normal_form(Not(inner.left)), negation_normal_form(Not(inner.right))
-            )
-        if isinstance(inner, Implies):
-            return And(
-                negation_normal_form(inner.left), negation_normal_form(Not(inner.right))
-            )
-        if isinstance(inner, Next):
-            return Next(negation_normal_form(Not(inner.operand)))
-        if isinstance(inner, Always):
-            return Until(TrueFormula(), negation_normal_form(Not(inner.operand)))
-        if isinstance(inner, Eventually):
-            return Release(FalseFormula(), negation_normal_form(Not(inner.operand)))
-        if isinstance(inner, Until):
-            return Release(
-                negation_normal_form(Not(inner.left)), negation_normal_form(Not(inner.right))
-            )
-        if isinstance(inner, Release):
-            return Until(
-                negation_normal_form(Not(inner.left)), negation_normal_form(Not(inner.right))
-            )
-    msg = f"unknown formula node {formula!r}"
-    raise TypeError(msg)
+    return _normal(formula, True)
+
+
+def _normal(f: Formula, positive: bool) -> Formula:
+    """The normal form of ``f``, or of its negation when not ``positive``.
+    A ``!`` flips the polarity in the loop, so a chain of them takes no
+    frame, and every other operator takes one."""
+    while True:
+        if isinstance(f, Not):
+            f, positive = f.operand, not positive
+        elif isinstance(f, Implies):
+            f = Or(Not(f.left), f.right)
+        elif isinstance(f, Always):
+            f = Release(FalseFormula(), f.operand)
+        elif isinstance(f, Eventually):
+            f = Until(TrueFormula(), f.operand)
+        else:
+            break
+    if isinstance(f, Atom):
+        return f if positive else Not(f)
+    if type(f) not in _DUAL:
+        msg = f"unknown formula node {f!r}"
+        raise TypeError(msg)
+    op = type(f) if positive else _DUAL[type(f)]
+    if isinstance(f, Next):
+        return op(_normal(f.operand, positive))
+    if isinstance(f, (TrueFormula, FalseFormula)):
+        return op()
+    return op(_normal(f.left, positive), _normal(f.right, positive))
 
 
 # -- automaton type --------------------------------------------------------
@@ -172,24 +158,8 @@ class _Node:
     nxt: int  # postponed obligations
 
 
-def _is_literal(f: Formula) -> bool:
-    return isinstance(f, (TrueFormula, FalseFormula, Atom)) or (
-        isinstance(f, Not) and isinstance(f.operand, Atom)
-    )
-
-
-def _negate_literal(f: Formula) -> Formula:
-    if isinstance(f, Atom):
-        return Not(f)
-    if isinstance(f, Not):
-        return f.operand
-    if isinstance(f, TrueFormula):
-        return FalseFormula()
-    return TrueFormula()
-
-
 def _intern(normal: Formula) -> _Interned:
-    formulas = sorted(_closure(normal), key=repr)
+    formulas = sorted(set(walk(normal)), key=repr)
     index = {f: i for i, f in enumerate(formulas)}
     kinds = {And: _AND, Or: _OR, Until: _UNTIL, Release: _RELEASE}
     kind, left, right, negation = [], [], [], []
@@ -197,15 +167,12 @@ def _intern(normal: Formula) -> _Interned:
         k, a, b, neg = -1, -1, -1, -1
         if isinstance(f, FalseFormula):
             k = _FALSE
-        elif _is_literal(f):
-            k, neg = _LITERAL, index.get(_negate_literal(f), -1)
         elif isinstance(f, Next):
             k, a = _NEXT, index[f.operand]
         elif type(f) in kinds:
             k, a, b = kinds[type(f)], index[f.left], index[f.right]
-        else:
-            msg = f"formula not in normal form: {f!r}"
-            raise TypeError(msg)
+        else:  # an atom, a negated atom or TRUE
+            k, neg = _LITERAL, index.get(_normal(f, False), -1)
         kind.append(k)
         left.append(a)
         right.append(b)
@@ -290,19 +257,19 @@ def _expand(table: _Interned) -> tuple[list[_Node], dict[int, list[int]]]:
     # node whose set was walked to the end has every successor numbered
     successors: dict[int, list[int]] = {}
     start = 1 << table.root
-    walk = [(start, iter(leaves((start, 0, 0))))]
-    while walk:
-        new, keys = walk[-1]
+    trail = [(start, iter(leaves((start, 0, 0))))]
+    while trail:
+        new, keys = trail[-1]
         for key in keys:
             if key in position:
                 continue
             position[key] = len(nodes)
             nodes.append(_Node(*key))
             if key[1] not in successors:
-                walk.append((key[1], iter(leaves((key[1], 0, 0)))))
+                trail.append((key[1], iter(leaves((key[1], 0, 0)))))
             break
         else:
-            walk.pop()
+            trail.pop()
             successors[new] = sorted(position[key] for key in leaf_lists[new, 0, 0])
     return nodes, successors
 
@@ -476,15 +443,6 @@ def negate_and_translate(
 ) -> BuchiAutomaton:
     """Automaton of the negated formula, i.e. of the behaviours violating it."""
     return translate(Not(formula), atoms)
-
-
-def _closure(formula: Formula) -> set[Formula]:
-    out = {formula}
-    if isinstance(formula, (Not, Next)):
-        out |= _closure(formula.operand)
-    elif isinstance(formula, (And, Or, Until, Release)):
-        out |= _closure(formula.left) | _closure(formula.right)
-    return out
 
 
 # -- lasso words -------------------------------------------------------------

@@ -417,7 +417,7 @@ def _build_arena(
             successors.automaton, bound, inputs, outputs, successors
         )
     for v in work.input_refinements:
-        mark_edges_absent(arena, v, v.atoms)
+        mark_edges_absent(arena, v)
     return arena
 
 
@@ -534,7 +534,7 @@ def synthesize(
             transcript.refine(sl.INPUT_SIDE, culprit)
             # the game formula ignores assumption refinements, so marking the
             # standing arena gives the arena a rebuild would
-            mark_edges_absent(arena, culprit, culprit.atoms)
+            mark_edges_absent(arena, culprit)
             continue
 
         # the counter-strategy survived theory scrutiny at this bound

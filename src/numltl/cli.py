@@ -143,14 +143,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     spec = verdict.spec
     refinements = len(spec.input_refinements) + len(spec.output_refinements)
+    shown = verdict.bound if verdict.bound is not None else "none"
     if isinstance(verdict, Realizable):
-        m = verdict.controller
-        shown = verdict.bound if verdict.bound is not None else "none"
+        machine = verdict.controller
         print(f"verdict: realizable (bound {shown})")
         print(
-            f"controller: {m.n_states} states,"
-            f" inputs {','.join(m.inputs) or '-'},"
-            f" outputs {','.join(m.outputs) or '-'}"
+            f"controller: {machine.n_states} states,"
+            f" inputs {','.join(machine.inputs) or '-'},"
+            f" outputs {','.join(machine.outputs) or '-'}"
         )
         if verdict.multiplexer:
             print(f"multiplexer: {len(verdict.multiplexer.rows)} rows (outputs re-encoded)")
@@ -158,43 +158,34 @@ def cmd_synth(args: argparse.Namespace) -> int:
             f"refinements: {refinements}"
             f" ({len(spec.input_refinements)} input, {len(spec.output_refinements)} output)"
         )
-        print(f"theory checks: {count_theory_checks(transcript)}")
-        out_path = _artifact_path(args.spec, args.out, ".ctrl")
-        if not _write(out_path, render_realizable(verdict, cfg.algorithm)):
-            return EXIT_INPUT_ERROR
-        print(f"wrote {out_path}")
-        if args.dot:
-            if not _write(args.dot, render_dot(m)):
-                return EXIT_INPUT_ERROR
-            print(f"wrote {args.dot}")
-        return EXIT_OK
-
-    cs = verdict.counter_strategy
-    shown = verdict.bound if verdict.bound is not None else "none"
-    print(f"verdict: unrealizable within bound {shown}")
-    print(f"counter-strategy: {len(cs.states)} states")
-    if verdict.evidence:
-        _, table = abstract_spec(doc)
-        names = table.input_variables
-        print("evidence (every counter-strategy input is feasible):")
-        for valuation, witness in verdict.evidence:
-            print(f"  {valuation}")
-            print(f"    witness {_point_report(names, witness)}")
-            for constraint in valuation_to_constraints(valuation, table):
-                rendered = sl.format_constraint(constraint, names)
-                value = constraint.poly.evaluate(witness)
-                print(f"    {rendered}: left side {_approx(value)}")
-    print(f"refinements: {refinements}")
+        suffix, render, code = ".ctrl", render_realizable, EXIT_OK
+    else:
+        machine = verdict.counter_strategy
+        print(f"verdict: unrealizable within bound {shown}")
+        print(f"counter-strategy: {len(machine.states)} states")
+        if verdict.evidence:
+            _, table = abstract_spec(doc)
+            names = table.input_variables
+            print("evidence (every counter-strategy input is feasible):")
+            for valuation, witness in verdict.evidence:
+                print(f"  {valuation}")
+                print(f"    witness {_point_report(names, witness)}")
+                for constraint in valuation_to_constraints(valuation, table):
+                    rendered = sl.format_constraint(constraint, names)
+                    value = constraint.poly.evaluate(witness)
+                    print(f"    {rendered}: left side {_approx(value)}")
+        print(f"refinements: {refinements}")
+        suffix, render, code = ".cs", render_unrealizable, EXIT_NEGATIVE
     print(f"theory checks: {count_theory_checks(transcript)}")
-    out_path = _artifact_path(args.spec, args.out, ".cs")
-    if not _write(out_path, render_unrealizable(verdict, cfg.algorithm)):
+    out_path = _artifact_path(args.spec, args.out, suffix)
+    if not _write(out_path, render(verdict, cfg.algorithm)):
         return EXIT_INPUT_ERROR
     print(f"wrote {out_path}")
     if args.dot:
-        if not _write(args.dot, render_dot(cs)):
+        if not _write(args.dot, render_dot(machine)):
             return EXIT_INPUT_ERROR
         print(f"wrote {args.dot}")
-    return EXIT_NEGATIVE
+    return code
 
 
 # -- check --------------------------------------------------------------------

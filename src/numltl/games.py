@@ -788,17 +788,11 @@ def extract_counter_strategy(
 # -- refinement by edge marking ---------------------------------------------------
 
 
-def mark_edges_absent(
-    arena: GameArena, valuation: Valuation, predicate_atoms: tuple[str, ...]
-) -> int:
+def mark_edges_absent(arena: GameArena, valuation: Valuation) -> int:
     """Mark absent every present env edge whose input agrees with ``valuation``
-    on the predicate atoms; returns how many edges were marked.
-
-    An edge's input projected onto the predicate atoms must equal
-    ``valuation``, so nothing matches unless ``valuation`` fixes exactly the
-    predicate atoms among the arena's inputs."""
-    fixed = set(predicate_atoms) & set(arena.inputs)
-    if set(valuation.atoms) != fixed:
+    on its atoms; returns how many edges were marked.  A valuation naming an
+    atom that is no input of the arena matches nothing."""
+    if not set(valuation.atoms) <= set(arena.inputs):
         return 0
     letters = arena.letters
     care, value = valuation.masks(letters.position)

@@ -99,44 +99,6 @@ class SimulationTrace:
 # -- guarantee monitor -------------------------------------------------------
 
 
-def _next_depth(f: sl.Formula) -> int | None:
-    """Max NEXT nesting when the formula is otherwise propositional."""
-    if isinstance(f, (sl.Atom, sl.TrueFormula, sl.FalseFormula)):
-        return 0
-    if isinstance(f, sl.Not):
-        return _next_depth(f.operand)
-    if isinstance(f, (sl.And, sl.Or, sl.Implies)):
-        left = _next_depth(f.left)
-        right = _next_depth(f.right)
-        if left is None or right is None:
-            return None
-        return max(left, right)
-    if isinstance(f, sl.Next):
-        inner = _next_depth(f.operand)
-        return None if inner is None else inner + 1
-    return None
-
-
-def _eval_windowed(f: sl.Formula, trace: list[dict[str, bool]], t: int) -> bool:
-    if isinstance(f, sl.Atom):
-        return trace[t][f.name]
-    if isinstance(f, sl.TrueFormula):
-        return True
-    if isinstance(f, sl.FalseFormula):
-        return False
-    if isinstance(f, sl.Not):
-        return not _eval_windowed(f.operand, trace, t)
-    if isinstance(f, sl.And):
-        return _eval_windowed(f.left, trace, t) and _eval_windowed(f.right, trace, t)
-    if isinstance(f, sl.Or):
-        return _eval_windowed(f.left, trace, t) or _eval_windowed(f.right, trace, t)
-    if isinstance(f, sl.Implies):
-        return not _eval_windowed(f.left, trace, t) or _eval_windowed(f.right, trace, t)
-    if isinstance(f, sl.Next):
-        return _eval_windowed(f.operand, trace, t + 1)
-    raise SimulationError(f"formula is not windowed-propositional: {f}")
-
-
 @dataclass(frozen=True)
 class MonitorReport:
     violations: tuple[tuple[str, int], ...]
@@ -150,7 +112,7 @@ def _windows(
     """``f`` at each step ``t`` of the trace of word ``numbers`` that has
     ``depth`` steps after it, evaluated once per distinct window
     ``numbers[t : t + depth + 1]``."""
-    memo = Memo(lambda window: _eval_windowed(f, [words[n] for n in window], 0))
+    memo = Memo(lambda window: sl.evaluate(f, [words[n] for n in window]))
     return map(memo.__getitem__, zip(*(numbers[i:] for i in range(depth + 1))))
 
 
@@ -169,7 +131,7 @@ def _monitor_one(
 
     if isinstance(g, sl.Always):
         body = g.operand
-        depth = _next_depth(body)
+        depth = sl.next_depth(body)
         if depth is not None:
             for t, holds in enumerate(_windows(body, depth, numbers, words)):
                 if not holds:

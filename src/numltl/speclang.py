@@ -37,6 +37,18 @@ document is read, each constraint is renumbered onto the declared order, the
 reals of its side for a ``PRED`` and every declared real in a constraint
 file (``parse_constraints``, which shares the line, range and relation
 parsers).
+
+The formula layer keeps one implementation of each concept.  One operator
+table, ``_SYNTAX``, gives each operator's spelling, binding level and
+associativity, and both the parser and ``format_formula`` read it.
+``operands`` reads a node's operands from its dataclass fields, and ``walk``
+visits every subformula once, operands first, with an explicit stack.  The
+atoms, the NEXT depth (``is_propositional`` is NEXT depth 0) and atom
+substitution are built on ``walk``, the depth on ``operands`` a level at a
+time, and none of them recurses.  ``fold`` joins
+formulas by ``And`` or ``Or``, and ``evaluate`` judges a formula of atoms and
+NEXT at a step of a finite trace; it, the printer, and dataclass hashing,
+equality and ``repr`` still recurse once per level.
 """
 
 from __future__ import annotations
@@ -45,6 +57,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
+from typing import Iterator
 
 from .bernstein import Box, ConstraintImplication, Polynomial, PolyConstraint
 
@@ -140,88 +154,104 @@ class Until(Formula):
     right: Formula
 
 
+def operands(formula: Formula) -> tuple[Formula, ...]:
+    """The operands of a formula node in field order: every field of a node
+    but an atom's name holds one."""
+    return () if isinstance(formula, Atom) else tuple(vars(formula).values())
+
+
+def walk(formula: Formula) -> Iterator[Formula]:
+    """Every subformula once, each after its operands, without recursion.  A
+    subformula object shared between operands is visited once."""
+    seen = {id(formula)}
+    stack = [(formula, iter(operands(formula)))]
+    while stack:
+        f, rest = stack[-1]
+        for g in rest:
+            if id(g) not in seen:
+                seen.add(id(g))
+                stack.append((g, iter(operands(g))))
+                break
+        else:
+            stack.pop()
+            yield f
+
+
 def atoms_of(formula: Formula) -> set[str]:
-    if isinstance(formula, Atom):
-        return {formula.name}
-    if isinstance(formula, (TrueFormula, FalseFormula)):
-        return set()
-    if isinstance(formula, (Not, Next, Always, Eventually)):
-        return atoms_of(formula.operand)
-    return atoms_of(formula.left) | atoms_of(formula.right)
-
-
-def is_propositional(formula: Formula) -> bool:
-    """No temporal operator anywhere inside."""
-    if isinstance(formula, (Atom, TrueFormula, FalseFormula)):
-        return True
-    if isinstance(formula, Not):
-        return is_propositional(formula.operand)
-    if isinstance(formula, (And, Or, Implies)):
-        return is_propositional(formula.left) and is_propositional(formula.right)
-    return False
-
-
-def evaluate_propositional(formula: Formula, assignment: dict[str, bool]) -> bool:
-    if isinstance(formula, Atom):
-        return assignment[formula.name]
-    if isinstance(formula, TrueFormula):
-        return True
-    if isinstance(formula, FalseFormula):
-        return False
-    if isinstance(formula, Not):
-        return not evaluate_propositional(formula.operand, assignment)
-    if isinstance(formula, And):
-        return evaluate_propositional(formula.left, assignment) and evaluate_propositional(
-            formula.right, assignment
-        )
-    if isinstance(formula, Or):
-        return evaluate_propositional(formula.left, assignment) or evaluate_propositional(
-            formula.right, assignment
-        )
-    if isinstance(formula, Implies):
-        return not evaluate_propositional(formula.left, assignment) or evaluate_propositional(
-            formula.right, assignment
-        )
-    msg = f"not a propositional formula: {formula}"
-    raise ValueError(msg)
-
-
-def substitute_atoms(formula: Formula, mapping: dict[str, Formula]) -> Formula:
-    if isinstance(formula, Atom):
-        return mapping.get(formula.name, formula)
-    if isinstance(formula, (TrueFormula, FalseFormula)):
-        return formula
-    if isinstance(formula, Not):
-        return Not(substitute_atoms(formula.operand, mapping))
-    if isinstance(formula, Next):
-        return Next(substitute_atoms(formula.operand, mapping))
-    if isinstance(formula, Always):
-        return Always(substitute_atoms(formula.operand, mapping))
-    if isinstance(formula, Eventually):
-        return Eventually(substitute_atoms(formula.operand, mapping))
-    ctor = type(formula)
-    return ctor(
-        substitute_atoms(formula.left, mapping), substitute_atoms(formula.right, mapping)
-    )
+    return {f.name for f in walk(formula) if isinstance(f, Atom)}
 
 
 def formula_depth(formula: Formula) -> int:
     """Operators on the longest path of ``formula``, counted without recursion."""
     depth, level = -1, [formula]
     while level:
-        below = {id(c): c for f in level for c in vars(f).values() if isinstance(c, Formula)}
+        below = {id(g): g for f in level for g in operands(f)}
         depth, level = depth + 1, list(below.values())
     return depth
 
 
-def conjoin(formulas) -> Formula:
+_WINDOWED = (Atom, TrueFormula, FalseFormula, Not, And, Or, Implies, Next)
+
+
+def next_depth(formula: Formula) -> int | None:
+    """Most NEXTs on a path of ``formula``, or None when it has another
+    temporal operator; counted without recursion."""
+    depth: dict[int, int] = {}
+    for f in walk(formula):
+        if not isinstance(f, _WINDOWED):
+            return None
+        below = max(map(depth.__getitem__, map(id, operands(f))), default=0)
+        depth[id(f)] = below + isinstance(f, Next)
+    return depth[id(formula)]
+
+
+def is_propositional(formula: Formula) -> bool:
+    """No temporal operator anywhere inside."""
+    return next_depth(formula) == 0
+
+
+def evaluate(f: Formula, trace: list[dict[str, bool]], t: int = 0) -> bool:
+    """Truth at step ``t`` of the assignments ``trace`` of a formula whose
+    only temporal operator is NEXT, which reads the next step."""
+    if isinstance(f, Atom):
+        return trace[t][f.name]
+    if isinstance(f, TrueFormula):
+        return True
+    if isinstance(f, FalseFormula):
+        return False
+    if isinstance(f, Not):
+        return not evaluate(f.operand, trace, t)
+    if isinstance(f, And):
+        return evaluate(f.left, trace, t) and evaluate(f.right, trace, t)
+    if isinstance(f, Or):
+        return evaluate(f.left, trace, t) or evaluate(f.right, trace, t)
+    if isinstance(f, Implies):
+        return not evaluate(f.left, trace, t) or evaluate(f.right, trace, t)
+    if isinstance(f, Next):
+        return evaluate(f.operand, trace, t + 1)
+    msg = f"not a formula of atoms and NEXT: {f}"
+    raise ValueError(msg)
+
+
+def substitute_atoms(formula: Formula, mapping: dict[str, Formula]) -> Formula:
+    """``formula`` with each atom named in ``mapping`` replaced, without recursion."""
+    done: dict[int, Formula] = {}
+    for f in walk(formula):
+        if isinstance(f, Atom):
+            done[id(f)] = mapping.get(f.name, f)
+        else:
+            parts = [done[id(g)] for g in operands(f)]
+            done[id(f)] = type(f)(*parts) if parts else f
+    return done[id(formula)]
+
+
+def fold(op, formulas) -> Formula:
+    """``formulas`` joined from the left by ``op``, And or Or; its unit, TRUE
+    or FALSE, when there are none."""
     items = list(formulas)
     if not items:
-        return TrueFormula()
-    result = items[0]
-    for f in items[1:]:
-        result = And(result, f)
-    return result
+        return TrueFormula() if op is And else FalseFormula()
+    return reduce(op, items)
 
 
 # -- document types ------------------------------------------------------
@@ -266,10 +296,10 @@ class SpecDocument:
 
 def document_formula(doc: SpecDocument) -> Formula:
     """Play semantics of a document: conjoined assumptions imply guarantees."""
-    guarantee = conjoin(doc.guarantees)
+    guarantee = fold(And, doc.guarantees)
     if not doc.assumptions:
         return guarantee
-    return Implies(conjoin(doc.assumptions), guarantee)
+    return Implies(fold(And, doc.assumptions), guarantee)
 
 
 # -- lexer ----------------------------------------------------------------
@@ -382,14 +412,21 @@ def _lex_line(text: str, line_no: int) -> list[Token]:
 # -- parser ----------------------------------------------------------------
 
 
-# binary operators, loosest first: the test of a token, the constructor, and
-# whether the operator associates to the right
-_BINARY = (
-    (lambda tok: tok.kind is TokenKind.IMPLIES, Implies, True),
-    (lambda tok: tok.kind is TokenKind.KEYWORD and tok.text == "UNTIL", Until, True),
-    (lambda tok: tok.kind is TokenKind.OR, Or, False),
-    (lambda tok: tok.kind is TokenKind.AND, And, False),
-)
+# operator syntax, read by both the parser and the printer: each operator's
+# spelling, its binding level (loosest first; the prefix operators bind
+# tightest) and whether a binary one associates to the right
+_SYNTAX = {
+    Implies: ("->", 1, True),
+    Until: ("UNTIL", 2, True),
+    Or: ("||", 3, False),
+    And: ("&&", 4, False),
+    Not: ("!", 5, False),
+    Always: ("ALWAYS", 5, False),
+    Eventually: ("EVENTUALLY", 5, False),
+    Next: ("NEXT", 5, False),
+}
+_PREFIX_LEVEL = 5
+_SPELLED = {spelling: (ctor, level, right) for ctor, (spelling, level, right) in _SYNTAX.items()}
 
 
 def _too_deep(tok: Token) -> SpecError:
@@ -471,16 +508,23 @@ class _LineParser:
             raise _too_deep(tok)
         return ctor(*(f for f, _ in parts)), depth
 
-    def _binary(self, sink, level: int = 0) -> tuple[Formula, int]:
-        """The operators of ``_BINARY[level:]``: a chain of one is read in a
-        loop, not a recursion per operator, and folded to its side."""
-        if level == len(_BINARY):
+    def _operator(self) -> tuple:
+        """The constructor, level and associativity of the operator at the
+        cursor; level 0 when there is none."""
+        return _SPELLED.get(self.peek().text, (None, 0, False))
+
+    def _binary(self, sink, level: int = 1) -> tuple[Formula, int]:
+        """The binary operators of ``level`` and tighter: a chain of one is
+        read in a loop, not a recursion per operator, and folded to its side."""
+        if level == _PREFIX_LEVEL:
             return self._unary(sink)
-        at, ctor, to_right = _BINARY[level]
         parts, tokens = [self._binary(sink, level + 1)], []
-        while at(self.peek()):
+        while self._operator()[1] == level:
             tokens.append(self.advance())
             parts.append(self._binary(sink, level + 1))
+        if not tokens:
+            return parts[0]
+        ctor, _, to_right = _SPELLED[tokens[0].text]
         if to_right:
             result = parts.pop()
             for tok, part in zip(reversed(tokens), reversed(parts)):
@@ -493,11 +537,8 @@ class _LineParser:
 
     def _unary(self, sink) -> tuple[Formula, int]:
         tok = self.peek()
-        if tok.kind is TokenKind.NOT:
-            ctor = Not
-        elif tok.kind is TokenKind.KEYWORD and tok.text in ("ALWAYS", "EVENTUALLY", "NEXT"):
-            ctor = {"ALWAYS": Always, "EVENTUALLY": Eventually, "NEXT": Next}[tok.text]
-        else:
+        ctor, level, _ = self._operator()
+        if level != _PREFIX_LEVEL:
             return self._atom(sink)
         own = self.prefix()
         operand = self._unary(sink)
@@ -936,44 +977,22 @@ def format_constraint(constraint: PolyConstraint, var_names: tuple[str, ...]) ->
     return f"{format_polynomial(constraint.poly, var_names)} {constraint.relation} 0"
 
 
-_PREC = {
-    Implies: 1,
-    Until: 2,
-    Or: 3,
-    And: 4,
-}
-
-
 def format_formula(formula: Formula) -> str:
-    def prec(f: Formula) -> int:
-        return _PREC.get(type(f), 5)
-
     def emit(f: Formula, min_level: int) -> str:
         if isinstance(f, Atom):
-            text = f.name
-        elif isinstance(f, TrueFormula):
-            text = "TRUE"
-        elif isinstance(f, FalseFormula):
-            text = "FALSE"
-        elif isinstance(f, Not):
-            text = f"!{emit(f.operand, 5)}"
-        elif isinstance(f, (Always, Eventually, Next)):
-            word = {Always: "ALWAYS", Eventually: "EVENTUALLY", Next: "NEXT"}[type(f)]
-            text = f"{word} ({emit(f.operand, 0)})"
-        elif isinstance(f, Implies):
-            text = f"{emit(f.left, 2)} -> {emit(f.right, 1)}"
-        elif isinstance(f, Until):
-            text = f"{emit(f.left, 3)} UNTIL {emit(f.right, 2)}"
-        elif isinstance(f, Or):
-            text = f"{emit(f.left, 3)} || {emit(f.right, 4)}"
-        elif isinstance(f, And):
-            text = f"{emit(f.left, 4)} && {emit(f.right, 5)}"
-        else:
+            return f.name
+        if isinstance(f, (TrueFormula, FalseFormula)):
+            return "TRUE" if isinstance(f, TrueFormula) else "FALSE"
+        if type(f) not in _SYNTAX:
             msg = f"unknown formula node {f!r}"
             raise TypeError(msg)
-        if prec(f) < min_level:
-            return f"({text})"
-        return text
+        spelling, level, right = _SYNTAX[type(f)]
+        if isinstance(f, Not):
+            return spelling + emit(f.operand, level)
+        if level == _PREFIX_LEVEL:
+            return f"{spelling} ({emit(f.operand, 0)})"
+        text = f"{emit(f.left, level + right)} {spelling} {emit(f.right, level + (not right))}"
+        return f"({text})" if level < min_level else text
 
     return emit(formula, 0)
 

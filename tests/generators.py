@@ -356,3 +356,28 @@ def random_refinement_document(rng: random.Random):
         assumptions=(),
         guarantees=guarantees,
     )
+
+
+def random_formula_with_release(rng: random.Random, atoms: list[str], depth: int):
+    """Random formula over every node class the negation normal form reads:
+    the parser's, ``Release``, and chains of two to five ``!``."""
+    from numltl import speclang as sl
+    from numltl.automata import Release
+
+    if depth == 0 or rng.random() < 0.2:
+        return random_formula(rng, atoms, 0)
+    shape = rng.choice(
+        [sl.Not, sl.Next, sl.Always, sl.Eventually, sl.And, sl.Or, sl.Implies, sl.Until]
+        + [Release, "chain"]
+    )
+    if shape == "chain":
+        formula = random_formula_with_release(rng, atoms, depth - 1)
+        for _ in range(rng.randint(2, 5)):
+            formula = sl.Not(formula)
+        return formula
+    if shape in (sl.Not, sl.Next, sl.Always, sl.Eventually):
+        return shape(random_formula_with_release(rng, atoms, depth - 1))
+    return shape(
+        random_formula_with_release(rng, atoms, depth - 1),
+        random_formula_with_release(rng, atoms, depth - 1),
+    )

@@ -12,9 +12,11 @@ arenas of edge objects that flat arrays replaced, the guarantee monitor
 keeps its per-trigger rescans and its per-step evaluation, the simulator
 keeps its per-step valuations and rendering, and the Bernstein search keeps the
 substitute-then-convert enclosures and sample evaluation that the dense
-per-dimension conversion replaced, and the specification front end keeps
+per-dimension conversion replaced, the specification front end keeps
 the character-by-character lexer and the name-keyed polynomial parser that
-the token-pattern lexer and the ``Polynomial``-built parser replaced.  The
+the token-pattern lexer and the ``Polynomial``-built parser replaced, and
+the formula layer keeps its per-operator walks, printer and negation normal
+form that the field-reading walks and the syntax and dual tables replaced.  The
 tests read the library's arenas and solutions only through the object views
 built here from their arrays (``object_arena``, ``object_solution``), and
 build arenas edge by edge with ``arena_from_edges``.
@@ -1026,14 +1028,6 @@ def reference_expand(formula) -> list:
     return done
 
 
-def _subformulas(formula) -> set:
-    out = {formula}
-    for child in ("operand", "left", "right"):
-        if hasattr(formula, child):
-            out |= _subformulas(getattr(formula, child))
-    return out
-
-
 def reference_degeneralize(
     n_states: int,
     initial: int,
@@ -1140,12 +1134,12 @@ def reference_translate(formula, atoms):
     """``translate`` with the tableau run by ``reference_expand`` and the
     ``Valuation``-guarded degeneralization and simplification stages above."""
     from numltl import speclang as sl
-    from numltl.automata import BuchiAutomaton, negation_normal_form
+    from numltl.automata import BuchiAutomaton
     from numltl.valuation import Valuation
 
-    normal = negation_normal_form(formula)
+    normal = reference_negation_normal_form(formula)
     nodes = reference_expand(normal)
-    untils = sorted((f for f in _subformulas(normal) if isinstance(f, sl.Until)), key=repr)
+    untils = sorted((f for f in reference_closure(normal) if isinstance(f, sl.Until)), key=repr)
     ids = {node.node_id: i + 1 for i, node in enumerate(nodes)}
     edges = [[] for _ in range(len(nodes) + 1)]
     for node in nodes:
@@ -1279,6 +1273,202 @@ def reference_check_validity(formula, box: Box, depth: int, stats=None):
     if isinstance(verdict, Infeasible):
         return Valid()
     return verdict
+
+
+# -- reference formula layer ------------------------------------------------------
+#
+# The formula walks as they were before ``speclang`` read each node's operands
+# from its fields and the operator syntax from one table: one ``isinstance``
+# branch per operator, each walk recursing once per level, the printer with
+# its own precedence table and spellings, and the negation normal form
+# spelled out case by case.
+
+
+def reference_atoms_of(formula) -> set[str]:
+    if isinstance(formula, Atom):
+        return {formula.name}
+    if isinstance(formula, (TrueFormula, FalseFormula)):
+        return set()
+    if isinstance(formula, (Not, Next, Always, Eventually)):
+        return reference_atoms_of(formula.operand)
+    return reference_atoms_of(formula.left) | reference_atoms_of(formula.right)
+
+
+def reference_is_propositional(formula) -> bool:
+    if isinstance(formula, (Atom, TrueFormula, FalseFormula)):
+        return True
+    if isinstance(formula, Not):
+        return reference_is_propositional(formula.operand)
+    if isinstance(formula, (And, Or, Implies)):
+        return reference_is_propositional(formula.left) and reference_is_propositional(
+            formula.right
+        )
+    return False
+
+
+def reference_next_depth(f) -> int | None:
+    """Max NEXT nesting when the formula is otherwise propositional."""
+    if isinstance(f, (Atom, TrueFormula, FalseFormula)):
+        return 0
+    if isinstance(f, Not):
+        return reference_next_depth(f.operand)
+    if isinstance(f, (And, Or, Implies)):
+        left = reference_next_depth(f.left)
+        right = reference_next_depth(f.right)
+        if left is None or right is None:
+            return None
+        return max(left, right)
+    if isinstance(f, Next):
+        inner = reference_next_depth(f.operand)
+        return None if inner is None else inner + 1
+    return None
+
+
+def reference_evaluate(f, trace, t: int) -> bool:
+    """A formula of atoms and NEXT at step ``t`` of a list of assignments."""
+    if isinstance(f, Atom):
+        return trace[t][f.name]
+    if isinstance(f, TrueFormula):
+        return True
+    if isinstance(f, FalseFormula):
+        return False
+    if isinstance(f, Not):
+        return not reference_evaluate(f.operand, trace, t)
+    if isinstance(f, And):
+        return reference_evaluate(f.left, trace, t) and reference_evaluate(f.right, trace, t)
+    if isinstance(f, Or):
+        return reference_evaluate(f.left, trace, t) or reference_evaluate(f.right, trace, t)
+    if isinstance(f, Implies):
+        return not reference_evaluate(f.left, trace, t) or reference_evaluate(f.right, trace, t)
+    if isinstance(f, Next):
+        return reference_evaluate(f.operand, trace, t + 1)
+    raise ValueError(f"formula is not windowed-propositional: {f}")
+
+
+def reference_substitute_atoms(formula, mapping):
+    if isinstance(formula, Atom):
+        return mapping.get(formula.name, formula)
+    if isinstance(formula, (TrueFormula, FalseFormula)):
+        return formula
+    if isinstance(formula, Not):
+        return Not(reference_substitute_atoms(formula.operand, mapping))
+    if isinstance(formula, Next):
+        return Next(reference_substitute_atoms(formula.operand, mapping))
+    if isinstance(formula, Always):
+        return Always(reference_substitute_atoms(formula.operand, mapping))
+    if isinstance(formula, Eventually):
+        return Eventually(reference_substitute_atoms(formula.operand, mapping))
+    ctor = type(formula)
+    return ctor(
+        reference_substitute_atoms(formula.left, mapping),
+        reference_substitute_atoms(formula.right, mapping),
+    )
+
+
+def reference_closure(formula) -> set:
+    """Every subformula of a formula in negation normal form."""
+    from numltl.automata import Release
+
+    def closure(f) -> set:
+        out = {f}
+        if isinstance(f, (Not, Next)):
+            out |= closure(f.operand)
+        elif isinstance(f, (And, Or, Until, Release)):
+            out |= closure(f.left) | closure(f.right)
+        return out
+
+    return closure(formula)
+
+
+def reference_negation_normal_form(formula):
+    """Implies/Always/Eventually eliminated and negation pushed onto atoms,
+    one case per operator and per operator under a negation."""
+    from numltl.automata import Release
+
+    def nnf(f):
+        if isinstance(f, (Atom, TrueFormula, FalseFormula)):
+            return f
+        if isinstance(f, And):
+            return And(nnf(f.left), nnf(f.right))
+        if isinstance(f, Or):
+            return Or(nnf(f.left), nnf(f.right))
+        if isinstance(f, Implies):
+            return Or(nnf(Not(f.left)), nnf(f.right))
+        if isinstance(f, Next):
+            return Next(nnf(f.operand))
+        if isinstance(f, Always):
+            return Release(FalseFormula(), nnf(f.operand))
+        if isinstance(f, Eventually):
+            return Until(TrueFormula(), nnf(f.operand))
+        if isinstance(f, Until):
+            return Until(nnf(f.left), nnf(f.right))
+        if isinstance(f, Release):
+            return Release(nnf(f.left), nnf(f.right))
+        if isinstance(f, Not):
+            inner = f.operand
+            if isinstance(inner, Atom):
+                return f
+            if isinstance(inner, TrueFormula):
+                return FalseFormula()
+            if isinstance(inner, FalseFormula):
+                return TrueFormula()
+            if isinstance(inner, Not):
+                return nnf(inner.operand)
+            if isinstance(inner, And):
+                return Or(nnf(Not(inner.left)), nnf(Not(inner.right)))
+            if isinstance(inner, Or):
+                return And(nnf(Not(inner.left)), nnf(Not(inner.right)))
+            if isinstance(inner, Implies):
+                return And(nnf(inner.left), nnf(Not(inner.right)))
+            if isinstance(inner, Next):
+                return Next(nnf(Not(inner.operand)))
+            if isinstance(inner, Always):
+                return Until(TrueFormula(), nnf(Not(inner.operand)))
+            if isinstance(inner, Eventually):
+                return Release(FalseFormula(), nnf(Not(inner.operand)))
+            if isinstance(inner, Until):
+                return Release(nnf(Not(inner.left)), nnf(Not(inner.right)))
+            if isinstance(inner, Release):
+                return Until(nnf(Not(inner.left)), nnf(Not(inner.right)))
+        raise TypeError(f"unknown formula node {f!r}")
+
+    return nnf(formula)
+
+
+_REFERENCE_PREC = {Implies: 1, Until: 2, Or: 3, And: 4}
+
+
+def reference_format_formula(formula) -> str:
+    def prec(f) -> int:
+        return _REFERENCE_PREC.get(type(f), 5)
+
+    def emit(f, min_level: int) -> str:
+        if isinstance(f, Atom):
+            text = f.name
+        elif isinstance(f, TrueFormula):
+            text = "TRUE"
+        elif isinstance(f, FalseFormula):
+            text = "FALSE"
+        elif isinstance(f, Not):
+            text = f"!{emit(f.operand, 5)}"
+        elif isinstance(f, (Always, Eventually, Next)):
+            word = {Always: "ALWAYS", Eventually: "EVENTUALLY", Next: "NEXT"}[type(f)]
+            text = f"{word} ({emit(f.operand, 0)})"
+        elif isinstance(f, Implies):
+            text = f"{emit(f.left, 2)} -> {emit(f.right, 1)}"
+        elif isinstance(f, Until):
+            text = f"{emit(f.left, 3)} UNTIL {emit(f.right, 2)}"
+        elif isinstance(f, Or):
+            text = f"{emit(f.left, 3)} || {emit(f.right, 4)}"
+        elif isinstance(f, And):
+            text = f"{emit(f.left, 4)} && {emit(f.right, 5)}"
+        else:
+            raise TypeError(f"unknown formula node {f!r}")
+        if prec(f) < min_level:
+            return f"({text})"
+        return text
+
+    return emit(formula, 0)
 
 
 # -- reference specification parser ---------------------------------------------
@@ -1911,31 +2101,28 @@ def reference_parse_constraints(text: str) -> ConstraintDocument:
 # The simulator's monitor settles every response trigger in one backward pass
 # over the trace.  The version below is the one that replaced: it rescans the
 # trace from each trigger and evaluates each formula on a fresh dict.  The
-# NEXT-window shapes share the library's shape and window helpers.
+# NEXT-window shapes use the reference formula walks above.
 
 
 def _reference_holds(f, w) -> bool:
-    from numltl.speclang import evaluate_propositional
-
-    return evaluate_propositional(f, w.as_dict())
+    return reference_evaluate(f, [w.as_dict()], 0)
 
 
 def _reference_monitor_one(g, trace):
     from numltl import speclang as sl
-    from numltl.simulate import _eval_windowed, _next_depth
 
     horizon = len(trace)
     if isinstance(g, sl.Always):
         body = g.operand
-        depth = _next_depth(body)
+        depth = reference_next_depth(body)
         if depth is not None:
             for t in range(horizon - depth):
-                if not _eval_windowed(body, trace, t):
+                if not reference_evaluate(body, trace, t):
                     return t, 0
             return None, 0
-        if isinstance(body, sl.Implies) and sl.is_propositional(body.left):
+        if isinstance(body, sl.Implies) and reference_is_propositional(body.left):
             p, rhs = body.left, body.right
-            if isinstance(rhs, sl.Eventually) and sl.is_propositional(rhs.operand):
+            if isinstance(rhs, sl.Eventually) and reference_is_propositional(rhs.operand):
                 pending = 0
                 for t in range(horizon):
                     if _reference_holds(p, trace[t]) and not any(
@@ -1945,8 +2132,8 @@ def _reference_monitor_one(g, trace):
                 return None, pending
             if (
                 isinstance(rhs, sl.Until)
-                and sl.is_propositional(rhs.left)
-                and sl.is_propositional(rhs.right)
+                and reference_is_propositional(rhs.left)
+                and reference_is_propositional(rhs.right)
             ):
                 pending = 0
                 for t in range(horizon):
@@ -1960,13 +2147,13 @@ def _reference_monitor_one(g, trace):
                     else:
                         pending += 1
                 return None, pending
-        if isinstance(body, sl.Eventually) and sl.is_propositional(body.operand):
+        if isinstance(body, sl.Eventually) and reference_is_propositional(body.operand):
             last = max(
                 (t for t in range(horizon) if _reference_holds(body.operand, trace[t])),
                 default=-1,
             )
             return None, horizon - last - 1
-    if isinstance(g, sl.Eventually) and sl.is_propositional(g.operand):
+    if isinstance(g, sl.Eventually) and reference_is_propositional(g.operand):
         resolved = any(_reference_holds(g.operand, w) for w in trace)
         return None, 0 if resolved else 1
     return None, None
@@ -1996,46 +2183,46 @@ def reference_monitor_guarantees(doc, trace):
 # The simulator once did all of its work per step: it built both valuations,
 # decoded and merged them, and its monitor walked each guarantee's formula
 # at every step; the rendering formatted every valuation again.  The
-# versions below are those.  They share the library's lattice helpers, its
-# windowed evaluator and its trace types; the library now does the work
+# versions below are those.  They share the library's lattice helpers and
+# its trace types, and evaluate windows with the reference evaluator above;
+# the library now does the work
 # that depends only on a letter once per distinct letter or window.
 
 
 def _stepwise_monitor_one(g, trace):
     from numltl import speclang as sl
-    from numltl.simulate import _eval_windowed, _next_depth
 
     horizon = len(trace)
     steps = range(horizon)
     if isinstance(g, sl.Always):
         body = g.operand
-        depth = _next_depth(body)
+        depth = reference_next_depth(body)
         if depth is not None:
             for t in range(horizon - depth):
-                if not _eval_windowed(body, trace, t):
+                if not reference_evaluate(body, trace, t):
                     return t, 0
             return None, 0
-        if isinstance(body, sl.Implies) and sl.is_propositional(body.left):
+        if isinstance(body, sl.Implies) and reference_is_propositional(body.left):
             p, rhs = body.left, body.right
-            if isinstance(rhs, sl.Eventually) and sl.is_propositional(rhs.operand):
+            if isinstance(rhs, sl.Eventually) and reference_is_propositional(rhs.operand):
                 pending, answered = 0, False
                 for t in reversed(steps):
-                    answered = answered or _eval_windowed(rhs.operand, trace, t)
-                    if not answered and _eval_windowed(p, trace, t):
+                    answered = answered or reference_evaluate(rhs.operand, trace, t)
+                    if not answered and reference_evaluate(p, trace, t):
                         pending += 1
                 return None, pending
             if (
                 isinstance(rhs, sl.Until)
-                and sl.is_propositional(rhs.left)
-                and sl.is_propositional(rhs.right)
+                and reference_is_propositional(rhs.left)
+                and reference_is_propositional(rhs.right)
             ):
                 pending, violated_at, stop, broken = 0, None, None, False
                 for t in reversed(steps):
-                    if _eval_windowed(rhs.right, trace, t):
+                    if reference_evaluate(rhs.right, trace, t):
                         stop, broken = t, False
-                    elif not _eval_windowed(rhs.left, trace, t):
+                    elif not reference_evaluate(rhs.left, trace, t):
                         stop, broken = t, True
-                    if not _eval_windowed(p, trace, t):
+                    if not reference_evaluate(p, trace, t):
                         continue
                     if stop is None:
                         pending += 1
@@ -2044,14 +2231,14 @@ def _stepwise_monitor_one(g, trace):
                 if violated_at is not None:
                     return violated_at, 0
                 return None, pending
-        if isinstance(body, sl.Eventually) and sl.is_propositional(body.operand):
+        if isinstance(body, sl.Eventually) and reference_is_propositional(body.operand):
             last = max(
-                (t for t in steps if _eval_windowed(body.operand, trace, t)),
+                (t for t in steps if reference_evaluate(body.operand, trace, t)),
                 default=-1,
             )
             return None, horizon - last - 1
-    if isinstance(g, sl.Eventually) and sl.is_propositional(g.operand):
-        resolved = any(_eval_windowed(g.operand, trace, t) for t in steps)
+    if isinstance(g, sl.Eventually) and reference_is_propositional(g.operand):
+        resolved = any(reference_evaluate(g.operand, trace, t) for t in steps)
         return None, 0 if resolved else 1
     return None, None
 
@@ -2202,11 +2389,9 @@ def reference_render(trace) -> str:
 
 
 def _reference_cube(v) -> Formula:
-    from numltl import speclang as sl
-
     if not v.pairs:
         return TrueFormula()
-    return sl.conjoin(Atom(n) if b else Not(Atom(n)) for n, b in v.pairs)
+    return _reference_join(And, tuple(Atom(n) if b else Not(Atom(n)) for n, b in v.pairs))
 
 
 def reference_folded_document(doc: SpecDocument, refinements) -> SpecDocument:
@@ -2230,21 +2415,20 @@ def reference_folded_document(doc: SpecDocument, refinements) -> SpecDocument:
 
 def reference_game_formula(folded: SpecDocument, n_user: int) -> Formula:
     """User assumptions (the first ``n_user``) imply every guarantee."""
-    from numltl import speclang as sl
-
-    guarantee = sl.conjoin(folded.guarantees)
+    guarantee = _reference_join(And, folded.guarantees)
     user = folded.assumptions[:n_user]
     if not user:
         return guarantee
-    return Implies(sl.conjoin(user), guarantee)
+    return Implies(_reference_join(And, user), guarantee)
 
 
-def _reference_disjoin(formulas) -> Formula:
+def _reference_join(op, formulas) -> Formula:
+    """``formulas`` joined from the left by ``op``, And or Or; its unit for none."""
     if not formulas:
-        return FalseFormula()
+        return TrueFormula() if op is And else FalseFormula()
     out = formulas[0]
     for f in formulas[1:]:
-        out = Or(out, f)
+        out = op(out, f)
     return out
 
 
@@ -2254,7 +2438,6 @@ def reference_reencode(folded: SpecDocument):
     ``ValueError`` when the output constraints exclude every valuation."""
     from math import ceil, log2
 
-    from numltl import speclang as sl
     from numltl.valuation import Valuation, all_valuations
 
     outputs = folded.boolean_outputs
@@ -2262,8 +2445,8 @@ def reference_reencode(folded: SpecDocument):
     for g in folded.guarantees:
         if (
             isinstance(g, Always)
-            and sl.is_propositional(g.operand)
-            and sl.atoms_of(g.operand) <= set(outputs)
+            and reference_is_propositional(g.operand)
+            and reference_atoms_of(g.operand) <= set(outputs)
         ):
             collected.append(g.operand)
         else:
@@ -2273,7 +2456,7 @@ def reference_reencode(folded: SpecDocument):
     feasible = [
         w
         for w in all_valuations(outputs)
-        if all(sl.evaluate_propositional(body, w.as_dict()) for body in collected)
+        if all(reference_evaluate(body, [w.as_dict()], 0) for body in collected)
     ]
     if not feasible:
         raise ValueError("output constraints are unsatisfiable")
@@ -2293,22 +2476,22 @@ def reference_reencode(folded: SpecDocument):
     ]
     rows = tuple(zip(words, feasible))
     mapping = {
-        atom: _reference_disjoin(
-            tuple(_reference_cube(word) for word, original in rows if original[atom])
+        atom: _reference_join(
+            Or, tuple(_reference_cube(word) for word, original in rows if original[atom])
         )
         for atom in outputs
     }
-    guarantees = [sl.substitute_atoms(f, mapping) for f in remaining]
+    guarantees = [reference_substitute_atoms(f, mapping) for f in remaining]
     if len(rows) < 2**m:
         guarantees.append(
-            Always(_reference_disjoin(tuple(_reference_cube(word) for word in words)))
+            Always(_reference_join(Or, tuple(_reference_cube(word) for word in words)))
         )
     document = SpecDocument(
         folded.boolean_inputs,
         encoded,
         (),
         (),
-        tuple(sl.substitute_atoms(f, mapping) for f in folded.assumptions),
+        tuple(reference_substitute_atoms(f, mapping) for f in folded.assumptions),
         tuple(guarantees),
     )
     return document, encoded, rows

@@ -250,10 +250,7 @@ class TestReencode:
         assert isinstance(completeness, Always)
         for word in all_valuations(("sig1", "sig2")):
             allowed = any(code == word for code, _ in mux.rows)
-            assert (
-                sl.evaluate_propositional(completeness.operand, word.as_dict())
-                == allowed
-            )
+            assert sl.evaluate(completeness.operand, [word.as_dict()]) == allowed
 
     def test_single_feasible_combination_drops_all_outputs(self):
         doc = parse_spec("INPUT a\nOUTPUT b, c\nALWAYS (b)\nALWAYS (!c)\n")
@@ -295,9 +292,9 @@ class TestReencode:
                 body = random_formula(rng, ["a", "b", "c"], 3)
             rewritten = _rewrite_via(mux, body)
             for word, original in mux.rows:
-                assert sl.evaluate_propositional(
-                    rewritten, word.as_dict()
-                ) == sl.evaluate_propositional(body, original.as_dict())
+                assert sl.evaluate(rewritten, [word.as_dict()]) == sl.evaluate(
+                    body, [original.as_dict()]
+                )
 
     def test_refinement_guarantee_folds_into_the_code_book(self):
         spec, _ = abstract_spec(parse_spec(ONE_HOT_TRIPLE))

@@ -325,8 +325,8 @@ def _check_once_and_marking_equals_rebuild(monkeypatch, documents) -> int:
         state["spec"] = real_refine(spec, valuation)
         return state["spec"]
 
-    def mark(arena, valuation, atoms):
-        marked = real_mark(arena, valuation, atoms)
+    def mark(arena, valuation):
+        marked = real_mark(arena, valuation)
         if not state["building"]:
             work, _ = cegar._encoded(state["spec"], cfg)
             assert arena == build(work, cfg.algorithm, state["bound"])

@@ -20,7 +20,6 @@ from numltl.automata import (
     evaluate_ltl_on_lasso,
     negation_normal_form,
     translate,
-    _closure,
 )
 from numltl.cegar import CegarConfig, _encoded
 from numltl.speclang import (
@@ -36,6 +35,7 @@ from numltl.speclang import (
     TrueFormula,
     Until,
     parse_spec,
+    walk,
 )
 from numltl.valuation import Valuation
 from generators import random_formula, random_lasso
@@ -74,6 +74,13 @@ class TestNegationNormalForm:
 
     def test_always_lowers_to_release(self):
         assert negation_normal_form(Always(A)) == Release(FalseFormula(), A)
+
+    def test_a_long_negation_chain_takes_no_frames(self):
+        f = Always(A)
+        for _ in range(5000):
+            f = Not(f)
+        assert negation_normal_form(f) == Release(FalseFormula(), A)
+        assert negation_normal_form(Not(f)) == Until(TrueFormula(), Not(A))
 
     def test_preserves_lasso_semantics(self):
         rng = random.Random(7)
@@ -173,7 +180,7 @@ class TestTranslation:
         rng = random.Random(11)
         for _ in range(60):
             f = random_formula(rng, ["a", "b"], 3)
-            closure = _closure(negation_normal_form(f))
+            closure = set(walk(negation_normal_form(f)))
             aut = translate(f)
             assert aut.n_states <= 2 ** (len(closure) + 1) + 1
 

@@ -622,9 +622,9 @@ class TestControllerExtraction:
 class TestEdgeMarking:
     def test_marking_counts_and_flips_presence(self):
         arena = build_buchi_game(pin_automaton(), ("a",), ("b",))
-        count = mark_edges_absent(arena, v(a=True), ("a",))
+        count = mark_edges_absent(arena, v(a=True))
         assert count == 2
-        assert mark_edges_absent(arena, v(a=True), ("a",)) == 0
+        assert mark_edges_absent(arena, v(a=True)) == 0
         for row in object_arena(arena).env_edges:
             for edge in row:
                 assert edge.present == (not edge.valuation["a"])
@@ -632,14 +632,14 @@ class TestEdgeMarking:
     def test_marking_flips_the_verdict(self):
         arena = build_buchi_game(pin_automaton(), ("a",), ("b",))
         assert not solve_buchi(arena).ctrl_wins
-        mark_edges_absent(arena, v(a=True), ("a",))
+        mark_edges_absent(arena, v(a=True))
         assert solve_buchi(arena).ctrl_wins
 
     def test_marking_matches_on_a_projection(self):
         formula = sl.Always(sl.Implies(sl.Atom("p"), sl.Next(sl.Atom("b"))))
         automaton = translate(formula, ("p", "q", "b"))
         arena = build_buchi_game(automaton, ("p", "q"), ("b",))
-        count = mark_edges_absent(arena, v(p=True), ("p",))
+        count = mark_edges_absent(arena, v(p=True))
         assert count == 2 * automaton.n_states
         for row in object_arena(arena).env_edges:
             for edge in row:

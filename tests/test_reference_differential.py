@@ -2,7 +2,9 @@
 int-ranked degeneralization and simplification, the flat-array arenas with
 their masked edge marking, attractor, solvers, strategy extraction and
 counter-strategy selection against the object-level implementations they
-replaced (kept in ``oracles.py``): every observable must agree exactly.
+replaced, and the formula layer's field-reading walks, table-driven printer
+and dual-table negation normal form against the per-operator versions they
+replaced (all kept in ``oracles.py``): every observable must agree exactly.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from numltl.valuation import Valuation
 from generators import (
     random_arena,
     random_formula,
+    random_formula_with_release,
     random_refinement_document,
     random_synthesis_document,
 )
@@ -60,17 +63,25 @@ from oracles import (
     object_arena,
     object_solution,
     reference_attractor,
+    reference_atoms_of,
     reference_buchi_game,
+    reference_closure,
+    reference_evaluate,
     reference_expand,
     reference_extract_controller,
     reference_extract_counter_strategy,
+    reference_format_formula,
+    reference_is_propositional,
     reference_linear_attractor,
     reference_mark_edges_absent,
     reference_masked_mark_edges_absent,
+    reference_negation_normal_form,
+    reference_next_depth,
     reference_restrict_counter_strategy,
     reference_safety_game,
     reference_select_counter_inputs,
     reference_solve,
+    reference_substitute_atoms,
     reference_translate,
 )
 
@@ -320,16 +331,14 @@ def test_edge_marking_matches_reference_on_random_arenas():
         twin = object_arena(arena)
         masked = object_arena(arena)
         for _ in range(3):
-            # predicate atoms may include names the arena lacks, and the
-            # valuation need not fix exactly the predicate atoms
+            # the valuation may name ``z``, which no arena has as an input
             pool = list(arena.inputs) + ["z"]
-            predicate_atoms = tuple(rng.sample(pool, rng.randint(0, len(pool))))
             fixed = [a for a in pool if rng.random() < 0.7]
             valuation = Valuation.of({a: rng.random() < 0.5 for a in fixed})
-            count = mark_edges_absent(arena, valuation, predicate_atoms)
-            assert count == reference_mark_edges_absent(twin, valuation, predicate_atoms)
+            count = mark_edges_absent(arena, valuation)
+            assert count == reference_mark_edges_absent(twin, valuation, valuation.atoms)
             assert count == reference_masked_mark_edges_absent(
-                masked, valuation, predicate_atoms
+                masked, valuation, valuation.atoms
             )
             assert object_arena(arena) == twin == masked
             marked += count
@@ -427,7 +436,7 @@ def test_solving_and_extraction_match_reference_through_marking(objective):
             selections += assert_same_extraction(rng, solution, reference)
             atoms = tuple(rng.sample(arena.inputs, rng.randint(1, len(arena.inputs))))
             valuation = Valuation.of({a: rng.random() < 0.5 for a in atoms})
-            count = mark_edges_absent(arena, valuation, atoms)
+            count = mark_edges_absent(arena, valuation)
             assert count == reference_masked_mark_edges_absent(twin, valuation, atoms)
             assert object_arena(arena) == twin
             marked += count
@@ -447,13 +456,13 @@ def test_buchi_rounds_after_a_removal_match_reference(seed):
     assert_same_solution(solution, reference_solve(object_arena(arena)))
 
 
-def _reference_mark(arena, valuation, atoms):
+def _reference_mark(arena, valuation):
     """Marking for ``synthesize`` under the object-level pipeline: the
     library marks its arenas while building them, the references mark the
     object copies the solver sees."""
     if isinstance(arena, ObjectArena):
-        return reference_masked_mark_edges_absent(arena, valuation, atoms)
-    return mark_edges_absent(arena, valuation, atoms)
+        return reference_masked_mark_edges_absent(arena, valuation, valuation.atoms)
+    return mark_edges_absent(arena, valuation)
 
 
 def _reference_select(solution, checked, atoms):
@@ -550,3 +559,61 @@ def test_selection_and_extraction_match_reference_on_every_env_win_round(monkeyp
     for doc, cfg in env_win_round_documents(random.Random(3309)):
         synthesize(doc, cfg)
     assert rounds >= 200  # 78 of them on the bundled specs and the arbiter family
+
+
+# -- the formula layer against its per-operator walks ----------------------------
+
+
+def test_negation_normal_form_matches_reference():
+    """The dual-table normal form equals the case-by-case one, and the walk's
+    subformulas its closure, on f, !f and !!f with Release nodes and chains
+    of ``!`` inside."""
+    rng = random.Random(3312)
+    for depth in range(1, 8):
+        for _ in range(120):
+            formula = random_formula_with_release(rng, ["a", "b", "c"], depth)
+            for f in (formula, sl.Not(formula), sl.Not(sl.Not(formula))):
+                normal = negation_normal_form(f)
+                assert normal == reference_negation_normal_form(f)
+                assert set(sl.walk(normal)) == reference_closure(normal)
+
+
+def test_formula_walks_match_reference():
+    """Substitution, the atoms, the propositional test, the NEXT depth and
+    the evaluator equal their per-operator versions."""
+    rng = random.Random(3313)
+    atoms = ["a", "b", "c"]
+    evaluated = 0
+    for depth in range(1, 8):
+        for _ in range(120):
+            f = random_formula_with_release(rng, atoms, depth)
+            mapping = {"a": random_formula_with_release(rng, atoms, 2), "c": sl.Atom("b")}
+            assert sl.substitute_atoms(f, mapping) == reference_substitute_atoms(f, mapping)
+            assert sl.atoms_of(f) == reference_atoms_of(f)
+            assert sl.is_propositional(f) == reference_is_propositional(f)
+            window = sl.next_depth(f)
+            assert window == reference_next_depth(f)
+            if window is not None:
+                trace = [{a: rng.random() < 0.5 for a in atoms} for _ in range(window + 3)]
+                for t in range(3):
+                    assert sl.evaluate(f, trace, t) == reference_evaluate(f, trace, t)
+                evaluated += 1
+    assert evaluated >= 100
+
+
+def test_formula_printing_matches_reference():
+    """Byte-equal text, parentheses included, on random formulas and on the
+    bundled specs' formulas; both refuse a Release node."""
+    rng = random.Random(3314)
+    formulas = [
+        random_formula(rng, ["a", "b", "c"], depth) for depth in range(1, 8) for _ in range(150)
+    ]
+    for name in SPECS:
+        doc = parse_spec((SPEC_DIR / f"{name}.spec").read_text())
+        formulas += [*doc.assumptions, *doc.guarantees, game_inputs(name)[0]]
+    for f in formulas:
+        assert sl.format_formula(f) == reference_format_formula(f)
+    release = automata.Release(sl.Atom("a"), sl.Atom("b"))
+    for printer in (sl.format_formula, reference_format_formula):
+        with pytest.raises(TypeError):
+            printer(sl.Not(release))

@@ -25,7 +25,7 @@ from oracles import (
 from numltl import speclang as sl
 from numltl.cegar import CegarConfig, Realizable, synthesize
 from numltl.controller_file import parse_controller_file, render_realizable
-from numltl.simulate import TraceStep, _next_depth, monitor_guarantees, simulate
+from numltl.simulate import TraceStep, monitor_guarantees, simulate
 from numltl.speclang import parse_spec
 from numltl.valuation import Valuation, all_valuations
 
@@ -169,7 +169,7 @@ def test_monitor_matches_the_stepwise_reference_on_random_traces():
         guarantees = []
         while len(guarantees) < 2:
             body = windowed_formula(rng, atoms, 5)
-            if (_next_depth(body) or 0) >= 1:
+            if (sl.next_depth(body) or 0) >= 1:
                 guarantees.append(sl.Always(body))
         p, q, r = (propositional(rng, atoms) for _ in range(3))
         guarantees += [

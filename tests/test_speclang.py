@@ -32,9 +32,9 @@ from numltl.speclang import (
     TrueFormula,
     Until,
     atoms_of,
-    conjoin,
     document_formula,
-    evaluate_propositional,
+    evaluate,
+    fold,
     format_constraint,
     format_formula,
     format_polynomial,
@@ -454,21 +454,28 @@ class TestFormulaHelpers:
         assert is_propositional(only_guarantee(MINIMAL + "!(a -> b) || a"))
         assert not is_propositional(only_guarantee(MINIMAL + "a -> NEXT (b)"))
 
-    def test_evaluate_propositional(self):
+    def test_evaluate(self):
         f = only_guarantee(MINIMAL + "!(a -> b) || FALSE")
-        assert evaluate_propositional(f, {"a": True, "b": False})
-        assert not evaluate_propositional(f, {"a": True, "b": True})
+        assert evaluate(f, [{"a": True, "b": False}])
+        assert not evaluate(f, [{"a": True, "b": True}])
+        g = only_guarantee(MINIMAL + "a -> NEXT (NEXT (b))")
+        trace = [{"a": True, "b": False}, {"a": False, "b": False}, {"a": True, "b": True}]
+        assert evaluate(g, trace) and not evaluate(g, trace + trace, 2)
 
     def test_substitute_atoms(self):
         f = only_guarantee(MINIMAL + "ALWAYS (a -> b)")
         g = substitute_atoms(f, {"b": And(Atom("c"), Atom("d"))})
         assert g == Always(Implies(Atom("a"), And(Atom("c"), Atom("d"))))
 
-    def test_conjoin(self):
-        assert conjoin([]) == TrueFormula()
-        assert conjoin([Atom("a")]) == Atom("a")
-        assert conjoin([Atom("a"), Atom("b"), Atom("c")]) == And(
+    def test_fold(self):
+        assert fold(And, []) == TrueFormula()
+        assert fold(Or, []) == FalseFormula()
+        assert fold(And, [Atom("a")]) == Atom("a")
+        assert fold(And, [Atom("a"), Atom("b"), Atom("c")]) == And(
             And(Atom("a"), Atom("b")), Atom("c")
+        )
+        assert fold(Or, [Atom("a"), Atom("b"), Atom("c")]) == Or(
+            Or(Atom("a"), Atom("b")), Atom("c")
         )
 
     def test_document_formula_wraps_assumptions(self):
