@@ -209,12 +209,13 @@ def reencode_outputs(
     if not (collected or forbidden) or not outputs:
         return spec, EMPTY_MULTIPLEXER
 
-    feasible = [
-        w
-        for w in all_valuations(outputs)
-        if all(sl.evaluate(body, [w.as_dict()]) for body in collected)
-        and all(w.restrict(r.atoms) != r for r in forbidden)
-    ]
+    feasible = []
+    for w in all_valuations(outputs):
+        trace = [w.as_dict()]  # one step, shared by every collected invariant
+        if all(sl.evaluate(body, trace) for body in collected) and all(
+            w.restrict(r.atoms) != r for r in forbidden
+        ):
+            feasible.append(w)
     if not feasible:
         msg = "output constraints are unsatisfiable; no output valuation exists"
         raise AbstractionError(msg)

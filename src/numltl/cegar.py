@@ -1,17 +1,19 @@
 """Counterexample-guided synthesis driver tying the game layer to the theory.
 
-The loop solves the pseudo-Boolean game, asks the exact feasibility checker
-about the predicate valuations a counter-strategy (or a winning controller)
-relies on, refines the abstraction whenever a valuation turns out infeasible,
-and escalates the safety bound when a counter-strategy survives theory
-scrutiny.  A per-run cache guarantees every valuation is checked at most
-once; a line-oriented transcript records checks, refinements, game solves,
-and the final verdict.
+Each round of the loop solves the pseudo-Boolean game and collects the
+candidates the winner relies on: the output predicate valuations a winning
+controller emits, or the counter-inputs a winning environment plays.  The
+exact feasibility checker tests them in order up to the first one it
+refutes; that valuation refines the abstraction on its side, and when none
+is refuted the win stands (a safety run first escalates its bound past an
+environment win).  A per-run cache guarantees every valuation is checked at
+most once; a line-oriented transcript records checks, refinements, game
+solves, and the final verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 from . import speclang as sl
@@ -268,36 +270,37 @@ def select_counter_inputs(
     return keep, {projection[p] for p in selected}
 
 
-# -- controller output duality -------------------------------------------------
+# -- candidates and the first refuted one -------------------------------------
 
 
-def validate_controller_outputs(
-    m: MealyController,
-    table: PredicateTable,
-    cache: CheckedCache,
-    multiplexer: MultiplexerTable = EMPTY_MULTIPLEXER,
-    depth: int = DEFAULT_DEPTH,
-    transcript: Transcript | None = None,
-) -> list[Valuation]:
-    """Output predicate valuations the controller can emit but the theory
-    refutes; encoded outputs are decoded through the multiplexer first."""
-    atoms = table.atoms_of(sl.OUTPUT_SIDE)
+def output_candidates(
+    m: MealyController, atoms: tuple[str, ...], multiplexer: MultiplexerTable
+) -> set[Valuation]:
+    """Output predicate projections a winning controller can emit; encoded
+    outputs are decoded through the multiplexer first."""
     if not atoms:
-        return []
-    transcript = transcript if transcript is not None else Transcript()
+        return set()
     emitted = {vout for vout, _ in m.step.values()}
-    projections = set()
-    for vout in emitted:
-        decoded = multiplexer.decode(vout) if multiplexer else vout
-        projections.add(decoded.restrict(atoms))
-    bad = []
-    for p in sorted(projections):
-        if not p.atoms:
-            continue
-        verdict = _checked(cache, sl.OUTPUT_SIDE, p, table, depth, transcript)
+    if multiplexer:
+        emitted = {multiplexer.decode(vout) for vout in emitted}
+    return {vout.restrict(atoms) for vout in emitted}
+
+
+def first_refuted(
+    cache: CheckedCache,
+    side: str,
+    candidates: set[Valuation],
+    table: PredicateTable,
+    depth: int,
+    transcript: Transcript,
+) -> Valuation | None:
+    """Check the candidates in sorted order up to the first one the theory
+    refutes, and return it (None when every candidate is feasible)."""
+    for v in sorted(candidates):
+        verdict = _checked(cache, side, v, table, depth, transcript)
         if isinstance(verdict, Infeasible):
-            bad.append(p)
-    return bad
+            return v
+    return None
 
 
 # -- configuration and verdicts ------------------------------------------------
@@ -321,15 +324,15 @@ class CegarConfig:
     """Knobs of one synthesis run.
 
     The loop is deterministic (all tie-breaks are lexicographic) and refines
-    one valuation per iteration.  ``algorithm`` picks the game (safety with
-    the escalating ``bound_schedule``, or Büchi), ``depth`` is the theory
-    checker's bisection budget, ``refinement_cap`` turns a run that keeps
-    refining into Unknown, and ``reencode`` compresses the output alphabet
-    before the game is built.
+    one valuation per round.  ``algorithm`` picks the game (safety, with the
+    bounds of ``bound_schedule_up_to(max_bound)``, or Büchi), ``depth`` is
+    the theory checker's bisection budget, ``refinement_cap`` turns a run
+    that keeps refining into Unknown, and ``reencode`` compresses the output
+    alphabet before the game is built.
     """
 
     algorithm: str = SAFETY
-    bound_schedule: tuple[int, ...] = (1, 2, 4, 8, 16)
+    max_bound: int = 16
     depth: int = DEFAULT_DEPTH
     refinement_cap: int = 64
     reencode: bool = True
@@ -337,8 +340,8 @@ class CegarConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in (BUCHI, SAFETY):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if not self.bound_schedule or any(k < 1 for k in self.bound_schedule):
-            raise ValueError("bound schedule must be nonempty and positive")
+        if self.max_bound < 1:
+            raise ValueError("maximum bound must be positive")
         if self.refinement_cap < 1:
             raise ValueError("refinement cap must be positive")
         if self.depth < 1:
@@ -424,20 +427,8 @@ def _build_arena(
 def _genuineness_evidence(
     cs: CounterStrategy, cache: CheckedCache, predicate_atoms: tuple[str, ...]
 ) -> tuple[tuple[Valuation, Point], ...]:
-    if not predicate_atoms:
-        return ()
-    projections = {
-        c.restrict(predicate_atoms)
-        for cands in cs.candidates.values()
-        for c in cands
-    }
-    evidence = []
-    for p in sorted(projections):
-        if not p.atoms:
-            continue
-        verdict = cache.inputs[p]
-        evidence.append((p, verdict.witness))
-    return tuple(evidence)
+    projections = {c.restrict(predicate_atoms) for cands in cs.candidates.values() for c in cands}
+    return tuple((p, cache.inputs[p].witness) for p in sorted(projections) if p.atoms)
 
 
 def synthesize(
@@ -448,16 +439,18 @@ def synthesize(
 ) -> SynthesisVerdict:
     """Run the refinement loop on a specification document.
 
-    Alternates game solving with exact theory checks: a controller win is
-    kept only if every output valuation it emits is feasible (otherwise the
-    first offending cube becomes a guarantee refinement and the arena is
-    rebuilt); an environment win is kept only if the counter-inputs
-    selected on the solution are all feasible (otherwise the first
-    infeasible cube becomes an assumption refinement, marked absent in the
-    standing arena).  Safety-game runs escalate the bound schedule before
-    giving up; only then is the counter-strategy built, once, along the
-    candidate edges the last selection kept.  A ``cache`` kept from an
-    earlier run must be for the same predicate table.
+    Every round does the same steps for either winner: solve the game,
+    collect the candidates the winner relies on (the output projections a
+    winning controller emits, or the unproven counter-inputs selected on an
+    environment win), check them in sorted order up to the first one the
+    theory refutes, and refine that side.  A refuted output becomes a
+    guarantee refinement and the game is re-encoded and rebuilt; a refuted
+    input becomes an assumption refinement, marked absent in the standing
+    arena.  A win whose candidates all hold is kept, except that a safety
+    run escalates its bound schedule before it accepts an environment win;
+    only then is the counter-strategy built, once, along the candidate
+    edges the last selection kept.  A ``cache`` kept from an earlier run
+    must be for the same predicate table.
     """
     cfg = cfg if cfg is not None else CegarConfig()
     transcript = transcript if transcript is not None else Transcript()
@@ -467,83 +460,68 @@ def synthesize(
         transcript.verdict(f"unknown {reason}")
         return Unknown(reason)
 
-    def capped() -> bool:
-        refinements = len(spec.input_refinements) + len(spec.output_refinements)
-        return refinements >= cfg.refinement_cap
-
     spec, table = abstract_spec(doc)
     cache.bind(table)
-    input_atoms = table.atoms_of(sl.INPUT_SIDE)
+    atoms = {side: table.atoms_of(side) for side in (sl.INPUT_SIDE, sl.OUTPUT_SIDE)}
+    schedule = bound_schedule_up_to(cfg.max_bound) if cfg.algorithm == SAFETY else (None,)
     bound_index = 0
-    mux = EMPTY_MULTIPLEXER
     arena: GameArena | None = None
-    # the safety route's successors depend on the game formula, not on the
-    # bound: one table serves the schedule until a guarantee refinement
-    successors: SuccessorTable | None = None
-    bound: int | None = None
+    # the re-encoding of the game formula and the safety route's successors
+    # depend on the guarantees, not on the bound or the input refinements:
+    # one of each serves every bound until a guarantee refinement
+    work: PseudoBooleanSpec | None = None
 
-    while True:
-        if arena is None:
-            # the last round's solution holds the old arena: drop it, and
-            # the strategies drawn from it, before the new one is built
-            solution = controller = keep = None
-            work, mux = _encoded(spec, cfg)
-            if cfg.algorithm == SAFETY:
-                bound = cfg.bound_schedule[bound_index]
-                if successors is None:
-                    successors = _successor_table(work)
-            arena = _build_arena(work, cfg.algorithm, bound, successors)
-        solution = solve(arena)
-        transcript.solve(arena, bound, solution.ctrl_wins)
+    try:
+        while True:
+            bound = schedule[bound_index]
+            if arena is None:
+                # the last round's solution holds the old arena: drop it, and
+                # the strategies drawn from it, before the new one is built
+                solution = controller = keep = None
+                if work is None:
+                    work, mux = _encoded(spec, cfg)
+                    successors = _successor_table(work) if cfg.algorithm == SAFETY else None
+                # a kept re-encoding holds the input refinements of its own time
+                work = replace(work, input_refinements=spec.input_refinements)
+                arena = _build_arena(work, cfg.algorithm, bound, successors)
+            solution = solve(arena)
+            transcript.solve(arena, bound, solution.ctrl_wins)
 
-        if solution.ctrl_wins:
-            controller = extract_controller(solution)
-            try:
-                bad = validate_controller_outputs(
-                    controller, table, cache, mux, cfg.depth, transcript
-                )
-            except TheoryUnknownError as stuck:
-                return finish_unknown(str(stuck))
-            if not bad:
+            if solution.ctrl_wins:
+                side = sl.OUTPUT_SIDE
+                controller = extract_controller(solution)
+                candidates = output_candidates(controller, atoms[side], mux)
+            else:
+                side = sl.INPUT_SIDE
+                keep, candidates = select_counter_inputs(solution, cache, atoms[side])
+            culprit = first_refuted(cache, side, candidates, table, cfg.depth, transcript)
+
+            if culprit is not None:
+                refinements = len(spec.input_refinements) + len(spec.output_refinements)
+                if refinements >= cfg.refinement_cap:
+                    return finish_unknown(f"refinement cap {cfg.refinement_cap} exceeded")
+                if side == sl.OUTPUT_SIDE:
+                    spec = refine_with_guarantee(spec, culprit)
+                    # the guarantees changed: re-encode, translate again and rebuild
+                    arena = work = successors = None
+                else:
+                    spec = refine_with_assumption(spec, culprit)
+                    # the game formula ignores assumption refinements, so marking
+                    # the standing arena gives the arena a rebuild would
+                    mark_edges_absent(arena, culprit)
+                transcript.refine(side, culprit)
+            elif solution.ctrl_wins:
                 transcript.verdict("realizable")
                 return Realizable(controller, mux, table, spec, bound)
-            if capped():
-                return finish_unknown(f"refinement cap {cfg.refinement_cap} exceeded")
-            spec = refine_with_guarantee(spec, bad[0])
-            transcript.refine(sl.OUTPUT_SIDE, bad[0])
-            # the guarantees changed: re-encode, translate again and rebuild
-            arena = successors = None
-            continue
-
-        keep, unproven = select_counter_inputs(solution, cache, input_atoms)
-        culprit = None
-        try:
-            for v in sorted(unproven):
-                verdict = _checked(
-                    cache, sl.INPUT_SIDE, v, table, cfg.depth, transcript
-                )
-                if isinstance(verdict, Infeasible):
-                    culprit = v
-                    break
-        except TheoryUnknownError as stuck:
-            return finish_unknown(str(stuck))
-        if culprit is not None:
-            if capped():
-                return finish_unknown(f"refinement cap {cfg.refinement_cap} exceeded")
-            spec = refine_with_assumption(spec, culprit)
-            transcript.refine(sl.INPUT_SIDE, culprit)
-            # the game formula ignores assumption refinements, so marking the
-            # standing arena gives the arena a rebuild would
-            mark_edges_absent(arena, culprit)
-            continue
-
-        # the counter-strategy survived theory scrutiny at this bound
-        if cfg.algorithm == SAFETY and bound_index + 1 < len(cfg.bound_schedule):
-            bound_index += 1
-            arena = None
-            continue
-        cs = extract_counter_strategy(solution, keep)
-        evidence = _genuineness_evidence(cs, cache, input_atoms)
-        shown = bound if bound is not None else "none"
-        transcript.verdict(f"unrealizable-within-bound bound={shown}")
-        return UnrealizableWithinBound(bound, cs, evidence, spec, mux)
+            elif bound_index + 1 < len(schedule):
+                # the counter-strategy survived theory scrutiny at this bound
+                bound_index += 1
+                arena = None
+            else:
+                cs = extract_counter_strategy(solution, keep)
+                evidence = _genuineness_evidence(cs, cache, atoms[sl.INPUT_SIDE])
+                shown = bound if bound is not None else "none"
+                transcript.verdict(f"unrealizable-within-bound bound={shown}")
+                return UnrealizableWithinBound(bound, cs, evidence, spec, mux)
+    except TheoryUnknownError as stuck:
+        return finish_unknown(str(stuck))

@@ -118,7 +118,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     try:
         cfg = CegarConfig(
             algorithm=args.algorithm,
-            bound_schedule=bound_schedule_up_to(args.max_bound),
+            max_bound=args.max_bound,
             depth=args.depth,
             reencode=not args.no_reencode,
         )
@@ -127,9 +127,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     transcript = Transcript()
     verdict = synthesize(doc, cfg, transcript)
     print(f"spec: {args.spec}")
-    schedule = ",".join(str(b) for b in cfg.bound_schedule)
     route = f"algorithm: {cfg.algorithm}"
     if cfg.algorithm == SAFETY:
+        schedule = ",".join(str(b) for b in bound_schedule_up_to(cfg.max_bound))
         route += f" (bound schedule {schedule})"
     print(route)
 

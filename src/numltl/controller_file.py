@@ -214,6 +214,13 @@ def _parse_int(text: str, where: str) -> int:
         raise ControllerFileError(f"{where}: expected an integer, found {text!r}") from None
 
 
+def _parse_state(text: str, where: str, states: range | frozenset[int]) -> int:
+    state = _parse_int(text, where)
+    if state not in states:
+        raise ControllerFileError(f"{where}: {state} is not a state of the machine")
+    return state
+
+
 def _parse_mux(reader: _Reader) -> MultiplexerTable:
     if not reader.at("BEGIN MUX"):
         return EMPTY_MULTIPLEXER
@@ -253,7 +260,9 @@ def _same_atoms(what: str, names: tuple[str, ...], expected: tuple[str, ...]) ->
 
 def parse_controller_file(text: str) -> ControllerPackage:
     """Read an artifact, checking that every atom list and valuation in it
-    speaks the embedded spec's atoms and that every emitted code-word decodes."""
+    speaks the embedded spec's atoms, that every state it names is one of
+    the machine's, that the bound is positive, and that every emitted
+    code-word decodes."""
     reader = _Reader(text)
     magic = reader.take(MAGIC)
     if magic not in (KIND_CONTROLLER, KIND_COUNTER_STRATEGY):
@@ -264,6 +273,9 @@ def parse_controller_file(text: str) -> ControllerPackage:
         raise ControllerFileError(f"unknown algorithm {algorithm!r}")
     bound_text = reader.take("BOUND")
     bound = None if bound_text == "none" else _parse_int(bound_text, "BOUND")
+    if bound is not None and bound < 1:
+        msg = f"BOUND: expected a positive integer or none, found {bound_text!r}"
+        raise ControllerFileError(msg)
     refinements = []
     for payload in reader.block("REFINE"):
         if len(payload) != 2 or payload[0] not in (sl.INPUT_SIDE, sl.OUTPUT_SIDE):
@@ -271,14 +283,15 @@ def parse_controller_file(text: str) -> ControllerPackage:
         refinements.append((payload[0], _parse_val(payload[1], "REFINE")))
     inputs = _parse_names(reader.take("INPUTS"))
     outputs = _parse_names(reader.take("OUTPUTS"))
-    # each distinct number or valuation text is parsed once, raising where it first appears
-    number = Memo(lambda text: _parse_int(text, "STEP"))
+    # each distinct state or valuation text is parsed once, raising where it first appears
     vin_of = Memo(lambda text: _parse_val(text, "STEP", inputs))
     vout_of = Memo(lambda text: _parse_val(text, "STEP", outputs))
 
     if magic == KIND_CONTROLLER:
         n_states = _parse_int(reader.take("STATES"), "STATES")
-        initial = _parse_int(reader.take("INITIAL"), "INITIAL")
+        valid = range(n_states)
+        initial = _parse_state(reader.take("INITIAL"), "INITIAL", valid)
+        number = Memo(lambda text: _parse_state(text, "STEP", valid))
         step = {}
         for payload in reader.block("STEP"):
             if len(payload) != 4:
@@ -291,20 +304,22 @@ def parse_controller_file(text: str) -> ControllerPackage:
         counter = None
     else:
         states = tuple(_parse_int(s, "STATES") for s in _parse_names(reader.take("STATES")))
-        initial = _parse_int(reader.take("INITIAL"), "INITIAL")
+        valid = frozenset(states)
+        initial = _parse_state(reader.take("INITIAL"), "INITIAL", valid)
         candidates = {}
         candidate = Memo(lambda text: _parse_val(text, "CANDIDATES", inputs))
         for payload in reader.block("CANDIDATES"):
             if len(payload) != 2:
                 raise ControllerFileError("malformed CANDIDATES line")
-            state = _parse_int(payload[0], "CANDIDATES")
+            state = _parse_state(payload[0], "CANDIDATES", valid)
             if payload[1] == "-":
                 candidates[state] = ()
             else:
                 candidates[state] = tuple(map(candidate.__getitem__, payload[1].split(";")))
         spoiled = frozenset(
-            _parse_int(s, "SPOILED") for s in _parse_names(reader.take("SPOILED"))
+            _parse_state(s, "SPOILED", valid) for s in _parse_names(reader.take("SPOILED"))
         )
+        number = Memo(lambda text: _parse_state(text, "STEP", valid))
         transitions = {}
         for payload in reader.block("STEP"):
             if len(payload) != 4:

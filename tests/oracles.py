@@ -16,7 +16,9 @@ per-dimension conversion replaced, the specification front end keeps
 the character-by-character lexer and the name-keyed polynomial parser that
 the token-pattern lexer and the ``Polynomial``-built parser replaced, and
 the formula layer keeps its per-operator walks, printer and negation normal
-form that the field-reading walks and the syntax and dual tables replaced.  The
+form that the field-reading walks and the syntax and dual tables replaced, and
+the refinement loop keeps its two refinement paths, one per winner, that one
+round for both replaced.  The
 tests read the library's arenas and solutions only through the object views
 built here from their arrays (``object_arena``, ``object_solution``), and
 build arenas edge by edge with ``arena_from_edges``.
@@ -2497,12 +2499,124 @@ def reference_reencode(folded: SpecDocument):
     return document, encoded, rows
 
 
+# -- reference refinement loop ----------------------------------------------------
+#
+# ``synthesize`` once ran two refinement paths: a controller win checked every
+# output projection it emits and refined the first refuted one, an
+# environment win checked the selected counter-inputs up to the first refuted
+# one, and each path caught an undecided check itself.  It took an explicit
+# bound schedule (the Büchi route ignored it) and re-encoded the game formula
+# at every bound.  Below is that loop; it reads the library's steps through
+# ``cegar``'s module globals, as the library's loop does.
+
+
+def _reference_refuted_outputs(m, table, cache, mux, depth, transcript) -> list:
+    from numltl import cegar
+
+    atoms = table.atoms_of(OUTPUT_SIDE)
+    if not atoms:
+        return []
+    projections = set()
+    for vout in {vout for vout, _ in m.step.values()}:
+        decoded = mux.decode(vout) if mux else vout
+        projections.add(decoded.restrict(atoms))
+    bad = []
+    for p in sorted(projections):
+        if not p.atoms:
+            continue
+        verdict = cegar._checked(cache, OUTPUT_SIDE, p, table, depth, transcript)
+        if isinstance(verdict, Infeasible):
+            bad.append(p)
+    return bad
+
+
+def reference_synthesize(doc: SpecDocument, cfg, transcript, cache=None):
+    """The two-path refinement loop on ``cfg`` (a ``CegarConfig``), writing
+    ``transcript``: every output projection checked, re-encoding per bound."""
+    from numltl import cegar
+
+    cache = cache if cache is not None else cegar.CheckedCache()
+
+    def finish_unknown(reason: str):
+        transcript.verdict(f"unknown {reason}")
+        return Unknown(reason)
+
+    def capped() -> bool:
+        refinements = len(spec.input_refinements) + len(spec.output_refinements)
+        return refinements >= cfg.refinement_cap
+
+    schedule = cegar.bound_schedule_up_to(cfg.max_bound)
+    spec, table = cegar.abstract_spec(doc)
+    cache.bind(table)
+    input_atoms = table.atoms_of(INPUT_SIDE)
+    bound_index = 0
+    arena = successors = bound = None
+    while True:
+        if arena is None:
+            solution = controller = keep = None
+            work, mux = cegar._encoded(spec, cfg)
+            if cfg.algorithm == cegar.SAFETY:
+                bound = schedule[bound_index]
+                if successors is None:
+                    successors = cegar._successor_table(work)
+            arena = cegar._build_arena(work, cfg.algorithm, bound, successors)
+        solution = cegar.solve(arena)
+        transcript.solve(arena, bound, solution.ctrl_wins)
+
+        if solution.ctrl_wins:
+            controller = cegar.extract_controller(solution)
+            try:
+                bad = _reference_refuted_outputs(
+                    controller, table, cache, mux, cfg.depth, transcript
+                )
+            except cegar.TheoryUnknownError as stuck:
+                return finish_unknown(str(stuck))
+            if not bad:
+                transcript.verdict("realizable")
+                return cegar.Realizable(controller, mux, table, spec, bound)
+            if capped():
+                return finish_unknown(f"refinement cap {cfg.refinement_cap} exceeded")
+            spec = cegar.refine_with_guarantee(spec, bad[0])
+            transcript.refine(OUTPUT_SIDE, bad[0])
+            arena = successors = None
+            continue
+
+        keep, unproven = cegar.select_counter_inputs(solution, cache, input_atoms)
+        culprit = None
+        try:
+            for v in sorted(unproven):
+                verdict = cegar._checked(cache, INPUT_SIDE, v, table, cfg.depth, transcript)
+                if isinstance(verdict, Infeasible):
+                    culprit = v
+                    break
+        except cegar.TheoryUnknownError as stuck:
+            return finish_unknown(str(stuck))
+        if culprit is not None:
+            if capped():
+                return finish_unknown(f"refinement cap {cfg.refinement_cap} exceeded")
+            spec = cegar.refine_with_assumption(spec, culprit)
+            transcript.refine(INPUT_SIDE, culprit)
+            cegar.mark_edges_absent(arena, culprit)
+            continue
+
+        if cfg.algorithm == cegar.SAFETY and bound_index + 1 < len(schedule):
+            bound_index += 1
+            arena = None
+            continue
+        cs = cegar.extract_counter_strategy(solution, keep)
+        evidence = cegar._genuineness_evidence(cs, cache, input_atoms)
+        shown = bound if bound is not None else "none"
+        transcript.verdict(f"unrealizable-within-bound bound={shown}")
+        return cegar.UnrealizableWithinBound(bound, cs, evidence, spec, mux)
+
+
 # -- reference artifact reader ----------------------------------------------------
 #
 # ``parse_controller_file`` once read every line of the STEP, CANDIDATES and
 # ROW blocks through the cursor's ``at`` and ``take`` and parsed every number
 # and valuation anew; the library reads each block in one loop and parses each
-# distinct text once.
+# distinct text once.  Both reject a state the machine does not have and a
+# bound below 1, with the same messages, so mutants compare like with like.
 
 
 def _reference_block(reader, keyword: str) -> list[list[str]]:
@@ -2529,6 +2643,8 @@ def reference_parse_controller_file(text: str):
         raise error(f"unknown algorithm {algorithm!r}")
     bound_text = reader.take("BOUND")
     bound = None if bound_text == "none" else integer(bound_text, "BOUND")
+    if bound is not None and bound <= 0:
+        raise error(f"BOUND: expected a positive integer or none, found {bound_text!r}")
     refinements = []
     for payload in _reference_block(reader, "REFINE"):
         if len(payload) != 2 or payload[0] not in ("input", "output"):
@@ -2537,42 +2653,50 @@ def reference_parse_controller_file(text: str):
     inputs = cf._parse_names(reader.take("INPUTS"))
     outputs = cf._parse_names(reader.take("OUTPUTS"))
     machine = counter = None
+
+    def state(text: str, where: str, states) -> int:
+        number = integer(text, where)
+        if number not in states:
+            raise error(f"{where}: {number} is not a state of the machine")
+        return number
+
     if magic == cf.KIND_CONTROLLER:
         n_states = integer(reader.take("STATES"), "STATES")
-        initial = integer(reader.take("INITIAL"), "INITIAL")
+        states = range(n_states)
+        initial = state(reader.take("INITIAL"), "INITIAL", states)
         step = {}
         for payload in _reference_block(reader, "STEP"):
             if len(payload) != 4:
                 raise error("malformed STEP line")
-            state = integer(payload[0], "STEP")
+            source = state(payload[0], "STEP", states)
             vin = val(payload[1], "STEP", inputs)
             vout = val(payload[2], "STEP", outputs)
-            step[(state, vin)] = (vout, integer(payload[3], "STEP"))
+            step[(source, vin)] = (vout, state(payload[3], "STEP", states))
         machine = MealyController(inputs, outputs, n_states, initial, step)
     else:
         names = cf._parse_names(reader.take("STATES"))
         states = tuple(integer(s, "STATES") for s in names)
-        initial = integer(reader.take("INITIAL"), "INITIAL")
+        initial = state(reader.take("INITIAL"), "INITIAL", states)
         candidates = {}
         for payload in _reference_block(reader, "CANDIDATES"):
             if len(payload) != 2:
                 raise error("malformed CANDIDATES line")
-            state = integer(payload[0], "CANDIDATES")
+            listed = state(payload[0], "CANDIDATES", states)
             parts = () if payload[1] == "-" else payload[1].split(";")
-            candidates[state] = tuple(val(part, "CANDIDATES", inputs) for part in parts)
+            candidates[listed] = tuple(val(part, "CANDIDATES", inputs) for part in parts)
         spoiled = frozenset(
-            integer(s, "SPOILED") for s in cf._parse_names(reader.take("SPOILED"))
+            state(s, "SPOILED", states) for s in cf._parse_names(reader.take("SPOILED"))
         )
         transitions = {}
         for payload in _reference_block(reader, "STEP"):
             if len(payload) != 4:
                 raise error("malformed STEP line")
             key = (
-                integer(payload[0], "STEP"),
+                state(payload[0], "STEP", states),
                 val(payload[1], "STEP", inputs),
                 val(payload[2], "STEP", outputs),
             )
-            transitions[key] = integer(payload[3], "STEP")
+            transitions[key] = state(payload[3], "STEP", states)
         counter = CounterStrategy(
             inputs, outputs, states, initial, candidates, transitions, spoiled
         )

@@ -340,7 +340,7 @@ def _check_once_and_marking_equals_rebuild(monkeypatch, documents) -> int:
         patched.setattr(cegar, "refine_with_assumption", refine)
         for doc in documents:
             for algorithm in (SAFETY, BUCHI):
-                cfg = CegarConfig(algorithm=algorithm, bound_schedule=(1, 2))
+                cfg = CegarConfig(algorithm=algorithm, max_bound=2)
                 transcript = Transcript()
                 cache = CheckedCache()
                 synthesize(doc, cfg, transcript, cache)

@@ -66,7 +66,7 @@ def encoded_package():
 @pytest.fixture(scope="module")
 def counter_package():
     doc = fixture("triple_sensor_arbiter")
-    verdict = synthesize(doc, CegarConfig(bound_schedule=(1, 2)))
+    verdict = synthesize(doc, CegarConfig(max_bound=2))
     return parse_controller_file(render_unrealizable(verdict, SAFETY)), verdict, doc
 
 
@@ -124,7 +124,7 @@ class TestControllerFiles:
         seen_controller = seen_counter = False
         for _ in range(25):
             doc = random_synthesis_document(rng)
-            verdict = synthesize(doc, CegarConfig(bound_schedule=(1, 2)))
+            verdict = synthesize(doc, CegarConfig(max_bound=2))
             if isinstance(verdict, Realizable):
                 pkg = parse_controller_file(render_realizable(verdict, SAFETY))
                 assert pkg.controller == verdict.controller
@@ -156,6 +156,56 @@ class TestControllerFiles:
             parse_controller_file(pkg_text + "EXTRA\n")
         with pytest.raises(ControllerFileError, match="embedded specification"):
             parse_controller_file(pkg_text.replace("- 7/2 <", "- 7/0 <"))
+
+    @pytest.mark.parametrize(
+        ("package", "line", "edited", "message"),
+        [
+            ("threshold_package", "INITIAL 0", "INITIAL 7", "INITIAL: 7 is not a state"),
+            ("threshold_package", "STATES 4", "STATES 1", "STEP: 1 is not a state"),
+            (
+                "threshold_package",
+                "STEP 0 req1=0,req2=0 grant1=0,grant2=0 1",
+                "STEP 0 req1=0,req2=0 grant1=0,grant2=0 99",
+                "STEP: 99 is not a state",
+            ),
+            (
+                "threshold_package",
+                "STEP 0 req1=0,req2=0 ",
+                "STEP 4 req1=0,req2=0 ",
+                "STEP: 4 is not a state",
+            ),
+            ("threshold_package", "BOUND 1", "BOUND -5", "BOUND: expected a positive integer"),
+            ("threshold_package", "BOUND 1", "BOUND 0", "BOUND: expected a positive integer"),
+            ("counter_package", "INITIAL 0", "INITIAL 12345", "INITIAL: 12345 is not a state"),
+            ("counter_package", "STATES 0,7,8,12,13", "STATES 1", "INITIAL: 0 is not a state"),
+            ("counter_package", "CANDIDATES 7 ", "CANDIDATES 9 ", "CANDIDATES: 9 is not a state"),
+            ("counter_package", "SPOILED 13", "SPOILED 13,14", "SPOILED: 14 is not a state"),
+            ("counter_package", "STEP 7 ", "STEP 6 ", "STEP: 6 is not a state"),
+            (
+                "counter_package",
+                "grant1=1,grant2=1 8\n",
+                "grant1=1,grant2=1 99\n",
+                "STEP: 99 is not a state",
+            ),
+        ],
+    )
+    def test_rejects_states_outside_the_machine_and_nonpositive_bounds(
+        self, package, line, edited, message, request
+    ):
+        """One mutant per rule; each must be read as the per-line reader reads it."""
+        verdict = request.getfixturevalue(package)[1]
+        render = render_realizable if isinstance(verdict, Realizable) else render_unrealizable
+        text = render(verdict, SAFETY)
+        assert line in text
+        mutant = text.replace(line, edited, 1)
+        with pytest.raises(ControllerFileError, match=message):
+            parse_controller_file(mutant)
+        with pytest.raises(ControllerFileError, match=message):
+            reference_parse_controller_file(mutant)
+
+    def test_bound_none_is_still_read(self, threshold_package):
+        text = render_realizable(threshold_package[1], SAFETY)
+        assert parse_controller_file(text.replace("BOUND 1", "BOUND none")).bound is None
 
     def test_hash_line_must_match_embedded_spec(self, threshold_package):
         text = render_realizable(threshold_package[1], SAFETY)

@@ -1,6 +1,6 @@
 """Refinement-loop tests: goldens on the bundled specifications, invariant
 audits over random documents, and unit coverage for counter-input selection,
-output duality, and transcript bookkeeping."""
+output candidates, and transcript bookkeeping."""
 
 import random
 import weakref
@@ -16,13 +16,21 @@ from oracles import (
     arena_from_edges,
     minimum_cover_size,
     reference_search,
+    reference_synthesize,
 )
 
 from numltl import bernstein as bernstein_module
 from numltl import cegar as cegar_module
 from numltl import speclang as sl
-from numltl.abstraction import PredicateTable, MultiplexerTable, abstract_spec, forbid
+from numltl.abstraction import (
+    EMPTY_MULTIPLEXER,
+    MultiplexerTable,
+    PredicateTable,
+    abstract_spec,
+    forbid,
+)
 from numltl.bernstein import (
+    DEFAULT_DEPTH,
     Box,
     Feasible,
     Infeasible,
@@ -42,10 +50,11 @@ from numltl.cegar import (
     UnrealizableWithinBound,
     bound_schedule_up_to,
     count_theory_checks,
+    first_refuted,
+    output_candidates,
     select_counter_inputs,
     synthesize,
     valuation_to_constraints,
-    validate_controller_outputs,
 )
 from numltl.games import (
     GameSolution,
@@ -58,6 +67,7 @@ from numltl.speclang import parse_spec
 from numltl.valuation import Valuation
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 def fixture(name: str) -> sl.SpecDocument:
@@ -102,10 +112,10 @@ class TestConfig:
             CegarConfig(algorithm="parity")
 
     def test_rejects_empty_or_nonpositive_bound_schedule(self):
-        with pytest.raises(ValueError):
-            CegarConfig(bound_schedule=())
-        with pytest.raises(ValueError):
-            CegarConfig(bound_schedule=(1, 0))
+        with pytest.raises(ValueError, match="maximum bound must be positive"):
+            CegarConfig(max_bound=0)
+        with pytest.raises(ValueError, match="maximum bound must be positive"):
+            CegarConfig(algorithm=BUCHI, max_bound=-1)
 
     def test_rejects_nonpositive_caps(self):
         with pytest.raises(ValueError):
@@ -303,22 +313,45 @@ def le(threshold: int) -> PolyConstraint:
     return PolyConstraint(Polynomial(1, {(1,): Fraction(1), (0,): -Fraction(threshold)}), "<=")
 
 
-class TestValidateControllerOutputs:
+def refuted_output(
+    m: MealyController,
+    table: PredicateTable,
+    cache: CheckedCache,
+    multiplexer: MultiplexerTable = EMPTY_MULTIPLEXER,
+    depth: int = DEFAULT_DEPTH,
+    transcript: Transcript | None = None,
+) -> Valuation | None:
+    """The output projection a controller win would refine on, if any."""
+    candidates = output_candidates(m, table.atoms_of(sl.OUTPUT_SIDE), multiplexer)
+    transcript = transcript if transcript is not None else Transcript()
+    return first_refuted(cache, sl.OUTPUT_SIDE, candidates, table, depth, transcript)
+
+
+class TestOutputCandidates:
     def test_conflicting_emission_is_reported(self):
         table = output_table(qa=ge(3), qb=le(1))
         m = emitter(v(qa=True, qb=True), v(qa=True, qb=False))
         cache = CheckedCache()
         t = Transcript()
-        bad = validate_controller_outputs(m, table, cache, transcript=t)
-        assert bad == [v(qa=True, qb=True)]
+        assert refuted_output(m, table, cache, transcript=t) == v(qa=True, qb=True)
         assert isinstance(cache.outputs[v(qa=True, qb=True)], Infeasible)
         assert isinstance(cache.outputs[v(qa=True, qb=False)], Feasible)
+        assert count_theory_checks(t) == 2
+
+    def test_checks_stop_at_the_first_refuted_candidate(self):
+        # u >= 5 is empty on [0, 4]: every candidate with qa=1 is refuted
+        table = output_table(qa=ge(5), qb=le(1))
+        m = emitter(v(qa=True, qb=True), v(qa=False, qb=False), v(qa=True, qb=False))
+        cache = CheckedCache()
+        t = Transcript()
+        assert refuted_output(m, table, cache, transcript=t) == v(qa=True, qb=False)
+        assert set(cache.outputs) == {v(qa=False, qb=False), v(qa=True, qb=False)}
         assert count_theory_checks(t) == 2
 
     def test_all_feasible_yields_no_findings(self):
         table = output_table(qa=ge(3), qb=le(1))
         m = emitter(v(qa=True, qb=False), v(qa=False, qb=True))
-        assert validate_controller_outputs(m, table, CheckedCache()) == []
+        assert refuted_output(m, table, CheckedCache()) is None
 
     def test_no_output_predicates_means_no_checks(self):
         table = PredicateTable(
@@ -327,7 +360,8 @@ class TestValidateControllerOutputs:
         )
         m = emitter(v(b=True))
         cache = CheckedCache()
-        assert validate_controller_outputs(m, table, cache) == []
+        assert output_candidates(m, (), EMPTY_MULTIPLEXER) == set()
+        assert refuted_output(m, table, cache) is None
         assert cache.size() == 0
 
     def test_encoded_outputs_are_decoded_before_checking(self):
@@ -341,8 +375,9 @@ class TestValidateControllerOutputs:
             ),
         )
         m = emitter(v(s1=False), v(s1=True))
-        bad = validate_controller_outputs(m, table, CheckedCache(), mux)
-        assert bad == [v(qa=True, qb=True)]
+        decoded = {v(qa=True, qb=True), v(qa=False, qb=True)}
+        assert output_candidates(m, ("qa", "qb"), mux) == decoded
+        assert refuted_output(m, table, CheckedCache(), mux) == v(qa=True, qb=True)
 
     def test_cached_verdicts_are_reused_without_rechecking(self):
         table = output_table(qa=ge(3), qb=le(1))
@@ -350,8 +385,7 @@ class TestValidateControllerOutputs:
         cache = CheckedCache()
         cache.outputs[v(qa=True, qb=True)] = Infeasible()
         t = Transcript()
-        bad = validate_controller_outputs(m, table, cache, transcript=t)
-        assert bad == [v(qa=True, qb=True)]
+        assert refuted_output(m, table, cache, transcript=t) == v(qa=True, qb=True)
         assert count_theory_checks(t) == 0
 
     def test_unknown_theory_verdict_raises(self):
@@ -361,7 +395,7 @@ class TestValidateControllerOutputs:
         table = output_table(qa=third_low, qb=third_high)
         m = emitter(v(qa=True, qb=True))
         with pytest.raises(TheoryUnknownError):
-            validate_controller_outputs(m, table, CheckedCache(), depth=8)
+            refuted_output(m, table, CheckedCache(), depth=8)
 
 
 class TestSynthesizeBundledSpecs:
@@ -403,7 +437,7 @@ class TestSynthesizeBundledSpecs:
     def test_triple_sensor_counter_strategy_is_genuine(self):
         doc = fixture("triple_sensor_arbiter")
         t = Transcript()
-        verdict = synthesize(doc, CegarConfig(bound_schedule=(1, 2)), t)
+        verdict = synthesize(doc, CegarConfig(max_bound=2), t)
         assert isinstance(verdict, UnrealizableWithinBound)
         assert verdict.bound == 2
         assert [val for val, _ in verdict.evidence] == [v(req1=True, req2=True)]
@@ -437,19 +471,19 @@ class TestSynthesizeBundledSpecs:
 
     def test_pinpoint_feasibility_aborts_with_unknown(self):
         t = Transcript()
-        verdict = synthesize(parse_spec(PINPOINT), CegarConfig(bound_schedule=(1,)), t)
+        verdict = synthesize(parse_spec(PINPOINT), CegarConfig(max_bound=1), t)
         assert isinstance(verdict, Unknown)
         assert "depth exhausted" in verdict.reason
         assert t.lines[-1].startswith("VERDICT unknown")
 
     def test_refinement_cap_turns_into_unknown(self):
-        cfg = CegarConfig(bound_schedule=(1,), refinement_cap=1)
+        cfg = CegarConfig(max_bound=1, refinement_cap=1)
         verdict = synthesize(parse_spec(TRIPLE_CONFLICT), cfg)
         assert verdict == Unknown("refinement cap 1 exceeded")
 
     def test_triple_conflict_resolves_after_three_refinements(self):
         t = Transcript()
-        verdict = synthesize(parse_spec(TRIPLE_CONFLICT), CegarConfig(bound_schedule=(1,)), t)
+        verdict = synthesize(parse_spec(TRIPLE_CONFLICT), CegarConfig(max_bound=1), t)
         assert isinstance(verdict, Realizable)
         refined = [line for line in t.lines if line.startswith("REFINE ")]
         assert refined == [
@@ -460,7 +494,7 @@ class TestSynthesizeBundledSpecs:
 
     def test_unsatisfiable_output_constraints_fall_back_unencoded(self):
         doc = parse_spec("INPUT r\nOUTPUT a\nALWAYS (a)\nALWAYS (!a)\n")
-        verdict = synthesize(doc, CegarConfig(bound_schedule=(1,)))
+        verdict = synthesize(doc, CegarConfig(max_bound=1))
         assert isinstance(verdict, UnrealizableWithinBound)
         assert verdict.evidence == ()
         assert verdict.bound == 1
@@ -473,7 +507,7 @@ class TestSynthesizeBundledSpecs:
             (Fraction(1, 2), Fraction(23, 32), Fraction(115, 64))
         )
         t = Transcript()
-        verdict = synthesize(doc, CegarConfig(bound_schedule=(1,)), t, cache)
+        verdict = synthesize(doc, CegarConfig(max_bound=1), t, cache)
         assert isinstance(verdict, UnrealizableWithinBound)
         assert count_theory_checks(t) == 0
 
@@ -535,7 +569,7 @@ class TestArenaLifetime:
             (fixture("error_monitor"), CegarConfig(), "SOLVE safety bound=2", True),
             (
                 parse_spec(OUTPUT_CONFLICT),
-                CegarConfig(bound_schedule=(1,)),
+                CegarConfig(max_bound=1),
                 "REFINE output",
                 False,
             ),
@@ -589,6 +623,51 @@ def test_escalating_bounds_translate_the_negated_spec_once(monkeypatch, name, so
     assert len(calls) == 1
 
 
+def counted_reencodings(monkeypatch, run) -> int:
+    """Calls ``run`` makes to ``cegar.reencode_outputs``."""
+    calls = []
+    original = cegar_module.reencode_outputs
+
+    def counting(spec):
+        calls.append(spec)
+        return original(spec)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cegar_module, "reencode_outputs", counting)
+        run()
+    return len(calls)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [SPEC_DIR / "triple_sensor_arbiter.spec", DATA_DIR / "arbiter4-overlap.spec"],
+    ids=["triple_sensor_arbiter", "arbiter4-overlap"],
+)
+def test_escalating_bounds_reencode_the_game_formula_once(monkeypatch, path):
+    doc = parse_spec(path.read_text())
+    t = Transcript()
+    assert counted_reencodings(monkeypatch, lambda: synthesize(doc, CegarConfig(), t)) == 1
+    assert sum(line.startswith("SOLVE safety bound=") for line in t.lines) >= 5
+    # the two-path loop re-encoded the unchanged formula at every bound
+    reference = lambda: reference_synthesize(doc, CegarConfig(), Transcript())
+    assert counted_reencodings(monkeypatch, reference) == 5
+
+
+def test_each_guarantee_refinement_reencodes_once(monkeypatch):
+    """One re-encoding per game formula: the first, and one per output refinement."""
+    rng = random.Random(1607)
+    refined = 0
+    for doc in [parse_spec(OUTPUT_CONFLICT)] + [random_synthesis_document(rng) for _ in range(30)]:
+        for algorithm in (SAFETY, BUCHI):
+            t = Transcript()
+            cfg = CegarConfig(algorithm=algorithm, max_bound=4)
+            calls = counted_reencodings(monkeypatch, lambda: synthesize(doc, cfg, t))
+            outputs = sum(line.startswith("REFINE output ") for line in t.lines)
+            assert calls == 1 + outputs
+            refined += outputs > 0
+    assert refined >= 5
+
+
 def check_events(transcript: Transcript) -> list[tuple[str, str]]:
     events = []
     for line in transcript.lines:
@@ -608,7 +687,7 @@ class TestCegarInvariants:
         for _ in range(50):
             doc = self.generate(rng)
             t, cache = Transcript(), CheckedCache()
-            verdict = synthesize(doc, CegarConfig(bound_schedule=(1, 2)), t, cache)
+            verdict = synthesize(doc, CegarConfig(max_bound=2), t, cache)
 
             events = check_events(t)
             assert len(events) == len(set(events))
@@ -639,7 +718,7 @@ class TestCegarInvariants:
         for _ in range(40):
             doc = self.generate(rng)
             t = Transcript()
-            verdict = synthesize(doc, CegarConfig(bound_schedule=(1, 2)), t)
+            verdict = synthesize(doc, CegarConfig(max_bound=2), t)
             if isinstance(verdict, Unknown):
                 continue
             spec = verdict.spec
@@ -671,9 +750,9 @@ class TestCegarInvariants:
         rng = random.Random(4242)
         for _ in range(20):
             doc = self.generate(rng)
-            with_enc = synthesize(doc, CegarConfig(bound_schedule=(1, 2)))
+            with_enc = synthesize(doc, CegarConfig(max_bound=2))
             without = synthesize(
-                doc, CegarConfig(bound_schedule=(1, 2), reencode=False)
+                doc, CegarConfig(max_bound=2, reencode=False)
             )
             assert type(with_enc) is type(without)
 
@@ -684,9 +763,6 @@ class TestCegarInvariantsUnderInputRefinement(TestCegarInvariants):
 
     generate = staticmethod(random_refinement_document)
     min_input_refinements = 20
-
-
-DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 class TestCounterStrategyExtraction:
@@ -768,7 +844,7 @@ class TestSharedEnclosures:
         for doc in docs:
             for algorithm in self.ROUTES:
                 t = Transcript()
-                synthesize(doc, CegarConfig(algorithm=algorithm, bound_schedule=(1, 2)), t)
+                synthesize(doc, CegarConfig(algorithm=algorithm, max_bound=2), t)
                 lines.append(t.lines)
         return lines
 
@@ -791,7 +867,7 @@ class TestSharedEnclosures:
             doc = random_refinement_document(rng)
             for algorithm in self.ROUTES:
                 memos.clear()
-                synthesize(doc, CegarConfig(algorithm=algorithm, bound_schedule=(1, 2)))
+                synthesize(doc, CegarConfig(algorithm=algorithm, max_bound=2))
         verdicts = set()
         for constraints, box, depth, verdict, explored in seen:
             ref_stats = SearchStats()
@@ -847,7 +923,7 @@ class TestSharedEnclosures:
 
         monkeypatch.setattr(cegar_module, "check_feasibility", recording)
         t = Transcript()
-        synthesize(parse_spec(SIDES_SHARE_A_POLYNOMIAL), CegarConfig(bound_schedule=(1,)), t)
+        synthesize(parse_spec(SIDES_SHARE_A_POLYNOMIAL), CegarConfig(max_bound=1), t)
         assert count_theory_checks(t) == 3
         assert len(memos) == 2  # the input box's and the output box's
         assert all(ref() is None for ref in memos), "a memo outlived its run"

@@ -349,6 +349,16 @@ class TestSimulateCommand:
         assert "VIOLATION g1" in stdout
         assert "stuck" in stdout
 
+    def test_state_outside_the_machine_is_an_input_error(self, artifact, tmp_path, capsys):
+        # read as a spec violation (exit 1) while the reader accepted it
+        text = Path(artifact).read_text().replace("INITIAL 0", "INITIAL 7")
+        broken = tmp_path / "broken.ctrl"
+        broken.write_text(text)
+        assert main(["simulate", str(broken), "--steps", "50"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert "INITIAL: 7 is not a state of the machine" in captured.err
+        assert captured.out == ""
+
     def test_seeded_run_is_pinned(self, artifact, capsys):
         code = main(["simulate", artifact, "--steps", "1000", "--seed", "7"])
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()

@@ -4,7 +4,9 @@ their masked edge marking, attractor, solvers, strategy extraction and
 counter-strategy selection against the object-level implementations they
 replaced, and the formula layer's field-reading walks, table-driven printer
 and dual-table negation normal form against the per-operator versions they
-replaced (all kept in ``oracles.py``): every observable must agree exactly.
+replaced, and the one-round refinement loop against its two-path
+predecessor (all kept in ``oracles.py``): every observable must agree
+exactly.
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ from oracles import (
     reference_negation_normal_form,
     reference_next_depth,
     reference_restrict_counter_strategy,
+    reference_synthesize,
     reference_safety_game,
     reference_select_counter_inputs,
     reference_solve,
@@ -502,7 +505,7 @@ def test_synthesize_matches_the_object_level_pipeline(monkeypatch):
     refined = 0
     for doc in documents:
         for algorithm in ("safety", "buchi"):
-            cfg = CegarConfig(algorithm=algorithm, bound_schedule=(1, 2))
+            cfg = CegarConfig(algorithm=algorithm, max_bound=2)
             expected = run_rendered(doc, cfg)
             with monkeypatch.context() as patched:
                 patched.setattr(
@@ -516,6 +519,55 @@ def test_synthesize_matches_the_object_level_pipeline(monkeypatch):
                 assert run_rendered(doc, cfg) == expected
             refined += any(line.startswith("REFINE input") for line in expected[0])
     assert refined >= 10
+
+
+LOOP_EVENTS = ("REFINE ", "SOLVE ", "VERDICT ")
+
+
+def _loop_run(run, doc, cfg, with_checks: bool):
+    """Verdict, artifact and the transcript lines compared: every REFINE,
+    SOLVE and VERDICT line, and the CHECK lines when ``with_checks``."""
+    transcript = Transcript()
+    verdict = run(doc, cfg, transcript)
+    if isinstance(verdict, Realizable):
+        rendered = render_realizable(verdict, cfg.algorithm)
+    elif isinstance(verdict, cegar.UnrealizableWithinBound):
+        rendered = render_unrealizable(verdict, cfg.algorithm)
+    else:
+        rendered = None
+    events = LOOP_EVENTS + ("CHECK ",) if with_checks else LOOP_EVENTS
+    lines = [line for line in transcript.lines if line.startswith(events)]
+    return verdict, rendered, lines
+
+
+def test_synthesize_matches_the_two_path_loop():
+    """The one-round loop against the loop it replaced (``reference_synthesize``)
+    on generated documents, both routes: same verdict type, bound, artifact,
+    REFINE, SOLVE and VERDICT lines, and CHECK lines wherever no output
+    predicate is declared (the replaced loop checked every emitted output
+    projection, the new one stops at the first refuted).  The one difference
+    the change allows, a definite verdict where the replaced loop gave up on
+    an output projection past the first refuted one, needs a check that
+    gives up, and no check of these 380 runs gives up."""
+    rng = random.Random(1616)
+    documents = [random_synthesis_document(rng) for _ in range(110)]
+    documents += [random_refinement_document(rng) for _ in range(80)]
+    with_outputs = refined_outputs = 0
+    for doc in documents:
+        has_outputs = any(p.side == sl.OUTPUT_SIDE for p in doc.predicates)
+        for algorithm in ("safety", "buchi"):
+            cfg = CegarConfig(algorithm=algorithm, max_bound=2)
+            verdict, rendered, lines = _loop_run(synthesize, doc, cfg, not has_outputs)
+            expected, expected_rendered, expected_lines = _loop_run(
+                reference_synthesize, doc, cfg, not has_outputs
+            )
+            assert type(verdict) is type(expected)
+            assert getattr(verdict, "bound", None) == getattr(expected, "bound", None)
+            assert rendered == expected_rendered
+            assert lines == expected_lines
+            with_outputs += has_outputs
+            refined_outputs += any(line.startswith("REFINE output ") for line in lines)
+    assert with_outputs >= 150 and refined_outputs >= 5
 
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -535,7 +587,7 @@ def env_win_round_documents(rng: random.Random) -> list[tuple[sl.SpecDocument, C
     for _ in range(40):
         doc = random_refinement_document(rng)
         for algorithm in ("safety", "buchi"):
-            runs.append((doc, CegarConfig(algorithm=algorithm, bound_schedule=(1, 2))))
+            runs.append((doc, CegarConfig(algorithm=algorithm, max_bound=2)))
     return runs
 
 

@@ -119,7 +119,7 @@ def generated_packages(rng: random.Random, make, count: int) -> list:
     packages = []
     while len(packages) < count:
         route = ROUTES[len(packages) % 2]
-        cfg = CegarConfig(algorithm=route, bound_schedule=(1, 2))
+        cfg = CegarConfig(algorithm=route, max_bound=2)
         pkg = controller_package(make(rng), cfg)
         if pkg is not None:
             packages.append(pkg)
