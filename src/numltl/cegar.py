@@ -91,7 +91,10 @@ class Transcript:
     """Line-oriented record of one synthesis run.
 
     One event per line: CHECK (theory call with its verdict), REFINE
-    (abstraction update), SOLVE (game solved), VERDICT (run outcome).
+    (abstraction update), SOLVE (game solved), VERDICT (run outcome).  A
+    SOLVE line's ``env=`` counts the arena's env nodes and its ``ctrl=`` its
+    (env node, input letter) positions (``GameArena.n_positions``), not the
+    fewer ctrl nodes its letter classes share.
     """
 
     def __init__(self) -> None:
@@ -108,7 +111,7 @@ class Transcript:
         winner = "ctrl" if ctrl_wins else "env"
         self.lines.append(
             f"SOLVE {arena.objective}{where} env={arena.n_env}"
-            f" ctrl={arena.n_ctrl} winner={winner}"
+            f" ctrl={arena.n_positions} winner={winner}"
         )
 
     def verdict(self, text: str) -> None:
@@ -213,13 +216,15 @@ def select_counter_inputs(
     """Prefer already-proven inputs; cover the rest greedily.
 
     Works on the env nodes the unrestricted counter-strategy reaches (see
-    ``games.counter_edges``).  Every node first keeps its candidate edges
-    whose input's predicate projection is already proven feasible (an empty
+    ``games.counter_edges``).  Every node first keeps its candidate input
+    letters whose predicate projection is already proven feasible (an empty
     projection counts as proven).  Nodes left without one are covered by
     repeatedly picking the unproven projection that covers the most
     remaining nodes (ties broken lexicographically).  Returns the kept
-    candidate edges per node, for ``extract_counter_strategy``, and the
-    distinct unproven projections the cover relies on.
+    candidate letters per node, for ``extract_counter_strategy``, and the
+    distinct unproven projections the cover relies on.  The letters of one
+    env edge can project differently, so the selection keeps letters, not
+    edges.
 
     A projection is an input letter's bits masked to the predicate atoms;
     each distinct one is made a ``Valuation`` once, for the cache lookup and
@@ -238,14 +243,13 @@ def select_counter_inputs(
     proven = checked.proven(sl.INPUT_SIDE)
     settled = {p: not mask or v in proven for p, v in projection.items()}
     letter_settled = [settled[p] for p in projected]
-    letter = arena.env_letter
 
     reached = counter_edges(solution)
     keep: dict[int, tuple[int, ...]] = {}
     uncovered: list[int] = []
-    for s, edges in reached.items():
-        good = tuple(k for k in edges if letter_settled[letter[k]])
-        if good or not edges:
+    for s, pairs in reached.items():
+        good = tuple(j for j, _ in pairs if letter_settled[j])
+        if good or not pairs:
             keep[s] = good
         else:
             uncovered.append(s)
@@ -254,8 +258,8 @@ def select_counter_inputs(
     if uncovered:
         covers: dict[int, set[int]] = {}
         for s in uncovered:
-            for k in reached[s]:
-                covers.setdefault(projected[letter[k]], set()).add(s)
+            for j, _ in reached[s]:
+                covers.setdefault(projected[j], set()).add(s)
         remaining = set(uncovered)
         while remaining:
             best = min(
@@ -266,7 +270,7 @@ def select_counter_inputs(
             remaining -= covers[best]
         chosen = set(selected)
         for s in uncovered:
-            keep[s] = tuple(k for k in reached[s] if projected[letter[k]] in chosen)
+            keep[s] = tuple(j for j, _ in reached[s] if projected[j] in chosen)
     return keep, {projection[p] for p in selected}
 
 
@@ -449,7 +453,7 @@ def synthesize(
     arena.  A win whose candidates all hold is kept, except that a safety
     run escalates its bound schedule before it accepts an environment win;
     only then is the counter-strategy built, once, along the candidate
-    edges the last selection kept.  A ``cache`` kept from an earlier run
+    letters the last selection kept.  A ``cache`` kept from an earlier run
     must be for the same predicate table.
     """
     cfg = cfg if cfg is not None else CegarConfig()

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from . import speclang as sl
@@ -389,8 +390,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing leaves a parser
+    as it was, and appending options copy their default list."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -17,7 +17,7 @@ from . import speclang as sl
 from .abstraction import EMPTY_MULTIPLEXER, MultiplexerTable
 from .cegar import BUCHI, SAFETY, Realizable, UnrealizableWithinBound
 from .games import CounterStrategy, MealyController
-from .valuation import Memo, Valuation, parse_valuation
+from .valuation import Memo, Valuation, all_valuations, parse_valuation
 
 MAGIC = "NUMLTL"
 KIND_CONTROLLER = "CONTROLLER"
@@ -258,11 +258,32 @@ def _same_atoms(what: str, names: tuple[str, ...], expected: tuple[str, ...]) ->
         raise ControllerFileError(f"{what} {_names_str(names)} should be {_names_str(expected)}")
 
 
+def _check_steps_cover_inputs(machine: MealyController, refinements: list) -> None:
+    """Every state of a controller must have a STEP line for every input
+    valuation that no ``REFINE input`` cube excludes; as in the game, a cube
+    naming an atom that is no input excludes nothing."""
+    inputs = set(machine.inputs)
+    cubes = [v for side, v in refinements if side == sl.INPUT_SIDE and set(v.atoms) <= inputs]
+    required = [
+        vin
+        for vin in all_valuations(machine.inputs)
+        if not any(vin.restrict(cube.atoms) == cube for cube in cubes)
+    ]
+    for state in range(machine.n_states):
+        for vin in required:
+            if (state, vin) not in machine.step:
+                msg = f"STEP: state {state} has no line for input {_val_str(vin)}"
+                raise ControllerFileError(msg)
+
+
 def parse_controller_file(text: str) -> ControllerPackage:
     """Read an artifact, checking that every atom list and valuation in it
     speaks the embedded spec's atoms, that every state it names is one of
-    the machine's, that the bound is positive, and that every emitted
-    code-word decodes."""
+    the machine's, that the bound is positive, that no STEP line repeats
+    another's state and input (and output, in a counter-strategy) and no
+    CANDIDATES line another's state, that a controller has a STEP line for
+    every state and every input no input refinement excludes, and that
+    every emitted code-word decodes."""
     reader = _Reader(text)
     magic = reader.take(MAGIC)
     if magic not in (KIND_CONTROLLER, KIND_COUNTER_STRATEGY):
@@ -297,7 +318,11 @@ def parse_controller_file(text: str) -> ControllerPackage:
             if len(payload) != 4:
                 raise ControllerFileError("malformed STEP line")
             key = (number[payload[0]], vin_of[payload[1]])
-            step[key] = (vout_of[payload[2]], number[payload[3]])
+            move = (vout_of[payload[2]], number[payload[3]])
+            if key in step:
+                msg = f"STEP: state {key[0]} has two lines for input {_val_str(key[1])}"
+                raise ControllerFileError(msg)
+            step[key] = move
         machine = MealyController(
             inputs=inputs, outputs=outputs, n_states=n_states, initial=initial, step=step
         )
@@ -313,9 +338,12 @@ def parse_controller_file(text: str) -> ControllerPackage:
                 raise ControllerFileError("malformed CANDIDATES line")
             state = _parse_state(payload[0], "CANDIDATES", valid)
             if payload[1] == "-":
-                candidates[state] = ()
+                listed = ()
             else:
-                candidates[state] = tuple(map(candidate.__getitem__, payload[1].split(";")))
+                listed = tuple(map(candidate.__getitem__, payload[1].split(";")))
+            if state in candidates:
+                raise ControllerFileError(f"CANDIDATES: state {state} is listed twice")
+            candidates[state] = listed
         spoiled = frozenset(
             _parse_state(s, "SPOILED", valid) for s in _parse_names(reader.take("SPOILED"))
         )
@@ -325,7 +353,14 @@ def parse_controller_file(text: str) -> ControllerPackage:
             if len(payload) != 4:
                 raise ControllerFileError("malformed STEP line")
             key = (number[payload[0]], vin_of[payload[1]], vout_of[payload[2]])
-            transitions[key] = number[payload[3]]
+            target = number[payload[3]]
+            if key in transitions:
+                msg = (
+                    f"STEP: state {key[0]} has two lines for input {_val_str(key[1])}"
+                    f" and output {_val_str(key[2])}"
+                )
+                raise ControllerFileError(msg)
+            transitions[key] = target
         machine = None
         counter = CounterStrategy(
             inputs=inputs,
@@ -344,6 +379,8 @@ def parse_controller_file(text: str) -> ControllerPackage:
     if spec_digest(document) != spec_hash:
         raise ControllerFileError("embedded specification does not match the recorded hash")
     _same_atoms("INPUTS", inputs, document.input_atoms())
+    if machine is not None:
+        _check_steps_cover_inputs(machine, refinements)
     if mux:
         _same_atoms("ORIGINAL", mux.original_atoms, document.output_atoms())
         _same_atoms("ENCODED", mux.encoded_atoms, outputs)

@@ -22,22 +22,30 @@ tie is broken in; arenas over the same atoms share one ``Letters`` and so
 one set of ``Valuation`` objects.  Each automaton guard is lowered once to
 ``(care, value)`` masks and matches a letter when ``letter & care == value``.
 
-An arena is flat int arrays in CSR form.  Env node ``i`` owns the env edges
-``env_start[i]:env_start[i + 1]``; env edge ``k`` carries the input letter
-``env_letter[k]``, is present while ``present[k]`` is set, and leads to ctrl
-node ``k``.  Ctrl node ``k`` owns the ctrl edges
+An arena is flat int arrays in CSR form, over classes of input letters.
+Env node ``i`` owns the env edges ``env_start[i]:env_start[i + 1]``; env
+edge ``k`` carries the letter set ``env_letters[k]`` (an int with bit ``j``
+set for input letter ``j``), and the letters of it still present are
+``present[k]``; it leads to ctrl node ``k``, one ctrl node for every input
+letter of the set.  Ctrl node ``k`` owns the ctrl edges
 ``ctrl_start[k]:ctrl_start[k + 1]``, each with an output letter
-(``ctrl_letter``) and an env target (``ctrl_target``).  The first solve
-builds a predecessor index: the ctrl nodes with an edge into each env node,
-and the env node owning each ctrl node.  Marking env edges absent only clears
-``present`` bits, so the index serves every later solve.  Solving numbers
-env node ``i`` as ``i`` and ctrl node ``k`` as ``n_env + k`` and keeps the
-attractor layers in arrays.  Strategies are read off those layers as edge
-numbers: ``counter_edges`` walks the env nodes the counter-strategy reaches
-with their candidate edges, which is all the loop's counter-input selection
+(``ctrl_letter``) and an env target (``ctrl_target``).  The builders give
+each env node one ctrl node per distinct row of (output letter, target):
+input letters with the same row are the same game position, so the arena
+is the quotient of the one with a ctrl node per input letter, and the
+edges of one env node carry disjoint letter sets.  The first solve builds a
+predecessor index: the ctrl nodes with an edge into each env node, and the
+env node owning each ctrl node.  Marking letters absent only clears bits of
+``present``, and an env edge counts as present while any of its letters
+is, so the index serves every later solve.  Solving numbers env node ``i``
+as ``i`` and ctrl node ``k`` as ``n_env + k`` and keeps the attractor
+layers in arrays.  Strategies are read off those layers and expanded to
+letters, in input rank order, as ``(input letter, env edge)`` pairs:
+``counter_edges`` walks the env nodes the counter-strategy reaches with
+their candidate pairs, which is all the loop's counter-input selection
 reads.  The extraction functions build ``Valuation``s (the alphabet's shared
 ones) only to fill a ``MealyController``, or a ``CounterStrategy`` along the
-candidate edges a selection kept.
+candidate letters a selection kept.
 
 The safety builder works on sets of letters instead.  It numbers the
 letters in arena order and lowers each guard once to the set of letters it
@@ -45,12 +53,14 @@ matches, one int with a bit per letter.  A ``SuccessorTable`` splits the
 letters of each macro-state into classes that lead to the same successor,
 by intersecting the guard sets target by target and count by count, and
 keeps the classes with a letter-to-class index of one byte per letter, into
-which each class's set is spread by translating its binary digits.
-Successors do not depend on the bound, only the test of their top count
-against it does, so one table serves every arena of a bound schedule: a
-build reads each macro's classes, resolves them to env nodes in order of
-their first letter (the numbering a letter-by-letter expansion gives), and
-maps the letter index through them to the ctrl targets.
+which each class's set is spread by translating its binary digits.  Each
+input's slice of that index is its row of successor classes; the table
+groups the inputs by row.  Successors do not depend on the bound, only the
+test of their top count against it does, so one table serves every arena
+of a bound schedule: a build reads each macro's classes, resolves them to
+env nodes in order of their first letter (the numbering a letter-by-letter
+expansion gives), and maps each distinct row through them to the ctrl
+targets of one ctrl node.
 """
 
 from __future__ import annotations
@@ -129,7 +139,7 @@ class _Predecessors:
 
 @dataclass
 class GameArena:
-    """A game as flat int arrays (see the module docstring); marking edges
+    """A game as flat int arrays (see the module docstring); marking letters
     absent clears ``present`` bits and changes nothing else."""
 
     objective: str  # "buchi" or "safety"
@@ -137,8 +147,8 @@ class GameArena:
     outputs: tuple[str, ...]
     env_labels: tuple
     env_start: array  # env node i owns env edges env_start[i]:env_start[i + 1]
-    env_letter: array  # input letter of env edge k, which leads to ctrl node k
-    present: bytearray  # whether env edge k is present
+    env_letters: list[int]  # input letter set of env edge k, which leads to ctrl node k
+    present: list[int]  # the letters of env edge k still present
     ctrl_start: array  # ctrl node k owns ctrl edges ctrl_start[k]:ctrl_start[k + 1]
     ctrl_letter: array  # output letter of each ctrl edge
     ctrl_target: array  # env node each ctrl edge leads to
@@ -159,10 +169,16 @@ class GameArena:
 
     @property
     def n_ctrl(self) -> int:
-        return len(self.env_letter)
+        return len(self.env_letters)
+
+    @property
+    def n_positions(self) -> int:
+        """The (env node, input letter) positions: the ctrl nodes of the
+        arena with one per input letter."""
+        return sum(map(int.bit_count, self.env_letters))
 
     def edge_count(self) -> tuple[int, int]:
-        return len(self.env_letter), len(self.ctrl_target)
+        return len(self.env_letters), len(self.ctrl_target)
 
     def predecessors(self) -> _Predecessors:
         """The predecessor index, built on first use."""
@@ -209,6 +225,7 @@ def build_buchi_game(
 
     matched = Memo(matching)
     ends = range(n_out, n_in * n_out + 1, n_out)  # past each input's letters
+    env_start, env_letters = array("i", [0]), []
     ctrl_start, ctrl_letter, ctrl_target = array("i", [0]), array("i"), array("i")
     for q in range(automaton.n_states):
         pairs: list[tuple[int, int]] = []
@@ -217,19 +234,32 @@ def build_buchi_game(
         # each (letter, target) once, by letter, then in transition order
         pairs = sorted(dict.fromkeys(pairs), key=itemgetter(0))
         by_letter = list(map(itemgetter(0), pairs))
-        base = len(ctrl_target)
-        ctrl_letter.extend(map(n_out.__rmod__, by_letter))
-        ctrl_target.extend(map(itemgetter(1), pairs))
-        ctrl_start.extend([base + bisect_left(by_letter, end) for end in ends])
+        answered = array("i", map(n_out.__rmod__, by_letter))
+        targets = array("i", map(itemgetter(1), pairs))
+        # the inputs with the same slice of (output letter, target) pairs
+        # share one ctrl node, numbered by its first input
+        rows: dict[tuple[bytes, bytes], int] = {}
+        start = 0
+        for j, end in enumerate(ends):
+            stop = bisect_left(by_letter, end)
+            row = (answered[start:stop].tobytes(), targets[start:stop].tobytes())
+            rows[row] = rows.get(row, 0) | 1 << j
+            start = stop
+        for (row_answered, row_targets), letter_set in rows.items():
+            env_letters.append(letter_set)
+            ctrl_letter.frombytes(row_answered)
+            ctrl_target.frombytes(row_targets)
+            ctrl_start.append(len(ctrl_target))
+        env_start.append(len(env_letters))
     n = automaton.n_states
     return GameArena(
         objective="buchi",
         inputs=inputs,
         outputs=outputs,
         env_labels=tuple(range(n)),
-        env_start=array("i", range(0, n * n_in + 1, n_in)),
-        env_letter=array("i", range(n_in)) * n,
-        present=bytearray(b"\x01") * (n * n_in),
+        env_start=env_start,
+        env_letters=env_letters,
+        present=env_letters[:],
         ctrl_start=ctrl_start,
         ctrl_letter=ctrl_letter,
         ctrl_target=ctrl_target,
@@ -284,7 +314,10 @@ class SuccessorTable:
     the letters by the macro's successor, with every count as reached (no
     bound applies here), and returns the classes as ``(successor, top
     count)`` pairs numbered by their first letter, with the class index of
-    every letter.
+    the distinct rows.  Input ``j``'s row is its slice ``j * 2**len(outputs)``
+    onward of the class index of every letter; inputs with equal rows share
+    one, and the rows come in order of their first input, as the class of
+    each (row, output) and the input letter set of each row.
     """
 
     def __init__(
@@ -297,6 +330,8 @@ class SuccessorTable:
         # each letter of the arena order as its bits
         order = [i | o for i in letters.input_bits for o in letters.output_bits]
         self._n_letters = len(order)
+        self._n_in, self._n_out = len(letters.inputs), len(letters.outputs)
+        self._single = tuple(1 << j for j in range(self._n_in))  # each input's letter set
         self._full = (1 << self._n_letters) - 1
         # per automaton state: (target, bump, letters), transitions to one
         # target merged
@@ -316,17 +351,17 @@ class SuccessorTable:
                     if letter_set
                 )
             )
-        self._classes: dict[Macro, tuple[tuple[tuple, int], bytes | array]] = {}
+        self._classes: dict[Macro, tuple] = {}
 
-    def classes(self, macro: Macro) -> tuple[tuple[tuple, int], bytes | array]:
+    def classes(self, macro: Macro) -> tuple:
         """The successor classes of ``macro`` (``()`` for the macro with no
-        live runs) and the class of each letter; split on first request."""
+        live runs) and its distinct rows; split on first request."""
         known = self._classes.get(macro)
         if known is None:
             known = self._classes[macro] = self._split(macro)
         return known
 
-    def _split(self, macro: Macro) -> tuple[tuple[tuple, int], bytes | array]:
+    def _split(self, macro: Macro) -> tuple:
         # letters reaching each target, by the count they reach it with
         reach: dict[int, dict[int, int]] = {}
         for state, count in macro:
@@ -359,7 +394,30 @@ class SuccessorTable:
             (successor, top) if successor else (EMPTY_LABEL, -1)
             for _, successor, top in parts
         )
-        return classes, _class_index([p[0] for p in parts], self._n_letters)
+        return (classes, *self._rows(_class_index([p[0] for p in parts], self._n_letters)))
+
+    def _rows(self, index: bytes | array) -> tuple:
+        """The class index of the first input of each distinct row, rows
+        in order, and each row's input letter set."""
+        # each input's row as one key: an int read straight off the index
+        # where the row is 1, 2, 4 or 8 bytes wide
+        data = index if type(index) is bytes else index.tobytes()
+        width = len(data) // self._n_in
+        if width in _ROW_FORMAT:
+            keys = memoryview(data).cast(_ROW_FORMAT[width]).tolist()
+        else:
+            keys = [data[a : a + width] for a in range(0, len(data), width)]
+        if len(set(keys)) == len(keys):
+            return index, self._single
+        rows: dict = {}
+        for key, letter in zip(keys, self._single):
+            rows[key] = rows.get(key, 0) | letter
+        n_out = self._n_out
+        firsts = [(letters & -letters).bit_length() - 1 for letters in rows.values()]
+        return [c for j in firsts for c in index[j * n_out : (j + 1) * n_out]], tuple(rows.values())
+
+
+_ROW_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def build_safety_game(
@@ -389,8 +447,7 @@ def build_safety_game(
         outputs,
     ):
         raise GameError("successor table was made for another automaton or alphabet")
-    letters = letters_of(inputs, outputs)
-    n_in, n_out = len(letters.inputs), len(letters.outputs)
+    n_out = len(letters_of(inputs, outputs).outputs)
 
     labels: list = []
     index: dict = {}
@@ -408,9 +465,8 @@ def build_safety_game(
 
     # env nodes are queued as they are numbered, so they are expanded in
     # id order and each one's ctrl nodes follow the previous one's
-    env_start = array("i", [0])
+    env_start, env_letters = array("i", [0]), []
     ctrl_target = array("i")
-    n_ctrl = 0
     initial_macro: Macro = ((negated.initial, 0),)
     start = env_id(initial_macro)
     queue = deque([start])
@@ -420,7 +476,7 @@ def build_safety_game(
         label = labels[i]
         if label != UNSAFE_LABEL:  # the unsafe node is terminal: env already won
             macro = () if label == EMPTY_LABEL else label  # EMPTY: no live runs
-            classes, letter_class = successors.classes(macro)
+            classes, row_class, row_letters = successors.classes(macro)
             # classes are numbered by first letter, so resolving them in order
             # numbers the env nodes as a letter-by-letter expansion would
             targets = []
@@ -430,19 +486,20 @@ def build_safety_game(
                     expanded.add(t)
                     queue.append(t)
                 targets.append(t)
-            # ctrl node n_ctrl + j answers input j; its edge k is output k
-            ctrl_target.extend(map(targets.__getitem__, letter_class))
-            n_ctrl += n_in
-        env_start.append(n_ctrl)
+            # a ctrl node per distinct row, whose edge k is output k
+            env_letters.extend(row_letters)
+            ctrl_target.extend(map(targets.__getitem__, row_class))
+        env_start.append(len(env_letters))
 
+    n_ctrl = len(env_letters)
     return GameArena(
         objective="safety",
         inputs=inputs,
         outputs=outputs,
         env_labels=tuple(labels),
         env_start=env_start,
-        env_letter=array("i", range(n_in)) * (n_ctrl // n_in),
-        present=bytearray(b"\x01") * n_ctrl,
+        env_letters=env_letters,
+        present=env_letters[:],
         ctrl_start=array("i", range(0, n_ctrl * n_out + 1, n_out)),
         ctrl_letter=array("i", range(n_out)) * n_ctrl,
         ctrl_target=ctrl_target,
@@ -540,10 +597,11 @@ class GameSolution:
     def ctrl_wins(self) -> bool:
         return self.env_rank[self.arena.initial] < 0
 
-    def candidate_edges(self, i: int) -> list[int]:
-        """The env edges the environment may take at env node ``i`` of its
-        region, by input rank then edge number: present edges into a lower
-        layer of the same attractor, or within its base."""
+    def candidate_edges(self, i: int) -> list[tuple[int, int]]:
+        """The moves the environment may take at env node ``i`` of its
+        region, as ``(input letter, env edge)`` pairs by input rank: the
+        present letters of edges into a lower layer of the same attractor,
+        or within its base."""
         arena = self.arena
         n_env, rank, rounds = arena.n_env, self.env_rank, self.env_round
         own = rank[i]
@@ -557,9 +615,7 @@ class GameSolution:
                 continue
             if r < own or r == own == 0:
                 out.append(k)
-        input_rank, letter = arena.letters.input_rank, arena.env_letter
-        out.sort(key=lambda k: (input_rank[letter[k]], k))
-        return out
+        return _by_input_rank(arena, out)
 
     def answer_edge(self, k: int) -> int | None:
         """The ctrl edge the controller takes at ctrl node ``k``: the least,
@@ -604,7 +660,7 @@ def solve_buchi(arena: GameArena) -> GameSolution:
     # every node's edges into the live nodes, kept up to date as nodes die
     degree = index.degree[:]
     for i in range(n_env):
-        degree[i] = present.count(1, start[i], start[i + 1])
+        degree[i] = start[i + 1] - start[i] - present[start[i] : start[i + 1]].count(0)
     alive = array("i", [-1]) * n  # -1 live, -2 dead: every attractor's starting ranks
     env_rank = array("i", [-1]) * n
     env_round = array("i", [-1]) * n
@@ -650,6 +706,22 @@ class MealyController:
     step: dict[tuple[int, Valuation], tuple[Valuation, int]]
 
 
+def _by_input_rank(arena: GameArena, edges) -> list[tuple[int, int]]:
+    """The present letters of env ``edges`` as ``(input letter, env edge)``
+    pairs, by input rank, then by edge for a letter on two edges."""
+    present = arena.present
+    pairs = []
+    for k in edges:
+        letter_set = present[k]
+        while letter_set:
+            low = letter_set & -letter_set
+            pairs.append((low.bit_length() - 1, k))
+            letter_set ^= low
+    input_rank = arena.letters.input_rank
+    pairs.sort(key=lambda pair: input_rank[pair[0]])
+    return pairs
+
+
 def extract_controller(solution: GameSolution) -> MealyController:
     """Mealy machine over the env nodes the controller strategy visits."""
     arena = solution.arena
@@ -657,33 +729,32 @@ def extract_controller(solution: GameSolution) -> MealyController:
         msg = "initial node is not controller-winning"
         raise GameError(msg)
     letters = arena.letters
-    inputs, input_rank, outputs = letters.inputs, letters.input_rank, letters.outputs
-    env_start, env_letter = arena.env_start, arena.env_letter
+    inputs, outputs = letters.inputs, letters.outputs
     numbering = {arena.initial: 0}
     order = [arena.initial]
     step: dict[tuple[int, Valuation], tuple[Valuation, int]] = {}
     queue = deque([arena.initial])
     while queue:
         env_node = queue.popleft()
-        edges = range(env_start[env_node], env_start[env_node + 1])
-        edges = sorted(
-            compress(edges, arena.present[edges.start : edges.stop]),
-            key=lambda k: (input_rank[env_letter[k]], k),
-        )
-        for k in edges:
-            answer = solution.answer_edge(k)
+        edges = range(arena.env_start[env_node], arena.env_start[env_node + 1])
+        # one answer per ctrl node, shared by the letters of its class
+        answers: dict[int, int] = {}
+        for j, k in _by_input_rank(arena, compress(edges, arena.present[edges.start : edges.stop])):
+            answer = answers.get(k)
             if answer is None:
-                msg = (
-                    "controller strategy has no answer at a reachable node; "
-                    "winning region is not closed"
-                )
-                raise GameError(msg)
+                answer = answers[k] = solution.answer_edge(k)
+                if answer is None:
+                    msg = (
+                        "controller strategy has no answer at a reachable node; "
+                        "winning region is not closed"
+                    )
+                    raise GameError(msg)
             target = arena.ctrl_target[answer]
             if target not in numbering:
                 numbering[target] = len(order)
                 order.append(target)
                 queue.append(target)
-            step[(numbering[env_node], inputs[env_letter[k]])] = (
+            step[(numbering[env_node], inputs[j])] = (
                 outputs[arena.ctrl_letter[answer]],
                 numbering[target],
             )
@@ -724,22 +795,24 @@ def _answers(arena: GameArena, k: int, every_letter: array) -> tuple:
 
 def counter_edges(
     solution: GameSolution, keep: dict[int, tuple[int, ...]] | None = None
-) -> dict[int, tuple[int, ...]]:
-    """The candidate edges of every env node the counter-strategy reaches,
-    in breadth-first order from the initial node: each edge leads on to its
-    ctrl node's least target per output.  ``keep`` narrows the candidate
-    edges of the nodes it names; without it every candidate is followed."""
+) -> dict[int, tuple[tuple[int, int], ...]]:
+    """The candidate ``(input letter, env edge)`` pairs of every env node the
+    counter-strategy reaches, in breadth-first order from the initial node:
+    each leads on to its ctrl node's least target per output.  ``keep``
+    narrows the candidates of the nodes it names to the input letters it
+    lists; without it every candidate is followed."""
     arena = solution.arena
     every_letter = array("i", range(len(arena.letters.outputs)))
-    reached: dict[int, tuple[int, ...]] = {arena.initial: ()}
+    reached: dict[int, tuple[tuple[int, int], ...]] = {arena.initial: ()}
     queue = deque([arena.initial])
     while queue:
         s = queue.popleft()
-        edges = solution.candidate_edges(s) if solution.env_rank[s] >= 0 else ()
-        if keep is not None and edges:
-            edges = keep.get(s, edges)
-        reached[s] = tuple(edges)
-        for k in edges:
+        pairs = solution.candidate_edges(s) if solution.env_rank[s] >= 0 else ()
+        if keep is not None and pairs and s in keep:
+            kept = set(keep[s])
+            pairs = [pair for pair in pairs if pair[0] in kept]
+        reached[s] = tuple(pairs)
+        for k in dict.fromkeys(k for _, k in pairs):  # each class once
             for nxt in _answers(arena, k, every_letter)[1]:
                 if nxt not in reached:
                     reached[nxt] = ()
@@ -753,10 +826,10 @@ def extract_counter_strategy(
     """Spoiler transducer over the env-winning region, carrying per-state
     candidate inputs (each single-candidate restriction stays winning).
 
-    States, candidates and transitions are filled along the edges
-    ``counter_edges`` follows, so ``keep`` narrows them the same way.  A
-    state is spoiled when it has no candidate at all, whatever ``keep``
-    says."""
+    States, candidates and transitions are filled along the pairs
+    ``counter_edges`` follows, so ``keep`` (input letters per env node)
+    narrows them the same way.  A state is spoiled when it has no candidate
+    at all, whatever ``keep`` says."""
     arena = solution.arena
     if solution.ctrl_wins:
         msg = "initial node is controller-winning; no counter-strategy exists"
@@ -766,10 +839,14 @@ def extract_counter_strategy(
     reached = counter_edges(solution, keep)
     candidates: dict[int, tuple[Valuation, ...]] = {}
     transitions: dict[tuple[int, Valuation, Valuation], int] = {}
-    for s, edges in reached.items():
-        candidates[s] = tuple(inputs[arena.env_letter[k]] for k in edges)
-        for k, vin in zip(edges, candidates[s]):
-            answered, targets = _answers(arena, k, every_letter)
+    answers: dict[int, tuple] = {}
+    for s, pairs in reached.items():
+        candidates[s] = tuple(inputs[j] for j, _ in pairs)
+        for (_, k), vin in zip(pairs, candidates[s]):
+            known = answers.get(k)
+            if known is None:
+                known = answers[k] = _answers(arena, k, every_letter)
+            answered, targets = known
             vouts = map(outputs.__getitem__, answered)
             transitions.update(zip(zip(repeat(s), repeat(vin), vouts), targets))
     return CounterStrategy(
@@ -780,7 +857,7 @@ def extract_counter_strategy(
         candidates=candidates,
         transitions=transitions,
         spoiled=frozenset(
-            s for s, edges in reached.items() if not edges and not solution.candidate_edges(s)
+            s for s, pairs in reached.items() if not pairs and not solution.candidate_edges(s)
         ),
     )
 
@@ -789,18 +866,22 @@ def extract_counter_strategy(
 
 
 def mark_edges_absent(arena: GameArena, valuation: Valuation) -> int:
-    """Mark absent every present env edge whose input agrees with ``valuation``
-    on its atoms; returns how many edges were marked.  A valuation naming an
-    atom that is no input of the arena matches nothing."""
+    """Mark absent every present input letter that agrees with ``valuation``
+    on its atoms; returns how many letters were marked.  A valuation naming
+    an atom that is no input of the arena matches nothing."""
     if not set(valuation.atoms) <= set(arena.inputs):
         return 0
     letters = arena.letters
     care, value = valuation.masks(letters.position)
-    hit = [bits & care == value for bits in letters.input_bits]  # per input letter
+    hit = 0  # the matching input letters
+    for j, bits in enumerate(letters.input_bits):
+        if bits & care == value:
+            hit |= 1 << j
     present = arena.present
     count = 0
-    for k in compress(range(arena.n_ctrl), map(hit.__getitem__, arena.env_letter)):
-        if present[k]:
-            present[k] = 0
-            count += 1
+    for k, letter_set in enumerate(present):
+        marked = letter_set & hit
+        if marked:
+            present[k] = letter_set ^ marked
+            count += marked.bit_count()
     return count

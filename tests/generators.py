@@ -148,12 +148,15 @@ def random_lasso(rng: random.Random, atoms, max_prefix: int = 2, max_loop: int =
     return prefix, loop
 
 
-def random_arena(rng: random.Random, objective: str, reverse_atoms: bool = False):
+def random_arena(rng: random.Random, objective: str, reverse_atoms: bool = False, merge=False):
     """Random bipartite arena mirroring the builders' shape: one ctrl node
     per (env node, input valuation), arbitrary ctrl answers, some env edges
     pre-marked absent to exercise present-flag handling.  With
     ``reverse_atoms`` the atoms are listed against name order, so the
-    arena's letter order is not the ``Valuation`` order."""
+    arena's letter order is not the ``Valuation`` order.  With ``merge``
+    about half the inputs of an env node answer as an earlier one does, and
+    inputs that answer alike share one ctrl node, as in the builders'
+    letter classes."""
     from oracles import ObjectCtrlEdge, ObjectEnvEdge, arena_from_edges
     from numltl.valuation import all_valuations, encoded_valuations
 
@@ -174,6 +177,9 @@ def random_arena(rng: random.Random, objective: str, reverse_atoms: bool = False
                 continue  # env simply lacks this move
             cid = len(ctrl_edges)
             row.append(ObjectEnvEdge(vin, cid, present=rng.random() > 0.1, bits=bits))
+            if merge and len(row) > 1 and rng.random() < 0.5:
+                ctrl_edges.append(ctrl_edges[rng.choice(row[:-1]).target])
+                continue
             answers = []
             for vout in output_valuations:
                 for _ in range(rng.randint(0, 2)):
@@ -192,6 +198,7 @@ def random_arena(rng: random.Random, objective: str, reverse_atoms: bool = False
         initial=rng.randrange(n_env),
         accepting=accepting if objective == "buchi" else frozenset(),
         unsafe=unsafe if objective == "safety" else frozenset(),
+        merge=merge,
     )
 
 

@@ -20,8 +20,9 @@ form that the field-reading walks and the syntax and dual tables replaced, and
 the refinement loop keeps its two refinement paths, one per winner, that one
 round for both replaced.  The
 tests read the library's arenas and solutions only through the object views
-built here from their arrays (``object_arena``, ``object_solution``), and
-build arenas edge by edge with ``arena_from_edges``.
+built here from their arrays (``object_arena``, ``object_solution``),
+expanded to one ctrl node per input letter, the arena the library's letter
+classes replaced, and build arenas edge by edge with ``arena_from_edges``.
 """
 
 from __future__ import annotations
@@ -415,11 +416,13 @@ def reference_attractor(arena, owner, base, alive):
 # The library keeps an arena as flat int arrays with a predecessor index built
 # once, ranks and regions as arrays, and breaks ties on per-letter sort ranks;
 # the versions below are the ones it replaced, on arenas of edge objects with
-# ``("env", i)`` / ``("ctrl", k)`` node sets and rank dicts.  ``object_arena``
-# copies a library arena's arrays into that form, with its own mutable edges,
-# so marking one leaves the other alone; ``arena_from_edges`` goes the other
-# way, and ``object_solution`` reads a library solution's rank arrays into the
-# regions and strategies the object-level solvers return.
+# ``("env", i)`` / ``("ctrl", k)`` node sets and rank dicts, and with one ctrl
+# node per input letter where the library has one per letter class.
+# ``object_arena`` copies a library arena's arrays into that form, with its
+# own mutable edges, so marking one leaves the other alone;
+# ``arena_from_edges`` goes the other way, and ``object_solution`` reads a
+# library solution's rank arrays into the regions and strategies the
+# object-level solvers return.
 
 
 @dataclass
@@ -457,6 +460,11 @@ class ObjectArena:
         return len(self.ctrl_edges)
 
     @property
+    def n_positions(self) -> int:
+        """One ctrl node per (env node, input letter) position."""
+        return len(self.ctrl_edges)
+
+    @property
     def ctrl_origin(self) -> tuple:
         """The env node and input valuation of each ctrl node, whose number
         is its env edge's number counted over the rows."""
@@ -471,25 +479,57 @@ class ObjectArena:
         return [e for e in self.env_edges[i] if e.present]
 
 
-def object_arena(arena) -> ObjectArena:
-    """A library arena as edge objects, read off its arrays."""
-    letters = arena.letters
-    env_edges = []
-    for i in range(arena.n_env):
-        row = []
-        for k in range(arena.env_start[i], arena.env_start[i + 1]):
-            j = arena.env_letter[k]
-            row.append(
-                ObjectEnvEdge(letters.inputs[j], k, bool(arena.present[k]), letters.input_bits[j])
-            )
-        env_edges.append(row)
-    ctrl_edges = [
-        [
-            ObjectCtrlEdge(letters.outputs[arena.ctrl_letter[e]], arena.ctrl_target[e])
-            for e in range(arena.ctrl_start[k], arena.ctrl_start[k + 1])
-        ]
-        for k in range(arena.n_ctrl)
+def expanded_positions(arena) -> list:
+    """Per env node of a library arena, its ``(input letter, env edge)``
+    pairs in letter order: the positions of the arena with one ctrl node
+    per input letter, whose ctrl nodes are these pairs counted over the
+    rows."""
+    n_in = len(arena.letters.inputs)
+    return [
+        sorted(
+            (j, k)
+            for k in range(arena.env_start[i], arena.env_start[i + 1])
+            for j in range(n_in)
+            if arena.env_letters[k] >> j & 1
+        )
+        for i in range(arena.n_env)
     ]
+
+
+def arena_nodes(arena) -> list:
+    """The library arena's node number of each node of ``object_arena``'s
+    ``nodes()``: env node ``i`` is ``i``, and every expanded ctrl node is
+    the ctrl node of its letter's class."""
+    n_env = arena.n_env
+    return list(range(n_env)) + [
+        n_env + k for row in expanded_positions(arena) for _, k in row
+    ]
+
+
+def object_arena(arena) -> ObjectArena:
+    """A library arena as edge objects, read off its arrays and expanded to
+    one ctrl node per input letter: the ctrl node of a letter class is
+    copied for each of its letters, in letter order."""
+    letters = arena.letters
+    env_edges, ctrl_edges = [], []
+    for row in expanded_positions(arena):
+        objects = []
+        for j, k in row:
+            objects.append(
+                ObjectEnvEdge(
+                    letters.inputs[j],
+                    len(ctrl_edges),
+                    bool(arena.present[k] >> j & 1),
+                    letters.input_bits[j],
+                )
+            )
+            ctrl_edges.append(
+                [
+                    ObjectCtrlEdge(letters.outputs[arena.ctrl_letter[e]], arena.ctrl_target[e])
+                    for e in range(arena.ctrl_start[k], arena.ctrl_start[k + 1])
+                ]
+            )
+        env_edges.append(objects)
     return ObjectArena(
         objective=arena.objective,
         inputs=arena.inputs,
@@ -512,11 +552,14 @@ def arena_from_edges(
     initial=0,
     accepting=frozenset(),
     unsafe=frozenset(),
+    merge=False,
 ):
     """A library arena from rows of ``ObjectEnvEdge`` / ``ObjectCtrlEdge``,
     env node ``i`` labelled ``i``.  Counted over the rows in order, env edge
     ``k`` must lead to ctrl node ``k``, and there must be one ctrl row per env
-    edge; an edge's ``bits`` are not read."""
+    edge; an edge's ``bits`` are not read.  Each env edge carries its own
+    letter, unless ``merge``: then the edges of one env node whose ctrl rows
+    are equal share one ctrl node, numbered by their first edge."""
     from array import array
 
     from numltl.games import GameArena, GameError, letters_of
@@ -524,30 +567,41 @@ def arena_from_edges(
     letters = letters_of(inputs, outputs)
     input_letter = {v: j for j, v in enumerate(letters.inputs)}
     output_letter = {v: j for j, v in enumerate(letters.outputs)}
-    env_start, env_letter, present = array("i", [0]), array("i"), bytearray()
-    for row in env_edges:
-        for edge in row:
-            if edge.target != len(env_letter):
-                msg = f"env edge {len(env_letter)} must lead to ctrl node {len(env_letter)}"
-                raise GameError(msg)
-            env_letter.append(input_letter[edge.valuation])
-            present.append(edge.present)
-        env_start.append(len(env_letter))
-    if len(ctrl_edges) != len(env_letter):
+    n_edges = sum(len(row) for row in env_edges)
+    if len(ctrl_edges) != n_edges:
         raise GameError("an arena needs one ctrl row per env edge")
+    env_start, env_letters, present = array("i", [0]), [], []
     ctrl_start, ctrl_letter, ctrl_target = array("i", [0]), array("i"), array("i")
-    for row in ctrl_edges:
+    k = 0
+    for row in env_edges:
+        classes = {}  # ctrl row -> its env edge in the arena
         for edge in row:
-            ctrl_letter.append(output_letter[edge.valuation])
-            ctrl_target.append(edge.target)
-        ctrl_start.append(len(ctrl_target))
+            if edge.target != k:
+                msg = f"env edge {k} must lead to ctrl node {k}"
+                raise GameError(msg)
+            answers = tuple((a.valuation, a.target) for a in ctrl_edges[k])
+            bit = 1 << input_letter[edge.valuation]
+            shared = classes.get(answers) if merge else None
+            if shared is None:
+                classes[answers] = shared = len(env_letters)
+                env_letters.append(0)
+                present.append(0)
+                for vout, target in answers:
+                    ctrl_letter.append(output_letter[vout])
+                    ctrl_target.append(target)
+                ctrl_start.append(len(ctrl_target))
+            env_letters[shared] |= bit
+            if edge.present:
+                present[shared] |= bit
+            k += 1
+        env_start.append(len(env_letters))
     return GameArena(
         objective=objective,
         inputs=inputs,
         outputs=outputs,
         env_labels=tuple(range(len(env_edges))),
         env_start=env_start,
-        env_letter=env_letter,
+        env_letters=env_letters,
         present=present,
         ctrl_start=ctrl_start,
         ctrl_letter=ctrl_letter,
@@ -651,25 +705,37 @@ class ObjectSolution:
 
 def object_solution(solution) -> ObjectSolution:
     """A library solution read off its rank arrays, over the
-    ``object_arena`` copy of its arena: node ``n`` of the arrays is
-    ``nodes()[n]``, and ``answer_edge`` / ``candidate_edges`` pick the
-    strategies' edges by their numbers."""
-    arena = object_arena(solution.arena)
+    ``object_arena`` copy of its arena: node ``n`` of ``nodes()`` has the
+    rank of arena node ``arena_nodes(...)[n]``, and ``answer_edge`` /
+    ``candidate_edges`` pick the strategies' edges by their numbers, a
+    letter class's answer standing for each of its letters."""
+    library = solution.arena
+    arena = object_arena(library)
     nodes = arena.nodes()
-    env_region = frozenset(n for n, r in zip(nodes, solution.env_rank) if r >= 0)
-    env_edges = [e for row in arena.env_edges for e in row]  # env edge k
-    ctrl_edges = [e for row in arena.ctrl_edges for e in row]  # ctrl edge e
-    answers = ((k, solution.answer_edge(k)) for k in range(arena.n_ctrl))
+    number = arena_nodes(library)
+    env_region = frozenset(n for n, at in zip(nodes, number) if solution.env_rank[at] >= 0)
+    n_env = library.n_env
+    ctrl_strategy = {}
+    for c, at in enumerate(number[n_env:]):
+        k = at - n_env
+        e = solution.answer_edge(k)
+        if e is not None:
+            ctrl_strategy[c] = arena.ctrl_edges[c][e - library.ctrl_start[k]]
+    # the expanded env edge of each (env node, input letter)
+    position = {
+        (i, edge.valuation): edge for i, row in enumerate(arena.env_edges) for edge in row
+    }
+    inputs = library.letters.inputs
     env_candidates = {
-        i: tuple(env_edges[k] for k in solution.candidate_edges(i))
-        for i in range(arena.n_env)
+        i: tuple(position[(i, inputs[j])] for j, _ in solution.candidate_edges(i))
+        for i in range(n_env)
         if solution.env_rank[i] >= 0
     }
     return ObjectSolution(
         arena,
         ctrl_region=frozenset(nodes) - env_region,
         env_region=env_region,
-        ctrl_strategy={k: ctrl_edges[e] for k, e in answers if e is not None},
+        ctrl_strategy=ctrl_strategy,
         env_strategy={i: edges[0] for i, edges in env_candidates.items() if edges},
         env_candidates=env_candidates,
     )
@@ -2631,6 +2697,7 @@ def reference_parse_controller_file(text: str):
     from numltl import controller_file as cf
     from numltl.abstraction import EMPTY_MULTIPLEXER, MultiplexerTable
     from numltl.games import CounterStrategy, MealyController
+    from numltl.valuation import all_valuations
 
     error, val, integer = cf.ControllerFileError, cf._parse_val, cf._parse_int
     reader = cf._Reader(text)
@@ -2671,7 +2738,10 @@ def reference_parse_controller_file(text: str):
             source = state(payload[0], "STEP", states)
             vin = val(payload[1], "STEP", inputs)
             vout = val(payload[2], "STEP", outputs)
-            step[(source, vin)] = (vout, state(payload[3], "STEP", states))
+            target = state(payload[3], "STEP", states)
+            if (source, vin) in step:
+                raise error(f"STEP: state {source} has two lines for input {cf._val_str(vin)}")
+            step[(source, vin)] = (vout, target)
         machine = MealyController(inputs, outputs, n_states, initial, step)
     else:
         names = cf._parse_names(reader.take("STATES"))
@@ -2683,7 +2753,10 @@ def reference_parse_controller_file(text: str):
                 raise error("malformed CANDIDATES line")
             listed = state(payload[0], "CANDIDATES", states)
             parts = () if payload[1] == "-" else payload[1].split(";")
-            candidates[listed] = tuple(val(part, "CANDIDATES", inputs) for part in parts)
+            cands = tuple(val(part, "CANDIDATES", inputs) for part in parts)
+            if listed in candidates:
+                raise error(f"CANDIDATES: state {listed} is listed twice")
+            candidates[listed] = cands
         spoiled = frozenset(
             state(s, "SPOILED", states) for s in cf._parse_names(reader.take("SPOILED"))
         )
@@ -2696,7 +2769,13 @@ def reference_parse_controller_file(text: str):
                 val(payload[1], "STEP", inputs),
                 val(payload[2], "STEP", outputs),
             )
-            transitions[key] = state(payload[3], "STEP", states)
+            target = state(payload[3], "STEP", states)
+            if key in transitions:
+                raise error(
+                    f"STEP: state {key[0]} has two lines for input {cf._val_str(key[1])}"
+                    f" and output {cf._val_str(key[2])}"
+                )
+            transitions[key] = target
         counter = CounterStrategy(
             inputs, outputs, states, initial, candidates, transitions, spoiled
         )
@@ -2718,6 +2797,13 @@ def reference_parse_controller_file(text: str):
     if cf.spec_digest(document) != spec_hash:
         raise error("embedded specification does not match the recorded hash")
     cf._same_atoms("INPUTS", inputs, document.input_atoms())
+    if machine is not None:
+        excluded = [v for side, v in refinements if side == "input" and set(v.atoms) <= set(inputs)]
+        for source, vin in product(range(machine.n_states), all_valuations(inputs)):
+            if (source, vin) not in machine.step and not any(
+                cube_matches(cube, vin) for cube in excluded
+            ):
+                raise error(f"STEP: state {source} has no line for input {cf._val_str(vin)}")
     if mux:
         cf._same_atoms("ORIGINAL", mux.original_atoms, document.output_atoms())
         cf._same_atoms("ENCODED", mux.encoded_atoms, outputs)

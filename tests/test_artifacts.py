@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from generators import random_polynomial, random_synthesis_document
+from generators import random_polynomial, random_refinement_document, random_synthesis_document
 from oracles import (
+    cube_matches,
     reference_monitor_guarantees,
     reference_parse_controller_file,
     reference_render_dot,
@@ -202,6 +203,70 @@ class TestControllerFiles:
             parse_controller_file(mutant)
         with pytest.raises(ControllerFileError, match=message):
             reference_parse_controller_file(mutant)
+
+    @pytest.mark.parametrize(
+        ("package", "line", "added", "message"),
+        [
+            (
+                "threshold_package",
+                "STEP 1 req1=0,req2=1 grant1=0,grant2=0 2\n",
+                "STEP 1 req1=0,req2=1 grant1=0,grant2=0 3\n",
+                "STEP: state 1 has two lines for input req1=0,req2=1$",
+            ),
+            (
+                "counter_package",
+                "CANDIDATES 7 req1=1,req2=1\n",
+                "CANDIDATES 7 -\n",
+                "CANDIDATES: state 7 is listed twice",
+            ),
+            (
+                "counter_package",
+                "STEP 7 req1=1,req2=1 grant1=1,grant2=1 8\n",
+                "STEP 7 req1=1,req2=1 grant1=1,grant2=1 12\n",
+                "STEP: state 7 has two lines for input req1=1,req2=1 and output grant1=1,grant2=1",
+            ),
+        ],
+    )
+    def test_rejects_repeated_keys(self, package, line, added, message, request):
+        """A second line for a key used to win over the first; each mutant
+        must be read as the per-line reader reads it."""
+        verdict = request.getfixturevalue(package)[1]
+        render = render_realizable if isinstance(verdict, Realizable) else render_unrealizable
+        text = render(verdict, SAFETY)
+        assert line in text
+        mutant = text.replace(line, line + added, 1)
+        for parse in (parse_controller_file, reference_parse_controller_file):
+            with pytest.raises(ControllerFileError, match=message):
+                parse(mutant)
+
+    @pytest.mark.parametrize(
+        ("line", "edited", "message"),
+        [
+            # the deleted line's input is one the refinement leaves
+            (
+                "STEP 1 req1=0,req2=1 grant1=0,grant2=0 2\n",
+                "",
+                "STEP: state 1 has no line for input req1=0,req2=1",
+            ),
+            # without the refinement, the input it excluded needs lines too
+            ("REFINE input req1=1,req2=1\n", "", "STEP: state 0 has no line for input req1=1,req2=1"),
+            # a cube naming an atom that is no input excludes nothing
+            (
+                "REFINE input req1=1,req2=1\n",
+                "REFINE input req1=1,zz=1\n",
+                "STEP: state 0 has no line for input req1=1,req2=1",
+            ),
+        ],
+    )
+    def test_rejects_a_controller_missing_a_step_line(
+        self, line, edited, message, threshold_package
+    ):
+        text = render_realizable(threshold_package[1], SAFETY)
+        assert line in text
+        mutant = text.replace(line, edited, 1)
+        for parse in (parse_controller_file, reference_parse_controller_file):
+            with pytest.raises(ControllerFileError, match=message):
+                parse(mutant)
 
     def test_bound_none_is_still_read(self, threshold_package):
         text = render_realizable(threshold_package[1], SAFETY)
@@ -603,6 +668,50 @@ def _read(parse, text: str):
         return str(exc)
 
 
+DATA_DIR = Path(__file__).resolve().parent / "data"
+
+
+def test_synthesized_controllers_cover_exactly_the_unrefined_inputs():
+    """Every controller has a STEP line for each state and each input
+    valuation no input refinement excludes, and none for an excluded one:
+    the bundled specs, ``tests/data`` (the arbiter family among them) and
+    generated documents, on both routes.  The reader rejects a missing
+    line, so this is what keeps every artifact readable."""
+    rng = random.Random(1717)
+    runs = [
+        (parse_spec(path.read_text()), CegarConfig(algorithm=algorithm))
+        for path in sorted(SPEC_DIR.glob("*.spec")) + sorted(DATA_DIR.glob("*.spec"))
+        for algorithm in (SAFETY, BUCHI)
+    ]
+    documents = [random_synthesis_document(rng) for _ in range(30)]
+    documents += [random_refinement_document(rng) for _ in range(30)]
+    runs += [
+        (doc, CegarConfig(algorithm=algorithm, max_bound=2))
+        for doc in documents
+        for algorithm in (SAFETY, BUCHI)
+    ]
+    controllers = refined = 0
+    for doc, cfg in runs:
+        verdict = synthesize(doc, cfg)
+        if not isinstance(verdict, Realizable):
+            continue
+        machine = verdict.controller
+        cubes = verdict.spec.input_refinements
+        unrefined = [
+            vin
+            for vin in all_valuations(machine.inputs)
+            if not any(cube_matches(cube, vin) for cube in cubes)
+        ]
+        assert set(machine.step) == {
+            (state, vin) for state in range(machine.n_states) for vin in unrefined
+        }
+        pkg = parse_controller_file(render_realizable(verdict, cfg.algorithm))
+        assert pkg.controller == machine
+        controllers += 1
+        refined += bool(cubes)
+    assert controllers >= 40 and refined >= 10
+
+
 class TestArtifactMutationSweep:
     @pytest.mark.parametrize(
         "package", ["threshold_package", "encoded_package", "counter_package"]
@@ -647,4 +756,6 @@ class TestArtifactMutationSweep:
             else:
                 outcomes["simulated"] += 1
         assert outcomes["rejected"] >= 100, outcomes
-        assert outcomes["simulated"] + outcomes["refused"] >= 20, outcomes
+        # a mutant that deletes, repeats or re-keys a STEP line is rejected:
+        # of threshold_arbiter's 600, 12 still read, and 30 of error_monitor's
+        assert outcomes["simulated"] + outcomes["refused"] >= 10, outcomes

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from numltl import cli
 from numltl.cegar import count_theory_checks
 from numltl.cli import (
     EXIT_INPUT_ERROR,
@@ -258,6 +259,24 @@ class TestCheckCommand:
         assert "invalid rational literal '1/0'" in capsys.readouterr().err
 
 
+class TestParserReuse:
+    def test_the_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_appended_values_are_not_shared_between_calls(self, capsys):
+        first = ["--real", "x", "0", "1", "-c", "x >= 0"]
+        second = ["--real", "y", "0", "2", "-c", "y <= 2", "-c", "y >= 0"]
+        parsed = [cli._parser().parse_args(["check", *argv]) for argv in (first, second)]
+        assert [args.real for args in parsed] == [[["x", "0", "1"]], [["y", "0", "2"]]]
+        assert [args.constraint for args in parsed] == [["x >= 0"], ["y <= 2", "y >= 0"]]
+        assert cli._parser().parse_args(["check"]).real == []
+        # through main: the second run checks its own two constraints only
+        assert main(["check", *first]) == EXIT_OK
+        assert main(["check", *second]) == EXIT_OK
+        checked = [line.split(": ")[0] for line in capsys.readouterr().out.splitlines()]
+        assert checked == ["x >= 0", "y - 2 <= 0", "y >= 0"]
+
+
 class TestUsage:
     @pytest.mark.parametrize(
         "argv",
@@ -407,6 +426,38 @@ class TestSimulateCommand:
         code = main(["simulate", artifact, "--inject", "req1=yes"])
         assert code == EXIT_INPUT_ERROR
         assert "malformed valuation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # a repeated STEP key used to be read last-line-wins (exit 1)
+            (
+                lambda text: text.replace(
+                    "STEP 1 req1=0,req2=1 grant1=0,grant2=0 2\n",
+                    "STEP 1 req1=0,req2=1 grant1=0,grant2=0 2\n"
+                    "STEP 1 req1=0,req2=1 grant1=0,grant2=0 3\n",
+                ),
+                "STEP: state 1 has two lines for input req1=0,req2=1",
+            ),
+            # a missing STEP line used to give stuck steps (exit 1)
+            (
+                lambda text: text.replace("STEP 1 req1=0,req2=1 grant1=0,grant2=0 2\n", ""),
+                "STEP: state 1 has no line for input req1=0,req2=1",
+            ),
+        ],
+        ids=["repeated-step", "missing-step"],
+    )
+    def test_repeated_or_missing_step_lines_are_input_errors(
+        self, artifact, edit, message, tmp_path, capsys
+    ):
+        text = Path(artifact).read_text()
+        broken = tmp_path / "broken.ctrl"
+        broken.write_text(edit(text))
+        assert broken.read_text() != text
+        assert main(["simulate", str(broken), "--steps", "50", "--seed", "3"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
 
 class TestUndecodableInput:

@@ -96,8 +96,11 @@ class TestBuchiArenaConstruction:
     def test_node_and_edge_counts(self):
         arena = build_buchi_game(pin_automaton(), ("a",), ("b",))
         assert arena.n_env == 2
-        assert arena.n_ctrl == 4
-        assert arena.edge_count() == (4, 8)
+        # state 1 answers both inputs alike, so they share one ctrl node
+        assert arena.n_positions == 4
+        assert arena.n_ctrl == 3
+        assert arena.edge_count() == (3, 6)
+        assert arena.env_letters == [0b01, 0b10, 0b11]
         assert arena.initial == 0
         assert arena.accepting == frozenset({1})
 
@@ -137,7 +140,8 @@ class TestBuchiArenaConstruction:
             automaton = translate(formula, ("a", "b"))
             arena = build_buchi_game(automaton, ("a",), ("b",))
             assert arena.n_env == automaton.n_states
-            assert arena.n_ctrl == 2 * automaton.n_states
+            assert arena.n_positions == 2 * automaton.n_states
+            assert automaton.n_states <= arena.n_ctrl <= arena.n_positions
             assert arena.edge_count()[0] == arena.n_ctrl
             objects = object_arena(arena)
             for cid, (q, vin) in enumerate(objects.ctrl_origin):
@@ -293,6 +297,37 @@ def test_class_index_numbers_every_letter(n_classes, n_letters):
         assert list(index) == labels == reference_class_index(letter_sets, n_letters)
 
 
+# the rows of a class index group the inputs whose slices are equal: rows 1,
+# 2, 4 or 8 bytes wide are read as ints, wider ones sliced, and an index of
+# more than 256 classes holds 4 bytes per letter; each distinct row's
+# classes are kept once, in order of its first input
+@pytest.mark.parametrize("n_inputs, n_outputs", [(0, 0), (1, 0), (2, 1), (3, 2), (2, 3), (1, 4)])
+@pytest.mark.parametrize("wide", [False, True])
+def test_successor_rows_group_the_inputs_with_equal_slices(n_inputs, n_outputs, wide):
+    from array import array
+
+    inputs = tuple(f"i{k}" for k in range(n_inputs))
+    outputs = tuple(f"o{k}" for k in range(n_outputs))
+    automaton = BuchiAutomaton(inputs + outputs, 1, 0, ((),), frozenset())
+    table = SuccessorTable(automaton, inputs, outputs)
+    n_in, n_out = 2**n_inputs, 2**n_outputs
+    rng = random.Random(n_inputs * 100 + n_outputs * 10 + wide)
+    for _ in range(20):
+        # a few distinct rows, each input taking one of them
+        pool = [[rng.randrange(300 if wide else 3) for _ in range(n_out)] for _ in range(3)]
+        labels = [c for _ in range(n_in) for c in rng.choice(pool)]
+        index = array("I", labels) if wide else bytes(labels)
+        groups: dict[tuple, int] = {}
+        for j in range(n_in):
+            row = tuple(labels[j * n_out : (j + 1) * n_out])
+            groups[row] = groups.get(row, 0) | 1 << j
+        row_class, row_letters = table._rows(index)
+        assert row_letters == tuple(groups.values())
+        assert list(row_class) == [c for row in groups for c in row]
+        if len(groups) == n_in:  # nothing merges: the index itself is used
+            assert row_class is index
+
+
 class TestStuckNodeConventions:
     def test_stuck_env_node_is_controller_winning(self):
         arena = arena_from_edges("buchi", ("a",), (), [[]], [])
@@ -341,8 +376,8 @@ class TestBuchiSolving:
 
     def test_regions_match_fixpoint_oracle(self):
         rng = random.Random(802)
-        for _ in range(100):
-            solution = object_solution(solve_buchi(random_arena(rng, "buchi")))
+        for k in range(100):
+            solution = object_solution(solve_buchi(random_arena(rng, "buchi", merge=k % 2 == 0)))
             assert solution.ctrl_region == buchi_win_oracle(solution.arena)
             assert solution.ctrl_region | solution.env_region == set(solution.arena.nodes())
             assert not (solution.ctrl_region & solution.env_region)
@@ -351,8 +386,8 @@ class TestBuchiSolving:
 class TestSafetySolving:
     def test_regions_match_fixpoint_oracle(self):
         rng = random.Random(803)
-        for _ in range(100):
-            solution = object_solution(solve_safety(random_arena(rng, "safety")))
+        for k in range(100):
+            solution = object_solution(solve_safety(random_arena(rng, "safety", merge=k % 2 == 0)))
             assert solution.ctrl_region == safety_win_oracle(solution.arena)
             assert solution.ctrl_region | solution.env_region == set(solution.arena.nodes())
             assert not (solution.ctrl_region & solution.env_region)
@@ -493,15 +528,13 @@ class TestStrategySoundness:
 class TestCounterStrategy:
     def _restrict_and_resolve(self, arena, cs, pick) -> bool:
         restricted = copy.deepcopy(arena)
-        env_edges = object_arena(arena).env_edges
         for s in cs.states:
             chosen = cs.candidates.get(s, ())
             if not chosen:
                 continue
-            keep = pick(chosen, key=lambda val: val.sort_key())
-            for edge in env_edges[s]:
-                if edge.valuation != keep:
-                    restricted.present[edge.target] = 0
+            keep = 1 << arena.letters.inputs.index(pick(chosen, key=lambda val: val.sort_key()))
+            for k in range(arena.env_start[s], arena.env_start[s + 1]):
+                restricted.present[k] &= keep
         return solve(restricted).ctrl_wins
 
     def test_any_single_candidate_choice_stays_winning(self):
@@ -548,7 +581,8 @@ class TestCounterStrategy:
     def test_keeping_every_candidate_changes_nothing(self):
         solution = solve_buchi(build_buchi_game(pin_automaton(), ("a",), ("b",)))
         cs = extract_counter_strategy(solution)
-        same = extract_counter_strategy(solution, {0: tuple(solution.candidate_edges(0))})
+        every = tuple(j for j, _ in solution.candidate_edges(0))
+        same = extract_counter_strategy(solution, {0: every})
         assert same == cs
 
     def test_kept_edges_trim_unreachable_states(self):
@@ -574,6 +608,7 @@ class TestCounterStrategy:
         )
         solution = solve(arena)
         assert extract_counter_strategy(solution).states == (0, 1, 2)
+        # ``keep`` names input letters: letter 1 is a=1
         kept = extract_counter_strategy(solution, {0: (1,)})
         assert kept.states == (0, 2)
         assert kept.candidates == {0: (a1,), 2: (a1,)}

@@ -61,6 +61,7 @@ from generators import (
 )
 from oracles import (
     ObjectArena,
+    arena_nodes,
     arena_shape,
     object_arena,
     object_solution,
@@ -97,31 +98,43 @@ def input_bits(valuation: Valuation, inputs: tuple[str, ...]) -> int:
 
 
 def assert_same_arena(arena, reference) -> None:
+    """Equal once expanded to one ctrl node per input letter, with as many
+    positions as the reference has ctrl nodes."""
     assert arena_shape(arena) == reference
+    assert arena.n_positions == len(reference.ctrl_origin)
     for row in object_arena(arena).env_edges:
         for edge in row:
             assert edge.bits == input_bits(edge.valuation, arena.inputs)
 
 
 def library_attractor(arena, owner, base, alive):
-    """``games._attractor`` on ``("env", i)`` / ``("ctrl", k)`` node sets:
-    the attracted set and each member's layer, with each opponent node's
-    live successors counted here as the function expects them."""
-    objects = object_arena(arena)
+    """``games._attractor`` on ``("env", i)`` / ``("ctrl", k)`` node sets of
+    the arena expanded to one ctrl node per input letter: the attracted set
+    and each member's layer, with each opponent node's live successors
+    counted here as the function expects them.  The sets must hold all
+    the expanded nodes of a letter class or none."""
     n_env = arena.n_env
-    nodes = objects.nodes()
-    number = {node: n for n, node in enumerate(nodes)}
-    rank = array("i", [-2]) * len(number)
+    at = dict(zip(object_arena(arena).nodes(), arena_nodes(arena)))
+    rank = array("i", [-2]) * (n_env + arena.n_ctrl)
     for node in alive:
-        rank[number[node]] = -1
-    pending = array("i", [0]) * len(number)
-    for i, row in enumerate(objects.env_edges):
-        pending[i] = sum(1 for e in row if e.present and ("ctrl", e.target) in alive)
-    for k, row in enumerate(objects.ctrl_edges):
-        pending[n_env + k] = len({e.target for e in row if ("env", e.target) in alive})
-    rank = _attractor(arena, owner == "env", [number[n] for n in base], rank, pending)
-    ranked = {node: rank[number[node]] for node in nodes if rank[number[node]] >= 0}
+        rank[at[node]] = -1
+    assert all((rank[n] == -1) == (node in alive) for node, n in at.items())
+    pending = array("i", [0]) * len(rank)
+    start = arena.env_start
+    for i in range(n_env):
+        edges = range(start[i], start[i + 1])
+        pending[i] = sum(1 for k in edges if arena.present[k] and rank[n_env + k] == -1)
+    for k in range(arena.n_ctrl):
+        targets = arena.ctrl_target[arena.ctrl_start[k] : arena.ctrl_start[k + 1]]
+        pending[n_env + k] = len({t for t in targets if rank[t] == -1})
+    rank = _attractor(arena, owner == "env", [at[n] for n in base], rank, pending)
+    ranked = {node: rank[n] for node, n in at.items() if rank[n] >= 0}
     return set(ranked), ranked
+
+
+def class_closed(arena, picked: set[int]) -> set:
+    """The expanded nodes whose arena node is in ``picked``."""
+    return {node for node, n in zip(object_arena(arena).nodes(), arena_nodes(arena)) if n in picked}
 
 
 def assert_same_attractors(arena) -> None:
@@ -220,6 +233,24 @@ def test_bundled_spec_safety_arena_matches_reference(name, bound):
     assert_same_attractors(arena)
 
 
+def test_error_monitor_quotient_sizes_are_pinned():
+    """error_monitor's arenas keep one ctrl node per letter class: (env
+    nodes, ctrl nodes, positions, (env edges, ctrl edges)) on the Büchi
+    route and at safety bounds 1 and 2, where one ctrl node per input
+    letter had as many ctrl nodes and env edges as positions."""
+    formula, inputs, outputs = game_inputs("error_monitor")
+    negated = negate_and_translate(formula, inputs + outputs)
+    successors = SuccessorTable(negated, inputs, outputs)
+    arenas = [build_buchi_game(translate(formula, inputs + outputs), inputs, outputs)]
+    arenas += [build_safety_game(negated, b, inputs, outputs, successors) for b in (1, 2)]
+    sizes = [(a.n_env, a.n_ctrl, a.n_positions, a.edge_count()) for a in arenas]
+    assert sizes == [
+        (39, 226, 1248, (226, 2127)),
+        (151, 926, 4800, (926, 3704)),
+        (519, 2675, 16576, (2675, 10700)),
+    ]
+
+
 def test_random_formulas_give_the_reference_automata_and_arenas():
     rng = random.Random(3301)
     atoms = ["a", "b", "c", "d"]
@@ -313,14 +344,19 @@ def test_random_formula_arenas_from_one_successor_table_match_reference():
 
 
 def test_attractor_matches_reference_on_random_arenas():
+    """On arenas with and without letter classes, with node sets that hold
+    all the letters of a class or none."""
     rng = random.Random(3302)
     for k in range(400):
-        arena = random_arena(rng, "buchi" if k % 2 else "safety")
+        arena = random_arena(rng, "buchi" if k % 2 else "safety", merge=k % 4 < 2)
         twin = object_arena(arena)
         nodes = twin.nodes()
+        numbers = range(arena.n_env + arena.n_ctrl)
         for owner in ("env", "ctrl"):
-            base = {n for n in nodes if rng.random() < 0.25}
-            alive = set(nodes) if k % 3 else {n for n in nodes if rng.random() < 0.8}
+            base = class_closed(arena, {n for n in numbers if rng.random() < 0.25})
+            alive = set(nodes)
+            if k % 3 == 0:
+                alive = class_closed(arena, {n for n in numbers if rng.random() < 0.8})
             expected = reference_attractor(twin, owner, base, alive)
             assert library_attractor(arena, owner, base, alive) == expected
             assert reference_linear_attractor(twin, owner, base, alive) == expected
@@ -330,7 +366,7 @@ def test_edge_marking_matches_reference_on_random_arenas():
     rng = random.Random(3303)
     marked = 0
     for k in range(300):
-        arena = random_arena(rng, "buchi" if k % 2 else "safety")
+        arena = random_arena(rng, "buchi" if k % 2 else "safety", merge=k % 4 < 2)
         twin = object_arena(arena)
         masked = object_arena(arena)
         for _ in range(3):
@@ -405,14 +441,14 @@ def assert_same_extraction(rng: random.Random, solution, reference) -> int:
     for _ in range(2):
         atoms = tuple(rng.sample(inputs, rng.randint(0, len(inputs))))
         assert_same_selection(solution, expected, random_cache(rng, cs, atoms), atoms)
-    # a random restriction, edges kept or dropped whatever the selection says
+    # a random restriction, letters kept or dropped whatever the selection says
     keep = {
-        s: tuple(k for k in solution.candidate_edges(s) if rng.random() < 0.6)
+        s: tuple(j for j, _ in solution.candidate_edges(s) if rng.random() < 0.6)
         for s in cs.states
         if s not in cs.spoiled
     }
-    letters, env_letter = solution.arena.letters, solution.arena.env_letter
-    inputs_of = {s: tuple(letters.inputs[env_letter[k]] for k in keep[s]) for s in keep}
+    letters = solution.arena.letters
+    inputs_of = {s: tuple(letters.inputs[j] for j in keep[s]) for s in keep}
     assert_same_machine(
         extract_counter_strategy(solution, keep),
         reference_restrict_counter_strategy(expected, inputs_of),
@@ -424,13 +460,15 @@ def assert_same_extraction(rng: random.Random, solution, reference) -> int:
 def test_solving_and_extraction_match_reference_through_marking(objective):
     """Solve, extract and select on 300 random arenas with missing and absent
     env edges, then mark edges absent and do it again, twice: the library
-    re-solves on its standing predecessor index."""
+    re-solves on its standing predecessor index.  Half the arenas have
+    letter classes, which the reference sees expanded to one ctrl node per
+    letter."""
     rng = random.Random(3306 if objective == "safety" else 3307)
     selections = marked = 0
     for k in range(300):
         # half the arenas list their atoms against name order, where the
         # letter order and the tie-breaking order differ
-        arena = random_arena(rng, objective, reverse_atoms=k % 2 == 1)
+        arena = random_arena(rng, objective, reverse_atoms=k % 2 == 1, merge=k % 4 < 2)
         twin = object_arena(arena)
         for _ in range(3):
             solution = solve(arena)
