@@ -10,16 +10,22 @@ holding everywhere on a box).
 Conversion is dense and per dimension.  Once per search (or ``bounds``
 call) a polynomial's power coefficients are laid out as a flat row-major
 tensor at its degree vector N, entry a_I at offset sum_d I_d * stride_d,
-with any zero-width dimension already fixed at its endpoint.  On a subbox
+with any zero-width dimension already fixed at its endpoint.  On a box
 [lo, lo + w] each dimension d then takes one (N_d+1) x (N_d+1) rational
 matrix along every fiber of the tensor.  The matrix folds the substitution
 x_d = lo_d + w_d t_d into the change to the Bernstein basis of degree N_d
-(Garloff 1986; Ray & Nataraj 2009).  Matrices are memoised by
-``(N_d, lo_d, hi_d)``.  A dimension of width zero gets rows that all read
-the polynomial at lo_d, so the tensor is constant along it.  A corner
-coefficient (every J_d at 0 or N_d) is the polynomial's value at the
-matching box vertex, so the search reads its vertex samples from the
+(Garloff 1986; Ray & Nataraj 2009).  A dimension of width zero gets rows
+that all read the polynomial at lo_d, so the tensor is constant along it.
+A corner coefficient (every J_d at 0 or N_d) is the polynomial's value at
+the matching box vertex, so the search reads its vertex samples from the
 corner entries; only the centre is evaluated directly.
+
+The search converts only the root box that way.  Every subbox's tensor
+comes from its parent's by one de Casteljau pass at t = 1/2 along the
+dimension the parent was split on (Garloff 1986; Muñoz & Narkawicz, JAR
+2013), and that pass yields both halves.  Bernstein coefficients of a
+fixed degree on a box are unique, so the halves equal direct conversion
+exactly; ``bounds`` still converts every subbox directly.
 
 Bisection always splits the widest dimension, lowest index first on ties,
 and subboxes are explored depth-first lower-half first, so verdicts and
@@ -28,12 +34,15 @@ then its vertices in ``Box.vertices`` order.
 
 An ``EnclosureMemo`` holds that work for one box: the layouts and corner
 offsets of the polynomials searched on it, keyed by content (arity and
-sorted terms, never object identity), the matrices, and each (polynomial,
-subbox) enclosure ``(min, max)`` with its corner values.  Bisection visits
-the same subboxes in every search on the box, so a memo passed to
-successive ``check_feasibility`` calls computes each polynomial's tensor on
-a subbox at most once.  The refinement loop keeps one memo per side box for
-a whole run (in its ``CheckedCache``); every other call gets a fresh memo.
+sorted terms, never object identity), each (polynomial, subbox) enclosure
+``(min, max)`` with its corner values, and the tensors of the search
+frontier.  A node's tensor is kept until its children's have been
+computed, so any later search on the box can subdivide where an earlier
+one stopped.  Bisection visits the same subboxes in every search on the
+box, so a memo passed to successive ``check_feasibility`` calls computes
+each polynomial's tensor on a subbox at most once.  The refinement loop
+keeps one memo per side box for a whole run (in its ``CheckedCache``);
+every other call gets a fresh memo.
 """
 
 from __future__ import annotations
@@ -349,10 +358,8 @@ def to_unit_box(poly: Polynomial, box: Box) -> Polynomial:
 
 
 _ZERO = Fraction(0)
+_HALF = Fraction(1, 2)
 _UNIT_INTERVAL = (Fraction(0), Fraction(1))
-
-# (N_d, lo_d, hi_d) -> rows of the shift-and-convert matrix, kept per call
-Matrices = dict[tuple[int, Fraction, Fraction], tuple[tuple[Fraction, ...], ...]]
 
 
 def _strides(degree: Exponents) -> tuple[int, ...]:
@@ -421,14 +428,15 @@ def _bernstein_tensor(
     power: list[Fraction],
     degree: Exponents,
     intervals: tuple[tuple[Fraction, Fraction], ...],
-    matrices: Matrices,
 ) -> list[Fraction]:
     """Bernstein coefficients over ``intervals`` of the polynomial whose
     power tensor at ``degree`` is ``power``, in the same flat layout.
 
     Dimension by dimension, every fiber (the N_d + 1 entries that differ
-    only in J_d) is multiplied by that dimension's shift-and-convert matrix.
+    only in J_d) is multiplied by that dimension's shift-and-convert matrix;
+    dimensions with the same ``(N_d, lo_d, hi_d)`` share one matrix.
     """
+    matrices = {}
     flat = power
     size = len(flat)
     block = size  # entries spanned by one step of the previous dimension
@@ -460,6 +468,37 @@ def _bernstein_tensor(
     return flat
 
 
+def _subdivide(
+    tensor: list[Fraction], degree: Exponents, dim: int
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Bernstein tensors on the lower and upper halves of the box, split at
+    the midpoint of dimension ``dim``, from the tensor on the whole box.
+
+    Along every fiber of ``dim``, de Casteljau's algorithm at t = 1/2
+    averages neighbours N_d times; the first entry of each round is the
+    lower half's coefficient, the last the upper half's.  Along a dimension
+    of degree 0 both halves are the tensor itself.
+    """
+    n = degree[dim]
+    if not n:
+        return tensor, tensor
+    stride = _strides(degree)[dim]
+    block = stride * (n + 1)
+    size = len(tensor)
+    lower = [_ZERO] * size
+    upper = [_ZERO] * size
+    for start in range(0, size, block):
+        for base in range(start, start + stride):
+            row = tensor[base : base + block : stride]
+            lower[base] = row[0]
+            upper[base + n * stride] = row[n]
+            for k in range(1, n + 1):
+                row = [(a + b) * _HALF for a, b in zip(row, row[1:])]
+                lower[base + k * stride] = row[0]
+                upper[base + (n - k) * stride] = row[-1]
+    return lower, upper
+
+
 def _corner_offsets(degree: Exponents) -> tuple[int, ...]:
     """Flat offset of the corner coefficient of each ``Box.vertex(mask)``."""
     arity = len(degree)
@@ -489,9 +528,7 @@ def bernstein_coefficients(poly: Polynomial, degree: Exponents | None = None) ->
         if len(degree) != poly.arity or any(d < n for d, n in zip(degree, natural)):
             msg = f"requested degree {degree} below natural degree {natural}"
             raise PolynomialError(msg)
-    flat = _bernstein_tensor(
-        _power_tensor(poly, degree), degree, (_UNIT_INTERVAL,) * poly.arity, {}
-    )
+    flat = _bernstein_tensor(_power_tensor(poly, degree), degree, (_UNIT_INTERVAL,) * poly.arity)
     indices = product(*(range(n + 1) for n in degree))
     return BernsteinTensor(degree, dict(zip(indices, flat)))
 
@@ -508,7 +545,7 @@ def bounds(poly: Polynomial, box: Box, depth: int = 0) -> tuple[Fraction, Fracti
     if poly.arity != box.arity:
         raise PolynomialError("polynomial and box arity differ")
     degree, power = _power_layout(poly, box)
-    tensor = _bernstein_tensor(power, degree, box.intervals, {})
+    tensor = _bernstein_tensor(power, degree, box.intervals)
     lo, hi = min(tensor), max(tensor)
     if depth == 0 or box.is_point() or lo == hi:
         return lo, hi
@@ -554,9 +591,13 @@ ValidityVerdict = Union[Valid, Invalid, Unknown]
 
 @dataclass
 class SearchStats:
-    """Mutable tally of the branch-and-prune search effort."""
+    """Mutable tally of the branch-and-prune search effort: subboxes
+    explored, and (polynomial, subbox) Bernstein tensors computed, by
+    conversion at the root or as a half of a subdivision.  A memo's
+    enclosures cost no tensor."""
 
     explored: int = 0
+    tensors: int = 0
 
 DEFAULT_DEPTH = 24
 
@@ -574,31 +615,50 @@ def _refuted_on(c: PolyConstraint, lo: Fraction, hi: Fraction) -> bool:
 
 @dataclass
 class _PolyOnBox:
-    """A polynomial's layout on a memo's box and its enclosures so far."""
+    """A polynomial's layout on a memo's box, its enclosures so far and the
+    tensors on the frontier of its subdivision."""
 
     degree: Exponents
     power: list[Fraction]
     corners: tuple[int, ...]
     # subbox node -> (min, max, corner values) of the tensor there
     enclosures: dict[int, tuple[Fraction, Fraction, list[Fraction]]]
+    # subbox node -> tensor, until the node's children's are computed
+    tensors: dict[int, list[Fraction]]
+
+    def tensor(self, node: int, split: int, box: Box, stats: SearchStats | None) -> list[Fraction]:
+        """The tensor on ``node``: the root's by conversion over ``box``,
+        any other node's by subdividing its parent's along ``split``."""
+        tensor = self.tensors.get(node)
+        if tensor is not None:
+            return tensor
+        if node == 1:
+            tensor = self.tensors[1] = _bernstein_tensor(self.power, self.degree, box.intervals)
+        else:
+            lower, upper = _subdivide(self.tensors.pop(node // 2), self.degree, split)
+            self.tensors[node & ~1] = lower
+            self.tensors[node | 1] = upper
+            tensor = upper if node & 1 else lower
+        if stats is not None:
+            stats.tensors += 1 if node == 1 else 2
+        return tensor
 
 
 class EnclosureMemo:
     """Exact work the searches on one box share.
 
     Holds each polynomial's power layout and corner offsets, keyed by its
-    content; the shift-and-convert matrices by ``(N_d, lo_d, hi_d)``; and
-    per (polynomial, subbox) the enclosure ``(min, max)`` with the corner
-    values.  A subbox is named by its node in the bisection tree of ``box``
-    (the root is 1, the lower and upper halves of node n are 2n and 2n + 1),
-    which the deterministic split makes a name for one subbox.  Refutation
-    applies each constraint's own relation to the stored enclosure, so one
-    entry serves a predicate and its negation.
+    content; per (polynomial, subbox) the enclosure ``(min, max)`` with the
+    corner values; and the tensor of each subbox whose children's tensors
+    are not computed yet.  A subbox is named by its node in the bisection
+    tree of ``box`` (the root is 1, the lower and upper halves of node n are
+    2n and 2n + 1), which the deterministic split makes a name for one
+    subbox.  Refutation applies each constraint's own relation to the
+    stored enclosure, so one entry serves a predicate and its negation.
     """
 
     def __init__(self, box: Box) -> None:
         self.box = box
-        self.matrices: Matrices = {}
         # keyed by (arity, sorted terms): a polynomial's identity by content
         self.polys: dict[tuple, _PolyOnBox] = {}
 
@@ -607,7 +667,7 @@ class EnclosureMemo:
         entry = self.polys.get(key)
         if entry is None:
             degree, power = _power_layout(poly, self.box)
-            entry = _PolyOnBox(degree, power, _corner_offsets(degree), {})
+            entry = _PolyOnBox(degree, power, _corner_offsets(degree), {}, {})
             self.polys[key] = entry
         return entry
 
@@ -635,16 +695,17 @@ def _search(
         raise PolynomialError("enclosure memo belongs to another box")
     polys = [memo.on_box(c.poly) for c in constraints]
     ran_out = False
-    stack: list[tuple[Box, int, int]] = [(box, 0, 1)]
+    # (subbox, level, node, dimension its parent was split on)
+    stack: list[tuple[Box, int, int, int]] = [(box, 0, 1, -1)]
     while stack:
-        sub, level, node = stack.pop()
+        sub, level, node, split = stack.pop()
         if stats is not None:
             stats.explored += 1
         corners = []
         for c, p in zip(constraints, polys):
             enclosure = p.enclosures.get(node)
             if enclosure is None:
-                tensor = _bernstein_tensor(p.power, p.degree, sub.intervals, memo.matrices)
+                tensor = p.tensor(node, split, memo.box, stats)
                 enclosure = (min(tensor), max(tensor), [tensor[o] for o in p.corners])
                 p.enclosures[node] = enclosure
             if _refuted_on(c, enclosure[0], enclosure[1]):
@@ -664,9 +725,10 @@ def _search(
         if level >= depth or sub.is_point():
             ran_out = True
             continue
-        lower, upper = sub.split(sub.widest_dimension())
-        stack.append((upper, level + 1, 2 * node + 1))
-        stack.append((lower, level + 1, 2 * node))
+        dim = sub.widest_dimension()
+        lower, upper = sub.split(dim)
+        stack.append((upper, level + 1, 2 * node + 1, dim))
+        stack.append((lower, level + 1, 2 * node, dim))
     if ran_out:
         return Unknown("depth exhausted")
     return Infeasible()

@@ -11,6 +11,7 @@ from numltl.bernstein import (
     BernsteinTensor,
     Box,
     ConstraintImplication,
+    EnclosureMemo,
     Feasible,
     Infeasible,
     Invalid,
@@ -268,15 +269,18 @@ class TestSearchStats:
         check_validity(PolyConstraint(square, ">="), box, depth=1, stats=stats)
         # the root is undecided (enclosure touches 0), both halves are proven
         assert stats.explored == 3
+        # the root's tensor by conversion, the halves' by one subdivision
+        assert stats.tensors == 3
 
     def test_stats_are_additive_across_calls(self):
         stats = SearchStats()
         c = PolyConstraint(_poly(1, {(1,): 1}), ">=")
         check_feasibility([c], UNIT, stats=stats)
-        first = stats.explored
-        assert first >= 1
+        first, tensors = stats.explored, stats.tensors
+        assert first >= 1 and tensors >= 1
         check_feasibility([c], UNIT, stats=stats)
         assert stats.explored == 2 * first
+        assert stats.tensors == 2 * tensors
 
     def test_implication_validity_effort_is_pinned(self):
         """Validity of P -> C runs the search on [P, not C]; these counts and
@@ -286,12 +290,29 @@ class TestSearchStats:
         formula = ConstraintImplication(premise, _ge(SUMSQ_2, Fraction(7, 2)))
         assert check_validity(formula, TWO_VARS, stats=stats) == Valid()
         assert stats.explored == 23
+        # each of the two polynomials: 1 conversion and 11 subdivisions
+        assert stats.tensors == 46
 
         stats = SearchStats()
         formula = ConstraintImplication(premise, _ge(SUMSQ_2, 5))
         verdict = check_validity(formula, TWO_VARS, stats=stats)
         assert verdict == Invalid((Fraction(2051, 2048), Fraction(2047, 1024)))
         assert stats.explored == 38
+        assert stats.tensors == 98
+
+    def test_enclosures_from_a_memo_cost_no_tensor(self):
+        box = Box.of((0, 4), (0, 4))
+        # (x - 1)^2 + (y - 1)^2 < 1/50: first met at the centre of [0, 2]^2
+        near = PolyConstraint(
+            SUMSQ_2 - SUM_2.scale(2) + _poly(2, {(0, 0): Fraction(99, 50)}), "<"
+        )
+        memo = EnclosureMemo(box)
+        first, again = SearchStats(), SearchStats()
+        assert check_feasibility([near], box, stats=first, memo=memo) == check_feasibility(
+            [near], box, stats=again, memo=memo
+        )
+        assert again.explored == first.explored > 1
+        assert again.tensors == 0 < first.tensors
 
     def test_default_runs_keep_no_tally(self):
         c = PolyConstraint(_poly(1, {(1,): 1}), ">=")

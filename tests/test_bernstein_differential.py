@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -21,10 +22,14 @@ from numltl.bernstein import (
     PolyConstraint,
     Polynomial,
     SearchStats,
+    _bernstein_tensor,
+    _power_layout,
+    _subdivide,
     bernstein_coefficients,
     bounds,
     check_feasibility,
     check_validity,
+    to_unit_box,
 )
 
 from generators import random_point_in_box, random_polynomial
@@ -244,3 +249,71 @@ def test_zero_width_dimension_lowers_the_degree_like_the_reference():
     verdict = check_validity(formula, FIXED_Y, 6, stats)
     assert verdict == reference_check_validity(formula, FIXED_Y, 6, ref_stats)
     assert stats.explored == ref_stats.explored
+
+
+def _reference_tensor(poly: Polynomial, box: Box, degree) -> list[Fraction]:
+    """The reference coefficients of ``poly`` mapped onto ``box``, at
+    ``degree``, in the engine's flat row-major order."""
+    coefficients = reference_bernstein_coefficients(to_unit_box(poly, box), degree).coefficients
+    return [coefficients[index] for index in product(*(range(n + 1) for n in degree))]
+
+
+def test_subdivision_matches_conversion_on_each_half():
+    """De Casteljau halves along every dimension, and at the end of a chain
+    of splits, equal direct conversion and the reference coefficients on
+    each half exactly, zero-width and degree-0 dimensions included."""
+    rng = random.Random(4106)
+    zero_width = flat_in_dim = 0
+    for _ in range(150):
+        arity = rng.randint(1, 3)
+        box = _box(rng, arity)
+        p = random_polynomial(rng, arity, max_degree=3, max_terms=5)
+        if rng.random() < 0.3:
+            # fix one variable at 1: the polynomial is flat along it
+            flat = rng.randrange(arity)
+            scales = [int(d != flat) for d in range(arity)]
+            p = p.affine_substitute([1 - scale for scale in scales], scales)
+        degree, power = _power_layout(p, box)
+        tensor = _bernstein_tensor(power, degree, box.intervals)
+        for dim in range(arity):
+            for half, got in zip(box.split(dim), _subdivide(tensor, degree, dim)):
+                assert got == _bernstein_tensor(power, degree, half.intervals)
+                assert got == _reference_tensor(p, half, degree)
+            zero_width += box.intervals[dim][0] == box.intervals[dim][1]
+            flat_in_dim += degree[dim] == 0 and box.intervals[dim][0] < box.intervals[dim][1]
+        for _ in range(4):
+            dim = rng.randrange(arity)
+            pick = rng.randrange(2)
+            box = box.split(dim)[pick]
+            tensor = _subdivide(tensor, degree, dim)[pick]
+        assert tensor == _reference_tensor(p, box, degree)
+    assert zero_width >= 30 and flat_in_dim >= 30
+
+
+def _subbox(box: Box, node: int) -> Box:
+    """The subbox named ``node`` in the bisection tree of ``box``."""
+    for bit in bin(node)[3:]:
+        box = box.split(box.widest_dimension())[int(bit)]
+    return box
+
+
+def test_a_memo_keeps_tensors_only_on_the_frontier():
+    """After a sequence of checks on one memo, a subbox whose children's
+    tensors were computed holds no tensor, and each tensor still held is
+    the direct conversion on its subbox."""
+    held = freed = 0
+    for rng, box, depth in _cases(4107, 40):
+        pool = [_constraint(rng, box) for _ in range(rng.randint(2, 4))]
+        memo = EnclosureMemo(box)
+        for _ in range(6):
+            chosen = rng.sample(pool, rng.randint(1, len(pool)))
+            constraints = [c.negated() if rng.random() < 0.5 else c for c in chosen]
+            check_feasibility(constraints, box, depth, memo=memo)
+        for p in memo.polys.values():
+            computed = p.tensors.keys() | p.enclosures.keys()
+            for node, tensor in p.tensors.items():
+                assert 2 * node not in computed and 2 * node + 1 not in computed
+                assert tensor == _bernstein_tensor(p.power, p.degree, _subbox(box, node).intervals)
+            held += len(p.tensors)
+            freed += len(computed - p.tensors.keys())
+    assert held >= 300 and freed >= 200

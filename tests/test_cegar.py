@@ -898,19 +898,47 @@ class TestSharedEnclosures:
         assert sum(count_theory_checks("\n".join(lines)) for lines in shared) >= 60
 
     def test_each_tensor_is_computed_once_per_run(self, monkeypatch):
-        computed = []
-        original = bernstein_module._bernstein_tensor
+        """The root's tensor is converted and every other one is a half of
+        its parent's subdivision.  Every (polynomial, subbox) tensor a run
+        computes either gave that subbox's enclosure or still waits in the
+        memo's frontier, so counting them by subbox bounds the work: each
+        is computed at most once."""
+        converted, subdivisions, memos = [], [], {}
+        convert = bernstein_module._bernstein_tensor
+        subdivide = bernstein_module._subdivide
 
-        def counting(power, degree, intervals, matrices):
-            computed.append((tuple(power), degree, intervals))
-            return original(power, degree, intervals, matrices)
+        def converting(power, degree, intervals):
+            converted.append(intervals)
+            return convert(power, degree, intervals)
 
-        monkeypatch.setattr(bernstein_module, "_bernstein_tensor", counting)
+        def subdividing(tensor, degree, dim):
+            subdivisions.append(dim)
+            return subdivide(tensor, degree, dim)
+
+        stats = SearchStats()
+        original = cegar_module.check_feasibility
+
+        def counting(constraints, box, depth, _=None, *, memo=None):
+            memos[box] = memo
+            return original(constraints, box, depth, stats, memo=memo)
+
+        monkeypatch.setattr(bernstein_module, "_bernstein_tensor", converting)
+        monkeypatch.setattr(bernstein_module, "_subdivide", subdividing)
+        monkeypatch.setattr(cegar_module, "check_feasibility", counting)
         t = Transcript()
         synthesize(parse_spec(ARBITER4_DISJOINT), CegarConfig(), t)
         assert count_theory_checks(t) == 11
-        # a search per check would compute 447
-        assert len(computed) == len(set(computed)) == 188
+        # one conversion per predicate polynomial, all on the input box
+        (box,) = memos
+        assert converted == [box.intervals] * 4
+        assert stats.tensors == len(converted) + 2 * len(subdivisions)
+        by_subbox = sum(
+            len(p.enclosures.keys() | p.tensors.keys()) for p in memos[box].polys.values()
+        )
+        # 114 subdivisions, each making both halves even where the search
+        # reads only one
+        assert len(subdivisions) == 114
+        assert stats.tensors == by_subbox == 232
 
     def test_memos_are_freed_when_the_run_returns(self, monkeypatch):
         memos = []
