@@ -209,13 +209,15 @@ def reencode_outputs(
     if not (collected or forbidden) or not outputs:
         return spec, EMPTY_MULTIPLEXER
 
-    feasible = []
-    for w in all_valuations(outputs):
-        trace = [w.as_dict()]  # one step, shared by every collected invariant
-        if all(sl.evaluate(body, trace) for body in collected) and all(
-            w.restrict(r.atoms) != r for r in forbidden
-        ):
-            feasible.append(w)
+    # the collected invariants are propositional: every output valuation is
+    # judged at once, as one position of a word
+    candidates = list(all_valuations(outputs))
+    invariant = sl.truth(sl.fold(sl.And, collected), [w.as_dict() for w in candidates], 0)
+    feasible = [
+        w
+        for w, allowed in zip(candidates, invariant)
+        if allowed and all(w.restrict(r.atoms) != r for r in forbidden)
+    ]
     if not feasible:
         msg = "output constraints are unsatisfiable; no output valuation exists"
         raise AbstractionError(msg)

@@ -16,9 +16,10 @@ that postpone the same obligations have the same successors, as do the
 degeneralized states over one row counting from one level, so each distinct
 row is built, sorted and hashed once.
 
-Also here: direct evaluation of a formula on an ultimately periodic word and
-automaton acceptance of such a word.  These give two independent routes to
-the same answer, which the test suite exploits.
+Also here: automaton acceptance of an ultimately periodic word, and the
+formula's own truth on it (``speclang.truth``, the evaluator the guarantee
+monitor uses).  These give two independent routes to the same answer,
+which the test suite exploits.
 """
 
 from __future__ import annotations
@@ -37,20 +38,14 @@ from .speclang import (
     Next,
     Not,
     Or,
+    Release,
     TrueFormula,
     Until,
     atoms_of,
+    truth,
     walk,
 )
 from .valuation import Valuation
-
-
-@dataclass(frozen=True)
-class Release(Formula):
-    """Dual of Until; produced by normalization, never by the parser."""
-
-    left: Formula
-    right: Formula
 
 
 # the operator negation turns each into: ``!(a && b)`` is ``!a || !b``,
@@ -459,72 +454,8 @@ def _word_positions(prefix, loop) -> tuple[list[dict[str, bool]], int]:
 
 
 def evaluate_ltl_on_lasso(formula: Formula, prefix, loop) -> bool:
-    """Truth of ``formula`` on the word prefix · loop^ω, by fixpoint."""
-    word, loop_start = _word_positions(prefix, loop)
-    total = len(word)
-
-    def succ(i: int) -> int:
-        return i + 1 if i + 1 < total else loop_start
-
-    memo: dict[Formula, list[bool]] = {}
-
-    def values(f: Formula) -> list[bool]:
-        if f in memo:
-            return memo[f]
-        if isinstance(f, Atom):
-            out = [word[i][f.name] for i in range(total)]
-        elif isinstance(f, TrueFormula):
-            out = [True] * total
-        elif isinstance(f, FalseFormula):
-            out = [False] * total
-        elif isinstance(f, Not):
-            out = [not v for v in values(f.operand)]
-        elif isinstance(f, And):
-            out = [a and b for a, b in zip(values(f.left), values(f.right))]
-        elif isinstance(f, Or):
-            out = [a or b for a, b in zip(values(f.left), values(f.right))]
-        elif isinstance(f, Implies):
-            out = [(not a) or b for a, b in zip(values(f.left), values(f.right))]
-        elif isinstance(f, Next):
-            sub = values(f.operand)
-            out = [sub[succ(i)] for i in range(total)]
-        elif isinstance(f, (Until, Eventually)):
-            # least fixpoint: start everywhere false and grow
-            if isinstance(f, Until):
-                hold, goal = values(f.left), values(f.right)
-            else:
-                hold, goal = [True] * total, values(f.operand)
-            out = [False] * total
-            changed = True
-            while changed:
-                changed = False
-                for i in range(total - 1, -1, -1):
-                    new = goal[i] or (hold[i] and out[succ(i)])
-                    if new != out[i]:
-                        out[i] = new
-                        changed = True
-        elif isinstance(f, (Release, Always)):
-            # greatest fixpoint: start everywhere true and shrink
-            if isinstance(f, Release):
-                hold, goal = values(f.left), values(f.right)
-            else:
-                hold, goal = [False] * total, values(f.operand)
-            out = [True] * total
-            changed = True
-            while changed:
-                changed = False
-                for i in range(total - 1, -1, -1):
-                    new = goal[i] and (hold[i] or out[succ(i)])
-                    if new != out[i]:
-                        out[i] = new
-                        changed = True
-        else:
-            msg = f"unknown formula node {f!r}"
-            raise TypeError(msg)
-        memo[f] = out
-        return out
-
-    return values(formula)[0]
+    """Truth of ``formula`` on the word prefix · loop^ω."""
+    return truth(formula, *_word_positions(prefix, loop))[0]
 
 
 def accepts_lasso(automaton: BuchiAutomaton, prefix, loop) -> bool:

@@ -214,7 +214,7 @@ def _parse_int(text: str, where: str) -> int:
         raise ControllerFileError(f"{where}: expected an integer, found {text!r}") from None
 
 
-def _parse_state(text: str, where: str, states: range | frozenset[int]) -> int:
+def _parse_state(text: str, where: str, states: range | set[int]) -> int:
     state = _parse_int(text, where)
     if state not in states:
         raise ControllerFileError(f"{where}: {state} is not a state of the machine")
@@ -269,6 +269,8 @@ def _check_steps_cover_inputs(machine: MealyController, refinements: list) -> No
         for vin in all_valuations(machine.inputs)
         if not any(vin.restrict(cube.atoms) == cube for cube in cubes)
     ]
+    if not required:
+        return  # nothing to cover, and STATES may name more states than can be walked
     for state in range(machine.n_states):
         for vin in required:
             if (state, vin) not in machine.step:
@@ -280,8 +282,9 @@ def parse_controller_file(text: str) -> ControllerPackage:
     """Read an artifact, checking that every atom list and valuation in it
     speaks the embedded spec's atoms, that every state it names is one of
     the machine's, that the bound is positive, that no STEP line repeats
-    another's state and input (and output, in a counter-strategy) and no
-    CANDIDATES line another's state, that a controller has a STEP line for
+    another's state and input (and output, in a counter-strategy), no
+    CANDIDATES line another's state and no state is listed twice on a
+    counter-strategy's STATES line, that a controller has a STEP line for
     every state and every input no input refinement excludes, and that
     every emitted code-word decodes."""
     reader = _Reader(text)
@@ -329,7 +332,11 @@ def parse_controller_file(text: str) -> ControllerPackage:
         counter = None
     else:
         states = tuple(_parse_int(s, "STATES") for s in _parse_names(reader.take("STATES")))
-        valid = frozenset(states)
+        valid = set()
+        for state in states:
+            if state in valid:
+                raise ControllerFileError(f"STATES: state {state} is listed twice")
+            valid.add(state)
         initial = _parse_state(reader.take("INITIAL"), "INITIAL", valid)
         candidates = {}
         candidate = Memo(lambda text: _parse_val(text, "CANDIDATES", inputs))

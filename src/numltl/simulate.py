@@ -25,9 +25,9 @@ arithmetic and dict lookups, and everything that depends on a letter alone
 happens once per distinct letter: a step's input is keyed by its Boolean
 draws and predicate signs, and its ``Valuation`` is built the first time
 the key appears; each emitted code-word is decoded once, and each (input,
-output) pair merged once.  The monitor numbers the distinct joined
-valuations and evaluates a formula once per distinct window of word
-numbers, and the rendering formats each distinct valuation once.
+output) pair merged once.  The monitor judges each guarantee's formulas on
+the whole trace at once (``speclang.truth``, one visit per subformula),
+and the rendering formats each distinct valuation once.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterator
 
 from . import speclang as sl
 from .bernstein import satisfies
@@ -106,55 +105,37 @@ class MonitorReport:
     unmonitored: tuple[str, ...]
 
 
-def _windows(
-    f: sl.Formula, depth: int, numbers: list[int], words: list[dict[str, bool]]
-) -> Iterator[bool]:
-    """``f`` at each step ``t`` of the trace of word ``numbers`` that has
-    ``depth`` steps after it, evaluated once per distinct window
-    ``numbers[t : t + depth + 1]``."""
-    memo = Memo(lambda window: sl.evaluate(f, [words[n] for n in window]))
-    return map(memo.__getitem__, zip(*(numbers[i:] for i in range(depth + 1))))
-
-
-def _monitor_one(
-    g: sl.Formula, numbers: list[int], words: list[dict[str, bool]]
-) -> tuple[int | None, int | None]:
-    """Judge one guarantee on the trace of word ``numbers``; returns (first
-    violating step or None, pending obligation count or None when the shape
-    is not monitorable).  Each shape takes one pass over the trace; the
-    response shapes run backward, so the step that settles a trigger is
-    known when the trigger is reached."""
-    horizon = len(numbers)
+def _monitor_one(g: sl.Formula, trace: list[dict[str, bool]]) -> tuple[int | None, int | None]:
+    """Judge one guarantee on ``trace``; returns (first violating step or
+    None, pending obligation count or None when the shape is not
+    monitorable).  Formulas are judged on the whole trace at once, its last
+    step repeating, which no complete NEXT window reads: an open response
+    trigger, or a step after the last answer of ``ALWAYS EVENTUALLY``, is a
+    step where the guarantee's body is false."""
+    horizon = len(trace)
 
     def at(f: sl.Formula) -> list[bool]:
-        return list(_windows(f, 0, numbers, words))
+        return sl.truth(f, trace, horizon - 1)
 
     if isinstance(g, sl.Always):
         body = g.operand
         depth = sl.next_depth(body)
         if depth is not None:
-            for t, holds in enumerate(_windows(body, depth, numbers, words)):
-                if not holds:
-                    return t, 0
-            return None, 0
+            holds = at(body)
+            return next((t for t in range(horizon - depth) if not holds[t]), None), 0
         if isinstance(body, sl.Implies) and sl.is_propositional(body.left):
             p, rhs = body.left, body.right
             if isinstance(rhs, sl.Eventually) and sl.is_propositional(rhs.operand):
-                # a trigger is open when no step from it on answers it
-                trigger, answer = at(p), at(rhs.operand)
-                pending, answered = 0, False
-                for t in reversed(range(horizon)):
-                    answered = answered or answer[t]
-                    if not answered and trigger[t]:
-                        pending += 1
-                return None, pending
+                return None, at(body).count(False)
             if (
                 isinstance(rhs, sl.Until)
                 and sl.is_propositional(rhs.left)
                 and sl.is_propositional(rhs.right)
             ):
-                # ``stop``: the first step from t on where the right side
-                # holds (the trigger is met) or the left fails (it is broken)
+                # a backward scan, so the step that settles a trigger is
+                # known when the trigger is reached.  ``stop``: the first
+                # step from t on where the right side holds (the trigger is
+                # met) or the left fails (it is broken)
                 trigger, kept, met = at(p), at(rhs.left), at(rhs.right)
                 pending, violated_at, stop, broken = 0, None, None, False
                 for t in reversed(range(horizon)):
@@ -172,30 +153,25 @@ def _monitor_one(
                     return violated_at, 0
                 return None, pending
         if isinstance(body, sl.Eventually) and sl.is_propositional(body.operand):
-            answer = at(body.operand)
-            last = max((t for t in range(horizon) if answer[t]), default=-1)
-            return None, horizon - last - 1
+            return None, at(body).count(False)
     if isinstance(g, sl.Eventually) and sl.is_propositional(g.operand):
         return None, 0 if any(at(g.operand)) else 1
     return None, None
 
 
 def monitor_guarantees(doc: sl.SpecDocument, trace: list[Valuation]) -> MonitorReport:
-    number: dict[Valuation, int] = {}
-    numbers = [number.setdefault(w, len(number)) for w in trace]
-    return _monitor(doc, numbers, [w.as_dict() for w in number])
+    words = Memo(Valuation.as_dict)
+    return _monitor(doc, [words[w] for w in trace])
 
 
-def _monitor(
-    doc: sl.SpecDocument, numbers: list[int], words: list[dict[str, bool]]
-) -> MonitorReport:
-    """The guarantees judged on the trace of word ``numbers``."""
+def _monitor(doc: sl.SpecDocument, trace: list[dict[str, bool]]) -> MonitorReport:
+    """The guarantees judged on ``trace``."""
     violations = []
     pending = []
     unmonitored = []
     for i, g in enumerate(doc.guarantees, start=1):
         gid = f"g{i}"
-        violated_at, open_count = _monitor_one(g, numbers, words)
+        violated_at, open_count = _monitor_one(g, trace)
         if violated_at is not None:
             violations.append((gid, violated_at))
         elif open_count is None:
@@ -282,22 +258,19 @@ def simulate(
 
     # each input letter, decoded code-word and joined word is made once;
     # a step's outcome is found by its Boolean draws, predicate signs and
-    # state before it: (input, output, state after, stuck, word number)
-    words: list[dict[str, bool]] = []
-
+    # state before it: (input, output, state after, stuck, joined word)
     def letter(draws: tuple[int, ...]) -> Valuation:
         assignment = dict(zip(input_atoms, map(bool, draws)))
         assignment.update(forced)
         return Valuation.of(assignment)
 
-    def join(pair: tuple[Valuation, Valuation]) -> int:
-        words.append(pair[0].merge(pair[1]).as_dict())
-        return len(words) - 1
+    def join(pair: tuple[Valuation, Valuation]) -> dict[str, bool]:
+        return pair[0].merge(pair[1]).as_dict()
 
     inputs, merged = Memo(letter), Memo(join)
     decoded = Memo(mux.decode if mux else lambda raw: raw)
 
-    def outcome(key: tuple[int, ...]) -> tuple[Valuation, Valuation, int, bool, int]:
+    def outcome(key: tuple[int, ...]) -> tuple[Valuation, Valuation, int, bool, dict]:
         *draws, before = key
         vin = inputs[tuple(draws)]
         move = m.step.get((before, vin))
@@ -311,7 +284,7 @@ def simulate(
     draw_bit, draw_index = rng.getrandbits, rng.randrange
     booleans, span = range(len(doc.boolean_inputs)), 2**SAMPLE_BITS + 1
     trace_steps = []
-    numbers: list[int] = []
+    words: list[dict[str, bool]] = []
     state = m.initial
     for t in range(steps):
         draws = [draw_bit(1) for _ in booleans]
@@ -323,12 +296,12 @@ def simulate(
         for _, relation, terms in tests:
             draws.append(satisfies(relation, _lattice_value(terms, ks)))
         draws.append(state)
-        vin, vout, after, stuck, number = outcomes[tuple(draws)]
-        numbers.append(number)
+        vin, vout, after, stuck, word = outcomes[tuple(draws)]
+        words.append(word)
         trace_steps.append((t, samples, vin, vout, state, after, stuck))
         state = after
 
-    report = _monitor(doc, numbers, words)
+    report = _monitor(doc, words)
     violated: dict[int, list[str]] = {}
     for gid, step in report.violations:
         violated.setdefault(step, []).append(gid)

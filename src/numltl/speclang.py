@@ -46,9 +46,11 @@ visits every subformula once, operands first, with an explicit stack.  The
 atoms, the NEXT depth (``is_propositional`` is NEXT depth 0) and atom
 substitution are built on ``walk``, the depth on ``operands`` a level at a
 time, and none of them recurses.  ``fold`` joins
-formulas by ``And`` or ``Or``, and ``evaluate`` judges a formula of atoms and
-NEXT at a step of a finite trace; it, the printer, and dataclass hashing,
-equality and ``repr`` still recurse once per level.
+formulas by ``And`` or ``Or``.  ``truth`` is the one evaluator: built on
+``walk``, it judges every subformula once at every position of an
+ultimately periodic word, for the guarantee monitor, the output
+re-encoding and the lasso semantics alike.  The printer, and dataclass
+hashing, equality and ``repr``, still recurse once per level.
 """
 
 from __future__ import annotations
@@ -154,6 +156,14 @@ class Until(Formula):
     right: Formula
 
 
+@dataclass(frozen=True)
+class Release(Formula):
+    """Dual of Until; produced by normalization, never by the parser."""
+
+    left: Formula
+    right: Formula
+
+
 def operands(formula: Formula) -> tuple[Formula, ...]:
     """The operands of a formula node in field order: every field of a node
     but an atom's name holds one."""
@@ -210,27 +220,56 @@ def is_propositional(formula: Formula) -> bool:
     return next_depth(formula) == 0
 
 
-def evaluate(f: Formula, trace: list[dict[str, bool]], t: int = 0) -> bool:
-    """Truth at step ``t`` of the assignments ``trace`` of a formula whose
-    only temporal operator is NEXT, which reads the next step."""
-    if isinstance(f, Atom):
-        return trace[t][f.name]
-    if isinstance(f, TrueFormula):
-        return True
-    if isinstance(f, FalseFormula):
-        return False
-    if isinstance(f, Not):
-        return not evaluate(f.operand, trace, t)
-    if isinstance(f, And):
-        return evaluate(f.left, trace, t) and evaluate(f.right, trace, t)
-    if isinstance(f, Or):
-        return evaluate(f.left, trace, t) or evaluate(f.right, trace, t)
-    if isinstance(f, Implies):
-        return not evaluate(f.left, trace, t) or evaluate(f.right, trace, t)
-    if isinstance(f, Next):
-        return evaluate(f.operand, trace, t + 1)
-    msg = f"not a formula of atoms and NEXT: {f}"
-    raise ValueError(msg)
+def truth(formula: Formula, word: list[dict[str, bool]], loop_start: int) -> list[bool]:
+    """The truth of ``formula`` at every position of the ultimately periodic
+    word ``word[:loop_start]`` followed by ``word[loop_start:]`` forever;
+    ``[]`` for an empty word.  Each subformula is evaluated once, after its
+    operands, without recursion: UNTIL and EVENTUALLY as least fixpoints,
+    RELEASE and ALWAYS as greatest ones."""
+    n = len(word)
+    if not n:
+        return []
+    after = [*range(1, n), loop_start]
+    # two backward sweeps reach a fixpoint: the first settles the loop
+    # start, whose answer never needs the word to wrap, and the second,
+    # reading the settled loop start at the loop's end, every other position
+    backward = range(n - 1, -1, -1)
+    values: dict[int, list[bool]] = {}
+    for f in walk(formula):
+        parts = [values[id(g)] for g in operands(f)]
+        if isinstance(f, Atom):
+            out = [letter[f.name] for letter in word]
+        elif isinstance(f, (TrueFormula, FalseFormula)):
+            out = [isinstance(f, TrueFormula)] * n
+        elif isinstance(f, Not):
+            out = [not a for a in parts[0]]
+        elif isinstance(f, And):
+            out = [a and b for a, b in zip(*parts)]
+        elif isinstance(f, Or):
+            out = [a or b for a, b in zip(*parts)]
+        elif isinstance(f, Implies):
+            out = [not a or b for a, b in zip(*parts)]
+        elif isinstance(f, Next):
+            out = [parts[0][j] for j in after]
+        elif isinstance(f, (Until, Eventually)):
+            # EVENTUALLY q is TRUE UNTIL q
+            hold, goal = parts if len(parts) == 2 else ([True] * n, parts[0])
+            out = [False] * n
+            for _ in range(2):
+                for i in backward:
+                    out[i] = goal[i] or hold[i] and out[after[i]]
+        elif isinstance(f, (Release, Always)):
+            # ALWAYS q is FALSE RELEASE q
+            hold, goal = parts if len(parts) == 2 else ([False] * n, parts[0])
+            out = [True] * n
+            for _ in range(2):
+                for i in backward:
+                    out[i] = goal[i] and (hold[i] or out[after[i]])
+        else:
+            msg = f"unknown formula node {f!r}"
+            raise TypeError(msg)
+        values[id(f)] = out
+    return values[id(formula)]
 
 
 def substitute_atoms(formula: Formula, mapping: dict[str, Formula]) -> Formula:

@@ -16,13 +16,14 @@ per-dimension conversion replaced, the specification front end keeps
 the character-by-character lexer and the name-keyed polynomial parser that
 the token-pattern lexer and the ``Polynomial``-built parser replaced, and
 the formula layer keeps its per-operator walks, printer and negation normal
-form that the field-reading walks and the syntax and dual tables replaced, and
-the refinement loop keeps its two refinement paths, one per winner, that one
-round for both replaced.  The
-tests read the library's arenas and solutions only through the object views
-built here from their arrays (``object_arena``, ``object_solution``),
-expanded to one ctrl node per input letter, the arena the library's letter
-classes replaced, and build arenas edge by edge with ``arena_from_edges``.
+form that the field-reading walks and the syntax and dual tables replaced,
+and the recursive lasso semantics that the one evaluator ``truth`` replaced,
+and the refinement loop keeps its two refinement paths, one per winner, that
+one round for both replaced.  The tests read the library's arenas and
+solutions only through the object views built here from their arrays
+(``object_arena``, ``object_solution``), expanded to one ctrl node per input
+letter, the arena the library's letter classes replaced, and build arenas
+edge by edge with ``arena_from_edges``.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ from numltl.speclang import (
     Or,
     PredicateDef,
     RealVarDecl,
+    Release,
     SpecDocument,
     SpecError,
     Token,
@@ -1413,6 +1415,79 @@ def reference_evaluate(f, trace, t: int) -> bool:
     raise ValueError(f"formula is not windowed-propositional: {f}")
 
 
+def reference_lasso_truth(formula, prefix, loop) -> list[bool]:
+    """Truth of ``formula`` at every position of prefix · loop (the word
+    prefix · loop^ω), by a fixpoint per temporal operator, recursing once
+    per level and memoised by formula: ``evaluate_ltl_on_lasso`` before
+    ``speclang.truth`` replaced it, which read the first position."""
+    if not loop:
+        raise ValueError("lasso loop must be nonempty")
+    word = [dict(letter.pairs) for letter in list(prefix) + list(loop)]
+    loop_start, total = len(prefix), len(word)
+
+    def succ(i: int) -> int:
+        return i + 1 if i + 1 < total else loop_start
+
+    memo: dict = {}
+
+    def values(f) -> list[bool]:
+        if f in memo:
+            return memo[f]
+        if isinstance(f, Atom):
+            out = [word[i][f.name] for i in range(total)]
+        elif isinstance(f, TrueFormula):
+            out = [True] * total
+        elif isinstance(f, FalseFormula):
+            out = [False] * total
+        elif isinstance(f, Not):
+            out = [not v for v in values(f.operand)]
+        elif isinstance(f, And):
+            out = [a and b for a, b in zip(values(f.left), values(f.right))]
+        elif isinstance(f, Or):
+            out = [a or b for a, b in zip(values(f.left), values(f.right))]
+        elif isinstance(f, Implies):
+            out = [(not a) or b for a, b in zip(values(f.left), values(f.right))]
+        elif isinstance(f, Next):
+            sub = values(f.operand)
+            out = [sub[succ(i)] for i in range(total)]
+        elif isinstance(f, (Until, Eventually)):
+            # least fixpoint: start everywhere false and grow
+            if isinstance(f, Until):
+                hold, goal = values(f.left), values(f.right)
+            else:
+                hold, goal = [True] * total, values(f.operand)
+            out = [False] * total
+            changed = True
+            while changed:
+                changed = False
+                for i in range(total - 1, -1, -1):
+                    new = goal[i] or (hold[i] and out[succ(i)])
+                    if new != out[i]:
+                        out[i] = new
+                        changed = True
+        elif isinstance(f, (Release, Always)):
+            # greatest fixpoint: start everywhere true and shrink
+            if isinstance(f, Release):
+                hold, goal = values(f.left), values(f.right)
+            else:
+                hold, goal = [False] * total, values(f.operand)
+            out = [True] * total
+            changed = True
+            while changed:
+                changed = False
+                for i in range(total - 1, -1, -1):
+                    new = goal[i] and (hold[i] or out[succ(i)])
+                    if new != out[i]:
+                        out[i] = new
+                        changed = True
+        else:
+            raise TypeError(f"unknown formula node {f!r}")
+        memo[f] = out
+        return out
+
+    return values(formula)
+
+
 def reference_substitute_atoms(formula, mapping):
     if isinstance(formula, Atom):
         return mapping.get(formula.name, formula)
@@ -2166,10 +2241,11 @@ def reference_parse_constraints(text: str) -> ConstraintDocument:
 
 # -- reference guarantee monitor ---------------------------------------------------
 #
-# The simulator's monitor settles every response trigger in one backward pass
-# over the trace.  The version below is the one that replaced: it rescans the
-# trace from each trigger and evaluates each formula on a fresh dict.  The
-# NEXT-window shapes use the reference formula walks above.
+# The simulator's monitor judges each guarantee's formulas on the whole trace
+# at once, and settles every until trigger in one backward pass.  The version
+# below is the one that replaced: it rescans the trace from each trigger and
+# evaluates each formula on a fresh dict.  The NEXT-window shapes use the
+# reference formula walks above.
 
 
 def _reference_holds(f, w) -> bool:
@@ -2253,8 +2329,8 @@ def reference_monitor_guarantees(doc, trace):
 # at every step; the rendering formatted every valuation again.  The
 # versions below are those.  They share the library's lattice helpers and
 # its trace types, and evaluate windows with the reference evaluator above;
-# the library now does the work
-# that depends only on a letter once per distinct letter or window.
+# the library now does the work that depends only on a letter once per
+# distinct letter, and judges each formula on the whole trace at once.
 
 
 def _stepwise_monitor_one(g, trace):
@@ -2746,6 +2822,9 @@ def reference_parse_controller_file(text: str):
     else:
         names = cf._parse_names(reader.take("STATES"))
         states = tuple(integer(s, "STATES") for s in names)
+        for i, listed in enumerate(states):
+            if listed in states[:i]:
+                raise error(f"STATES: state {listed} is listed twice")
         initial = state(reader.take("INITIAL"), "INITIAL", states)
         candidates = {}
         for payload in _reference_block(reader, "CANDIDATES"):

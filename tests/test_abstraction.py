@@ -250,7 +250,7 @@ class TestReencode:
         assert isinstance(completeness, Always)
         for word in all_valuations(("sig1", "sig2")):
             allowed = any(code == word for code, _ in mux.rows)
-            assert sl.evaluate(completeness.operand, [word.as_dict()]) == allowed
+            assert sl.truth(completeness.operand, [word.as_dict()], 0) == [allowed]
 
     def test_single_feasible_combination_drops_all_outputs(self):
         doc = parse_spec("INPUT a\nOUTPUT b, c\nALWAYS (b)\nALWAYS (!c)\n")
@@ -292,8 +292,8 @@ class TestReencode:
                 body = random_formula(rng, ["a", "b", "c"], 3)
             rewritten = _rewrite_via(mux, body)
             for word, original in mux.rows:
-                assert sl.evaluate(rewritten, [word.as_dict()]) == sl.evaluate(
-                    body, [original.as_dict()]
+                assert sl.truth(rewritten, [word.as_dict()], 0) == sl.truth(
+                    body, [original.as_dict()], 0
                 )
 
     def test_refinement_guarantee_folds_into_the_code_book(self):

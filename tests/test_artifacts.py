@@ -4,6 +4,7 @@ the seeded closed-loop simulator."""
 import dataclasses
 import random
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -225,11 +226,14 @@ class TestControllerFiles:
                 "STEP 7 req1=1,req2=1 grant1=1,grant2=1 12\n",
                 "STEP: state 7 has two lines for input req1=1,req2=1 and output grant1=1,grant2=1",
             ),
+            # rendered back, a repeated state gives two CANDIDATES lines
+            ("counter_package", "STATES 0,", "0,", "STATES: state 0 is listed twice"),
         ],
     )
     def test_rejects_repeated_keys(self, package, line, added, message, request):
-        """A second line for a key used to win over the first; each mutant
-        must be read as the per-line reader reads it."""
+        """A second line for a key used to win over the first, and a state
+        listed twice was read; each mutant must be read as the per-line
+        reader reads it."""
         verdict = request.getfixturevalue(package)[1]
         render = render_realizable if isinstance(verdict, Realizable) else render_unrealizable
         text = render(verdict, SAFETY)
@@ -267,6 +271,20 @@ class TestControllerFiles:
         for parse in (parse_controller_file, reference_parse_controller_file):
             with pytest.raises(ControllerFileError, match=message):
                 parse(mutant)
+
+    def test_a_huge_state_count_is_read_at_once_when_no_step_line_is_required(
+        self, threshold_package
+    ):
+        """An empty input cube excludes every input, so no state needs a STEP
+        line; the coverage check used to walk every state all the same,
+        about a minute for 10^9 of them."""
+        text = render_realizable(threshold_package[1], SAFETY)
+        mutant = re.sub(r"REFINE input \S+", "REFINE input -", text)
+        mutant = re.sub(r"STATES \d+", f"STATES {10**9}", mutant)
+        start = time.process_time()
+        pkg = parse_controller_file(mutant)
+        assert time.process_time() - start < 5
+        assert pkg.controller.n_states == 10**9
 
     def test_bound_none_is_still_read(self, threshold_package):
         text = render_realizable(threshold_package[1], SAFETY)
@@ -381,6 +399,17 @@ class TestMonitor:
         report = monitor_guarantees(doc, worlds({"p": False, "q": False}))
         assert report.unmonitored == ("g1",)
         assert report.violations == ()
+
+    def test_a_deep_safety_body_takes_no_frames(self):
+        """ALWAYS of a 1,500-level ``a && b && ...`` chain, built past the
+        parser's depth cap, on a 10-step trace where b fails at step 7."""
+        chain = sl.Atom("a")
+        for _ in range(1500):
+            chain = sl.And(chain, sl.Atom("b"))
+        doc = dataclasses.replace(self.RESPONSE, guarantees=(sl.Always(chain),))
+        trace = [Valuation.of({"a": True, "b": t != 7}) for t in range(10)]
+        report = monitor_guarantees(doc, trace)
+        assert report.violations == (("g1", 7),) and report.pending == ()
 
     def test_assumptions_are_not_monitored(self):
         doc = parse_spec(

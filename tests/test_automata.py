@@ -35,6 +35,7 @@ from numltl.speclang import (
     TrueFormula,
     Until,
     parse_spec,
+    truth,
     walk,
 )
 from numltl.valuation import Valuation
@@ -132,6 +133,21 @@ class TestLassoEvaluation:
         assert evaluate_ltl_on_lasso(f, [], letters((1, 1)))
         assert not evaluate_ltl_on_lasso(f, [], letters((1, 0)))
         assert evaluate_ltl_on_lasso(f, letters((1, 1)), letters((0, 0)))
+
+    def test_deep_chains_take_no_frames(self):
+        """A 5,000-level left-nested ``&&`` chain and a 5,000-long NEXT
+        chain, built past the parser's depth cap."""
+        conjunction, nexts = A, A
+        for _ in range(5000):
+            conjunction, nexts = And(conjunction, B), Next(nexts)
+        prefix, loop = letters((1, 1)), letters((1, 0), (0, 1))
+        word = [letter.as_dict() for letter in prefix + loop]
+        assert truth(conjunction, word, 1) == [True, False, False]
+        assert evaluate_ltl_on_lasso(conjunction, prefix, loop)
+        # position k > 0 of the word reads a exactly when k is odd
+        assert truth(nexts, word, 1) == [False, True, False]
+        assert not evaluate_ltl_on_lasso(nexts, prefix, loop)
+        assert evaluate_ltl_on_lasso(Next(nexts), prefix, loop)
 
     def test_empty_loop_is_rejected(self):
         with pytest.raises(ValueError, match="loop"):

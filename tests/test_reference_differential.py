@@ -23,6 +23,7 @@ from numltl.abstraction import abstract_spec
 from numltl.automata import (
     _expand,
     _intern,
+    evaluate_ltl_on_lasso,
     negate_and_translate,
     negation_normal_form,
     translate,
@@ -56,6 +57,7 @@ from generators import (
     random_arena,
     random_formula,
     random_formula_with_release,
+    random_lasso,
     random_refinement_document,
     random_synthesis_document,
 )
@@ -75,6 +77,7 @@ from oracles import (
     reference_extract_counter_strategy,
     reference_format_formula,
     reference_is_propositional,
+    reference_lasso_truth,
     reference_linear_attractor,
     reference_mark_edges_absent,
     reference_masked_mark_edges_absent,
@@ -670,7 +673,8 @@ def test_negation_normal_form_matches_reference():
 
 def test_formula_walks_match_reference():
     """Substitution, the atoms, the propositional test, the NEXT depth and
-    the evaluator equal their per-operator versions."""
+    the evaluator, on the complete NEXT windows of a trace, equal their
+    per-operator versions."""
     rng = random.Random(3313)
     atoms = ["a", "b", "c"]
     evaluated = 0
@@ -685,10 +689,28 @@ def test_formula_walks_match_reference():
             assert window == reference_next_depth(f)
             if window is not None:
                 trace = [{a: rng.random() < 0.5 for a in atoms} for _ in range(window + 3)]
+                holds = sl.truth(f, trace, len(trace) - 1)
                 for t in range(3):
-                    assert sl.evaluate(f, trace, t) == reference_evaluate(f, trace, t)
+                    assert holds[t] == reference_evaluate(f, trace, t)
                 evaluated += 1
     assert evaluated >= 100
+
+
+def test_truth_matches_reference_lasso_semantics():
+    """The one evaluator equals the recursive lasso semantics it replaced
+    at every position of random lassos, on f and !f with Release nodes and
+    chains of ``!`` inside, and so does ``evaluate_ltl_on_lasso``."""
+    rng = random.Random(3315)
+    atoms = ["a", "b", "c"]
+    for depth in range(1, 8):
+        for _ in range(120):
+            formula = random_formula_with_release(rng, atoms, depth)
+            prefix, loop = random_lasso(rng, atoms, max_prefix=3, max_loop=4)
+            word = [letter.as_dict() for letter in prefix + loop]
+            for f in (formula, sl.Not(formula)):
+                expected = reference_lasso_truth(f, prefix, loop)
+                assert sl.truth(f, word, len(prefix)) == expected
+                assert evaluate_ltl_on_lasso(f, prefix, loop) == expected[0]
 
 
 def test_formula_printing_matches_reference():

@@ -33,7 +33,6 @@ from numltl.speclang import (
     Until,
     atoms_of,
     document_formula,
-    evaluate,
     fold,
     format_constraint,
     format_formula,
@@ -43,6 +42,7 @@ from numltl.speclang import (
     parse_constraints,
     parse_spec,
     substitute_atoms,
+    truth,
 )
 from generators import (
     random_box,
@@ -454,13 +454,13 @@ class TestFormulaHelpers:
         assert is_propositional(only_guarantee(MINIMAL + "!(a -> b) || a"))
         assert not is_propositional(only_guarantee(MINIMAL + "a -> NEXT (b)"))
 
-    def test_evaluate(self):
+    def test_truth(self):
         f = only_guarantee(MINIMAL + "!(a -> b) || FALSE")
-        assert evaluate(f, [{"a": True, "b": False}])
-        assert not evaluate(f, [{"a": True, "b": True}])
+        assert truth(f, [{"a": True, "b": False}, {"a": True, "b": True}], 0) == [True, False]
+        assert truth(f, [], 0) == []
         g = only_guarantee(MINIMAL + "a -> NEXT (NEXT (b))")
         trace = [{"a": True, "b": False}, {"a": False, "b": False}, {"a": True, "b": True}]
-        assert evaluate(g, trace) and not evaluate(g, trace + trace, 2)
+        assert truth(g, trace, 2)[0] and not truth(g, trace + trace, 5)[2]
 
     def test_substitute_atoms(self):
         f = only_guarantee(MINIMAL + "ALWAYS (a -> b)")
