@@ -13,6 +13,7 @@ arena yields the arena a fresh build of the refined specification would.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, replace
 from math import ceil, log2
 
@@ -108,21 +109,33 @@ def forbid(v: Valuation) -> sl.Formula:
     return sl.Always(sl.Not(cube_formula(v)))
 
 
-def _check_refinement_valuation(
-    spec: PseudoBooleanSpec, v: Valuation, side: str, previous: tuple[Valuation, ...]
-) -> None:
-    expected = tuple(
-        p.atom for p in spec.source.predicates if p.side == side
-    )
+def refinement_problem(
+    doc: sl.SpecDocument, v: Valuation, side: str, previous: Collection[Valuation]
+) -> str | None:
+    """Why the cube ``v`` cannot be refined away on ``side`` of ``doc`` after
+    the cubes ``previous`` of that side, or None: a refinement assigns
+    exactly the side's predicate atoms, of which there is at least one, and
+    only once.  Synthesis and the artifact reader both hold refinements to
+    this rule."""
+    expected = tuple(p.atom for p in doc.predicates_of(side))
+    if not expected:
+        return f"the {side} side has no predicate atoms to refine"
     if set(v.atoms) != set(expected):
-        msg = (
+        return (
             f"refinement valuation must assign exactly the {side}-side "
             f"predicate atoms {sorted(expected)}, got {sorted(v.atoms)}"
         )
-        raise AbstractionError(msg)
     if v in previous:
-        msg = f"valuation {v} was already refined away; the synthesis loop is broken"
-        raise AbstractionError(msg)
+        return f"valuation {v} was already refined away"
+    return None
+
+
+def _check_refinement_valuation(
+    spec: PseudoBooleanSpec, v: Valuation, side: str, previous: tuple[Valuation, ...]
+) -> None:
+    problem = refinement_problem(spec.source, v, side, previous)
+    if problem is not None:
+        raise AbstractionError(problem)
 
 
 def refine_with_assumption(spec: PseudoBooleanSpec, v: Valuation) -> PseudoBooleanSpec:

@@ -14,7 +14,7 @@ import hashlib
 from dataclasses import dataclass
 
 from . import speclang as sl
-from .abstraction import EMPTY_MULTIPLEXER, MultiplexerTable
+from .abstraction import EMPTY_MULTIPLEXER, MultiplexerTable, refinement_problem
 from .cegar import BUCHI, SAFETY, Realizable, UnrealizableWithinBound
 from .games import CounterStrategy, MealyController
 from .valuation import Memo, Valuation, all_valuations, parse_valuation
@@ -258,12 +258,20 @@ def _same_atoms(what: str, names: tuple[str, ...], expected: tuple[str, ...]) ->
         raise ControllerFileError(f"{what} {_names_str(names)} should be {_names_str(expected)}")
 
 
+def _check_refinements(document: sl.SpecDocument, refinements: list) -> None:
+    """Every REFINE cube must be one synthesis could have refined away."""
+    previous: dict[str, set[Valuation]] = {sl.INPUT_SIDE: set(), sl.OUTPUT_SIDE: set()}
+    for side, v in refinements:
+        problem = refinement_problem(document, v, side, previous[side])
+        if problem is not None:
+            raise ControllerFileError(f"REFINE {side} {_val_str(v)}: {problem}")
+        previous[side].add(v)
+
+
 def _check_steps_cover_inputs(machine: MealyController, refinements: list) -> None:
     """Every state of a controller must have a STEP line for every input
-    valuation that no ``REFINE input`` cube excludes; as in the game, a cube
-    naming an atom that is no input excludes nothing."""
-    inputs = set(machine.inputs)
-    cubes = [v for side, v in refinements if side == sl.INPUT_SIDE and set(v.atoms) <= inputs]
+    valuation that no ``REFINE input`` cube excludes."""
+    cubes = [v for side, v in refinements if side == sl.INPUT_SIDE]
     required = [
         vin
         for vin in all_valuations(machine.inputs)
@@ -284,9 +292,11 @@ def parse_controller_file(text: str) -> ControllerPackage:
     the machine's, that the bound is positive, that no STEP line repeats
     another's state and input (and output, in a counter-strategy), no
     CANDIDATES line another's state and no state is listed twice on a
-    counter-strategy's STATES line, that a controller has a STEP line for
-    every state and every input no input refinement excludes, and that
-    every emitted code-word decodes."""
+    counter-strategy's STATES line, that each REFINE cube assigns exactly
+    its side's predicate atoms and repeats no earlier cube of its side (the
+    rule synthesis keeps), that a controller has a STEP line for every
+    state and every input no input refinement excludes, and that every
+    emitted code-word decodes."""
     reader = _Reader(text)
     magic = reader.take(MAGIC)
     if magic not in (KIND_CONTROLLER, KIND_COUNTER_STRATEGY):
@@ -386,6 +396,7 @@ def parse_controller_file(text: str) -> ControllerPackage:
     if spec_digest(document) != spec_hash:
         raise ControllerFileError("embedded specification does not match the recorded hash")
     _same_atoms("INPUTS", inputs, document.input_atoms())
+    _check_refinements(document, refinements)
     if machine is not None:
         _check_steps_cover_inputs(machine, refinements)
     if mux:

@@ -12,7 +12,8 @@ arenas of edge objects that flat arrays replaced, the guarantee monitor
 keeps its per-trigger rescans and its per-step evaluation, the simulator
 keeps its per-step valuations and rendering, and the Bernstein search keeps the
 substitute-then-convert enclosures and sample evaluation that the dense
-per-dimension conversion replaced, the specification front end keeps
+per-dimension conversion replaced and the ``Fraction`` subdivision that the
+integer one replaced, the specification front end keeps
 the character-by-character lexer and the name-keyed polynomial parser that
 the token-pattern lexer and the ``Polynomial``-built parser replaced, and
 the formula layer keeps its per-operator walks, printer and negation normal
@@ -33,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, prod
 
 from numltl.bernstein import (
     BernsteinTensor,
@@ -1248,7 +1249,9 @@ def reference_translate(formula, atoms):
 # shift onto each subbox folded into the conversion, and reads vertex
 # samples from corner coefficients.  The versions below are the ones that
 # replaced: ``to_unit_box`` on every subbox, the direct O(prod (N_i+1)^2)
-# coefficient formula, and exact evaluation of every sample point.
+# coefficient formula, and exact evaluation of every sample point.  The
+# search's integer de Casteljau pass is checked against the ``Fraction`` one
+# it replaced, ``reference_subdivide``.
 
 _SIGN_HOLDS = {
     "<": lambda v: v < 0,
@@ -1290,6 +1293,26 @@ def reference_bounds(poly: Polynomial, box: Box, depth: int = 0) -> tuple[Fracti
     lo1, hi1 = reference_bounds(poly, left, depth - 1)
     lo2, hi2 = reference_bounds(poly, right, depth - 1)
     return min(lo1, lo2), max(hi1, hi2)
+
+
+def reference_subdivide(tensor: list[Fraction], degree, dim: int):
+    """Bernstein tensors in ``Fraction``s on the lower and upper halves of
+    the box split at the midpoint of dimension ``dim``: de Casteljau at
+    t = 1/2 along every fiber of ``dim`` of the flat row-major ``tensor``."""
+    n = degree[dim]
+    if not n:
+        return tensor, tensor
+    stride = prod(m + 1 for m in degree[dim + 1 :])
+    block = stride * (n + 1)
+    lower, upper = list(tensor), list(tensor)
+    for start in range(0, len(tensor), block):
+        for base in range(start, start + stride):
+            row = tensor[base : base + block : stride]
+            for k in range(n + 1):
+                lower[base + k * stride] = row[0]
+                upper[base + (n - k) * stride] = row[-1]
+                row = [(a + b) / 2 for a, b in zip(row, row[1:])]
+    return lower, upper
 
 
 def _reference_refuted(relation: str, lo: Fraction, hi: Fraction) -> bool:
@@ -2876,8 +2899,23 @@ def reference_parse_controller_file(text: str):
     if cf.spec_digest(document) != spec_hash:
         raise error("embedded specification does not match the recorded hash")
     cf._same_atoms("INPUTS", inputs, document.input_atoms())
+    refined = {"input": [], "output": []}
+    for side, v in refinements:
+        atoms = sorted(p.atom for p in document.predicates if p.side == side)
+        if not atoms:
+            raise error(
+                f"REFINE {side} {cf._val_str(v)}: the {side} side has no predicate atoms to refine"
+            )
+        if sorted(v.atoms) != atoms:
+            raise error(
+                f"REFINE {side} {cf._val_str(v)}: refinement valuation must assign exactly"
+                f" the {side}-side predicate atoms {atoms}, got {sorted(v.atoms)}"
+            )
+        if v in refined[side]:
+            raise error(f"REFINE {side} {cf._val_str(v)}: valuation {v} was already refined away")
+        refined[side].append(v)
     if machine is not None:
-        excluded = [v for side, v in refinements if side == "input" and set(v.atoms) <= set(inputs)]
+        excluded = refined["input"]
         for source, vin in product(range(machine.n_states), all_valuations(inputs)):
             if (source, vin) not in machine.step and not any(
                 cube_matches(cube, vin) for cube in excluded

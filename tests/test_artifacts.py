@@ -254,12 +254,6 @@ class TestControllerFiles:
             ),
             # without the refinement, the input it excluded needs lines too
             ("REFINE input req1=1,req2=1\n", "", "STEP: state 0 has no line for input req1=1,req2=1"),
-            # a cube naming an atom that is no input excludes nothing
-            (
-                "REFINE input req1=1,req2=1\n",
-                "REFINE input req1=1,zz=1\n",
-                "STEP: state 0 has no line for input req1=1,req2=1",
-            ),
         ],
     )
     def test_rejects_a_controller_missing_a_step_line(
@@ -272,14 +266,43 @@ class TestControllerFiles:
             with pytest.raises(ControllerFileError, match=message):
                 parse(mutant)
 
+    @pytest.mark.parametrize(
+        ("edited", "message"),
+        [
+            # the empty cube used to exclude every input: simulation went stuck
+            ("REFINE input -\n", "REFINE input -: refinement valuation must assign exactly"),
+            ("REFINE input req1=1\n", "REFINE input req1=1: refinement valuation must assign"),
+            # a cube naming an atom that is no input used to exclude nothing
+            ("REFINE input req1=1,zz=1\n", "got \\['req1', 'zz'\\]"),
+            ("REFINE input req1=1,req2=1\nREFINE input req1=1,req2=1\n", "already refined away"),
+            ("REFINE input req1=1,req2=1\nREFINE output -\n", "the output side has no predicate"),
+        ],
+        ids=["empty", "partial", "foreign-atom", "repeated", "side-without-predicates"],
+    )
+    def test_rejects_a_refinement_synthesis_never_writes(
+        self, edited, message, threshold_package
+    ):
+        """A REFINE cube must assign exactly its side's predicate atoms and
+        repeat no earlier cube of its side, the rule synthesis keeps."""
+        text = render_realizable(threshold_package[1], SAFETY)
+        mutant = text.replace("REFINE input req1=1,req2=1\n", edited, 1)
+        assert mutant != text
+        for parse in (parse_controller_file, reference_parse_controller_file):
+            with pytest.raises(ControllerFileError, match=message):
+                parse(mutant)
+
     def test_a_huge_state_count_is_read_at_once_when_no_step_line_is_required(
         self, threshold_package
     ):
-        """An empty input cube excludes every input, so no state needs a STEP
+        """Four input cubes exclude every input, so no state needs a STEP
         line; the coverage check used to walk every state all the same,
         about a minute for 10^9 of them."""
         text = render_realizable(threshold_package[1], SAFETY)
-        mutant = re.sub(r"REFINE input \S+", "REFINE input -", text)
+        every_cube = "".join(
+            f"REFINE input req1={a},req2={b}\n" for a in (0, 1) for b in (0, 1)
+        )
+        mutant = text.replace("REFINE input req1=1,req2=1\n", every_cube)
+        assert mutant != text
         mutant = re.sub(r"STATES \d+", f"STATES {10**9}", mutant)
         start = time.process_time()
         pkg = parse_controller_file(mutant)

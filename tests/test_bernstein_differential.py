@@ -24,6 +24,7 @@ from numltl.bernstein import (
     SearchStats,
     _bernstein_tensor,
     _power_layout,
+    _scaled,
     _subdivide,
     bernstein_coefficients,
     bounds,
@@ -38,6 +39,7 @@ from oracles import (
     reference_bounds,
     reference_check_validity,
     reference_search,
+    reference_subdivide,
 )
 
 def _box(rng: random.Random, arity: int) -> Box:
@@ -259,9 +261,11 @@ def _reference_tensor(poly: Polynomial, box: Box, degree) -> list[Fraction]:
 
 
 def test_subdivision_matches_conversion_on_each_half():
-    """De Casteljau halves along every dimension, and at the end of a chain
-    of splits, equal direct conversion and the reference coefficients on
-    each half exactly, zero-width and degree-0 dimensions included."""
+    """Integer de Casteljau halves along every dimension, and the tensor at
+    the end of a chain of splits, divided by their denominators, equal the
+    ``Fraction`` subdivision, direct conversion and the reference
+    coefficients on each half exactly, zero-width and degree-0 dimensions
+    included."""
     rng = random.Random(4106)
     zero_width = flat_in_dim = 0
     for _ in range(150):
@@ -274,11 +278,19 @@ def test_subdivision_matches_conversion_on_each_half():
             scales = [int(d != flat) for d in range(arity)]
             p = p.affine_substitute([1 - scale for scale in scales], scales)
         degree, power = _power_layout(p, box)
-        tensor = _bernstein_tensor(power, degree, box.intervals)
+        exact = _bernstein_tensor(power, degree, box.intervals)
+        tensor, den = _scaled(exact)
+        assert [Fraction(b, den) for b in tensor] == exact
         for dim in range(arity):
-            for half, got in zip(box.split(dim), _subdivide(tensor, degree, dim)):
-                assert got == _bernstein_tensor(power, degree, half.intervals)
-                assert got == _reference_tensor(p, half, degree)
+            halves = zip(
+                box.split(dim),
+                _subdivide(tensor, degree, dim),
+                reference_subdivide(exact, degree, dim),
+            )
+            for half, got, expected in halves:
+                divided = [Fraction(b, den << degree[dim]) for b in got]
+                assert divided == expected == _bernstein_tensor(power, degree, half.intervals)
+                assert divided == _reference_tensor(p, half, degree)
             zero_width += box.intervals[dim][0] == box.intervals[dim][1]
             flat_in_dim += degree[dim] == 0 and box.intervals[dim][0] < box.intervals[dim][1]
         for _ in range(4):
@@ -286,7 +298,8 @@ def test_subdivision_matches_conversion_on_each_half():
             pick = rng.randrange(2)
             box = box.split(dim)[pick]
             tensor = _subdivide(tensor, degree, dim)[pick]
-        assert tensor == _reference_tensor(p, box, degree)
+            den <<= degree[dim]
+        assert [Fraction(b, den) for b in tensor] == _reference_tensor(p, box, degree)
     assert zero_width >= 30 and flat_in_dim >= 30
 
 
@@ -297,23 +310,109 @@ def _subbox(box: Box, node: int) -> Box:
     return box
 
 
-def test_a_memo_keeps_tensors_only_on_the_frontier():
-    """After a sequence of checks on one memo, a subbox whose children's
-    tensors were computed holds no tensor, and each tensor still held is
-    the direct conversion on its subbox."""
-    held = freed = 0
-    for rng, box, depth in _cases(4107, 40):
+def _denominator(p, box: Box, node: int) -> int:
+    """The implicit denominator of ``p``'s tensor on subbox ``node``: the
+    root's, times 2^N_d for each split along a dimension d on the way."""
+    den = p.denominator
+    for _ in bin(node)[3:]:
+        dim = box.widest_dimension()
+        den <<= p.degree[dim]
+        box = box.split(dim)[0]
+    return den
+
+
+def _shared_memos(seed: int, count: int):
+    """Memos after a sequence of checks on one box, with the box."""
+    for rng, box, depth in _cases(seed, count):
         pool = [_constraint(rng, box) for _ in range(rng.randint(2, 4))]
         memo = EnclosureMemo(box)
         for _ in range(6):
             chosen = rng.sample(pool, rng.randint(1, len(pool)))
             constraints = [c.negated() if rng.random() < 0.5 else c for c in chosen]
             check_feasibility(constraints, box, depth, memo=memo)
+        yield box, memo
+
+
+def test_a_memo_keeps_tensors_only_on_the_frontier():
+    """After a sequence of checks on one memo, a subbox whose children's
+    tensors were computed holds no tensor, and each tensor still held,
+    divided by its denominator, is the direct conversion on its subbox."""
+    held = freed = 0
+    for box, memo in _shared_memos(4107, 40):
         for p in memo.polys.values():
             computed = p.tensors.keys() | p.enclosures.keys()
             for node, tensor in p.tensors.items():
                 assert 2 * node not in computed and 2 * node + 1 not in computed
-                assert tensor == _bernstein_tensor(p.power, p.degree, _subbox(box, node).intervals)
+                den = _denominator(p, box, node)
+                assert [Fraction(b, den) for b in tensor] == _bernstein_tensor(
+                    p.power, p.degree, _subbox(box, node).intervals
+                )
             held += len(p.tensors)
             freed += len(computed - p.tensors.keys())
     assert held >= 300 and freed >= 200
+
+
+def test_each_centre_sum_is_the_value_at_the_centre():
+    """A memo node's centre sum, divided by the node's denominator and
+    2^(sum_d N_d), is the polynomial's exact value at the subbox's centre,
+    on random boxes with zero-width dimensions and polynomials flat along
+    some dimension."""
+    nodes = flat = 0
+    for box, memo in _shared_memos(4108, 40):
+        for (arity, terms), p in memo.polys.items():
+            poly = Polynomial(arity, dict(terms))
+            for node, (_, _, _, centre) in p.enclosures.items():
+                scale = _denominator(p, box, node) << sum(p.degree)
+                assert Fraction(centre, scale) == poly.evaluate(_subbox(box, node).center())
+                nodes += 1
+            flat += any(
+                n == 0 and lo < hi for n, (lo, hi) in zip(p.degree, box.intervals)
+            )
+    assert nodes >= 500 and flat >= 5
+
+
+def test_the_memo_holds_only_ints():
+    """Every held tensor entry, enclosure bound, corner value and centre sum
+    is an ``int``: no ``Fraction``, ``float`` or ``bool`` reaches the
+    search's sign tests."""
+    values = 0
+    for _, memo in _shared_memos(4109, 40):
+        for p in memo.polys.values():
+            assert type(p.denominator) is int and p.denominator > 0
+            for tensor in p.tensors.values():
+                assert all(type(b) is int for b in tensor)
+                values += len(tensor)
+            for lo, hi, corners, centre in p.enclosures.values():
+                assert all(type(v) is int for v in (lo, hi, centre, *corners))
+                values += 3 + len(corners)
+    assert values >= 10000
+
+
+@pytest.mark.parametrize(
+    ("arity", "degree", "relation", "margin"),
+    [
+        (1, 12, ">", 0),  # only the point 1/3 touches 0: bisected to depth 24
+        (1, 14, "<", Fraction(1, 2**320)),  # a narrow well around 1/3
+        (2, 12, "<", Fraction(1, 2**150)),
+        (2, 12, "<=", 0),  # the well's only point is 1/3 in each coordinate
+    ],
+)
+def test_deep_search_of_high_degree_matches_the_reference(arity, degree, relation, margin):
+    """At depth 24 and degree 12 or more per variable, the integers grow by
+    some hundreds of bits; verdict, witness and explored count still match
+    the ``Fraction`` reference."""
+    well = Polynomial.zero(arity)
+    for i in range(arity):
+        shifted = Polynomial.variable(arity, i) - Polynomial.constant(arity, Fraction(1, 3))
+        well = well + shifted.power(degree)
+    poly = well - Polynomial.constant(arity, margin)
+    if relation == ">":
+        poly = -poly
+    c = PolyConstraint(poly, relation)
+    box = Box(((Fraction(-1, 2), Fraction(1)),) * arity)
+    stats, ref_stats = SearchStats(), SearchStats()
+    verdict = check_feasibility([c], box, 24, stats)
+    expected = reference_search([c], box, 24, ref_stats)
+    assert verdict == expected
+    assert type(verdict) is type(expected)
+    assert stats.explored == ref_stats.explored >= 30

@@ -459,6 +459,21 @@ class TestSimulateCommand:
         assert message in captured.err
         assert captured.out == ""
 
+    def test_an_empty_refinement_cube_is_an_input_error(self, artifact, tmp_path, capsys):
+        """The empty input cube excludes every input, so with the STEP lines
+        deleted the reader used to accept the file and the run went stuck at
+        every step (exit 1)."""
+        text = Path(artifact).read_text()
+        crafted = text.replace("REFINE input req1=1,req2=1\n", "REFINE input -\n")
+        crafted = "".join(line for line in crafted.splitlines(True) if not line.startswith("STEP "))
+        assert crafted.count("REFINE input -\n") == 1 and "STEP " not in crafted
+        broken = tmp_path / "broken.ctrl"
+        broken.write_text(crafted)
+        assert main(["simulate", str(broken), "--steps", "5"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert "REFINE input -: refinement valuation must assign exactly" in captured.err
+        assert captured.out == ""
+
 
 class TestUndecodableInput:
     """Files that are not UTF-8, and superscript digits, end as input errors."""

@@ -1,8 +1,8 @@
 """The simulator that builds, decodes, merges and monitors each distinct
-letter once, and its monitor that evaluates a formula once per distinct
-window, against the per-step versions they replaced (kept in
-``oracles.py``): every trace step, the monitor report and the rendering
-must agree exactly.
+letter once, and its monitor that judges each guarantee on the whole trace
+at once through ``speclang.truth``, against the per-step versions they
+replaced (kept in ``oracles.py``): every trace step, the monitor report
+and the rendering must agree exactly.
 """
 
 from __future__ import annotations
