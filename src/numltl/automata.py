@@ -16,10 +16,12 @@ that postpone the same obligations have the same successors, as do the
 degeneralized states over one row counting from one level, so each distinct
 row is built, sorted and hashed once.
 
-Also here: automaton acceptance of an ultimately periodic word, and the
-formula's own truth on it (``speclang.truth``, the evaluator the guarantee
-monitor uses).  These give two independent routes to the same answer,
-which the test suite exploits.
+Also here: automaton acceptance of an ultimately periodic word, by
+reachability in the product of states and word positions (an accepting
+node reachable from the start and again from itself), and the formula's own
+truth on it (``speclang.truth``, the evaluator the guarantee monitor uses).
+These give two independent routes to the same answer, which the test suite
+exploits.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .speclang import (
     truth,
     walk,
 )
-from .valuation import Valuation
+from .valuation import Memo, Valuation
 
 
 # the operator negation turns each into: ``!(a && b)`` is ``!a || !b``,
@@ -461,76 +463,38 @@ def evaluate_ltl_on_lasso(formula: Formula, prefix, loop) -> bool:
 def accepts_lasso(automaton: BuchiAutomaton, prefix, loop) -> bool:
     """Whether the automaton accepts prefix · loop^ω.
 
-    Builds the product of automaton states with word positions and looks for
-    a reachable cycle through an accepting state, using one depth-first
-    strongly-connected-component pass.
+    A run is a path in the product of automaton states with word positions
+    from ``(initial, 0)``.  The word is accepted exactly when some accepting
+    product node is reachable and can be reached again from its own
+    successors: two plain stack searches, the second once per such node.
     """
     word, loop_start = _word_positions(prefix, loop)
-    total = len(word)
-
-    def succ(i: int) -> int:
-        return i + 1 if i + 1 < total else loop_start
+    last = len(word) - 1
 
     def successors(node: tuple[int, int]) -> list[tuple[int, int]]:
         state, pos = node
-        nxt = succ(pos)
         letter = word[pos]
+        nxt = pos + 1 if pos < last else loop_start
         return [
             (t.target, nxt)
             for t in automaton.transitions[state]
             if all(letter[name] == value for name, value in t.guard.pairs)
         ]
 
-    root = (automaton.initial, 0)
-    index: dict[tuple[int, int], int] = {}
-    low: dict[tuple[int, int], int] = {}
-    on_stack: set[tuple[int, int]] = set()
-    stack: list[tuple[int, int]] = []
-    counter = [0]
+    succ = Memo(successors)
 
-    # iterative Tarjan; each frame is (node, iterator over successors)
-    call_stack: list[tuple[tuple[int, int], list[tuple[int, int]], int]] = []
+    def reach(sources) -> set[tuple[int, int]]:
+        seen = set(sources)
+        stack = list(seen)
+        while stack:
+            for child in succ[stack.pop()]:
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
+        return seen
 
-    def push(node):
-        index[node] = low[node] = counter[0]
-        counter[0] += 1
-        stack.append(node)
-        on_stack.add(node)
-        call_stack.append((node, successors(node), 0))
-
-    push(root)
-    while call_stack:
-        node, succs, i = call_stack.pop()
-        advanced = False
-        while i < len(succs):
-            child = succs[i]
-            i += 1
-            if child not in index:
-                call_stack.append((node, succs, i))
-                push(child)
-                advanced = True
-                break
-            if child in on_stack:
-                low[node] = min(low[node], index[child])
-        if advanced:
-            continue
-        if low[node] == index[node]:
-            component = []
-            while True:
-                member = stack.pop()
-                on_stack.discard(member)
-                component.append(member)
-                if member == node:
-                    break
-            cyclic = len(component) > 1 or any(
-                member in successors(member) for member in component
-            )
-            if cyclic and any(
-                state in automaton.accepting for state, _ in component
-            ):
-                return True
-        if call_stack:
-            parent = call_stack[-1][0]
-            low[parent] = min(low[parent], low[node])
-    return False
-
+    return any(
+        node in reach(succ[node])
+        for node in reach([(automaton.initial, 0)])
+        if node[0] in automaton.accepting
+    )

@@ -369,11 +369,13 @@ class Realizable:
 class UnrealizableWithinBound:
     """No controller exists up to the explored bound (None on the buchi
     route, which involves no unrolling); the counter-strategy is genuine:
-    every input valuation it relies on carries a feasibility witness."""
+    every input valuation it relies on carries a feasibility witness, a
+    point of ``table``'s input box."""
 
     bound: int | None
     counter_strategy: CounterStrategy
     evidence: tuple[tuple[Valuation, Point], ...]
+    table: PredicateTable
     spec: PseudoBooleanSpec
     multiplexer: MultiplexerTable = EMPTY_MULTIPLEXER
 
@@ -526,6 +528,6 @@ def synthesize(
                 evidence = _genuineness_evidence(cs, cache, atoms[sl.INPUT_SIDE])
                 shown = bound if bound is not None else "none"
                 transcript.verdict(f"unrealizable-within-bound bound={shown}")
-                return UnrealizableWithinBound(bound, cs, evidence, spec, mux)
+                return UnrealizableWithinBound(bound, cs, evidence, table, spec, mux)
     except TheoryUnknownError as stuck:
         return finish_unknown(str(stuck))

@@ -165,13 +165,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
         print(f"verdict: unrealizable within bound {shown}")
         print(f"counter-strategy: {len(machine.states)} states")
         if verdict.evidence:
-            _, table = abstract_spec(doc)
-            names = table.input_variables
+            names = verdict.table.input_variables
             print("evidence (every counter-strategy input is feasible):")
             for valuation, witness in verdict.evidence:
                 print(f"  {valuation}")
                 print(f"    witness {_point_report(names, witness)}")
-                for constraint in valuation_to_constraints(valuation, table):
+                for constraint in valuation_to_constraints(valuation, verdict.table):
                     rendered = sl.format_constraint(constraint, names)
                     value = constraint.poly.evaluate(witness)
                     print(f"    {rendered}: left side {_approx(value)}")

@@ -5,7 +5,11 @@ with everything needed to interpret it later: the source specification text
 (embedded verbatim, which also echoes the predicate definitions), the hash
 tying the artifact to that text, the solver route and unroll bound, the
 refinements applied during the run, and the output multiplexer when the
-machine speaks code-words.  Parsing rebuilds structurally equal objects.
+machine speaks code-words.  Both kinds are written by one body: the STEP
+lines come from the machine's one sorted move list (``moves()``, which the
+``--dot`` graph's edges read too), and the embedded spec is formatted once,
+for the hash and for the SPEC block.  Parsing rebuilds structurally equal
+objects.
 """
 
 from __future__ import annotations
@@ -44,7 +48,11 @@ class ControllerPackage:
 
 
 def spec_digest(doc: sl.SpecDocument) -> str:
-    return hashlib.sha256(sl.format_spec(doc).encode("utf-8")).hexdigest()
+    return _digest(sl.format_spec(doc))
+
+
+def _digest(spec_text: str) -> str:
+    return hashlib.sha256(spec_text.encode("utf-8")).hexdigest()
 
 
 def _val_str(v: Valuation) -> str:
@@ -53,12 +61,6 @@ def _val_str(v: Valuation) -> str:
 
 def _names_str(names: tuple[str, ...]) -> str:
     return ",".join(names) if names else "-"
-
-
-def _refinement_lines(spec) -> list[str]:
-    lines = [f"REFINE {sl.INPUT_SIDE} {v}" for v in spec.input_refinements]
-    lines += [f"REFINE {sl.OUTPUT_SIDE} {w}" for w in spec.output_refinements]
-    return lines
 
 
 def _mux_lines(mux: MultiplexerTable) -> list[str]:
@@ -71,59 +73,48 @@ def _mux_lines(mux: MultiplexerTable) -> list[str]:
     return lines
 
 
-def _spec_lines(doc: sl.SpecDocument) -> list[str]:
-    return ["BEGIN SPEC", *sl.format_spec(doc).splitlines(), "END SPEC"]
-
-
-def _header_lines(kind: str, algorithm: str, bound: int | None, spec) -> list[str]:
-    return [
+def _render(kind: str, verdict, algorithm: str, machine, states: str, extra: list[str]) -> str:
+    """The artifact of either kind: ``states`` is the STATES payload and
+    ``extra`` the lines only that kind has, written before its STEPs."""
+    spec_text = sl.format_spec(verdict.spec.source)
+    shown = Memo(_val_str)  # a machine's lines repeat a few valuations
+    lines = [
         f"{MAGIC} {kind}",
-        f"HASH {spec_digest(spec.source)}",
+        f"HASH {_digest(spec_text)}",
         f"ALGORITHM {algorithm}",
-        f"BOUND {bound if bound is not None else 'none'}",
-        *_refinement_lines(spec),
+        f"BOUND {verdict.bound if verdict.bound is not None else 'none'}",
+        *(f"REFINE {sl.INPUT_SIDE} {v}" for v in verdict.spec.input_refinements),
+        *(f"REFINE {sl.OUTPUT_SIDE} {w}" for w in verdict.spec.output_refinements),
+        f"INPUTS {_names_str(machine.inputs)}",
+        f"OUTPUTS {_names_str(machine.outputs)}",
+        f"STATES {states}",
+        f"INITIAL {machine.initial}",
+        *extra,
     ]
+    for state, vin, vout, nxt in machine.moves():
+        lines.append(f"STEP {state} {shown[vin]} {shown[vout]} {nxt}")
+    lines += _mux_lines(verdict.multiplexer)
+    lines += ["BEGIN SPEC", *spec_text.splitlines(), "END SPEC"]
+    return "\n".join(lines) + "\n"
 
 
 def render_realizable(verdict: Realizable, algorithm: str) -> str:
     m = verdict.controller
-    lines = _header_lines(KIND_CONTROLLER, algorithm, verdict.bound, verdict.spec)
-    lines.append(f"INPUTS {_names_str(m.inputs)}")
-    lines.append(f"OUTPUTS {_names_str(m.outputs)}")
-    lines.append(f"STATES {m.n_states}")
-    lines.append(f"INITIAL {m.initial}")
-    shown = Memo(_val_str)  # a machine's lines repeat a few valuations
-    for (state, vin), (vout, nxt) in sorted(
-        m.step.items(), key=lambda item: (item[0][0], item[0][1].sort_key())
-    ):
-        lines.append(f"STEP {state} {shown[vin]} {shown[vout]} {nxt}")
-    lines += _mux_lines(verdict.multiplexer)
-    lines += _spec_lines(verdict.spec.source)
-    return "\n".join(lines) + "\n"
+    return _render(KIND_CONTROLLER, verdict, algorithm, m, str(m.n_states), [])
 
 
 def render_unrealizable(verdict: UnrealizableWithinBound, algorithm: str) -> str:
     cs = verdict.counter_strategy
-    lines = _header_lines(KIND_COUNTER_STRATEGY, algorithm, verdict.bound, verdict.spec)
-    lines.append(f"INPUTS {_names_str(cs.inputs)}")
-    lines.append(f"OUTPUTS {_names_str(cs.outputs)}")
-    lines.append(f"STATES {_names_str(tuple(str(s) for s in cs.states))}")
-    lines.append(f"INITIAL {cs.initial}")
-    shown = Memo(_val_str)  # a machine's lines repeat a few valuations
+    shown = Memo(_val_str)
+    lines = []
     for state in cs.states:
         cands = cs.candidates.get(state, ())
         rendered = ";".join(map(shown.__getitem__, cands)) if cands else "-"
         lines.append(f"CANDIDATES {state} {rendered}")
     spoiled = tuple(str(s) for s in sorted(cs.spoiled))
     lines.append(f"SPOILED {_names_str(spoiled)}")
-    for (state, vin, vout), nxt in sorted(
-        cs.transitions.items(),
-        key=lambda item: (item[0][0], item[0][1].sort_key(), item[0][2].sort_key()),
-    ):
-        lines.append(f"STEP {state} {shown[vin]} {shown[vout]} {nxt}")
-    lines += _mux_lines(verdict.multiplexer)
-    lines += _spec_lines(verdict.spec.source)
-    return "\n".join(lines) + "\n"
+    states = _names_str(tuple(str(s) for s in cs.states))
+    return _render(KIND_COUNTER_STRATEGY, verdict, algorithm, cs, states, lines)
 
 
 def render_dot(machine: MealyController | CounterStrategy) -> str:
@@ -131,24 +122,16 @@ def render_dot(machine: MealyController | CounterStrategy) -> str:
 
     label = Memo(_val_str)
     lines = ["digraph machine {", "  rankdir=LR;"]
+    lines.append(f'  init [shape=point]; init -> "{machine.initial}";')
     if isinstance(machine, MealyController):
-        lines.append(f'  init [shape=point]; init -> "{machine.initial}";')
         for s in range(machine.n_states):
             lines.append(f'  "{s}" [shape=circle];')
-        for (state, vin), (vout, nxt) in sorted(
-            machine.step.items(), key=lambda item: (item[0][0], item[0][1].sort_key())
-        ):
-            lines.append(f'  "{state}" -> "{nxt}" [label="{label[vin]} / {label[vout]}"];')
     else:
-        lines.append(f'  init [shape=point]; init -> "{machine.initial}";')
         for s in machine.states:
             shape = "doublecircle" if s in machine.spoiled else "box"
             lines.append(f'  "{s}" [shape={shape}];')
-        for (state, vin, vout), nxt in sorted(
-            machine.transitions.items(),
-            key=lambda item: (item[0][0], item[0][1].sort_key(), item[0][2].sort_key()),
-        ):
-            lines.append(f'  "{state}" -> "{nxt}" [label="{label[vin]} / {label[vout]}"];')
+    for state, vin, vout, nxt in machine.moves():
+        lines.append(f'  "{state}" -> "{nxt}" [label="{label[vin]} / {label[vout]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -68,6 +68,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress, repeat
@@ -88,16 +89,23 @@ class GameError(ValueError):
 @dataclass(frozen=True, eq=False)
 class Letters:
     """The alphabet of the arenas over ``inputs + outputs``: ``position`` of
-    each atom, input and output valuations in ``all_valuations`` order with
-    their bits, and each valuation's rank by ``Valuation.sort_key``."""
+    each atom, input and output valuations in ``all_valuations`` order (the
+    inputs with their bits), each valuation's rank by ``Valuation.sort_key``,
+    and the bits of every letter in arena ``order``: letter ``j * n_out + k``
+    is input valuation ``j`` with output valuation ``k``."""
 
     position: MappingProxyType[str, int]
     inputs: tuple[Valuation, ...]
     input_bits: tuple[int, ...]
     input_rank: tuple[int, ...]
     outputs: tuple[Valuation, ...]
-    output_bits: tuple[int, ...]
     output_rank: tuple[int, ...]
+    order: tuple[int, ...]
+
+    def matching(self, guard: Valuation) -> list[int]:
+        """The letters, in arena order, that agree with the cube ``guard``."""
+        care, value = guard.masks(self.position)
+        return [l for l, bits in enumerate(self.order) if bits & care == value]
 
 
 def _ranks(valuations: tuple[Valuation, ...]) -> tuple[int, ...]:
@@ -120,8 +128,8 @@ def letters_of(inputs: tuple[str, ...], outputs: tuple[str, ...]) -> Letters:
         input_bits=tuple(bits for _, bits in ins),
         input_rank=_ranks(input_valuations),
         outputs=output_valuations,
-        output_bits=tuple(bits for _, bits in outs),
         output_rank=_ranks(output_valuations),
+        order=tuple(i | o for _, i in ins for _, o in outs),
     )
 
 
@@ -215,15 +223,7 @@ def build_buchi_game(
     """
     letters = letters_of(inputs, outputs)
     n_in, n_out = len(letters.inputs), len(letters.outputs)
-    # letter j * n_out + k is input valuation j with output valuation k;
-    # each distinct guard is lowered once to the letters it matches
-    order = [i | o for i in letters.input_bits for o in letters.output_bits]
-
-    def matching(guard: Valuation) -> list[int]:
-        care, value = guard.masks(letters.position)
-        return [l for l, bits in enumerate(order) if bits & care == value]
-
-    matched = Memo(matching)
+    matched = Memo(letters.matching)  # each distinct guard lowered once
     ends = range(n_out, n_in * n_out + 1, n_out)  # past each input's letters
     env_start, env_letters = array("i", [0]), []
     ctrl_start, ctrl_letter, ctrl_target = array("i", [0]), array("i"), array("i")
@@ -327,9 +327,7 @@ class SuccessorTable:
         self.inputs = inputs
         self.outputs = outputs
         letters = letters_of(inputs, outputs)
-        # each letter of the arena order as its bits
-        order = [i | o for i in letters.input_bits for o in letters.output_bits]
-        self._n_letters = len(order)
+        self._n_letters = len(letters.order)
         self._n_in, self._n_out = len(letters.inputs), len(letters.outputs)
         self._single = tuple(1 << j for j in range(self._n_in))  # each input's letter set
         self._full = (1 << self._n_letters) - 1
@@ -339,10 +337,7 @@ class SuccessorTable:
         for row in negated.transitions:
             reach: dict[int, int] = {}
             for t in row:
-                care, value = t.guard.masks(letters.position)
-                letter_set = sum(
-                    1 << l for l, bits in enumerate(order) if bits & care == value
-                )
+                letter_set = sum(1 << l for l in letters.matching(t.guard))
                 reach[t.target] = reach.get(t.target, 0) | letter_set
             self._targets.append(
                 tuple(
@@ -696,6 +691,12 @@ def solve(arena: GameArena) -> GameSolution:
 
 # -- strategy extraction --------------------------------------------------------
 
+Move = tuple[int, Valuation, Valuation, int]  # (state, input, output, next)
+
+
+def _sorted_moves(moves: Iterable[Move]) -> list[Move]:
+    return sorted(moves, key=lambda m: (m[0], m[1].sort_key(), m[2].sort_key()))
+
 
 @dataclass(frozen=True)
 class MealyController:
@@ -704,6 +705,10 @@ class MealyController:
     n_states: int
     initial: int
     step: dict[tuple[int, Valuation], tuple[Valuation, int]]
+
+    def moves(self) -> list[Move]:
+        """Every move by state, then input (one per state and input)."""
+        return _sorted_moves((s, vin, vout, nxt) for (s, vin), (vout, nxt) in self.step.items())
 
 
 def _by_input_rank(arena: GameArena, edges) -> list[tuple[int, int]]:
@@ -776,6 +781,11 @@ class CounterStrategy:
     candidates: dict[int, tuple[Valuation, ...]]
     transitions: dict[tuple[int, Valuation, Valuation], int]
     spoiled: frozenset[int]  # terminal states where the objective is already lost
+
+    def moves(self) -> list[Move]:
+        """Every move by state, then input, then output."""
+        items = self.transitions.items()
+        return _sorted_moves((s, vin, vout, nxt) for (s, vin, vout), nxt in items)
 
 
 def _answers(arena: GameArena, k: int, every_letter: array) -> tuple:

@@ -136,16 +136,66 @@ def random_document(rng: random.Random):
     )
 
 
-def random_lasso(rng: random.Random, atoms, max_prefix: int = 2, max_loop: int = 3):
+def random_lasso(
+    rng: random.Random, atoms, max_prefix: int = 2, max_loop: int = 3, min_prefix: int = 0
+):
     """Random ultimately periodic word as (prefix, loop) valuation lists."""
     from numltl.valuation import Valuation
 
     def letter():
         return Valuation.of({a: rng.random() < 0.5 for a in atoms})
 
-    prefix = [letter() for _ in range(rng.randint(0, max_prefix))]
+    prefix = [letter() for _ in range(rng.randint(min_prefix, max_prefix))]
     loop = [letter() for _ in range(rng.randint(1, max_loop))]
     return prefix, loop
+
+
+AUTOMATON_SHAPES = ("random", "transient", "prefix_entry")
+
+
+def random_automaton(rng: random.Random, atoms, shape: str = "random"):
+    """Random Büchi automaton over ``atoms`` with 1-6 states.
+
+    Each state has 0-3 transitions, each guarded by a cube over a random
+    subset of ``atoms`` (the empty cube among them).  The accepting set is
+    empty, every state, or a random subset.  The other two shapes have at
+    least three states and plant one structure:
+
+    - ``"transient"``: state 1 is accepting and on no cycle.  Only the
+      initial state 0 leads to it, on the empty cube, and it leads only to
+      states above 1, which never lead back to 0 or 1.
+    - ``"prefix_entry"``: the accepting self-loop at state 1 is entered
+      only from state 0, on letters with ``atoms[0]`` true, and nothing
+      leads back to 0: a word enters it at its first letter or never.
+    """
+    from numltl.automata import BuchiAutomaton, Transition
+    from numltl.valuation import Valuation
+
+    def cube():
+        return Valuation.of({a: rng.random() < 0.5 for a in atoms if rng.random() < 0.4})
+
+    planted = shape != "random"
+    n = rng.randint(3 if planted else 1, 6)
+    low = 2 if planted else 0  # the random transitions never enter states below
+    rows = [
+        [Transition(cube(), rng.randrange(low, n)) for _ in range(rng.randint(0, 3))]
+        for _ in range(n)
+    ]
+    accepting = rng.choice([set(), set(range(n)), {s for s in range(n) if rng.random() < 0.5}])
+    if shape == "transient":
+        rows[0].append(Transition(Valuation.of({}), 1))
+    elif shape == "prefix_entry":
+        rows[0].append(Transition(Valuation.of({atoms[0]: True}), 1))
+        rows[1] = [Transition(Valuation.of({}), 1)]
+    if planted:
+        accepting.add(1)
+    return BuchiAutomaton(
+        atoms=tuple(atoms),
+        n_states=n,
+        initial=0,
+        transitions=tuple(tuple(row) for row in rows),
+        accepting=frozenset(accepting),
+    )
 
 
 def random_arena(rng: random.Random, objective: str, reverse_atoms: bool = False, merge=False):

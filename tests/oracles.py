@@ -20,7 +20,10 @@ the formula layer keeps its per-operator walks, printer and negation normal
 form that the field-reading walks and the syntax and dual tables replaced,
 and the recursive lasso semantics that the one evaluator ``truth`` replaced,
 and the refinement loop keeps its two refinement paths, one per winner, that
-one round for both replaced.  The tests read the library's arenas and
+one round for both replaced, the artifact writers keep their body per kind
+that one body over each machine's ``moves()`` replaced, and lasso acceptance
+keeps the strongly-connected-component pass that two reachability searches
+replaced.  The tests read the library's arenas and
 solutions only through the object views built here from their arrays
 (``object_arena``, ``object_solution``), expanded to one ctrl node per input
 letter, the arena the library's letter classes replaced, and build arenas
@@ -2772,7 +2775,7 @@ def reference_synthesize(doc: SpecDocument, cfg, transcript, cache=None):
         evidence = cegar._genuineness_evidence(cs, cache, input_atoms)
         shown = bound if bound is not None else "none"
         transcript.verdict(f"unrealizable-within-bound bound={shown}")
-        return cegar.UnrealizableWithinBound(bound, cs, evidence, spec, mux)
+        return cegar.UnrealizableWithinBound(bound, cs, evidence, table, spec, mux)
 
 
 # -- reference artifact reader ----------------------------------------------------
@@ -2963,3 +2966,159 @@ def reference_render_dot(machine) -> str:
         lines.append(f'  "{state}" -> "{nxt}" [label="{label(vin)} / {label(vout)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# -- reference artifact writers ---------------------------------------------------
+#
+# ``render_realizable`` and ``render_unrealizable`` once had a body each, each
+# sorting its machine's moves with its own key, and formatted the embedded
+# spec twice, once for ``HASH`` and once for the ``SPEC`` block; the library
+# writes both kinds with one body from ``moves()``.
+
+
+def _reference_header_lines(kind: str, algorithm: str, bound, spec) -> list[str]:
+    from numltl import controller_file as cf
+
+    lines = [
+        f"{cf.MAGIC} {kind}",
+        f"HASH {cf.spec_digest(spec.source)}",
+        f"ALGORITHM {algorithm}",
+        f"BOUND {bound if bound is not None else 'none'}",
+    ]
+    lines += [f"REFINE {INPUT_SIDE} {v}" for v in spec.input_refinements]
+    lines += [f"REFINE {OUTPUT_SIDE} {w}" for w in spec.output_refinements]
+    return lines
+
+
+def _reference_spec_lines(doc) -> list[str]:
+    from numltl.speclang import format_spec
+
+    return ["BEGIN SPEC", *format_spec(doc).splitlines(), "END SPEC"]
+
+
+def reference_render_realizable(verdict, algorithm: str) -> str:
+    """``render_realizable`` with its own body and sort key."""
+    from numltl import controller_file as cf
+
+    m = verdict.controller
+    lines = _reference_header_lines(cf.KIND_CONTROLLER, algorithm, verdict.bound, verdict.spec)
+    lines.append(f"INPUTS {cf._names_str(m.inputs)}")
+    lines.append(f"OUTPUTS {cf._names_str(m.outputs)}")
+    lines.append(f"STATES {m.n_states}")
+    lines.append(f"INITIAL {m.initial}")
+    for (state, vin), (vout, nxt) in sorted(
+        m.step.items(), key=lambda item: (item[0][0], item[0][1].sort_key())
+    ):
+        lines.append(f"STEP {state} {cf._val_str(vin)} {cf._val_str(vout)} {nxt}")
+    lines += cf._mux_lines(verdict.multiplexer)
+    lines += _reference_spec_lines(verdict.spec.source)
+    return "\n".join(lines) + "\n"
+
+
+def reference_render_unrealizable(verdict, algorithm: str) -> str:
+    """``render_unrealizable`` with its own body and sort key."""
+    from numltl import controller_file as cf
+
+    cs = verdict.counter_strategy
+    lines = _reference_header_lines(
+        cf.KIND_COUNTER_STRATEGY, algorithm, verdict.bound, verdict.spec
+    )
+    lines.append(f"INPUTS {cf._names_str(cs.inputs)}")
+    lines.append(f"OUTPUTS {cf._names_str(cs.outputs)}")
+    lines.append(f"STATES {cf._names_str(tuple(str(s) for s in cs.states))}")
+    lines.append(f"INITIAL {cs.initial}")
+    for state in cs.states:
+        cands = cs.candidates.get(state, ())
+        rendered = ";".join(map(cf._val_str, cands)) if cands else "-"
+        lines.append(f"CANDIDATES {state} {rendered}")
+    spoiled = tuple(str(s) for s in sorted(cs.spoiled))
+    lines.append(f"SPOILED {cf._names_str(spoiled)}")
+    for (state, vin, vout), nxt in sorted(
+        cs.transitions.items(),
+        key=lambda item: (item[0][0], item[0][1].sort_key(), item[0][2].sort_key()),
+    ):
+        lines.append(f"STEP {state} {cf._val_str(vin)} {cf._val_str(vout)} {nxt}")
+    lines += cf._mux_lines(verdict.multiplexer)
+    lines += _reference_spec_lines(verdict.spec.source)
+    return "\n".join(lines) + "\n"
+
+
+# -- reference lasso acceptance ---------------------------------------------------
+#
+# ``accepts_lasso`` once looked for a reachable cycle through an accepting
+# state of the product with one iterative Tarjan pass over its strongly
+# connected components; the library asks two reachability questions instead.
+
+
+def reference_accepts_lasso(automaton, prefix, loop) -> bool:
+    """``accepts_lasso`` by strongly connected components of the product."""
+    from numltl.automata import _word_positions
+
+    word, loop_start = _word_positions(prefix, loop)
+    total = len(word)
+
+    def succ(i: int) -> int:
+        return i + 1 if i + 1 < total else loop_start
+
+    def successors(node: tuple[int, int]) -> list[tuple[int, int]]:
+        state, pos = node
+        nxt = succ(pos)
+        letter = word[pos]
+        return [
+            (t.target, nxt)
+            for t in automaton.transitions[state]
+            if all(letter[name] == value for name, value in t.guard.pairs)
+        ]
+
+    root = (automaton.initial, 0)
+    index: dict[tuple[int, int], int] = {}
+    low: dict[tuple[int, int], int] = {}
+    on_stack: set[tuple[int, int]] = set()
+    stack: list[tuple[int, int]] = []
+    counter = [0]
+
+    # iterative Tarjan; each frame is (node, iterator over successors)
+    call_stack: list[tuple[tuple[int, int], list[tuple[int, int]], int]] = []
+
+    def push(node):
+        index[node] = low[node] = counter[0]
+        counter[0] += 1
+        stack.append(node)
+        on_stack.add(node)
+        call_stack.append((node, successors(node), 0))
+
+    push(root)
+    while call_stack:
+        node, succs, i = call_stack.pop()
+        advanced = False
+        while i < len(succs):
+            child = succs[i]
+            i += 1
+            if child not in index:
+                call_stack.append((node, succs, i))
+                push(child)
+                advanced = True
+                break
+            if child in on_stack:
+                low[node] = min(low[node], index[child])
+        if advanced:
+            continue
+        if low[node] == index[node]:
+            component = []
+            while True:
+                member = stack.pop()
+                on_stack.discard(member)
+                component.append(member)
+                if member == node:
+                    break
+            cyclic = len(component) > 1 or any(
+                member in successors(member) for member in component
+            )
+            if cyclic and any(
+                state in automaton.accepting for state, _ in component
+            ):
+                return True
+        if call_stack:
+            parent = call_stack[-1][0]
+            low[parent] = min(low[parent], low[node])
+    return False

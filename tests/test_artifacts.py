@@ -16,6 +16,8 @@ from oracles import (
     reference_monitor_guarantees,
     reference_parse_controller_file,
     reference_render_dot,
+    reference_render_realizable,
+    reference_render_unrealizable,
 )
 
 from numltl import speclang as sl
@@ -39,7 +41,7 @@ from numltl.controller_file import (
     render_unrealizable,
     spec_digest,
 )
-from numltl.games import MealyController
+from numltl.games import CounterStrategy, MealyController
 from numltl.simulate import SimulationError, monitor_guarantees, simulate
 from numltl.speclang import parse_spec
 from numltl.valuation import Valuation, all_valuations, parse_valuation
@@ -326,6 +328,33 @@ class TestControllerFiles:
         pkg = request.getfixturevalue(package)[0]
         machine = pkg.controller or pkg.counter_strategy
         assert render_dot(machine) == reference_render_dot(machine)
+
+    def test_moves_sort_whatever_order_the_machine_was_filled_in(self):
+        """By state, then input, then output, each valuation by its
+        ``sort_key`` (atom ``a`` before ``b`` however the atoms are
+        listed), from a transition table filled in reverse."""
+        ins, outs = list(all_valuations(("b", "a"))), list(all_valuations(("d", "c")))
+        cs = CounterStrategy(
+            inputs=("b", "a"),
+            outputs=("d", "c"),
+            states=(1, 0),
+            initial=1,
+            candidates={1: tuple(ins), 0: ()},
+            transitions={(s, i, o): 0 for s in (1, 0) for i in ins[::-1] for o in outs[::-1]},
+            spoiled=frozenset({0}),
+        )
+        keys = [(s, i) for s in (0, 1) for i in sorted(ins)]
+        assert [move[:3] for move in cs.moves()] == [(*k, o) for k in keys for o in sorted(outs)]
+        controller = MealyController(
+            inputs=("b", "a"),
+            outputs=("d", "c"),
+            n_states=2,
+            initial=0,
+            step={(s, i): (outs[s], 1 - s) for s in (1, 0) for i in ins[::-1]},
+        )
+        assert [move[:2] for move in controller.moves()] == keys
+        for machine in (cs, controller):
+            assert render_dot(machine) == reference_render_dot(machine)
 
     def test_bare_block_keywords_are_malformed(self, encoded_package, counter_package):
         controller = render_realizable(encoded_package[1], SAFETY)
@@ -723,12 +752,10 @@ def _read(parse, text: str):
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
-def test_synthesized_controllers_cover_exactly_the_unrefined_inputs():
-    """Every controller has a STEP line for each state and each input
-    valuation no input refinement excludes, and none for an excluded one:
-    the bundled specs, ``tests/data`` (the arbiter family among them) and
-    generated documents, on both routes.  The reader rejects a missing
-    line, so this is what keeps every artifact readable."""
+@pytest.fixture(scope="module")
+def synthesis_runs():
+    """``(cfg, verdict)`` of the bundled specs, ``tests/data`` (the arbiter
+    family among them) and 60 generated documents, on both routes."""
     rng = random.Random(1717)
     runs = [
         (parse_spec(path.read_text()), CegarConfig(algorithm=algorithm))
@@ -742,9 +769,16 @@ def test_synthesized_controllers_cover_exactly_the_unrefined_inputs():
         for doc in documents
         for algorithm in (SAFETY, BUCHI)
     ]
+    return [(cfg, synthesize(doc, cfg)) for doc, cfg in runs]
+
+
+def test_synthesized_controllers_cover_exactly_the_unrefined_inputs(synthesis_runs):
+    """Every controller has a STEP line for each state and each input
+    valuation no input refinement excludes, and none for an excluded one,
+    over every run of ``synthesis_runs``.  The reader rejects a missing
+    line, so this is what keeps every artifact readable."""
     controllers = refined = 0
-    for doc, cfg in runs:
-        verdict = synthesize(doc, cfg)
+    for cfg, verdict in synthesis_runs:
         if not isinstance(verdict, Realizable):
             continue
         machine = verdict.controller
@@ -762,6 +796,27 @@ def test_synthesized_controllers_cover_exactly_the_unrefined_inputs():
         controllers += 1
         refined += bool(cubes)
     assert controllers >= 40 and refined >= 10
+
+
+def test_artifacts_and_graphs_match_the_reference_writers(synthesis_runs):
+    """Over every run of ``synthesis_runs``, both artifact kinds, written by
+    one body from ``moves()``, are the per-kind writers' bytes, and
+    ``render_dot`` gives the reference graph."""
+    written = {Realizable: 0, UnrealizableWithinBound: 0}
+    for cfg, verdict in synthesis_runs:
+        if isinstance(verdict, Realizable):
+            machine = verdict.controller
+            text = render_realizable(verdict, cfg.algorithm)
+            assert text == reference_render_realizable(verdict, cfg.algorithm)
+        elif isinstance(verdict, UnrealizableWithinBound):
+            machine = verdict.counter_strategy
+            text = render_unrealizable(verdict, cfg.algorithm)
+            assert text == reference_render_unrealizable(verdict, cfg.algorithm)
+        else:
+            continue
+        assert render_dot(machine) == reference_render_dot(machine)
+        written[type(verdict)] += 1
+    assert written[Realizable] >= 60 and written[UnrealizableWithinBound] >= 60
 
 
 class TestArtifactMutationSweep:

@@ -39,8 +39,8 @@ from numltl.speclang import (
     walk,
 )
 from numltl.valuation import Valuation
-from generators import random_formula, random_lasso
-from oracles import lasso_accepted_by_search
+from generators import AUTOMATON_SHAPES, random_automaton, random_formula, random_lasso
+from oracles import lasso_accepted_by_search, reference_accepts_lasso
 
 A, B = Atom("a"), Atom("b")
 
@@ -219,14 +219,40 @@ class TestTranslation:
             )
 
     def test_acceptance_check_agrees_with_search_oracle(self):
+        """Also against the strongly-connected-component pass that the
+        reachability searches replaced."""
         rng = random.Random(13)
         for _ in range(200):
             f = random_formula(rng, ["a", "b"], 3)
             aut = translate(f)
             prefix, loop = random_lasso(rng, ["a", "b"])
-            assert accepts_lasso(aut, prefix, loop) == lasso_accepted_by_search(
-                aut, prefix, loop
-            )
+            accepted = accepts_lasso(aut, prefix, loop)
+            assert accepted == lasso_accepted_by_search(aut, prefix, loop)
+            assert accepted == reference_accepts_lasso(aut, prefix, loop)
+
+    def test_random_automata_accept_as_the_component_search_does(self):
+        """Reachability acceptance against the Tarjan pass it replaced, on
+        2,400 random automata over 2-3 atoms, a third of them with an
+        accepting state on no cycle and a third with an accepting cycle
+        entered only at the first letter, read from a nonempty prefix."""
+        rng = random.Random(2121)
+        seen = dict.fromkeys(["no transitions", "empty cube", "none accept", "all accept"], 0)
+        verdicts = set()
+        for i in range(2400):
+            shape = AUTOMATON_SHAPES[i % len(AUTOMATON_SHAPES)]
+            atoms = ["a", "b", "c"][: rng.randint(2, 3)]
+            aut = random_automaton(rng, atoms, shape)
+            min_prefix = 1 if shape == "prefix_entry" else 0
+            prefix, loop = random_lasso(rng, atoms, max_prefix=3, min_prefix=min_prefix)
+            expected = reference_accepts_lasso(aut, prefix, loop)
+            assert accepts_lasso(aut, prefix, loop) == expected, (aut, prefix, loop)
+            verdicts.add((shape, expected))
+            seen["no transitions"] += not all(aut.transitions)
+            seen["empty cube"] += any(not t.guard.pairs for row in aut.transitions for t in row)
+            seen["none accept"] += not aut.accepting
+            seen["all accept"] += len(aut.accepting) == aut.n_states
+        assert len(verdicts) == 2 * len(AUTOMATON_SHAPES)
+        assert min(seen.values()) >= 200, seen
 
     def test_spec_document_formulas_translate(self):
         doc = parse_spec(
