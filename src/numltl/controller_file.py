@@ -8,8 +8,9 @@ refinements applied during the run, and the output multiplexer when the
 machine speaks code-words.  Both kinds are written by one body: the STEP
 lines come from the machine's one sorted move list (``moves()``, which the
 ``--dot`` graph's edges read too), and the embedded spec is formatted once,
-for the hash and for the SPEC block.  Parsing rebuilds structurally equal
-objects.
+for the hash and for the SPEC block.  One body reads both kinds back into
+structurally equal objects, checking each STEP line as it is read; only the
+STATES line and a counter-strategy's CANDIDATES and SPOILED lines are per kind.
 """
 
 from __future__ import annotations
@@ -186,8 +187,8 @@ def _parse_val(text: str, where: str, atoms: tuple[str, ...] | None = None) -> V
     return valuation
 
 
-def _parse_names(text: str) -> tuple[str, ...]:
-    return () if text == "-" else tuple(text.split(","))
+def _parse_names(text: str, sep: str = ",") -> tuple[str, ...]:
+    return () if text == "-" else tuple(text.split(sep))
 
 
 def _parse_int(text: str, where: str) -> int:
@@ -251,22 +252,25 @@ def _check_refinements(document: sl.SpecDocument, refinements: list) -> None:
         previous[side].add(v)
 
 
-def _check_steps_cover_inputs(machine: MealyController, refinements: list) -> None:
+def _check_steps_cover_inputs(
+    machine: MealyController, document: sl.SpecDocument, refinements: list
+) -> None:
     """Every state of a controller must have a STEP line for every input
-    valuation that no ``REFINE input`` cube excludes."""
-    cubes = [v for side, v in refinements if side == sl.INPUT_SIDE]
-    required = [
-        vin
-        for vin in all_valuations(machine.inputs)
-        if not any(vin.restrict(cube.atoms) == cube for cube in cubes)
-    ]
-    if not required:
+    valuation that no ``REFINE input`` cube excludes.  The inputs are drawn
+    one at a time, so a missing line shows before all ``2^n`` are built."""
+    atoms = tuple(p.atom for p in document.predicates_of(sl.INPUT_SIDE))
+    cubes = {v for side, v in refinements if side == sl.INPUT_SIDE}
+    if len(cubes) == 2 ** len(atoms):
         return  # nothing to cover, and STATES may name more states than can be walked
+    unrefined = (vin for vin in all_valuations(machine.inputs) if vin.restrict(atoms) not in cubes)
+    required = []  # drawn while state 0 is read; every other state needs the same
     for state in range(machine.n_states):
-        for vin in required:
+        for vin in required if state else unrefined:
             if (state, vin) not in machine.step:
                 msg = f"STEP: state {state} has no line for input {_val_str(vin)}"
                 raise ControllerFileError(msg)
+            if not state:
+                required.append(vin)
 
 
 def parse_controller_file(text: str) -> ControllerPackage:
@@ -304,72 +308,61 @@ def parse_controller_file(text: str) -> ControllerPackage:
     vin_of = Memo(lambda text: _parse_val(text, "STEP", inputs))
     vout_of = Memo(lambda text: _parse_val(text, "STEP", outputs))
 
-    if magic == KIND_CONTROLLER:
-        n_states = _parse_int(reader.take("STATES"), "STATES")
-        valid = range(n_states)
-        initial = _parse_state(reader.take("INITIAL"), "INITIAL", valid)
-        number = Memo(lambda text: _parse_state(text, "STEP", valid))
-        step = {}
-        for payload in reader.block("STEP"):
-            if len(payload) != 4:
-                raise ControllerFileError("malformed STEP line")
-            key = (number[payload[0]], vin_of[payload[1]])
-            move = (vout_of[payload[2]], number[payload[3]])
-            if key in step:
-                msg = f"STEP: state {key[0]} has two lines for input {_val_str(key[1])}"
-                raise ControllerFileError(msg)
-            step[key] = move
-        machine = MealyController(
-            inputs=inputs, outputs=outputs, n_states=n_states, initial=initial, step=step
-        )
-        counter = None
-    else:
+    is_counter = magic == KIND_COUNTER_STRATEGY
+    if is_counter:
         states = tuple(_parse_int(s, "STATES") for s in _parse_names(reader.take("STATES")))
         valid = set()
         for state in states:
             if state in valid:
                 raise ControllerFileError(f"STATES: state {state} is listed twice")
             valid.add(state)
-        initial = _parse_state(reader.take("INITIAL"), "INITIAL", valid)
+    else:
+        n_states = _parse_int(reader.take("STATES"), "STATES")
+        valid = range(n_states)
+    initial = _parse_state(reader.take("INITIAL"), "INITIAL", valid)
+    if is_counter:
         candidates = {}
         candidate = Memo(lambda text: _parse_val(text, "CANDIDATES", inputs))
         for payload in reader.block("CANDIDATES"):
             if len(payload) != 2:
                 raise ControllerFileError("malformed CANDIDATES line")
             state = _parse_state(payload[0], "CANDIDATES", valid)
-            if payload[1] == "-":
-                listed = ()
-            else:
-                listed = tuple(map(candidate.__getitem__, payload[1].split(";")))
+            listed = tuple(map(candidate.__getitem__, _parse_names(payload[1], ";")))
             if state in candidates:
                 raise ControllerFileError(f"CANDIDATES: state {state} is listed twice")
             candidates[state] = listed
         spoiled = frozenset(
             _parse_state(s, "SPOILED", valid) for s in _parse_names(reader.take("SPOILED"))
         )
-        number = Memo(lambda text: _parse_state(text, "STEP", valid))
-        transitions = {}
-        for payload in reader.block("STEP"):
-            if len(payload) != 4:
-                raise ControllerFileError("malformed STEP line")
-            key = (number[payload[0]], vin_of[payload[1]], vout_of[payload[2]])
-            target = number[payload[3]]
-            if key in transitions:
-                msg = (
-                    f"STEP: state {key[0]} has two lines for input {_val_str(key[1])}"
-                    f" and output {_val_str(key[2])}"
-                )
-                raise ControllerFileError(msg)
-            transitions[key] = target
-        machine = None
+    number = Memo(lambda text: _parse_state(text, "STEP", valid))
+    # a controller moves on (state, input) to (output, next); a counter-strategy
+    # on (state, input, output) to next
+    step = {}
+    for payload in reader.block("STEP"):
+        if len(payload) != 4:
+            raise ControllerFileError("malformed STEP line")
+        state, vin, vout = number[payload[0]], vin_of[payload[1]], vout_of[payload[2]]
+        target = number[payload[3]]
+        key, move = ((state, vin, vout), target) if is_counter else ((state, vin), (vout, target))
+        if key in step:
+            also = f" and output {_val_str(vout)}" if is_counter else ""
+            msg = f"STEP: state {state} has two lines for input {_val_str(vin)}{also}"
+            raise ControllerFileError(msg)
+        step[key] = move
+    machine = counter = None
+    if is_counter:
         counter = CounterStrategy(
             inputs=inputs,
             outputs=outputs,
             states=states,
             initial=initial,
             candidates=candidates,
-            transitions=transitions,
+            transitions=step,
             spoiled=spoiled,
+        )
+    else:
+        machine = MealyController(
+            inputs=inputs, outputs=outputs, n_states=n_states, initial=initial, step=step
         )
 
     mux = _parse_mux(reader)
@@ -381,7 +374,7 @@ def parse_controller_file(text: str) -> ControllerPackage:
     _same_atoms("INPUTS", inputs, document.input_atoms())
     _check_refinements(document, refinements)
     if machine is not None:
-        _check_steps_cover_inputs(machine, refinements)
+        _check_steps_cover_inputs(machine, document, refinements)
     if mux:
         _same_atoms("ORIGINAL", mux.original_atoms, document.output_atoms())
         _same_atoms("ENCODED", mux.encoded_atoms, outputs)

@@ -15,16 +15,17 @@ assumption when prefixed with ``ASSUME``.  Formula operators, tightest first:
 ``&&``, ``||``, ``UNTIL``, ``->``.  ``UNTIL`` and ``->`` associate to the
 right.  Polynomials use ``+ - * ^`` with nonnegative integer exponents and no
 implicit multiplication; rational constants are integers, exact decimals, or
-``p/q``.  A power may have an exponent of at most ``MAX_EXPONENT`` and may
-expand to at most ``MAX_POWER_TERMS`` terms.  Parenthesised groups and prefix
-operators (``!``, ``ALWAYS``, ``EVENTUALLY``, ``NEXT`` and a polynomial's
-unary ``-``) nest at most ``MAX_NESTING`` levels deep, and the token that
-opens a deeper level is rejected.  A prefix operator applied to a group shares
-the group's level, so ``NEXT (a)`` is as deep as ``NEXT a``: ``format_spec``
-prints every temporal operand in parentheses, and its text of a document
-within the cap stays within it.  The formula lines plus the operators on the
-longest path of any line may be at most ``MAX_FORMULA_DEPTH``, and the line or
-innermost operator past it is rejected; binary chains are read in loops.
+``p/q``.  A power may have an exponent of at most ``MAX_EXPONENT``, and a
+power or a product may expand to at most ``MAX_POWER_TERMS`` terms.
+Parenthesised groups and prefix operators (``!``, ``ALWAYS``, ``EVENTUALLY``,
+``NEXT`` and a polynomial's unary ``-``) nest at most ``MAX_NESTING`` levels
+deep, and the token that opens a deeper level is rejected.  A prefix
+operator applied to a group shares the group's level, so ``NEXT (a)`` is as
+deep as ``NEXT a``: ``format_spec`` prints every temporal operand in
+parentheses, and its text of a document within the cap stays within it.  The
+formula lines plus the operators on the longest path of any line may be at
+most ``MAX_FORMULA_DEPTH``, and the line or innermost operator past it is
+rejected; binary chains are read in loops.
 
 A predicate atom is an atom of its side by construction and must not be
 re-listed under INPUT or OUTPUT.
@@ -67,8 +68,8 @@ from .bernstein import Box, ConstraintImplication, Polynomial, PolyConstraint
 INPUT_SIDE = "input"
 OUTPUT_SIDE = "output"
 
-# a power ``p^k`` is expanded term by term, at a cost that grows with k and
-# the size of p: past either cap it is rejected rather than expanded
+# a power ``p^k`` or a product is expanded a factor at a time, at a cost that
+# grows with k and the factors: past either cap it is rejected, not expanded
 MAX_EXPONENT = 64
 MAX_POWER_TERMS = 500
 # each level of nesting is a few frames of the recursive-descent parser: past
@@ -468,6 +469,19 @@ _PREFIX_LEVEL = 5
 _SPELLED = {spelling: (ctor, level, right) for ctor, (spelling, level, right) in _SYNTAX.items()}
 
 
+def _expected(what: str, tok: Token) -> SpecError:
+    return SpecError(f"expected {what}, found {tok.text or 'end of line'!r}", tok.line, tok.column)
+
+
+def _capped(poly: Polynomial, what: str, tok: Token) -> Polynomial:
+    """``poly``, unless the ``what`` at ``tok`` that built it expands to
+    more than ``MAX_POWER_TERMS`` terms."""
+    if len(poly.terms) > MAX_POWER_TERMS:
+        msg = f"{what} expands to more than {MAX_POWER_TERMS} terms"
+        raise SpecError(msg, tok.line, tok.column)
+    return poly
+
+
 def _too_deep(tok: Token) -> SpecError:
     msg = f"more than {MAX_FORMULA_DEPTH} levels of operators and formula lines"
     return SpecError(msg, tok.line, tok.column)
@@ -495,16 +509,13 @@ class _LineParser:
         return tok
 
     def expect(self, kind: TokenKind, what: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind is not kind:
-            expected = what or kind.value
-            raise SpecError(f"expected {expected}, found {tok.text or 'end of line'!r}", tok.line, tok.column)
+        if self.peek().kind is not kind:
+            raise _expected(what or kind.value, self.peek())
         return self.advance()
 
     def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind is not TokenKind.KEYWORD or tok.text != word:
-            raise SpecError(f"expected {word}, found {tok.text or 'end of line'!r}", tok.line, tok.column)
+        if not self.at_keyword(word):
+            raise _expected(word, self.peek())
         return self.advance()
 
     def at_keyword(self, word: str) -> bool:
@@ -602,9 +613,7 @@ class _LineParser:
             self.advance()
             sink.append(tok)
             return Atom(tok.text), 0
-        raise SpecError(
-            f"expected a formula, found {tok.text or 'end of line'!r}", tok.line, tok.column
-        )
+        raise _expected("a formula", tok)
 
     # polynomials
 
@@ -629,7 +638,7 @@ class _LineParser:
             tok = self.peek()
             if tok.kind is TokenKind.STAR:
                 self.advance()
-                poly = poly * self._poly_factor()
+                poly = _capped(poly * self._poly_factor(), "product", tok)
             elif tok.kind in (TokenKind.IDENT, TokenKind.NUMBER, TokenKind.LPAREN):
                 raise SpecError(
                     "implicit multiplication is not allowed; write an explicit '*'",
@@ -669,13 +678,7 @@ class _LineParser:
             )
         power = Polynomial.constant(base.arity, 1)
         for _ in range(exponent):
-            power = power * base
-            if len(power.terms) > MAX_POWER_TERMS:
-                raise SpecError(
-                    f"power expands to more than {MAX_POWER_TERMS} terms",
-                    expo.line,
-                    expo.column,
-                )
+            power = _capped(power * base, "power", expo)
         return power
 
     def _poly_base(self) -> Polynomial:
@@ -692,11 +695,7 @@ class _LineParser:
             self.expect(TokenKind.RPAREN)
             self.depth -= 1
             return inner
-        raise SpecError(
-            f"expected a polynomial, found {tok.text or 'end of line'!r}",
-            tok.line,
-            tok.column,
-        )
+        raise _expected("a polynomial", tok)
 
     def parse_signed_rational(self) -> Fraction:
         sign = 1
@@ -746,11 +745,7 @@ def _parse_relational(parser: _LineParser) -> PolyConstraint:
     lhs = parser.parse_poly()
     rel_tok = parser.peek()
     if rel_tok.kind not in RELOPS:
-        raise SpecError(
-            f"expected a relation (<, <=, >, >=), found {rel_tok.text or 'end of line'!r}",
-            rel_tok.line,
-            rel_tok.column,
-        )
+        raise _expected("a relation (<, <=, >, >=)", rel_tok)
     parser.advance()
     rhs = parser.parse_poly()
     return PolyConstraint(lhs - rhs, RELOPS[rel_tok.kind])
@@ -828,45 +823,26 @@ def parse_spec(text: str) -> SpecDocument:
             deepest = max(deepest, depth)
             (assumptions if assumed else guarantees).append((formula, sink))
 
-    # name registry: reals, then predicate atoms, then Boolean atom lists
+    # name registry, whatever the line order: reals, predicate atoms, Boolean inputs, outputs
     kinds: dict[str, str] = {}
-    for tok, decl in real_decls:
-        if decl.name in kinds:
-            raise SpecError(
-                f"duplicate declaration of '{decl.name}'", tok.line, tok.column
-            )
-        kinds[decl.name] = "real variable"
-    for tok, _, _ in pred_decls:
-        if tok.text in kinds:
-            raise SpecError(
-                f"duplicate declaration of '{tok.text}' "
-                f"(already a {kinds[tok.text]})",
-                tok.line,
-                tok.column,
-            )
-        kinds[tok.text] = "predicate atom"
-    boolean_inputs: list[str] = []
-    boolean_outputs: list[str] = []
-    for tok_list, sink, label in (
-        (input_decls, boolean_inputs, "INPUT"),
-        (output_decls, boolean_outputs, "OUTPUT"),
+    for kind, tokens in (
+        ("real variable", [tok for tok, _ in real_decls]),
+        ("predicate atom", [tok for tok, _, _ in pred_decls]),
+        ("Boolean input", input_decls),
+        ("Boolean output", output_decls),
     ):
-        for tok in tok_list:
+        for tok in tokens:
             existing = kinds.get(tok.text)
-            if existing == "predicate atom":
-                raise SpecError(
-                    f"predicate atom '{tok.text}' must not be re-listed under {label}",
-                    tok.line,
-                    tok.column,
-                )
-            if existing is not None:
-                raise SpecError(
-                    f"duplicate declaration of '{tok.text}' (already a {existing})",
-                    tok.line,
-                    tok.column,
-                )
-            kinds[tok.text] = f"Boolean {label.lower()}"
-            sink.append(tok.text)
+            if existing is None:
+                kinds[tok.text] = kind
+                continue
+            msg = f"duplicate declaration of '{tok.text}' (already a {existing})"
+            if kind == "real variable":
+                msg = f"duplicate declaration of '{tok.text}'"
+            elif existing == "predicate atom" != kind:
+                listed = kind.split()[1].upper()
+                msg = f"predicate atom '{tok.text}' must not be re-listed under {listed}"
+            raise SpecError(msg, tok.line, tok.column)
 
     real_by_name = {decl.name: decl for _, decl in real_decls}
     side_order = {
@@ -897,13 +873,12 @@ def parse_spec(text: str) -> SpecDocument:
             PredicateDef(tok.text, _renumber(constraint, names, side_order[side]), side)
         )
 
-    atom_kinds = {"predicate atom", "Boolean input", "Boolean output"}
     for _, sink in assumptions + guarantees:
         for tok in sink:
             kind = kinds.get(tok.text)
             if kind is None:
                 raise SpecError(f"undeclared atom '{tok.text}'", tok.line, tok.column)
-            if kind not in atom_kinds:
+            if kind == "real variable":
                 raise SpecError(
                     f"'{tok.text}' is a {kind} and cannot be used as a Boolean atom",
                     tok.line,
@@ -914,8 +889,8 @@ def parse_spec(text: str) -> SpecDocument:
         raise SpecError("specification declares no guarantees", 1, 1)
 
     return SpecDocument(
-        boolean_inputs=tuple(boolean_inputs),
-        boolean_outputs=tuple(boolean_outputs),
+        boolean_inputs=tuple(tok.text for tok in input_decls),
+        boolean_outputs=tuple(tok.text for tok in output_decls),
         real_vars=tuple(decl for _, decl in real_decls),
         predicates=tuple(predicates),
         assumptions=tuple(f for f, _ in assumptions),

@@ -114,56 +114,6 @@ def poly_min_max_on_grid(poly: Polynomial, points: list[Point]) -> tuple[Fractio
     return min(values), max(values)
 
 
-def lasso_accepted_by_search(automaton, prefix, loop) -> bool:
-    """Acceptance of prefix . loop^omega decided without SCC machinery: a
-    product node counts when it is reachable from the start and lies on a
-    cycle, checked by one breadth-first search per accepting node."""
-    from numltl.valuation import Valuation
-
-    word = [v if isinstance(v, Valuation) else Valuation.of(v) for v in list(prefix) + list(loop)]
-    total = len(word)
-    loop_start = len(list(prefix))
-
-    def succ(pos):
-        return pos + 1 if pos + 1 < total else loop_start
-
-    def successors(node):
-        state, pos = node
-        return [
-            (t.target, succ(pos))
-            for t in automaton.transitions[state]
-            if cube_matches(t.guard, word[pos])
-        ]
-
-    reachable = set()
-    frontier = [(automaton.initial, 0)]
-    reachable.add(frontier[0])
-    while frontier:
-        node = frontier.pop()
-        for child in successors(node):
-            if child not in reachable:
-                reachable.add(child)
-                frontier.append(child)
-
-    for node in sorted(reachable):
-        state, _ = node
-        if state not in automaton.accepting:
-            continue
-        seen = set(successors(node))
-        queue = list(seen)
-        if node in seen:
-            return True
-        while queue:
-            current = queue.pop()
-            for child in successors(current):
-                if child == node:
-                    return True
-                if child not in seen:
-                    seen.add(child)
-                    queue.append(child)
-    return False
-
-
 def game_cpre(arena, region: set) -> set:
     """Nodes of an ``ObjectArena`` from which the controller survives one
     round into ``region``: env nodes whose present moves all land there, ctrl

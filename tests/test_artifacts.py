@@ -6,6 +6,7 @@ import random
 import re
 import time
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,8 @@ from oracles import (
     reference_render_unrealizable,
 )
 
-from numltl import speclang as sl
+from numltl import controller_file, speclang as sl
+from numltl import valuation as valuation_module
 from numltl.abstraction import EMPTY_MULTIPLEXER
 from numltl.bernstein import RELATIONS, PolyConstraint, Polynomial
 from numltl.cegar import (
@@ -310,6 +312,60 @@ class TestControllerFiles:
         pkg = parse_controller_file(mutant)
         assert time.process_time() - start < 5
         assert pkg.controller.n_states == 10**9
+
+    @pytest.mark.parametrize(
+        ("booleans", "predicates", "refined", "missing"),
+        [
+            (40, 0, 0, "a0=0,a1=0,a10=0,.*,a9=0$"),
+            # three cubes over the two predicate atoms, which vary fastest,
+            # exclude the first three inputs: the fourth is the one missing
+            (38, 2, 3, "a0=0,.*,a9=0,p0=1,p1=1$"),
+        ],
+    )
+    def test_the_coverage_rule_draws_a_few_inputs_before_it_finds_a_missing_line(
+        self, monkeypatch, booleans, predicates, refined, missing
+    ):
+        """A controller over 40 inputs without STEP lines: the rule used to
+        build all 2^40 input valuations first."""
+        names = [f"a{i}" for i in range(booleans)]
+        spec = f"INPUT {', '.join(names)}\nOUTPUT b\nb\n"
+        if predicates:
+            preds = "".join(f"PRED p{i} := x > {i}\n" for i in range(predicates))
+            spec = f"REAL x IN [0, 4]\n{preds}{spec}"
+        doc = parse_spec(spec)
+        cubes = list(all_valuations(f"p{i}" for i in range(predicates)))[:refined]
+        inputs = ",".join(doc.input_atoms())
+        text = "".join(
+            [
+                f"NUMLTL CONTROLLER\nHASH {spec_digest(doc)}\nALGORITHM safety\nBOUND 1\n",
+                *(f"REFINE input {cube}\n" for cube in cubes),
+                f"INPUTS {inputs}\nOUTPUTS b\nSTATES 1\nINITIAL 0\n",
+                f"BEGIN SPEC\n{sl.format_spec(doc)}END SPEC\n",
+            ]
+        )
+        real_valuations = controller_file.all_valuations
+        drawn = []
+
+        def counted(atoms):
+            for vin in real_valuations(atoms):
+                drawn.append(vin)
+                if len(drawn) > 10_000:
+                    raise AssertionError("the coverage rule walks every input")
+                yield vin
+
+        monkeypatch.setattr(controller_file, "all_valuations", counted)
+        message = f"STEP: state 0 has no line for input {missing}"
+        with pytest.raises(ControllerFileError, match=message) as caught:
+            parse_controller_file(text)
+        assert len(drawn) < 10
+        # the per-line reader materialises every input; the first 16 hold
+        # the one it reports, so it reads them alone
+        monkeypatch.setattr(
+            valuation_module, "all_valuations", lambda atoms: islice(real_valuations(atoms), 16)
+        )
+        with pytest.raises(ControllerFileError) as expected:
+            reference_parse_controller_file(text)
+        assert str(caught.value) == str(expected.value)
 
     def test_bound_none_is_still_read(self, threshold_package):
         text = render_realizable(threshold_package[1], SAFETY)

@@ -40,7 +40,7 @@ from numltl.speclang import (
 )
 from numltl.valuation import Valuation
 from generators import AUTOMATON_SHAPES, random_automaton, random_formula, random_lasso
-from oracles import lasso_accepted_by_search, reference_accepts_lasso
+from oracles import reference_accepts_lasso
 
 A, B = Atom("a"), Atom("b")
 
@@ -219,16 +219,14 @@ class TestTranslation:
             )
 
     def test_acceptance_check_agrees_with_search_oracle(self):
-        """Also against the strongly-connected-component pass that the
-        reachability searches replaced."""
+        """Against the strongly-connected-component pass that the
+        reachability searches replaced, on 200 translated formulas."""
         rng = random.Random(13)
         for _ in range(200):
             f = random_formula(rng, ["a", "b"], 3)
             aut = translate(f)
             prefix, loop = random_lasso(rng, ["a", "b"])
-            accepted = accepts_lasso(aut, prefix, loop)
-            assert accepted == lasso_accepted_by_search(aut, prefix, loop)
-            assert accepted == reference_accepts_lasso(aut, prefix, loop)
+            assert accepts_lasso(aut, prefix, loop) == reference_accepts_lasso(aut, prefix, loop)
 
     def test_random_automata_accept_as_the_component_search_does(self):
         """Reachability acceptance against the Tarjan pass it replaced, on

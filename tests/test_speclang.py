@@ -189,14 +189,31 @@ class TestPowerCaps:
             # an exponent under the cap whose expansion passes the term cap:
             # its 9th product is the first with more than 500 terms
             ("(x + y + z + w + 1)^60", 21, f"more than {MAX_POWER_TERMS} terms", 9),
+            # the same expansion written out as a product is held to the same
+            # cap at the '*' that passes it, the 8th, joining the 9th factor
+            pytest.param(
+                " * ".join(["(x + y + z + w + 1)"] * 12),
+                21 + 22 * 7,
+                f"product expands to more than {MAX_POWER_TERMS} terms",
+                8,
+                id="written-out-product",
+            ),
+            pytest.param(
+                "(x + y + z + w + 1)^8 * (x + y + z + w + 1) * x",
+                23,
+                f"product expands to more than {MAX_POWER_TERMS} terms",
+                9,
+                id="power-times-factor",
+            ),
         ],
     )
     def test_oversized_power_is_rejected_at_its_exponent(
         self, monkeypatch, power, column, message, products
     ):
         """The parse gives up before it expands further: an exponent over its
-        cap is never multiplied out, and an expansion stops at the first
-        product past the term cap.  Counted in products, not in seconds."""
+        cap is never multiplied out, and an expansion, by a power or written
+        out as a product, stops at the first product past the term cap.
+        Counted in products, not in seconds."""
         real_mul = Polynomial.__mul__
         calls = []
 
@@ -684,6 +701,30 @@ def _random_constraint_text(rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
+# one declaration of ``n`` of each kind, over the input real ``r`` and the
+# output real ``s`` that the predicates read
+_DECLARATIONS = (
+    "REAL n IN [0, 1]",
+    "REAL INPUT n IN [0, 1]",
+    "REAL OUTPUT n IN [0, 1]",
+    "PRED n := r > 0",
+    "PRED n := s > 0",
+    "INPUT n",
+    "OUTPUT n",
+)
+
+
+def _collisions() -> tuple[str, ...]:
+    """Every ordered pair of declarations of one name, with the name used
+    in a formula and without."""
+    return tuple(
+        f"REAL r IN [0, 1]\nREAL OUTPUT s IN [0, 1]\n{first}\n{second}\nOUTPUT g\n{formula}\n"
+        for first in _DECLARATIONS
+        for second in _DECLARATIONS
+        for formula in ("n -> g", "g")
+    )
+
+
 class TestReferenceParser:
     """The parser against the character-by-character lexer and name-keyed
     polynomials it replaced: the same document, or the same error message,
@@ -725,7 +766,7 @@ class TestReferenceParser:
         "REAL x IN [0, 1]\nx := 1\n",
         "REAL x IN [0, 1]\nx & 1\n",
         "REAL INPUT x IN [0, 1]\nx > 0\n",
-    )
+    ) + _collisions()  # the registry's order and its three messages
 
     def test_edge_cases(self):
         seen = {"document": 0, "error": 0, "leak": 0}
