@@ -46,9 +46,9 @@ from .games import (
     GameArena,
     GameSolution,
     MealyController,
+    SafetyGame,
     SuccessorTable,
     build_buchi_game,
-    build_safety_game,
     counter_edges,
     extract_controller,
     extract_counter_strategy,
@@ -92,9 +92,11 @@ class Transcript:
 
     One event per line: CHECK (theory call with its verdict), REFINE
     (abstraction update), SOLVE (game solved), VERDICT (run outcome).  A
-    SOLVE line's ``env=`` counts the arena's env nodes and its ``ctrl=`` its
-    (env node, input letter) positions (``GameArena.n_positions``), not the
-    fewer ctrl nodes its letter classes share.
+    SOLVE line's ``env=`` counts the env nodes the solve expanded
+    (``GameArena.n_expanded``: every node of a Büchi arena, the nodes an
+    on-the-fly safety solve needed) and its ``ctrl=`` their (env node, input
+    letter) positions (``GameArena.n_positions``), not the fewer ctrl nodes
+    its letter classes share.
     """
 
     def __init__(self) -> None:
@@ -110,7 +112,7 @@ class Transcript:
         where = f" bound={bound}" if bound is not None else ""
         winner = "ctrl" if ctrl_wins else "env"
         self.lines.append(
-            f"SOLVE {arena.objective}{where} env={arena.n_env}"
+            f"SOLVE {arena.objective}{where} env={arena.n_expanded}"
             f" ctrl={arena.n_positions} winner={winner}"
         )
 
@@ -411,9 +413,10 @@ def _build_arena(
     algorithm: str,
     bound: int | None,
     successors: SuccessorTable | None = None,
-) -> GameArena:
-    """The game of ``work``; a safety arena reads ``successors`` (a table
-    for the same game formula, or a fresh one when None)."""
+) -> GameArena | SafetyGame:
+    """The game of ``work``: a Büchi arena, or a safety game, expanded as
+    its solves need, over ``successors`` (a table for the same game
+    formula, or a fresh one when None)."""
     inputs = work.input_atoms()
     outputs = work.output_atoms()
     if algorithm == BUCHI:
@@ -422,9 +425,7 @@ def _build_arena(
     else:
         if successors is None:
             successors = _successor_table(work)
-        arena = build_safety_game(
-            successors.automaton, bound, inputs, outputs, successors
-        )
+        arena = SafetyGame(successors, bound)
     for v in work.input_refinements:
         mark_edges_absent(arena, v)
     return arena
@@ -471,7 +472,7 @@ def synthesize(
     atoms = {side: table.atoms_of(side) for side in (sl.INPUT_SIDE, sl.OUTPUT_SIDE)}
     schedule = bound_schedule_up_to(cfg.max_bound) if cfg.algorithm == SAFETY else (None,)
     bound_index = 0
-    arena: GameArena | None = None
+    arena: GameArena | SafetyGame | None = None
     # the re-encoding of the game formula and the safety route's successors
     # depend on the guarantees, not on the bound or the input refinements:
     # one of each serves every bound until a guarantee refinement
@@ -491,7 +492,7 @@ def synthesize(
                 work = replace(work, input_refinements=spec.input_refinements)
                 arena = _build_arena(work, cfg.algorithm, bound, successors)
             solution = solve(arena)
-            transcript.solve(arena, bound, solution.ctrl_wins)
+            transcript.solve(solution.arena, bound, solution.ctrl_wins)
 
             if solution.ctrl_wins:
                 side = sl.OUTPUT_SIDE

@@ -57,10 +57,15 @@ which each class's set is spread by translating its binary digits.  Each
 input's slice of that index is its row of successor classes; the table
 groups the inputs by row.  Successors do not depend on the bound, only the
 test of their top count against it does, so one table serves every arena
-of a bound schedule: a build reads each macro's classes, resolves them to
-env nodes in order of their first letter (the numbering a letter-by-letter
-expansion gives), and maps each distinct row through them to the ctrl
-targets of one ctrl node.
+of a bound schedule.  A ``SafetyGame`` is one bound's game over the
+table, expanded node by node: expanding a macro reads its classes,
+resolves them to game nodes, and maps each distinct row through them to
+the targets of one ctrl node.  ``build_safety_game`` expands every
+reachable node breadth-first and numbers the nodes as a letter-by-letter
+expansion would.  ``solve`` on a game searches from the initial node
+instead (``solve_on_the_fly``), expands only the nodes it needs to decide
+it, and returns its solution over the arena of the nodes it expanded and
+the nodes they lead to; the refinement loop solves every safety game so.
 """
 
 from __future__ import annotations
@@ -184,6 +189,14 @@ class GameArena:
         """The (env node, input letter) positions: the ctrl nodes of the
         arena with one per input letter."""
         return sum(map(int.bit_count, self.env_letters))
+
+    @property
+    def n_expanded(self) -> int:
+        """The env nodes whose moves the arena holds: those with env edges,
+        and the unsafe node, which has none.  Only the nodes an on-the-fly
+        solve reached without expanding them are left out."""
+        start = self.env_start
+        return len(self.unsafe) + sum(start[i] != start[i + 1] for i in range(self.n_env))
 
     def edge_count(self) -> tuple[int, int]:
         return len(self.env_letters), len(self.ctrl_target)
@@ -415,6 +428,142 @@ class SuccessorTable:
 _ROW_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
+_UNSAFE, _INITIAL = 0, 1  # game node numbers of the unsafe macro and the initial one
+
+
+class SafetyGame:
+    """The bounded-unroll safety game over the automaton of the negated
+    spec, expanded on demand.
+
+    Env nodes are universal subset-construction macro states carrying, per
+    automaton state, the highest count of accepting-state visits along any
+    run reaching it.  A count past the bound makes the macro unsafe; the
+    macro with no live runs is absorbing and safe.  A node's rows come from
+    the successor table the first time a solve or ``arena`` needs them and
+    are kept for later ones.  ``absent`` is the set of input letters marked
+    absent, which holds at every node, expanded or not.  Two games are equal
+    when they are the same game (automaton, atoms, bound and absent letters),
+    however much of each is expanded.
+    """
+
+    objective = "safety"
+
+    def __init__(self, successors: SuccessorTable, bound: int) -> None:
+        if bound < 1:
+            msg = f"bound must be at least 1, got {bound}"
+            raise GameError(msg)
+        self.successors = successors
+        self.bound = bound
+        self.inputs, self.outputs = successors.inputs, successors.outputs
+        self.absent = 0
+        # game nodes are numbered as first met, the unsafe one ahead of all;
+        # the arenas drawn from the game number their nodes afresh
+        self._labels: list = [UNSAFE_LABEL, ((successors.automaton.initial, 0),)]
+        self._ids = {label: i for i, label in enumerate(self._labels)}
+        self._rows: list = [None, None]
+        self.n_out = len(self.letters.outputs)
+        order = sorted(range(self.n_out), key=self.letters.output_rank.__getitem__)
+        # the output letters in rank order, None when that is letter order
+        self._by_rank = None if order == list(range(self.n_out)) else order
+
+    @property
+    def letters(self) -> Letters:
+        return letters_of(self.inputs, self.outputs)
+
+    def _key(self) -> tuple:
+        return (self.successors.automaton, self.inputs, self.outputs, self.bound, self.absent)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SafetyGame):
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def _id(self, label) -> int:
+        i = self._ids.get(label)
+        if i is None:
+            i = self._ids[label] = len(self._labels)
+            self._labels.append(label)
+            self._rows.append(None)
+        return i
+
+    def rows(self, i: int) -> tuple:
+        """Game node ``i``'s node per successor class, its class per (row,
+        output letter), its input letter set per row, and its target per
+        (row, output) with each row's outputs in rank order: the macro-state
+        expanded on first request."""
+        rows = self._rows[i]
+        if rows is None:
+            label = self._labels[i]
+            classes, row_class, row_letters = self.successors.classes(
+                () if label == EMPTY_LABEL else label  # EMPTY: no live runs
+            )
+            ids = [self._id(s if top <= self.bound else UNSAFE_LABEL) for s, top in classes]
+            if self._by_rank is None:
+                ranked = list(map(ids.__getitem__, row_class))
+            else:
+                ranked = [
+                    ids[row_class[base + k]]
+                    for base in range(0, len(row_class), self.n_out)
+                    for k in self._by_rank
+                ]
+            rows = self._rows[i] = (ids, row_class, row_letters, ranked)
+        return rows
+
+    def arena(self) -> GameArena:
+        """Every node reachable from the initial one, expanded breadth-first."""
+        order, seen = [_INITIAL], {_INITIAL}
+        for i in order:
+            if i != _UNSAFE:  # the unsafe node is terminal: env already won
+                for t in self.rows(i)[0]:
+                    if t not in seen:
+                        seen.add(t)
+                        order.append(t)
+        return self._arena([i for i in order if i != _UNSAFE])[0]
+
+    def _arena(self, expanded: list[int]) -> tuple[GameArena, list[int]]:
+        """The arena of the ``expanded`` game nodes, listed in expansion
+        order, and the nodes their rows lead to, which keep no edges; with
+        the game node of each env node.  The initial node is env node 0, and
+        the others are numbered as the expanded ones' classes first reach
+        them, so the arena of a breadth-first expansion is numbered as a
+        letter-by-letter one would be."""
+        number, nodes = {_INITIAL: 0}, [_INITIAL]
+        for i in expanded:
+            for t in self._rows[i][0]:
+                if t not in number:
+                    number[t] = len(nodes)
+                    nodes.append(t)
+        opened = set(expanded)
+        env_start, env_letters = array("i", [0]), []
+        ctrl_target = array("i")
+        for i in nodes:
+            if i in opened:
+                ids, row_class, row_letters, _ = self._rows[i]
+                # a ctrl node per distinct row, whose edge k is output k
+                env_letters.extend(row_letters)
+                ctrl_target.extend(map([number[t] for t in ids].__getitem__, row_class))
+            env_start.append(len(env_letters))
+        n_ctrl, n_out = len(env_letters), self.n_out
+        kept = ~self.absent
+        arena = GameArena(
+            objective="safety",
+            inputs=self.inputs,
+            outputs=self.outputs,
+            env_labels=tuple(map(self._labels.__getitem__, nodes)),
+            env_start=env_start,
+            env_letters=env_letters,
+            present=[letter_set & kept for letter_set in env_letters],
+            ctrl_start=array("i", range(0, n_ctrl * n_out + 1, n_out)),
+            ctrl_letter=array("i", range(n_out)) * n_ctrl,
+            ctrl_target=ctrl_target,
+            initial=0,
+            unsafe=frozenset([number[_UNSAFE]] if _UNSAFE in number else []),
+        )
+        return arena, nodes
+
+
 def build_safety_game(
     negated: BuchiAutomaton,
     bound: int,
@@ -422,18 +571,9 @@ def build_safety_game(
     outputs: tuple[str, ...],
     successors: SuccessorTable | None = None,
 ) -> GameArena:
-    """Bounded-unroll safety arena over the automaton of the negated spec.
-
-    Env nodes are universal subset-construction macro states carrying, per
-    automaton state, the highest count of accepting-state visits along any
-    run reaching it.  A count past the bound makes the macro unsafe; the
-    macro with no live runs is absorbing and safe.  ``successors`` is a
-    table over the same automaton and atoms, filled by earlier builds at any
-    bound; without one a fresh table is used.
-    """
-    if bound < 1:
-        msg = f"bound must be at least 1, got {bound}"
-        raise GameError(msg)
+    """The whole ``SafetyGame`` of ``negated`` at ``bound`` as an arena.
+    ``successors`` is a table over the same automaton and atoms, filled by
+    earlier builds at any bound; without one a fresh table is used."""
     if successors is None:
         successors = SuccessorTable(negated, inputs, outputs)
     elif (successors.automaton, successors.inputs, successors.outputs) != (
@@ -442,65 +582,7 @@ def build_safety_game(
         outputs,
     ):
         raise GameError("successor table was made for another automaton or alphabet")
-    n_out = len(letters_of(inputs, outputs).outputs)
-
-    labels: list = []
-    index: dict = {}
-    unsafe: set[int] = set()
-
-    def env_id(label) -> int:
-        if label in index:
-            return index[label]
-        i = len(labels)
-        index[label] = i
-        labels.append(label)
-        if label == UNSAFE_LABEL:
-            unsafe.add(i)
-        return i
-
-    # env nodes are queued as they are numbered, so they are expanded in
-    # id order and each one's ctrl nodes follow the previous one's
-    env_start, env_letters = array("i", [0]), []
-    ctrl_target = array("i")
-    initial_macro: Macro = ((negated.initial, 0),)
-    start = env_id(initial_macro)
-    queue = deque([start])
-    expanded = {start}
-    while queue:
-        i = queue.popleft()
-        label = labels[i]
-        if label != UNSAFE_LABEL:  # the unsafe node is terminal: env already won
-            macro = () if label == EMPTY_LABEL else label  # EMPTY: no live runs
-            classes, row_class, row_letters = successors.classes(macro)
-            # classes are numbered by first letter, so resolving them in order
-            # numbers the env nodes as a letter-by-letter expansion would
-            targets = []
-            for successor, top in classes:
-                t = env_id(successor if top <= bound else UNSAFE_LABEL)
-                if t not in expanded:
-                    expanded.add(t)
-                    queue.append(t)
-                targets.append(t)
-            # a ctrl node per distinct row, whose edge k is output k
-            env_letters.extend(row_letters)
-            ctrl_target.extend(map(targets.__getitem__, row_class))
-        env_start.append(len(env_letters))
-
-    n_ctrl = len(env_letters)
-    return GameArena(
-        objective="safety",
-        inputs=inputs,
-        outputs=outputs,
-        env_labels=tuple(labels),
-        env_start=env_start,
-        env_letters=env_letters,
-        present=env_letters[:],
-        ctrl_start=array("i", range(0, n_ctrl * n_out + 1, n_out)),
-        ctrl_letter=array("i", range(n_out)) * n_ctrl,
-        ctrl_target=ctrl_target,
-        initial=start,
-        unsafe=frozenset(unsafe),
-    )
+    return SafetyGame(successors, bound).arena()
 
 
 # -- attractors and solving ----------------------------------------------------
@@ -644,6 +726,84 @@ def solve_safety(arena: GameArena) -> GameSolution:
     return GameSolution(arena, _attractor(arena, True, arena.unsafe, live, pending))
 
 
+def solve_on_the_fly(game: SafetyGame) -> GameSolution:
+    """Decide the initial node of ``game``, expanding only the nodes the
+    search needs (a local greatest fixpoint: Liu & Smolka, ICALP 1998;
+    Cassez, David, Fleury, Larsen & Lime, CONCUR 2005).
+
+    Every node counts as controller-winning until one of its rows (with a
+    present letter) has every output leading to a lost node, the unsafe one
+    first.  Each row points at its first output, in output rank order,
+    whose target is not lost, and the search expands the targets rows point
+    at, depth first, skipping a node once only rows of lost nodes point at
+    it; when a node is lost, the rows pointing at it move on, and a row
+    with no output left loses its node in turn.  The search stops
+    when the initial node is lost, or when no pointed-at node is left to
+    expand: the nodes then expanded and not lost are closed under the
+    pointers, so the controller wins from each of them.
+
+    The solution is over the arena of the nodes the search expanded (see
+    ``SafetyGame._arena``).  Its ranks are 0 at the unsafe node, ``2 * (n
+    + 1)`` at the ``n``-th node lost, ``1 + `` the largest target rank at a
+    ctrl node whose targets are all lost, and -1 elsewhere: a lost node's
+    candidate edges lead to nodes lost before it.  The controller's answer
+    at each row is its pointer, the lowest-ranked output that wins, as in
+    the full solve; a counter-strategy keeps the rows whose targets were all
+    lost before their node.
+    """
+    n_out = game.n_out
+    kept = ~game.absent
+    lost = {_UNSAFE: 0}
+    pointer: dict[int, tuple[list, list[int]]] = {}  # per expanded node: targets, position per row
+    waiting: dict[int, list[tuple[int, int]]] = {}  # per node, the rows pointing at it
+    stack, seen, expanded = [_INITIAL], {_INITIAL}, []
+
+    def point(i: int, r: int, at: int) -> bool:
+        """Point row ``r`` of node ``i`` at its first target not lost from
+        position ``at`` on; False when none is left."""
+        targets, positions = pointer[i]
+        for p in range(at, (r + 1) * n_out):
+            t = targets[p]
+            if t not in lost:
+                positions[r] = p
+                waiting.setdefault(t, []).append((i, r))
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+                return True
+        return False
+
+    while stack and _INITIAL not in lost:
+        i = stack.pop()
+        if i != _INITIAL and all(j in lost for j, _ in waiting[i]):
+            seen.discard(i)  # no row needs it now; one that comes to pushes it again
+            continue
+        expanded.append(i)
+        _, _, row_letters, targets = game.rows(i)
+        pointer[i] = (targets, [0] * len(row_letters))
+        if all(point(i, r, r * n_out) for r, letters in enumerate(row_letters) if letters & kept):
+            continue
+        lost[i] = 2 * len(lost)
+        dead = [i]
+        for u in dead:  # breadth-first over the losses
+            for j, r in waiting.pop(u, ()):
+                if j not in lost and not point(j, r, pointer[j][1][r] + 1):
+                    lost[j] = 2 * len(lost)
+                    if j == _INITIAL:
+                        break
+                    dead.append(j)
+            if _INITIAL in lost:
+                break
+
+    arena, nodes = game._arena(expanded)
+    rank = [lost.get(i, -1) for i in nodes]
+    target_rank = list(map(rank.__getitem__, arena.ctrl_target))
+    for base in range(0, len(target_rank), n_out):
+        row = target_rank[base : base + n_out]
+        rank.append(1 + max(row) if min(row) >= 0 else -1)
+    return GameSolution(arena, array("i", rank))
+
+
 def solve_buchi(arena: GameArena) -> GameSolution:
     if arena.objective != "buchi":
         msg = f"expected a buchi arena, got {arena.objective}"
@@ -683,7 +843,9 @@ def solve_buchi(arena: GameArena) -> GameSolution:
     return GameSolution(arena, env_rank, env_round, reach)
 
 
-def solve(arena: GameArena) -> GameSolution:
+def solve(arena: GameArena | SafetyGame) -> GameSolution:
+    if isinstance(arena, SafetyGame):
+        return solve_on_the_fly(arena)
     if arena.objective == "buchi":
         return solve_buchi(arena)
     return solve_safety(arena)
@@ -875,9 +1037,10 @@ def extract_counter_strategy(
 # -- refinement by edge marking ---------------------------------------------------
 
 
-def mark_edges_absent(arena: GameArena, valuation: Valuation) -> int:
+def mark_edges_absent(arena: GameArena | SafetyGame, valuation: Valuation) -> int:
     """Mark absent every present input letter that agrees with ``valuation``
-    on its atoms; returns how many letters were marked.  A valuation naming
+    on its atoms; returns how many letters were marked, on an arena once per
+    env edge that carried one, on a ``SafetyGame`` once.  A valuation naming
     an atom that is no input of the arena matches nothing."""
     if not set(valuation.atoms) <= set(arena.inputs):
         return 0
@@ -887,6 +1050,10 @@ def mark_edges_absent(arena: GameArena, valuation: Valuation) -> int:
     for j, bits in enumerate(letters.input_bits):
         if bits & care == value:
             hit |= 1 << j
+    if isinstance(arena, SafetyGame):
+        hit &= ~arena.absent
+        arena.absent |= hit
+        return hit.bit_count()
     present = arena.present
     count = 0
     for k, letter_set in enumerate(present):

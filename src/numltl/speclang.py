@@ -16,7 +16,11 @@ assumption when prefixed with ``ASSUME``.  Formula operators, tightest first:
 right.  Polynomials use ``+ - * ^`` with nonnegative integer exponents and no
 implicit multiplication; rational constants are integers, exact decimals, or
 ``p/q``.  A power may have an exponent of at most ``MAX_EXPONENT``, and a
-power or a product may expand to at most ``MAX_POWER_TERMS`` terms.
+sum, a power or a product may expand to at most ``MAX_POWER_TERMS`` terms:
+a sum is rejected at the ``+`` or ``-`` that takes it past the cap, and a
+power or a product at the first multiplication past it.  A multiplication
+is also refused before it is carried out when its factors' term counts
+multiply to more than ``MAX_PRODUCT_PAIRS``.
 Parenthesised groups and prefix operators (``!``, ``ALWAYS``, ``EVENTUALLY``,
 ``NEXT`` and a polynomial's unary ``-``) nest at most ``MAX_NESTING`` levels
 deep, and the token that opens a deeper level is rejected.  A prefix
@@ -69,9 +73,14 @@ INPUT_SIDE = "input"
 OUTPUT_SIDE = "output"
 
 # a power ``p^k`` or a product is expanded a factor at a time, at a cost that
-# grows with k and the factors: past either cap it is rejected, not expanded
+# grows with k and the factors: past either cap it is rejected, not expanded.
+# Each multiplication pairs every term of one factor with every term of the
+# other, so it is refused up front past MAX_PRODUCT_PAIRS pairs (a few
+# hundredths of a second), and a sum past the term cap, so that no factor
+# outgrows it
 MAX_EXPONENT = 64
 MAX_POWER_TERMS = 500
+MAX_PRODUCT_PAIRS = 10_000
 # each level of nesting is a few frames of the recursive-descent parser: past
 # the cap a line is rejected rather than parsed into Python's recursion limit
 MAX_NESTING = 64
@@ -482,6 +491,16 @@ def _capped(poly: Polynomial, what: str, tok: Token) -> Polynomial:
     return poly
 
 
+def _product(a: Polynomial, b: Polynomial, what: str, tok: Token) -> Polynomial:
+    """``a * b`` for the ``what`` at ``tok``: refused before it is
+    multiplied out when its factors' term counts multiply to more than
+    ``MAX_PRODUCT_PAIRS``, and after when it expands past the term cap."""
+    if len(a.terms) * len(b.terms) > MAX_PRODUCT_PAIRS:
+        msg = f"{what} pairs more than {MAX_PRODUCT_PAIRS} terms of its factors"
+        raise SpecError(msg, tok.line, tok.column)
+    return _capped(a * b, what, tok)
+
+
 def _too_deep(tok: Token) -> SpecError:
     msg = f"more than {MAX_FORMULA_DEPTH} levels of operators and formula lines"
     return SpecError(msg, tok.line, tok.column)
@@ -629,7 +648,7 @@ class _LineParser:
         while self.peek().kind in (TokenKind.PLUS, TokenKind.MINUS):
             op = self.advance()
             term = self._poly_term()
-            poly = poly + term if op.kind is TokenKind.PLUS else poly - term
+            poly = _capped(poly + term if op.kind is TokenKind.PLUS else poly - term, "sum", op)
         return poly
 
     def _poly_term(self) -> Polynomial:
@@ -638,7 +657,7 @@ class _LineParser:
             tok = self.peek()
             if tok.kind is TokenKind.STAR:
                 self.advance()
-                poly = _capped(poly * self._poly_factor(), "product", tok)
+                poly = _product(poly, self._poly_factor(), "product", tok)
             elif tok.kind in (TokenKind.IDENT, TokenKind.NUMBER, TokenKind.LPAREN):
                 raise SpecError(
                     "implicit multiplication is not allowed; write an explicit '*'",
@@ -678,7 +697,7 @@ class _LineParser:
             )
         power = Polynomial.constant(base.arity, 1)
         for _ in range(exponent):
-            power = _capped(power * base, "power", expo)
+            power = _product(power, base, "power", expo)
         return power
 
     def _poly_base(self) -> Polynomial:

@@ -421,6 +421,11 @@ class ObjectArena:
         return len(self.ctrl_edges)
 
     @property
+    def n_expanded(self) -> int:
+        """The env nodes with edges, and the unsafe ones."""
+        return sum(1 for i, row in enumerate(self.env_edges) if row or i in self.unsafe)
+
+    @property
     def ctrl_origin(self) -> tuple:
         """The env node and input valuation of each ctrl node, whose number
         is its env edge's number counted over the rows."""
@@ -2679,7 +2684,7 @@ def reference_synthesize(doc: SpecDocument, cfg, transcript, cache=None):
                     successors = cegar._successor_table(work)
             arena = cegar._build_arena(work, cfg.algorithm, bound, successors)
         solution = cegar.solve(arena)
-        transcript.solve(arena, bound, solution.ctrl_wins)
+        transcript.solve(solution.arena, bound, solution.ctrl_wins)
 
         if solution.ctrl_wins:
             controller = cegar.extract_controller(solution)

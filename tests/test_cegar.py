@@ -487,9 +487,9 @@ class TestSynthesizeBundledSpecs:
         assert isinstance(verdict, Realizable)
         refined = [line for line in t.lines if line.startswith("REFINE ")]
         assert refined == [
-            "REFINE input big=1,small=0,tiny=1",
-            "REFINE input big=1,small=1,tiny=0",
             "REFINE input big=1,small=1,tiny=1",
+            "REFINE input big=1,small=1,tiny=0",
+            "REFINE input big=1,small=0,tiny=1",
         ]
 
     def test_unsatisfiable_output_constraints_fall_back_unencoded(self):

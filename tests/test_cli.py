@@ -666,7 +666,7 @@ def depth(formula) -> int:
 BUNDLED_HASHES = {
     ("threshold_arbiter", "safety"): (
         "e0692594c23f8f64aba76f21baf66ddccd990a1215c2943a10d9b2c4c046dc32",
-        "8dcaf4cda0310f98f32e4c3207ace4c2cef61258bf169cd59f21b45a664fdf01",
+        "f80c76dda527de2f43622242416475db04662c81ed4b613d84e7c8df823cb20d",
     ),
     ("threshold_arbiter", "buchi"): (
         "5641d5f9f4798d334ef92377c026fe4c87cc06eea5034c7d5dfde5d9353f5eb1",
@@ -674,7 +674,7 @@ BUNDLED_HASHES = {
     ),
     ("triple_sensor_arbiter", "safety"): (
         "e05c20ec40bc30d29778e573be9d1e94ec43222a8ebcdbed64e05feb50acb561",
-        "f3e55de8f0308279746776d328656f89c6d7b43e366b1efcb86f6767f59e3585",
+        "ddfd6cd4ab9b2a44077c0ed83af9b046b8b6585f2181b14e0f864a5a6d73b44e",
     ),
     ("triple_sensor_arbiter", "buchi"): (
         "368f0161cb1171d10af29f4806f5b450ba55c002807cb5c7c31e91f8a8d7e84f",
@@ -682,7 +682,7 @@ BUNDLED_HASHES = {
     ),
     ("error_monitor", "safety"): (
         "5d7d02318b40fc124d4c9a4b5e0a931262023a7ab4d976aa9bfe08a64ab5321e",
-        "7dcde71aa678bed761a2ced0961090eff02d4751743850cf771aa6bfc5bdb337",
+        "d351c3884bfc90ad0744fd8a00f8de4d37d6080cc94b36f3e3e2bbc8d5ac69e0",
     ),
     ("error_monitor", "buchi"): (
         "f049c7a2912db7790e40435e6ef9a0075ffcd93e0420ee5a755fd99d23463d0b",
@@ -705,7 +705,7 @@ def test_bundled_artifacts_and_transcripts_are_pinned(name, route, tmp_path, cap
 
 # The same pins for the n-client arbiter family (tests/data, the seed-1
 # bands: clients whose sum-of-sensors bands are disjoint, or have one
-# overlapping pair).  These runs refine 50 input valuations between them and
+# overlapping pair).  These runs refine 45 input valuations between them and
 # re-solve the standing arena after each, the path the bundled specs barely
 # take; the exit code is pinned with the digests.
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -713,7 +713,7 @@ ARBITER_HASHES = {
     ("arbiter2-disjoint", "safety"): (
         EXIT_OK,
         "6d3caa64656bde257820b2bb5def37695f561e05e5275a007a367df11254e68b",
-        "8dcaf4cda0310f98f32e4c3207ace4c2cef61258bf169cd59f21b45a664fdf01",
+        "f80c76dda527de2f43622242416475db04662c81ed4b613d84e7c8df823cb20d",
     ),
     ("arbiter2-disjoint", "buchi"): (
         EXIT_OK,
@@ -723,7 +723,7 @@ ARBITER_HASHES = {
     ("arbiter2-overlap", "safety"): (
         EXIT_NEGATIVE,
         "f309b58ece7d69b284d56162e307da03e0e493a60b13bfd5fffb6fed6f8630ec",
-        "4a58a95a7528abce526bfb96c4a16a380842a67767aa9434c0e647d94bc8180c",
+        "b024fdf789430cfbde79cf89e33684533908b39594291750b27acc9194077735",
     ),
     ("arbiter2-overlap", "buchi"): (
         EXIT_NEGATIVE,
@@ -732,8 +732,8 @@ ARBITER_HASHES = {
     ),
     ("arbiter3-disjoint", "safety"): (
         EXIT_OK,
-        "d3237dc7e680607db17d91c1c4a3010bce129f7e9b6447a231df403303e793d5",
-        "a1110f1d104752436ba66f24adcace35117470ce19001dcc06f706958d5bb0a3",
+        "386e09b0f4dc873bd8c4ed524dfb89f8994acf8dae03a4f9933eb883e95567f4",
+        "2e90d48df05aa29a079bff90409a8ac2c57eb98bb8216139e29865c7f015e9ac",
     ),
     ("arbiter3-disjoint", "buchi"): (
         EXIT_OK,
@@ -742,8 +742,8 @@ ARBITER_HASHES = {
     ),
     ("arbiter3-overlap", "safety"): (
         EXIT_NEGATIVE,
-        "2209148781096d4fa64cf3601d6086c497efb715733de1e51fd2643d94d03599",
-        "c856373af0cc10695d9b724cc4ffaa4b9d86254182c93a63ed567e2e95fb5748",
+        "40f7bcbc1a6f33430de1a9402be2cb0f6e162b4bc5f71b09098a121a8198e786",
+        "f876c437321236f4c8ad6dd24840fd624c07014769300ecb393f097e18ba47d8",
     ),
     ("arbiter3-overlap", "buchi"): (
         EXIT_NEGATIVE,
@@ -752,8 +752,8 @@ ARBITER_HASHES = {
     ),
     ("arbiter4-disjoint", "safety"): (
         EXIT_OK,
-        "04178aa8d16c771aabd4cb4d0a854fe188811f6c2b1ed2377240086b152288ff",
-        "a43b9c4c855ae0644d63a3b4af6d5ee8b47f0e03a7023bed2d7900c5ef58c7a7",
+        "4f33159e0bb3bfeab7d39b5829271fcd6d95c44fb4c7e0dbc389581a624bf071",
+        "2e4419623ccb5b670071d716509859596bf544a0d52d9df33020529f65c22fbc",
     ),
     ("arbiter4-disjoint", "buchi"): (
         EXIT_OK,
@@ -762,8 +762,8 @@ ARBITER_HASHES = {
     ),
     ("arbiter4-overlap", "safety"): (
         EXIT_NEGATIVE,
-        "0ba03926a38a68cdbe2d4b186e7120e8e873a512710e8fce50177903670ef02e",
-        "192ea2cf0d01b6105be01aadeac67a63e620965976fdc6825286cba8fe21351f",
+        "d71c8b3e7d025a98d16616afd205cbf659c3121e7a0c4ad8c3be93557b86d314",
+        "d073bbe50d81b0293e4dc69af29f2496520641bbf677e3316dc0689011689d3c",
     ),
     ("arbiter4-overlap", "buchi"): (
         EXIT_NEGATIVE,

@@ -41,6 +41,7 @@ from numltl.cegar import (
 )
 from numltl.controller_file import render_realizable, render_unrealizable
 from numltl.games import (
+    SafetyGame,
     SuccessorTable,
     _attractor,
     build_buchi_game,
@@ -535,22 +536,35 @@ def run_rendered(doc, cfg) -> tuple[list[str], str]:
     return transcript.lines, rendered
 
 
+_build_arena = cegar._build_arena
+
+
+def whole_arena_build(*args):
+    """``cegar._build_arena`` with a safety game built whole, as an arena."""
+    game = _build_arena(*args)
+    return game.arena() if isinstance(game, SafetyGame) else game
+
+
 def test_synthesize_matches_the_object_level_pipeline(monkeypatch):
     """Transcripts and artifacts on generated documents, both routes: the
     library's games against a loop whose arenas are object copies solved,
-    marked, extracted and selected by the reference functions."""
+    marked, extracted and selected by the reference functions.  The
+    reference solves whole arenas, so on the safety route the library's
+    loop is run on whole arenas too (the on-the-fly solves are checked
+    against them in ``test_local_safety.py``)."""
     rng = random.Random(3308)
     documents = [random_synthesis_document(rng) for _ in range(60)]
     documents += [random_refinement_document(rng) for _ in range(40)]
-    real_build = cegar._build_arena
     refined = 0
     for doc in documents:
         for algorithm in ("safety", "buchi"):
             cfg = CegarConfig(algorithm=algorithm, max_bound=2)
-            expected = run_rendered(doc, cfg)
+            with monkeypatch.context() as patched:
+                patched.setattr(cegar, "_build_arena", whole_arena_build)
+                expected = run_rendered(doc, cfg)
             with monkeypatch.context() as patched:
                 patched.setattr(
-                    cegar, "_build_arena", lambda *args: object_arena(real_build(*args))
+                    cegar, "_build_arena", lambda *args: object_arena(whole_arena_build(*args))
                 )
                 patched.setattr(cegar, "mark_edges_absent", _reference_mark)
                 patched.setattr(cegar, "solve", reference_solve)

@@ -21,6 +21,7 @@ from numltl.speclang import (
     MAX_FORMULA_DEPTH,
     MAX_NESTING,
     MAX_POWER_TERMS,
+    MAX_PRODUCT_PAIRS,
     Next,
     Not,
     Or,
@@ -178,6 +179,36 @@ class TestPolynomialParsing:
             self.brackets("PRED p := x = 2")
 
 
+TEN_REALS = "".join(f"REAL x{i} IN [0, 1]\n" for i in range(10))
+SUM = " + ".join(f"x{i}" for i in range(10))  # x0 + ... + x9
+
+
+def assert_rejected_after(monkeypatch, box, poly, column, message, products) -> None:
+    """``poly > 0`` after the real declarations ``box``, as a constraint
+    file and as a spec's predicate, is rejected with ``message`` at
+    ``column`` of the polynomial, after ``products`` calls to
+    ``Polynomial.__mul__``."""
+    real_mul = Polynomial.__mul__
+    calls = []
+
+    def counted(self, other):
+        calls.append(other)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    declared = box.count("\n")
+    for parse, text, line in (
+        (parse_constraints, f"{box}{poly} > 0\n", declared + 1),
+        (parse_spec, f"{box}OUTPUT b\nPRED p := {poly} > 0\np -> b\n", declared + 2),
+    ):
+        offset = 0 if parse is parse_constraints else len("PRED p := ")
+        calls.clear()
+        with pytest.raises(SpecError, match=message) as caught:
+            parse(text)
+        assert len(calls) == products
+        assert (caught.value.line, caught.value.column) == (line, column + offset)
+
+
 class TestPowerCaps:
     BOX = "REAL x IN [0, 1]\nREAL y IN [0, 1]\nREAL z IN [0, 1]\nREAL w IN [0, 1]\n"
 
@@ -205,6 +236,15 @@ class TestPowerCaps:
                 9,
                 id="power-times-factor",
             ),
+            # two factors of 126 terms: refused at the '*' before their
+            # 15,876 pairs are multiplied, after the two powers' 10 products
+            pytest.param(
+                "(x + y + z + w + 1)^5 * (x + y + z + w + 1)^5",
+                23,
+                f"product pairs more than {MAX_PRODUCT_PAIRS} terms of its factors",
+                10,
+                id="product-of-wide-factors",
+            ),
         ],
     )
     def test_oversized_power_is_rejected_at_its_exponent(
@@ -214,24 +254,45 @@ class TestPowerCaps:
         cap is never multiplied out, and an expansion, by a power or written
         out as a product, stops at the first product past the term cap.
         Counted in products, not in seconds."""
-        real_mul = Polynomial.__mul__
-        calls = []
+        assert_rejected_after(monkeypatch, self.BOX, power, column, message, products)
 
-        def counted(self, other):
-            calls.append(other)
-            return real_mul(self, other)
-
-        monkeypatch.setattr(Polynomial, "__mul__", counted)
-        for parse, text, line in (
-            (parse_constraints, f"{self.BOX}{power} > 0\n", 5),
-            (parse_spec, f"{self.BOX}OUTPUT b\nPRED p := {power} > 0\np -> b\n", 6),
-        ):
-            offset = 0 if parse is parse_constraints else len("PRED p := ")
-            calls.clear()
-            with pytest.raises(SpecError, match=message) as caught:
-                parse(text)
-            assert len(calls) == products
-            assert (caught.value.line, caught.value.column) == (line, column + offset)
+    @pytest.mark.parametrize(
+        "summands, column, products",
+        [
+            # the 715 degree-4 monomials as 10 summands of 220 terms each:
+            # the '+' joining the 3rd summand passes the cap (505 terms),
+            # after 3 powers of 3 products and 3 products by x_i (a
+            # 1,366-byte constraint file, multiplied out for seconds before
+            # the product past the cap was rejected)
+            pytest.param(
+                [f"({SUM})^3 * x{i}" for i in range(10)], 118, 12, id="degree-4-square"
+            ),
+            # the 2,002 degree-5 monomials as 55 summands of 220 terms, 5
+            # products each (a 7,226-byte constraint file; half a minute of
+            # products before)
+            pytest.param(
+                [f"({SUM})^3 * x{i} * x{j}" for i in range(10) for j in range(i, 10)],
+                128,
+                15,
+                id="degree-5-square",
+            ),
+        ],
+    )
+    def test_a_sum_past_the_term_cap_is_rejected_before_it_is_multiplied(
+        self, monkeypatch, summands, column, products
+    ):
+        """``(P) * (P)`` over 10 reals, with P more monomials than the term
+        cap, stops at the ``+`` that takes P past the cap, long before the
+        products of P's terms: counted in products, not in seconds."""
+        P = " + ".join(summands)
+        assert_rejected_after(
+            monkeypatch,
+            TEN_REALS,
+            f"({P}) * ({P})",
+            column,
+            f"sum expands to more than {MAX_POWER_TERMS} terms",
+            products,
+        )
 
     def test_powers_within_the_caps_expand_exactly(self):
         doc = parse_constraints(f"{self.BOX}x^{MAX_EXPONENT} + (x + y + 1)^30 > 0\n")
