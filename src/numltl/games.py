@@ -16,11 +16,13 @@ cycle; restricting to such a cycle would hand the play to the controller.
 
 Everything below the API works on machine ints.  Each arena fixes one atom
 order, ``inputs + outputs``: atom ``k`` is bit ``k``.  Its ``Letters`` number
-the input valuations and the output valuations in ``all_valuations`` order,
-with their bits and their ranks by ``Valuation.sort_key``, the order every
-tie is broken in; arenas over the same atoms share one ``Letters`` and so
-one set of ``Valuation`` objects.  Each automaton guard is lowered once to
-``(care, value)`` masks and matches a letter when ``letter & care == value``.
+the input valuations and the output valuations in ``Valuation.sort_key``
+order, the order every tie is broken in, so a letter's number is its rank;
+each valuation's bits sit at its atoms' positions, lowered by
+``Valuation.masks`` as guards are.  Arenas over the same atoms share one
+``Letters`` and so one set of ``Valuation`` objects.  Each automaton guard
+is lowered once to ``(care, value)`` masks and matches a letter when
+``letter & care == value``.
 
 An arena is flat int arrays in CSR form, over classes of input letters.
 Env node ``i`` owns the env edges ``env_start[i]:env_start[i + 1]``; env
@@ -40,7 +42,7 @@ env node owning each ctrl node.  Marking letters absent only clears bits of
 is, so the index serves every later solve.  Solving numbers env node ``i``
 as ``i`` and ctrl node ``k`` as ``n_env + k`` and keeps the attractor
 layers in arrays.  Strategies are read off those layers and expanded to
-letters, in input rank order, as ``(input letter, env edge)`` pairs:
+letters, in input letter order, as ``(input letter, env edge)`` pairs:
 ``counter_edges`` walks the env nodes the counter-strategy reaches with
 their candidate pairs, which is all the loop's counter-input selection
 reads.  The extraction functions build ``Valuation``s (the alphabet's shared
@@ -60,9 +62,10 @@ test of their top count against it does, so one table serves every arena
 of a bound schedule.  A ``SafetyGame`` is one bound's game over the
 table, expanded node by node: expanding a macro reads its classes,
 resolves them to game nodes, and maps each distinct row through them to
-the targets of one ctrl node.  ``build_safety_game`` expands every
-reachable node breadth-first and numbers the nodes as a letter-by-letter
-expansion would.  ``solve`` on a game searches from the initial node
+the targets of one ctrl node, one per output letter; the classes first
+appear among those targets in class order.  ``build_safety_game`` expands
+every reachable node breadth-first and numbers the nodes as a
+letter-by-letter expansion would.  ``solve`` on a game searches from the initial node
 instead (``solve_on_the_fly``), expands only the nodes it needs to decide
 it, and returns its solution over the arena of the nodes it expanded and
 the nodes they lead to; the refinement loop solves every safety game so.
@@ -81,7 +84,7 @@ from operator import itemgetter
 from types import MappingProxyType
 
 from .automata import BuchiAutomaton
-from .valuation import Memo, Valuation, encoded_valuations
+from .valuation import Memo, Valuation, all_valuations
 
 
 class GameError(ValueError):
@@ -94,17 +97,16 @@ class GameError(ValueError):
 @dataclass(frozen=True, eq=False)
 class Letters:
     """The alphabet of the arenas over ``inputs + outputs``: ``position`` of
-    each atom, input and output valuations in ``all_valuations`` order (the
-    inputs with their bits), each valuation's rank by ``Valuation.sort_key``,
-    and the bits of every letter in arena ``order``: letter ``j * n_out + k``
-    is input valuation ``j`` with output valuation ``k``."""
+    each atom, the input and the output valuations in ``Valuation.sort_key``
+    order (the inputs with their bits), and the bits of every letter in
+    arena ``order``: letter ``j * n_out + k`` is input valuation ``j`` with
+    output valuation ``k``.  A letter's number is its rank, so every tie
+    broken by letter is broken by ``sort_key``."""
 
     position: MappingProxyType[str, int]
     inputs: tuple[Valuation, ...]
     input_bits: tuple[int, ...]
-    input_rank: tuple[int, ...]
     outputs: tuple[Valuation, ...]
-    output_rank: tuple[int, ...]
     order: tuple[int, ...]
 
     def matching(self, guard: Valuation) -> list[int]:
@@ -113,28 +115,19 @@ class Letters:
         return [l for l, bits in enumerate(self.order) if bits & care == value]
 
 
-def _ranks(valuations: tuple[Valuation, ...]) -> tuple[int, ...]:
-    rank = [0] * len(valuations)
-    by_key = sorted(range(len(valuations)), key=lambda j: valuations[j].sort_key())
-    for r, j in enumerate(by_key):
-        rank[j] = r
-    return tuple(rank)
-
-
 @lru_cache(maxsize=256)
 def letters_of(inputs: tuple[str, ...], outputs: tuple[str, ...]) -> Letters:
-    ins = encoded_valuations(inputs)
-    outs = encoded_valuations(outputs, len(inputs))
-    input_valuations = tuple(v for v, _ in ins)
-    output_valuations = tuple(v for v, _ in outs)
+    position = MappingProxyType({name: k for k, name in enumerate(inputs + outputs)})
+    input_valuations = tuple(all_valuations(sorted(inputs)))
+    output_valuations = tuple(all_valuations(sorted(outputs)))
+    input_bits = tuple(v.masks(position)[1] for v in input_valuations)
+    output_bits = [v.masks(position)[1] for v in output_valuations]
     return Letters(
-        position=MappingProxyType({name: k for k, name in enumerate(inputs + outputs)}),
+        position=position,
         inputs=input_valuations,
-        input_bits=tuple(bits for _, bits in ins),
-        input_rank=_ranks(input_valuations),
+        input_bits=input_bits,
         outputs=output_valuations,
-        output_rank=_ranks(output_valuations),
-        order=tuple(i | o for _, i in ins for _, o in outs),
+        order=tuple(i | o for i in input_bits for o in output_bits),
     )
 
 
@@ -322,12 +315,12 @@ class SuccessorTable:
 
     Letters are numbered in arena order: letter ``j * 2**len(outputs) + k`` is
     input valuation ``j`` with output valuation ``k``, both in
-    ``all_valuations`` order.  A letter set is an int with bit ``l`` set for
-    letter ``l``; each guard is lowered to one.  ``classes(macro)`` splits
-    the letters by the macro's successor, with every count as reached (no
-    bound applies here), and returns the classes as ``(successor, top
-    count)`` pairs numbered by their first letter, with the class index of
-    the distinct rows.  Input ``j``'s row is its slice ``j * 2**len(outputs)``
+    ``Valuation.sort_key`` order (see ``Letters``).  A letter set is an int
+    with bit ``l`` set for letter ``l``; each guard is lowered to one.
+    ``classes(macro)`` splits the letters by the macro's successor, with
+    every count as reached (no bound applies here), and returns the classes
+    as ``(successor, top count)`` pairs numbered by their first letter, with
+    the class index of the distinct rows.  Input ``j``'s row is its slice ``j * 2**len(outputs)``
     onward of the class index of every letter; inputs with equal rows share
     one, and the rows come in order of their first input, as the class of
     each (row, output) and the input letter set of each row.
@@ -462,9 +455,6 @@ class SafetyGame:
         self._ids = {label: i for i, label in enumerate(self._labels)}
         self._rows: list = [None, None]
         self.n_out = len(self.letters.outputs)
-        order = sorted(range(self.n_out), key=self.letters.output_rank.__getitem__)
-        # the output letters in rank order, None when that is letter order
-        self._by_rank = None if order == list(range(self.n_out)) else order
 
     @property
     def letters(self) -> Letters:
@@ -489,10 +479,10 @@ class SafetyGame:
         return i
 
     def rows(self, i: int) -> tuple:
-        """Game node ``i``'s node per successor class, its class per (row,
-        output letter), its input letter set per row, and its target per
-        (row, output) with each row's outputs in rank order: the macro-state
-        expanded on first request."""
+        """Game node ``i``'s input letter set per row and its target per
+        (row, output letter): the macro-state expanded on first request.
+        The successor classes first appear among the targets in class
+        order."""
         rows = self._rows[i]
         if rows is None:
             label = self._labels[i]
@@ -500,15 +490,7 @@ class SafetyGame:
                 () if label == EMPTY_LABEL else label  # EMPTY: no live runs
             )
             ids = [self._id(s if top <= self.bound else UNSAFE_LABEL) for s, top in classes]
-            if self._by_rank is None:
-                ranked = list(map(ids.__getitem__, row_class))
-            else:
-                ranked = [
-                    ids[row_class[base + k]]
-                    for base in range(0, len(row_class), self.n_out)
-                    for k in self._by_rank
-                ]
-            rows = self._rows[i] = (ids, row_class, row_letters, ranked)
+            rows = self._rows[i] = (row_letters, list(map(ids.__getitem__, row_class)))
         return rows
 
     def arena(self) -> GameArena:
@@ -516,7 +498,7 @@ class SafetyGame:
         order, seen = [_INITIAL], {_INITIAL}
         for i in order:
             if i != _UNSAFE:  # the unsafe node is terminal: env already won
-                for t in self.rows(i)[0]:
+                for t in self.rows(i)[1]:
                     if t not in seen:
                         seen.add(t)
                         order.append(t)
@@ -531,7 +513,7 @@ class SafetyGame:
         letter-by-letter one would be."""
         number, nodes = {_INITIAL: 0}, [_INITIAL]
         for i in expanded:
-            for t in self._rows[i][0]:
+            for t in self._rows[i][1]:
                 if t not in number:
                     number[t] = len(nodes)
                     nodes.append(t)
@@ -540,10 +522,10 @@ class SafetyGame:
         ctrl_target = array("i")
         for i in nodes:
             if i in opened:
-                ids, row_class, row_letters, _ = self._rows[i]
+                row_letters, targets = self._rows[i]
                 # a ctrl node per distinct row, whose edge k is output k
                 env_letters.extend(row_letters)
-                ctrl_target.extend(map([number[t] for t in ids].__getitem__, row_class))
+                ctrl_target.extend(map(number.__getitem__, targets))
             env_start.append(len(env_letters))
         n_ctrl, n_out = len(env_letters), self.n_out
         kept = ~self.absent
@@ -565,24 +547,12 @@ class SafetyGame:
 
 
 def build_safety_game(
-    negated: BuchiAutomaton,
-    bound: int,
-    inputs: tuple[str, ...],
-    outputs: tuple[str, ...],
-    successors: SuccessorTable | None = None,
+    negated: BuchiAutomaton, bound: int, inputs: tuple[str, ...], outputs: tuple[str, ...]
 ) -> GameArena:
-    """The whole ``SafetyGame`` of ``negated`` at ``bound`` as an arena.
-    ``successors`` is a table over the same automaton and atoms, filled by
-    earlier builds at any bound; without one a fresh table is used."""
-    if successors is None:
-        successors = SuccessorTable(negated, inputs, outputs)
-    elif (successors.automaton, successors.inputs, successors.outputs) != (
-        negated,
-        inputs,
-        outputs,
-    ):
-        raise GameError("successor table was made for another automaton or alphabet")
-    return SafetyGame(successors, bound).arena()
+    """The whole ``SafetyGame`` of ``negated`` at ``bound`` as an arena, over
+    a fresh successor table; ``SafetyGame(table, bound).arena()`` builds one
+    over a shared table."""
+    return SafetyGame(SuccessorTable(negated, inputs, outputs), bound).arena()
 
 
 # -- attractors and solving ----------------------------------------------------
@@ -676,7 +646,7 @@ class GameSolution:
 
     def candidate_edges(self, i: int) -> list[tuple[int, int]]:
         """The moves the environment may take at env node ``i`` of its
-        region, as ``(input letter, env edge)`` pairs by input rank: the
+        region, as ``(input letter, env edge)`` pairs by input letter: the
         present letters of edges into a lower layer of the same attractor,
         or within its base."""
         arena = self.arena
@@ -692,17 +662,17 @@ class GameSolution:
                 continue
             if r < own or r == own == 0:
                 out.append(k)
-        return _by_input_rank(arena, out)
+        return _by_input_letter(arena, out)
 
     def answer_edge(self, k: int) -> int | None:
         """The ctrl edge the controller takes at ctrl node ``k``: the least,
-        by output rank then target, of its edges that stay in its region
+        by output letter then target, of its edges that stay in its region
         (safety) or lower its layer toward the accepting nodes (Büchi)."""
         arena = self.arena
         node = arena.n_env + k
         if self.env_rank[node] >= 0:
             return None
-        output_rank, targets = arena.letters.output_rank, arena.ctrl_target
+        targets = arena.ctrl_target
         best = best_key = None
         for e in range(arena.ctrl_start[k], arena.ctrl_start[k + 1]):
             t = targets[e]
@@ -711,7 +681,7 @@ class GameSolution:
             else:
                 good = 0 <= self.ctrl_rank[t] < self.ctrl_rank[node]
             if good:
-                key = (output_rank[arena.ctrl_letter[e]], t)
+                key = (arena.ctrl_letter[e], t)
                 if best_key is None or key < best_key:
                     best, best_key = e, key
         return best
@@ -733,7 +703,7 @@ def solve_on_the_fly(game: SafetyGame) -> GameSolution:
 
     Every node counts as controller-winning until one of its rows (with a
     present letter) has every output leading to a lost node, the unsafe one
-    first.  Each row points at its first output, in output rank order,
+    first.  Each row points at its first output, in output letter order,
     whose target is not lost, and the search expands the targets rows point
     at, depth first, skipping a node once only rows of lost nodes point at
     it; when a node is lost, the rows pointing at it move on, and a row
@@ -747,7 +717,7 @@ def solve_on_the_fly(game: SafetyGame) -> GameSolution:
     + 1)`` at the ``n``-th node lost, ``1 + `` the largest target rank at a
     ctrl node whose targets are all lost, and -1 elsewhere: a lost node's
     candidate edges lead to nodes lost before it.  The controller's answer
-    at each row is its pointer, the lowest-ranked output that wins, as in
+    at each row is its pointer, the least output letter that wins, as in
     the full solve; a counter-strategy keeps the rows whose targets were all
     lost before their node.
     """
@@ -779,7 +749,7 @@ def solve_on_the_fly(game: SafetyGame) -> GameSolution:
             seen.discard(i)  # no row needs it now; one that comes to pushes it again
             continue
         expanded.append(i)
-        _, _, row_letters, targets = game.rows(i)
+        row_letters, targets = game.rows(i)
         pointer[i] = (targets, [0] * len(row_letters))
         if all(point(i, r, r * n_out) for r, letters in enumerate(row_letters) if letters & kept):
             continue
@@ -873,9 +843,9 @@ class MealyController:
         return _sorted_moves((s, vin, vout, nxt) for (s, vin), (vout, nxt) in self.step.items())
 
 
-def _by_input_rank(arena: GameArena, edges) -> list[tuple[int, int]]:
+def _by_input_letter(arena: GameArena, edges) -> list[tuple[int, int]]:
     """The present letters of env ``edges`` as ``(input letter, env edge)``
-    pairs, by input rank, then by edge for a letter on two edges."""
+    pairs, by input letter, then by edge for a letter on two edges."""
     present = arena.present
     pairs = []
     for k in edges:
@@ -884,8 +854,7 @@ def _by_input_rank(arena: GameArena, edges) -> list[tuple[int, int]]:
             low = letter_set & -letter_set
             pairs.append((low.bit_length() - 1, k))
             letter_set ^= low
-    input_rank = arena.letters.input_rank
-    pairs.sort(key=lambda pair: input_rank[pair[0]])
+    pairs.sort()
     return pairs
 
 
@@ -906,7 +875,7 @@ def extract_controller(solution: GameSolution) -> MealyController:
         edges = range(arena.env_start[env_node], arena.env_start[env_node + 1])
         # one answer per ctrl node, shared by the letters of its class
         answers: dict[int, int] = {}
-        for j, k in _by_input_rank(arena, compress(edges, arena.present[edges.start : edges.stop])):
+        for j, k in _by_input_letter(arena, compress(edges, arena.present[edges.start : edges.stop])):
             answer = answers.get(k)
             if answer is None:
                 answer = answers[k] = solution.answer_edge(k)

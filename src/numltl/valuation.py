@@ -11,7 +11,9 @@ Inside the automata-to-game pipeline letters are machine ints instead.  An
 arena fixes one atom order, ``inputs + outputs``, and atom ``k`` of it is
 bit ``k``; a letter is then ``in_bits | out_bits``.  A valuation lowers to a
 ``(care, value)`` pair of masks and matches a letter when
-``letter & care == value``.  ``Valuation`` objects appear only at API
+``letter & care == value``; a total valuation's bits are its ``value`` mask.
+Letters are numbered in ``sort_key`` order, ``all_valuations`` of the
+name-sorted atoms, whatever order the atoms are declared in.  ``Valuation`` objects appear only at API
 boundaries: automaton guards, controllers, counter-strategies, artifacts,
 transcripts and evidence.  An arena stores letter numbers and takes its
 valuations from one shared table per atom order (``games.letters_of``).
@@ -123,19 +125,6 @@ def all_valuations(atoms: Iterable[str]) -> Iterator[Valuation]:
     names = tuple(atoms)
     for bits in product((False, True), repeat=len(names)):
         yield Valuation(tuple(zip(names, bits)))
-
-
-def encoded_valuations(
-    atoms: Iterable[str], shift: int = 0
-) -> list[tuple[Valuation, int]]:
-    """``all_valuations(atoms)`` paired with their letter bits: atom ``k`` of
-    ``atoms`` is bit ``shift + k``."""
-    names = tuple(atoms)
-    out = []
-    for bits in product((False, True), repeat=len(names)):
-        letter = sum(1 << (shift + k) for k, bit in enumerate(bits) if bit)
-        out.append((Valuation(tuple(zip(names, bits))), letter))
-    return out
 
 
 def parse_valuation(text: str) -> Valuation:

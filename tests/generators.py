@@ -201,22 +201,25 @@ def random_automaton(rng: random.Random, atoms, shape: str = "random"):
 def random_arena(rng: random.Random, objective: str, reverse_atoms: bool = False, merge=False):
     """Random bipartite arena mirroring the builders' shape: one ctrl node
     per (env node, input valuation), arbitrary ctrl answers, some env edges
-    pre-marked absent to exercise present-flag handling.  With
-    ``reverse_atoms`` the atoms are listed against name order, so the
-    arena's letter order is not the ``Valuation`` order.  With ``merge``
+    pre-marked absent to exercise present-flag handling.  Letters and their
+    bits come from ``letters_of``.  With ``reverse_atoms`` the atoms are
+    declared against name order, which moves their bits but leaves the
+    letters in ``Valuation`` order, so the arena's tests check that
+    declaration order does not matter.  With ``merge``
     about half the inputs of an env node answer as an earlier one does, and
     inputs that answer alike share one ctrl node, as in the builders'
     letter classes."""
     from oracles import ObjectCtrlEdge, ObjectEnvEdge, arena_from_edges
-    from numltl.valuation import all_valuations, encoded_valuations
+    from numltl.games import letters_of
 
     inputs = tuple(f"i{k}" for k in range(rng.randint(1, 2)))
     outputs = tuple(f"o{k}" for k in range(rng.randint(1, 2)))
     if reverse_atoms:
         inputs, outputs = inputs[::-1], outputs[::-1]
     n_env = rng.randint(1, 6)
-    input_valuations = encoded_valuations(inputs)
-    output_valuations = list(all_valuations(outputs))
+    letters = letters_of(inputs, outputs)
+    input_valuations = list(zip(letters.inputs, letters.input_bits))
+    output_valuations = letters.outputs
 
     env_edges = []
     ctrl_edges = []

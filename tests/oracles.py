@@ -53,6 +53,8 @@ from numltl.bernstein import (
     Valid,
     to_unit_box,
 )
+from numltl.cegar import _build_arena
+from numltl.games import SafetyGame
 from numltl.speclang import (
     INPUT_SIDE,
     KEYWORDS,
@@ -224,8 +226,8 @@ def arena_shape(arena) -> ReferenceArena:
 def reference_buchi_game(automaton, inputs, outputs) -> ReferenceArena:
     from numltl.valuation import all_valuations
 
-    input_valuations = list(all_valuations(inputs))
-    output_valuations = list(all_valuations(outputs))
+    input_valuations = list(all_valuations(sorted(inputs)))
+    output_valuations = list(all_valuations(sorted(outputs)))
     ctrl_origin = []
     env_edges = []
     ctrl_edges = []
@@ -260,8 +262,8 @@ def reference_safety_game(negated, bound, inputs, outputs) -> ReferenceArena:
     from numltl.games import EMPTY_LABEL, UNSAFE_LABEL
     from numltl.valuation import all_valuations
 
-    input_valuations = list(all_valuations(inputs))
-    output_valuations = list(all_valuations(outputs))
+    input_valuations = list(all_valuations(sorted(inputs)))
+    output_valuations = list(all_valuations(sorted(outputs)))
     # each letter as a mapping, merged once rather than per macro state
     letters = {
         (vin, vout): vin.merge(vout).as_dict()
@@ -2620,6 +2622,12 @@ def reference_reencode(folded: SpecDocument):
         tuple(guarantees),
     )
     return document, encoded, rows
+
+
+def whole_arena_build(*args):
+    """``cegar._build_arena`` with a safety game built whole, as an arena."""
+    game = _build_arena(*args)
+    return game.arena() if isinstance(game, SafetyGame) else game
 
 
 # -- reference refinement loop ----------------------------------------------------

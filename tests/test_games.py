@@ -23,6 +23,7 @@ from numltl.games import (
     build_safety_game,
     extract_controller,
     extract_counter_strategy,
+    letters_of,
     mark_edges_absent,
     solve,
     solve_buchi,
@@ -238,15 +239,6 @@ class TestSafetyArenaConstruction:
         two = build_safety_game(self.counting_automaton(), 2, ("a",), ())
         assert one == two
 
-    def test_successor_table_must_match_automaton_and_atoms(self):
-        successors = SuccessorTable(self.counting_automaton(), ("a",), ())
-        build_safety_game(self.counting_automaton(), 2, ("a",), (), successors)
-        with pytest.raises(GameError, match="successor table"):
-            build_safety_game(self.counting_automaton(), 2, (), ("a",), successors)
-        other = pin_automaton()
-        with pytest.raises(GameError, match="successor table"):
-            build_safety_game(other, 2, other.atoms, (), successors)
-
     def test_ctrl_rows_answer_each_output_once_in_letter_order(self):
         formula = document_formula(parse_spec(self.TWO_OUTPUTS))
         negated = negate_and_translate(formula, ("r", "g", "h"))
@@ -259,6 +251,24 @@ class TestSafetyArenaConstruction:
             assert [e.valuation for e in row] == list(all_valuations(("g", "h")))
 
     TWO_OUTPUTS = "INPUT r\nOUTPUT g, h\nALWAYS (r -> NEXT (g || h))\nALWAYS (!(g && h))\n"
+
+    def test_declaration_order_does_not_change_the_arena(self):
+        """Letters are numbered in ``Valuation.sort_key`` order whatever
+        order the atoms are declared in, so the same game declared with its
+        inputs and outputs reversed numbers its nodes alike and has the
+        same winner at each."""
+        letters = letters_of(("b", "a"), ("d", "c"))
+        assert list(letters.inputs) == sorted(letters.inputs, key=Valuation.sort_key)
+        assert list(letters.outputs) == sorted(letters.outputs, key=Valuation.sort_key)
+        rng = random.Random(5)
+        for _ in range(60):
+            formula = random_formula(rng, ("a", "b", "c", "d"), 3)
+            builds = []
+            for ins, outs in ((("a", "b"), ("c", "d")), (("b", "a"), ("d", "c"))):
+                arena = build_safety_game(negate_and_translate(formula, ins + outs), 1, ins, outs)
+                rank = solve_safety(arena).env_rank
+                builds.append((arena.env_labels, [r >= 0 for r in rank[: arena.n_env]]))
+            assert builds[0] == builds[1]
 
 
 # up to 256 classes the index is spread byte by byte, past that letter by

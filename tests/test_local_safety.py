@@ -38,6 +38,7 @@ from numltl.speclang import document_formula, parse_spec
 from numltl.valuation import Valuation
 
 from generators import random_automaton, random_refinement_document, random_synthesis_document
+from oracles import whole_arena_build
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC_PATHS = sorted((ROOT / "specs").glob("*.spec"))
@@ -166,13 +167,12 @@ def check_game(successors: SuccessorTable, bound: int, rng: random.Random) -> in
     """Solve on the fly and whole, with a random cube marked before the
     first solve and another before each of two more; returns how many
     solves the environment won."""
-    automaton, inputs, outputs = successors.automaton, successors.inputs, successors.outputs
     game = SafetyGame(successors, bound)
-    whole = build_safety_game(automaton, bound, inputs, outputs, successors)
+    whole = SafetyGame(successors, bound).arena()
     env_wins = 0
     for round_ in range(3):
         if round_ or rng.random() < 0.5:
-            cube = random_cube(rng, inputs)
+            cube = random_cube(rng, successors.inputs)
             mark_edges_absent(game, cube)
             mark_edges_absent(whole, cube)
         local = solve(game)
@@ -219,15 +219,6 @@ def test_random_automaton_games_match_the_whole_arena():
         for bound in BOUNDS:
             env_wins += check_game(successors, bound, rng)
     assert 300 <= env_wins <= 1050  # of 1,350 solves
-
-
-_build_arena = cegar._build_arena
-
-
-def whole_arena_build(*args):
-    """``cegar._build_arena`` with a safety game built whole, as an arena."""
-    game = _build_arena(*args)
-    return game.arena() if isinstance(game, SafetyGame) else game
 
 
 def test_synthesis_verdicts_match_whole_arena_solves(monkeypatch):
@@ -295,8 +286,8 @@ def test_rows_try_their_outputs_in_rank_order():
     """Over outputs ``b, a`` the output letters in rank order are a=0,b=0,
     then a=0,b=1, then a=1,b=0.  Emitting ``b`` calls for ``a`` next, so
     b=1,a=0 (the rank-lowest winning output) leads elsewhere than a=1,b=0
-    (the letter-lowest): the solve must point at the first, expand where it
-    leads, and answer as the whole solve does."""
+    (the lowest in declared atom order): the solve must point at the first,
+    expand where it leads, and answer as the whole solve does."""
     doc = parse_spec("INPUT r\nOUTPUT b, a\nALWAYS (a || b)\nALWAYS (b -> NEXT (a))\n")
     inputs, outputs = doc.input_atoms(), doc.output_atoms()
     assert outputs == ("b", "a")
@@ -304,7 +295,7 @@ def test_rows_try_their_outputs_in_rank_order():
     successors = SuccessorTable(negated, inputs, outputs)
     local = solve(SafetyGame(successors, 1))
     assert local.ctrl_wins
-    whole = build_safety_game(negated, 1, inputs, outputs, successors)
+    whole = SafetyGame(successors, 1).arena()
     assert_agrees(local, whole, random.Random(0))
     first = extract_controller(local).step[(0, Valuation.of({"r": False}))]
     assert first[0] == Valuation.of({"a": False, "b": True})

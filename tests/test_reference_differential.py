@@ -91,6 +91,7 @@ from oracles import (
     reference_solve,
     reference_substitute_atoms,
     reference_translate,
+    whole_arena_build,
 )
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
@@ -246,7 +247,7 @@ def test_error_monitor_quotient_sizes_are_pinned():
     negated = negate_and_translate(formula, inputs + outputs)
     successors = SuccessorTable(negated, inputs, outputs)
     arenas = [build_buchi_game(translate(formula, inputs + outputs), inputs, outputs)]
-    arenas += [build_safety_game(negated, b, inputs, outputs, successors) for b in (1, 2)]
+    arenas += [SafetyGame(successors, b).arena() for b in (1, 2)]
     sizes = [(a.n_env, a.n_ctrl, a.n_positions, a.edge_count()) for a in arenas]
     assert sizes == [
         (39, 226, 1248, (226, 2127)),
@@ -319,7 +320,7 @@ def assert_shared_table_builds_match(negated, bounds, inputs, outputs) -> None:
     }
     successors = SuccessorTable(negated, inputs, outputs)
     for bound in (*bounds, *reversed(bounds)):
-        arena = build_safety_game(negated, bound, inputs, outputs, successors)
+        arena = SafetyGame(successors, bound).arena()
         assert_same_arena(arena, references[bound])
         assert_same_attractors(arena)
 
@@ -470,8 +471,8 @@ def test_solving_and_extraction_match_reference_through_marking(objective):
     rng = random.Random(3306 if objective == "safety" else 3307)
     selections = marked = 0
     for k in range(300):
-        # half the arenas list their atoms against name order, where the
-        # letter order and the tie-breaking order differ
+        # half the arenas list their atoms against name order, which moves
+        # the atoms' bits but must not move the letters
         arena = random_arena(rng, objective, reverse_atoms=k % 2 == 1, merge=k % 4 < 2)
         twin = object_arena(arena)
         for _ in range(3):
@@ -534,15 +535,6 @@ def run_rendered(doc, cfg) -> tuple[list[str], str]:
     else:
         rendered = repr(verdict)
     return transcript.lines, rendered
-
-
-_build_arena = cegar._build_arena
-
-
-def whole_arena_build(*args):
-    """``cegar._build_arena`` with a safety game built whole, as an arena."""
-    game = _build_arena(*args)
-    return game.arena() if isinstance(game, SafetyGame) else game
 
 
 def test_synthesize_matches_the_object_level_pipeline(monkeypatch):
