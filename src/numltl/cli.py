@@ -235,15 +235,15 @@ def cmd_check(args: argparse.Namespace) -> int:
             print(sl.format_constraint(c, names))
         if isinstance(verdict, Feasible):
             print(f"Feasible: witness {_point_report(names, verdict.witness)}")
-            print(f"explored {stats.explored} subboxes")
-            return EXIT_OK
-        if isinstance(verdict, Infeasible):
+            code = EXIT_OK
+        elif isinstance(verdict, Infeasible):
             print("Infeasible")
-            print(f"explored {stats.explored} subboxes")
-            return EXIT_NEGATIVE
-        print(f"Unknown ({verdict.reason})")
+            code = EXIT_NEGATIVE
+        else:
+            print(f"Unknown ({verdict.reason})")
+            code = EXIT_UNKNOWN
         print(f"explored {stats.explored} subboxes")
-        return EXIT_UNKNOWN
+        return code
 
     worst = EXIT_OK
     for formula in doc.checks:

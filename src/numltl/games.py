@@ -20,9 +20,10 @@ the input valuations and the output valuations in ``Valuation.sort_key``
 order, the order every tie is broken in, so a letter's number is its rank;
 each valuation's bits sit at its atoms' positions, lowered by
 ``Valuation.masks`` as guards are.  Arenas over the same atoms share one
-``Letters`` and so one set of ``Valuation`` objects.  Each automaton guard
-is lowered once to ``(care, value)`` masks and matches a letter when
-``letter & care == value``.
+``Letters`` and so one set of ``Valuation`` objects.  A guard matches a
+letter when ``letter & care == value`` for its ``(care, value)`` masks;
+each distinct guard of an automaton is lowered once, to the set of letters
+it matches.
 
 An arena is flat int arrays in CSR form, over classes of input letters.
 Env node ``i`` owns the env edges ``env_start[i]:env_start[i + 1]``; env
@@ -49,38 +50,37 @@ reads.  The extraction functions build ``Valuation``s (the alphabet's shared
 ones) only to fill a ``MealyController``, or a ``CounterStrategy`` along the
 candidate letters a selection kept.
 
-The safety builder works on sets of letters instead.  It numbers the
-letters in arena order and lowers each guard once to the set of letters it
-matches, one int with a bit per letter.  A ``SuccessorTable`` splits the
-letters of each macro-state into classes that lead to the same successor,
-by intersecting the guard sets target by target and count by count, and
-keeps the classes with a letter-to-class index of one byte per letter, into
-which each class's set is spread by translating its binary digits.  Each
-input's slice of that index is its row of successor classes; the table
-groups the inputs by row.  Successors do not depend on the bound, only the
-test of their top count against it does, so one table serves every arena
-of a bound schedule.  A ``SafetyGame`` is one bound's game over the
-table, expanded node by node: expanding a macro reads its classes,
-resolves them to game nodes, and maps each distinct row through them to
-the targets of one ctrl node, one per output letter; the classes first
-appear among those targets in class order.  ``build_safety_game`` expands
-every reachable node breadth-first and numbers the nodes as a
-letter-by-letter expansion would.  ``solve`` on a game searches from the initial node
-instead (``solve_on_the_fly``), expands only the nodes it needs to decide
-it, and returns its solution over the arena of the nodes it expanded and
+Both builders read their rows off a ``SuccessorTable``, which works on
+sets of letters: one int with a bit per letter, in arena order.  It splits
+the letters of each macro-state into classes that lead to the same
+successor, by intersecting the guard sets target by target and count by
+count, and keeps the classes with a letter-to-class index of one byte per
+letter, into which each class's set is spread by translating its binary
+digits.  Each input's slice of that index is its row of successor classes;
+the table groups the inputs by row.  ``build_buchi_game`` reads the
+singleton macro-state ``((q, 0),)`` of each automaton state ``q``.  For
+the safety game, successors do not depend on the bound, only the test of
+their top count against it does, so one table serves every arena of a
+bound schedule.  A ``SafetyGame`` is one bound's game over the table,
+expanded node by node: expanding a macro reads its classes, resolves them
+to game nodes, and maps each distinct row through them to the targets of
+one ctrl node, one per output letter; the classes first appear among those
+targets in class order.  ``build_safety_game`` expands every reachable
+node breadth-first and numbers the nodes as a letter-by-letter expansion
+would.  ``solve`` on a game searches from the initial node instead
+(``solve_on_the_fly``), expands only the nodes it needs to decide it, and
+returns its solution over the arena of the nodes it expanded and
 the nodes they lead to; the refinement loop solves every safety game so.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress, repeat
-from operator import itemgetter
 from types import MappingProxyType
 
 from .automata import BuchiAutomaton
@@ -109,10 +109,11 @@ class Letters:
     outputs: tuple[Valuation, ...]
     order: tuple[int, ...]
 
-    def matching(self, guard: Valuation) -> list[int]:
-        """The letters, in arena order, that agree with the cube ``guard``."""
+    def matching(self, guard: Valuation) -> int:
+        """The set of letters that agree with the cube ``guard``: an int
+        with bit ``l`` set for letter ``l``."""
         care, value = guard.masks(self.position)
-        return [l for l, bits in enumerate(self.order) if bits & care == value]
+        return sum(1 << l for l, bits in enumerate(self.order) if bits & care == value)
 
 
 @lru_cache(maxsize=256)
@@ -226,36 +227,27 @@ def build_buchi_game(
     The controller both picks the output valuation and resolves automaton
     nondeterminism; it wins by steering some run through accepting states
     infinitely often.  Sound for realizability, incomplete the other way.
+
+    Env node ``q`` is automaton state ``q``; its rows are those of the
+    singleton macro-state ``((q, 0),)`` in a ``SuccessorTable`` over the
+    automaton, whose classes are the letters that reach the same set of
+    targets.  Each row is one ctrl node, with an edge to each target of its
+    class per output letter, in ascending target order.
     """
-    letters = letters_of(inputs, outputs)
-    n_in, n_out = len(letters.inputs), len(letters.outputs)
-    matched = Memo(letters.matching)  # each distinct guard lowered once
-    ends = range(n_out, n_in * n_out + 1, n_out)  # past each input's letters
+    table = SuccessorTable(automaton, inputs, outputs)
+    n_out = len(letters_of(inputs, outputs).outputs)
     env_start, env_letters = array("i", [0]), []
     ctrl_start, ctrl_letter, ctrl_target = array("i", [0]), array("i"), array("i")
     for q in range(automaton.n_states):
-        pairs: list[tuple[int, int]] = []
-        for t in automaton.transitions[q]:
-            pairs.extend(zip(matched[t.guard], repeat(t.target)))
-        # each (letter, target) once, by letter, then in transition order
-        pairs = sorted(dict.fromkeys(pairs), key=itemgetter(0))
-        by_letter = list(map(itemgetter(0), pairs))
-        answered = array("i", map(n_out.__rmod__, by_letter))
-        targets = array("i", map(itemgetter(1), pairs))
-        # the inputs with the same slice of (output letter, target) pairs
-        # share one ctrl node, numbered by its first input
-        rows: dict[tuple[bytes, bytes], int] = {}
-        start = 0
-        for j, end in enumerate(ends):
-            stop = bisect_left(by_letter, end)
-            row = (answered[start:stop].tobytes(), targets[start:stop].tobytes())
-            rows[row] = rows.get(row, 0) | 1 << j
-            start = stop
-        for (row_answered, row_targets), letter_set in rows.items():
-            env_letters.append(letter_set)
-            ctrl_letter.frombytes(row_answered)
-            ctrl_target.frombytes(row_targets)
+        classes, row_class, row_letters = table.classes(((q, 0),))
+        # the targets of each class, ascending; none for the empty class
+        reached = [() if s == EMPTY_LABEL else [t for t, _ in s] for s, _ in classes]
+        for r in range(len(row_letters)):
+            for k, c in enumerate(row_class[r * n_out : (r + 1) * n_out]):
+                ctrl_letter.extend(repeat(k, len(reached[c])))
+                ctrl_target.extend(reached[c])
             ctrl_start.append(len(ctrl_target))
+        env_letters.extend(row_letters)
         env_start.append(len(env_letters))
     n = automaton.n_states
     return GameArena(
@@ -310,26 +302,29 @@ def _class_index(letter_sets: list[int], n_letters: int) -> bytes | array:
 
 
 class SuccessorTable:
-    """Successor classes of the counting macro-states over one negated
-    automaton and one alphabet, shared by the arenas of every bound.
+    """Successor classes of the counting macro-states over one automaton
+    and one alphabet.  Over a negated automaton it is shared by the safety
+    arenas of every bound; ``build_buchi_game`` reads the singleton
+    macro-states ``((q, 0),)`` of the automaton it is given.
 
     Letters are numbered in arena order: letter ``j * 2**len(outputs) + k`` is
     input valuation ``j`` with output valuation ``k``, both in
     ``Valuation.sort_key`` order (see ``Letters``).  A letter set is an int
-    with bit ``l`` set for letter ``l``; each guard is lowered to one.
-    ``classes(macro)`` splits the letters by the macro's successor, with
-    every count as reached (no bound applies here), and returns the classes
-    as ``(successor, top count)`` pairs numbered by their first letter, with
-    the class index of the distinct rows.  Input ``j``'s row is its slice ``j * 2**len(outputs)``
-    onward of the class index of every letter; inputs with equal rows share
-    one, and the rows come in order of their first input, as the class of
-    each (row, output) and the input letter set of each row.
+    with bit ``l`` set for letter ``l``; each distinct guard is lowered to
+    one, once.  ``classes(macro)`` splits the letters by the macro's
+    successor, with every count as reached (no bound applies here), and
+    returns the classes as ``(successor, top count)`` pairs numbered by
+    their first letter, with the class index of the distinct rows.  Input
+    ``j``'s row is its slice ``j * 2**len(outputs)`` onward of the class
+    index of every letter; inputs with equal rows share one, and the rows
+    come in order of their first input, as the class of each (row, output)
+    and the input letter set of each row.
     """
 
     def __init__(
-        self, negated: BuchiAutomaton, inputs: tuple[str, ...], outputs: tuple[str, ...]
+        self, automaton: BuchiAutomaton, inputs: tuple[str, ...], outputs: tuple[str, ...]
     ) -> None:
-        self.automaton = negated
+        self.automaton = automaton
         self.inputs = inputs
         self.outputs = outputs
         letters = letters_of(inputs, outputs)
@@ -337,17 +332,17 @@ class SuccessorTable:
         self._n_in, self._n_out = len(letters.inputs), len(letters.outputs)
         self._single = tuple(1 << j for j in range(self._n_in))  # each input's letter set
         self._full = (1 << self._n_letters) - 1
+        matched = Memo(letters.matching)  # each distinct guard lowered once
         # per automaton state: (target, bump, letters), transitions to one
         # target merged
         self._targets: list[tuple[tuple[int, int, int], ...]] = []
-        for row in negated.transitions:
+        for row in automaton.transitions:
             reach: dict[int, int] = {}
             for t in row:
-                letter_set = sum(1 << l for l in letters.matching(t.guard))
-                reach[t.target] = reach.get(t.target, 0) | letter_set
+                reach[t.target] = reach.get(t.target, 0) | matched[t.guard]
             self._targets.append(
                 tuple(
-                    (target, 1 if target in negated.accepting else 0, letter_set)
+                    (target, 1 if target in automaton.accepting else 0, letter_set)
                     for target, letter_set in reach.items()
                     if letter_set
                 )

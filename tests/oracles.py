@@ -241,7 +241,8 @@ def reference_buchi_game(automaton, inputs, outputs) -> ReferenceArena:
             seen = set()
             for vout in output_valuations:
                 letter = vin.merge(vout)
-                for t in automaton.transitions[q]:
+                # each output's targets ascending, as the successor table lists them
+                for t in sorted(automaton.transitions[q], key=lambda t: t.target):
                     if cube_matches(t.guard, letter) and (vout, t.target) not in seen:
                         seen.add((vout, t.target))
                         answers.append((vout, t.target))

@@ -105,6 +105,30 @@ class TestBuchiArenaConstruction:
         assert arena.initial == 0
         assert arena.accepting == frozenset({1})
 
+    def test_letters_with_the_same_targets_share_a_ctrl_node(self):
+        # both letters of state 0 reach {1, 2}, through transitions listed
+        # in another order for each
+        automaton = BuchiAutomaton(
+            atoms=("a",),
+            n_states=3,
+            initial=0,
+            transitions=(
+                (
+                    Transition(v(a=True), 2),
+                    Transition(v(), 1),
+                    Transition(v(a=False), 2),
+                ),
+                (Transition(v(), 1),),
+                (Transition(v(), 2),),
+            ),
+            accepting=frozenset({1}),
+        )
+        arena = build_buchi_game(automaton, ("a",), ())
+        assert arena.n_ctrl == 3
+        assert arena.n_positions == 6
+        assert arena.env_letters[0] == 0b11
+        assert list(arena.ctrl_target[: arena.ctrl_start[1]]) == [1, 2]
+
     def test_ctrl_nodes_record_their_origin(self):
         arena = object_arena(build_buchi_game(pin_automaton(), ("a",), ("b",)))
         assert arena.ctrl_origin[0] == (0, v(a=False))

@@ -21,6 +21,8 @@ from numltl import automata
 from numltl import speclang as sl
 from numltl.abstraction import abstract_spec
 from numltl.automata import (
+    BuchiAutomaton,
+    Transition,
     _expand,
     _intern,
     evaluate_ltl_on_lasso,
@@ -41,6 +43,7 @@ from numltl.cegar import (
 )
 from numltl.controller_file import render_realizable, render_unrealizable
 from numltl.games import (
+    Letters,
     SafetyGame,
     SuccessorTable,
     _attractor,
@@ -220,6 +223,50 @@ def test_bundled_spec_buchi_arena_matches_reference(name):
     arena = build_buchi_game(automaton, inputs, outputs)
     assert_same_arena(arena, reference_buchi_game(automaton, inputs, outputs))
     assert_same_attractors(arena)
+
+
+def test_buchi_arena_over_more_than_256_letter_classes_matches_reference():
+    """State 0 of this automaton answers each of the 512 input letters
+    with its own target set, so its successor classes take the table's
+    wide class index."""
+    inputs = tuple(f"a{i}" for i in range(9))
+    true = Valuation.of({})
+    automaton = BuchiAutomaton(
+        atoms=inputs,
+        n_states=10,
+        initial=0,
+        transitions=(
+            (Transition(true, 0),)
+            + tuple(Transition(Valuation.of({a: True}), i + 1) for i, a in enumerate(inputs)),
+            *[(Transition(true, q),) for q in range(1, 10)],
+        ),
+        accepting=frozenset({0}),
+    )
+    arena = build_buchi_game(automaton, inputs, ())
+    assert (arena.n_ctrl, arena.n_positions) == (521, 5120)
+    assert_same_arena(arena, reference_buchi_game(automaton, inputs, ()))
+
+
+def test_each_distinct_guard_is_lowered_once(monkeypatch):
+    """error_monitor's negated automaton has 77 transitions over 28
+    distinct guards; its automaton has 114 distinct guards."""
+    formula, inputs, outputs = game_inputs("error_monitor")
+    negated = negate_and_translate(formula, inputs + outputs)
+    automaton = translate(formula, inputs + outputs)
+    lowered = []
+    matching = Letters.matching
+
+    def counted(letters, guard):
+        lowered.append(guard)
+        return matching(letters, guard)
+
+    monkeypatch.setattr(Letters, "matching", counted)
+    SuccessorTable(negated, inputs, outputs)
+    assert sum(map(len, negated.transitions)) == 77
+    assert len(lowered) == len(set(lowered)) == 28
+    lowered.clear()
+    build_buchi_game(automaton, inputs, outputs)
+    assert len(lowered) == len(set(lowered)) == 114
 
 
 # error_monitor is decided at bound 2; the reference builder needs about
