@@ -7,14 +7,18 @@ EVENTUALLY are rewritten as Or, Release and Until.  It then expands the
 normal form into tableau nodes keyed by their processed and postponed
 obligation sets, reads off a generalized Büchi automaton whose transition
 guards are literal cubes, and then lowers it to plain Büchi acceptance with
-a visit counter over the acceptance sets.  The propositional expansion of
-each partial node is memoised, so each is expanded once, and the result is
-the automaton of the plain worklist expansion state for state: the test
-suite requires equality with that expansion, kept in its oracles, down to
-the order in which tableau nodes are created.  States share rows: the nodes
+a visit counter over the acceptance sets.  Each piece of tableau work is
+done once: the propositional expansion of a partial node runs its
+single-successor steps in one loop up to its first split and is memoised,
+the walk that numbers the nodes resumes each obligation set where it last
+stopped, and each set's successor list is sorted once.  The result is the
+automaton of the plain worklist expansion state for state: the test suite
+requires equality with that expansion, kept in its oracles, down to the
+order in which tableau nodes are created.  States share rows: the nodes
 that postpone the same obligations have the same successors, as do the
 degeneralized states over one row counting from one level, so each distinct
-row is built, sorted and hashed once.
+row is built, sorted and hashed once, and each distinct transition is one
+object.
 
 Also here: automaton acceptance of an ultimately periodic word, by
 reachability in the product of states and word positions (an accepting
@@ -129,11 +133,20 @@ class BuchiAutomaton:
 # The propositional expansion of a partial node ``(new, old, nxt)`` is a pure
 # function of that triple: the leaf keys ``(old, nxt)`` it reaches, in
 # worklist order (the second branch of a split first), each kept at its first
-# occurrence.  It is memoised, so each partial node is expanded once however
-# many branches and predecessors reach it.  The node walk then visits those
-# lists depth first, entering a new node's successor expansion before the
-# next sibling, which is the order, and so the state numbering, of the plain
-# worklist expansion (``reference_expand`` in the test oracles).
+# occurrence.  Literal, And and Next steps have one successor, so one call of
+# ``_expand_step`` chains them up to the node's first split; a contradiction
+# or FALSE on the way ends the node with no leaves.  Only the nodes that
+# start such a chain (the root of each obligation set and the two parts of
+# each split) are memoised, so each is expanded once however many branches
+# and predecessors reach it.
+#
+# The node walk then visits those lists depth first, entering a new node's
+# successor expansion before the next sibling, which is the order, and so
+# the state numbering, of the plain worklist expansion (``reference_expand``
+# in the test oracles).  An obligation set can be re-entered while an
+# earlier walk of it is open.  Every leaf before the point where a walk of
+# the set stopped is numbered, so each walk of the set would take the same
+# next leaf, and one cursor per set serves them all.
 
 # kinds of interned subformulas; TRUE counts as a literal
 _LITERAL, _FALSE, _AND, _OR, _UNTIL, _RELEASE, _NEXT = range(7)
@@ -180,32 +193,38 @@ def _intern(normal: Formula) -> _Interned:
 def _expand_step(
     table: _Interned, new: int, old: int, nxt: int
 ) -> tuple[tuple[int, int, int], ...]:
-    """Expand the lowest pending formula of a partial node with ``new``
-    nonzero: the partial nodes whose leaf lists make up its own, in worklist
-    order; none when the node is contradictory."""
-    bit = new & -new
-    f = bit.bit_length() - 1
-    new ^= bit
-    k = table.kind[f]
-    if k == _LITERAL:
-        negation = table.negation[f]
-        if negation >= 0 and old >> negation & 1:
+    """Expand a partial node with ``new`` nonzero up to its first split:
+    the two partial nodes whose leaf lists make up its own, in worklist
+    order; the one leaf it chains to when it never splits; none when it
+    is contradictory."""
+    while new:
+        bit = new & -new
+        f = bit.bit_length() - 1
+        new ^= bit
+        k = table.kind[f]
+        if k == _LITERAL:
+            negation = table.negation[f]
+            if negation >= 0 and old >> negation & 1:
+                return ()
+            old |= bit
+            continue
+        if k == _FALSE:
             return ()
-        return ((new, old | bit, nxt),)
-    if k == _FALSE:
-        return ()
-    if k == _NEXT:
-        return ((new, old | bit, nxt | 1 << table.left[f]),)
-    left, right = 1 << table.left[f] & ~old, 1 << table.right[f] & ~old
-    old |= bit
-    if k == _AND:
-        return ((new | left | right, old, nxt),)
-    if k == _OR:
-        return ((new | left, old, nxt), (new | right, old, nxt))
-    if k == _UNTIL:
-        return ((new | left, old, nxt | bit), (new | right, old, nxt))
-    # _RELEASE
-    return ((new | right, old, nxt | bit), (new | left | right, old, nxt))
+        if k == _NEXT:
+            old |= bit
+            nxt |= 1 << table.left[f]
+            continue
+        left, right = 1 << table.left[f] & ~old, 1 << table.right[f] & ~old
+        old |= bit
+        if k == _AND:
+            new |= left | right
+        elif k == _OR:
+            return ((new | left, old, nxt), (new | right, old, nxt))
+        elif k == _UNTIL:
+            return ((new | left, old, nxt | bit), (new | right, old, nxt))
+        else:  # _RELEASE
+            return ((new | right, old, nxt | bit), (new | left | right, old, nxt))
+    return ((new, old, nxt),)
 
 
 def _expand(table: _Interned) -> tuple[list[_Node], dict[int, list[int]]]:
@@ -222,30 +241,25 @@ def _expand(table: _Interned) -> tuple[list[_Node], dict[int, list[int]]]:
             if key in leaf_lists:
                 stack.pop()
                 continue
-            new, old, nxt = key
-            if not new:
-                leaf_lists[key] = [(old, nxt)]
-                stack.pop()
-                continue
             parts = splits.get(key)
             if parts is None:
-                parts = splits[key] = _expand_step(table, new, old, nxt)
+                parts = _expand_step(table, *key) if key[0] else (key,)
+                if len(parts) < 2:
+                    leaf_lists[key] = [parts[0][1:]] if parts else []
+                    stack.pop()
+                    continue
+                splits[key] = parts
             missing = [p for p in parts if p not in leaf_lists]
             if missing:
                 stack.extend(missing)
                 continue
             stack.pop()
             del splits[key]
-            if not parts:
-                leaf_lists[key] = []
-            elif len(parts) == 1:
-                leaf_lists[key] = leaf_lists[parts[0]]
+            first, second = leaf_lists[parts[0]], leaf_lists[parts[1]]
+            if first and second:
+                leaf_lists[key] = list(dict.fromkeys(first + second))
             else:
-                first, second = leaf_lists[parts[0]], leaf_lists[parts[1]]
-                if first and second:
-                    leaf_lists[key] = list(dict.fromkeys(first + second))
-                else:
-                    leaf_lists[key] = first or second
+                leaf_lists[key] = first or second
         return leaf_lists[start]
 
     nodes: list[_Node] = []
@@ -253,21 +267,25 @@ def _expand(table: _Interned) -> tuple[list[_Node], dict[int, list[int]]]:
     # a node's successors are the leaves of its postponed obligations, so a
     # node whose set was walked to the end has every successor numbered
     successors: dict[int, list[int]] = {}
-    start = 1 << table.root
-    trail = [(start, iter(leaves((start, 0, 0))))]
+    cursor: dict[int, int] = {}  # per set, the first leaf it may not have numbered
+    trail = [1 << table.root]  # the sets with an open walk, innermost last
     while trail:
-        new, keys = trail[-1]
-        for key in keys:
-            if key in position:
-                continue
-            position[key] = len(nodes)
-            nodes.append(_Node(*key))
-            if key[1] not in successors:
-                trail.append((key[1], iter(leaves((key[1], 0, 0)))))
-            break
-        else:
+        new = trail[-1]
+        keys = leaves((new, 0, 0))
+        i = cursor.get(new, 0)
+        while i < len(keys) and keys[i] in position:
+            i += 1
+        cursor[new] = i
+        if i == len(keys):
             trail.pop()
-            successors[new] = sorted(position[key] for key in leaf_lists[new, 0, 0])
+            if new not in successors:
+                successors[new] = sorted(position[key] for key in keys)
+            continue
+        key = keys[i]
+        position[key] = len(nodes)
+        nodes.append(_Node(*key))
+        if key[1] not in successors:
+            trail.append(key[1])
     return nodes, successors
 
 
@@ -391,13 +409,14 @@ def _simplify(
                 seen.add(target)
                 queue.append(target)
     new_id = {q: i for i, q in enumerate(order)}
+    # rows repeat edges, so each distinct one is built once and shared
+    transition = Memo(lambda edge: Transition(cubes[edge[0]], new_id[edge[1]]))
     return BuchiAutomaton(
         atoms=atoms,
         n_states=len(order),
         initial=0,
         transitions=tuple(
-            tuple(Transition(cubes[g], new_id[t]) for g, t in sorted_rows[state_row[q]])
-            for q in order
+            tuple(map(transition.__getitem__, sorted_rows[state_row[q]])) for q in order
         ),
         accepting=frozenset(new_id[q] for q in accepting if q in new_id),
     )

@@ -337,40 +337,7 @@ class ConstraintImplication:
 ValidityFormula = Union[PolyConstraint, ConstraintImplication]
 
 
-@dataclass(frozen=True)
-class BernsteinTensor:
-    """Complete coefficient tensor of a polynomial over the unit box.
-
-    ``degree`` is the per-dimension Bernstein degree N; ``coefficients`` holds
-    one entry for every multi-index J with 0 <= J_i <= N_i.
-    """
-
-    degree: Exponents
-    coefficients: dict[Exponents, Fraction]
-
-    def __post_init__(self) -> None:
-        expected = 1
-        for n in self.degree:
-            expected *= n + 1
-        if len(self.coefficients) != expected:
-            msg = (
-                f"incomplete tensor: {len(self.coefficients)} coefficients, "
-                f"expected {expected} for degree {self.degree}"
-            )
-            raise PolynomialError(msg)
-
-
-def to_unit_box(poly: Polynomial, box: Box) -> Polynomial:
-    """Reparametrize so the unit box maps onto ``box``: x_i = lo_i + w_i t_i."""
-    if poly.arity != box.arity:
-        raise PolynomialError("polynomial and box arity differ")
-    lowers = [lo for lo, _ in box.intervals]
-    widths = [hi - lo for lo, hi in box.intervals]
-    return poly.affine_substitute(lowers, widths)
-
-
 _ZERO = Fraction(0)
-_UNIT_INTERVAL = (Fraction(0), Fraction(1))
 
 
 def _strides(degree: Exponents) -> tuple[int, ...]:
@@ -398,7 +365,8 @@ def _power_layout(poly: Polynomial, box: Box) -> tuple[Exponents, list[Fraction]
 
     Bisection never changes a zero-width dimension, and an affine map with
     nonzero scales keeps the degree in every other one, so this degree
-    vector is that of ``to_unit_box(poly, sub)`` on every subbox ``sub``.
+    vector is that of ``poly`` mapped onto every subbox ``sub`` by
+    x_i = lo_i + w_i t_i.
     """
     if any(lo == hi for lo, hi in box.intervals):
         offsets = [lo if lo == hi else _ZERO for lo, hi in box.intervals]
@@ -535,30 +503,6 @@ def _corner_offsets(degree: Exponents) -> tuple[int, ...]:
         sum(h for i, h in enumerate(highs) if mask >> (arity - 1 - i) & 1)
         for mask in range(1 << arity)
     )
-
-
-def bernstein_coefficients(poly: Polynomial, degree: Exponents | None = None) -> BernsteinTensor:
-    """Bernstein coefficients of ``poly`` over the unit box.
-
-    With power-basis coefficients a_I and Bernstein degree N, the tensor is
-
-        b_J = sum_{I <= J} (prod_i C(J_i, I_i) / C(N_i, I_i)) * a_I,
-
-    computed one dimension at a time: along each fiber of dimension d,
-    b_j = sum_{i <= j} C(j, i) / C(N_d, i) * a_i.  ``degree`` may exceed
-    the natural degree (degree elevation).
-    """
-    natural = poly.degree_vector()
-    if degree is None:
-        degree = natural
-    else:
-        degree = tuple(degree)
-        if len(degree) != poly.arity or any(d < n for d, n in zip(degree, natural)):
-            msg = f"requested degree {degree} below natural degree {natural}"
-            raise PolynomialError(msg)
-    flat = _bernstein_tensor(_power_tensor(poly, degree), degree, (_UNIT_INTERVAL,) * poly.arity)
-    indices = product(*(range(n + 1) for n in degree))
-    return BernsteinTensor(degree, dict(zip(indices, flat)))
 
 
 def bounds(poly: Polynomial, box: Box, depth: int = 0) -> tuple[Fraction, Fraction]:

@@ -98,22 +98,28 @@ class GameError(ValueError):
 class Letters:
     """The alphabet of the arenas over ``inputs + outputs``: ``position`` of
     each atom, the input and the output valuations in ``Valuation.sort_key``
-    order (the inputs with their bits), and the bits of every letter in
-    arena ``order``: letter ``j * n_out + k`` is input valuation ``j`` with
-    output valuation ``k``.  A letter's number is its rank, so every tie
-    broken by letter is broken by ``sort_key``."""
+    order (the inputs with their bits), the bits of every letter in arena
+    ``order``, and the set of letters each atom is true in, by position:
+    letter ``j * n_out + k`` is input valuation ``j`` with output valuation
+    ``k``.  A letter's number is its rank, so every tie broken by letter is
+    broken by ``sort_key``."""
 
     position: MappingProxyType[str, int]
     inputs: tuple[Valuation, ...]
     input_bits: tuple[int, ...]
     outputs: tuple[Valuation, ...]
     order: tuple[int, ...]
+    atom_letters: tuple[int, ...]
 
     def matching(self, guard: Valuation) -> int:
         """The set of letters that agree with the cube ``guard``: an int
-        with bit ``l`` set for letter ``l``."""
-        care, value = guard.masks(self.position)
-        return sum(1 << l for l, bits in enumerate(self.order) if bits & care == value)
+        with bit ``l`` set for letter ``l``, one set or its complement
+        intersected per literal."""
+        letters = (1 << len(self.order)) - 1
+        for name, truth in guard.pairs:
+            atom = self.atom_letters[self.position[name]]
+            letters &= atom if truth else ~atom
+        return letters
 
 
 @lru_cache(maxsize=256)
@@ -123,12 +129,17 @@ def letters_of(inputs: tuple[str, ...], outputs: tuple[str, ...]) -> Letters:
     output_valuations = tuple(all_valuations(sorted(outputs)))
     input_bits = tuple(v.masks(position)[1] for v in input_valuations)
     output_bits = [v.masks(position)[1] for v in output_valuations]
+    order = tuple(i | o for i in input_bits for o in output_bits)
     return Letters(
         position=position,
         inputs=input_valuations,
         input_bits=input_bits,
         outputs=output_valuations,
-        order=tuple(i | o for i in input_bits for o in output_bits),
+        order=order,
+        atom_letters=tuple(
+            sum(1 << l for l, bits in enumerate(order) if bits >> k & 1)
+            for k in range(len(position))
+        ),
     )
 
 

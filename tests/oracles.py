@@ -1,33 +1,35 @@
 """Independent reference implementations used to cross-check the library.
 
-Nothing in here may call into the code paths under test: polynomial range
-checks go through dense grids, Bernstein tensors are re-expanded against the
-definition of the basis, games and automata get their own brute-force
-counterparts, and (further down) the arena builders, the attractor and the
-tableau keep the object-level versions the library replaced with
-bit-packed, interned and memoised ones (the tableau with its object-guarded
-degeneralization and simplification), the game solvers, strategy
+Nothing in here may call into the code paths under test, except the unit-box
+views of the Bernstein kernel that the tests hold against these references:
+polynomial range checks go through dense grids, Bernstein tensors are
+re-expanded against the definition of the basis, games and automata get
+their own brute-force counterparts, and (further down) the arena builders,
+the attractor and the tableau keep the object-level versions the library
+replaced with bit-packed, interned and memoised ones (the tableau with its
+object-guarded degeneralization and simplification), guard lowering keeps
+the letter loop that atom masks replaced, the game solvers, strategy
 extraction, counter-input selection and edge marking keep the versions on
 arenas of edge objects that flat arrays replaced, the guarantee monitor
 keeps its per-trigger rescans and its per-step evaluation, the simulator
-keeps its per-step valuations and rendering, and the Bernstein search keeps the
-substitute-then-convert enclosures and sample evaluation that the dense
+keeps its per-step valuations and rendering, and the Bernstein search keeps
+the substitute-then-convert enclosures and sample evaluation that the dense
 per-dimension conversion replaced and the ``Fraction`` subdivision that the
-integer one replaced, the specification front end keeps
-the character-by-character lexer and the name-keyed polynomial parser that
-the token-pattern lexer and the ``Polynomial``-built parser replaced, and
-the formula layer keeps its per-operator walks, printer and negation normal
-form that the field-reading walks and the syntax and dual tables replaced,
-and the recursive lasso semantics that the one evaluator ``truth`` replaced,
-and the refinement loop keeps its two refinement paths, one per winner, that
-one round for both replaced, the artifact writers keep their body per kind
-that one body over each machine's ``moves()`` replaced, and lasso acceptance
+integer one replaced, the specification front end keeps the
+character-by-character lexer and the name-keyed polynomial parser that the
+token-pattern lexer and the ``Polynomial``-built parser replaced, and the
+formula layer keeps its per-operator walks, printer and negation normal form
+that the field-reading walks and the syntax and dual tables replaced, and
+the recursive lasso semantics that the one evaluator ``truth`` replaced, and
+the refinement loop keeps its two refinement paths, one per winner, that one
+round for both replaced, the artifact writers keep their body per kind that
+one body over each machine's ``moves()`` replaced, and lasso acceptance
 keeps the strongly-connected-component pass that two reachability searches
-replaced.  The tests read the library's arenas and
-solutions only through the object views built here from their arrays
-(``object_arena``, ``object_solution``), expanded to one ctrl node per input
-letter, the arena the library's letter classes replaced, and build arenas
-edge by edge with ``arena_from_edges``.
+replaced. The tests read the library's arenas and solutions only through the
+object views built here from their arrays (``object_arena``,
+``object_solution``), expanded to one ctrl node per input letter, the arena
+the library's letter classes replaced, and build arenas edge by edge with
+``arena_from_edges``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from itertools import product
 from math import comb, prod
 
 from numltl.bernstein import (
-    BernsteinTensor,
     Box,
     ConstraintImplication,
     Feasible,
@@ -49,9 +50,11 @@ from numltl.bernstein import (
     Point,
     PolyConstraint,
     Polynomial,
+    PolynomialError,
     Unknown,
     Valid,
-    to_unit_box,
+    _bernstein_tensor,
+    _power_tensor,
 )
 from numltl.cegar import _build_arena
 from numltl.games import SafetyGame
@@ -81,6 +84,71 @@ from numltl.speclang import (
     TrueFormula,
     Until,
 )
+
+
+# -- unit-box views of the Bernstein kernel ------------------------------------
+#
+# The library converts polynomials on the boxes its searches visit; these
+# read its conversion kernel on the unit box as a coefficient tensor keyed
+# by multi-index, the form the references below and the tests compare.
+
+
+@dataclass(frozen=True)
+class BernsteinTensor:
+    """Complete coefficient tensor of a polynomial over the unit box.
+
+    ``degree`` is the per-dimension Bernstein degree N; ``coefficients`` holds
+    one entry for every multi-index J with 0 <= J_i <= N_i.
+    """
+
+    degree: tuple[int, ...]
+    coefficients: dict[tuple[int, ...], Fraction]
+
+    def __post_init__(self) -> None:
+        expected = 1
+        for n in self.degree:
+            expected *= n + 1
+        if len(self.coefficients) != expected:
+            msg = (
+                f"incomplete tensor: {len(self.coefficients)} coefficients, "
+                f"expected {expected} for degree {self.degree}"
+            )
+            raise PolynomialError(msg)
+
+
+def to_unit_box(poly: Polynomial, box: Box) -> Polynomial:
+    """Reparametrize so the unit box maps onto ``box``: x_i = lo_i + w_i t_i."""
+    if poly.arity != box.arity:
+        raise PolynomialError("polynomial and box arity differ")
+    lowers = [lo for lo, _ in box.intervals]
+    widths = [hi - lo for lo, hi in box.intervals]
+    return poly.affine_substitute(lowers, widths)
+
+
+def bernstein_coefficients(poly: Polynomial, degree=None) -> BernsteinTensor:
+    """Bernstein coefficients of ``poly`` over the unit box, by the
+    library's kernel.
+
+    With power-basis coefficients a_I and Bernstein degree N, the tensor is
+
+        b_J = sum_{I <= J} (prod_i C(J_i, I_i) / C(N_i, I_i)) * a_I,
+
+    computed one dimension at a time: along each fiber of dimension d,
+    b_j = sum_{i <= j} C(j, i) / C(N_d, i) * a_i.  ``degree`` may exceed
+    the natural degree (degree elevation).
+    """
+    natural = poly.degree_vector()
+    if degree is None:
+        degree = natural
+    else:
+        degree = tuple(degree)
+        if len(degree) != poly.arity or any(d < n for d, n in zip(degree, natural)):
+            msg = f"requested degree {degree} below natural degree {natural}"
+            raise PolynomialError(msg)
+    unit = (Fraction(0), Fraction(1))
+    flat = _bernstein_tensor(_power_tensor(poly, degree), degree, (unit,) * poly.arity)
+    indices = product(*(range(n + 1) for n in degree))
+    return BernsteinTensor(degree, dict(zip(indices, flat)))
 
 
 def grid_points(box: Box, per_dim: int) -> list[Point]:
@@ -958,6 +1026,13 @@ def reference_mark_edges_absent(arena, valuation, predicate_atoms) -> int:
                 edge.present = False
                 count += 1
     return count
+
+
+def reference_matching(letters, guard) -> int:
+    """``Letters.matching`` by testing every letter's bits against the
+    guard's ``(care, value)`` masks."""
+    care, value = guard.masks(letters.position)
+    return sum(1 << l for l, bits in enumerate(letters.order) if bits & care == value)
 
 
 def reference_class_index(letter_sets: list[int], n_letters: int) -> list[int]:

@@ -19,10 +19,8 @@ from numltl.automata import accepts_lasso, evaluate_ltl_on_lasso, translate
 from numltl.bernstein import (
     Feasible,
     Polynomial,
-    bernstein_coefficients,
     bounds,
     check_feasibility,
-    to_unit_box,
 )
 from numltl.cegar import (
     BUCHI,
@@ -51,12 +49,14 @@ from generators import (
     random_unit_point,
 )
 from oracles import (
+    bernstein_coefficients,
     bernstein_reexpand,
     buchi_win_oracle,
     grid_points,
     object_solution,
     poly_min_max_on_grid,
     safety_win_oracle,
+    to_unit_box,
 )
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"

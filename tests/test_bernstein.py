@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from numltl.bernstein import (
-    BernsteinTensor,
     Box,
     ConstraintImplication,
     EnclosureMemo,
@@ -21,14 +20,19 @@ from numltl.bernstein import (
     SearchStats,
     Unknown,
     Valid,
-    bernstein_coefficients,
     bounds,
     check_feasibility,
     check_validity,
-    to_unit_box,
 )
 from generators import random_box, random_polynomial, random_unit_point
-from oracles import bernstein_reexpand, grid_points, poly_min_max_on_grid
+from oracles import (
+    BernsteinTensor,
+    bernstein_coefficients,
+    bernstein_reexpand,
+    grid_points,
+    poly_min_max_on_grid,
+    to_unit_box,
+)
 
 
 def _poly(arity, terms):

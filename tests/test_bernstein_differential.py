@@ -26,20 +26,20 @@ from numltl.bernstein import (
     _power_layout,
     _scaled,
     _subdivide,
-    bernstein_coefficients,
     bounds,
     check_feasibility,
     check_validity,
-    to_unit_box,
 )
 
 from generators import random_point_in_box, random_polynomial
 from oracles import (
+    bernstein_coefficients,
     reference_bernstein_coefficients,
     reference_bounds,
     reference_check_validity,
     reference_search,
     reference_subdivide,
+    to_unit_box,
 )
 
 def _box(rng: random.Random, arity: int) -> Box:

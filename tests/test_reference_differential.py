@@ -51,6 +51,7 @@ from numltl.games import (
     build_safety_game,
     extract_controller,
     extract_counter_strategy,
+    letters_of,
     mark_edges_absent,
     solve,
 )
@@ -85,6 +86,7 @@ from oracles import (
     reference_linear_attractor,
     reference_mark_edges_absent,
     reference_masked_mark_edges_absent,
+    reference_matching,
     reference_negation_normal_form,
     reference_next_depth,
     reference_restrict_counter_strategy,
@@ -211,9 +213,14 @@ def test_bundled_spec_tableau_nodes_match_reference(name):
 
 
 def test_random_formula_tableau_nodes_match_reference():
+    """On both generators' formulas; ``random_formula_with_release`` adds
+    Release and chains of ``!``, so single-successor steps chain through
+    every operator kind."""
     rng = random.Random(3305)
+    atoms = ["a", "b", "c", "d", "e"]
     for _ in range(150):
-        assert_same_node_sequence(random_formula(rng, ["a", "b", "c", "d", "e"], 5))
+        assert_same_node_sequence(random_formula(rng, atoms, 5))
+        assert_same_node_sequence(random_formula_with_release(rng, atoms, 5))
 
 
 @pytest.mark.parametrize("name", SPECS)
@@ -245,6 +252,38 @@ def test_buchi_arena_over_more_than_256_letter_classes_matches_reference():
     arena = build_buchi_game(automaton, inputs, ())
     assert (arena.n_ctrl, arena.n_positions) == (521, 5120)
     assert_same_arena(arena, reference_buchi_game(automaton, inputs, ()))
+
+
+def test_guard_lowering_matches_letter_loop():
+    """Atom-mask lowering against the letter loop it replaced: every guard
+    of every bundled and ``tests/data`` spec's automata in both polarities,
+    and 25 random cubes, the empty and a total one among them, on each
+    alphabet of 1 to 13 atoms declared out of name order."""
+    data_dir = Path(__file__).resolve().parent / "data"
+    for path in sorted(SPEC_DIR.glob("*.spec")) + sorted(data_dir.glob("*.spec")):
+        spec, _ = abstract_spec(parse_spec(path.read_text()))
+        work, _ = _encoded(spec, CegarConfig())
+        inputs, outputs = work.input_atoms(), work.output_atoms()
+        letters = letters_of(inputs, outputs)
+        formula = work.game_formula()
+        for automaton in (
+            translate(formula, inputs + outputs),
+            negate_and_translate(formula, inputs + outputs),
+        ):
+            for guard in {t.guard for row in automaton.transitions for t in row}:
+                assert letters.matching(guard) == reference_matching(letters, guard), (path, guard)
+    rng = random.Random(2613)
+    for n in range(1, 14):
+        names = [f"p{k:02d}" for k in range(n)]
+        rng.shuffle(names)
+        split = rng.randint(0, n)
+        letters = letters_of(tuple(names[:split]), tuple(names[split:]))
+        cubes = [Valuation(()), Valuation(tuple((a, rng.random() < 0.5) for a in names))]
+        for _ in range(23):
+            picked = rng.sample(names, rng.randint(0, n))
+            cubes.append(Valuation(tuple((a, rng.random() < 0.5) for a in picked)))
+        for guard in cubes:
+            assert letters.matching(guard) == reference_matching(letters, guard), (names, guard)
 
 
 def test_each_distinct_guard_is_lowered_once(monkeypatch):
