@@ -10,6 +10,10 @@ controller artifact against randomly sampled sensor values.
 Exit codes: 0 success (realizable / valid / feasible / clean simulation),
 1 negative verdict (unrealizable within bound / invalid / infeasible /
 monitor violations), 2 unknown, 3 input or usage error.
+
+Bad input ends in one place: a command raises, and ``main`` reports the
+input errors (``_INPUT_ERRORS``) as one ``error: ...`` line on stderr with
+exit code 3.  Any other exception is a fault and propagates as a traceback.
 """
 
 from __future__ import annotations
@@ -61,9 +65,8 @@ EXIT_UNKNOWN = 2
 EXIT_INPUT_ERROR = 3
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_INPUT_ERROR
+class InputError(Exception):
+    """Bad input that the command itself finds; the message is printed as is."""
 
 
 def _read(path: str) -> str:
@@ -75,18 +78,19 @@ def _read(path: str) -> str:
 
 
 def _load(path: str, parse, error: type[Exception]):
-    """``parse`` of the file's text, or None once the failure is reported."""
+    """``parse`` of the file's text; a parse error names the file."""
     try:
         return parse(_read(path))
-    except OSError as exc:
-        _fail(str(exc))
     except error as exc:
-        _fail(f"{path}: {exc}")
-    return None
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _approx(value: Fraction) -> str:
-    return f"{value} (~{float(value)})"
+    """The exact value, then its float when it has one."""
+    try:
+        return f"{value} (~{float(value)})"
+    except OverflowError:
+        return str(value)
 
 
 def _point_report(names: tuple[str, ...], point) -> str:
@@ -94,16 +98,6 @@ def _point_report(names: tuple[str, ...], point) -> str:
 
 
 # -- synth --------------------------------------------------------------------
-
-
-def _write(path: str | Path, text: str) -> bool:
-    """Write ``text`` to ``path``; a failure is reported as an input error."""
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        _fail(str(exc))
-        return False
-    return True
 
 
 def _artifact_path(spec_path: str, out: str | None, suffix: str) -> Path:
@@ -114,8 +108,6 @@ def _artifact_path(spec_path: str, out: str | None, suffix: str) -> Path:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     doc = _load(args.spec, sl.parse_spec, sl.SpecError)
-    if doc is None:
-        return EXIT_INPUT_ERROR
     try:
         cfg = CegarConfig(
             algorithm=args.algorithm,
@@ -124,7 +116,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             reencode=not args.no_reencode,
         )
     except ValueError as exc:
-        return _fail(str(exc))
+        raise InputError(str(exc)) from None
     transcript = Transcript()
     verdict = synthesize(doc, cfg, transcript)
     print(f"spec: {args.spec}")
@@ -134,8 +126,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         route += f" (bound schedule {schedule})"
     print(route)
 
-    if args.transcript and not _write(args.transcript, transcript.render()):
-        return EXIT_INPUT_ERROR
+    if args.transcript:
+        Path(args.transcript).write_text(transcript.render(), encoding="utf-8")
 
     if isinstance(verdict, Unknown):
         print(f"verdict: unknown ({verdict.reason})")
@@ -178,12 +170,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
         suffix, render, code = ".cs", render_unrealizable, EXIT_NEGATIVE
     print(f"theory checks: {count_theory_checks(transcript)}")
     out_path = _artifact_path(args.spec, args.out, suffix)
-    if not _write(out_path, render(verdict, cfg.algorithm)):
-        return EXIT_INPUT_ERROR
+    out_path.write_text(render(verdict, cfg.algorithm), encoding="utf-8")
     print(f"wrote {out_path}")
     if args.dot:
-        if not _write(args.dot, render_dot(machine)):
-            return EXIT_INPUT_ERROR
+        Path(args.dot).write_text(render_dot(machine), encoding="utf-8")
         print(f"wrote {args.dot}")
     return code
 
@@ -191,14 +181,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # -- check --------------------------------------------------------------------
 
 
-def _gather_constraint_text(args: argparse.Namespace) -> str | None:
-    parts = []
-    if args.file:
-        parts.append(_read(args.file))
-    for name, lo, hi in args.real:
-        parts.append(f"REAL {name} IN [{lo}, {hi}]")
-    parts.extend(args.constraint)
-    return "\n".join(parts) + "\n" if parts else None
+def _gather_constraint_text(args: argparse.Namespace) -> str:
+    parts = [_read(args.file)] if args.file else []
+    parts += (f"REAL {name} IN [{lo}, {hi}]" for name, lo, hi in args.real)
+    parts += args.constraint
+    if not parts:
+        raise InputError("nothing to check: give a file or --real/--constraint flags")
+    return "\n".join(parts) + "\n"
 
 
 def _render_check(formula, names: tuple[str, ...]) -> str:
@@ -211,24 +200,14 @@ def _render_check(formula, names: tuple[str, ...]) -> str:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        text = _gather_constraint_text(args)
-    except OSError as exc:
-        return _fail(str(exc))
-    if text is None:
-        return _fail("nothing to check: give a file or --real/--constraint flags")
-    try:
-        doc = sl.parse_constraints(text)
-    except sl.SpecError as exc:
-        return _fail(str(exc))
-
+    doc = sl.parse_constraints(_gather_constraint_text(args))
     if args.depth < 0:
-        return _fail("theory depth budget must be nonnegative")
+        raise InputError("theory depth budget must be nonnegative")
     names = doc.variables
     if args.feasibility:
         plain = [c for c in doc.checks if not isinstance(c, ConstraintImplication)]
         if len(plain) != len(doc.checks):
-            return _fail("implications cannot join a feasibility conjunction")
+            raise InputError("implications cannot join a feasibility conjunction")
         stats = SearchStats()
         verdict = check_feasibility(plain, doc.box, args.depth, stats)
         for c in plain:
@@ -277,8 +256,6 @@ def _predicate_comments(doc: sl.SpecDocument) -> list[str]:
 
 def cmd_abstract(args: argparse.Namespace) -> int:
     doc = _load(args.spec, sl.parse_spec, sl.SpecError)
-    if doc is None:
-        return EXIT_INPUT_ERROR
     spec, _ = abstract_spec(doc)
     for line in _predicate_comments(doc):
         print(line)
@@ -288,13 +265,8 @@ def cmd_abstract(args: argparse.Namespace) -> int:
 
 def cmd_reencode(args: argparse.Namespace) -> int:
     doc = _load(args.spec, sl.parse_spec, sl.SpecError)
-    if doc is None:
-        return EXIT_INPUT_ERROR
     spec, _ = abstract_spec(doc)
-    try:
-        encoded, mux = reencode_outputs(spec)
-    except AbstractionError as exc:
-        return _fail(str(exc))
+    encoded, mux = reencode_outputs(spec)
     if not mux:
         print("no re-encoding applicable")
         print(sl.format_spec(spec.document), end="")
@@ -311,18 +283,11 @@ def cmd_reencode(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     package = _load(args.controller, parse_controller_file, ControllerFileError)
-    if package is None:
-        return EXIT_INPUT_ERROR
-    inject = None
-    if args.inject:
-        try:
-            inject = parse_valuation(args.inject)
-        except ValueError as exc:
-            return _fail(str(exc))
     try:
-        trace = simulate(package, args.steps, args.seed, inject)
-    except SimulationError as exc:
-        return _fail(str(exc))
+        inject = parse_valuation(args.inject) if args.inject else None
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+    trace = simulate(package, args.steps, args.seed, inject)
     print(trace.render(), end="")
     return EXIT_OK if not trace.violations else EXIT_NEGATIVE
 
@@ -396,9 +361,17 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# the input errors the commands raise; anything else is a fault of the program
+_INPUT_ERRORS = (InputError, OSError, sl.SpecError, AbstractionError, SimulationError)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

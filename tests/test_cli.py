@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from numltl import speclang as sl
 from numltl.abstraction import abstract_spec
 from numltl.automata import negate_and_translate, translate
 from numltl.cegar import CegarConfig
+from numltl.games import GameError
 from numltl.speclang import MAX_FORMULA_DEPTH, MAX_NESTING, parse_spec
 from numltl.valuation import Valuation
 from generators import random_formula
@@ -501,6 +503,75 @@ class TestUndecodableInput:
         code = main(["check", "--real", "x", "0", "1", "-c", "x¹ > 0"])
         assert code == EXIT_INPUT_ERROR
         assert "unexpected character '¹'" in capsys.readouterr().err
+
+
+class TestOneExitPath:
+    """Bad input ends in ``main``: one ``error:`` line on stderr and exit
+    code 3, whichever command meets it.  Any other exception is a fault of
+    the program and leaves ``main`` as it is."""
+
+    @pytest.mark.parametrize("command", ["synth", "abstract", "reencode", "simulate", "check"])
+    def test_a_missing_path_is_one_error_line(self, command, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        assert main([command, str(missing)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(missing) in captured.err
+
+    @pytest.mark.parametrize("fault", [RuntimeError, GameError])
+    def test_a_fault_inside_a_command_propagates(self, fault, monkeypatch, capsys):
+        # GameError is a ValueError, as the input errors are
+        def synthesize(*args):
+            raise fault("not bad input")
+
+        monkeypatch.setattr(cli, "synthesize", synthesize)
+        with pytest.raises(fault, match="not bad input"):
+            main(["synth", THRESHOLD])
+        assert capsys.readouterr().err == ""
+
+
+OVERFLOW = """\
+REAL x IN [0, 1000000]
+PRED p := x^60 > 1
+OUTPUT g
+ALWAYS (p -> g)
+ALWAYS (p -> !g)
+"""
+
+
+class TestValuesPastFloatRange:
+    """A value with no float prints exactly and alone, where it used to end
+    a finished run in an ``OverflowError`` traceback with exit code 1."""
+
+    @pytest.mark.parametrize("route", ["safety", "buchi"])
+    def test_synth_evidence_prints_the_exact_left_side(self, route, tmp_path, capsys):
+        spec, out = tmp_path / "overflow.spec", tmp_path / "overflow.cs"
+        spec.write_text(OVERFLOW)
+        code = main(["synth", str(spec), "--algorithm", route, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_NEGATIVE and captured.err == ""
+        assert "    witness x=500000 (~500000.0)\n" in captured.out
+        assert f"    x^60 - 1 > 0: left side {500000**60 - 1}\n" in captured.out
+        assert parse_controller_file(out.read_text()).kind == KIND_COUNTER_STRATEGY
+
+    @pytest.mark.parametrize(
+        "mode, constraint, code, report",
+        [
+            (["--feasibility"], "x > 1", EXIT_OK, "Feasible: witness x={}\n"),
+            ([], "x < 1", EXIT_NEGATIVE, "x - 1 < 0: Invalid, counterexample x={} ("),
+        ],
+        ids=["feasibility", "validity"],
+    )
+    def test_check_prints_a_huge_point_exactly(self, mode, constraint, code, report, capsys):
+        hi = 10**400
+        assert main(["check", *mode, "--real", "x", "0", str(hi), "-c", constraint]) == code
+        captured = capsys.readouterr()
+        assert report.format(hi // 2) in captured.out and captured.err == ""
+
+    def test_values_in_float_range_keep_their_approximation(self):
+        assert cli._approx(Fraction(1, 3)) == "1/3 (~0.3333333333333333)"
+        assert cli._approx(Fraction(10**400, 3)) == f"{10**400}/3"
 
 
 class TestDeepNesting:
