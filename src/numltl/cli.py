@@ -86,11 +86,28 @@ def _load(path: str, parse, error: type[Exception]):
 
 
 def _approx(value: Fraction) -> str:
-    """The exact value, then its float when it has one."""
+    """The exact value, then its float when it has one; a value with too
+    many digits to print (``speclang.too_many_digits``) in scientific form."""
+    if sl.too_many_digits(value):
+        return _scientific(value)
     try:
         return f"{value} (~{float(value)})"
     except OverflowError:
         return str(value)
+
+
+def _scientific(value: Fraction) -> str:
+    """``~m.mmmmme+N``: ``value`` rounded half up to six significant digits
+    with ints, from an exponent estimate that is off by at most one."""
+    num, den = abs(value.numerator), value.denominator
+    exp = (num.bit_length() - den.bit_length()) * 30103 // 100000
+    while True:
+        top, bottom = num * 10 ** max(5 - exp, 0), den * 10 ** max(exp - 5, 0)
+        digits = (2 * top // bottom + 1) // 2  # value / 10^(exp - 5), rounded
+        if 10**5 <= digits < 10**6:
+            sign = "-" if value < 0 else ""
+            return f"~{sign}{digits // 10**5}.{digits % 10**5:05d}e{exp:+d}"
+        exp += 1 if digits >= 10**6 else -1
 
 
 def _point_report(names: tuple[str, ...], point) -> str:

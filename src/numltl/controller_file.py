@@ -22,7 +22,7 @@ from . import speclang as sl
 from .abstraction import EMPTY_MULTIPLEXER, MultiplexerTable, refinement_problem
 from .cegar import BUCHI, SAFETY, Realizable, UnrealizableWithinBound
 from .games import CounterStrategy, MealyController
-from .valuation import Memo, Valuation, all_valuations, parse_valuation
+from .valuation import Memo, Valuation, all_valuations, format_valuation, parse_valuation
 
 MAGIC = "NUMLTL"
 KIND_CONTROLLER = "CONTROLLER"
@@ -56,10 +56,6 @@ def _digest(spec_text: str) -> str:
     return hashlib.sha256(spec_text.encode("utf-8")).hexdigest()
 
 
-def _val_str(v: Valuation) -> str:
-    return str(v) if v.pairs else "-"
-
-
 def _names_str(names: tuple[str, ...]) -> str:
     return ",".join(names) if names else "-"
 
@@ -69,7 +65,7 @@ def _mux_lines(mux: MultiplexerTable) -> list[str]:
         return []
     lines = ["BEGIN MUX", f"ENCODED {_names_str(mux.encoded_atoms)}"]
     lines.append(f"ORIGINAL {_names_str(mux.original_atoms)}")
-    lines += [f"ROW {_val_str(w)} {_val_str(o)}" for w, o in mux.rows]
+    lines += [f"ROW {format_valuation(w)} {format_valuation(o)}" for w, o in mux.rows]
     lines.append("END MUX")
     return lines
 
@@ -78,7 +74,7 @@ def _render(kind: str, verdict, algorithm: str, machine, states: str, extra: lis
     """The artifact of either kind: ``states`` is the STATES payload and
     ``extra`` the lines only that kind has, written before its STEPs."""
     spec_text = sl.format_spec(verdict.spec.source)
-    shown = Memo(_val_str)  # a machine's lines repeat a few valuations
+    shown = Memo(format_valuation)  # a machine's lines repeat a few valuations
     lines = [
         f"{MAGIC} {kind}",
         f"HASH {_digest(spec_text)}",
@@ -106,7 +102,7 @@ def render_realizable(verdict: Realizable, algorithm: str) -> str:
 
 def render_unrealizable(verdict: UnrealizableWithinBound, algorithm: str) -> str:
     cs = verdict.counter_strategy
-    shown = Memo(_val_str)
+    shown = Memo(format_valuation)
     lines = []
     for state in cs.states:
         cands = cs.candidates.get(state, ())
@@ -121,7 +117,7 @@ def render_unrealizable(verdict: UnrealizableWithinBound, algorithm: str) -> str
 def render_dot(machine: MealyController | CounterStrategy) -> str:
     """Graph description of a machine for visualization tools."""
 
-    label = Memo(_val_str)
+    label = Memo(format_valuation)
     lines = ["digraph machine {", "  rankdir=LR;"]
     lines.append(f'  init [shape=point]; init -> "{machine.initial}";')
     if isinstance(machine, MealyController):
@@ -248,7 +244,7 @@ def _check_refinements(document: sl.SpecDocument, refinements: list) -> None:
     for side, v in refinements:
         problem = refinement_problem(document, v, side, previous[side])
         if problem is not None:
-            raise ControllerFileError(f"REFINE {side} {_val_str(v)}: {problem}")
+            raise ControllerFileError(f"REFINE {side} {format_valuation(v)}: {problem}")
         previous[side].add(v)
 
 
@@ -267,7 +263,7 @@ def _check_steps_cover_inputs(
     for state in range(machine.n_states):
         for vin in required if state else unrefined:
             if (state, vin) not in machine.step:
-                msg = f"STEP: state {state} has no line for input {_val_str(vin)}"
+                msg = f"STEP: state {state} has no line for input {format_valuation(vin)}"
                 raise ControllerFileError(msg)
             if not state:
                 required.append(vin)
@@ -345,8 +341,8 @@ def parse_controller_file(text: str) -> ControllerPackage:
         target = number[payload[3]]
         key, move = ((state, vin, vout), target) if is_counter else ((state, vin), (vout, target))
         if key in step:
-            also = f" and output {_val_str(vout)}" if is_counter else ""
-            msg = f"STEP: state {state} has two lines for input {_val_str(vin)}{also}"
+            also = f" and output {format_valuation(vout)}" if is_counter else ""
+            msg = f"STEP: state {state} has two lines for input {format_valuation(vin)}{also}"
             raise ControllerFileError(msg)
         step[key] = move
     machine = counter = None

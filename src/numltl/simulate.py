@@ -25,22 +25,25 @@ arithmetic and dict lookups, and everything that depends on a letter alone
 happens once per distinct letter: a step's input is keyed by its Boolean
 draws and predicate signs, and its ``Valuation`` is built the first time
 the key appears; each emitted code-word is decoded once, and each (input,
-output) pair merged once.  The monitor judges each guarantee's formulas on
-the whole trace at once (``speclang.truth``, one visit per subformula),
-and the rendering formats each distinct valuation once.
+output) pair merged once.  Each step is recorded once; the monitor then
+marks the steps where a guarantee is first violated.  Every shape it judges
+is read off ``speclang.truth`` on the whole trace: a response trigger of
+``ALWAYS (p -> (l UNTIL r))`` is broken where the weak until
+``r RELEASE (l || r)`` fails and open where ``l UNTIL r`` fails.  The
+rendering formats each distinct valuation once.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
 from . import speclang as sl
 from .bernstein import satisfies
 from .controller_file import KIND_CONTROLLER, ControllerPackage
-from .valuation import Memo, Valuation
+from .valuation import Memo, Valuation, format_valuation
 
 SAMPLE_BITS = 20
 
@@ -74,7 +77,7 @@ class SimulationTrace:
 
     def render(self) -> str:
         lines = [f"SIM seed={self.seed} steps={len(self.steps)}"]
-        shown = Memo(lambda v: str(v) if v.pairs else "-")
+        shown = Memo(format_valuation)
         for s in self.steps:
             samples = ",".join(f"{n}={v}" for n, v in s.samples) if s.samples else "-"
             status = f"violation({','.join(s.violations)})" if s.violations else OK
@@ -125,33 +128,17 @@ def _monitor_one(g: sl.Formula, trace: list[dict[str, bool]]) -> tuple[int | Non
             return next((t for t in range(horizon - depth) if not holds[t]), None), 0
         if isinstance(body, sl.Implies) and sl.is_propositional(body.left):
             p, rhs = body.left, body.right
-            if isinstance(rhs, sl.Eventually) and sl.is_propositional(rhs.operand):
+            response = isinstance(rhs, (sl.Eventually, sl.Until))
+            if response and all(map(sl.is_propositional, sl.operands(rhs))):
+                if isinstance(rhs, sl.Until):
+                    # the earliest broken trigger is reported at the first
+                    # step from it where the right side holds or the left fails
+                    weak = sl.Release(rhs.right, sl.Or(rhs.left, rhs.right))
+                    broken = at(sl.Implies(p, weak))
+                    if False in broken:
+                        settles = at(sl.Or(rhs.right, sl.Not(rhs.left)))
+                        return settles.index(True, broken.index(False)), 0
                 return None, at(body).count(False)
-            if (
-                isinstance(rhs, sl.Until)
-                and sl.is_propositional(rhs.left)
-                and sl.is_propositional(rhs.right)
-            ):
-                # a backward scan, so the step that settles a trigger is
-                # known when the trigger is reached.  ``stop``: the first
-                # step from t on where the right side holds (the trigger is
-                # met) or the left fails (it is broken)
-                trigger, kept, met = at(p), at(rhs.left), at(rhs.right)
-                pending, violated_at, stop, broken = 0, None, None, False
-                for t in reversed(range(horizon)):
-                    if met[t]:
-                        stop, broken = t, False
-                    elif not kept[t]:
-                        stop, broken = t, True
-                    if not trigger[t]:
-                        continue
-                    if stop is None:
-                        pending += 1
-                    elif broken:
-                        violated_at = stop  # kept last: the earliest trigger's
-                if violated_at is not None:
-                    return violated_at, 0
-                return None, pending
         if isinstance(body, sl.Eventually) and sl.is_propositional(body.operand):
             return None, at(body).count(False)
     if isinstance(g, sl.Eventually) and sl.is_propositional(g.operand):
@@ -160,18 +147,15 @@ def _monitor_one(g: sl.Formula, trace: list[dict[str, bool]]) -> tuple[int | Non
 
 
 def monitor_guarantees(doc: sl.SpecDocument, trace: list[Valuation]) -> MonitorReport:
-    words = Memo(Valuation.as_dict)
-    return _monitor(doc, [words[w] for w in trace])
-
-
-def _monitor(doc: sl.SpecDocument, trace: list[dict[str, bool]]) -> MonitorReport:
     """The guarantees judged on ``trace``."""
+    dicts = Memo(Valuation.as_dict)
+    words = [dicts[w] for w in trace]
     violations = []
     pending = []
     unmonitored = []
     for i, g in enumerate(doc.guarantees, start=1):
         gid = f"g{i}"
-        violated_at, open_count = _monitor_one(g, trace)
+        violated_at, open_count = _monitor_one(g, words)
         if violated_at is not None:
             violations.append((gid, violated_at))
         elif open_count is None:
@@ -264,13 +248,13 @@ def simulate(
         assignment.update(forced)
         return Valuation.of(assignment)
 
-    def join(pair: tuple[Valuation, Valuation]) -> dict[str, bool]:
-        return pair[0].merge(pair[1]).as_dict()
+    def join(pair: tuple[Valuation, Valuation]) -> Valuation:
+        return pair[0].merge(pair[1])
 
     inputs, merged = Memo(letter), Memo(join)
     decoded = Memo(mux.decode if mux else lambda raw: raw)
 
-    def outcome(key: tuple[int, ...]) -> tuple[Valuation, Valuation, int, bool, dict]:
+    def outcome(key: tuple[int, ...]) -> tuple[Valuation, Valuation, int, bool, Valuation]:
         *draws, before = key
         vin = inputs[tuple(draws)]
         move = m.step.get((before, vin))
@@ -283,8 +267,8 @@ def simulate(
     outcomes = Memo(outcome)
     draw_bit, draw_index = rng.getrandbits, rng.randrange
     booleans, span = range(len(doc.boolean_inputs)), 2**SAMPLE_BITS + 1
-    trace_steps = []
-    words: list[dict[str, bool]] = []
+    trace: list[TraceStep] = []
+    words: list[Valuation] = []
     state = m.initial
     for t in range(steps):
         draws = [draw_bit(1) for _ in booleans]
@@ -298,29 +282,15 @@ def simulate(
         draws.append(state)
         vin, vout, after, stuck, word = outcomes[tuple(draws)]
         words.append(word)
-        trace_steps.append((t, samples, vin, vout, state, after, stuck))
+        trace.append(TraceStep(t, samples, vin, vout, state, after, stuck, ()))
         state = after
 
-    report = _monitor(doc, words)
-    violated: dict[int, list[str]] = {}
-    for gid, step in report.violations:
-        violated.setdefault(step, []).append(gid)
-    final = tuple(
-        TraceStep(
-            index=t,
-            samples=samples,
-            inputs=vin,
-            outputs=vout,
-            state_before=before,
-            state_after=after,
-            stuck=stuck,
-            violations=tuple(violated.get(t, ())),
-        )
-        for t, samples, vin, vout, before, after, stuck in trace_steps
-    )
+    report = monitor_guarantees(doc, words)
+    for gid, t in report.violations:
+        trace[t] = replace(trace[t], violations=(*trace[t].violations, gid))
     return SimulationTrace(
         seed=seed,
-        steps=final,
+        steps=tuple(trace),
         violations=report.violations,
         pending=report.pending,
         unmonitored=report.unmonitored,

@@ -20,7 +20,9 @@ sum, a power or a product may expand to at most ``MAX_POWER_TERMS`` terms:
 a sum is rejected at the ``+`` or ``-`` that takes it past the cap, and a
 power or a product at the first multiplication past it.  A multiplication
 is also refused before it is carried out when its factors' term counts
-multiply to more than ``MAX_PRODUCT_PAIRS``.
+multiply to more than ``MAX_PRODUCT_PAIRS``.  A coefficient's numerator
+and denominator have at most ``MAX_DIGITS`` digits: a product or power is
+rejected where it passes the limit, and any other polynomial at its relation.
 Parenthesised groups and prefix operators (``!``, ``ALWAYS``, ``EVENTUALLY``,
 ``NEXT`` and a polynomial's unary ``-``) nest at most ``MAX_NESTING`` levels
 deep, and the token that opens a deeper level is rejected.  A prefix
@@ -81,6 +83,10 @@ OUTPUT_SIDE = "output"
 MAX_EXPONENT = 64
 MAX_POWER_TERMS = 500
 MAX_PRODUCT_PAIRS = 10_000
+# Python 3.11 on prints an int of at most 4,300 digits: coefficients stay
+# within that, so that every accepted document prints and reads back
+MAX_DIGITS = 4300
+_DIGIT_BOUND = 10**MAX_DIGITS
 # each level of nesting is a few frames of the recursive-descent parser: past
 # the cap a line is rejected rather than parsed into Python's recursion limit
 MAX_NESTING = 64
@@ -482,6 +488,19 @@ def _expected(what: str, tok: Token) -> SpecError:
     return SpecError(f"expected {what}, found {tok.text or 'end of line'!r}", tok.line, tok.column)
 
 
+def too_many_digits(value: Fraction) -> bool:
+    """Whether a numerator or denominator of ``value`` has more than ``MAX_DIGITS`` digits."""
+    return max(abs(value.numerator), value.denominator) >= _DIGIT_BOUND
+
+
+def _printable(poly: Polynomial, what: str, tok: Token) -> Polynomial:
+    """``poly``, unless a coefficient of the ``what`` at ``tok`` has too many digits."""
+    if any(map(too_many_digits, poly.terms.values())):
+        msg = f"{what} has a coefficient of more than {MAX_DIGITS} digits"
+        raise SpecError(msg, tok.line, tok.column)
+    return poly
+
+
 def _capped(poly: Polynomial, what: str, tok: Token) -> Polynomial:
     """``poly``, unless the ``what`` at ``tok`` that built it expands to
     more than ``MAX_POWER_TERMS`` terms."""
@@ -494,11 +513,11 @@ def _capped(poly: Polynomial, what: str, tok: Token) -> Polynomial:
 def _product(a: Polynomial, b: Polynomial, what: str, tok: Token) -> Polynomial:
     """``a * b`` for the ``what`` at ``tok``: refused before it is
     multiplied out when its factors' term counts multiply to more than
-    ``MAX_PRODUCT_PAIRS``, and after when it expands past the term cap."""
+    ``MAX_PRODUCT_PAIRS``, and after when it passes the term cap or the digit limit."""
     if len(a.terms) * len(b.terms) > MAX_PRODUCT_PAIRS:
         msg = f"{what} pairs more than {MAX_PRODUCT_PAIRS} terms of its factors"
         raise SpecError(msg, tok.line, tok.column)
-    return _capped(a * b, what, tok)
+    return _printable(_capped(a * b, what, tok), what, tok)
 
 
 def _too_deep(tok: Token) -> SpecError:
@@ -767,7 +786,7 @@ def _parse_relational(parser: _LineParser) -> PolyConstraint:
         raise _expected("a relation (<, <=, >, >=)", rel_tok)
     parser.advance()
     rhs = parser.parse_poly()
-    return PolyConstraint(lhs - rhs, RELOPS[rel_tok.kind])
+    return PolyConstraint(_printable(lhs - rhs, "relation", rel_tok), RELOPS[rel_tok.kind])
 
 
 def _names_used(constraint: PolyConstraint, names: tuple[str, ...]) -> list[str]:
@@ -973,12 +992,6 @@ def parse_constraints(text: str) -> ConstraintDocument:
 # -- printing ---------------------------------------------------------------
 
 
-def _format_rational(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def format_polynomial(poly: Polynomial, var_names: tuple[str, ...]) -> str:
     if poly.is_zero():
         return "0"
@@ -994,11 +1007,11 @@ def format_polynomial(poly: Polynomial, var_names: tuple[str, ...]) -> str:
         ]
         magnitude = abs(coeff)
         if not factors:
-            body = _format_rational(magnitude)
+            body = str(magnitude)
         elif magnitude == 1:
             body = " * ".join(factors)
         else:
-            body = " * ".join([_format_rational(magnitude)] + factors)
+            body = " * ".join([str(magnitude)] + factors)
         if not pieces:
             pieces.append(body if coeff > 0 else f"-{body}")
         else:
@@ -1035,10 +1048,7 @@ def format_spec(doc: SpecDocument) -> str:
     lines: list[str] = []
     for var in doc.real_vars:
         side = "" if var.side == INPUT_SIDE else "OUTPUT "
-        lines.append(
-            f"REAL {side}{var.name} IN "
-            f"[{_format_rational(var.lower)}, {_format_rational(var.upper)}]"
-        )
+        lines.append(f"REAL {side}{var.name} IN [{var.lower}, {var.upper}]")
     for pred in doc.predicates:
         names = tuple(v.name for v in doc.real_vars_of(pred.side))
         lines.append(f"PRED {pred.atom} := {format_constraint(pred.constraint, names)}")

@@ -127,8 +127,13 @@ def all_valuations(atoms: Iterable[str]) -> Iterator[Valuation]:
         yield Valuation(tuple(zip(names, bits)))
 
 
+def format_valuation(v: Valuation) -> str:
+    """``str(v)``, or the sentinel ``-`` for the empty valuation."""
+    return str(v) if v.pairs else "-"
+
+
 def parse_valuation(text: str) -> Valuation:
-    """Inverse of ``str(valuation)``; the sentinel ``-`` is the empty one."""
+    """Inverse of ``format_valuation``."""
     if text == "-":
         return Valuation.of({})
     pairs = []

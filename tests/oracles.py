@@ -2881,7 +2881,7 @@ def reference_parse_controller_file(text: str):
             vout = val(payload[2], "STEP", outputs)
             target = state(payload[3], "STEP", states)
             if (source, vin) in step:
-                raise error(f"STEP: state {source} has two lines for input {cf._val_str(vin)}")
+                raise error(f"STEP: state {source} has two lines for input {cf.format_valuation(vin)}")
             step[(source, vin)] = (vout, target)
         machine = MealyController(inputs, outputs, n_states, initial, step)
     else:
@@ -2916,8 +2916,8 @@ def reference_parse_controller_file(text: str):
             target = state(payload[3], "STEP", states)
             if key in transitions:
                 raise error(
-                    f"STEP: state {key[0]} has two lines for input {cf._val_str(key[1])}"
-                    f" and output {cf._val_str(key[2])}"
+                    f"STEP: state {key[0]} has two lines for input {cf.format_valuation(key[1])}"
+                    f" and output {cf.format_valuation(key[2])}"
                 )
             transitions[key] = target
         counter = CounterStrategy(
@@ -2946,15 +2946,15 @@ def reference_parse_controller_file(text: str):
         atoms = sorted(p.atom for p in document.predicates if p.side == side)
         if not atoms:
             raise error(
-                f"REFINE {side} {cf._val_str(v)}: the {side} side has no predicate atoms to refine"
+                f"REFINE {side} {cf.format_valuation(v)}: the {side} side has no predicate atoms to refine"
             )
         if sorted(v.atoms) != atoms:
             raise error(
-                f"REFINE {side} {cf._val_str(v)}: refinement valuation must assign exactly"
+                f"REFINE {side} {cf.format_valuation(v)}: refinement valuation must assign exactly"
                 f" the {side}-side predicate atoms {atoms}, got {sorted(v.atoms)}"
             )
         if v in refined[side]:
-            raise error(f"REFINE {side} {cf._val_str(v)}: valuation {v} was already refined away")
+            raise error(f"REFINE {side} {cf.format_valuation(v)}: valuation {v} was already refined away")
         refined[side].append(v)
     if machine is not None:
         excluded = refined["input"]
@@ -2962,7 +2962,7 @@ def reference_parse_controller_file(text: str):
             if (source, vin) not in machine.step and not any(
                 cube_matches(cube, vin) for cube in excluded
             ):
-                raise error(f"STEP: state {source} has no line for input {cf._val_str(vin)}")
+                raise error(f"STEP: state {source} has no line for input {cf.format_valuation(vin)}")
     if mux:
         cf._same_atoms("ORIGINAL", mux.original_atoms, document.output_atoms())
         cf._same_atoms("ENCODED", mux.encoded_atoms, outputs)
@@ -3048,7 +3048,7 @@ def reference_render_realizable(verdict, algorithm: str) -> str:
     for (state, vin), (vout, nxt) in sorted(
         m.step.items(), key=lambda item: (item[0][0], item[0][1].sort_key())
     ):
-        lines.append(f"STEP {state} {cf._val_str(vin)} {cf._val_str(vout)} {nxt}")
+        lines.append(f"STEP {state} {cf.format_valuation(vin)} {cf.format_valuation(vout)} {nxt}")
     lines += cf._mux_lines(verdict.multiplexer)
     lines += _reference_spec_lines(verdict.spec.source)
     return "\n".join(lines) + "\n"
@@ -3068,7 +3068,7 @@ def reference_render_unrealizable(verdict, algorithm: str) -> str:
     lines.append(f"INITIAL {cs.initial}")
     for state in cs.states:
         cands = cs.candidates.get(state, ())
-        rendered = ";".join(map(cf._val_str, cands)) if cands else "-"
+        rendered = ";".join(map(cf.format_valuation, cands)) if cands else "-"
         lines.append(f"CANDIDATES {state} {rendered}")
     spoiled = tuple(str(s) for s in sorted(cs.spoiled))
     lines.append(f"SPOILED {cf._names_str(spoiled)}")
@@ -3076,7 +3076,7 @@ def reference_render_unrealizable(verdict, algorithm: str) -> str:
         cs.transitions.items(),
         key=lambda item: (item[0][0], item[0][1].sort_key(), item[0][2].sort_key()),
     ):
-        lines.append(f"STEP {state} {cf._val_str(vin)} {cf._val_str(vout)} {nxt}")
+        lines.append(f"STEP {state} {cf.format_valuation(vin)} {cf.format_valuation(vout)} {nxt}")
     lines += cf._mux_lines(verdict.multiplexer)
     lines += _reference_spec_lines(verdict.spec.source)
     return "\n".join(lines) + "\n"

@@ -574,6 +574,90 @@ class TestValuesPastFloatRange:
         assert cli._approx(Fraction(10**400, 3)) == f"{10**400}/3"
 
 
+HUGE_COEFFICIENT = f"""\
+REAL x IN [0, 1]
+PRED p := (x + {10**2200})^2 > 1
+OUTPUT g
+ALWAYS (p -> g)
+"""
+
+# x^64 * y^64 - 1 at the witness (5 * 10^39, 5 * 10^39) has 5,082 digits
+PAST_THE_DIGIT_LIMIT = f"""\
+REAL x IN [0, {10**40}]
+REAL y IN [0, {10**40}]
+PRED p := x^64 * y^64 > 1
+OUTPUT g
+ALWAYS (p -> g)
+ALWAYS (p -> !g)
+"""
+
+
+class TestValuesPastTheDigitLimit:
+    """Python 3.11 on prints no int of more than 4,300 digits.  A spec with
+    a coefficient past that is bad input; a reported value past it prints
+    in scientific form.  Both used to end a finished run in a
+    ``ValueError`` traceback with exit code 1 and no artifact."""
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("synth", ["--algorithm", "safety"]),
+            ("synth", ["--algorithm", "buchi"]),
+            ("abstract", []),
+            ("reencode", []),
+        ],
+        ids=["synth-safety", "synth-buchi", "abstract", "reencode"],
+    )
+    def test_a_huge_coefficient_is_an_input_error(self, command, options, tmp_path, capsys):
+        spec = tmp_path / "huge.spec"
+        spec.write_text(HUGE_COEFFICIENT)
+        assert main([command, str(spec), *options]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = "line 2, column 2219: power has a coefficient of more than 4300 digits"
+        assert captured.err == f"error: {spec}: {message}\n"
+
+    def test_a_huge_coefficient_to_check_is_an_input_error(self, capsys):
+        constraint = f"(x + {10**2200})^2 > 1"
+        code = main(["check", "--feasibility", "--real", "x", "0", "1", "-c", constraint])
+        assert code == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: line 2, column 2209: power has a coefficient of more than 4300 digits\n"
+        )
+
+    @pytest.mark.parametrize("route", ["safety", "buchi"])
+    def test_synth_evidence_prints_the_scientific_form(self, route, tmp_path, capsys):
+        spec, out = tmp_path / "digits.spec", tmp_path / "digits.cs"
+        spec.write_text(PAST_THE_DIGIT_LIMIT)
+        code = main(["synth", str(spec), "--algorithm", route, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_NEGATIVE and captured.err == ""
+        assert "    x^64 * y^64 - 1 > 0: left side ~2.93874e+5081\n" in captured.out
+        assert parse_controller_file(out.read_text()).kind == KIND_COUNTER_STRATEGY
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            (Fraction(5**128 * 10**4992 - 1), "~2.93874e+5081"),
+            (Fraction(-1, 10**4400), "~-1.00000e-4400"),
+            # rounded half up, and the carry moves the exponent
+            (Fraction(9999995 * 10**4300), "~1.00000e+4307"),
+            (Fraction(9999994 * 10**4300), "~9.99999e+4306"),
+            (Fraction(10**4301 + 1, 10**4301), "~1.00000e+0"),
+            (Fraction(2, 3 * 10**4400), "~6.66667e-4401"),
+        ],
+        ids=["left-side", "negative-tiny", "carry", "no-carry", "near-one", "repeating"],
+    )
+    def test_the_scientific_form_is_exact(self, value, shown):
+        assert cli._approx(value) == shown
+
+    def test_values_within_the_limit_print_exactly(self):
+        most = Fraction(10**4300 - 1, 7)
+        assert cli._approx(most) == f"{10**4300 - 1}/7"
+
+
 class TestDeepNesting:
     """Input nested past ``MAX_NESTING`` levels is an input error on every
     command that parses it, reported at the token opening the level too

@@ -17,6 +17,7 @@ from numltl.speclang import (
     FalseFormula,
     Implies,
     INPUT_SIDE,
+    MAX_DIGITS,
     MAX_EXPONENT,
     MAX_FORMULA_DEPTH,
     MAX_NESTING,
@@ -302,6 +303,51 @@ class TestPowerCaps:
         expected = x.power(MAX_EXPONENT) + (x + y + one).power(30)
         assert len((x + y + one).power(30).terms) <= MAX_POWER_TERMS
         assert doc.checks[0] == PolyConstraint(expected, ">")
+
+
+BIG = 10**2200  # 2,201 digits: two of them multiply past the digit limit
+
+
+class TestDigitLimit:
+    """Every coefficient of an accepted polynomial has a numerator and a
+    denominator of at most ``MAX_DIGITS`` digits, the most Python 3.11 on
+    prints an int with, so that every accepted document prints.  A product
+    or power is rejected where it passes the limit, and any other
+    polynomial at its relation."""
+
+    @pytest.mark.parametrize(
+        "poly, column, what",
+        [
+            # reported at the exponent, as a power past the term cap is
+            (f"(x + {BIG})^2 > 1", len(f"(x + {BIG})^") + 1, "power"),
+            (f"{BIG} * {BIG} * x > 1", len(f"{BIG} ") + 1, "product"),
+            # 1/a - 1/b = (b - a)/(ab) for coprime a, b: no product passes
+            # the limit, the two sides' difference does
+            (f"x + 1/{BIG + 1} > 1/{BIG + 3}", len(f"x + 1/{BIG + 1} ") + 1, "relation"),
+        ],
+        ids=["power", "product", "relation"],
+    )
+    @pytest.mark.parametrize("kind", ["spec", "constraints"])
+    def test_past_the_limit_is_rejected(self, kind, poly, column, what):
+        if kind == "spec":
+            head, tail, parse = "PRED p := ", "OUTPUT g\nALWAYS (p -> g)\n", parse_spec
+        else:
+            head, tail, parse = "", "", parse_constraints
+        with pytest.raises(SpecError) as info:
+            parse(f"REAL x IN [0, 1]\n{head}{poly}\n{tail}")
+        assert info.value.message == f"{what} has a coefficient of more than {MAX_DIGITS} digits"
+        assert (info.value.line, info.value.column) == (2, len(head) + column)
+
+    def test_at_the_limit_prints_and_reads_back(self):
+        most = 10**MAX_DIGITS - 1  # the largest MAX_DIGITS-digit number
+        text = f"REAL x IN [0, 1]\nPRED p := {most // 9} * 9 * x > 1/{10**2150} * 1/{10**2149}\n"
+        doc = parse_spec(text + "OUTPUT g\nALWAYS (p -> g)\n")
+        [pred] = doc.predicates
+        assert pred.constraint.poly.terms == {
+            (1,): Fraction(most),
+            (0,): Fraction(-1, 10**(MAX_DIGITS - 1)),
+        }
+        assert parse_spec(format_spec(doc)) == doc
 
 
 class TestNestingCap:
